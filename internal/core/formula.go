@@ -92,14 +92,18 @@ func BufTotal(s Scenario, R float64, na int, k int, C, S float64) float64 {
 	}
 	switch s {
 	case Scenario1:
-		h := naC - R/math.Pow(2, float64(k))
+		// R/2^k by exponent arithmetic: bit-identical to
+		// R/math.Pow(2, float64(k)) for every k a caller can pass
+		// (TestLdexpMatchesPowDivision), without Pow's cost on the
+		// server's per-packet path (PickLayer -> Tick -> FillTarget).
+		h := naC - math.Ldexp(R, -k)
 		return TriangleArea(h, S)
 	case Scenario2:
 		k1 := K1(R, naC)
 		if k < k1 {
 			return 0
 		}
-		first := TriangleArea(naC-R/math.Pow(2, float64(k1)), S)
+		first := TriangleArea(naC-math.Ldexp(R, -k1), S)
 		rest := float64(k-k1) * TriangleArea(naC/2, S)
 		return first + rest
 	default:
@@ -116,14 +120,14 @@ func BufLayer(s Scenario, R float64, na, k, i int, C, S float64) float64 {
 	}
 	switch s {
 	case Scenario1:
-		h := naC - R/math.Pow(2, float64(k))
+		h := naC - math.Ldexp(R, -k)
 		return Band(h, C, S, i)
 	case Scenario2:
 		k1 := K1(R, naC)
 		if k < k1 {
 			return 0
 		}
-		first := Band(naC-R/math.Pow(2, float64(k1)), C, S, i)
+		first := Band(naC-math.Ldexp(R, -k1), C, S, i)
 		rest := float64(k-k1) * Band(naC/2, C, S, i)
 		return first + rest
 	default:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -275,5 +276,39 @@ func TestTriangleArea(t *testing.T) {
 	}
 	if !almostEq(TriangleArea(2000, tS), 2000*2000/(2*tS), 1e-9) {
 		t.Fatal("triangle area formula mismatch")
+	}
+}
+
+// TestLdexpMatchesPowDivision pins the rewrite of R/2^k in BufTotal,
+// BufLayer and their N variants from R/math.Pow(2, float64(k)) to
+// math.Ldexp(R, -k): both are the correctly rounded value of R*2^-k, so
+// they must agree bit for bit — over ordinary rates, over the whole
+// exponent range (results that land in the subnormals included), and on
+// the special values. k stops at 1023: past it Pow overflows to +Inf
+// and the quotient collapses to 0, and K1 never returns more than 65.
+func TestLdexpMatchesPowDivision(t *testing.T) {
+	check := func(R float64, k int) {
+		t.Helper()
+		want := R / math.Pow(2, float64(k))
+		got := math.Ldexp(R, -k)
+		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("R=%v (%#x) k=%d: Ldexp %v (%#x), Pow division %v (%#x)",
+				R, math.Float64bits(R), k, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(1999))
+	for i := 0; i < 2_000_000; i++ {
+		// Rates as the controller sees them: bytes/s over twelve decades.
+		check(math.Exp(rng.Float64()*28-4), rng.Intn(64))
+	}
+	for i := 0; i < 2_000_000; i++ {
+		// Any bit pattern, any k that keeps Pow finite.
+		check(math.Float64frombits(rng.Uint64()), rng.Intn(1024))
+	}
+	for _, R := range []float64{0, math.Copysign(0, -1), 1, -1, math.SmallestNonzeroFloat64, math.MaxFloat64,
+		0x1p-1022, 0x1.fffffffffffffp-1023, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for k := 0; k < 1024; k++ {
+			check(R, k)
+		}
 	}
 }

@@ -59,13 +59,13 @@ func BufTotalN(s Scenario, R float64, rates []float64, k int, S float64) float64
 	}
 	switch s {
 	case Scenario1:
-		return TriangleArea(naC-R/math.Pow(2, float64(k)), S)
+		return TriangleArea(naC-math.Ldexp(R, -k), S)
 	case Scenario2:
 		k1 := K1(R, naC)
 		if k < k1 {
 			return 0
 		}
-		first := TriangleArea(naC-R/math.Pow(2, float64(k1)), S)
+		first := TriangleArea(naC-math.Ldexp(R, -k1), S)
 		return first + float64(k-k1)*TriangleArea(naC/2, S)
 	default:
 		panic("core: unknown scenario")
@@ -80,13 +80,13 @@ func BufLayerN(s Scenario, R float64, rates []float64, k, i int, S float64) floa
 	}
 	switch s {
 	case Scenario1:
-		return BandN(naC-R/math.Pow(2, float64(k)), rates, S, i)
+		return BandN(naC-math.Ldexp(R, -k), rates, S, i)
 	case Scenario2:
 		k1 := K1(R, naC)
 		if k < k1 {
 			return 0
 		}
-		first := BandN(naC-R/math.Pow(2, float64(k1)), rates, S, i)
+		first := BandN(naC-math.Ldexp(R, -k1), rates, S, i)
 		return first + float64(k-k1)*BandN(naC/2, rates, S, i)
 	default:
 		panic("core: unknown scenario")

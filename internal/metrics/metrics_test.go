@@ -117,6 +117,35 @@ func TestLocalHistogramMergesAtSnapshot(t *testing.T) {
 	}
 }
 
+// ShardHistogram is LocalHistogram's shape with atomic counts: private
+// instances summed by name, and a snapshot may run beside the writers
+// (the race detector checks that half).
+func TestShardHistogramMergesUnderConcurrentSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	a := reg.ShardHistogram("lat", HistogramOpts{MinExp: 0, MaxExp: 10})
+	b := reg.ShardHistogram("lat", HistogramOpts{MinExp: 0, MaxExp: 10})
+	if a == b {
+		t.Fatal("ShardHistogram must return a private instance per registration")
+	}
+	var wg sync.WaitGroup
+	for _, h := range []*Histogram{a, b} {
+		wg.Add(1)
+		go func(h *Histogram) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Observe(float64(1 + i%500))
+			}
+		}(h)
+	}
+	for i := 0; i < 10; i++ {
+		reg.Snapshot()
+	}
+	wg.Wait()
+	if st := reg.Snapshot().Histograms["lat"]; st.Count != 2000 {
+		t.Fatalf("merged count = %d, want 2000", st.Count)
+	}
+}
+
 func TestRegistryIdempotentByName(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Counter("x") != reg.Counter("x") {

@@ -25,6 +25,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
+	shardHists map[string][]*Histogram
 	localHists map[string][]*LocalHistogram
 	counterFns map[string][]func() int64
 	gaugeFns   map[string][]func() float64
@@ -36,6 +37,7 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		hists:      make(map[string]*Histogram),
+		shardHists: make(map[string][]*Histogram),
 		localHists: make(map[string][]*LocalHistogram),
 		counterFns: make(map[string][]func() int64),
 		gaugeFns:   make(map[string][]func() float64),
@@ -87,6 +89,26 @@ func (r *Registry) Histogram(name string, opts HistogramOpts) *Histogram {
 		h = NewHistogram(opts)
 		r.hists[name] = h
 	}
+	return h
+}
+
+// ShardHistogram registers and returns a NEW atomic histogram under
+// name: like LocalHistogram every call returns its own instance and the
+// registry sums same-name instances at snapshot time, so each writer
+// keeps its buckets on cache lines nobody else writes; unlike
+// LocalHistogram the counts are atomic, so the registry may be
+// snapshotted while the writers run — what a live server's per-shard
+// instruments need. All registrations under one name must use the same
+// opts, and the name must not also be registered with Histogram or
+// LocalHistogram.
+func (r *Registry) ShardHistogram(name string, opts HistogramOpts) *Histogram {
+	h := NewHistogram(opts)
+	if r == nil {
+		return h
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.shardHists[name] = append(r.shardHists[name], h)
 	return h
 }
 
@@ -179,13 +201,18 @@ func (r *Registry) Snapshot() Snapshot {
 	// summarize once (all same-name registrations share one layout).
 	for name, h := range r.hists {
 		counts := make([]int64, len(h.counts))
-		for i := range h.counts {
-			counts[i] = h.counts[i].Load()
-		}
+		addAtomicCounts(counts, h)
 		for _, lh := range r.localHists[name] {
 			addCounts(counts, lh.counts)
 		}
 		snap.Histograms[name] = statsFromCounts(h.lo, h.minExp, h.nb, counts)
+	}
+	for name, hs := range r.shardHists {
+		counts := make([]int64, len(hs[0].counts))
+		for _, h := range hs {
+			addAtomicCounts(counts, h)
+		}
+		snap.Histograms[name] = statsFromCounts(hs[0].lo, hs[0].minExp, hs[0].nb, counts)
 	}
 	for name, lhs := range r.localHists {
 		if _, done := r.hists[name]; done {
@@ -198,6 +225,13 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = statsFromCounts(lhs[0].lo, lhs[0].minExp, lhs[0].nb, counts)
 	}
 	return snap
+}
+
+// addAtomicCounts sums h's buckets into dst over the shorter length.
+func addAtomicCounts(dst []int64, h *Histogram) {
+	for i := 0; i < len(dst) && i < len(h.counts); i++ {
+		dst[i] += h.counts[i].Load()
+	}
 }
 
 // addCounts sums src into dst element-wise over the shorter length.

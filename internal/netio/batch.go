@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -33,6 +34,15 @@ type BatchConn interface {
 	// least one arrives or the read deadline expires. It returns the
 	// number of messages filled in.
 	ReadBatch(ms []Message) (int, error)
+	// TryReadBatch fills ms with whatever datagrams are already queued
+	// on the socket and never waits: an empty socket is (0, nil). It
+	// goes through the same poller entry as ReadBatch, so a read
+	// deadline that has already passed fails it with a timeout even
+	// though it would not have waited — callers clear the deadline
+	// (SetReadDeadline(time.Time{})) before polling. A platform with no
+	// non-blocking read returns ErrNoTryRead for every call, including
+	// one with an empty ms, which is how callers probe for support.
+	TryReadBatch(ms []Message) (int, error)
 	// WriteBatch sends ms[i].Buf[:ms[i].N] to ms[i].Addr for every
 	// message, returning how many were sent.
 	WriteBatch(ms []Message) (int, error)
@@ -41,6 +51,10 @@ type BatchConn interface {
 	// Kind identifies the implementation ("mmsg" or "generic").
 	Kind() BatchKind
 }
+
+// ErrNoTryRead is TryReadBatch's answer on a platform whose batch layer
+// has no non-blocking read; such a socket can only be read by waiting.
+var ErrNoTryRead = errors.New("netio: non-blocking batch read unavailable on this platform")
 
 // BatchKind selects a BatchConn implementation.
 type BatchKind string
@@ -77,6 +91,7 @@ func NewBatchConn(conn *net.UDPConn, kind BatchKind) (BatchConn, error) {
 // the allocation-free AddrPort methods on *net.UDPConn.
 type genericBatch struct {
 	conn *net.UDPConn
+	try  genericTry // TryReadBatch state; per platform, see batch_mmsg.go and batch_nommsg.go
 }
 
 func (g *genericBatch) Kind() BatchKind { return BatchGeneric }
@@ -99,6 +114,8 @@ func (g *genericBatch) ReadBatch(ms []Message) (int, error) {
 	ms[0].Addr = addr
 	return 1, nil
 }
+
+func (g *genericBatch) TryReadBatch(ms []Message) (int, error) { return g.try.read(g.conn, ms) }
 
 func (g *genericBatch) WriteBatch(ms []Message) (int, error) {
 	for i := range ms {

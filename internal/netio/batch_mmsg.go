@@ -55,6 +55,7 @@ type mmsgConn struct {
 	got     int
 	errno   syscall.Errno
 	readFn  func(fd uintptr) bool
+	tryFn   func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
 }
 
@@ -71,6 +72,7 @@ func newMmsgConn(conn *net.UDPConn) (BatchConn, error) {
 		names: make([]syscall.RawSockaddrInet6, mmsgCap),
 	}
 	c.readFn = c.doRecv
+	c.tryFn = c.doTryRecv
 	c.writeFn = c.doSend
 	return c, nil
 }
@@ -79,8 +81,16 @@ func (c *mmsgConn) Kind() BatchKind { return BatchMmsg }
 
 func (c *mmsgConn) SetReadDeadline(t time.Time) error { return c.conn.SetReadDeadline(t) }
 
+// doRecv and doSend use RawSyscall6, which does not tell the scheduler
+// the thread is in a syscall. That is right for these calls and worth a
+// lot: the socket is non-blocking, so they never sleep in the kernel,
+// but a full batch takes 50-100 µs, longer than sysmon's 20 µs poll —
+// with Syscall6 sysmon retook the P mid-call nearly every time, handed
+// it to another thread, and the shard's thread had to queue to get it
+// back (thousands of extra context switches per second per shard). The
+// price is that a GC stop-the-world waits out a call in progress.
 func (c *mmsgConn) doRecv(fd uintptr) bool {
-	n, _, e := syscall.Syscall6(sysRECVMMSG, fd,
+	n, _, e := syscall.RawSyscall6(sysRECVMMSG, fd,
 		uintptr(unsafe.Pointer(&c.hdrs[0])), uintptr(c.nmsgs), 0, 0, 0)
 	if e == syscall.EAGAIN || e == syscall.EWOULDBLOCK {
 		return false // wait for readability, honoring the deadline
@@ -89,8 +99,17 @@ func (c *mmsgConn) doRecv(fd uintptr) bool {
 	return true
 }
 
+// doTryRecv is doRecv for TryReadBatch: an empty socket is a result
+// (nothing read), not a reason to wait.
+func (c *mmsgConn) doTryRecv(fd uintptr) bool {
+	if !c.doRecv(fd) {
+		c.got, c.errno = 0, 0
+	}
+	return true
+}
+
 func (c *mmsgConn) doSend(fd uintptr) bool {
-	n, _, e := syscall.Syscall6(sysSENDMMSG, fd,
+	n, _, e := syscall.RawSyscall6(sysSENDMMSG, fd,
 		uintptr(unsafe.Pointer(&c.hdrs[0])), uintptr(c.nmsgs), 0, 0, 0)
 	if e == syscall.EAGAIN || e == syscall.EWOULDBLOCK {
 		return false
@@ -99,7 +118,13 @@ func (c *mmsgConn) doSend(fd uintptr) bool {
 	return true
 }
 
-func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
+func (c *mmsgConn) ReadBatch(ms []Message) (int, error) { return c.recv(ms, c.readFn) }
+
+func (c *mmsgConn) TryReadBatch(ms []Message) (int, error) { return c.recv(ms, c.tryFn) }
+
+// recv is one recvmmsg through the poller: fn decides whether an empty
+// socket waits for readability (ReadBatch) or returns (TryReadBatch).
+func (c *mmsgConn) recv(ms []Message, fn func(fd uintptr) bool) (int, error) {
 	if len(ms) > mmsgCap {
 		ms = ms[:mmsgCap]
 	}
@@ -117,7 +142,7 @@ func (c *mmsgConn) ReadBatch(ms []Message) (int, error) {
 		c.hdrs[i].n = 0
 	}
 	c.nmsgs = len(ms)
-	if err := c.rc.Read(c.readFn); err != nil {
+	if err := c.rc.Read(fn); err != nil {
 		return 0, err // deadline and closed-conn errors surface here
 	}
 	if c.errno != 0 {
@@ -195,4 +220,63 @@ func sockaddrToAddrPort(sa *syscall.RawSockaddrInet6) netip.AddrPort {
 	default:
 		return netip.AddrPort{}
 	}
+}
+
+// genericTry is the generic implementation's non-blocking read: one
+// recvfrom per datagram until the socket is empty, inside a poller
+// callback that never asks to wait. It sits behind this file's build
+// tag because it shares the sockaddr decoding above; raw recvfrom
+// rather than syscall.Recvfrom because that allocates a Sockaddr per
+// datagram.
+type genericTry struct {
+	rc    syscall.RawConn
+	fn    func(fd uintptr) bool // bound once: no closure per call
+	ms    []Message
+	got   int
+	errno syscall.Errno
+	name  syscall.RawSockaddrInet6
+}
+
+func (t *genericTry) read(conn *net.UDPConn, ms []Message) (int, error) {
+	if len(ms) == 0 {
+		return 0, nil
+	}
+	if t.rc == nil {
+		rc, err := conn.SyscallConn()
+		if err != nil {
+			return 0, fmt.Errorf("netio: raw conn: %w", err)
+		}
+		t.rc, t.fn = rc, t.drain
+	}
+	t.ms = ms
+	err := t.rc.Read(t.fn)
+	t.ms = nil
+	if err != nil {
+		return 0, err
+	}
+	if t.got == 0 && t.errno != 0 {
+		return 0, t.errno
+	}
+	return t.got, nil // datagrams already read outrank the error that ended the loop
+}
+
+func (t *genericTry) drain(fd uintptr) bool {
+	t.got, t.errno = 0, 0
+	for t.got < len(t.ms) {
+		m := &t.ms[t.got]
+		namelen := uint32(syscall.SizeofSockaddrInet6)
+		n, _, e := syscall.Syscall6(syscall.SYS_RECVFROM, fd,
+			uintptr(unsafe.Pointer(&m.Buf[0])), uintptr(len(m.Buf)), 0,
+			uintptr(unsafe.Pointer(&t.name)), uintptr(unsafe.Pointer(&namelen)))
+		if e != 0 {
+			if e != syscall.EAGAIN && e != syscall.EWOULDBLOCK {
+				t.errno = e
+			}
+			break
+		}
+		m.N = int(n)
+		m.Addr = sockaddrToAddrPort(&t.name)
+		t.got++
+	}
+	return true
 }

@@ -1,6 +1,7 @@
 package netio
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -111,6 +112,91 @@ func TestBatchReadDeadline(t *testing.T) {
 			}
 			if e := time.Since(start); e > time.Second {
 				t.Fatalf("deadline took %v", e)
+			}
+		})
+	}
+}
+
+// TestBatchTryRead pins the non-blocking read: an empty socket answers
+// (0, nil) at once, queued datagrams come back without a deadline, and
+// — the trap the shard loop has to know about — a read deadline that
+// has already passed fails the call although it would never have
+// waited, until the deadline is cleared.
+func TestBatchTryRead(t *testing.T) {
+	for _, kind := range availableKinds(t) {
+		t.Run(string(kind), func(t *testing.T) {
+			rxConn := listenUDPTB(t)
+			defer rxConn.Close()
+			txConn := listenUDPTB(t)
+			defer txConn.Close()
+			rx, err := NewBatchConn(rxConn, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rx.TryReadBatch(nil); errors.Is(err, ErrNoTryRead) {
+				t.Skip("no non-blocking batch read on this platform")
+			} else if err != nil {
+				t.Fatalf("probe: %v", err)
+			}
+			in := make([]Message, 8)
+			for i := range in {
+				in[i].Buf = make([]byte, 64)
+			}
+			start := time.Now()
+			if n, err := rx.TryReadBatch(in); n != 0 || err != nil {
+				t.Fatalf("empty socket: TryReadBatch = %d, %v want 0, nil", n, err)
+			}
+			if e := time.Since(start); e > 100*time.Millisecond {
+				t.Fatalf("empty socket: TryReadBatch took %v, it must not wait", e)
+			}
+
+			dst := rxConn.LocalAddr().(*net.UDPAddr).AddrPort()
+			send := func(n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					if _, err := txConn.WriteToUDPAddrPort([]byte(fmt.Sprintf("dg-%02d", i)), dst); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Loopback delivery is synchronous: once the sends return, the
+			// datagrams are in the receive queue. More than one batch's
+			// worth, so the batch bound is exercised too.
+			send(11)
+			got := 0
+			for got < 11 {
+				n, err := rx.TryReadBatch(in)
+				if err != nil {
+					t.Fatalf("after %d datagrams: %v", got, err)
+				}
+				if n == 0 {
+					t.Fatalf("socket ran dry after %d of 11 datagrams", got)
+				}
+				for i := 0; i < n; i++ {
+					if want := fmt.Sprintf("dg-%02d", got+i); string(in[i].Buf[:in[i].N]) != want {
+						t.Fatalf("datagram %d = %q, want %q", got+i, in[i].Buf[:in[i].N], want)
+					}
+					if want := txConn.LocalAddr().(*net.UDPAddr).AddrPort(); in[i].Addr != want {
+						t.Fatalf("peer %v, want %v", in[i].Addr, want)
+					}
+				}
+				got += n
+			}
+			if n, err := rx.TryReadBatch(in); n != 0 || err != nil {
+				t.Fatalf("drained socket: TryReadBatch = %d, %v want 0, nil", n, err)
+			}
+
+			// The trap: a deadline armed for a blocking read and since
+			// passed.
+			send(1)
+			rx.SetReadDeadline(time.Now().Add(-time.Second))
+			_, err = rx.TryReadBatch(in)
+			if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+				t.Fatalf("expired deadline: TryReadBatch error = %v, want a net timeout (if the poller stopped failing such reads, the shard loop's deadline clearing can go)", err)
+			}
+			rx.SetReadDeadline(time.Time{})
+			if n, err := rx.TryReadBatch(in); n != 1 || err != nil {
+				t.Fatalf("deadline cleared: TryReadBatch = %d, %v want 1, nil", n, err)
 			}
 		})
 	}

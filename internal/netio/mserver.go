@@ -200,9 +200,20 @@ type shard struct {
 	idleSec  float64      // cfg.IdleTimeout in seconds, cached off the hot path
 	sheds    atomic.Int64 // inbox messages shed for this shard (demux mode; written by the reader)
 
+	// sessIns is what this shard's sessions record through: the
+	// server-wide counters plus the shard's own lateness histogram.
+	sessIns sessionInstruments
+
 	// Owned-socket (reuseport) mode only:
 	conn  *net.UDPConn
 	rdBuf []Message // preallocated read batch
+	wake  wakePolicy
+	// Loop instruments, written by this shard's goroutine alone (atomic
+	// only so that a snapshot may run beside it); same-name instruments
+	// of all shards sum in the registry.
+	wakeups   metrics.Counter    // srv.wakeups: loop iterations, i.e. returns from a read or a sleep
+	coalesced metrics.Counter    // srv.coalesced_ticks: iterations taken tick-driven
+	rxBatch   *metrics.Histogram // srv.rxbatch: datagrams per socket drain
 }
 
 // newMulti validates the config and builds the shared (mode-agnostic)
@@ -255,7 +266,11 @@ func (s *MultiServer) addShard(writer BatchConn) *shard {
 		msgs:     make([]Message, s.cfg.Batch),
 		pacer:    newPacer(s.cfg.Pacer),
 		idleSec:  s.cfg.IdleTimeout.Seconds(),
+		sessIns:  s.sessIns,
 	}
+	// 1 µs .. ~1 s: a tick of coalescing sits mid-range, a stalled shard
+	// at the top.
+	sh.sessIns.Lateness = s.reg.ShardHistogram("srv.pacing.lateness_us", metrics.HistogramOpts{MinExp: 0, MaxExp: 20})
 	for j := range sh.msgs {
 		sh.msgs[j].Buf = make([]byte, s.cfg.RAP.PacketSize)
 	}
@@ -315,7 +330,14 @@ func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, e
 		for j := range sh.rdBuf {
 			sh.rdBuf[j].Buf = make([]byte, 2048) // acks and reqs are tens of bytes
 		}
+		s.reg.CounterFunc("srv.wakeups", sh.wakeups.Load)
+		s.reg.CounterFunc("srv.coalesced_ticks", sh.coalesced.Load)
+		sh.rxBatch = s.reg.ShardHistogram("srv.rxbatch", metrics.HistogramOpts{MinExp: 0, MaxExp: 8})
 	}
+	// Siblings from ListenReuseport are configured alike: the first
+	// socket's grant stands for all.
+	rcvbuf := float64(rcvbufBytes(conns[0]))
+	s.reg.GaugeFunc("srv.rcvbuf_bytes", func() float64 { return rcvbuf })
 	return s, nil
 }
 
@@ -611,40 +633,129 @@ func (sh *shard) run(ctx context.Context) {
 	}
 }
 
-// runOwned is the owned-socket shard goroutine: pump, then read on the
-// shard's own socket with the deadline set to the earliest next wake.
-// When the shard is backlogged the deadline floor keeps reads live (an
-// already-expired deadline would fail reads without draining queued
-// acks, starving the congestion controllers that gate the very sends
-// causing the backlog).
+// runOwned is the owned-socket shard goroutine. One iteration sends
+// what is due, then takes input, in one of two ways chosen by the
+// shard's own event rate (wakePolicy, wake.go):
+//
+// Arrival-driven (light load, and always from idle): block in the
+// socket read with the deadline at the earliest next wake, so a REQ or
+// an ACK is handled the moment it lands and an idle shard costs one
+// wake per idleSweepSec.
+//
+// Tick-driven (sustained load): sleep to the next wheel tick, then take
+// what queued meanwhile with non-blocking reads. An acknowledgement
+// waits at most a tick in the socket buffer; a packet leaves at most a
+// tick after its nextSend and never before it, and buildPacket advances
+// the pace from the scheduled instant, so the lateness is repaid.
+//
+// The read deadline armed by the arrival-driven branch is cleared on
+// the way into the tick-driven one: the poller fails even a read that
+// would not wait once the deadline has passed (see TryReadBatch).
 func (sh *shard) runOwned(ctx context.Context) error {
-	const readFloorSec = 1e-4
+	_, err := sh.writer.TryReadBatch(nil)
+	canCoalesce := err == nil // else ErrNoTryRead: this platform waits for every arrival
+	srv := sh.srv
+	armed := false // a read deadline is set on the socket
+	now := srv.publishNow()
+	for ctx.Err() == nil {
+		sent, next := sh.pumpDue(now)
+		prev := now
+		var n int
+		if canCoalesce && sh.wake.coalesce {
+			if armed {
+				sh.writer.SetReadDeadline(time.Time{})
+				armed = false
+			}
+			if next > now {
+				// Everything due is out: sleep to the tick boundary. With a
+				// backlog (pumpDue stopped at its bound) go straight to the
+				// socket instead, so input keeps pace with output.
+				wake := wheelTickStart(wheelTick(now) + 1)
+				time.Sleep(time.Duration((wake - srv.publishNow()) * float64(time.Second)))
+			}
+			now = srv.publishNow()
+			if n, err = sh.drainSocket(now); err != nil {
+				return err
+			}
+			sh.coalesced.Inc()
+		} else {
+			delay := next - now
+			if delay < readFloorSec {
+				delay = readFloorSec
+			}
+			if delay > idleSweepSec {
+				delay = idleSweepSec
+			}
+			sh.writer.SetReadDeadline(srv.coarseDeadline(time.Duration(delay * float64(time.Second))))
+			armed = true
+			n, err = sh.writer.ReadBatch(sh.rdBuf)
+			now = srv.publishNow()
+			if err != nil {
+				if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
+					return err
+				}
+			} else {
+				sh.handleRead(n, now)
+				sh.rxBatch.Observe(float64(n))
+			}
+		}
+		sh.wakeups.Inc()
+		sh.wake.observe(now-prev, sent+n)
+	}
+	return nil
+}
+
+// readFloorSec keeps the arrival-driven read live when the shard is
+// backlogged: an already-expired deadline would fail reads without
+// draining queued acks, starving the congestion controllers that gate
+// the very sends causing the backlog. It is not a pacing quantum — the
+// runtime rounds a timer wait up to a millisecond while the thread
+// idles in epoll_wait, so a shard with nothing arriving wakes about a
+// millisecond later whatever is asked for here.
+const readFloorSec = 1e-4
+
+// pumpDue calls pump until nothing more is due at now: one pump writes
+// at most one batch (cfg.Batch packets), and a wheel tick under load
+// makes several batches due at once. It stops after inboxBurst packets
+// all the same — leaving next <= now — so that a deep backlog alternates
+// with reads the way a flood of reads alternates with sends, and after
+// a pump that wrote nothing (a session whose idle cutoff rounds to
+// exactly now is awake but not yet expired: only the clock moves it).
+func (sh *shard) pumpDue(now float64) (sent int, next float64) {
 	for {
-		if ctx.Err() != nil {
-			return nil
+		k, nx := sh.pump(now)
+		sent, next = sent+k, nx
+		if k == 0 || next > now || sent >= inboxBurst {
+			return sent, next
 		}
-		now := sh.srv.publishNow()
-		_, next := sh.pump(now)
-		delay := next - now
-		if delay < readFloorSec {
-			delay = readFloorSec
-		}
-		if delay > idleSweepSec {
-			delay = idleSweepSec
-		}
-		sh.writer.SetReadDeadline(sh.srv.coarseDeadline(time.Duration(delay * float64(time.Second))))
-		n, err := sh.writer.ReadBatch(sh.rdBuf)
+	}
+}
+
+// drainSocket (tick-driven branch) reads what is queued on the shard's
+// socket without waiting, up to inboxBurst datagrams, and handles it.
+func (sh *shard) drainSocket(now float64) (int, error) {
+	total := 0
+	for total < inboxBurst {
+		n, err := sh.writer.TryReadBatch(sh.rdBuf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return err
+			return total, err
 		}
-		now = sh.srv.publishNow()
-		for i := 0; i < n; i++ {
-			if m, ok := sh.srv.decodeMsg(&sh.rdBuf[i]); ok {
-				sh.handle(m, now)
-			}
+		sh.handleRead(n, now)
+		total += n
+		if n < len(sh.rdBuf) {
+			break // short read: the socket is empty
+		}
+	}
+	sh.rxBatch.Observe(float64(total))
+	return total, nil
+}
+
+// handleRead decodes and applies the first n datagrams of the read
+// batch.
+func (sh *shard) handleRead(n int, now float64) {
+	for i := 0; i < n; i++ {
+		if m, ok := sh.srv.decodeMsg(&sh.rdBuf[i]); ok {
+			sh.handle(m, now)
 		}
 	}
 }
@@ -669,20 +780,24 @@ func (sh *shard) handle(m inMsg, now float64) {
 		created := false
 		if st == nil {
 			srv := sh.srv
-			if int(srv.active.Load()) >= srv.cfg.MaxClients {
+			// Take the slot before building the session: shards admit
+			// concurrently, and a check followed by a later increment lets
+			// two of them both see the last free slot.
+			if int(srv.active.Add(1)) > srv.cfg.MaxClients {
+				srv.active.Add(-1)
 				srv.rejected.Inc()
 				return
 			}
 			var err error
 			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, srv.payload, srv.cfg.SeqWindow, now)
 			if err != nil {
+				srv.active.Add(-1)
 				return // unreachable: params validated at construction
 			}
-			st.ins = &srv.sessIns
+			st.ins = &sh.sessIns
 			sh.sessions[m.addr] = st
 			st.orderIdx = len(sh.order)
 			sh.order = append(sh.order, st)
-			srv.active.Add(1)
 			srv.accepted.Inc()
 			created = true
 		}

@@ -2,6 +2,7 @@ package netio
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"runtime"
@@ -36,6 +37,46 @@ func testMultiServer(t *testing.T, cfg MultiConfig) *MultiServer {
 	}()
 	t.Cleanup(func() { cancel(); wg.Wait() })
 	return srv
+}
+
+// testOwnedServer serves in owned-socket mode on one plain loopback
+// socket (one shard; SO_REUSEPORT is only needed for several), so every
+// client of the test shares the shard loop under test. The returned
+// channel yields Serve's result.
+func testOwnedServer(t *testing.T, cfg MultiConfig) (*MultiServer, <-chan error) {
+	t.Helper()
+	conn := listenUDPTB(t)
+	t.Cleanup(func() { conn.Close() })
+	if cfg.QA.C == 0 {
+		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2}
+	}
+	if cfg.RAP.PacketSize == 0 {
+		cfg.RAP = rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
+	}
+	srv, err := NewMultiServerConns([]*net.UDPConn{conn}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.shards[0].writer.TryReadBatch(nil); errors.Is(err, ErrNoTryRead) {
+		t.Skip("no non-blocking batch read on this platform: the shard loop never coalesces")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx) }()
+	t.Cleanup(func() {
+		cancel()
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Error("owned-mode Serve did not return after cancel")
+		}
+	})
+	return srv, served
+}
+
+// coalescedTicks reads the srv.coalesced_ticks counter.
+func coalescedTicks(srv *MultiServer) int64 {
+	return srv.Metrics().Snapshot().Counters["srv.coalesced_ticks"]
 }
 
 // TestMultiServerManyClients runs 32+ concurrent loopback clients with
@@ -105,8 +146,27 @@ func TestMultiServerManyClients(t *testing.T) {
 // absorbed (bounded nack queue, shed inbox load, congestion-controlled
 // repair) without stalling the other clients.
 func TestMultiServerNackStormIsolation(t *testing.T) {
-	srv := testMultiServer(t, MultiConfig{Shards: 2})
+	nackStorm(t, testMultiServer(t, MultiConfig{Shards: 2}))
+}
 
+// TestOwnedNackStormIsolation is the same storm against the owned-socket
+// loop, attacker and victims on one shard: the flood is itself load, so
+// the shard rides it out tick-driven, where inboxBurst bounds each
+// tick's drain instead of each inbox wake.
+func TestOwnedNackStormIsolation(t *testing.T) {
+	srv, served := testOwnedServer(t, MultiConfig{})
+	nackStorm(t, srv)
+	if n := coalescedTicks(srv); n == 0 {
+		t.Error("a 30k-datagram flood never switched the shard to tick mode")
+	}
+	select {
+	case err := <-served:
+		t.Fatalf("shard loop exited during the storm: %v", err)
+	default:
+	}
+}
+
+func nackStorm(t *testing.T, srv *MultiServer) {
 	// The attacker joins first and learns a few sequence numbers.
 	atk, err := net.DialUDP("udp", nil, mustUDPAddr(t, srv.Addr()))
 	if err != nil {
@@ -180,6 +240,123 @@ func TestMultiServerNackStormIsolation(t *testing.T) {
 	}
 	t.Logf("storm absorbed: nackdrops=%d inboxdrops=%d retransmits=%d jain=%.3f",
 		st.NackDrops, st.InboxDrops, st.Retransmits, res.Jain)
+}
+
+// TestOwnedLoopSurvivesModeSwitches ramps one owned-socket shard from 4
+// clients to 300 and back to 4. At 4 the loop is arrival-driven and
+// arms a read deadline every iteration; at 300 it must go tick-driven
+// with that deadline still armed and soon expired (if it is not
+// cleared, the first non-blocking read after it passes fails, the shard
+// goroutine exits, and everyone starves); back at 4 it must return to
+// waiting on arrivals. While busy, a newcomer's REQ must still be
+// answered within 10 ms: it waits for the next tick, not for a sweep.
+func TestOwnedLoopSurvivesModeSwitches(t *testing.T) {
+	srv, served := testOwnedServer(t, MultiConfig{})
+	alive := func(when string) {
+		t.Helper()
+		select {
+		case err := <-served:
+			t.Fatalf("%s: shard loop exited: %v", when, err)
+		default:
+		}
+	}
+	load := func(clients int, dur, stagger time.Duration) <-chan LoadResult {
+		c := make(chan LoadResult, 1)
+		go func() {
+			res, err := RunLoad(context.Background(), LoadConfig{
+				Addr: srv.Addr(), Clients: clients, Dur: dur, Stagger: stagger, IdleExit: time.Second,
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			c <- res
+		}()
+		return c
+	}
+
+	// Four viewers for the whole test: they live through both switches.
+	steady := load(4, 6*time.Second, 100*time.Millisecond)
+	time.Sleep(700 * time.Millisecond)
+	if n := coalescedTicks(srv); n != 0 {
+		t.Fatalf("4 clients (~0.5 events/tick) already took %d tick-driven iterations", n)
+	}
+
+	crowd := load(300, 2*time.Second, 300*time.Millisecond)
+	time.Sleep(1200 * time.Millisecond)
+	alive("300 clients")
+	busy := coalescedTicks(srv)
+	if busy == 0 {
+		t.Fatal("300 clients never switched the shard to tick mode")
+	}
+	// Join latency on the busy shard: best of a few newcomers, so that
+	// one descheduling of this test process among 300 client goroutines
+	// is not charged to the server.
+	best := time.Hour
+	for try := 0; try < 5 && best >= 10*time.Millisecond; try++ {
+		c, err := net.DialUDP("udp", nil, mustUDPAddr(t, srv.Addr()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := make([]byte, ReqLen)
+		n, _ := EncodeReq(req, Req{DurationMs: 200})
+		buf := make([]byte, 2048)
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		sentAt := time.Now()
+		c.Write(req[:n])
+		if _, err := c.Read(buf); err == nil {
+			if d := time.Since(sentAt); d < best {
+				best = d
+			}
+		}
+		c.Close()
+	}
+	if best >= 10*time.Millisecond {
+		t.Errorf("REQ to a busy shard: first data after %v at best, want < 10 ms", best)
+	}
+	if n := coalescedTicks(srv); n == busy {
+		t.Error("shard left tick mode while 300 clients were streaming")
+	}
+
+	res := <-crowd
+	alive("after the crowd left")
+	if res.Starved > 0 {
+		t.Errorf("%d of 300 clients starved", res.Starved)
+	}
+	// The crowd's streams are over (RunLoad waits them out); the average
+	// needs a few hundred ms to fall below the off threshold.
+	time.Sleep(500 * time.Millisecond)
+	quiet := coalescedTicks(srv)
+	time.Sleep(300 * time.Millisecond)
+	if n := coalescedTicks(srv); n != quiet {
+		t.Errorf("back at 4 clients the shard is still tick-driven (%d more tick iterations in 300 ms)", n-quiet)
+	}
+
+	res = <-steady
+	alive("end")
+	if res.Starved > 0 {
+		t.Fatalf("%d of the 4 long-lived clients starved across the mode switches", res.Starved)
+	}
+	for i, c := range res.PerClient {
+		// 30 kB/s cap; a stream that died at either switch would sit far
+		// below a third of it over its 6 s.
+		if c.Goodput < 10_000 {
+			t.Errorf("long-lived client %d goodput %.0f B/s: stalled at a mode switch?", i, c.Goodput)
+		}
+	}
+	snap := srv.Metrics().Snapshot()
+	if snap.Counters["srv.wakeups"] <= snap.Counters["srv.coalesced_ticks"] {
+		t.Errorf("wakeups %d <= coalesced ticks %d: arrival-driven iterations uncounted",
+			snap.Counters["srv.wakeups"], snap.Counters["srv.coalesced_ticks"])
+	}
+	if h := snap.Histograms["srv.rxbatch"]; h.Count == 0 || h.Max < 2 {
+		t.Errorf("srv.rxbatch %+v: tick drains never saw more than one datagram", h)
+	}
+	if h := snap.Histograms["srv.pacing.lateness_us"]; h.Count == 0 {
+		t.Error("srv.pacing.lateness_us recorded nothing")
+	}
+	if g := snap.Gauges["srv.rcvbuf_bytes"]; ReuseportAvailable() && g <= 0 {
+		t.Errorf("srv.rcvbuf_bytes = %v, want the socket's granted size", g)
+	}
 }
 
 // TestMultiServerMalformedDatagrams sprays garbage at the serving
@@ -384,6 +561,65 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				}
 			})
 		}
+		// The tick-driven iteration end to end: acknowledgements travel
+		// as datagrams over loopback into the shard's own socket, are
+		// taken by the non-blocking drain, and the repeated pump answers.
+		t.Run(string(kind)+"/drain", func(t *testing.T) {
+			conn := listenUDPTB(t)
+			defer conn.Close()
+			srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+				QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+				RAP:       rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+				BatchKind: kind,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := srv.shards[0]
+			if _, err := sh.writer.TryReadBatch(nil); errors.Is(err, ErrNoTryRead) {
+				t.Skip("no non-blocking batch read on this platform")
+			}
+			// The viewer: sends its ACKs for real, never reads its data
+			// (a full receive buffer just drops it).
+			peer := listenUDPTB(t)
+			defer peer.Close()
+			peerAddr := peer.LocalAddr().(*net.UDPAddr).AddrPort()
+			srvAddr := conn.LocalAddr().(*net.UDPAddr).AddrPort()
+			now := 0.0
+			sh.handle(inMsg{addr: peerAddr, kind: KindReq, durMs: 3_600_000}, now)
+			sess := sh.order[0]
+			ack := make([]byte, AckLen)
+			drained := 0
+			tickSlice := func() {
+				for i := 0; i < 50; i++ {
+					now += 0.02
+					sh.pumpDue(now)
+					for seq := sess.snd.Acked + sess.snd.Lost; seq < sess.snd.Sent; seq++ {
+						n, _ := EncodeAck(ack, Ack{AckSeq: seq, NackLayer: NoNack})
+						peer.WriteToUDPAddrPort(ack[:n], srvAddr)
+					}
+					// Loopback delivers synchronously: the ACKs are queued.
+					n, err := sh.drainSocket(now)
+					if err != nil {
+						t.Fatal(err)
+					}
+					drained += n
+				}
+			}
+			for i := 0; i < 20; i++ {
+				tickSlice()
+			}
+			sentBefore, drainedBefore := sess.snd.Sent, drained
+			if allocs := testing.AllocsPerRun(20, tickSlice); allocs != 0 {
+				t.Fatalf("steady-state drain+pump (%s): %.1f allocs per 1s slice, want 0", kind, allocs)
+			}
+			if sess.snd.Sent == sentBefore || drained == drainedBefore {
+				t.Fatalf("measured window sent %d packets and drained %d datagrams", sess.snd.Sent-sentBefore, drained-drainedBefore)
+			}
+			if sess.snd.Acked == 0 {
+				t.Fatal("no ACK ever reached the session through the socket")
+			}
+		})
 	}
 }
 

@@ -28,12 +28,22 @@ import (
 // stdlib syscall package stops at SO_REUSEADDR.
 const soReuseport = 0xf
 
+// wantRcvBuf is the receive buffer asked for on every sibling socket.
+// The default (net.core.rmem_default, 208 kB) holds about 300 ACKs'
+// worth of skbs: a shard that is busy for a few milliseconds — or, when
+// coalescing wake-ups, deliberately away for a wheel tick — overflows
+// it, and every ACK lost there is a RAP backoff the network never
+// asked for. The kernel caps the request at net.core.rmem_max; the
+// grant is exported as gauge srv.rcvbuf_bytes.
+const wantRcvBuf = 4 << 20
+
 // ReuseportAvailable reports whether ListenReuseport works on this
 // platform.
 func ReuseportAvailable() bool { return true }
 
 // ListenReuseport binds n UDP sockets to the same address with
-// SO_REUSEPORT set, for NewMultiServerConns. When addr's port is 0 the
+// SO_REUSEPORT set and a wantRcvBuf receive buffer requested, for
+// NewMultiServerConns. When addr's port is 0 the
 // kernel picks one for the first socket and the rest bind to it
 // explicitly, so all n siblings share whatever port was assigned. On
 // error, any sockets already bound are closed.
@@ -46,6 +56,7 @@ func ListenReuseport(network, addr string, n int) ([]*net.UDPConn, error) {
 			var serr error
 			err := c.Control(func(fd uintptr) {
 				serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReuseport, 1)
+				syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF, wantRcvBuf) // best effort: the grant is reported
 			})
 			if err != nil {
 				return err
@@ -79,4 +90,19 @@ func ListenReuseport(network, addr string, n int) ([]*net.UDPConn, error) {
 		}
 	}
 	return conns, nil
+}
+
+// rcvbufBytes reads back the receive buffer the kernel granted c (it
+// reports twice the usable size: bookkeeping overhead is charged to the
+// same budget), or 0 if it cannot be read.
+func rcvbufBytes(c *net.UDPConn) int {
+	rc, err := c.SyscallConn()
+	if err != nil {
+		return 0
+	}
+	n := 0
+	rc.Control(func(fd uintptr) {
+		n, _ = syscall.GetsockoptInt(int(fd), syscall.SOL_SOCKET, syscall.SO_RCVBUF)
+	})
+	return n
 }

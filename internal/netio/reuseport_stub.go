@@ -18,3 +18,6 @@ func ReuseportAvailable() bool { return false }
 func ListenReuseport(network, addr string, n int) ([]*net.UDPConn, error) {
 	return nil, errNoReuseport
 }
+
+// rcvbufBytes is not read off linux (the gauge reports 0).
+func rcvbufBytes(*net.UDPConn) int { return 0 }

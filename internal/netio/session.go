@@ -58,13 +58,18 @@ func (q *nackRing) queued(layer int, off int64) bool {
 	return false
 }
 
-// sessionInstruments are the shared (per-server, not per-session)
+// sessionInstruments are the shared (per-shard, not per-session)
 // metric handles a session records through. Nil handles are skipped, so
 // a partially-instrumented session is fine.
 type sessionInstruments struct {
 	Retransmits *metrics.Counter // selective retransmissions sent
 	NackDrops   *metrics.Counter // retransmission requests shed at the cap
 	Delivered   *metrics.Counter // acked packets credited to the controller
+	// Lateness is pacing lateness in µs: the instant a packet is built
+	// minus the nextSend it was scheduled for. It is what wake
+	// coalescing spends to save CPU (up to a wheel tick per packet) and
+	// what an overloaded shard shows first.
+	Lateness *metrics.Histogram
 }
 
 // session is the per-client stream state: one RAP sender, one quality
@@ -191,6 +196,9 @@ func (st *session) buildPacket(now float64, buf []byte) int {
 	// catch-up burst, never an unbounded line-rate blast.
 	ipg := st.snd.IPG()
 	base := st.nextSend
+	if st.ins != nil && st.ins.Lateness != nil {
+		st.ins.Lateness.Observe((now - base) * 1e6)
+	}
 	if floor := now - float64(sendBurst)*ipg; base < floor {
 		base = floor
 	}

@@ -41,9 +41,11 @@ import "math"
 const (
 	// wheelTickShift sets the tick length: 2^20 ns ≈ 1.05 ms.
 	wheelTickShift = 20
-	wheelBits      = 8
-	wheelSlots     = 1 << wheelBits // 256 slots per level
-	wheelMask      = wheelSlots - 1
+	// wheelTickSec is one tick in seconds.
+	wheelTickSec = float64(int64(1)<<wheelTickShift) / 1e9
+	wheelBits    = 8
+	wheelSlots   = 1 << wheelBits // 256 slots per level
+	wheelMask    = wheelSlots - 1
 	// wheelSpanTicks is the horizon both levels cover together.
 	wheelSpanTicks = wheelSlots * wheelSlots
 

@@ -198,10 +198,11 @@ func TestWheelNextWake(t *testing.T) {
 // shards synchronously and need no real peer.
 type discardBatch struct{}
 
-func (discardBatch) ReadBatch(ms []Message) (int, error)  { return 0, nil }
-func (discardBatch) WriteBatch(ms []Message) (int, error) { return len(ms), nil }
-func (discardBatch) SetReadDeadline(time.Time) error      { return nil }
-func (discardBatch) Kind() BatchKind                      { return BatchGeneric }
+func (discardBatch) ReadBatch(ms []Message) (int, error)    { return 0, nil }
+func (discardBatch) TryReadBatch(ms []Message) (int, error) { return 0, nil }
+func (discardBatch) WriteBatch(ms []Message) (int, error)   { return len(ms), nil }
+func (discardBatch) SetReadDeadline(time.Time) error        { return nil }
+func (discardBatch) Kind() BatchKind                        { return BatchGeneric }
 
 // pacerHarness is a single-shard MultiServer driven synchronously
 // (Serve never runs): handle and pump are called directly with
@@ -346,6 +347,80 @@ func TestPacerDifferentialRandomized(t *testing.T) {
 	}
 	if scan.srv.expired.Load() == 0 || scan.srv.sent.Load() == 0 {
 		t.Fatalf("workload too tame: expired=%d sent=%d", scan.srv.expired.Load(), scan.srv.sent.Load())
+	}
+}
+
+// TestPumpDueSendsWholeTick pins the owned loop's send stage: one pump
+// writes at most one batch, so a wake that finds more than a batch due
+// (every tick-driven wake under load) must pump again until nothing is
+// due — but only up to inboxBurst packets, after which it reports the
+// backlog (next <= now) instead of finishing it, so the caller reads
+// the socket in between.
+func TestPumpDueSendsWholeTick(t *testing.T) {
+	join := func(sh *shard, n int) {
+		for i := 0; i < n; i++ {
+			sh.handle(inMsg{addr: synthAddr(i), kind: KindReq, durMs: 60_000}, 0)
+		}
+	}
+	sh := pacerHarness(t, PacerWheel, MultiConfig{})
+	join(sh, 50) // every new session's first packet is due at once
+	if k, _ := sh.pump(0); k != sh.srv.cfg.Batch {
+		t.Fatalf("one pump wrote %d packets, want exactly one batch of %d", k, sh.srv.cfg.Batch)
+	}
+	sh = pacerHarness(t, PacerWheel, MultiConfig{})
+	join(sh, 50)
+	if sent, next := sh.pumpDue(0); sent != 50 || next <= 0 {
+		t.Fatalf("pumpDue wrote %d of 50 due packets, next=%v (want all, next > now)", sent, next)
+	}
+
+	sh = pacerHarness(t, PacerWheel, MultiConfig{})
+	join(sh, 300)
+	sent, next := sh.pumpDue(0)
+	if sent < inboxBurst || sent >= inboxBurst+sh.srv.cfg.Batch {
+		t.Fatalf("pumpDue wrote %d packets against a 300-packet backlog, want the bound [%d, %d)", sent, inboxBurst, inboxBurst+sh.srv.cfg.Batch)
+	}
+	if next > 0 {
+		t.Fatalf("pumpDue stopped at its bound but reports next=%v > now: the loop would sleep on a backlog", next)
+	}
+	for rounds := 0; next <= 0; rounds++ {
+		if rounds > 10 {
+			t.Fatal("backlog never cleared")
+		}
+		var k int
+		k, next = sh.pumpDue(0)
+		sent += k
+	}
+	if sent != 300 {
+		t.Fatalf("backlog cleared after %d packets, want 300", sent)
+	}
+}
+
+// TestPumpDueReturnsWhenOnlyTheClockHelps: a session exactly at its idle
+// cutoff is awake (cutoff <= now) but not expired (now-lastRecv is not
+// yet > idle) and has nothing to send; pump reports next <= now having
+// written nothing, and pumpDue must hand that back rather than spin on
+// a frozen clock.
+func TestPumpDueReturnsWhenOnlyTheClockHelps(t *testing.T) {
+	sh := pacerHarness(t, PacerWheel, MultiConfig{IdleTimeout: 700 * time.Millisecond})
+	sh.handle(inMsg{addr: synthAddr(1), kind: KindReq, durMs: 60_000}, 0)
+	st := sh.order[0]
+	sh.pumpDue(0)
+	st.nextSend = 1e9 // nothing to send; only the idle cutoff wakes it
+	sh.pacer.update(sh, st, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if sent, next := sh.pumpDue(0.7); sent != 0 || next > 0.7 {
+			t.Errorf("pumpDue = %d, %v; the premise (awake, not expired, nothing due) no longer holds", sent, next)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("pumpDue spins when a pump makes no progress")
+	}
+	if len(sh.order) != 1 {
+		t.Fatal("session expired at exactly its cutoff: premise broken")
 	}
 }
 
