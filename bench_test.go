@@ -10,7 +10,6 @@ package qav
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"qav/internal/core"
@@ -208,27 +207,13 @@ func BenchmarkAblationAllocation(b *testing.B) {
 // Fleet preset (half QA, half Sack-TCP on one dumbbell, fair share held
 // constant as the population grows) at 10, 100 and 1000 flows. Each run
 // is instrumented, and the headline numbers are simulated events and
-// bottleneck packets pushed per wall-clock second. The 1000-map variant
-// runs the identical workload on the reference map scoreboards, so the
-// windowed-bitmap speedup is visible as an events/sec and packets/sec
-// ratio on the same line (the dynamics are bit-identical; see
-// scenario.TestFleetDeterministicAcrossWorkersAndSchedulers).
+// bottleneck packets pushed per wall-clock second.
 func BenchmarkFleet(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		flows int
-		board tcp.ScoreboardKind
-	}{
-		{"10", 10, tcp.BoardWindowed},
-		{"100", 100, tcp.BoardWindowed},
-		{"1000", 1000, tcp.BoardWindowed},
-		{"1000-map", 1000, tcp.BoardMap},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, flows := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprint(flows), func(b *testing.B) {
 			cfg := scenario.MustPreset("Fleet",
-				scenario.WithFlows(bc.flows), scenario.WithScale(figures.DefaultScale))
+				scenario.WithFlows(flows), scenario.WithScale(figures.DefaultScale))
 			cfg.Duration = 5
-			cfg.Board = bc.board
 			var events, packets int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -294,10 +279,8 @@ func BenchmarkDrainPlan(b *testing.B) {
 
 // BenchmarkSimulator measures raw event throughput of the discrete-event
 // engine with a saturated link, packets drawn from the engine's pool the
-// way real sources do. The engine and link run fully instrumented: this
-// is the number the CI alloc-smoke step holds to a 0 steady-state
-// allocs/op, ≤5% ns/op budget against BENCH_PR2.json, so metrics must
-// stay free on the per-packet path.
+// way real sources do. The engine and link run fully instrumented, so
+// the number shows whether metrics stay free on the per-packet path.
 func BenchmarkSimulator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
@@ -324,58 +307,34 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// schedTrace is the event-queue churn of one real Figure 11 run (T1,
-// Kmax=2, 40 simulated seconds): every schedule and dequeue the engine
-// issued, in execution order. Recorded once and shared by the
-// BenchmarkScheduler variants so both replay the identical workload.
-var (
-	schedTraceOnce sync.Once
-	schedTrace     []sim.SchedOp
-	schedTraceErr  error
-)
-
-func loadSchedTrace() ([]sim.SchedOp, error) {
-	schedTraceOnce.Do(func() {
-		rec := &sim.SchedRecorder{}
-		cfg := scenario.MustPreset("T1", scenario.WithKmax(2), scenario.WithScale(figures.DefaultScale))
-		cfg.Duration = 40
-		cfg.SchedRec = rec
-		if _, err := scenario.Run(cfg); err != nil {
-			schedTraceErr = err
-			return
-		}
-		schedTrace = rec.Ops
-	})
-	return schedTrace, schedTraceErr
-}
-
-// BenchmarkScheduler replays the recorded Figure 11 churn trace against
-// each pending-event structure in isolation: the container/heap
-// reference vs the calendar queue the engine now defaults to. Same ops,
-// same times, same live depths — the difference is purely the
-// structure's schedule/dequeue cost.
+// BenchmarkScheduler replays the event-queue churn of one real Figure 11
+// run (T1, Kmax=2, 40 simulated seconds: every schedule and dequeue the
+// engine issued, in execution order) against the calendar queue in
+// isolation. The same replay against the reference heap is
+// BenchmarkSchedReplay in internal/sim, where the heap lives.
 func BenchmarkScheduler(b *testing.B) {
-	ops, err := loadSchedTrace()
-	if err != nil {
+	rec := &sim.SchedRecorder{}
+	cfg := scenario.MustPreset("T1", scenario.WithKmax(2), scenario.WithScale(figures.DefaultScale))
+	cfg.Duration = 40
+	cfg.SchedRec = rec
+	if _, err := scenario.Run(cfg); err != nil {
 		b.Fatal(err)
 	}
 	pushes := 0
-	for _, op := range ops {
+	for _, op := range rec.Ops {
 		if op.Kind == sim.SchedPush {
 			pushes++
 		}
 	}
-	for _, kind := range []sim.SchedulerKind{sim.SchedHeap, sim.SchedCalendar} {
-		b.Run(string(kind), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ReportMetric(float64(pushes), "events/replay")
-			for i := 0; i < b.N; i++ {
-				if got := sim.ReplaySched(kind, ops); got == 0 {
-					b.Fatal("replay popped no events")
-				}
+	b.Run("calendar", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ReportMetric(float64(pushes), "events/replay")
+		for i := 0; i < b.N; i++ {
+			if got := sim.ReplaySched(sim.SchedCalendar, rec.Ops); got == 0 {
+				b.Fatal("replay popped no events")
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestAllocFreeSteadyStateCrossTraffic is the tentpole's end-to-end

@@ -1,25 +1,23 @@
 // Command qaload drives thousands of concurrent emulated streaming
 // clients over loopback against the multi-client server, with the
 // fleet's staggered-join logic, and reports goodput, Jain fairness,
-// and heap stability. It is the serving-path counterpart of qabench:
-// scripts/bench.sh archives its JSON as BENCH_SERVE.json.
+// allocations per packet and heap stability; -soak turns those into
+// assertions (CI runs it under -race). It measures nothing for the
+// record: performance claims come from bench/ (bash bench/run.sh).
 //
 // By default it spins up an in-process netio.MultiServer on loopback
-// and measures the whole serving path end to end; point -addr at an
+// and exercises the whole serving path end to end; point -addr at an
 // external qaserver to load that instead.
 //
 // Examples:
 //
-//	qaload -clients 1000 -dur 10s -soak -out BENCH_SERVE.json
-//	qaload -clients 64 -dur 8s -batch generic      # unbatched A/B leg
-//	qaload -clients 64 -dur 8s -pacer scan         # scan-pump A/B leg
+//	qaload -clients 1000 -dur 10s -soak
+//	qaload -clients 64 -dur 8s -batch generic      # unbatched I/O
 //	qaload -clients 64 -dur 8s -sockets demux      # shared-socket mode
-//	qaload -clients 256 -dur 6s -check BENCH_SERVE.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -35,49 +33,27 @@ import (
 	"qav/internal/rap"
 )
 
-// serveBench is the JSON shape archived as BENCH_SERVE.json.
-type serveBench struct {
-	GoOS      string  `json:"goos"`
-	GoArch    string  `json:"goarch"`
-	CPUs      int     `json:"cpus"`
-	BatchKind string  `json:"batch_kind"`
-	Pacer     string  `json:"pacer,omitempty"`
-	Sockets   string  `json:"sockets,omitempty"`
-	Shards    int     `json:"shards"`
-	Clients   int     `json:"clients"`
-	DurSec    float64 `json:"dur_sec"`
-	PktSize   int     `json:"pkt_size"`
-	MaxRate   float64 `json:"max_rate_bps"`
+// loadResult is what one run observed.
+type loadResult struct {
+	clients int
+	dur     time.Duration
+	sockets netio.SocketMode // "" against an external server
 
-	JoinsPerSec    float64 `json:"joins_per_sec"`
-	PktsPerSec     float64 `json:"pkts_per_sec"`
-	GoodputBps     float64 `json:"goodput_bps"`
-	Jain           float64 `json:"jain"`
-	Starved        int     `json:"starved"`
-	AllocsPerPkt   float64 `json:"allocs_per_pkt"`
-	HeapStartBytes uint64  `json:"heap_start_bytes"`
-	HeapEndBytes   uint64  `json:"heap_end_bytes"`
+	pktsPerSec   float64
+	goodputBps   float64
+	jain         float64
+	starved      int
+	allocsPerPkt float64
+	heapStart    uint64
+	heapEnd      uint64
 
-	SrvSent       int64   `json:"srv_sent"`
-	SrvAcked      int64   `json:"srv_acked"`
-	SrvBadPkts    int64   `json:"srv_bad_pkts"`
-	SrvNackDrops  int64   `json:"srv_nack_drops"`
-	SrvInboxDrop  int64   `json:"srv_inbox_drops"`
-	SrvShardSheds []int64 `json:"srv_shard_sheds,omitempty"`
-
-	// A/B legs recorded when -ab is set: the unbatched fallback, the
-	// scan-pump pacer, and (when the primary ran reuseport) the
-	// shared-socket demux mode.
-	AB      *serveBench `json:"ab_generic,omitempty"`
-	ABScan  *serveBench `json:"ab_scan,omitempty"`
-	ABDemux *serveBench `json:"ab_demux,omitempty"`
+	srv netio.MultiStats // zero against an external server
 }
 
 // loadOpts is one run's full parameterization.
 type loadOpts struct {
 	addr    string
 	kind    netio.BatchKind
-	pacer   netio.PacerKind
 	sockets netio.SocketMode
 	clients int
 	dur     time.Duration
@@ -97,7 +73,6 @@ func main() {
 	stagger := flag.Duration("stagger", time.Second, "join stagger window")
 	shards := flag.Int("shards", 0, "server client-table shards (0 = auto)")
 	batch := flag.String("batch", "", "batch I/O kind: auto, mmsg, generic")
-	pacer := flag.String("pacer", "", "send pacer: wheel (default), scan")
 	sockets := flag.String("sockets", "", "socket layout: reuseport (default where available), demux")
 	// The defaults are chosen coherent: two layers (2 x 6000 B/s) fit
 	// comfortably under the 16000 B/s rate cap, so per-client state
@@ -109,9 +84,6 @@ func main() {
 	pkt := flag.Int("pkt", 512, "packet size, bytes")
 	maxRate := flag.Float64("max-rate", 16_000, "per-client rate cap, bytes/s (0 = none)")
 	soak := flag.Bool("soak", false, "assert goodput, fairness, and heap stability; exit nonzero on violation")
-	ab := flag.Bool("ab", false, "also run generic-I/O, scan-pacer, and demux-socket legs for A/B comparison (in-process only)")
-	out := flag.String("out", "", "write results as JSON (e.g. BENCH_SERVE.json)")
-	check := flag.String("check", "", "compare against a recorded BENCH_SERVE.json; exit nonzero on regression")
 	memprofile := flag.String("memprofile", "", "write an allocation profile of the run")
 	flag.Parse()
 
@@ -126,7 +98,6 @@ func main() {
 	opts := loadOpts{
 		addr:    *addr,
 		kind:    kind,
-		pacer:   netio.PacerKind(*pacer),
 		sockets: netio.SocketMode(*sockets),
 		clients: *clients,
 		dur:     *dur,
@@ -157,53 +128,6 @@ func main() {
 		f.Close()
 	}
 
-	if *ab {
-		if *addr != "" {
-			fatal(fmt.Errorf("-ab needs the in-process server (drop -addr)"))
-		}
-		abLeg := func(name string, mutate func(*loadOpts)) *serveBench {
-			o := opts
-			mutate(&o)
-			fmt.Printf("qaload: A/B leg: %s\n", name)
-			leg, err := runOnce(o)
-			if err != nil {
-				fatal(err)
-			}
-			report(leg)
-			if leg.PktsPerSec > 0 {
-				fmt.Printf("qaload: primary %.0f pkts/s vs %s %.0f pkts/s (%.2fx)\n",
-					res.PktsPerSec, name, leg.PktsPerSec, res.PktsPerSec/leg.PktsPerSec)
-			}
-			return leg
-		}
-		res.AB = abLeg("generic (unbatched) I/O", func(o *loadOpts) { o.kind = netio.BatchGeneric })
-		res.ABScan = abLeg("scan pacer", func(o *loadOpts) { o.pacer = netio.PacerScan })
-		if res.Sockets == string(netio.SocketReuseport) {
-			res.ABDemux = abLeg("demux (shared-socket) mode", func(o *loadOpts) { o.sockets = netio.SocketDemux })
-		}
-	}
-
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			fatal(err)
-		}
-		f.Close()
-		fmt.Printf("qaload: wrote %s\n", *out)
-	}
-
-	if *check != "" {
-		if err := checkAgainst(*check, res); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("qaload: within budget of %s\n", *check)
-	}
-
 	if *soak {
 		if err := soakAssert(res); err != nil {
 			fatal(err)
@@ -212,8 +136,8 @@ func main() {
 	}
 }
 
-// runOnce performs one full load run and gathers the bench record.
-func runOnce(o loadOpts) (*serveBench, error) {
+// runOnce performs one full load run.
+func runOnce(o loadOpts) (*loadResult, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -233,7 +157,6 @@ func runOnce(o loadOpts) (*serveBench, error) {
 			RAP:       rap.Config{PacketSize: o.pkt, MaxRate: o.maxRate, InitialRTT: 0.02},
 			Shards:    o.shards,
 			BatchKind: o.kind,
-			Pacer:     o.pacer,
 		}
 		switch mode {
 		case netio.SocketReuseport:
@@ -269,8 +192,8 @@ func runOnce(o loadOpts) (*serveBench, error) {
 			srv.Serve(ctx)
 		}()
 		target = srv.Addr()
-		fmt.Printf("qaload: in-process server on %s (%s batch, %s pacer, %s sockets, %d clients x %.0f B/s cap)\n",
-			target, srv.BatchKind(), srv.PacerKind(), srv.SocketMode(), o.clients, o.maxRate)
+		fmt.Printf("qaload: in-process server on %s (%s batch, %s sockets, %d clients x %.0f B/s cap)\n",
+			target, srv.BatchKind(), srv.SocketMode(), o.clients, o.maxRate)
 	}
 
 	// Heap sampler: HeapAlloc every 250 ms over the run; start/end
@@ -313,65 +236,45 @@ func runOnce(o loadOpts) (*serveBench, error) {
 		return nil, err
 	}
 
-	b := &serveBench{
-		GoOS:    runtime.GOOS,
-		GoArch:  runtime.GOARCH,
-		CPUs:    runtime.NumCPU(),
-		Shards:  o.shards,
-		Clients: o.clients,
-		DurSec:  o.dur.Seconds(),
-		PktSize: o.pkt,
-		MaxRate: o.maxRate,
-
-		JoinsPerSec: float64(o.clients) / o.stagger.Seconds(),
-		PktsPerSec:  float64(res.PktsTotal) / elapsed.Seconds(),
-		GoodputBps:  res.GoodputTotal,
-		Jain:        res.Jain,
-		Starved:     res.Starved,
+	b := &loadResult{
+		clients:    o.clients,
+		dur:        o.dur,
+		pktsPerSec: float64(res.PktsTotal) / elapsed.Seconds(),
+		goodputBps: res.GoodputTotal,
+		jain:       res.Jain,
+		starved:    res.Starved,
 	}
+	// Whole-process allocation rate per packet: with the send loop,
+	// batch layer, and load clients all allocation-free at steady
+	// state, this stays well under one.
+	pkts := res.PktsTotal
 	if srv != nil {
-		b.BatchKind = string(srv.BatchKind())
-		b.Pacer = string(srv.PacerKind())
-		b.Sockets = string(srv.SocketMode())
-		st := srv.Stats()
-		b.Shards = len(st.InboxDropsPerShard)
-		b.SrvSent = st.SentPkts
-		b.SrvAcked = st.AckedPkts
-		b.SrvBadPkts = st.BadPackets
-		b.SrvNackDrops = st.NackDrops
-		b.SrvInboxDrop = st.InboxDrops
-		b.SrvShardSheds = st.InboxDropsPerShard
-		if st.SentPkts > 0 {
-			// Whole-process allocation rate per served packet: with the
-			// send loop, batch layer, and load clients all allocation-free
-			// at steady state, this stays well under one.
-			b.AllocsPerPkt = float64(ms1.Mallocs-ms0.Mallocs) / float64(st.SentPkts)
-		}
-	} else {
-		b.BatchKind = "external"
-		if res.PktsTotal > 0 {
-			b.AllocsPerPkt = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.PktsTotal)
-		}
+		b.sockets = srv.SocketMode()
+		b.srv = srv.Stats()
+		pkts = b.srv.SentPkts
+	}
+	if pkts > 0 {
+		b.allocsPerPkt = float64(ms1.Mallocs-ms0.Mallocs) / float64(pkts)
 	}
 	heapMu.Lock()
 	if n := len(heap); n >= 8 {
-		b.HeapStartBytes = medianU64(heap[n/4 : n/2])
-		b.HeapEndBytes = medianU64(heap[3*n/4:])
+		b.heapStart = medianU64(heap[n/4 : n/2])
+		b.heapEnd = medianU64(heap[3*n/4:])
 	} else if n > 0 {
-		b.HeapStartBytes = heap[0]
-		b.HeapEndBytes = heap[n-1]
+		b.heapStart = heap[0]
+		b.heapEnd = heap[n-1]
 	}
 	heapMu.Unlock()
 	return b, nil
 }
 
-func report(b *serveBench) {
+func report(b *loadResult) {
 	fmt.Printf("qaload: %d clients, %.1fs: %.0f pkts/s, goodput %.0f B/s total, jain %.3f, starved %d, %.2f allocs/pkt, heap %.1f->%.1f MB\n",
-		b.Clients, b.DurSec, b.PktsPerSec, b.GoodputBps, b.Jain, b.Starved,
-		b.AllocsPerPkt, float64(b.HeapStartBytes)/1e6, float64(b.HeapEndBytes)/1e6)
-	if b.SrvSent > 0 {
-		fmt.Printf("qaload: server sent=%d acked=%d retrans-drops=%d inbox-drops=%d bad=%d\n",
-			b.SrvSent, b.SrvAcked, b.SrvNackDrops, b.SrvInboxDrop, b.SrvBadPkts)
+		b.clients, b.dur.Seconds(), b.pktsPerSec, b.goodputBps, b.jain, b.starved,
+		b.allocsPerPkt, float64(b.heapStart)/1e6, float64(b.heapEnd)/1e6)
+	if st := b.srv; st.SentPkts > 0 {
+		fmt.Printf("qaload: server sent=%d acked=%d backoffs=%d retrans-drops=%d inbox-drops=%d bad=%d\n",
+			st.SentPkts, st.AckedPkts, st.Backoffs, st.NackDrops, st.InboxDrops, st.BadPackets)
 	}
 }
 
@@ -379,51 +282,25 @@ func report(b *serveBench) {
 // was fair, the send path did not allocate per packet, and the heap did
 // not creep over the run. In reuseport mode there is no reader->inbox
 // hop, so any shed at all is a bug.
-func soakAssert(b *serveBench) error {
-	if b.Starved > 0 {
-		return fmt.Errorf("soak: %d of %d clients starved", b.Starved, b.Clients)
+func soakAssert(b *loadResult) error {
+	if b.starved > 0 {
+		return fmt.Errorf("soak: %d of %d clients starved", b.starved, b.clients)
 	}
-	if b.GoodputBps <= 0 {
+	if b.goodputBps <= 0 {
 		return fmt.Errorf("soak: zero aggregate goodput")
 	}
-	if b.Jain < 0.5 {
-		return fmt.Errorf("soak: Jain fairness %.3f < 0.5", b.Jain)
+	if b.jain < 0.5 {
+		return fmt.Errorf("soak: Jain fairness %.3f < 0.5", b.jain)
 	}
-	if b.AllocsPerPkt > 1.0 {
-		return fmt.Errorf("soak: %.2f allocs per served packet (want < 1; the send loop itself must be 0)", b.AllocsPerPkt)
+	if b.allocsPerPkt > 1.0 {
+		return fmt.Errorf("soak: %.2f allocs per served packet (want < 1; the send loop itself must be 0)", b.allocsPerPkt)
 	}
-	if b.Sockets == string(netio.SocketReuseport) && b.SrvInboxDrop != 0 {
-		return fmt.Errorf("soak: %d inbox sheds in reuseport mode (there are no inboxes to shed)", b.SrvInboxDrop)
+	if b.sockets == netio.SocketReuseport && b.srv.InboxDrops != 0 {
+		return fmt.Errorf("soak: %d inbox sheds in reuseport mode (there are no inboxes to shed)", b.srv.InboxDrops)
 	}
-	if b.HeapStartBytes > 0 && float64(b.HeapEndBytes) > 1.5*float64(b.HeapStartBytes)+8e6 {
+	if b.heapStart > 0 && float64(b.heapEnd) > 1.5*float64(b.heapStart)+8e6 {
 		return fmt.Errorf("soak: heap grew %.1f MB -> %.1f MB over the run",
-			float64(b.HeapStartBytes)/1e6, float64(b.HeapEndBytes)/1e6)
-	}
-	return nil
-}
-
-// checkAgainst compares throughput per client against a recorded run,
-// with a 35% budget (loopback throughput is host-relative; this is the
-// same advisory role as qabench -check).
-func checkAgainst(path string, cur *serveBench) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rec serveBench
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	if rec.Clients <= 0 || rec.PktsPerSec <= 0 {
-		return fmt.Errorf("%s: no recorded pkts/sec to compare", path)
-	}
-	recPer := rec.PktsPerSec / float64(rec.Clients)
-	curPer := cur.PktsPerSec / float64(cur.Clients)
-	if curPer < 0.65*recPer {
-		return fmt.Errorf("pkts/sec/client %.1f fell below 65%% of recorded %.1f", curPer, recPer)
-	}
-	if cur.AllocsPerPkt > 1.0 {
-		return fmt.Errorf("allocs per packet %.2f regressed (recorded %.2f)", cur.AllocsPerPkt, rec.AllocsPerPkt)
+			float64(b.heapStart)/1e6, float64(b.heapEnd)/1e6)
 	}
 	return nil
 }

@@ -1,14 +1,13 @@
 // Command qaserver streams layered video data over UDP with RAP
-// congestion control and quality adaptation. By default it serves many
-// clients concurrently from a sharded client table over batched I/O
-// (netio.MultiServer); -single restores the original one-client-at-a-
-// time endpoint. Pair it with qaclient, or load it with qaload.
+// congestion control and quality adaptation, serving many clients
+// concurrently from a sharded client table over batched I/O
+// (netio.MultiServer). Pair it with qaclient, or load it with qaload.
 //
 // Examples:
 //
 //	qaserver -listen 127.0.0.1:9000 -c 20000 -kmax 2
 //	qaserver -listen 127.0.0.1:9000 -shards 4 -metrics 127.0.0.1:9090
-//	qaserver -single -once   # legacy single-stream mode
+//	qaserver -max-clients 1   # one viewer at a time, as in the paper's experiments
 package main
 
 import (
@@ -19,8 +18,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sync"
-	"time"
 
 	"qav/internal/core"
 	"qav/internal/netio"
@@ -36,35 +33,13 @@ func main() {
 	maxRate := flag.Float64("max-rate", 0, "cap on per-client transmission rate, bytes/s (0 = none)")
 	shards := flag.Int("shards", 0, "client-table shards (0 = auto: one per core, max 8; explicit values above 8 are honored)")
 	batch := flag.String("batch", "", "batch I/O kind: auto, mmsg, generic")
-	pacer := flag.String("pacer", "", "send pacer: wheel (default), scan")
 	sockets := flag.String("sockets", "", "socket layout: reuseport (default where available), demux")
 	maxClients := flag.Int("max-clients", 4096, "concurrent stream cap (joins beyond it are refused)")
-	single := flag.Bool("single", false, "serve one client at a time (the paper's original endpoint)")
-	once := flag.Bool("once", false, "with -single: serve a single stream then exit")
 	metricsAddr := flag.String("metrics", "", "HTTP address serving current metrics as JSON (e.g. 127.0.0.1:9090; empty = disabled)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	listenOne := func() *net.UDPConn {
-		la, err := net.ResolveUDPAddr("udp", *listen)
-		if err != nil {
-			fatal(err)
-		}
-		conn, err := net.ListenUDP("udp", la)
-		if err != nil {
-			fatal(err)
-		}
-		return conn
-	}
-
-	if *single {
-		conn := listenOne()
-		defer conn.Close()
-		serveSingle(ctx, conn, *c, *kmax, *layers, *pkt, *maxRate, *once, *metricsAddr)
-		return
-	}
 
 	kind := netio.BatchKind(*batch)
 	if *batch == "auto" {
@@ -82,7 +57,6 @@ func main() {
 		RAP:        rap.Config{PacketSize: *pkt, MaxRate: *maxRate, InitialRTT: 0.05},
 		Shards:     *shards,
 		BatchKind:  kind,
-		Pacer:      netio.PacerKind(*pacer),
 		MaxClients: *maxClients,
 	}
 	var srv *netio.MultiServer
@@ -103,17 +77,23 @@ func main() {
 			fatal(err)
 		}
 	case netio.SocketDemux:
-		conn := listenOne()
+		la, err := net.ResolveUDPAddr("udp", *listen)
+		if err != nil {
+			fatal(err)
+		}
+		conn, err := net.ListenUDP("udp", la)
+		if err != nil {
+			fatal(err)
+		}
 		defer conn.Close()
-		var err error
 		if srv, err = netio.NewMultiServer(conn, cfg); err != nil {
 			fatal(err)
 		}
 	default:
 		fatal(fmt.Errorf("unknown -sockets mode %q", mode))
 	}
-	fmt.Printf("qaserver: listening on %s (C=%.0f B/s, Kmax=%d, %d layers, %s batch, %s pacer, %s sockets, max %d clients)\n",
-		srv.Addr(), *c, *kmax, *layers, srv.BatchKind(), srv.PacerKind(), srv.SocketMode(), *maxClients)
+	fmt.Printf("qaserver: listening on %s (C=%.0f B/s, Kmax=%d, %d layers, %s batch, %s sockets, max %d clients)\n",
+		srv.Addr(), *c, *kmax, *layers, srv.BatchKind(), srv.SocketMode(), *maxClients)
 	if *metricsAddr != "" {
 		go serveMetrics(*metricsAddr, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
@@ -122,61 +102,8 @@ func main() {
 	}
 	err := srv.Serve(ctx)
 	st := srv.Stats()
-	fmt.Printf("qaserver: done: accepted=%d sent=%d acked=%d retransmits=%d bad=%d err=%v\n",
-		st.Accepted, st.SentPkts, st.AckedPkts, st.Retransmits, st.BadPackets, err)
-}
-
-// serveSingle is the original one-client loop, one stream per
-// netio.Server instance.
-func serveSingle(ctx context.Context, conn *net.UDPConn, c float64, kmax, layers, pkt int, maxRate float64, once bool, metricsAddr string) {
-	fmt.Printf("qaserver: listening on %s (C=%.0f B/s, Kmax=%d, %d layers, single-client)\n",
-		conn.LocalAddr(), c, kmax, layers)
-
-	// The current stream's server, for the metrics endpoint. A new
-	// *netio.Server is created per stream, so the handler re-reads it.
-	var (
-		curMu  sync.Mutex
-		curSrv *netio.Server
-	)
-	if metricsAddr != "" {
-		go serveMetrics(metricsAddr, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			curMu.Lock()
-			srv := curSrv
-			curMu.Unlock()
-			if srv == nil {
-				http.Error(w, "no stream yet", http.StatusServiceUnavailable)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			srv.WriteMetricsJSON(w)
-		}))
-	}
-
-	for {
-		srv, err := netio.NewServer(conn, netio.ServerConfig{
-			QA: core.Params{C: c, Kmax: kmax, MaxLayers: layers, StartupSec: 0.5},
-			RAP: rap.Config{
-				PacketSize: pkt,
-				MaxRate:    maxRate,
-				InitialRTT: 0.05,
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		curMu.Lock()
-		curSrv = srv
-		curMu.Unlock()
-		start := time.Now()
-		err = srv.Serve(ctx)
-		st := srv.Stats()
-		fmt.Printf("qaserver: stream done in %.1fs: sent=%d acked=%d backoffs=%d layers=%d rate=%.0fB/s err=%v\n",
-			time.Since(start).Seconds(), st.SentPkts, st.AckedPkts, st.Backoffs,
-			st.ActiveLayers, st.Rate, err)
-		if ctx.Err() != nil || once {
-			return
-		}
-	}
+	fmt.Printf("qaserver: done: accepted=%d sent=%d acked=%d backoffs=%d retransmits=%d bad=%d err=%v\n",
+		st.Accepted, st.SentPkts, st.AckedPkts, st.Backoffs, st.Retransmits, st.BadPackets, err)
 }
 
 func serveMetrics(addr string, h http.Handler) {

@@ -30,47 +30,49 @@ func main() {
 	}
 
 	fmt.Println("heterogeneous: one layered server, three client access links (C = 4 KB/s per layer)")
-	for i, path := range paths {
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			log.Fatal(err)
-		}
-		srv, err := qav.NewServer(conn, qav.ServerConfig{
-			QA:  qav.Params{C: 4_000, Kmax: 2, MaxLayers: 8, StartupSec: 0.3},
-			RAP: qav.RAPConfig{PacketSize: 512, InitialRTT: 0.05},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer conn.Close()
+	srv, err := qav.NewServer(conn, qav.ServerConfig{
+		QA:  qav.Params{C: 4_000, Kmax: 2, MaxLayers: 8, StartupSec: 0.3},
+		RAP: qav.RAPConfig{PacketSize: 512, InitialRTT: 0.05},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	go srv.Serve(ctx)
 
+	// All three stream at once, each through its own pipe to the one server.
+	stats := make([]qav.ClientStats, len(paths))
+	var wg sync.WaitGroup
+	for i, path := range paths {
 		pipe, err := qav.NewPipe("127.0.0.1:0", srv.Addr(), qav.PipeConfig{}, path.down, int64(i)+1)
 		if err != nil {
 			log.Fatal(err)
 		}
-
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		var wg sync.WaitGroup
+		defer pipe.Close()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			srv.Serve(ctx)
+			if stats[i], err = qav.DialStream(ctx, pipe.Addr(), 6*time.Second); err != nil {
+				log.Fatalf("%s: %v", path.name, err)
+			}
 		}()
+	}
+	wg.Wait()
 
-		stats, err := qav.DialStream(ctx, pipe.Addr(), 6*time.Second)
-		cancel()
-		wg.Wait()
-		pipe.Close()
-		conn.Close()
-		if err != nil {
-			log.Fatalf("%s: %v", path.name, err)
-		}
-
-		goodput := float64(stats.Bytes) / stats.LastArrival.Seconds()
+	for i, path := range paths {
+		st := stats[i]
+		goodput := float64(st.Bytes) / st.LastArrival.Seconds()
 		fmt.Printf("\n  %-22s goodput %7.0f B/s, highest layer %d\n",
-			path.name, goodput, stats.HighestLayer)
-		for l := 0; l <= stats.HighestLayer && l < len(stats.ByLayer); l++ {
-			share := float64(stats.ByLayer[l]) / float64(stats.Bytes) * 100
-			fmt.Printf("    layer %d: %7d bytes (%4.1f%%)\n", l, stats.ByLayer[l], share)
+			path.name, goodput, st.HighestLayer)
+		for l := 0; l <= st.HighestLayer && l < len(st.ByLayer); l++ {
+			share := float64(st.ByLayer[l]) / float64(st.Bytes) * 100
+			fmt.Printf("    layer %d: %7d bytes (%4.1f%%)\n", l, st.ByLayer[l], share)
 		}
 	}
 	fmt.Println("\neach client got the quality its own bottleneck permits — the paper's §1.2 goal.")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/netip"
 	"runtime"
@@ -60,11 +61,6 @@ type MultiConfig struct {
 	// BatchKind selects the I/O implementation (default BatchAuto:
 	// mmsg on Linux, generic elsewhere).
 	BatchKind BatchKind
-	// Pacer selects how a shard finds its due sessions: PacerWheel
-	// (default) pays O(due) per wakeup via a hierarchical timing
-	// wheel; PacerScan is the original walk-every-session pump, kept
-	// as the differential reference and A/B baseline.
-	Pacer PacerKind
 	// MaxClients caps concurrent streams; joins beyond it are refused
 	// (default 4096).
 	MaxClients int
@@ -100,13 +96,6 @@ func (c *MultiConfig) normalize() error {
 	}
 	if c.Batch <= 0 {
 		c.Batch = 32
-	}
-	switch c.Pacer {
-	case "":
-		c.Pacer = PacerWheel
-	case PacerWheel, PacerScan:
-	default:
-		return fmt.Errorf("netio: unknown pacer %q", c.Pacer)
 	}
 	if c.MaxClients <= 0 {
 		c.MaxClients = 4096
@@ -193,10 +182,9 @@ type shard struct {
 	srv      *MultiServer
 	inbox    chan inMsg // demux mode; nil when the shard owns a socket
 	sessions map[netip.AddrPort]*session
-	order    []*session // insertion order; swap-removed on expiry
 	writer   BatchConn
-	msgs     []Message // preallocated write batch (Buf sized to PacketSize)
-	pacer    pacer
+	msgs     []Message    // preallocated write batch (Buf sized to PacketSize)
+	wheel    timingWheel  // files each session at its next wake instant (wheel.go)
 	idleSec  float64      // cfg.IdleTimeout in seconds, cached off the hot path
 	sheds    atomic.Int64 // inbox messages shed for this shard (demux mode; written by the reader)
 
@@ -247,6 +235,7 @@ func newMulti(cfg MultiConfig) (*MultiServer, error) {
 		Retransmits: reg.Counter("srv.retransmits"),
 		NackDrops:   reg.Counter("srv.nackdrops"),
 		Delivered:   reg.Counter("srv.delivered"),
+		Backoffs:    reg.Counter("srv.backoffs"),
 	}
 	reg.GaugeFunc("srv.clients", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("srv.shards", func() float64 { return float64(len(s.shards)) })
@@ -264,7 +253,6 @@ func (s *MultiServer) addShard(writer BatchConn) *shard {
 		sessions: make(map[netip.AddrPort]*session),
 		writer:   writer,
 		msgs:     make([]Message, s.cfg.Batch),
-		pacer:    newPacer(s.cfg.Pacer),
 		idleSec:  s.cfg.IdleTimeout.Seconds(),
 		sessIns:  s.sessIns,
 	}
@@ -366,9 +354,6 @@ func (s *MultiServer) BatchKind() BatchKind {
 	return s.reader.Kind()
 }
 
-// PacerKind reports the pacing implementation in use.
-func (s *MultiServer) PacerKind() PacerKind { return s.cfg.Pacer }
-
 // SocketMode reports the socket layout in use.
 func (s *MultiServer) SocketMode() SocketMode {
 	if s.owned {
@@ -410,6 +395,7 @@ type MultiStats struct {
 	Delivered     int64
 	Retransmits   int64
 	NackDrops     int64
+	Backoffs      int64 // RAP backoffs across all sessions
 	BadPackets    int64
 	InboxDrops    int64
 	// InboxDropsPerShard breaks InboxDrops down by destination shard
@@ -439,6 +425,7 @@ func (s *MultiServer) Stats() MultiStats {
 		Delivered:          s.sessIns.Delivered.Load(),
 		Retransmits:        s.sessIns.Retransmits.Load(),
 		NackDrops:          s.sessIns.NackDrops.Load(),
+		Backoffs:           s.sessIns.Backoffs.Load(),
 		BadPackets:         s.badPkt.Load(),
 		InboxDrops:         s.inboxDrop.Load(),
 		InboxDropsPerShard: perShard,
@@ -448,42 +435,33 @@ func (s *MultiServer) Stats() MultiStats {
 }
 
 // Serve runs the shard goroutines (plus, in demux mode, the reader)
-// until ctx is cancelled or the sockets fail.
+// until ctx is cancelled or a socket fails. The first loop to fail stops
+// the others, and Serve returns its error.
 func (s *MultiServer) Serve(ctx context.Context) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	var wg sync.WaitGroup
-	if s.owned {
-		errc := make(chan error, len(s.shards))
-		for _, sh := range s.shards {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				errc <- sh.runOwned(ctx)
-			}(sh)
-		}
-		wg.Wait()
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		for range s.shards {
-			if err := <-errc; err != nil {
-				return err
+	loop := func(run func(context.Context) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := run(ctx); err != nil {
+				cancel(err)
 			}
-		}
-		return nil
+		}()
 	}
 	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			sh.run(ctx)
-		}(sh)
+		if s.owned {
+			loop(sh.runOwned)
+		} else {
+			loop(func(ctx context.Context) error { sh.run(ctx); return nil })
+		}
 	}
-	err := s.readLoop(ctx)
+	if !s.owned {
+		loop(s.readLoop)
+	}
 	wg.Wait()
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return err
+	return context.Cause(ctx)
 }
 
 // shardOf hashes a client address to its owning shard (FNV-1a over the
@@ -777,7 +755,6 @@ func (sh *shard) handle(m inMsg, now float64) {
 	switch m.kind {
 	case KindReq:
 		st := sh.sessions[m.addr]
-		created := false
 		if st == nil {
 			srv := sh.srv
 			// Take the slot before building the session: shards admit
@@ -796,10 +773,7 @@ func (sh *shard) handle(m inMsg, now float64) {
 			}
 			st.ins = &sh.sessIns
 			sh.sessions[m.addr] = st
-			st.orderIdx = len(sh.order)
-			sh.order = append(sh.order, st)
 			srv.accepted.Inc()
-			created = true
 		}
 		dur := float64(m.durMs) / 1e3
 		if max := sh.srv.cfg.MaxStream.Seconds(); dur > max {
@@ -807,14 +781,11 @@ func (sh *shard) handle(m inMsg, now float64) {
 		}
 		st.deadline = now + dur
 		st.lastRecv = now
-		// Register after deadline/lastRecv are final: the pacer files
-		// the session by its wake instant, which reads both. A
-		// re-request may pull the deadline earlier, so it re-files.
-		if created {
-			sh.pacer.add(sh, st, now)
-		} else {
-			sh.pacer.update(sh, st, now)
-		}
+		// File after deadline/lastRecv are final: the wheel files the
+		// session by its wake instant, which reads both. A re-request
+		// may pull the deadline earlier, so it re-files.
+		sh.wheel.unlink(st)
+		sh.wheel.place(st, sh.wakeAt(st))
 	case KindAck:
 		st := sh.sessions[m.addr]
 		if st == nil {
@@ -823,19 +794,51 @@ func (sh *shard) handle(m inMsg, now float64) {
 		}
 		st.onAck(now, m.ack)
 		sh.srv.acked.Inc()
-		// No pacer update: acks only move wake instants later (idle
+		// No re-filing: acks only move wake instants later (idle
 		// expiry pushes out; nextSend is untouched), and the wheel
 		// re-files lazily at fire time.
 	}
 }
 
-// pump expires dead sessions, gathers due packets into the write
-// batch, and sends them in one batched write, through the configured
-// pacer. Returns packets written and the earliest next wake instant
-// (+Inf when nothing is due within the pacer's horizon). Zero heap
-// allocations at steady state.
+// pump advances the wheel to now's tick and services only the sessions
+// that fired: expires the dead ones, gathers due packets into the write
+// batch, re-files each session at its next wake instant, and sends the
+// batch in one batched write. Returns packets written and the earliest
+// next wake instant (+Inf when nothing is scheduled within the wheel's
+// lookahead). Zero heap allocations at steady state.
 func (sh *shard) pump(now float64) (sent int, next float64) {
-	return sh.pacer.pump(sh, now)
+	w := &sh.wheel
+	w.advance(wheelTick(now))
+	next = math.Inf(1)
+	k := 0
+	for st := w.imminent; st != nil; {
+		nxt := st.wnext
+		if sh.expired(st, now) {
+			sh.removeSession(st)
+			st = nxt
+			continue
+		}
+		if st.nextSend <= now && k < len(sh.msgs) {
+			k = sh.buildDue(st, now, k)
+		}
+		// Re-file at the (possibly moved) wake instant. Wakes still in
+		// the current tick — sub-tick pacing, a backlog deeper than
+		// one burst, or a batch-budget leftover — stay imminent and
+		// drive `next` with the exact float64 instant.
+		wake := sh.wakeAt(st)
+		if t := wheelTick(wake); t > w.cur {
+			w.unlink(st)
+			w.schedule(st, t)
+		} else if wake < next {
+			next = wake
+		}
+		st = nxt
+	}
+	sh.flush(k)
+	if wn := w.nextWake(); wn < next {
+		next = wn
+	}
+	return k, next
 }
 
 // expired reports whether st is past its stream deadline or idle cutoff.
@@ -888,17 +891,10 @@ func (sh *shard) flush(k int) {
 	}
 }
 
-// removeSession drops an expired session: pacer, table, order slice
-// (swap-remove via the session's stored index).
+// removeSession drops an expired session from the wheel and the table.
 func (sh *shard) removeSession(st *session) {
-	sh.pacer.remove(st)
+	sh.wheel.unlink(st)
 	delete(sh.sessions, st.addr)
-	i, last := st.orderIdx, len(sh.order)-1
-	moved := sh.order[last]
-	sh.order[i] = moved
-	moved.orderIdx = i
-	sh.order[last] = nil
-	sh.order = sh.order[:last]
 	sh.srv.active.Add(-1)
 	sh.srv.expired.Inc()
 }

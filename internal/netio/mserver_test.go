@@ -504,8 +504,8 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 		t.Skip("race instrumentation allocates; run without -race")
 	}
 	for _, kind := range availableKinds(t) {
-		for _, pk := range []PacerKind{PacerScan, PacerWheel} {
-			t.Run(string(kind)+"/"+string(pk), func(t *testing.T) {
+		for _, leg := range pumps {
+			t.Run(string(kind)+"/"+leg.name, func(t *testing.T) {
 				conn := listenUDPTB(t)
 				defer conn.Close()
 				srv, err := NewMultiServer(conn, MultiConfig{
@@ -513,7 +513,6 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 					RAP:       rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
 					Shards:    1,
 					BatchKind: kind,
-					Pacer:     pk,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -527,10 +526,10 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				sh := srv.shards[0]
 				now := 0.0
 				sh.handle(inMsg{addr: sinkAddr, kind: KindReq, durMs: 3_600_000}, now)
-				if len(sh.order) != 1 {
+				sess := sh.sessions[sinkAddr]
+				if sess == nil {
 					t.Fatal("session not created")
 				}
-				sess := sh.order[0]
 
 				ackAll := func(now float64) {
 					// Acknowledge everything outstanding (in order) so RAP and
@@ -542,7 +541,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				pumpSlice := func() {
 					for i := 0; i < 50; i++ {
 						now += 0.02
-						sh.pump(now)
+						leg.pump(sh, now)
 						ackAll(now)
 					}
 				}
@@ -554,7 +553,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				sentBefore := sess.snd.Sent
 				allocs := testing.AllocsPerRun(20, pumpSlice)
 				if allocs != 0 {
-					t.Fatalf("steady-state serve send loop (%s/%s): %.1f allocs per 1s slice, want 0", kind, pk, allocs)
+					t.Fatalf("steady-state serve send loop (%s/%s): %.1f allocs per 1s slice, want 0", kind, leg.name, allocs)
 				}
 				if sess.snd.Sent == sentBefore {
 					t.Fatal("measured window sent nothing")
@@ -587,7 +586,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			srvAddr := conn.LocalAddr().(*net.UDPAddr).AddrPort()
 			now := 0.0
 			sh.handle(inMsg{addr: peerAddr, kind: KindReq, durMs: 3_600_000}, now)
-			sess := sh.order[0]
+			sess := sh.sessions[peerAddr]
 			ack := make([]byte, AckLen)
 			drained := 0
 			tickSlice := func() {
@@ -647,7 +646,7 @@ func TestMultiServerMemoryBoundedUnderLoad(t *testing.T) {
 	sh := srv.shards[0]
 	now := 0.0
 	sh.handle(inMsg{addr: sinkAddr, kind: KindReq, durMs: 3_600_000}, now)
-	sess := sh.order[0]
+	sess := sh.sessions[sinkAddr]
 
 	run := func(slices int) {
 		for i := 0; i < slices; i++ {
@@ -731,6 +730,53 @@ func TestMultiServerReuseport(t *testing.T) {
 			t.Fatalf("shard %d reports %d sheds in owned-socket mode", i, d)
 		}
 	}
+}
+
+// TestServeReturnsWhenASocketDies: a socket failing under Serve must end
+// Serve with that error, not leave it waiting on the loops whose sockets
+// (or inboxes) are still fine — in demux mode the shards behind a dead
+// reader, in owned mode the siblings of a dead shard.
+func TestServeReturnsWhenASocketDies(t *testing.T) {
+	cfg := MultiConfig{
+		QA:     core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
+		RAP:    rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
+		Shards: 2,
+	}
+	check := func(t *testing.T, srv *MultiServer, victim *net.UDPConn) {
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(context.Background()) }()
+		time.Sleep(200 * time.Millisecond)
+		victim.Close()
+		select {
+		case err := <-served:
+			if err == nil || errors.Is(err, context.Canceled) {
+				t.Fatalf("Serve returned %v, want the socket's read error", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Serve still blocked 2 s after its socket was closed")
+		}
+	}
+	t.Run("demux", func(t *testing.T) {
+		conn := listenUDPTB(t)
+		defer conn.Close()
+		srv, err := NewMultiServer(conn, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, srv, conn)
+	})
+	t.Run("owned", func(t *testing.T) {
+		// Two plain sockets on two ports: one shard each, no SO_REUSEPORT
+		// needed. The first dies, the second stays healthy.
+		conns := []*net.UDPConn{listenUDPTB(t), listenUDPTB(t)}
+		defer conns[0].Close()
+		defer conns[1].Close()
+		srv, err := NewMultiServerConns(conns, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, srv, conns[0])
+	})
 }
 
 // TestMultiServerShardsOverridePolicy pins the explicit Shards policy:

@@ -19,10 +19,6 @@ type seqRing struct {
 	mask   int64
 }
 
-// seqWindow is the default attribution window (packets in flight beyond
-// this lose layer attribution, costing only a missed delivery credit).
-const seqWindow = 1 << 12
-
 // newSeqRing returns a ring tracking up to size in-flight sequences.
 // size must be a power of two.
 func newSeqRing(size int) seqRing {

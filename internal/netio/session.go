@@ -65,6 +65,7 @@ type sessionInstruments struct {
 	Retransmits *metrics.Counter // selective retransmissions sent
 	NackDrops   *metrics.Counter // retransmission requests shed at the cap
 	Delivered   *metrics.Counter // acked packets credited to the controller
+	Backoffs    *metrics.Counter // RAP multiplicative decreases (loss inferred)
 	// Lateness is pacing lateness in µs: the instant a packet is built
 	// minus the nextSend it was scheduled for. It is what wake
 	// coalescing spends to save CPU (up to a wheel tick per packet) and
@@ -75,9 +76,8 @@ type sessionInstruments struct {
 // session is the per-client stream state: one RAP sender, one quality
 // adaptation controller, the seq -> layer attribution ring, per-layer
 // stream offsets, and the bounded retransmission queue. It is not
-// goroutine-safe — its owner (the legacy single-client Server under its
-// mutex, or a MultiServer shard from its one goroutine) serializes all
-// access. All times are float64 seconds on the owner's clock.
+// goroutine-safe — its owner, a MultiServer shard, touches it from its
+// one goroutine only. All times are float64 seconds on the shard's clock.
 type session struct {
 	snd  *rap.Sender
 	ctrl *core.Controller
@@ -99,12 +99,10 @@ type session struct {
 	deadline float64 // stream end
 
 	// Pacing-wheel linkage (intrusive, zero-alloc: the wheel's slot
-	// lists run through these fields, owned by the shard's pacer) and
-	// the session's index in the shard's order slice (swap-remove).
+	// lists run through these fields, owned by the shard's wheel).
 	wnext, wprev *session
 	wslot        int32 // wheelNone, wheelImminent, or a level slot
 	wtick        int64 // absolute scheduled wheel tick (valid when queued)
-	orderIdx     int
 }
 
 // newSession builds a stream for addr. qa must already be validated
@@ -146,8 +144,7 @@ func (st *session) step(now float64) {
 		return
 	}
 	if b := st.snd.Step(now); b != nil {
-		st.ctrl.OnBackoff(now, b.NewRate, st.snd.ConservativeSlope())
-		st.forget(b.LostSeqs)
+		st.onBackoff(now, b)
 	}
 	st.lastStep = now
 }
@@ -220,8 +217,7 @@ func (st *session) buildPacket(now float64, buf []byte) int {
 func (st *session) onAck(now float64, a Ack) {
 	st.lastRecv = now
 	if b := st.snd.OnAck(now, a.AckSeq); b != nil {
-		st.ctrl.OnBackoff(now, b.NewRate, st.snd.ConservativeSlope())
-		st.forget(b.LostSeqs)
+		st.onBackoff(now, b)
 	}
 	if layer, ok := st.seqLayer.take(a.AckSeq); ok {
 		st.ctrl.OnDelivered(now, layer, st.pktSize)
@@ -244,9 +240,14 @@ func (st *session) onAck(now float64, a Ack) {
 	}
 }
 
-// forget drops layer attribution for lost packets.
-func (st *session) forget(seqs []int64) {
-	for _, q := range seqs {
+// onBackoff passes a RAP backoff on to the controller and drops layer
+// attribution for the packets it declared lost.
+func (st *session) onBackoff(now float64, b *rap.Backoff) {
+	st.ctrl.OnBackoff(now, b.NewRate, st.snd.ConservativeSlope())
+	for _, q := range b.LostSeqs {
 		st.seqLayer.del(q)
+	}
+	if st.ins != nil && st.ins.Backoffs != nil {
+		st.ins.Backoffs.Inc()
 	}
 }

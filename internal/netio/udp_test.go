@@ -2,7 +2,6 @@ package netio
 
 import (
 	"context"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -12,47 +11,23 @@ import (
 	"qav/internal/video"
 )
 
-func listenUDP(t *testing.T) *net.UDPConn {
+// testServer serves one viewer at a time: a MultiServer capped at one
+// client on one shard, already running (testMultiServer stops it).
+func testServer(t *testing.T, c float64, maxRate float64) *MultiServer {
 	t.Helper()
-	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return conn
-}
-
-func testServer(t *testing.T, c float64, maxRate float64) *Server {
-	t.Helper()
-	conn := listenUDP(t)
-	t.Cleanup(func() { conn.Close() })
-	srv, err := NewServer(conn, ServerConfig{
-		QA: core.Params{C: c, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
-		RAP: rap.Config{
-			PacketSize: 512,
-			InitialRTT: 0.02,
-			MaxRate:    maxRate,
-		},
+	return testMultiServer(t, MultiConfig{
+		QA:         core.Params{C: c, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
+		RAP:        rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: maxRate},
+		Shards:     1,
+		MaxClients: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
 }
 
-// runStream serves one client for dur and returns both sides' stats.
-func runStream(t *testing.T, srv *Server, dialAddr string, dur time.Duration) (ServerStats, ClientStats) {
+// runStream streams to one client for dur and returns both sides' stats.
+func runStream(t *testing.T, srv *MultiServer, dialAddr string, dur time.Duration) (MultiStats, ClientStats) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), dur+10*time.Second)
 	defer cancel()
-
-	var wg sync.WaitGroup
-	var srvErr error
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srvErr = srv.Serve(ctx)
-	}()
-
 	cl, err := Dial(dialAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -60,11 +35,6 @@ func runStream(t *testing.T, srv *Server, dialAddr string, dur time.Duration) (S
 	defer cl.Close()
 	if err := cl.Stream(ctx, dur); err != nil {
 		t.Fatalf("client: %v", err)
-	}
-	cancel()
-	wg.Wait()
-	if srvErr != nil && srvErr != context.Canceled && srvErr != context.DeadlineExceeded {
-		t.Fatalf("server: %v", srvErr)
 	}
 	return srv.Stats(), cl.Stats()
 }
@@ -83,9 +53,6 @@ func TestUDPDirectStream(t *testing.T) {
 		t.Fatalf("acked %d of %d sent", ss.AckedPkts, ss.SentPkts)
 	}
 	// With MaxRate 200 KB/s and C 20 KB/s, multiple layers must appear.
-	if ss.ActiveLayers < 2 {
-		t.Fatalf("server never added layers: %d", ss.ActiveLayers)
-	}
 	if cs.LayerBytes(0) == 0 || cs.LayerBytes(1) == 0 {
 		t.Fatalf("client layer bytes: %v", cs.ByLayer)
 	}
@@ -116,8 +83,8 @@ func TestUDPAdaptsToPipeBandwidth(t *testing.T) {
 		t.Fatalf("goodput %.0f badly underutilizes the 60 KB/s shaper", goodput)
 	}
 	// Layers adapt to ~6C max; must have reached at least 2 but never 6+.
-	if ss.ActiveLayers < 1 || cs.HighestLayer >= 6 {
-		t.Fatalf("layers: server %d, client max %d", ss.ActiveLayers, cs.HighestLayer)
+	if cs.HighestLayer < 1 || cs.HighestLayer >= 6 {
+		t.Fatalf("highest layer the client saw: %d", cs.HighestLayer)
 	}
 }
 
@@ -148,7 +115,7 @@ func TestUDPSurvivesRandomLoss(t *testing.T) {
 func TestPipeLossRate(t *testing.T) {
 	// A crude loss-rate check: fire 1000 packets through a 30% lossy
 	// pipe at low rate and count arrivals.
-	echo := listenUDP(t)
+	echo := listenUDPTB(t)
 	defer echo.Close()
 	var got int64
 	var mu sync.Mutex
@@ -207,7 +174,7 @@ func TestPipeLossRate(t *testing.T) {
 }
 
 func TestPipeDelay(t *testing.T) {
-	echo := listenUDP(t)
+	echo := listenUDPTB(t)
 	defer echo.Close()
 	arrived := make(chan time.Time, 1)
 	go func() {
@@ -260,10 +227,6 @@ func TestSelectiveRetransmissionRepairsBaseLayer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); srv.Serve(ctx) }()
-
 	cl, err := DialVideo(pipe.Addr(), video.Config{C: 10_000, MaxLayers: 6, StartupBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
@@ -272,8 +235,6 @@ func TestSelectiveRetransmissionRepairsBaseLayer(t *testing.T) {
 	if err := cl.Stream(ctx, 5*time.Second); err != nil {
 		t.Fatalf("client: %v", err)
 	}
-	cancel()
-	wg.Wait()
 
 	cs := cl.Stats()
 	ss := srv.Stats()

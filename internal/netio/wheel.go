@@ -3,19 +3,14 @@ package netio
 import "math"
 
 // This file is the O(due) pacing engine for the multi-client serving
-// path: a two-level hierarchical timing wheel over the shard's
-// sessions, plus the pacer abstraction that lets the original
-// scan-every-session pump stay in-tree as the differential reference
-// (the same displaced-implementation methodology as sim/calqueue.go vs
-// the binary heap).
+// path: a two-level hierarchical timing wheel over the shard's sessions.
 //
-// Motivation. The scan pump touches every connected session on every
-// wakeup to find the few whose nextSend is due, so a shard's wakeup
-// cost grows with its population even when almost all of it is idle.
-// The wheel schedules each session at its next wake instant —
-// min(nextSend, deadline, idle expiry) — and a wakeup advances the
-// wheel position and touches only the sessions whose slots fire:
-// O(due), not O(connected).
+// Motivation. A pump that walks every connected session on every wakeup
+// to find the few whose nextSend is due costs a shard O(population) even
+// when almost all of it is idle. The wheel schedules each session at its
+// next wake instant — min(nextSend, deadline, idle expiry) — and a
+// wakeup advances the wheel position and touches only the sessions
+// whose slots fire: O(due), not O(connected).
 //
 // Layout. Time is quantized to ticks of 2^20 ns (~1.05 ms). Level 0 is
 // 256 one-tick slots (~269 ms of horizon); level 1 is 256 slots of 256
@@ -35,8 +30,9 @@ import "math"
 // instant lies inside the current tick wait on the imminent list,
 // which the pump re-checks against the exact float64 conditions every
 // call — the wheel never sends early and never quantizes a pacing
-// decision, which is what makes the wheel and scan pacers decide
-// identically (asserted by TestPacerDifferentialRandomized).
+// decision, which is what makes it decide identically to the
+// walk-every-session pump it replaced (scanPump in wheel_test.go, the
+// reference of TestPacerDifferentialRandomized).
 
 const (
 	// wheelTickShift sets the tick length: 2^20 ns ≈ 1.05 ms.
@@ -241,127 +237,4 @@ func (w *timingWheel) nextWake() float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// pacer decides which sessions a shard wakeup examines. Both
-// implementations drive the identical per-session service logic
-// (expiry check, bounded catch-up burst, batch build) — they differ
-// only in how the due set is found, which is what the randomized
-// differential suite pins.
-type pacer interface {
-	// add registers a newly created session.
-	add(sh *shard, st *session, now float64)
-	// update repositions a session whose wake instant may have moved
-	// earlier (a re-request shortening the deadline). Later-moving
-	// wakes (acks extending idle expiry) are handled lazily at fire
-	// time and need no call.
-	update(sh *shard, st *session, now float64)
-	// remove forgets an expired session.
-	remove(st *session)
-	// pump services the due set at now: expiry, sends, one batched
-	// write. Returns packets written and the earliest next wake
-	// instant (+Inf when nothing is scheduled within the lookahead).
-	pump(sh *shard, now float64) (sent int, next float64)
-}
-
-// PacerKind selects a pacing implementation.
-type PacerKind string
-
-const (
-	// PacerWheel is the O(due) hierarchical timing wheel (default).
-	PacerWheel PacerKind = "wheel"
-	// PacerScan is the original scan-every-session pump, kept as the
-	// differential reference and A/B baseline.
-	PacerScan PacerKind = "scan"
-)
-
-func newPacer(kind PacerKind) pacer {
-	if kind == PacerScan {
-		return &scanPacer{}
-	}
-	return &wheelPacer{}
-}
-
-// scanPacer: every pump walks the whole session table. O(sessions) per
-// wakeup — the reference the wheel is measured and differentially
-// tested against.
-type scanPacer struct{}
-
-func (p *scanPacer) add(*shard, *session, float64)    {}
-func (p *scanPacer) update(*shard, *session, float64) {}
-func (p *scanPacer) remove(*session)                  {}
-
-func (p *scanPacer) pump(sh *shard, now float64) (sent int, next float64) {
-	next = math.Inf(1)
-	k := 0
-	for i := 0; i < len(sh.order); i++ {
-		st := sh.order[i]
-		if sh.expired(st, now) {
-			sh.removeSession(st)
-			i--
-			continue
-		}
-		if st.nextSend <= now {
-			k = sh.buildDue(st, now, k)
-		}
-		if st.nextSend < next {
-			next = st.nextSend
-		}
-	}
-	sh.flush(k)
-	return k, next
-}
-
-// wheelPacer: pump advances the wheel to now's tick and services only
-// the sessions that fired, re-filing each at its next wake instant.
-type wheelPacer struct {
-	w timingWheel
-}
-
-func (p *wheelPacer) add(sh *shard, st *session, now float64) {
-	p.w.place(st, sh.wakeAt(st))
-}
-
-func (p *wheelPacer) update(sh *shard, st *session, now float64) {
-	p.w.unlink(st)
-	p.w.place(st, sh.wakeAt(st))
-}
-
-func (p *wheelPacer) remove(st *session) {
-	p.w.unlink(st)
-}
-
-func (p *wheelPacer) pump(sh *shard, now float64) (sent int, next float64) {
-	w := &p.w
-	w.advance(wheelTick(now))
-	next = math.Inf(1)
-	k := 0
-	for st := w.imminent; st != nil; {
-		nxt := st.wnext
-		if sh.expired(st, now) {
-			sh.removeSession(st) // unlinks via pacer.remove
-			st = nxt
-			continue
-		}
-		if st.nextSend <= now && k < len(sh.msgs) {
-			k = sh.buildDue(st, now, k)
-		}
-		// Re-file at the (possibly moved) wake instant. Wakes still in
-		// the current tick — sub-tick pacing, a backlog deeper than
-		// one burst, or a batch-budget leftover — stay imminent and
-		// drive `next` with the exact float64 instant.
-		wake := sh.wakeAt(st)
-		if t := wheelTick(wake); t > w.cur {
-			w.unlink(st)
-			w.schedule(st, t)
-		} else if wake < next {
-			next = wake
-		}
-		st = nxt
-	}
-	sh.flush(k)
-	if wn := w.nextWake(); wn < next {
-		next = wn
-	}
-	return k, next
 }

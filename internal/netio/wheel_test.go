@@ -204,15 +204,51 @@ func (discardBatch) WriteBatch(ms []Message) (int, error)   { return len(ms), ni
 func (discardBatch) SetReadDeadline(time.Time) error        { return nil }
 func (discardBatch) Kind() BatchKind                        { return BatchGeneric }
 
+// scanPump is the pump the wheel replaced: it walks every session of the
+// shard on every wakeup, O(sessions). It is the reference the wheel pump
+// is differentially tested and measured against; it ignores the shard's
+// wheel (sessions stay filed there, never fired) and drives the same
+// per-session service — expiry check, bounded catch-up burst, batch
+// build — so the two differ only in how the due set is found.
+func scanPump(sh *shard, now float64) (sent int, next float64) {
+	next = math.Inf(1)
+	k := 0
+	for _, st := range sh.sessions {
+		if sh.expired(st, now) {
+			sh.removeSession(st)
+			continue
+		}
+		if st.nextSend <= now {
+			k = sh.buildDue(st, now, k)
+		}
+		if st.nextSend < next {
+			next = st.nextSend
+		}
+	}
+	sh.flush(k)
+	return k, next
+}
+
+// pumpFn is a shard pump: (*shard).pump, or the scanPump reference.
+type pumpFn func(sh *shard, now float64) (sent int, next float64)
+
+// pumps are the legs of every pump A/B, reference first.
+var pumps = []struct {
+	name string
+	pump pumpFn
+}{
+	{"scan", scanPump},
+	{"wheel", (*shard).pump},
+}
+
 // pacerHarness is a single-shard MultiServer driven synchronously
 // (Serve never runs): handle and pump are called directly with
 // explicit instants, writes go to a discard sink.
-func pacerHarness(t testing.TB, pk PacerKind, cfg MultiConfig) *shard {
+func pacerHarness(t testing.TB, cfg MultiConfig) *shard {
 	t.Helper()
 	conn := listenUDPTB(t)
 	t.Cleanup(func() { conn.Close() })
 	cfg.Shards = 1
-	cfg.Pacer = pk
 	if cfg.QA.C == 0 {
 		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1}
 	}
@@ -232,8 +268,9 @@ func synthAddr(i int) netip.AddrPort {
 	return netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}), uint16(20000+i%1000))
 }
 
-// TestPacerDifferentialRandomized drives a scan-paced and a
-// wheel-paced shard through the same randomized workload — joins,
+// TestPacerDifferentialRandomized drives a shard pumped by the scanPump
+// reference and one pumped by the wheel through the same randomized
+// workload — joins,
 // re-requests, full and partial acks, silence, and pumps at irregular
 // instants including multi-second and whole-span jumps — and asserts
 // they make bit-identical decisions throughout: same packets written
@@ -245,8 +282,8 @@ func TestPacerDifferentialRandomized(t *testing.T) {
 		IdleTimeout: 700 * time.Millisecond,
 		MaxStream:   time.Hour,
 	}
-	scan := pacerHarness(t, PacerScan, cfg)
-	wheel := pacerHarness(t, PacerWheel, cfg)
+	scan := pacerHarness(t, cfg)
+	wheel := pacerHarness(t, cfg)
 	both := [2]*shard{scan, wheel}
 
 	rng := rand.New(rand.NewSource(7))
@@ -328,7 +365,7 @@ func TestPacerDifferentialRandomized(t *testing.T) {
 		default:
 			now += 70 // beyond the wheel's ~69 s two-level span
 		}
-		ks, _ := scan.pump(now)
+		ks, _ := scanPump(scan, now)
 		kw, _ := wheel.pump(now)
 		if ks != kw {
 			t.Fatalf("step %d (now=%.6f): scan wrote %d packets, wheel wrote %d", step, now, ks, kw)
@@ -362,18 +399,18 @@ func TestPumpDueSendsWholeTick(t *testing.T) {
 			sh.handle(inMsg{addr: synthAddr(i), kind: KindReq, durMs: 60_000}, 0)
 		}
 	}
-	sh := pacerHarness(t, PacerWheel, MultiConfig{})
+	sh := pacerHarness(t, MultiConfig{})
 	join(sh, 50) // every new session's first packet is due at once
 	if k, _ := sh.pump(0); k != sh.srv.cfg.Batch {
 		t.Fatalf("one pump wrote %d packets, want exactly one batch of %d", k, sh.srv.cfg.Batch)
 	}
-	sh = pacerHarness(t, PacerWheel, MultiConfig{})
+	sh = pacerHarness(t, MultiConfig{})
 	join(sh, 50)
 	if sent, next := sh.pumpDue(0); sent != 50 || next <= 0 {
 		t.Fatalf("pumpDue wrote %d of 50 due packets, next=%v (want all, next > now)", sent, next)
 	}
 
-	sh = pacerHarness(t, PacerWheel, MultiConfig{})
+	sh = pacerHarness(t, MultiConfig{})
 	join(sh, 300)
 	sent, next := sh.pumpDue(0)
 	if sent < inboxBurst || sent >= inboxBurst+sh.srv.cfg.Batch {
@@ -401,12 +438,13 @@ func TestPumpDueSendsWholeTick(t *testing.T) {
 // written nothing, and pumpDue must hand that back rather than spin on
 // a frozen clock.
 func TestPumpDueReturnsWhenOnlyTheClockHelps(t *testing.T) {
-	sh := pacerHarness(t, PacerWheel, MultiConfig{IdleTimeout: 700 * time.Millisecond})
+	sh := pacerHarness(t, MultiConfig{IdleTimeout: 700 * time.Millisecond})
 	sh.handle(inMsg{addr: synthAddr(1), kind: KindReq, durMs: 60_000}, 0)
-	st := sh.order[0]
+	st := sh.sessions[synthAddr(1)]
 	sh.pumpDue(0)
 	st.nextSend = 1e9 // nothing to send; only the idle cutoff wakes it
-	sh.pacer.update(sh, st, 0)
+	sh.wheel.unlink(st)
+	sh.wheel.place(st, sh.wakeAt(st))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -419,7 +457,7 @@ func TestPumpDueReturnsWhenOnlyTheClockHelps(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pumpDue spins when a pump makes no progress")
 	}
-	if len(sh.order) != 1 {
+	if len(sh.sessions) != 1 {
 		t.Fatal("session expired at exactly its cutoff: premise broken")
 	}
 }
@@ -430,7 +468,7 @@ func TestPumpDueReturnsWhenOnlyTheClockHelps(t *testing.T) {
 // the session's target rate, repaying lateness with bounded bursts
 // instead of sagging to one packet per wakeup forever.
 func TestShardStallRecoveryBurst(t *testing.T) {
-	sh := pacerHarness(t, PacerWheel, MultiConfig{IdleTimeout: time.Hour})
+	sh := pacerHarness(t, MultiConfig{IdleTimeout: time.Hour})
 	addr := synthAddr(1)
 	now := 0.0
 	sh.handle(inMsg{addr: addr, kind: KindReq, durMs: 3_600_000}, now)
@@ -473,7 +511,7 @@ func TestShardStallRecoveryBurst(t *testing.T) {
 }
 
 // addIdle registers n far-future sessions on the shard: minimal bare
-// structs (the pacers read only the timing fields for never-due
+// structs (the pumps read only the timing fields for never-due
 // sessions), so a 100k population is cheap to build.
 func addIdle(sh *shard, n int, now float64) {
 	for i := 0; i < n; i++ {
@@ -483,17 +521,16 @@ func addIdle(sh *shard, n int, now float64) {
 			deadline: 1e9,
 			lastRecv: now,
 			wslot:    wheelNone,
-			orderIdx: len(sh.order),
 		}
-		sh.order = append(sh.order, st)
-		sh.pacer.add(sh, st, now)
+		sh.sessions[st.addr] = st
+		sh.wheel.place(st, sh.wakeAt(st))
 	}
 }
 
 // pumpCost measures the mean wall time of a shard wakeup with nDue
 // actively paced sessions and nIdle never-due ones.
-func pumpCost(t testing.TB, pk PacerKind, nIdle int) time.Duration {
-	sh := pacerHarness(t, pk, MultiConfig{IdleTimeout: time.Hour, MaxStream: 24 * time.Hour})
+func pumpCost(t testing.TB, pump pumpFn, nIdle int) time.Duration {
+	sh := pacerHarness(t, MultiConfig{IdleTimeout: time.Hour, MaxStream: 24 * time.Hour})
 	now := 0.0
 	const nDue = 8
 	addrs := make([]netip.AddrPort, nDue)
@@ -511,7 +548,7 @@ func pumpCost(t testing.TB, pk PacerKind, nIdle int) time.Duration {
 	}
 	for i := 0; i < 200; i++ { // warm the due set to steady state
 		now += 0.005
-		sh.pump(now)
+		pump(sh, now)
 		ackAll()
 	}
 	addIdle(sh, nIdle, now)
@@ -521,13 +558,13 @@ func pumpCost(t testing.TB, pk PacerKind, nIdle int) time.Duration {
 	}
 	for i := 0; i < 20; i++ { // settle the idle population's first fire
 		now += 0.005
-		sh.pump(now)
+		pump(sh, now)
 		ackAll()
 	}
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		now += 0.005
-		sh.pump(now)
+		pump(sh, now)
 	}
 	el := time.Since(start)
 	ackAll()
@@ -546,10 +583,10 @@ func TestWheelPumpCostFlatInIdlePopulation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts per-wakeup cost")
 	}
-	w1 := pumpCost(t, PacerWheel, 1_000)
-	w100 := pumpCost(t, PacerWheel, 100_000)
-	s1 := pumpCost(t, PacerScan, 1_000)
-	s100 := pumpCost(t, PacerScan, 100_000)
+	w1 := pumpCost(t, (*shard).pump, 1_000)
+	w100 := pumpCost(t, (*shard).pump, 100_000)
+	s1 := pumpCost(t, scanPump, 1_000)
+	s100 := pumpCost(t, scanPump, 100_000)
 	t.Logf("per-wakeup: wheel 1k=%v 100k=%v (×%.1f)  scan 1k=%v 100k=%v (×%.1f)",
 		w1, w100, float64(w100)/float64(w1), s1, s100, float64(s100)/float64(s1))
 	if ratio := float64(w100) / float64(w1); ratio > 6 {
@@ -564,17 +601,18 @@ func TestWheelPumpCostFlatInIdlePopulation(t *testing.T) {
 }
 
 func BenchmarkPumpIdleScaling(b *testing.B) {
-	for _, pk := range []PacerKind{PacerScan, PacerWheel} {
+	for _, leg := range pumps {
+		pump := leg.pump
 		for _, nIdle := range []int{1_000, 10_000, 100_000} {
-			b.Run(fmt.Sprintf("%s/idle%d", pk, nIdle), func(b *testing.B) {
-				sh := pacerHarness(b, pk, MultiConfig{IdleTimeout: time.Hour, MaxStream: 24 * time.Hour})
+			b.Run(fmt.Sprintf("%s/idle%d", leg.name, nIdle), func(b *testing.B) {
+				sh := pacerHarness(b, MultiConfig{IdleTimeout: time.Hour, MaxStream: 24 * time.Hour})
 				now := 0.0
 				addr := synthAddr(1)
 				sh.handle(inMsg{addr: addr, kind: KindReq, durMs: 3_600_000}, now)
 				st := sh.sessions[addr]
 				for i := 0; i < 200; i++ {
 					now += 0.005
-					sh.pump(now)
+					pump(sh, now)
 					for seq := st.snd.Acked + st.snd.Lost; seq < st.snd.Sent; seq++ {
 						sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 					}
@@ -583,7 +621,7 @@ func BenchmarkPumpIdleScaling(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					now += 0.005
-					sh.pump(now)
+					pump(sh, now)
 				}
 			})
 		}

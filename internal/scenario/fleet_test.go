@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"qav/internal/metrics"
-	"qav/internal/sim"
-	"qav/internal/tcp"
 )
 
 func TestFleetPresetShape(t *testing.T) {
@@ -82,20 +80,13 @@ func TestFleetSamplingCappedWithAggregates(t *testing.T) {
 }
 
 // Fleet runs must stay deterministic at population scale: the report is
-// byte-identical across RunAll worker counts, and across event-scheduler
-// implementations (heap vs calendar). Scheduler comparisons run without
-// metrics — the calendar exports structure-specific gauges the heap
-// doesn't have, which is a schema difference, not a dynamics one.
-func TestFleetDeterministicAcrossWorkersAndSchedulers(t *testing.T) {
-	baseCfg := func() Config {
-		cfg := MustPreset("Fleet", WithFlows(16))
-		cfg.Duration = 6
-		return cfg
-	}
-
+// byte-identical across RunAll worker counts.
+func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	runWith := func(workers int) []byte {
-		cfgs := []Config{baseCfg(), baseCfg()}
+		cfgs := make([]Config, 2)
 		for i := range cfgs {
+			cfgs[i] = MustPreset("Fleet", WithFlows(16))
+			cfgs[i].Duration = 6
 			cfgs[i].Metrics = metrics.NewRegistry()
 		}
 		results, err := RunAll(cfgs, workers)
@@ -109,41 +100,6 @@ func TestFleetDeterministicAcrossWorkersAndSchedulers(t *testing.T) {
 		if got := runWith(workers); !bytes.Equal(want, got) {
 			t.Fatalf("fleet report differs with %d workers", workers)
 		}
-	}
-
-	runSched := func(kind sim.SchedulerKind) []byte {
-		cfg := baseCfg()
-		cfg.Sched = kind
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.Report().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if cal, heap := runSched(sim.SchedCalendar), runSched(sim.SchedHeap); !bytes.Equal(cal, heap) {
-		t.Fatal("fleet report differs between calendar and heap schedulers")
-	}
-
-	// Both scoreboard kinds must drive bit-identical fleet dynamics too.
-	runBoard := func(kind tcp.ScoreboardKind) []byte {
-		cfg := baseCfg()
-		cfg.Board = kind
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := res.Report().WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if win, mp := runBoard(tcp.BoardWindowed), runBoard(tcp.BoardMap); !bytes.Equal(win, mp) {
-		t.Fatal("fleet report differs between windowed and map scoreboards")
 	}
 }
 

@@ -90,15 +90,6 @@ type Config struct {
 	// byte-identical RunReports.
 	Shards int `json:"-"`
 
-	// Board selects the TCP scoreboard representation (default
-	// windowed). Both kinds produce bit-identical simulations — this
-	// exists for the qabench Fleet A/B pair and differential tests.
-	Board tcp.ScoreboardKind `json:"-"`
-
-	// Sched selects the engine's event-queue structure (default
-	// calendar). All kinds order events identically; see sim.NewEngineSched.
-	Sched sim.SchedulerKind `json:"-"`
-
 	// Metrics, when non-nil, receives the run's instrumentation: engine
 	// event-loop statistics, bottleneck queue counters and queueing-delay
 	// histograms, RAP/TCP transport counters, and QA controller decision
@@ -209,7 +200,7 @@ func Run(cfg Config) (*Result, error) {
 		return runSharded(cfg)
 	}
 
-	eng := sim.NewEngineSched(cfg.Sched)
+	eng := sim.NewEngine()
 	if cfg.SchedRec != nil {
 		eng.RecordSched(cfg.SchedRec)
 	}
@@ -350,7 +341,6 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 			PacketSize: cfg.PacketSize,
 			InitialRTT: baseRTT,
 			Start:      start,
-			Board:      cfg.Board,
 		}))
 		flowID++
 	}

@@ -84,7 +84,7 @@ func runSharded(cfg Config) (*Result, error) {
 		Delay:       cfg.LinkDelay,
 		AccessDelay: cfg.AccessDelay,
 		QueueBytes:  cfg.QueueBytes,
-	}, cfg.Sched, queueFn)
+	}, queueFn)
 	baseRTT := d.BaseRTT()
 
 	res := &Result{Cfg: cfg, Series: trace.NewSet(), Metrics: cfg.Metrics}

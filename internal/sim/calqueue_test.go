@@ -228,9 +228,9 @@ func TestCalQueueEmptyYearDirectSearch(t *testing.T) {
 // --- Engine-level differential ----------------------------------------
 
 // TestEngineSchedulerDifferential runs two engines — calendar and heap —
-// through an identical randomized At/AtFunc/After/Cancel/RunUntil
+// through an identical randomized At/AtFunc/AtFuncPrio/Cancel/RunUntil
 // workload and asserts the firing order (callback identity and time) is
-// bit-for-bit identical, including same-time seq ties and
+// bit-for-bit identical, including same-time (pt, seq) ties and
 // cancel-after-recycle handles.
 func TestEngineSchedulerDifferential(t *testing.T) {
 	workloads := 300
@@ -242,9 +242,8 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 			id int
 			at float64
 		}
-		run := func(kind SchedulerKind) []fired {
+		run := func(e *Engine) []fired {
 			rng := rand.New(rand.NewSource(int64(w)))
-			e := NewEngineSched(kind)
 			var log []fired
 			var timers []Timer
 			id := 0
@@ -258,10 +257,15 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 					at = e.Now() + 1e4 + rng.Float64()*1e5 // far future
 				}
 				var tm Timer
-				if rng.Intn(2) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					tm = e.At(at, func() { log = append(log, fired{id, e.Now()}) })
-				} else {
+				case 1:
 					tm = e.AtFunc(at, func(any) { log = append(log, fired{id, e.Now()}) }, nil)
+				default:
+					// An explicit tie key behind the clock, as the sharded
+					// runner injects: equal-time order is (pt, seq), not seq.
+					tm = e.AtFuncPrio(at, e.Now()*rng.Float64(), func(any) { log = append(log, fired{id, e.Now()}) }, nil)
 				}
 				timers = append(timers, tm)
 			}
@@ -283,7 +287,7 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 			e.Run()
 			return log
 		}
-		cal, heap := run(SchedCalendar), run(SchedHeap)
+		cal, heap := run(NewEngine()), run(&Engine{sched: &heapSched{}})
 		if len(cal) != len(heap) {
 			t.Fatalf("workload %d: calendar fired %d callbacks, heap %d", w, len(cal), len(heap))
 		}
@@ -391,14 +395,13 @@ func TestCalQueueSteadyStateZeroAlloc(t *testing.T) {
 // BenchmarkSchedSynthetic pits the two structures against a synthetic
 // hold-model workload (the classic calendar-queue benchmark: pop one,
 // push one at a random offset) at several steady populations. The
-// recorded-trace benchmark lives in the repo root (BenchmarkScheduler)
-// where the scenario package is importable.
+// recorded-trace benchmark is BenchmarkSchedReplay (sched_bench_test.go).
 func BenchmarkSchedSynthetic(b *testing.B) {
-	for _, kind := range []SchedulerKind{SchedHeap, SchedCalendar} {
+	for _, sc := range schedulers {
 		for _, depth := range []int{64, 512, 4096} {
-			b.Run(string(kind)+"/hold"+itoa(depth), func(b *testing.B) {
+			b.Run(sc.name+"/hold"+itoa(depth), func(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
-				s := newScheduler(kind)
+				s := sc.new()
 				var seq uint64
 				events := make([]*event, depth)
 				for i := range events {

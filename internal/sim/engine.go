@@ -24,10 +24,11 @@ import (
 // long-lived function value and a pointer argument instead of minting a
 // fresh closure per packet (see Engine.AtFunc).
 //
-// The struct doubles as the scheduler's node: idx is the heap slot (or
-// a queued/popped flag for the calendar queue), next links a calendar
-// bucket's sorted list, and vb caches the event's virtual bucket, so no
-// scheduler ever allocates per operation.
+// The struct doubles as the scheduler's node: idx is the calendar
+// queue's queued/popped flag (the test-only reference heap keeps its
+// slot there), next links a calendar bucket's sorted list, and vb
+// caches the event's virtual bucket, so no scheduler ever allocates per
+// operation.
 type event struct {
 	time float64
 	pt   float64 // first tie-breaker: virtual time the event was scheduled at
@@ -35,7 +36,7 @@ type event struct {
 	fn   func()
 	fn1  func(any)
 	arg  any
-	idx  int    // heap slot; -1 once popped (Timer.Active reads it)
+	idx  int    // >= 0 while queued; -1 once popped (Timer.Active reads it)
 	next *event // calendar bucket list link
 	vb   int64  // calendar virtual bucket = floor(time/width)
 	gen  uint64 // bumped every time the event is recycled
@@ -94,17 +95,9 @@ type Engine struct {
 // recycled events are dropped for the GC to collect.
 const maxFreeEvents = 8192
 
-// NewEngine returns an engine with the clock at zero, scheduling on
-// DefaultScheduler (the calendar queue).
-func NewEngine() *Engine { return NewEngineSched(DefaultScheduler) }
-
-// NewEngineSched returns an engine using the given scheduler structure.
-// All kinds order events identically — bit-for-bit equal simulation
-// results — so this exists only for A/B measurement (qabench -sched)
-// and the differential tests.
-func NewEngineSched(kind SchedulerKind) *Engine {
-	return &Engine{sched: newScheduler(kind)}
-}
+// NewEngine returns an engine with the clock at zero, scheduling on the
+// calendar queue.
+func NewEngine() *Engine { return &Engine{sched: newCalQueue()} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -120,12 +113,12 @@ func (e *Engine) Pool() *PacketPool { return &e.pool }
 // Instrument publishes the engine's event-loop statistics on reg as
 // snapshot-time Func metrics: events scheduled, executed, recycled
 // (free-list hits), cancelled (dead events released unfired), current
-// and peak scheduler depth, and — when the calendar queue is active —
-// its structure counters (resizes, bucket count, far-future overflow
-// routings). The record path stays the engine's existing plain-field
-// increments — instrumentation adds nothing per event. Snapshots must
-// be synchronized with the engine's goroutine (taken from it, or after
-// the run finishes).
+// and peak scheduler depth, and the calendar queue's structure counters
+// (resizes, bucket count, far-future overflow routings). The record
+// path stays the engine's existing plain-field increments —
+// instrumentation adds nothing per event. Snapshots must be
+// synchronized with the engine's goroutine (taken from it, or after the
+// run finishes).
 func (e *Engine) Instrument(reg *metrics.Registry) {
 	reg.CounterFunc("sim.events.scheduled", func() int64 { return int64(e.seq) })
 	reg.CounterFunc("sim.events.executed", func() int64 { return int64(e.nRun) })

@@ -1,13 +1,15 @@
 package sim
 
-import "container/heap"
-
 // scheduler is the engine's pending-event structure. Implementations
 // must pop events in exactly ascending (time, pt, seq) order (evLess) —
 // the engine's determinism guarantee — and must mark events with idx >= 0 while
 // queued and idx == -1 once popped (Timer.Active reads it). Cancelled
 // events are deleted lazily: they stay in the structure, still ordered,
 // and the engine discards them at pop.
+//
+// Binaries run one implementation, the calendar queue (calqueue.go). The
+// interface is the seam through which the differential tests put the
+// binary heap it replaced (heap_test.go) under an Engine.
 type scheduler interface {
 	push(*event)
 	pop() *event
@@ -15,83 +17,13 @@ type scheduler interface {
 	len() int
 }
 
-// SchedulerKind selects the engine's pending-event structure.
+// SchedulerKind names a pending-event structure in ReplaySched's
+// signature. There is one, SchedCalendar.
 type SchedulerKind string
 
-const (
-	// SchedCalendar is the default: the self-adapting calendar queue
-	// (O(1) amortized schedule/dequeue, see calqueue.go).
-	SchedCalendar SchedulerKind = "calendar"
-	// SchedHeap is the container/heap binary heap the calendar queue
-	// replaced, kept as the reference implementation: the differential
-	// tests assert the calendar pops in exactly its order, and
-	// qabench -sched / BenchmarkScheduler A/B against it.
-	SchedHeap SchedulerKind = "heap"
-)
-
-// DefaultScheduler is the structure NewEngine uses. Set it once, before
-// any engine is created (qabench -sched does, for A/B runs); both kinds
-// produce bit-for-bit identical simulation results, so flipping it only
-// changes speed.
-var DefaultScheduler = SchedCalendar
-
-func newScheduler(kind SchedulerKind) scheduler {
-	switch kind {
-	case SchedHeap:
-		return &heapSched{}
-	case SchedCalendar, "":
-		return newCalQueue()
-	}
-	panic("sim: unknown scheduler kind " + string(kind))
-}
-
-// eventHeap orders events by time, then the scheduling-time tie key,
-// then scheduling sequence — the reference (time, pt, seq) order every
-// scheduler must reproduce (see evLess for why this equals the classic
-// (time, seq) order on a lone engine).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	return evLess(h[i], h[j])
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*h = old[:n-1]
-	return ev
-}
-
-// heapSched adapts eventHeap to the scheduler interface.
-type heapSched struct{ h eventHeap }
-
-func (s *heapSched) push(ev *event) { heap.Push(&s.h, ev) }
-func (s *heapSched) pop() *event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&s.h).(*event)
-}
-func (s *heapSched) peek() *event {
-	if len(s.h) == 0 {
-		return nil
-	}
-	return s.h[0]
-}
-func (s *heapSched) len() int { return len(s.h) }
+// SchedCalendar is the self-adapting calendar queue (O(1) amortized
+// schedule/dequeue, see calqueue.go).
+const SchedCalendar SchedulerKind = "calendar"
 
 // SchedOpKind tags one recorded event-queue operation.
 type SchedOpKind uint8
@@ -126,11 +58,22 @@ type SchedRecorder struct {
 func (e *Engine) RecordSched(rec *SchedRecorder) { e.rec = rec }
 
 // ReplaySched replays a recorded operation stream against a fresh
-// scheduler of the given kind and returns the number of events popped.
-// Events are recycled through a local free list exactly like the
-// engine's, so a replay at steady state exercises only the structure.
+// calendar queue and returns the number of events popped.
+//
+// Frozen by the benchmark: bench/ calls ReplaySched(SchedCalendar, ops)
+// and cannot change in the same PR as this package, so the kind argument
+// stays although only SchedCalendar exists; any other kind panics.
 func ReplaySched(kind SchedulerKind, ops []SchedOp) int {
-	s := newScheduler(kind)
+	if kind != SchedCalendar {
+		panic("sim: unknown scheduler kind " + string(kind))
+	}
+	return replaySched(newCalQueue(), ops)
+}
+
+// replaySched replays ops against s. Events are recycled through a local
+// free list exactly like the engine's, so a replay at steady state
+// exercises only the structure.
+func replaySched(s scheduler, ops []SchedOp) int {
 	var seq uint64
 	var free []*event
 	pops := 0

@@ -170,13 +170,12 @@ type ShardedDumbbell struct {
 }
 
 // NewShardedDumbbell builds a dumbbell split across flowShards flow
-// engines plus one bottleneck engine, all using the given scheduler
-// kind. queueFn, when non-nil, builds the bottleneck queue on the
-// bneck engine (RED needs the engine clock); otherwise a DropTail of
+// engines plus one bottleneck engine. queueFn, when non-nil, builds the
+// bottleneck queue on the bneck engine (RED needs the engine clock); otherwise a DropTail of
 // cfg.QueueBytes is used. Both cross-shard propagation delays must be
 // positive: they are the lookahead that makes conservative windows
 // possible.
-func NewShardedDumbbell(flowShards int, cfg DumbbellConfig, kind SchedulerKind, queueFn func(*Engine) Queue) *ShardedDumbbell {
+func NewShardedDumbbell(flowShards int, cfg DumbbellConfig, queueFn func(*Engine) Queue) *ShardedDumbbell {
 	if flowShards < 1 {
 		panic("sim: sharded dumbbell needs at least one flow shard")
 	}
@@ -184,7 +183,7 @@ func NewShardedDumbbell(flowShards int, cfg DumbbellConfig, kind SchedulerKind, 
 		panic("sim: sharded dumbbell needs positive access and link delays (they are the lookahead)")
 	}
 	d := &ShardedDumbbell{
-		bneck:        NewEngineSched(kind),
+		bneck:        NewEngine(),
 		accessDelay:  cfg.AccessDelay,
 		reverseDelay: cfg.AccessDelay + cfg.Delay,
 		lookahead:    cfg.AccessDelay,
@@ -209,7 +208,7 @@ func NewShardedDumbbell(flowShards int, cfg DumbbellConfig, kind SchedulerKind, 
 	d.toShard = make([]*mailbox, flowShards)
 	d.returns = make([]*mailbox, flowShards)
 	for i := range d.flows {
-		d.flows[i] = NewEngineSched(kind)
+		d.flows[i] = NewEngine()
 		d.nets[i] = newShardNet(d, i)
 		d.toBneck[i] = &mailbox{}
 		d.toShard[i] = &mailbox{}

@@ -78,7 +78,7 @@ func runSerialCase(c shardCase) ([]*diffFlow, *Link) {
 }
 
 func runShardedCase(c shardCase, flowShards int) ([]*diffFlow, *Link) {
-	d := NewShardedDumbbell(flowShards, c.cfg, DefaultScheduler, nil)
+	d := NewShardedDumbbell(flowShards, c.cfg, nil)
 	flows := make([]*diffFlow, len(c.flows))
 	for i, fc := range c.flows {
 		s := i % flowShards
@@ -234,7 +234,7 @@ func TestShardedPoolOwnership(t *testing.T) {
 		AccessDelay: 0.005,
 		QueueBytes:  2 * 300,
 	}
-	d := NewShardedDumbbell(2, cfg, DefaultScheduler, nil)
+	d := NewShardedDumbbell(2, cfg, nil)
 	for i := 0; i < 2; i++ {
 		d.AssignFlow(i, i)
 		newDiffFlow(d.FlowEngine(i), d.FlowNet(i), i, 0.007, 0, 10)

@@ -11,47 +11,27 @@
 // the rest of the run and was re-sorted into every subsequent SACK
 // scan.
 //
-// The windowed representation (the default) replaces each map with a
-// ring bitmap whose base slides with the cumulative ack: O(1) amortized
-// per packet, zero steady-state allocations, and memory bounded by the
-// peak window instead of the sequence space. The map implementation is
-// kept as the in-tree reference; TestScoreboardDifferential* and
-// TestTCPDifferentialMapVsWindowed replay randomized loss/reorder/RTO
+// The windowed representation replaces each map with a ring bitmap
+// whose base slides with the cumulative ack: O(1) amortized per packet,
+// zero steady-state allocations, and memory bounded by the peak window
+// instead of the sequence space. The map implementation survives only as
+// the tests' reference (scoreboard_ref_test.go): TestScoreboardDifferential*
+// and TestTCPDifferentialMapVsWindowed replay randomized loss/reorder/RTO
 // workloads against both and require bit-for-bit identical decisions.
 package tcp
 
 import (
-	"math"
 	"math/bits"
-	"slices"
 
 	"qav/internal/sim"
 )
-
-// ScoreboardKind selects the per-sequence state representation of a TCP
-// source and its sink.
-type ScoreboardKind string
-
-const (
-	// BoardWindowed is the default: ring bitmaps advancing with the
-	// cumulative ack (O(1)/packet, zero steady-state allocations,
-	// window-bounded memory).
-	BoardWindowed ScoreboardKind = "windowed"
-	// BoardMap is the reference map[int64]bool implementation kept for
-	// differential testing and A/B benchmarks (qabench Fleet pair).
-	BoardMap ScoreboardKind = "map"
-)
-
-// DefaultScoreboard is the representation used when Config.Board is
-// empty. Both kinds make identical retransmit/recovery decisions — this
-// exists for A/B measurement and the differential tests.
-var DefaultScoreboard = BoardWindowed
 
 // sendBoard is the sender-side scoreboard. All sequence arguments lie
 // in the current window [lo, hi) = [highAck, nextSeq) except advance,
 // whose range is the newly cumulatively-acknowledged prefix. extend
 // must be called (with the new highest sequence) before state is first
-// touched for that sequence.
+// touched for that sequence. Binaries run windowedSendBoard; the
+// interface is the seam through which tests substitute the map reference.
 type sendBoard interface {
 	extend(seq int64)             // reserve tracking capacity through seq
 	sacked(seq int64) bool        // SACKed by the receiver
@@ -76,163 +56,6 @@ type recvBoard interface {
 	// received-but-not-cumacked sequences, in ascending order — into
 	// blocks (typically a pooled packet's recycled backing array).
 	appendSack(blocks []sim.SackBlock) []sim.SackBlock
-}
-
-func newSendBoard(kind ScoreboardKind) sendBoard {
-	if kind == BoardMap {
-		return newMapSendBoard()
-	}
-	return newWindowedSendBoard()
-}
-
-func newRecvBoard(kind ScoreboardKind) recvBoard {
-	if kind == BoardMap {
-		return newMapRecvBoard()
-	}
-	return newWindowedRecvBoard()
-}
-
-// ---------------------------------------------------------------------
-// Reference implementation: map[int64]bool, the pre-windowed code moved
-// verbatim behind the interface.
-
-type mapSendBoard struct {
-	sack map[int64]bool
-	loss map[int64]bool
-	rtx  map[int64]bool
-}
-
-func newMapSendBoard() *mapSendBoard {
-	return &mapSendBoard{
-		sack: make(map[int64]bool),
-		loss: make(map[int64]bool),
-		rtx:  make(map[int64]bool),
-	}
-}
-
-func (b *mapSendBoard) extend(int64)            {}
-func (b *mapSendBoard) sacked(seq int64) bool   { return b.sack[seq] }
-func (b *mapSendBoard) markSacked(seq int64)    { b.sack[seq] = true }
-func (b *mapSendBoard) lost(seq int64) bool     { return b.loss[seq] }
-func (b *mapSendBoard) rtxOut(seq int64) bool   { return b.rtx[seq] }
-func (b *mapSendBoard) markRtxOut(seq int64)    { b.rtx[seq] = true }
-func (b *mapSendBoard) lostCount() int          { return len(b.loss) }
-
-func (b *mapSendBoard) markLost(seq int64) {
-	b.loss[seq] = true
-	delete(b.rtx, seq)
-}
-
-func (b *mapSendBoard) nextLost(lo, hi int64) (int64, bool) {
-	best := int64(math.MaxInt64)
-	for seq := range b.loss {
-		if !b.rtx[seq] && seq < best {
-			best = seq
-		}
-	}
-	if best == math.MaxInt64 {
-		return 0, false
-	}
-	return best, true
-}
-
-func (b *mapSendBoard) pipe(lo, hi int64) int {
-	n := 0
-	for seq := lo; seq < hi; seq++ {
-		if b.sack[seq] || (b.loss[seq] && !b.rtx[seq]) {
-			continue
-		}
-		n++
-	}
-	return n
-}
-
-func (b *mapSendBoard) advance(lo, hi int64) {
-	for seq := lo; seq < hi; seq++ {
-		delete(b.sack, seq)
-		delete(b.loss, seq)
-		delete(b.rtx, seq)
-	}
-}
-
-func (b *mapSendBoard) markAllUnsackedLost(lo, hi int64) {
-	for seq := lo; seq < hi; seq++ {
-		if !b.sack[seq] {
-			b.loss[seq] = true
-			delete(b.rtx, seq)
-		}
-	}
-}
-
-// inferLost is the simplified IsLost() rule: an unsacked hole with at
-// least three sacked sequences above it (up to hiSacked, inclusive) is
-// lost.
-func (b *mapSendBoard) inferLost(lo, hiSacked int64) {
-	for seq := lo; seq < hiSacked; seq++ {
-		if b.sack[seq] || b.loss[seq] {
-			continue
-		}
-		above := 0
-		for q := seq + 1; q <= hiSacked && above < 3; q++ {
-			if b.sack[q] {
-				above++
-			}
-		}
-		if above >= 3 {
-			b.loss[seq] = true
-			delete(b.rtx, seq)
-		}
-	}
-}
-
-type mapRecvBoard struct {
-	received map[int64]bool
-	cum      int64
-	seqs     []int64 // scratch for appendSack
-}
-
-func newMapRecvBoard() *mapRecvBoard {
-	return &mapRecvBoard{received: make(map[int64]bool)}
-}
-
-func (b *mapRecvBoard) cumack() int64 { return b.cum }
-
-func (b *mapRecvBoard) add(seq int64) {
-	b.received[seq] = true
-	for b.received[b.cum] {
-		delete(b.received, b.cum)
-		b.cum++
-	}
-}
-
-func (b *mapRecvBoard) appendSack(blocks []sim.SackBlock) []sim.SackBlock {
-	if len(b.received) == 0 {
-		return blocks[:0]
-	}
-	seqs := b.seqs[:0]
-	for s := range b.received {
-		seqs = append(seqs, s)
-	}
-	b.seqs = seqs
-	slices.Sort(seqs)
-	start, prev := seqs[0], seqs[0]
-	for _, s := range seqs[1:] {
-		if s == prev+1 {
-			prev = s
-			continue
-		}
-		blocks = append(blocks, sim.SackBlock{Start: start, End: prev + 1})
-		start, prev = s, s
-	}
-	blocks = append(blocks, sim.SackBlock{Start: start, End: prev + 1})
-	// Most recent (highest) blocks are the most useful; cap at 3. Copy
-	// down instead of reslicing so the backing array's head is kept for
-	// reuse by the packet pool.
-	if len(blocks) > 3 {
-		n := copy(blocks, blocks[len(blocks)-3:])
-		blocks = blocks[:n]
-	}
-	return blocks
 }
 
 // ---------------------------------------------------------------------

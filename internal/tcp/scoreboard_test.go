@@ -192,7 +192,7 @@ type txRecord struct {
 	retx bool
 }
 
-func runDifferentialScenario(kind ScoreboardKind, rate float64, queueBytes int, flows int, dur float64) ([][]txRecord, []string) {
+func runDifferentialScenario(mapRef bool, rate float64, queueBytes int, flows int, dur float64) ([][]txRecord, []string) {
 	eng := sim.NewEngine()
 	net := sim.NewDumbbell(eng, sim.DumbbellConfig{
 		Rate: rate, Delay: 0.01, AccessDelay: 0.005, QueueBytes: queueBytes,
@@ -203,8 +203,11 @@ func runDifferentialScenario(kind ScoreboardKind, rate float64, queueBytes int, 
 	for i := 0; i < flows; i++ {
 		s := NewSource(eng, net, Config{
 			FlowID: i, PacketSize: 512, InitialRTT: net.BaseRTT(),
-			Start: float64(i) * 0.037, Board: kind,
+			Start: float64(i) * 0.037,
 		})
+		if mapRef {
+			useMapBoards(s)
+		}
 		i := i
 		s.testTxHook = func(seq int64, retx bool) {
 			traces[i] = append(traces[i], txRecord{t: eng.Now(), seq: seq, retx: retx})
@@ -240,8 +243,8 @@ func TestTCPDifferentialMapVsWindowed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mt, ms := runDifferentialScenario(BoardMap, tc.rate, tc.queueBytes, tc.flows, tc.dur)
-			wt, ws := runDifferentialScenario(BoardWindowed, tc.rate, tc.queueBytes, tc.flows, tc.dur)
+			mt, ms := runDifferentialScenario(true, tc.rate, tc.queueBytes, tc.flows, tc.dur)
+			wt, ws := runDifferentialScenario(false, tc.rate, tc.queueBytes, tc.flows, tc.dur)
 			for i := range ms {
 				if ms[i] != ws[i] {
 					t.Errorf("flow %d stats differ:\nmap      %s\nwindowed %s", i, ms[i], ws[i])
@@ -307,14 +310,17 @@ func (nullReceiver) Recv(*sim.Packet) {}
 // retransmits packets that were merely queued, the originals then
 // advance the cumulative ack, and the retransmissions arrive at the
 // sink below it.
-func spuriousRTORig(kind ScoreboardKind) (*sim.Engine, *Source) {
+func spuriousRTORig(mapRef bool) (*sim.Engine, *Source) {
 	eng := sim.NewEngine()
 	net := sim.NewDumbbell(eng, sim.DumbbellConfig{
 		Rate: 30_000, Delay: 0.01, AccessDelay: 0.005, QueueBytes: 120 * 512,
 	})
 	s := NewSource(eng, net, Config{
-		FlowID: 0, PacketSize: 512, InitialRTT: net.BaseRTT(), Board: kind,
+		FlowID: 0, PacketSize: 512, InitialRTT: net.BaseRTT(),
 	})
+	if mapRef {
+		useMapBoards(s)
+	}
 	var burst func()
 	burst = func() {
 		for i := 0; i < 80; i++ {
@@ -334,7 +340,7 @@ func spuriousRTORig(kind ScoreboardKind) (*sim.Engine, *Source) {
 // Before the windowed scoreboard, every retransmission arriving below
 // the receiver's cumulative ack stayed in the received map forever.
 func TestTCPMemoryBoundedUnderLoss(t *testing.T) {
-	eng, src := spuriousRTORig(BoardWindowed)
+	eng, src := spuriousRTORig(false)
 	eng.RunUntil(60) // settle pools, rings, and the event free list
 
 	heap := func() uint64 {
@@ -364,7 +370,7 @@ func TestTCPMemoryBoundedUnderLoss(t *testing.T) {
 // length while the windowed sink's live span stays within the flow's
 // window.
 func TestSinkStateBoundedVsMapLeak(t *testing.T) {
-	engM, srcM := spuriousRTORig(BoardMap)
+	engM, srcM := spuriousRTORig(true)
 	engM.RunUntil(120)
 	mb := srcM.sink.board.(*mapRecvBoard)
 	stale := 0
@@ -377,7 +383,7 @@ func TestSinkStateBoundedVsMapLeak(t *testing.T) {
 		t.Fatalf("map sink accumulated only %d stale entries — rig no longer reproduces the leak", stale)
 	}
 
-	engW, srcW := spuriousRTORig(BoardWindowed)
+	engW, srcW := spuriousRTORig(false)
 	engW.RunUntil(120)
 	wb := srcW.sink.board.(*windowedRecvBoard)
 	if span := wb.high - wb.cum; span > 512 {

@@ -6,7 +6,7 @@
 // congestion avoidance, fast retransmit/fast recovery driven by a SACK
 // scoreboard, and an RTO with exponential backoff. Sequence numbers count
 // fixed-size packets. Per-sequence state (SACKed/lost/retransmitted on
-// the sender, received on the sink) lives in a pluggable scoreboard —
+// the sender, received on the sink) lives in a windowed scoreboard —
 // see scoreboard.go.
 package tcp
 
@@ -24,11 +24,6 @@ type Config struct {
 	InitialRTT float64 // seeds the RTO before the first sample, seconds
 	MaxCwnd    float64 // packets; 0 = unlimited
 	Start      float64 // start time, seconds
-
-	// Board selects the scoreboard representation; empty means
-	// DefaultScoreboard (windowed). BoardMap is the reference
-	// implementation kept for differential tests and A/B benchmarks.
-	Board ScoreboardKind
 }
 
 func (c *Config) setDefaults() {
@@ -40,9 +35,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.InitialRTT <= 0 {
 		c.InitialRTT = 0.1
-	}
-	if c.Board == "" {
-		c.Board = DefaultScoreboard
 	}
 }
 
@@ -96,14 +88,14 @@ func NewSource(eng *sim.Engine, net sim.Network, cfg Config) *Source {
 		net:        net,
 		cwnd:       2,
 		ssthresh:   64,
-		board:      newSendBoard(cfg.Board),
+		board:      newWindowedSendBoard(),
 		srtt:       cfg.InitialRTT,
 		rttvar:     cfg.InitialRTT / 2,
 		rto:        3 * cfg.InitialRTT,
 		rtoBackoff: 1,
 	}
 	s.rtoFn = s.onRTO
-	s.sink = &sink{src: s, board: newRecvBoard(cfg.Board)}
+	s.sink = &sink{src: s, board: newWindowedRecvBoard()}
 	s.sink.ackSink = sim.ReceiverFunc(s.onAck)
 	eng.At(cfg.Start, s.trySend)
 	return s

@@ -101,16 +101,16 @@ func TestMaxCwndCap(t *testing.T) {
 	}
 }
 
-func eachBoardKind(t *testing.T, f func(t *testing.T, kind ScoreboardKind)) {
+// eachBoardKind runs f against the map reference and the windowed
+// receive board.
+func eachBoardKind(t *testing.T, f func(t *testing.T, b recvBoard)) {
 	t.Helper()
-	for _, kind := range []ScoreboardKind{BoardMap, BoardWindowed} {
-		t.Run(string(kind), func(t *testing.T) { f(t, kind) })
-	}
+	t.Run("map", func(t *testing.T) { f(t, newMapRecvBoard()) })
+	t.Run("windowed", func(t *testing.T) { f(t, newWindowedRecvBoard()) })
 }
 
 func TestSackBlocksWellFormed(t *testing.T) {
-	eachBoardKind(t, func(t *testing.T, kind ScoreboardKind) {
-		b := newRecvBoard(kind)
+	eachBoardKind(t, func(t *testing.T, b recvBoard) {
 		for _, seq := range []int64{5, 6, 9, 12, 13} {
 			b.add(seq)
 		}
@@ -134,8 +134,7 @@ func TestSackBlocksWellFormed(t *testing.T) {
 }
 
 func TestSackBlocksCapAtThree(t *testing.T) {
-	eachBoardKind(t, func(t *testing.T, kind ScoreboardKind) {
-		b := newRecvBoard(kind)
+	eachBoardKind(t, func(t *testing.T, b recvBoard) {
 		for _, seq := range []int64{1, 3, 5, 7, 9} {
 			b.add(seq)
 		}

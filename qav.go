@@ -153,9 +153,10 @@ func SingleQA(kmax int) SimConfig {
 // Real-transport types: RAP + quality adaptation over UDP.
 type (
 	// ServerConfig parameterizes a UDP streaming server.
-	ServerConfig = netio.ServerConfig
-	// Server streams layered data over UDP with RAP congestion control.
-	Server = netio.Server
+	ServerConfig = netio.MultiConfig
+	// Server streams layered data over UDP to many clients at once, each
+	// stream under its own RAP congestion control and quality adaptation.
+	Server = netio.MultiServer
 	// Client requests and acknowledges a UDP stream.
 	Client = netio.Client
 	// ClientStats summarizes what a client received per layer.
@@ -176,7 +177,7 @@ type (
 
 // NewServer wraps a bound UDP socket in a streaming server.
 func NewServer(conn *net.UDPConn, cfg ServerConfig) (*Server, error) {
-	return netio.NewServer(conn, cfg)
+	return netio.NewMultiServer(conn, cfg)
 }
 
 // DialStream connects to a server (or pipe), streams for dur, and

@@ -91,6 +91,8 @@ func TestFacadeUDPEndToEnd(t *testing.T) {
 	srv, err := qav.NewServer(conn, qav.ServerConfig{
 		QA:  qav.Params{C: 10_000, Kmax: 2, MaxLayers: 4, StartupSec: 0.2},
 		RAP: qav.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
+
+		MaxClients: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
