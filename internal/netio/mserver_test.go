@@ -420,6 +420,43 @@ func TestMultiServerMalformedDatagrams(t *testing.T) {
 	}
 }
 
+// TestSessionAckForNeverSentSeqIgnored: a client acknowledging a
+// sequence the server never sent must not be able to talk its session
+// into a backoff. Before the window ignored such ACKs, one of them put
+// every outstanding packet beyond the reorder gap: all lost, rate halved.
+func TestSessionAckForNeverSentSeqIgnored(t *testing.T) {
+	sh := pacerHarness(t, MultiConfig{})
+	addr := synthAddr(1)
+	now := 0.0
+	sh.handle(inMsg{addr: addr, kind: KindReq, durMs: 60_000}, now)
+	sess := sh.sessions[addr]
+	if sess == nil {
+		t.Fatal("session not created")
+	}
+	for sess.snd.Outstanding() < 5 {
+		now += 0.02
+		sh.pump(now)
+	}
+	rate, out, sent := sess.snd.Rate(), sess.snd.Outstanding(), sess.snd.Sent
+	for _, seq := range []int64{sent, sent + 1000, -7} {
+		sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
+	}
+	if st := sh.srv.Stats(); st.Backoffs != 0 {
+		t.Fatalf("ACKs for never-sent sequences caused %d backoffs", st.Backoffs)
+	}
+	if sess.snd.Rate() != rate || sess.snd.Outstanding() != out || sess.snd.Lost != 0 {
+		t.Fatalf("rate %v -> %v, outstanding %d -> %d, lost %d", rate, sess.snd.Rate(), out, sess.snd.Outstanding(), sess.snd.Lost)
+	}
+	// The honest ACKs that follow are all taken.
+	for seq := int64(0); seq < sent; seq++ {
+		sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
+	}
+	if sess.snd.Acked != sent || sess.snd.Outstanding() != 0 || sh.srv.Stats().Backoffs != 0 {
+		t.Fatalf("after acking all %d: acked %d, outstanding %d, backoffs %d",
+			sent, sess.snd.Acked, sess.snd.Outstanding(), sh.srv.Stats().Backoffs)
+	}
+}
+
 // TestMultiServerAdmissionCap verifies MaxClients: joins beyond the cap
 // are refused while the capacity is occupied.
 func TestMultiServerAdmissionCap(t *testing.T) {

@@ -12,6 +12,8 @@ package rap
 import (
 	"fmt"
 	"math"
+
+	"qav/internal/seqwin"
 )
 
 // Config parameterizes a RAP sender.
@@ -54,10 +56,11 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// Backoff describes one multiplicative decrease event. LostSeqs aliases
-// a scratch buffer the sender reuses: it is valid until the next OnAck
-// or Step call, so a consumer that retains it across further events
-// must copy it first (every consumer in this repo reacts immediately).
+// Backoff describes one multiplicative decrease event. The event and
+// its LostSeqs (ascending) live in scratch space the sender reuses: both
+// are valid until the next OnAck or Step call, so a consumer that
+// retains them across further events must copy them first (every
+// consumer in this repo reacts immediately).
 type Backoff struct {
 	Time     float64
 	OldRate  float64
@@ -71,8 +74,7 @@ type Backoff struct {
 type Sender struct {
 	cfg Config
 
-	rate    float64 // current transmission rate, bytes/s
-	nextSeq int64
+	rate float64 // current transmission rate, bytes/s
 
 	srtt    float64
 	rttvar  float64
@@ -80,9 +82,10 @@ type Sender struct {
 	gotRTT  bool
 	peakRTT float64 // slowly decaying envelope of srtt, for ConservativeSlope
 
-	// outstanding maps sequence number -> send time.
-	outstanding map[int64]float64
-	highestAck  int64 // highest sequence number acknowledged so far
+	// win holds the sequence counter, the send time of every packet not
+	// yet acknowledged or declared lost, and the highest sequence
+	// acknowledged.
+	win seqwin.Window
 
 	lastBackoff  float64 // time of the most recent backoff
 	backoffFence float64 // losses of packets sent before this time are one cluster
@@ -94,10 +97,11 @@ type Sender struct {
 	ins       *Instruments
 	lastAckAt float64
 
-	// lostBuf backs Backoff.LostSeqs across loss events; a long-lived
-	// sender detecting losses every congestion cycle must not allocate
-	// a fresh slice per event.
+	// lostBuf and scratch back the Backoff returned for a loss event; a
+	// long-lived sender detecting losses every congestion cycle must
+	// not allocate per event.
 	lostBuf []int64
+	scratch Backoff
 
 	// Counters for inspection and tests.
 	Sent      int64
@@ -116,8 +120,6 @@ func NewSender(cfg Config) *Sender {
 		srtt:        cfg.InitialRTT,
 		rttvar:      cfg.InitialRTT / 2,
 		timeout:     cfg.InitialRTT + 2*cfg.InitialRTT,
-		outstanding: make(map[int64]float64),
-		highestAck:  -1,
 		lastBackoff: math.Inf(-1),
 		lastAckAt:   -1,
 		fg:          fineGrain{enabled: cfg.FineGrain},
@@ -167,16 +169,13 @@ func (s *Sender) ConservativeSlope() float64 {
 func (s *Sender) StepInterval() float64 { return s.srtt }
 
 // Outstanding returns the number of unacknowledged packets.
-func (s *Sender) Outstanding() int { return len(s.outstanding) }
+func (s *Sender) Outstanding() int { return s.win.Len() }
 
 // OnSend registers a packet transmission at time now and returns its
 // sequence number.
 func (s *Sender) OnSend(now float64) int64 {
-	seq := s.nextSeq
-	s.nextSeq++
-	s.outstanding[seq] = now
 	s.Sent++
-	return seq
+	return s.win.Send(now)
 }
 
 // OnAck processes an acknowledgement for seq received at time now. It
@@ -189,28 +188,17 @@ func (s *Sender) OnAck(now float64, seq int64) *Backoff {
 		}
 		s.lastAckAt = now
 	}
-	sendTime, ok := s.outstanding[seq]
-	if ok {
-		delete(s.outstanding, seq)
+	if sendTime, ok := s.win.Ack(seq); ok {
 		s.Acked++
 		s.updateRTT(now - sendTime)
 		s.fg.sample(now - sendTime)
 	}
-	if seq > s.highestAck {
-		s.highestAck = seq
-	}
 	// ACK-based loss detection: any packet still outstanding whose
-	// sequence trails the highest ACK by more than the reorder gap is
+	// sequence trails the highest ACK by at least the reorder gap is
 	// considered lost.
-	lost := s.lostBuf[:0]
-	for o := range s.outstanding {
-		if o <= s.highestAck-s.cfg.ReorderGap {
-			lost = append(lost, o)
-			delete(s.outstanding, o)
-			s.Lost++
-		}
-	}
+	lost := s.win.GapLost(s.lostBuf[:0], s.cfg.ReorderGap)
 	s.lostBuf = lost
+	s.Lost += int64(len(lost))
 	if len(lost) == 0 {
 		return nil
 	}
@@ -222,15 +210,9 @@ func (s *Sender) OnAck(now float64, seq int64) *Backoff {
 // returns the backoff performed, if any.
 func (s *Sender) Step(now float64) *Backoff {
 	// Timeout-based loss detection.
-	lost := s.lostBuf[:0]
-	for o, st := range s.outstanding {
-		if now-st > s.timeout {
-			lost = append(lost, o)
-			delete(s.outstanding, o)
-			s.Lost++
-		}
-	}
+	lost := s.win.TimedOut(s.lostBuf[:0], now, s.timeout)
 	s.lostBuf = lost
+	s.Lost += int64(len(lost))
 	if len(lost) > 0 {
 		s.TimeoutEv++
 		if s.ins != nil {
@@ -271,7 +253,8 @@ func (s *Sender) lossEvent(now float64, lost []int64) *Backoff {
 	s.lastBackoff = now
 	// One SRTT of grace: losses detected within it are the same cluster.
 	s.backoffFence = now + s.srtt
-	return &Backoff{Time: now, OldRate: old, NewRate: s.rate, LostSeqs: lost}
+	s.scratch = Backoff{Time: now, OldRate: old, NewRate: s.rate, LostSeqs: lost}
+	return &s.scratch
 }
 
 func (s *Sender) updateRTT(sample float64) {
@@ -305,5 +288,5 @@ func (s *Sender) updateRTT(sample float64) {
 // String summarizes the sender state, for traces and debugging.
 func (s *Sender) String() string {
 	return fmt.Sprintf("rap(rate=%.0fB/s srtt=%.1fms out=%d backoffs=%d)",
-		s.rate, s.srtt*1000, len(s.outstanding), s.Backoffs)
+		s.rate, s.srtt*1000, s.win.Len(), s.Backoffs)
 }

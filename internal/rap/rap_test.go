@@ -247,13 +247,72 @@ func TestDuplicateAckHarmless(t *testing.T) {
 	}
 }
 
+// An ACK from the wire for a sequence never sent is ignored, whether or
+// not anything is outstanding. It must not raise the highest-ACK mark:
+// that would put the whole window beyond the reorder gap, declare every
+// outstanding packet lost and halve the rate.
 func TestAckForUnknownSeqIgnored(t *testing.T) {
-	s := newTestSender()
-	if b := s.OnAck(1, 999); b != nil {
-		t.Fatal("ack for never-sent seq caused backoff")
+	for _, sent := range []int{0, 5} {
+		for _, seq := range []int64{int64(sent), 999, -1} {
+			s := newTestSender()
+			for i := 0; i < sent; i++ {
+				s.OnSend(float64(i) * 0.01)
+			}
+			r0 := s.Rate()
+			if b := s.OnAck(0.06, seq); b != nil {
+				t.Fatalf("%d sent, ack for never-sent seq %d: backoff %+v", sent, seq, *b)
+			}
+			if s.Outstanding() != sent || s.Lost != 0 || s.Acked != 0 || s.Backoffs != 0 || s.Rate() != r0 {
+				t.Fatalf("%d sent, ack for never-sent seq %d: outstanding=%d lost=%d acked=%d backoffs=%d rate=%v (was %v)",
+					sent, seq, s.Outstanding(), s.Lost, s.Acked, s.Backoffs, s.Rate(), r0)
+			}
+			// The window still works: the real ACKs all count.
+			for q := int64(0); q < int64(sent); q++ {
+				if b := s.OnAck(0.07, q); b != nil {
+					t.Fatalf("in-order ack %d after the bogus one: backoff %+v", q, *b)
+				}
+			}
+			if s.Acked != int64(sent) || s.Outstanding() != 0 {
+				t.Fatalf("acked=%d outstanding=%d after acking all %d", s.Acked, s.Outstanding(), sent)
+			}
+		}
 	}
-	if s.Acked != 0 {
-		t.Fatal("unknown ack counted")
+}
+
+// TestAllocFreeSteadyState: once the window's ring and the lost-list
+// buffer have reached their sizes, sending, acknowledging, stepping and
+// a loss episode with its backoff allocate nothing.
+func TestAllocFreeSteadyState(t *testing.T) {
+	s := newTestSender()
+	now := 0.0
+	var backoffs int64
+	cycle := func() {
+		// Twenty packets of which two are lost, ACKs 40 ms behind.
+		first := s.OnSend(now)
+		for i := 1; i < 20; i++ {
+			now += 0.002
+			s.OnSend(now)
+		}
+		for q := first; q < first+20; q++ {
+			if q == first+4 || q == first+5 {
+				continue
+			}
+			if b := s.OnAck(now+0.04, q); b != nil {
+				backoffs += int64(len(b.LostSeqs))
+			}
+		}
+		now += 0.1
+		s.Step(now)
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	before := backoffs
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("steady send/ack/step with a loss episode allocates %.1f per cycle, want 0", avg)
+	}
+	if backoffs == before {
+		t.Fatal("no backoff in the measured cycles: loss path not exercised")
 	}
 }
 

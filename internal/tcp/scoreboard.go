@@ -12,9 +12,13 @@
 // scan.
 //
 // The windowed representation replaces each map with a ring bitmap
-// whose base slides with the cumulative ack: O(1) amortized per packet,
-// zero steady-state allocations, and memory bounded by the peak window
-// instead of the sequence space. The map implementation survives only as
+// whose base slides with the cumulative ack: zero steady-state
+// allocations and memory bounded by the peak window instead of the
+// sequence space. Sliding the base is O(1) amortized per packet; what
+// an ACK costs beyond that is word-parallel — absorbing its SACK blocks
+// is O(blocks + block words), loss inference and the pipe count are
+// O(window/64), and the sink's SACK scan is O(words down to the third
+// run). The map implementation survives only as
 // the tests' reference (scoreboard_ref_test.go): TestScoreboardDifferential*
 // and TestTCPDifferentialMapVsWindowed replay randomized loss/reorder/RTO
 // workloads against both and require bit-for-bit identical decisions.
@@ -35,23 +39,23 @@ import (
 type sendBoard interface {
 	extend(seq int64)             // reserve tracking capacity through seq
 	sacked(seq int64) bool        // SACKed by the receiver
-	markSacked(seq int64)
+	markSackedRange(lo, hi int64) // every sequence of [lo, hi) is SACKed
 	lost(seq int64) bool          // inferred lost (marked for retransmission)
 	markLost(seq int64)           // set lost, clear rtx-out
 	rtxOut(seq int64) bool        // retransmitted, awaiting ack
 	markRtxOut(seq int64)
-	lostCount() int               // number of sequences currently marked lost
+	lostCount() int                      // number of sequences currently marked lost
 	nextLost(lo, hi int64) (int64, bool) // lowest lost && !rtxOut sequence
-	pipe(lo, hi int64) int        // sent but neither sacked nor (lost && !rtxOut)
-	advance(lo, hi int64)         // cumulative ack moved: reclaim [lo, hi)
-	markAllUnsackedLost(lo, hi int64) // RTO: every unsacked sequence is presumed lost
-	inferLost(lo, hiSacked int64) // SACK loss inference (>= 3 sacked above => lost)
+	pipe(lo, hi int64) int               // sent but neither sacked nor (lost && !rtxOut)
+	advance(lo, hi int64)                // cumulative ack moved: reclaim [lo, hi)
+	markAllUnsackedLost(lo, hi int64)    // RTO: every unsacked sequence is presumed lost
+	inferLost(lo, hiSacked int64)        // SACK loss inference (>= 3 sacked above => lost)
 }
 
 // recvBoard is the sink-side received-sequence tracker.
 type recvBoard interface {
-	add(seq int64)  // a data packet for seq arrived (may advance the cumulative ack)
-	cumack() int64  // first sequence not yet received contiguously
+	add(seq int64) // a data packet for seq arrived (may advance the cumulative ack)
+	cumack() int64 // first sequence not yet received contiguously
 	// appendSack appends up to three SACK blocks — the highest runs of
 	// received-but-not-cumacked sequences, in ascending order — into
 	// blocks (typically a pooled packet's recycled backing array).
@@ -111,6 +115,21 @@ func (b *seqBits) grow(newCap int64, lo, hi int64) {
 			b.set(seq)
 		}
 	}
+}
+
+// topWord returns the bits of the sequences of [lo, hi) that share a
+// ring word with hi-1, shifted so that hi-1 is bit 63 and lower
+// sequences follow it down, and how many sequences that is; the bits
+// below them are zero. Scans that run from the top of a window down
+// take it a word at a time with this.
+func (b *seqBits) topWord(lo, hi int64) (w uint64, n int64) {
+	i := (hi - 1) & b.mask
+	top := i & 63
+	n = top + 1
+	if left := hi - lo; left < n {
+		n = left
+	}
+	return b.words[i>>6] << uint(63-top) & (^uint64(0) << uint(64-n)), n
 }
 
 // span is one word-aligned chunk of a sequence range in ring bit space:
@@ -176,7 +195,6 @@ func (b *windowedSendBoard) extend(seq int64) {
 }
 
 func (b *windowedSendBoard) sacked(seq int64) bool { return b.sack.get(seq) }
-func (b *windowedSendBoard) markSacked(seq int64)  { b.sack.set(seq) }
 func (b *windowedSendBoard) lost(seq int64) bool   { return b.loss.get(seq) }
 func (b *windowedSendBoard) rtxOut(seq int64) bool { return b.rtx.get(seq) }
 func (b *windowedSendBoard) markRtxOut(seq int64)  { b.rtx.set(seq) }
@@ -227,6 +245,13 @@ func (b *windowedSendBoard) advance(lo, hi int64) {
 	}
 }
 
+func (b *windowedSendBoard) markSackedRange(lo, hi int64) {
+	ringSpans(lo, hi, b.sack.mask, func(sp span) bool {
+		b.sack.words[sp.w] |= sp.mask
+		return true
+	})
+}
+
 func (b *windowedSendBoard) markAllUnsackedLost(lo, hi int64) {
 	ringSpans(lo, hi, b.sack.mask, func(sp span) bool {
 		unsacked := ^b.sack.words[sp.w] & sp.mask
@@ -237,26 +262,42 @@ func (b *windowedSendBoard) markAllUnsackedLost(lo, hi int64) {
 	})
 }
 
-// inferLost walks down from the highest SACKed sequence keeping a count
-// of sacked sequences strictly above the cursor; any unsacked,
-// not-yet-lost hole with three or more above it is marked lost. This is
-// a single O(window) pass equivalent to the reference's per-hole scan:
-// the sacked set does not change during inference, so "three sacked
-// above" is a property of the position alone.
+// inferLost marks lost every unsacked, not-yet-lost sequence of
+// [lo, hiSacked) with three or more SACKed sequences above it (up to
+// hiSacked, inclusive). The SACKed set does not change during
+// inference, so "three sacked above" holds exactly for the sequences
+// below the third-highest SACKed one: find that by popcount from the
+// top, then mark [lo, third) a word at a time. O(window/64) per call.
 func (b *windowedSendBoard) inferLost(lo, hiSacked int64) {
-	above := 0
-	if b.sack.get(hiSacked) {
-		above = 1
+	third, ok := b.nthSackedDown(lo, hiSacked+1, 3)
+	if !ok {
+		return
 	}
-	for seq := hiSacked - 1; seq >= lo; seq-- {
-		if b.sack.get(seq) {
-			above++
+	ringSpans(lo, third, b.sack.mask, func(sp span) bool {
+		fresh := ^b.sack.words[sp.w] &^ b.loss.words[sp.w] & sp.mask
+		b.nLost += bits.OnesCount64(fresh)
+		b.loss.words[sp.w] |= fresh
+		b.rtx.words[sp.w] &^= fresh
+		return true
+	})
+}
+
+// nthSackedDown returns the n-th highest SACKed sequence of [lo, hi),
+// visiting one ring word per step from the top.
+func (b *windowedSendBoard) nthSackedDown(lo, hi int64, n int) (int64, bool) {
+	for hi > lo {
+		w, span := b.sack.topWord(lo, hi)
+		if c := bits.OnesCount64(w); c < n {
+			n -= c
+			hi -= span
 			continue
 		}
-		if above >= 3 && !b.loss.get(seq) {
-			b.markLost(seq)
+		for ; n > 1; n-- {
+			w &^= 1 << 63 >> uint(bits.LeadingZeros64(w))
 		}
+		return hi - 1 - int64(bits.LeadingZeros64(w)), true
 	}
+	return 0, false
 }
 
 type windowedRecvBoard struct {
@@ -293,27 +334,34 @@ func (b *windowedRecvBoard) add(seq int64) {
 	}
 }
 
-// appendSack scans down from the highest received sequence collecting
-// the three highest runs, then emits them in ascending order — the same
-// blocks the reference produces for sequences above the cumulative ack.
+// appendSack scans down from the highest received sequence, one ring
+// word per step, collecting the three highest runs, then emits them in
+// ascending order — the same blocks the reference produces for
+// sequences above the cumulative ack.
 func (b *windowedRecvBoard) appendSack(blocks []sim.SackBlock) []sim.SackBlock {
 	blocks = blocks[:0]
 	var found [3]sim.SackBlock
 	n := 0
-	seq := b.high - 1
-	for n < 3 && seq >= b.cum {
-		for seq >= b.cum && !b.bits.get(seq) {
-			seq--
+	inRun, end := false, int64(0) // a run [?, end) is open across words
+	for hi := b.high; hi > b.cum && n < 3; {
+		// Bits below the valid ones read as not received.
+		w, valid := b.bits.topWord(b.cum, hi)
+		for used := int64(0); used < valid && n < 3; {
+			if !inRun {
+				used += int64(bits.LeadingZeros64(w << uint(used)))
+				if used < valid {
+					inRun, end = true, hi-used
+				}
+				continue
+			}
+			used += int64(bits.LeadingZeros64(^(w << uint(used))))
+			if used < valid || hi-valid == b.cum {
+				found[n] = sim.SackBlock{Start: hi - used, End: end}
+				n++
+				inRun = false
+			}
 		}
-		if seq < b.cum {
-			break
-		}
-		end := seq + 1
-		for seq >= b.cum && b.bits.get(seq) {
-			seq--
-		}
-		found[n] = sim.SackBlock{Start: seq + 1, End: end}
-		n++
+		hi -= valid
 	}
 	for i := n - 1; i >= 0; i-- {
 		blocks = append(blocks, found[i])

@@ -41,6 +41,16 @@ func (b *mapSendBoard) rtxOut(seq int64) bool { return b.rtx[seq] }
 func (b *mapSendBoard) markRtxOut(seq int64)  { b.rtx[seq] = true }
 func (b *mapSendBoard) lostCount() int        { return len(b.loss) }
 
+func (b *mapSendBoard) markSackedRange(lo, hi int64) {
+	for seq := lo; seq < hi; seq++ {
+		b.sack[seq] = true
+	}
+}
+
+// markSacked is the single-sequence form the tests still drive the
+// windowed board through; production code marks ranges.
+func (b *windowedSendBoard) markSacked(seq int64) { b.markSackedRange(seq, seq+1) }
+
 func (b *mapSendBoard) markLost(seq int64) {
 	b.loss[seq] = true
 	delete(b.rtx, seq)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"qav/internal/sim"
@@ -40,8 +41,8 @@ func diffSendBoards(ref, win sendBoard, lo, hi int64) string {
 
 // TestScoreboardDifferentialRandom drives the map reference and the
 // windowed implementation through >= 10k randomized operation traces —
-// sends, SACKs, loss inference, retransmissions, cumack advances, and
-// RTO storms — asserting identical observable state after every step.
+// sends, SACK blocks, loss inference, retransmissions, cumack advances,
+// and RTO storms — asserting identical observable state after every step.
 func TestScoreboardDifferentialRandom(t *testing.T) {
 	iters := 10_000
 	if testing.Short() {
@@ -70,13 +71,23 @@ func TestScoreboardDifferentialRandom(t *testing.T) {
 				if hi == lo {
 					continue
 				}
+				// Up to three blocks, as an ACK carries them: mostly
+				// short, some spanning several words of the ring.
 				hs := int64(-1)
-				for i := 0; i < 1+rng.Intn(6); i++ {
-					seq := lo + rng.Int63n(hi-lo)
-					ref.markSacked(seq)
-					win.markSacked(seq)
-					if seq > hs {
-						hs = seq
+				for i := 0; i < 1+rng.Intn(3); i++ {
+					start := lo + rng.Int63n(hi-lo)
+					n := int64(1 + rng.Intn(6))
+					if rng.Intn(4) == 0 {
+						n += int64(rng.Intn(200))
+					}
+					end := start + n
+					if end > hi {
+						end = hi
+					}
+					ref.markSackedRange(start, end)
+					win.markSackedRange(start, end)
+					if end-1 > hs {
+						hs = end - 1
 					}
 				}
 				ref.inferLost(lo, hs)
@@ -112,6 +123,87 @@ func TestScoreboardDifferentialRandom(t *testing.T) {
 				t.Fatalf("iter %d step %d window [%d,%d): %s", it, op, lo, hi, d)
 			}
 		}
+	}
+}
+
+// TestInferLostDirected pins the word-parallel inferLost against the
+// map reference where its index arithmetic has edges: the third-highest
+// SACKed sequence in the top ring word, in a lower word and exactly at
+// lo; fewer than three SACKed; [lo, hiSacked] across a 64-bit word
+// boundary and across the ring wrap; a window larger than minRingSeqs.
+func TestInferLostDirected(t *testing.T) {
+	type block struct{ lo, hi int64 }
+	cases := []struct {
+		name     string
+		lo, hi   int64 // window [highAck, nextSeq)
+		sacked   []block
+		lost     []int64 // marked lost (and retransmitted) beforehand
+		hiSacked int64
+		wantLost int // lostCount afterwards
+	}{
+		{"third in top word", 0, 40, []block{{30, 33}}, nil, 32, 30},
+		{"third in lower word", 0, 200, []block{{10, 11}, {70, 71}, {190, 191}}, nil, 190, 10},
+		{"third two words down", 0, 250, []block{{5, 6}, {100, 101}, {249, 250}}, nil, 249, 5},
+		{"third exactly at lo", 7, 40, []block{{7, 8}, {20, 21}, {30, 31}}, nil, 30, 0},
+		{"third just above lo", 7, 40, []block{{8, 9}, {20, 21}, {30, 31}}, nil, 30, 1},
+		{"two sacked", 0, 100, []block{{40, 41}, {90, 91}}, nil, 90, 0},
+		{"none sacked at hiSacked", 0, 100, []block{{40, 43}}, nil, 60, 40},
+		{"hiSacked unsacked, two below", 0, 100, []block{{40, 42}}, nil, 60, 0},
+		{"straddles a word boundary", 60, 70, []block{{62, 63}, {64, 65}, {66, 67}}, nil, 66, 2},
+		{"third is bit 63", 0, 70, []block{{63, 64}, {65, 66}, {67, 68}}, nil, 67, 63},
+		{"third is bit 0 of the next word", 0, 70, []block{{64, 65}, {66, 67}, {68, 69}}, nil, 68, 64},
+		{"straddles the ring wrap", minRingSeqs - 10, minRingSeqs + 10,
+			[]block{{minRingSeqs - 2, minRingSeqs - 1}, {minRingSeqs + 1, minRingSeqs + 2}, {minRingSeqs + 5, minRingSeqs + 6}},
+			nil, minRingSeqs + 5, 8},
+		{"wrap, third below it", 3*minRingSeqs - 100, 3*minRingSeqs + 100,
+			[]block{{3*minRingSeqs - 50, 3*minRingSeqs - 49}, {3*minRingSeqs + 20, 3*minRingSeqs + 22}},
+			nil, 3*minRingSeqs + 21, 50},
+		{"window larger than minRingSeqs", 100, 100 + 5*minRingSeqs,
+			[]block{{900, 910}, {1200, 1201}, {1300, 1302}}, nil, 1301, 1090},
+		{"already lost stay counted once", 0, 100, []block{{50, 53}}, []int64{3, 49, 60}, 52, 51},
+		{"holes between blocks", 0, 300, []block{{100, 120}, {130, 150}, {160, 161}}, nil, 160, 110},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, win := newMapSendBoard(), newWindowedSendBoard()
+			// Slide both boards up to lo first, so the window sits
+			// where the case says it does in the ring.
+			for seq := int64(0); seq < tc.hi; seq++ {
+				ref.extend(seq)
+				win.extend(seq)
+				if seq < tc.lo && seq%64 == 63 {
+					ref.advance(seq-63, seq+1)
+					win.advance(seq-63, seq+1)
+				}
+			}
+			ref.advance(tc.lo-tc.lo%64, tc.lo)
+			win.advance(tc.lo-tc.lo%64, tc.lo)
+			for _, b := range tc.sacked {
+				ref.markSackedRange(b.lo, b.hi)
+				win.markSackedRange(b.lo, b.hi)
+			}
+			for _, seq := range tc.lost {
+				ref.markLost(seq)
+				win.markLost(seq)
+				ref.markRtxOut(seq)
+				win.markRtxOut(seq)
+			}
+			ref.inferLost(tc.lo, tc.hiSacked)
+			win.inferLost(tc.lo, tc.hiSacked)
+			if d := diffSendBoards(ref, win, tc.lo, tc.hi); d != "" {
+				t.Fatalf("window [%d,%d) hiSacked %d: %s", tc.lo, tc.hi, tc.hiSacked, d)
+			}
+			if got := win.lostCount(); got != tc.wantLost {
+				t.Fatalf("lostCount = %d, want %d", got, tc.wantLost)
+			}
+			// A sequence lost before the call keeps its retransmission
+			// mark; a newly lost one has none.
+			for _, seq := range tc.lost {
+				if !win.rtxOut(seq) {
+					t.Fatalf("inferLost cleared rtx-out of already-lost %d", seq)
+				}
+			}
+		})
 	}
 }
 
@@ -165,6 +257,65 @@ func TestRecvBoardDifferential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestAppendSackDirected pins the word-at-a-time appendSack against the
+// map reference where runs meet ring-word edges: a run across a 64-bit
+// boundary, one longer than a word, one ending right above the
+// cumulative ack, runs across the ring wrap, and more than three runs.
+func TestAppendSackDirected(t *testing.T) {
+	type run struct{ lo, hi int64 }
+	cases := []struct {
+		name string
+		cum  int64 // sequences below it arrive first, in order
+		runs []run
+	}{
+		{"one run in a word", 0, []run{{5, 9}}},
+		{"run across a word boundary", 0, []run{{60, 70}}},
+		{"run longer than a word", 3, []run{{10, 150}}},
+		{"run ends on a word boundary", 0, []run{{40, 64}, {70, 71}}},
+		{"run starts on a word boundary", 0, []run{{64, 80}, {127, 129}}},
+		{"run right above the cumulative ack", 62, []run{{63, 66}}},
+		{"single sequences either side of a boundary", 0, []run{{63, 64}, {65, 66}}},
+		{"four runs keep the highest three", 0, []run{{2, 4}, {60, 68}, {100, 101}, {190, 200}}},
+		{"across the ring wrap", minRingSeqs - 20, []run{{minRingSeqs - 10, minRingSeqs - 5}, {minRingSeqs - 2, minRingSeqs + 3}, {minRingSeqs + 9, minRingSeqs + 10}}},
+		{"window larger than minRingSeqs", 100, []run{{130, 131}, {400, 900}, {1000, 1002}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, win := newMapRecvBoard(), newWindowedRecvBoard()
+			for seq := int64(0); seq < tc.cum; seq++ {
+				ref.add(seq)
+				win.add(seq)
+			}
+			for _, r := range tc.runs {
+				for seq := r.lo; seq < r.hi; seq++ {
+					ref.add(seq)
+					win.add(seq)
+					rb, wb := ref.appendSack(nil), win.appendSack(nil)
+					if !slices.Equal(rb, wb) {
+						t.Fatalf("after add(%d): map %+v, windowed %+v", seq, rb, wb)
+					}
+				}
+			}
+			if ref.cumack() != tc.cum || win.cumack() != tc.cum {
+				t.Fatalf("cumack map %d windowed %d, want %d", ref.cumack(), win.cumack(), tc.cum)
+			}
+			want := tc.runs
+			if len(want) > 3 {
+				want = want[len(want)-3:]
+			}
+			got := win.appendSack(nil)
+			if len(got) != len(want) {
+				t.Fatalf("blocks %+v, want %+v", got, want)
+			}
+			for i, r := range want {
+				if got[i] != (sim.SackBlock{Start: r.lo, End: r.hi}) {
+					t.Fatalf("blocks %+v, want %+v", got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -118,17 +118,26 @@ func (s *Source) trySend() {
 	if s.cfg.MaxCwnd > 0 && window > s.cfg.MaxCwnd {
 		window = s.cfg.MaxCwnd
 	}
-	for s.pipe() < int(window) {
+	// One count per call, kept current by hand: each transmission puts
+	// one more packet in the pipe, except the retransmission of a
+	// sequence SACKed after it was marked lost, which the pipe never
+	// counts.
+	pipe := s.pipe()
+	for pipe < int(window) {
 		// Retransmissions first.
 		if seq, ok := s.board.nextLost(s.highAck, s.nextSeq); ok {
 			s.transmit(seq, true)
+			if !s.board.sacked(seq) {
+				pipe++
+			}
 			continue
 		}
 		s.board.extend(s.nextSeq)
 		s.transmit(s.nextSeq, false)
 		s.nextSeq++
+		pipe++
 	}
-	s.armRTO()
+	s.armRTO(pipe)
 }
 
 func (s *Source) transmit(seq int64, retx bool) {
@@ -149,9 +158,9 @@ func (s *Source) transmit(seq int64, retx bool) {
 	s.net.SendData(p, s.sink)
 }
 
-func (s *Source) armRTO() {
+func (s *Source) armRTO(pipe int) {
 	s.rtoTimer.Cancel()
-	if s.pipe() == 0 && s.board.lostCount() == 0 {
+	if pipe == 0 && s.board.lostCount() == 0 {
 		return
 	}
 	s.rtoTimer = s.eng.After(s.rto*s.rtoBackoff, s.rtoFn)
@@ -206,17 +215,21 @@ func (s *Source) onAck(p *sim.Packet) {
 		s.dupacks++
 	}
 
-	// Absorb SACK information. Every SACKed sequence was transmitted, so
-	// the board already covers it.
+	// Absorb SACK information, a block at a time. Every SACKed sequence
+	// was transmitted, so the board already covers it; the part of a
+	// block below the cumulative ack is no longer tracked.
 	highestSacked := int64(-1)
 	for _, b := range p.Sack {
-		for seq := b.Start; seq < b.End; seq++ {
-			if seq >= s.highAck {
-				s.board.markSacked(seq)
-				if seq > highestSacked {
-					highestSacked = seq
-				}
-			}
+		start := b.Start
+		if start < s.highAck {
+			start = s.highAck
+		}
+		if start >= b.End {
+			continue
+		}
+		s.board.markSackedRange(start, b.End)
+		if b.End-1 > highestSacked {
+			highestSacked = b.End - 1
 		}
 	}
 	// Scoreboard loss inference: an unsacked hole with at least three

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"qav/internal/metrics"
+	"qav/internal/seqwin"
 )
 
 // BaseConfig parameterizes the bookkeeping shared by rate-based
@@ -46,21 +47,20 @@ func (c *BaseConfig) SetDefaults() {
 }
 
 // Base implements the transport bookkeeping every rate-based backend
-// needs — sequence numbers, the outstanding map, SRTT/RTO estimation
-// with a peak-RTT envelope, ACK- and timeout-based loss inference, and
+// needs — sequence numbers and the outstanding window with its ACK- and
+// timeout-based loss inference (seqwin.Window, the one rap.Sender
+// holds too), SRTT/RTO estimation with a peak-RTT envelope, and
 // clustered rate decreases — so a backend only writes its rate policy.
-// It deliberately reimplements rap.Sender's structure rather than
-// reusing it: the rap package is the frozen reference whose byte-exact
-// behaviour the figure goldens pin, while Base is the shared substrate
-// new backends may evolve.
+// The RTT estimator and backoff fence are Base's own: the rap package
+// is the frozen reference whose byte-exact behaviour the figure goldens
+// pin, while Base is the shared substrate new backends may evolve.
 //
 // Not goroutine-safe; one flow owns one Base.
 type Base struct {
 	cfg BaseConfig
 	ctr Counters
 
-	rate    float64
-	nextSeq int64
+	rate float64
 
 	srtt    float64
 	rttvar  float64
@@ -68,8 +68,7 @@ type Base struct {
 	gotRTT  bool
 	peakRTT float64
 
-	outstanding map[int64]float64
-	highestAck  int64
+	win seqwin.Window // sequence counter, send times, highest ACK
 
 	backoffFence float64
 
@@ -86,14 +85,12 @@ type Base struct {
 func NewBase(cfg BaseConfig) Base {
 	cfg.SetDefaults()
 	return Base{
-		cfg:         cfg,
-		rate:        cfg.InitialRate,
-		srtt:        cfg.InitialRTT,
-		rttvar:      cfg.InitialRTT / 2,
-		timeout:     3 * cfg.InitialRTT,
-		outstanding: make(map[int64]float64),
-		highestAck:  -1,
-		lastAckAt:   -1,
+		cfg:       cfg,
+		rate:      cfg.InitialRate,
+		srtt:      cfg.InitialRTT,
+		rttvar:    cfg.InitialRTT / 2,
+		timeout:   3 * cfg.InitialRTT,
+		lastAckAt: -1,
 	}
 }
 
@@ -139,21 +136,19 @@ func (b *Base) Config() BaseConfig { return b.cfg }
 func (b *Base) Counters() Counters { return b.ctr }
 
 // Outstanding returns the number of unacknowledged packets.
-func (b *Base) Outstanding() int { return len(b.outstanding) }
+func (b *Base) Outstanding() int { return b.win.Len() }
 
 // OnSend registers a packet transmission at now and returns its
 // sequence number.
 func (b *Base) OnSend(now float64) int64 {
-	seq := b.nextSeq
-	b.nextSeq++
-	b.outstanding[seq] = now
 	b.ctr.Sent++
-	return seq
+	return b.win.Send(now)
 }
 
 // AckRTT records the acknowledgement bookkeeping for seq at now —
 // outstanding removal, RTT/RTO update, instrument observations — and
-// returns the RTT sample (ok=false for a duplicate or unknown seq).
+// returns the RTT sample (ok=false for a duplicate, and for a sequence
+// never sent, which is otherwise ignored).
 // Callers follow it with ReorderLosses to pick up any newly inferable
 // losses.
 func (b *Base) AckRTT(now float64, seq int64) (rtt float64, ok bool) {
@@ -163,46 +158,32 @@ func (b *Base) AckRTT(now float64, seq int64) (rtt float64, ok bool) {
 		}
 		b.lastAckAt = now
 	}
-	sendTime, had := b.outstanding[seq]
-	if had {
-		delete(b.outstanding, seq)
-		b.ctr.Acked++
-		rtt = now - sendTime
-		b.updateRTT(rtt)
+	sendTime, had := b.win.Ack(seq)
+	if !had {
+		return 0, false
 	}
-	if seq > b.highestAck {
-		b.highestAck = seq
-	}
-	return rtt, had
+	b.ctr.Acked++
+	rtt = now - sendTime
+	b.updateRTT(rtt)
+	return rtt, true
 }
 
-// ReorderLosses returns the outstanding packets whose sequence trails
-// the highest ACK by more than the reorder gap, removing them from the
-// outstanding set. The returned slice is reused across calls.
+// ReorderLosses returns, in ascending order, the outstanding packets
+// whose sequence trails the highest ACK by at least the reorder gap,
+// removing them from the outstanding set. The returned slice is reused
+// across calls.
 func (b *Base) ReorderLosses() []int64 {
-	b.lost = b.lost[:0]
-	for o := range b.outstanding {
-		if o <= b.highestAck-b.cfg.ReorderGap {
-			b.lost = append(b.lost, o)
-			delete(b.outstanding, o)
-			b.ctr.Lost++
-		}
-	}
+	b.lost = b.win.GapLost(b.lost[:0], b.cfg.ReorderGap)
+	b.ctr.Lost += int64(len(b.lost))
 	return b.lost
 }
 
-// TimeoutLosses returns the outstanding packets older than the RTO,
-// removing them and counting a timeout event when any are found. The
-// returned slice is reused across calls.
+// TimeoutLosses returns, in ascending order, the outstanding packets
+// older than the RTO, removing them and counting a timeout event when
+// any are found. The returned slice is reused across calls.
 func (b *Base) TimeoutLosses(now float64) []int64 {
-	b.lost = b.lost[:0]
-	for o, st := range b.outstanding {
-		if now-st > b.timeout {
-			b.lost = append(b.lost, o)
-			delete(b.outstanding, o)
-			b.ctr.Lost++
-		}
-	}
+	b.lost = b.win.TimedOut(b.lost[:0], now, b.timeout)
+	b.ctr.Lost += int64(len(b.lost))
 	if len(b.lost) > 0 {
 		b.ctr.Timeouts++
 		if b.ins != nil {

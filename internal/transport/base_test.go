@@ -49,6 +49,27 @@ func TestBaseDuplicateAckIgnored(t *testing.T) {
 	}
 }
 
+// TestBaseAckForNeverSentSeqIgnored: an ACK for a sequence outside
+// [0, next) must not move the highest-ACK mark, or the reorder scan
+// would declare the whole outstanding window lost.
+func TestBaseAckForNeverSentSeqIgnored(t *testing.T) {
+	for _, seq := range []int64{5, 999, -1} {
+		b := NewBase(BaseConfig{InitialRTT: 0.04})
+		for i := 0; i < 5; i++ {
+			b.OnSend(float64(i) * 0.01)
+		}
+		if _, ok := b.AckRTT(0.06, seq); ok {
+			t.Fatalf("ack for never-sent seq %d accepted", seq)
+		}
+		if lost := b.ReorderLosses(); len(lost) != 0 {
+			t.Fatalf("ack for never-sent seq %d: lost %v", seq, lost)
+		}
+		if got := b.Counters(); b.Outstanding() != 5 || got.Acked != 0 || got.Lost != 0 {
+			t.Fatalf("ack for never-sent seq %d: outstanding %d, counters %+v", seq, b.Outstanding(), got)
+		}
+	}
+}
+
 // TestBaseBackoffFence: decreases within one SRTT of the previous one
 // belong to the same congestion episode and must be absorbed.
 func TestBaseBackoffFence(t *testing.T) {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"sort"
 	"testing"
 
 	"qav/internal/rap"
@@ -49,15 +48,9 @@ func TestRAPAdapterTransmitDecisionIdentical(t *testing.T) {
 		if a.Time != b.Time || a.OldRate != b.OldRate || a.NewRate != b.NewRate || len(a.LostSeqs) != len(b.LostSeqs) {
 			t.Fatalf("t=%.4f %s: backoff differs: sender %+v adapter %+v", now, what, *a, *b)
 		}
-		// The two instances iterate separate outstanding maps, so the
-		// loss lists agree as sets, not as sequences.
-		as := append([]int64(nil), a.LostSeqs...)
-		bs := append([]int64(nil), b.LostSeqs...)
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-		for i := range as {
-			if as[i] != bs[i] {
-				t.Fatalf("t=%.4f %s: lost sets differ: %v vs %v", now, what, as, bs)
+		for i := range a.LostSeqs {
+			if a.LostSeqs[i] != b.LostSeqs[i] {
+				t.Fatalf("t=%.4f %s: lost lists differ: %v vs %v", now, what, a.LostSeqs, b.LostSeqs)
 			}
 		}
 	}
