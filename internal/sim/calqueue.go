@@ -1,106 +1,121 @@
 package sim
 
-import "sort"
+import "slices"
 
-// calQueue is a self-adapting calendar queue (Brown '88), the event
+// calQueue is a self-tuning calendar queue (Brown '88), the event
 // scheduler structure ns-2 uses for exactly this workload: a discrete
-// event simulator whose pending-event population is dominated by
-// near-future, roughly evenly spaced packet events. Scheduling and
-// dequeuing are O(1) amortized — an array index plus a short sorted
-// insert — instead of container/heap's O(log n) sift with its
-// interface-boxed Push/Pop.
+// event simulator whose pending events are a dense head of packet
+// events plus a sparse tail of timers. A schedule is an array index and
+// an insert into a short sorted list, a dequeue a scan over a bucket or
+// two — while the bucket width fits the head. walk, skips and ovPushes
+// count what either cost beyond that, and the queue re-tunes itself when
+// they say the width no longer fits (review).
 //
-// Layout. Events live in an array of time buckets: an event at time t
-// belongs to virtual bucket vb = floor(t/width), stored in physical
-// bucket vb mod nbuckets as a singly-linked list (the *event structs
-// carry the link, so the structure itself never allocates) sorted
-// ascending by the engine's (time, seq) order. The calendar's current
-// position posVB advances monotonically with the popped events; a
-// bucket's list mixes events of different "years" (vb differing by a
-// multiple of nbuckets), and the pop scan distinguishes them with an
-// exact integer comparison of vb — never a float boundary test, so
-// ordering cannot be perturbed by rounding at bucket edges.
+// Layout. An event at time t belongs to virtual bucket vb =
+// floor(t/width), stored in physical bucket vb mod nbuckets as a
+// singly-linked list (the *event structs carry the link, so the
+// structure itself never allocates) sorted ascending by evLess. The
+// position posVB advances with the popped events, and only events less
+// than one year (nbuckets*width) ahead of it are in buckets, so a bucket
+// holds one vb; the pop scan still compares vb exactly, as an integer,
+// because a push behind the position (see push) can break that.
 //
-// Determinism. Pop order is exactly ascending (time, seq), bit-for-bit
-// the order the reference binary heap produces: within a bucket the
-// list is (time, seq)-sorted, equal times land in the same virtual
-// bucket, and floor(t/width) is monotone in t, so scanning virtual
-// buckets in increasing order enumerates the global order. This is
-// asserted against the heap over randomized workloads by
-// TestSchedulerDifferential*.
+// Determinism. Pop order is exactly ascending evLess, bit-for-bit the
+// order the reference binary heap produces: within a bucket the list is
+// sorted, equal times land in the same virtual bucket, and vb is
+// monotone in t, so scanning virtual buckets in increasing order
+// enumerates the global order. TestSchedulerDifferential* and the
+// recorded-trace cost tests assert it against the heap.
 //
-// Far-future lane. Events scheduled more than a full calendar year
-// (nbuckets*width) ahead of the current position — retransmission
-// timeouts, scenario end markers — would pollute bucket scans, so they
-// go to the overflow lane instead: a slice sorted descending by
-// (time, seq), min at the tail, popped and migrated back into the
-// calendar as the position catches up. Migration happens at pop time
-// and preserves order exactly (an overflow event's vb is always beyond
-// every in-calendar event's vb at the moment either could pop).
+// Far-future lane. Events a year or more ahead of the position —
+// retransmission timeouts, sampler ticks, scenario end markers — go to
+// the overflow lane, a binary min-heap, and migrate into the calendar as
+// the position catches up. Migration happens before every scan, so an
+// overflow event's vb is beyond every in-calendar candidate's.
 //
-// Resizing. When the bucket-resident population exceeds twice the
-// bucket count the calendar doubles; when it falls below half it
-// halves (hysteresis factor 4, so a steady state never thrashes). Each
-// resize re-derives the bucket width from the observed event spacing:
-// up to 64 sampled event times, sorted, averaging the middle-half gaps
-// (robust to far-future outliers), targeting a handful of events per
-// bucket. All resize decisions depend only on the event population, so
-// they are deterministic too.
+// Tuning (retune) sorts everything pending and reads three things off
+// it. Width: calGaps mean separations of the first min(calHead, n/4)
+// events in pop order — Brown's rule; nearly every insert lands among
+// them, and a sample of the whole population lets the sparse tail set
+// the width the dense head is bucketed with. Year: twice the span from
+// the first event to the 15/16 quantile, so the lane takes the far
+// sixteenth at most. Bucket count: year/width rounded up to a power of
+// two, capped near 4 per event so a retune stays O(n log n). Every
+// decision is a function of the operation stream alone, so tuning is
+// deterministic too.
 type calQueue struct {
-	heads []*event
-	tails []*event
-	mask  int64   // len(heads)-1; bucket count is always a power of two
-	width float64 // bucket width, seconds
+	buckets []calBucket
+	mask    int64   // len(buckets)-1; bucket count is always a power of two
+	width   float64 // bucket width, seconds
+	inv     float64 // 1/width: vb = int64(t*inv), monotone in t like the quotient, without the divide
 
 	n     int     // events resident in buckets (excludes overflow)
 	posVB int64   // virtual bucket of the calendar position
 	posT  float64 // time anchor of the position (last popped event time)
 
-	// overflow is the far-future lane: events with vb beyond one full
-	// year at push time, sorted descending by (time, seq) so the
-	// minimum pops from the tail without shifting.
-	overflow []*event
+	overflow []*event // far-future lane: min-heap in evLess order
 
 	// cache holds the event the last peek found, with the physical
-	// bucket it heads (-1: tail of the overflow lane). Any push that
+	// bucket it heads (-1: root of the overflow lane). Any push that
 	// sorts before it invalidates; pop consumes it.
 	cache    *event
 	cacheIdx int
 
-	// resizeAt is the live population at the last resize. Triggers
-	// require the population to halve or double since then, so a
-	// workload the width estimator cannot spread (e.g. one tight
-	// far-future cluster pinned in overflow) resizes O(log n) times
-	// instead of once per push.
-	resizeAt int
+	// Cost counters, plain fields (single-threaded; Engine.Instrument
+	// publishes them at snapshot time): list links sorted inserts
+	// followed, empty buckets peek stepped over, events routed through
+	// the overflow lane.
+	pushes, walk, skips, ovPushes uint64
+	retunes, resizes              uint64 // rebuilds; rebuilds that changed the bucket count
 
-	// Statistics for Engine.Instrument (single-threaded plain fields,
-	// published as snapshot-time Func metrics).
-	resizes  uint64
-	ovPushes uint64 // events routed through the far-future lane
+	// The review window: cost() at which it ends, the cost it was opened
+	// with, pushes at its start, and the multiplier of the next window's
+	// budget, which doubles while retunes change nothing.
+	limit, budget, winPushes, patience uint64
+	resizeAt                           int // population at the last retune
 
-	evScratch []*event  // resize: collected live events
-	tScratch  []float64 // resize: sampled times for width estimation
+	evScratch []*event // retune: the pending events, sorted
 }
+
+// calBucket is one bucket's sorted list. Head and tail sit side by side:
+// a push reads both, at a random bucket, from one cache line this way.
+type calBucket struct{ head, tail *event }
 
 const (
 	// minCalBuckets is the initial and minimum bucket count.
 	minCalBuckets = 8
-	// initCalWidth is the bucket width before the first resize has
+	// initCalWidth is the bucket width before the first retune has
 	// observed any event spacing.
 	initCalWidth = 1e-3
-	// minCalWidth floors the adaptive width so vb = t/width stays far
-	// from int64 overflow for any simulated timescale.
+	// minCalWidth floors the adaptive width so vb stays far from int64
+	// overflow for any simulated timescale.
 	minCalWidth = 1e-9
+	// calHead and calGaps: see Tuning above. Brown used 25 and 3; 64
+	// events average over the bursts one packet's events arrive in.
+	calHead = 64
+	calGaps = 3
+	// The unit of cost is one list link, a dependent load. A skipped
+	// bucket is a sequential read, a quarter of that; an overflow routing
+	// is a heap insert, a heap removal and the bucket insert it put off.
+	// A window is healthy at one unit per push, so calOvCost also bounds
+	// the lane's share of pushes at 1/64.
+	calSkipShift = 2
+	calOvCost    = 64
+	// calWindow x (population + buckets) units of cost make a window:
+	// several times what the retune that may end it costs.
+	calWindow      = 16
+	calMaxPatience = 64
 )
 
 func newCalQueue() *calQueue {
-	return &calQueue{
-		heads: make([]*event, minCalBuckets),
-		tails: make([]*event, minCalBuckets),
-		mask:  minCalBuckets - 1,
-		width: initCalWidth,
+	c := &calQueue{
+		buckets: make([]calBucket, minCalBuckets),
+		mask:    minCalBuckets - 1,
+		width:   initCalWidth,
+		inv:     1 / initCalWidth,
 	}
+	c.openWindow(1)
+	return c
 }
 
 // evLess is the engine's total event order: time, then scheduling-time
@@ -119,103 +134,129 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
+// evCmp is evLess as the three-way comparison slices.SortFunc wants.
+func evCmp(a, b *event) int {
+	if evLess(a, b) {
+		return -1
+	}
+	if evLess(b, a) {
+		return 1
+	}
+	return 0
+}
+
 func (c *calQueue) len() int { return c.n + len(c.overflow) }
+
+// cost is the work done so far beyond O(1) per operation.
+func (c *calQueue) cost() uint64 {
+	return c.walk + c.skips>>calSkipShift + calOvCost*c.ovPushes
+}
 
 func (c *calQueue) push(ev *event) {
 	ev.idx = 0 // mark queued for Timer.Active
-	ev.vb = int64(ev.time / c.width)
+	ev.vb = int64(ev.time * c.inv)
+	c.pushes++
 	if c.cache != nil && evLess(ev, c.cache) {
 		c.cache = nil
 	}
-	if ev.vb >= c.posVB+int64(len(c.heads)) {
+	if ev.vb >= c.posVB+int64(len(c.buckets)) {
 		c.ovPushes++
 		c.pushOverflow(ev)
 	} else {
 		if ev.vb < c.posVB {
-			// Defensive: the engine forbids scheduling before now and
-			// floor(t/width) is monotone, so this should be unreachable;
-			// resetting the position keeps the scan invariant (no live
-			// event behind posVB) even if a caller breaks the contract.
+			// Defensive: the engine forbids scheduling before now and vb
+			// is monotone, so this should be unreachable; resetting the
+			// position keeps the scan invariant (no live event behind
+			// posVB) even if a caller breaks the contract.
 			c.posVB, c.posT = ev.vb, ev.time
 		} else if ev.time < c.posT {
 			// Same virtual bucket as the position but earlier in time
-			// (only possible for contract-breaking callers): keep posT at
-			// or below every live event's time, the anchor resize relies
-			// on to place the rebuilt position behind the population.
+			// (contract-breaking callers again): keep posT at or below
+			// every live event's time, where retune anchors the position.
 			c.posT = ev.time
 		}
 		c.insertBucket(ev)
 		c.n++
 	}
-	if total := c.len(); total > 2*len(c.heads) && total >= 2*c.resizeAt {
-		c.resize(2 * len(c.heads))
+	if c.cost() >= c.limit {
+		c.review()
 	}
 }
 
-// insertBucket links ev into its physical bucket in evLess order. The
-// common cases are O(1): an empty bucket, or an event sorting at or
-// after the tail (packet events arrive in roughly increasing time, and
-// a lone engine's same-time events always carry a larger seq, so ties
-// append too; only barrier-injected arrivals can sort mid-list).
+// insertBucket links ev into its physical bucket in evLess order. An
+// empty bucket, an event sorting at or after the tail (a lone engine's
+// same-time events always carry a larger seq, so ties append) and one
+// sorting before the head are O(1); anything else walks the list from
+// its head, one counted link at a time. How often that happens, and how
+// far, is what the bucket width decides.
 func (c *calQueue) insertBucket(ev *event) {
-	i := int(ev.vb & c.mask)
+	b := &c.buckets[ev.vb&c.mask]
 	ev.next = nil
-	tail := c.tails[i]
+	tail := b.tail
 	if tail == nil {
-		c.heads[i], c.tails[i] = ev, ev
+		b.head, b.tail = ev, ev
 		return
 	}
 	if !evLess(ev, tail) {
 		tail.next = ev
-		c.tails[i] = ev
+		b.tail = ev
 		return
 	}
-	h := c.heads[i]
+	h := b.head
 	if evLess(ev, h) {
 		ev.next = h
-		c.heads[i] = ev
+		b.head = ev
 		return
 	}
 	for h.next != nil && !evLess(ev, h.next) {
 		h = h.next
+		c.walk++
 	}
 	ev.next = h.next
 	h.next = ev
 }
 
-// pushOverflow inserts ev into the descending-sorted overflow lane.
-// Binary search plus one copy; far-future events are rare by design.
+// pushOverflow sifts ev up the overflow heap.
 func (c *calQueue) pushOverflow(ev *event) {
 	ev.next = nil
-	lo, hi := 0, len(c.overflow)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if evLess(c.overflow[mid], ev) {
-			hi = mid
-		} else {
-			lo = mid + 1
+	h := append(c.overflow, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !evLess(ev, h[p]) {
+			break
 		}
+		h[i] = h[p]
+		i = p
 	}
-	c.overflow = append(c.overflow, nil)
-	copy(c.overflow[lo+1:], c.overflow[lo:])
-	c.overflow[lo] = ev
+	h[i] = ev
+	c.overflow = h
 }
 
-// migrate moves overflow events that now fall within one calendar year
-// of the position back into buckets. Called before every scan, so the
-// overflow minimum is always beyond any in-calendar candidate.
-func (c *calQueue) migrate() {
-	horizon := c.posVB + int64(len(c.heads))
-	for n := len(c.overflow); n > 0; n = len(c.overflow) {
-		ev := c.overflow[n-1]
-		if ev.vb >= horizon {
-			return
+// popOverflow removes and returns the overflow heap's minimum.
+func (c *calQueue) popOverflow() *event {
+	h := c.overflow
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	c.overflow = h
+	i := 0
+	for l := 1; l < n; l = 2*i + 1 {
+		if r := l + 1; r < n && evLess(h[r], h[l]) {
+			l = r
 		}
-		c.overflow[n-1] = nil
-		c.overflow = c.overflow[:n-1]
-		c.insertBucket(ev)
-		c.n++
+		if !evLess(h[l], last) {
+			break
+		}
+		h[i] = h[l]
+		i = l
 	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
 }
 
 // peek returns the minimum event without removing it, or nil.
@@ -223,43 +264,51 @@ func (c *calQueue) peek() *event {
 	if c.cache != nil {
 		return c.cache
 	}
-	if c.n == 0 && len(c.overflow) == 0 {
-		return nil
+	// Move overflow events now within a year of the position into
+	// buckets: they arrive in ascending order, so each appends.
+	for horizon := c.posVB + int64(len(c.buckets)); len(c.overflow) > 0 && c.overflow[0].vb < horizon; {
+		c.insertBucket(c.popOverflow())
+		c.n++
 	}
-	c.migrate()
-	if c.n > 2*len(c.heads) && c.n >= 2*c.resizeAt {
-		// A large migration can overload the buckets mid-run.
-		c.resize(2 * len(c.heads))
-	}
-	if c.n > 0 {
-		// Calendar scan: walk virtual buckets from the position. The
-		// first head whose vb matches the scan position is the global
-		// bucket minimum — all events sharing a vb live in one bucket,
-		// sorted, and smaller vb means strictly smaller time.
-		v := c.posVB
-		i := int(v & c.mask)
-		for k := 0; k < len(c.heads); k++ {
-			if h := c.heads[i]; h != nil && h.vb == v {
-				c.cache, c.cacheIdx = h, i
-				return h
-			}
-			v++
-			i = int(int64(i+1) & c.mask)
+	if c.n == 0 {
+		// Nothing within a year: the overflow minimum is next, and its pop
+		// jumps the position there. No bucket is looked at, however many
+		// there are.
+		if len(c.overflow) == 0 {
+			return nil
 		}
+		c.cache, c.cacheIdx = c.overflow[0], -1
+		return c.cache
 	}
-	// Empty year: direct search over bucket minima and the overflow
-	// tail, then the pop will jump the position to the winner.
+	// Calendar scan: walk virtual buckets from the position. The first
+	// head whose vb matches the scan position is the global minimum —
+	// all events sharing a vb live in one bucket, sorted, and smaller vb
+	// means strictly smaller time. The pop moves the position there, so
+	// no bucket is stepped over twice.
+	v := c.posVB
+	i := int(v & c.mask)
+	for k := 0; k < len(c.buckets); k++ {
+		if h := c.buckets[i].head; h != nil && h.vb == v {
+			c.skips += uint64(k)
+			c.cache, c.cacheIdx = h, i
+			return h
+		}
+		v++
+		i = int(int64(i+1) & c.mask)
+	}
+	// Residents but none within a year: a contract-breaking push walked
+	// the position back. Direct search over bucket minima and the
+	// overflow root; the pop jumps the position to the winner.
+	c.skips += 2 * uint64(len(c.buckets))
 	var best *event
 	bi := -1
-	for i, h := range c.heads {
-		if h != nil && (best == nil || evLess(h, best)) {
+	for i := range c.buckets {
+		if h := c.buckets[i].head; h != nil && (best == nil || evLess(h, best)) {
 			best, bi = h, i
 		}
 	}
-	if n := len(c.overflow); n > 0 {
-		if ov := c.overflow[n-1]; best == nil || evLess(ov, best) {
-			best, bi = ov, -1
-		}
+	if len(c.overflow) > 0 && evLess(c.overflow[0], best) {
+		best, bi = c.overflow[0], -1
 	}
 	c.cache, c.cacheIdx = best, bi
 	return best
@@ -272,114 +321,104 @@ func (c *calQueue) pop() *event {
 		return nil
 	}
 	if i := c.cacheIdx; i >= 0 {
-		c.heads[i] = ev.next
+		b := &c.buckets[i]
+		b.head = ev.next
 		if ev.next == nil {
-			c.tails[i] = nil
+			b.tail = nil
 		}
 		ev.next = nil
 		c.n--
 	} else {
-		n := len(c.overflow)
-		c.overflow[n-1] = nil
-		c.overflow = c.overflow[:n-1]
+		c.popOverflow()
 	}
 	c.posVB, c.posT = ev.vb, ev.time
 	c.cache = nil
 	ev.idx = -1
-	if total := c.len(); total < len(c.heads)/2 && total <= c.resizeAt/2 &&
-		len(c.heads) > minCalBuckets {
-		c.resize(len(c.heads) / 2)
+	if c.cost() >= c.limit || c.len() <= c.resizeAt/2 && len(c.buckets) > minCalBuckets {
+		c.review()
 	}
 	return ev
 }
 
-// resize rebuilds the calendar with nb buckets and a width re-derived
-// from the current event spacing, redistributing every live event
-// (bucket residents and overflow). O(n log n) for the width sample
-// sort, amortized away by the doubling thresholds; a steady-state
-// population never resizes at all.
-func (c *calQueue) resize(nb int) {
-	c.resizes++
-	c.cache = nil
-	c.resizeAt = c.len()
+// openWindow starts a review window of patience times the base budget.
+func (c *calQueue) openWindow(patience uint64) {
+	c.patience = patience
+	c.budget = patience * calWindow * uint64(c.len()+len(c.buckets))
+	c.limit = c.cost() + c.budget
+	c.winPushes = c.pushes
+}
 
+// review runs when a window's budget of cost is spent or the population
+// has halved since the last retune. A window that took at least as many
+// pushes as it had budget cost one unit per push or less: healthy, open
+// the next. Anything else is answered with a retune. The trigger is cost
+// already paid, calWindow times what the retune will cost, so a stream
+// no width suits pays a bounded surcharge, and patience shrinks that.
+func (c *calQueue) review() {
+	if c.cost() >= c.limit && c.pushes-c.winPushes >= c.budget {
+		c.openWindow(1)
+		return
+	}
+	c.retune()
+}
+
+// retune rebuilds the calendar around the events about to be dequeued
+// (see Tuning in the type comment). Reinsertion is in sorted order, so
+// every insertBucket appends and the overflow lane, filled ascending, is
+// a heap as it stands.
+func (c *calQueue) retune() {
+	c.retunes++
+	c.cache = nil
 	all := c.evScratch[:0]
-	for i, h := range c.heads {
-		for ; h != nil; h = h.next {
+	for i := range c.buckets {
+		for h := c.buckets[i].head; h != nil; h = h.next {
 			all = append(all, h)
 		}
-		c.heads[i], c.tails[i] = nil, nil
+		c.buckets[i] = calBucket{}
 	}
 	all = append(all, c.overflow...)
-	c.evScratch = all[:0]
-	for i := range c.overflow {
-		c.overflow[i] = nil
-	}
+	clear(c.overflow)
 	c.overflow = c.overflow[:0]
+	slices.SortFunc(all, evCmp)
+	c.evScratch = all[:0]
+	n := len(all)
+	c.resizeAt = n
 
-	c.width = c.newWidth(all)
-	if nb != len(c.heads) {
-		c.heads = make([]*event, nb)
-		c.tails = make([]*event, nb)
-		c.mask = int64(nb - 1)
+	oldW, nb := c.width, minCalBuckets
+	if n > 1 {
+		k := min(calHead, n/4+1)
+		if w := calGaps * (all[k].time - all[0].time) / float64(k); w >= minCalWidth {
+			c.width = w // else the head is one instant: no signal, keep the width
+		}
+		year := 2 * (all[n-1-n/16].time - all[0].time)
+		for nb < 4*n && float64(nb)*c.width < year {
+			nb *= 2
+		}
 	}
-	c.posVB = int64(c.posT / c.width)
+	patience := uint64(1)
+	if nb != len(c.buckets) {
+		c.resizes++
+		c.buckets = make([]calBucket, nb)
+		c.mask = int64(nb - 1)
+	} else if c.width < 2*oldW && oldW < 2*c.width {
+		patience = min(2*c.patience, calMaxPatience) // nothing changed: wait longer next time
+	}
+	if n > 0 && all[0].time < c.posT {
+		c.posT = all[0].time // a contract-breaking push went behind the position
+	}
+	c.inv = 1 / c.width
+	c.posVB = int64(c.posT * c.inv)
 	c.n = 0
-
 	horizon := c.posVB + int64(nb)
 	for _, ev := range all {
-		ev.vb = int64(ev.time / c.width)
-		if ev.vb < c.posVB {
-			// The new width resolved an event to a bucket behind the
-			// rebuilt position (posT sat above its time, or FP rounding
-			// at the anchor). Walk the position back — vb must stay
-			// exactly floor(t/width) or popping this event would carry
-			// the position past later-bucket, earlier-time neighbors.
-			c.posVB, c.posT = ev.vb, ev.time
-		}
+		ev.vb = int64(ev.time * c.inv)
 		if ev.vb >= horizon {
-			c.pushOverflow(ev)
+			ev.next = nil
+			c.overflow = append(c.overflow, ev)
 			continue
 		}
 		c.insertBucket(ev)
 		c.n++
 	}
-}
-
-// newWidth estimates a bucket width from the live events: sample up to
-// 64 times, sort, and average the gaps across the middle half of the
-// sample — the median-ish band, so a handful of far-future timers
-// cannot inflate the width the near-future bulk is bucketed with.
-// Aiming at ~4 average gaps per bucket keeps buckets short while the
-// year still spans the population. Returns the current width when the
-// events give no signal (fewer than 2, or all at one instant).
-func (c *calQueue) newWidth(all []*event) float64 {
-	if len(all) < 2 {
-		return c.width
-	}
-	s := c.tScratch[:0]
-	stride := 1
-	if len(all) > 64 {
-		stride = len(all) / 64
-	}
-	for i := 0; i < len(all); i += stride {
-		s = append(s, all[i].time)
-	}
-	c.tScratch = s[:0]
-	sort.Float64s(s)
-	lo, hi := len(s)/4, 3*len(s)/4
-	if hi <= lo {
-		lo, hi = 0, len(s)-1
-	}
-	var sum float64
-	for i := lo; i < hi; i++ {
-		sum += s[i+1] - s[i]
-	}
-	// A sampled gap spans ~stride true gaps, so divide it back out to
-	// target ~4 events per bucket regardless of the sampling rate.
-	w := 4 * sum / float64((hi-lo)*stride)
-	if w < minCalWidth {
-		return c.width // degenerate spacing: keep the current width
-	}
-	return w
+	c.openWindow(patience)
 }

@@ -189,7 +189,7 @@ func TestCalQueueShrinksAfterDrain(t *testing.T) {
 	for i := 1; i <= 4096; i++ {
 		c.push(&event{time: float64(i) * 0.001, seq: uint64(i)})
 	}
-	grown := len(c.heads)
+	grown := len(c.buckets)
 	if grown <= minCalBuckets {
 		t.Fatalf("4096 events left bucket count at %d; grow threshold broken", grown)
 	}
@@ -198,8 +198,8 @@ func TestCalQueueShrinksAfterDrain(t *testing.T) {
 			t.Fatalf("pop %d wrong: %+v", i, ev)
 		}
 	}
-	if len(c.heads) >= grown {
-		t.Fatalf("bucket count stayed at %d after drain (was %d at peak)", len(c.heads), grown)
+	if len(c.buckets) >= grown {
+		t.Fatalf("bucket count stayed at %d after drain (was %d at peak)", len(c.buckets), grown)
 	}
 }
 
@@ -222,6 +222,76 @@ func TestCalQueueEmptyYearDirectSearch(t *testing.T) {
 	}
 	if ev := c.pop(); ev == nil || ev.seq != 3 {
 		t.Fatalf("direct search pop got %+v, want seq 3", ev)
+	}
+}
+
+// A calendar sized for a dense head has thousands of buckets, and a
+// sparse phase — start-up stagger, the tail of a run, a scenario with
+// only timers pending — must not pay for them per event. Counted, not
+// timed: skips is every bucket peek looked at beyond the one it popped
+// from.
+func TestCalQueueSparseEventsInLargeCalendar(t *testing.T) {
+	// Four events spread over 100 s, each more than a year past the
+	// position of an 8192-bucket calendar of 10 us buckets, so they sit in
+	// the overflow lane with every bucket empty. The parent's peek scanned
+	// all 8192 heads for each of them.
+	c := newCalQueue()
+	c.buckets = make([]calBucket, 8192)
+	c.mask, c.width, c.inv = 8191, 1e-5, 1e5
+	c.openWindow(1)
+	for i := 1; i <= 4; i++ {
+		c.push(&event{time: 25 * float64(i), seq: uint64(i)})
+	}
+	for i := 1; i <= 4; i++ {
+		if len(c.buckets) != 8192 || c.ovPushes != 4 {
+			t.Fatalf("set-up lost: %d buckets, %d overflow pushes", len(c.buckets), c.ovPushes)
+		}
+		if ev := c.pop(); ev == nil || ev.seq != uint64(i) {
+			t.Fatalf("pop %d: got %+v", i, ev)
+		}
+	}
+	if c.skips > 4 {
+		t.Fatalf("4 sparse pops looked at %d buckets, want O(1) each", c.skips)
+	}
+
+	// The same through the front door: 20000 events 1 us apart grow the
+	// calendar past 8192 buckets with four timers pending far behind them;
+	// draining the dense head and then the timers must cost O(1) bucket
+	// visits per pop, amortised over the drain.
+	c = newCalQueue()
+	var seq uint64
+	push := func(at float64) {
+		seq++
+		c.push(&event{time: at, seq: seq})
+	}
+	for i := 1; i <= 4; i++ {
+		push(25 * float64(i))
+	}
+	for i := 0; i < 20000; i++ {
+		push(float64(i) * 1e-6)
+	}
+	if len(c.buckets) < 8192 {
+		t.Fatalf("dense phase grew the calendar to %d buckets, want >= 8192", len(c.buckets))
+	}
+	var last float64
+	for i := 0; i < 20004; i++ {
+		if i == 20000 {
+			c.skips = 0 // the four timers alone
+		}
+		ev := c.pop()
+		if ev == nil || ev.time < last {
+			t.Fatalf("pop %d: got %+v after t=%g", i, ev, last)
+		}
+		last = ev.time
+		if i == 19999 && c.skips > 2*20000 {
+			t.Fatalf("draining 20000 dense events looked at %d buckets, want O(1) each", c.skips)
+		}
+	}
+	if c.skips > 4*8 {
+		t.Fatalf("the 4 timers left behind looked at %d buckets, want O(1) each", c.skips)
+	}
+	if len(c.buckets) >= 8192 {
+		t.Fatalf("calendar still has %d buckets for an empty queue", len(c.buckets))
 	}
 }
 
@@ -392,35 +462,49 @@ func TestCalQueueSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedSynthetic pits the two structures against a synthetic
-// hold-model workload (the classic calendar-queue benchmark: pop one,
-// push one at a random offset) at several steady populations. The
-// recorded-trace benchmark is BenchmarkSchedReplay (sched_bench_test.go).
+// BenchmarkSchedSynthetic pits the two structures against synthetic
+// hold-model workloads (the classic calendar-queue benchmark: pop one,
+// push one at a random offset) at several steady populations: "hold"
+// draws every offset from one uniform distribution; "headtail" draws 19
+// in 20 from it and the rest 100x further out, the dense head plus
+// sparse far tail of a packet simulation with timers. The recorded-trace
+// benchmark is BenchmarkSchedReplay (sched_bench_test.go).
 func BenchmarkSchedSynthetic(b *testing.B) {
 	for _, sc := range schedulers {
-		for _, depth := range []int{64, 512, 4096} {
-			b.Run(sc.name+"/hold"+itoa(depth), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				s := sc.new()
-				var seq uint64
-				events := make([]*event, depth)
-				for i := range events {
-					events[i] = &event{}
-				}
-				for _, ev := range events {
-					seq++
-					ev.time, ev.seq = rng.Float64(), seq
-					s.push(ev)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					ev := s.pop()
-					seq++
-					ev.time, ev.seq = ev.time+rng.Float64()*0.01, seq
-					s.push(ev)
-				}
-			})
+		for _, dist := range []struct {
+			name    string
+			farOdds int // one push in farOdds lands 100x further out; 0: none
+		}{{"hold", 0}, {"headtail", 20}} {
+			for _, depth := range []int{64, 512, 4096} {
+				b.Run(sc.name+"/"+dist.name+itoa(depth), func(b *testing.B) {
+					rng := rand.New(rand.NewSource(1))
+					offset := func() float64 {
+						if dist.farOdds > 0 && rng.Intn(dist.farOdds) == 0 {
+							return rng.Float64()
+						}
+						return rng.Float64() * 0.01
+					}
+					s := sc.new()
+					var seq uint64
+					events := make([]*event, depth)
+					for i := range events {
+						events[i] = &event{}
+					}
+					for _, ev := range events {
+						seq++
+						ev.time, ev.seq = 100*offset(), seq
+						s.push(ev)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						ev := s.pop()
+						seq++
+						ev.time, ev.seq = ev.time+offset(), seq
+						s.push(ev)
+					}
+				})
+			}
 		}
 	}
 }

@@ -30,15 +30,17 @@ import (
 // caches the event's virtual bucket, so no scheduler ever allocates per
 // operation.
 type event struct {
+	// The scheduler's fields first, so an insert that compares against
+	// a queued event and links behind it touches one cache line of it.
 	time float64
 	pt   float64 // first tie-breaker: virtual time the event was scheduled at
 	seq  uint64  // second tie-breaker: preserves scheduling order at equal (time, pt)
+	next *event  // calendar bucket list link
+	vb   int64   // calendar virtual bucket = floor(time/width)
+	idx  int     // >= 0 while queued; -1 once popped (Timer.Active reads it)
 	fn   func()
 	fn1  func(any)
 	arg  any
-	idx  int    // >= 0 while queued; -1 once popped (Timer.Active reads it)
-	next *event // calendar bucket list link
-	vb   int64  // calendar virtual bucket = floor(time/width)
 	gen  uint64 // bumped every time the event is recycled
 	dead bool
 }
@@ -86,7 +88,8 @@ type Engine struct {
 	// metrics instead of taxing the hot path.
 	recycleHits uint64 // schedules served from the free list
 	cancelled   uint64 // dead (cancelled) events released unfired
-	depthMax    int    // high-water mark of pending events
+	depth       int    // pending events (the scheduler's len, kept here to spare the call)
+	depthMax    int    // high-water mark of depth
 }
 
 // maxFreeEvents caps the event free list. A transient burst of events
@@ -113,8 +116,11 @@ func (e *Engine) Pool() *PacketPool { return &e.pool }
 // Instrument publishes the engine's event-loop statistics on reg as
 // snapshot-time Func metrics: events scheduled, executed, recycled
 // (free-list hits), cancelled (dead events released unfired), current
-// and peak scheduler depth, and the calendar queue's structure counters
-// (resizes, bucket count, far-future overflow routings). The record
+// and peak scheduler depth, and the calendar queue's tuning (retunes,
+// those that changed the bucket count, bucket count and width) and cost
+// (list links walked by sorted inserts, far-future overflow routings: a
+// walk of more than a link or so per scheduled event, or an overflow
+// share of more than a few percent, is a mistuned calendar). The record
 // path stays the engine's existing plain-field increments —
 // instrumentation adds nothing per event. Snapshots must be
 // synchronized with the engine's goroutine (taken from it, or after the
@@ -128,8 +134,11 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("sim.sched.maxdepth", func() float64 { return float64(e.depthMax) })
 	if cq, ok := e.sched.(*calQueue); ok {
 		reg.CounterFunc("sim.sched.resizes", func() int64 { return int64(cq.resizes) })
+		reg.CounterFunc("sim.sched.retunes", func() int64 { return int64(cq.retunes) })
 		reg.CounterFunc("sim.sched.overflow", func() int64 { return int64(cq.ovPushes) })
-		reg.GaugeFunc("sim.sched.buckets", func() float64 { return float64(len(cq.heads)) })
+		reg.CounterFunc("sim.sched.walk", func() int64 { return int64(cq.walk) })
+		reg.GaugeFunc("sim.sched.buckets", func() float64 { return float64(len(cq.buckets)) })
+		reg.GaugeFunc("sim.sched.width_us", func() float64 { return cq.width * 1e6 })
 	}
 	reg.CounterFunc("sim.packets.pooled.gets", func() int64 { return int64(e.pool.Gets) })
 	reg.CounterFunc("sim.packets.pooled.news", func() int64 { return int64(e.pool.News) })
@@ -188,20 +197,10 @@ func (e *Engine) schedule(t, pt float64, fn func(), fn1 func(any), arg any) Time
 		e.rec.Ops = append(e.rec.Ops, SchedOp{Kind: SchedPush, Time: t})
 	}
 	e.sched.push(ev)
-	if d := e.sched.len(); d > e.depthMax {
-		e.depthMax = d
+	if e.depth++; e.depth > e.depthMax {
+		e.depthMax = e.depth
 	}
 	return Timer{ev: ev, gen: ev.gen}
-}
-
-// pop dequeues the minimum pending event, recording the operation when
-// a SchedRecorder is attached.
-func (e *Engine) popEvent() *event {
-	ev := e.sched.pop()
-	if ev != nil && e.rec != nil {
-		e.rec.Ops = append(e.rec.Ops, SchedOp{Kind: SchedPop})
-	}
-	return ev
 }
 
 // release recycles a popped event. Bumping the generation invalidates
@@ -232,29 +231,42 @@ func (e *Engine) AfterFunc(d float64, fn func(arg any), arg any) Timer {
 	return e.AtFunc(e.now+d, fn, arg)
 }
 
+// fire runs a just-dequeued event, or discards it if it was cancelled,
+// and reports which. The scheduler is not consulted: every run loop
+// below pays it one peek and one pop per event and nothing else.
+func (e *Engine) fire(ev *event) bool {
+	e.depth--
+	if e.rec != nil {
+		e.rec.Ops = append(e.rec.Ops, SchedOp{Kind: SchedPop})
+	}
+	if ev.dead {
+		e.cancelled++
+		e.release(ev)
+		return false
+	}
+	e.now = ev.time
+	e.curPt = ev.pt
+	e.nRun++
+	fn, fn1, arg := ev.fn, ev.fn1, ev.arg
+	e.release(ev) // safe before fn: generation bump detaches all Timers
+	if fn1 != nil {
+		fn1(arg)
+	} else {
+		fn()
+	}
+	return true
+}
+
 // Step runs the next pending event. It reports false when no events remain.
 func (e *Engine) Step() bool {
 	for {
-		ev := e.popEvent()
+		ev := e.sched.pop()
 		if ev == nil {
 			return false
 		}
-		if ev.dead {
-			e.cancelled++
-			e.release(ev)
-			continue
+		if e.fire(ev) {
+			return true
 		}
-		e.now = ev.time
-		e.curPt = ev.pt
-		e.nRun++
-		fn, fn1, arg := ev.fn, ev.fn1, ev.arg
-		e.release(ev) // safe before fn: generation bump detaches all Timers
-		if fn1 != nil {
-			fn1(arg)
-		} else {
-			fn()
-		}
-		return true
 	}
 }
 
@@ -263,23 +275,9 @@ func (e *Engine) Step() bool {
 // released even when they lie beyond t, so a burst of cancelled timers
 // ahead of the horizon does not linger across calls.
 func (e *Engine) RunUntil(t float64) {
-	for {
-		ev := e.sched.peek()
-		if ev == nil {
-			break
-		}
-		if ev.dead {
-			e.popEvent()
-			e.cancelled++
-			e.release(ev)
-			continue
-		}
-		if ev.time > t {
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for ev := e.sched.peek(); ev != nil && (ev.dead || ev.time <= t); ev = e.sched.peek() {
+		e.sched.pop()
+		e.fire(ev)
 	}
 	if t > e.now {
 		e.now = t
@@ -296,23 +294,9 @@ func (e *Engine) RunUntil(t float64) {
 // Dead (cancelled) events at the head are released even beyond t,
 // matching RunUntil.
 func (e *Engine) RunBelow(t float64) {
-	for {
-		ev := e.sched.peek()
-		if ev == nil {
-			return
-		}
-		if ev.dead {
-			e.popEvent()
-			e.cancelled++
-			e.release(ev)
-			continue
-		}
-		if ev.time >= t {
-			return
-		}
-		if !e.Step() {
-			return
-		}
+	for ev := e.sched.peek(); ev != nil && (ev.dead || ev.time < t); ev = e.sched.peek() {
+		e.sched.pop()
+		e.fire(ev)
 	}
 }
 

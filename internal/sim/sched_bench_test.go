@@ -3,39 +3,42 @@ package sim_test
 import (
 	"testing"
 
-	"qav/internal/figures"
-	"qav/internal/scenario"
 	"qav/internal/sim"
 )
 
-// BenchmarkSchedReplay replays the event-queue churn of one real Figure
-// 11 run (T1, Kmax=2, 40 simulated seconds) against the reference heap
-// and the calendar queue in isolation: same ops, same times, same live
-// depths — the difference is purely the structure's schedule/dequeue
-// cost. It lives in the external test package because recording the
-// trace needs scenario, which imports sim.
+// BenchmarkSchedReplay replays the event-queue churn of two real runs —
+// Figure 11 (T1, Kmax=2, 40 simulated seconds: a head of a few dozen
+// events) and a 1000-flow RED fleet (5 s: thousands of events within one
+// queueing delay, a retransmission timer per TCP flow behind them) —
+// against the reference heap and the calendar queue in isolation: same
+// ops, same times, same live depths, so the difference is purely the
+// structure's schedule/dequeue cost. It lives in the external test
+// package because recording the traces needs scenario, which imports
+// sim.
 func BenchmarkSchedReplay(b *testing.B) {
-	rec := &sim.SchedRecorder{}
-	cfg := scenario.MustPreset("T1", scenario.WithKmax(2), scenario.WithScale(figures.DefaultScale))
-	cfg.Duration = 40
-	cfg.SchedRec = rec
-	if _, err := scenario.Run(cfg); err != nil {
-		b.Fatal(err)
-	}
-	for _, leg := range []struct {
-		name   string
-		replay func([]sim.SchedOp) int
+	for _, tr := range []struct {
+		name string
+		ops  []sim.SchedOp
 	}{
-		{"heap", sim.ReplaySchedHeap},
-		{"calendar", func(ops []sim.SchedOp) int { return sim.ReplaySched(sim.SchedCalendar, ops) }},
+		{"figure11", figure11Trace(b)},
+		{"fleet", fleetTrace(b, 1000, 5)},
 	} {
-		b.Run(leg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if leg.replay(rec.Ops) == 0 {
-					b.Fatal("replay popped no events")
+		for _, leg := range []struct {
+			name   string
+			replay func([]sim.SchedOp) int
+		}{
+			{"heap", sim.ReplaySchedHeap},
+			{"calendar", func(ops []sim.SchedOp) int { return sim.ReplaySched(sim.SchedCalendar, ops) }},
+		} {
+			b.Run(tr.name+"/"+leg.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if leg.replay(tr.ops) == 0 {
+						b.Fatal("replay popped no events")
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.ops)), "ns/schedop")
+			})
+		}
 	}
 }

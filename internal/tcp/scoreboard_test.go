@@ -343,7 +343,11 @@ type txRecord struct {
 	retx bool
 }
 
-func runDifferentialScenario(mapRef bool, rate float64, queueBytes int, flows int, dur float64) ([][]txRecord, []string) {
+// refParts says which parts of a Source a differential run replaces with
+// their test-only references.
+type refParts struct{ mapBoards, rearmRTO bool }
+
+func runDifferentialScenario(ref refParts, rate float64, queueBytes int, flows int, dur float64) ([][]txRecord, []string) {
 	eng := sim.NewEngine()
 	net := sim.NewDumbbell(eng, sim.DumbbellConfig{
 		Rate: rate, Delay: 0.01, AccessDelay: 0.005, QueueBytes: queueBytes,
@@ -356,8 +360,11 @@ func runDifferentialScenario(mapRef bool, rate float64, queueBytes int, flows in
 			FlowID: i, PacketSize: 512, InitialRTT: net.BaseRTT(),
 			Start: float64(i) * 0.037,
 		})
-		if mapRef {
+		if ref.mapBoards {
 			useMapBoards(s)
+		}
+		if ref.rearmRTO {
+			useRearmRTO(s)
 		}
 		i := i
 		s.testTxHook = func(seq int64, retx bool) {
@@ -373,12 +380,14 @@ func runDifferentialScenario(mapRef bool, rate float64, queueBytes int, flows in
 	return traces, stats
 }
 
-// TestTCPDifferentialMapVsWindowed runs whole lossy simulations twice —
-// map scoreboard vs windowed — and requires the transmit decision
-// streams (every sequence, timestamp, and retransmit flag) and final
-// stats to be bit-for-bit identical. Covers RTO-heavy (tiny queue),
-// fast-recovery (medium queue), multi-flow contention, and a
-// large-window regime that forces ring growth.
+// TestTCPDifferentialMapVsWindowed runs whole lossy simulations with the
+// Source as shipped and with its parts replaced by their references —
+// the map scoreboards, the per-ACK cancel-and-rearm retransmission
+// timer, and both (the Source as it was before either) — and requires
+// the transmit decision streams (every sequence, timestamp, and
+// retransmit flag) and final stats to be bit-for-bit identical. Covers
+// RTO-heavy (tiny queue), fast-recovery (medium queue), multi-flow
+// contention, and a large-window regime that forces ring growth.
 func TestTCPDifferentialMapVsWindowed(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -392,20 +401,30 @@ func TestTCPDifferentialMapVsWindowed(t *testing.T) {
 		{"contended", 50_000, 12 * 512, 4, 30},
 		{"large-window", 4_000_000, 600 * 512, 1, 20},
 	}
+	refs := []struct {
+		name string
+		ref  refParts
+	}{
+		{"map-boards", refParts{mapBoards: true}},
+		{"rearm-rto", refParts{rearmRTO: true}},
+		{"both", refParts{mapBoards: true, rearmRTO: true}},
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mt, ms := runDifferentialScenario(true, tc.rate, tc.queueBytes, tc.flows, tc.dur)
-			wt, ws := runDifferentialScenario(false, tc.rate, tc.queueBytes, tc.flows, tc.dur)
-			for i := range ms {
-				if ms[i] != ws[i] {
-					t.Errorf("flow %d stats differ:\nmap      %s\nwindowed %s", i, ms[i], ws[i])
-				}
-				if len(mt[i]) != len(wt[i]) {
-					t.Fatalf("flow %d: %d transmissions under map, %d under windowed", i, len(mt[i]), len(wt[i]))
-				}
-				for j := range mt[i] {
-					if mt[i][j] != wt[i][j] {
-						t.Fatalf("flow %d tx %d differs: map %+v windowed %+v", i, j, mt[i][j], wt[i][j])
+			wt, ws := runDifferentialScenario(refParts{}, tc.rate, tc.queueBytes, tc.flows, tc.dur)
+			for _, r := range refs {
+				mt, ms := runDifferentialScenario(r.ref, tc.rate, tc.queueBytes, tc.flows, tc.dur)
+				for i := range ms {
+					if ms[i] != ws[i] {
+						t.Errorf("%s: flow %d stats differ:\nreference %s\nshipped   %s", r.name, i, ms[i], ws[i])
+					}
+					if len(mt[i]) != len(wt[i]) {
+						t.Fatalf("%s: flow %d: %d transmissions under the reference, %d as shipped", r.name, i, len(mt[i]), len(wt[i]))
+					}
+					for j := range mt[i] {
+						if mt[i][j] != wt[i][j] {
+							t.Fatalf("%s: flow %d tx %d differs: reference %+v shipped %+v", r.name, i, j, mt[i][j], wt[i][j])
+						}
 					}
 				}
 			}

@@ -58,8 +58,14 @@ type Source struct {
 	srtt, rttvar, rto float64
 	gotRTT            bool
 	rtoBackoff        float64
-	rtoTimer          sim.Timer
-	rtoFn             func() // onRTO as a long-lived value: no closure per arm
+
+	// The retransmission timer is one pending event and a deadline.
+	// armRTO moves the deadline (rtoAt, set at rtoArmed) on every ACK; the
+	// event (rtoTimer, due at rtoFires) is left alone while it is due no
+	// later, and re-schedules itself when it fires ahead of the deadline.
+	rtoAt, rtoArmed, rtoFires float64
+	rtoTimer                  sim.Timer
+	rtoFn                     func(any) // onRTOTimer as a long-lived value: no closure per arm
 
 	sink *sink
 
@@ -70,6 +76,9 @@ type Source struct {
 	// testTxHook, when non-nil, observes every transmission (tests
 	// only: the differential test records decision traces through it).
 	testTxHook func(seq int64, retx bool)
+	// testArmRTO, when non-nil, stands in for armRTO (tests only: it
+	// seats the per-ACK cancel-and-rearm reference, rto_ref_test.go).
+	testArmRTO func(pipe int)
 
 	// Stats.
 	SentPkts    int64
@@ -94,7 +103,7 @@ func NewSource(eng *sim.Engine, net sim.Network, cfg Config) *Source {
 		rto:        3 * cfg.InitialRTT,
 		rtoBackoff: 1,
 	}
-	s.rtoFn = s.onRTO
+	s.rtoFn = s.onRTOTimer
 	s.sink = &sink{src: s, board: newWindowedRecvBoard()}
 	s.sink.ackSink = sim.ReceiverFunc(s.onAck)
 	eng.At(cfg.Start, s.trySend)
@@ -158,12 +167,44 @@ func (s *Source) transmit(seq int64, retx bool) {
 	s.net.SendData(p, s.sink)
 }
 
+// armRTO restarts the retransmission timeout from now, or stops it when
+// nothing is in flight or awaiting retransmission.
 func (s *Source) armRTO(pipe int) {
-	s.rtoTimer.Cancel()
-	if pipe == 0 && s.board.lostCount() == 0 {
+	if s.testArmRTO != nil {
+		s.testArmRTO(pipe)
 		return
 	}
-	s.rtoTimer = s.eng.After(s.rto*s.rtoBackoff, s.rtoFn)
+	if pipe == 0 && s.board.lostCount() == 0 {
+		s.rtoTimer.Cancel()
+		return
+	}
+	s.rtoArmed = s.eng.Now()
+	s.rtoAt = s.rtoArmed + s.rto*s.rtoBackoff
+	if s.rtoTimer.Active() {
+		if s.rtoFires <= s.rtoAt {
+			return // the pending event fires first and moves itself
+		}
+		// The deadline came closer (rtoBackoff reset by new data ACKed).
+		s.rtoTimer.Cancel()
+	}
+	s.scheduleRTO()
+}
+
+// scheduleRTO puts the timer event at the deadline. The tie key is the
+// instant the deadline was set, not now: against another event at
+// exactly rtoAt the expiry then orders as if it had been scheduled by
+// the armRTO call that set the deadline, as it once was.
+func (s *Source) scheduleRTO() {
+	s.rtoFires = s.rtoAt
+	s.rtoTimer = s.eng.AtFuncPrio(s.rtoAt, s.rtoArmed, s.rtoFn, nil)
+}
+
+func (s *Source) onRTOTimer(any) {
+	if s.rtoAt > s.eng.Now() {
+		s.scheduleRTO() // fired ahead of a deadline that has moved on
+		return
+	}
+	s.onRTO()
 }
 
 func (s *Source) onRTO() {
