@@ -15,7 +15,6 @@ import (
 	"qav/internal/core"
 	"qav/internal/figures"
 	"qav/internal/metrics"
-	"qav/internal/rap"
 	"qav/internal/scenario"
 	"qav/internal/sim"
 	"qav/internal/tcp"
@@ -351,7 +350,7 @@ func TestAllocFreeSteadyStateCrossTraffic(t *testing.T) {
 	net := sim.NewDumbbell(eng, sim.DumbbellConfig{
 		Rate: 125_000, Delay: 0.01, AccessDelay: 0.005, QueueBytes: 1 << 16,
 	})
-	rapSrc := scenario.NewRAPSource(eng, net, 1, transport.NewRAP(rap.Config{
+	rapSrc := scenario.NewRAPSource(eng, net, 1, transport.NewRAP(transport.RAPConfig{
 		PacketSize: 512, MaxRate: 30_000, InitialRTT: 0.04,
 	}), 0)
 	tcpSrc := tcp.NewSource(eng, net, tcp.Config{

@@ -30,7 +30,7 @@ import (
 
 	"qav/internal/core"
 	"qav/internal/netio"
-	"qav/internal/rap"
+	"qav/internal/transport"
 )
 
 // loadResult is what one run observed.
@@ -154,7 +154,7 @@ func runOnce(o loadOpts) (*loadResult, error) {
 		}
 		cfg := netio.MultiConfig{
 			QA:        core.Params{C: o.c, Kmax: o.kmax, MaxLayers: o.layers, StartupSec: 0.2},
-			RAP:       rap.Config{PacketSize: o.pkt, MaxRate: o.maxRate, InitialRTT: 0.02},
+			RAP:       transport.RAPConfig{PacketSize: o.pkt, MaxRate: o.maxRate, InitialRTT: 0.02},
 			Shards:    o.shards,
 			BatchKind: o.kind,
 		}

@@ -21,7 +21,7 @@ import (
 
 	"qav/internal/core"
 	"qav/internal/netio"
-	"qav/internal/rap"
+	"qav/internal/transport"
 )
 
 func main() {
@@ -54,7 +54,7 @@ func main() {
 	}
 	cfg := netio.MultiConfig{
 		QA:         core.Params{C: *c, Kmax: *kmax, MaxLayers: *layers, StartupSec: 0.5},
-		RAP:        rap.Config{PacketSize: *pkt, MaxRate: *maxRate, InitialRTT: 0.05},
+		RAP:        transport.RAPConfig{PacketSize: *pkt, MaxRate: *maxRate, InitialRTT: 0.05},
 		Shards:     *shards,
 		BatchKind:  kind,
 		MaxClients: *maxClients,

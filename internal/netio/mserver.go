@@ -14,7 +14,7 @@ import (
 
 	"qav/internal/core"
 	"qav/internal/metrics"
-	"qav/internal/rap"
+	"qav/internal/transport"
 )
 
 // SocketMode names the two socket layouts a MultiServer can run in.
@@ -42,7 +42,7 @@ type MultiConfig struct {
 	QA core.Params
 	// RAP configures every stream's congestion control. PacketSize is
 	// the wire size (header + payload); if zero it defaults to 512.
-	RAP rap.Config
+	RAP transport.RAPConfig
 	// Shards is the number of independent client-table shards, each
 	// owned by one goroutine. When unset it defaults to
 	// DefaultShards(): GOMAXPROCS capped at 8, because in demux mode
@@ -69,9 +69,6 @@ type MultiConfig struct {
 	// IdleTimeout expires clients whose acknowledgements stop arriving
 	// (default 10 s).
 	IdleTimeout time.Duration
-	// SeqWindow is the per-client seq->layer attribution ring size,
-	// a power of two (default 1024). Memory per client scales with it.
-	SeqWindow int
 }
 
 // DefaultShards is the shard count used when MultiConfig.Shards is
@@ -105,12 +102,6 @@ func (c *MultiConfig) normalize() error {
 	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 10 * time.Second
-	}
-	if c.SeqWindow <= 0 {
-		c.SeqWindow = 1 << 10
-	}
-	if c.SeqWindow&(c.SeqWindow-1) != 0 {
-		return fmt.Errorf("netio: SeqWindow %d not a power of two", c.SeqWindow)
 	}
 	return nil
 }
@@ -766,7 +757,7 @@ func (sh *shard) handle(m inMsg, now float64) {
 				return
 			}
 			var err error
-			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, srv.payload, srv.cfg.SeqWindow, now)
+			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, srv.payload, now)
 			if err != nil {
 				srv.active.Add(-1)
 				return // unreachable: params validated at construction

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"qav/internal/core"
-	"qav/internal/rap"
+	"qav/internal/transport"
 )
 
 func testMultiServer(t *testing.T, cfg MultiConfig) *MultiServer {
@@ -22,7 +22,7 @@ func testMultiServer(t *testing.T, cfg MultiConfig) *MultiServer {
 		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2}
 	}
 	if cfg.RAP.PacketSize == 0 {
-		cfg.RAP = rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
+		cfg.RAP = transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
 	}
 	srv, err := NewMultiServer(conn, cfg)
 	if err != nil {
@@ -51,7 +51,7 @@ func testOwnedServer(t *testing.T, cfg MultiConfig) (*MultiServer, <-chan error)
 		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2}
 	}
 	if cfg.RAP.PacketSize == 0 {
-		cfg.RAP = rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
+		cfg.RAP = transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
 	}
 	srv, err := NewMultiServerConns([]*net.UDPConn{conn}, cfg)
 	if err != nil {
@@ -437,23 +437,23 @@ func TestSessionAckForNeverSentSeqIgnored(t *testing.T) {
 		now += 0.02
 		sh.pump(now)
 	}
-	rate, out, sent := sess.snd.Rate(), sess.snd.Outstanding(), sess.snd.Sent
+	rate, out, sent := sess.snd.Rate(), sess.snd.Outstanding(), sess.snd.Counters().Sent
 	for _, seq := range []int64{sent, sent + 1000, -7} {
 		sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 	}
 	if st := sh.srv.Stats(); st.Backoffs != 0 {
 		t.Fatalf("ACKs for never-sent sequences caused %d backoffs", st.Backoffs)
 	}
-	if sess.snd.Rate() != rate || sess.snd.Outstanding() != out || sess.snd.Lost != 0 {
-		t.Fatalf("rate %v -> %v, outstanding %d -> %d, lost %d", rate, sess.snd.Rate(), out, sess.snd.Outstanding(), sess.snd.Lost)
+	if sess.snd.Rate() != rate || sess.snd.Outstanding() != out || sess.snd.Counters().Lost != 0 {
+		t.Fatalf("rate %v -> %v, outstanding %d -> %d, lost %d", rate, sess.snd.Rate(), out, sess.snd.Outstanding(), sess.snd.Counters().Lost)
 	}
 	// The honest ACKs that follow are all taken.
 	for seq := int64(0); seq < sent; seq++ {
 		sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 	}
-	if sess.snd.Acked != sent || sess.snd.Outstanding() != 0 || sh.srv.Stats().Backoffs != 0 {
+	if sess.snd.Counters().Acked != sent || sess.snd.Outstanding() != 0 || sh.srv.Stats().Backoffs != 0 {
 		t.Fatalf("after acking all %d: acked %d, outstanding %d, backoffs %d",
-			sent, sess.snd.Acked, sess.snd.Outstanding(), sh.srv.Stats().Backoffs)
+			sent, sess.snd.Counters().Acked, sess.snd.Outstanding(), sh.srv.Stats().Backoffs)
 	}
 }
 
@@ -547,7 +547,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				defer conn.Close()
 				srv, err := NewMultiServer(conn, MultiConfig{
 					QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-					RAP:       rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+					RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
 					Shards:    1,
 					BatchKind: kind,
 				})
@@ -571,7 +571,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				ackAll := func(now float64) {
 					// Acknowledge everything outstanding (in order) so RAP and
 					// the controller reach — and stay in — steady state.
-					for seq := sess.snd.Acked + sess.snd.Lost; seq < sess.snd.Sent; seq++ {
+					for seq := sess.snd.Counters().Acked + sess.snd.Counters().Lost; seq < sess.snd.Counters().Sent; seq++ {
 						sh.handle(inMsg{addr: sinkAddr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 					}
 				}
@@ -587,12 +587,12 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					pumpSlice()
 				}
-				sentBefore := sess.snd.Sent
+				sentBefore := sess.snd.Counters().Sent
 				allocs := testing.AllocsPerRun(20, pumpSlice)
 				if allocs != 0 {
 					t.Fatalf("steady-state serve send loop (%s/%s): %.1f allocs per 1s slice, want 0", kind, leg.name, allocs)
 				}
-				if sess.snd.Sent == sentBefore {
+				if sess.snd.Counters().Sent == sentBefore {
 					t.Fatal("measured window sent nothing")
 				}
 			})
@@ -605,7 +605,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			defer conn.Close()
 			srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
 				QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-				RAP:       rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+				RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
 				BatchKind: kind,
 			})
 			if err != nil {
@@ -630,7 +630,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					now += 0.02
 					sh.pumpDue(now)
-					for seq := sess.snd.Acked + sess.snd.Lost; seq < sess.snd.Sent; seq++ {
+					for seq := sess.snd.Counters().Acked + sess.snd.Counters().Lost; seq < sess.snd.Counters().Sent; seq++ {
 						n, _ := EncodeAck(ack, Ack{AckSeq: seq, NackLayer: NoNack})
 						peer.WriteToUDPAddrPort(ack[:n], srvAddr)
 					}
@@ -645,14 +645,14 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				tickSlice()
 			}
-			sentBefore, drainedBefore := sess.snd.Sent, drained
+			sentBefore, drainedBefore := sess.snd.Counters().Sent, drained
 			if allocs := testing.AllocsPerRun(20, tickSlice); allocs != 0 {
 				t.Fatalf("steady-state drain+pump (%s): %.1f allocs per 1s slice, want 0", kind, allocs)
 			}
-			if sess.snd.Sent == sentBefore || drained == drainedBefore {
-				t.Fatalf("measured window sent %d packets and drained %d datagrams", sess.snd.Sent-sentBefore, drained-drainedBefore)
+			if sess.snd.Counters().Sent == sentBefore || drained == drainedBefore {
+				t.Fatalf("measured window sent %d packets and drained %d datagrams", sess.snd.Counters().Sent-sentBefore, drained-drainedBefore)
 			}
-			if sess.snd.Acked == 0 {
+			if sess.snd.Counters().Acked == 0 {
 				t.Fatal("no ACK ever reached the session through the socket")
 			}
 		})
@@ -669,10 +669,9 @@ func TestMultiServerMemoryBoundedUnderLoad(t *testing.T) {
 	conn := listenUDPTB(t)
 	defer conn.Close()
 	srv, err := NewMultiServer(conn, MultiConfig{
-		QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-		RAP:       rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
-		Shards:    1,
-		SeqWindow: 1 << 10,
+		QA:     core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+		RAP:    transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+		Shards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -689,7 +688,7 @@ func TestMultiServerMemoryBoundedUnderLoad(t *testing.T) {
 		for i := 0; i < slices; i++ {
 			now += 0.02
 			sh.pump(now)
-			for seq := sess.snd.Acked + sess.snd.Lost; seq < sess.snd.Sent; seq++ {
+			for seq := sess.snd.Counters().Acked + sess.snd.Counters().Lost; seq < sess.snd.Counters().Sent; seq++ {
 				if seq%2 == 0 {
 					continue // half the stream is never acknowledged
 				}
@@ -725,7 +724,7 @@ func TestMultiServerReuseport(t *testing.T) {
 	}
 	srv, err := NewMultiServerConns(conns, MultiConfig{
 		QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
-		RAP: rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
+		RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -776,7 +775,7 @@ func TestMultiServerReuseport(t *testing.T) {
 func TestServeReturnsWhenASocketDies(t *testing.T) {
 	cfg := MultiConfig{
 		QA:     core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
-		RAP:    rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
+		RAP:    transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
 		Shards: 2,
 	}
 	check := func(t *testing.T, srv *MultiServer, victim *net.UDPConn) {
@@ -825,7 +824,7 @@ func TestMultiServerShardsOverridePolicy(t *testing.T) {
 	defer conn.Close()
 	base := MultiConfig{
 		QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
-		RAP: rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
+		RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
 	}
 	want := runtime.GOMAXPROCS(0) + 3
 	if want < 9 {

@@ -5,7 +5,7 @@ import (
 
 	"qav/internal/core"
 	"qav/internal/metrics"
-	"qav/internal/rap"
+	"qav/internal/transport"
 )
 
 // nack is a pending retransmission request.
@@ -21,6 +21,10 @@ type nack struct {
 // (the receiver will re-request it if it still matters) and a counter
 // records the shed load.
 const nackCap = 64
+
+// seqWindow is the per-client seq -> layer attribution ring size, a
+// power of two. Memory per client scales with it.
+const seqWindow = 1 << 10
 
 // nackRing is a fixed-capacity drop-oldest queue of retransmission
 // requests.
@@ -73,13 +77,15 @@ type sessionInstruments struct {
 	Lateness *metrics.Histogram
 }
 
-// session is the per-client stream state: one RAP sender, one quality
-// adaptation controller, the seq -> layer attribution ring, per-layer
-// stream offsets, and the bounded retransmission queue. It is not
+// session is the per-client stream state: one RAP sender (the same
+// transport.RAP the simulator's flows run, held by concrete pointer so
+// the send path pays no interface dispatch), one quality adaptation
+// controller, the seq -> layer attribution ring, per-layer stream
+// offsets, and the bounded retransmission queue. It is not
 // goroutine-safe — its owner, a MultiServer shard, touches it from its
 // one goroutine only. All times are float64 seconds on the shard's clock.
 type session struct {
-	snd  *rap.Sender
+	snd  *transport.RAP
 	ctrl *core.Controller
 	addr netip.AddrPort
 
@@ -109,7 +115,7 @@ type session struct {
 // (core.NewController errors only on bad Params; callers validate once
 // at server construction) and payload must be pktSize-DataHeaderLen
 // bytes.
-func newSession(addr netip.AddrPort, qa core.Params, rcfg rap.Config, payload []byte, seqWin int, now float64) (*session, error) {
+func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, payload []byte, now float64) (*session, error) {
 	if qa.MaxEvents == 0 {
 		// A served stream can run for hours; a client whose rate
 		// straddles a layer boundary churns add/drop events forever, so
@@ -121,14 +127,13 @@ func newSession(addr netip.AddrPort, qa core.Params, rcfg rap.Config, payload []
 		return nil, err
 	}
 	maxL := ctrl.P.MaxLayers
-	snd := rap.NewSender(rcfg)
 	return &session{
-		snd:         snd,
+		snd:         transport.NewRAP(rcfg),
 		ctrl:        ctrl,
 		addr:        addr,
 		pktSize:     rcfg.PacketSize,
 		payload:     payload,
-		seqLayer:    newSeqRing(seqWin),
+		seqLayer:    newSeqRing(seqWindow),
 		layerOff:    make([]int64, maxL),
 		sentByLayer: make([]int64, maxL),
 		lastStep:    now,
@@ -242,7 +247,7 @@ func (st *session) onAck(now float64, a Ack) {
 
 // onBackoff passes a RAP backoff on to the controller and drops layer
 // attribution for the packets it declared lost.
-func (st *session) onBackoff(now float64, b *rap.Backoff) {
+func (st *session) onBackoff(now float64, b *transport.Backoff) {
 	st.ctrl.OnBackoff(now, b.NewRate, st.snd.ConservativeSlope())
 	for _, q := range b.LostSeqs {
 		st.seqLayer.del(q)

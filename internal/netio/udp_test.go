@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"qav/internal/core"
-	"qav/internal/rap"
+	"qav/internal/transport"
 	"qav/internal/video"
 )
 
@@ -17,7 +17,7 @@ func testServer(t *testing.T, c float64, maxRate float64) *MultiServer {
 	t.Helper()
 	return testMultiServer(t, MultiConfig{
 		QA:         core.Params{C: c, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
-		RAP:        rap.Config{PacketSize: 512, InitialRTT: 0.02, MaxRate: maxRate},
+		RAP:        transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: maxRate},
 		Shards:     1,
 		MaxClients: 1,
 	})

@@ -71,6 +71,7 @@ func TestFineGrainSpeedsOnFallingRTT(t *testing.T) {
 }
 
 func TestFineGrainFactorClamped(t *testing.T) {
+	const fgMin, fgMax = 0.5, 2.0 // the RAP paper's clamp
 	s := NewSender(Config{PacketSize: 512, InitialRTT: 0.01, FineGrain: true})
 	now := 0.0
 	// Violent RTT explosion.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"sort"
 	"testing"
+
+	"qav/internal/transport"
 )
 
 func newTestSender() *Sender {
@@ -34,7 +36,7 @@ func TestMultiplicativeDecreaseOnAckGap(t *testing.T) {
 	r0 := s.Rate()
 	// ACK everything except seq 2; the hole is detected once ACKs pass it
 	// by the reorder gap.
-	var backoffs []*Backoff
+	var backoffs []*transport.Backoff
 	for _, q := range seqs {
 		if q == 2 {
 			continue
@@ -52,8 +54,8 @@ func TestMultiplicativeDecreaseOnAckGap(t *testing.T) {
 	if got := backoffs[0].LostSeqs; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("lost seqs %v, want [2]", got)
 	}
-	if s.Lost != 1 || s.Acked != 9 {
-		t.Fatalf("counters lost=%d acked=%d, want 1/9", s.Lost, s.Acked)
+	if c := s.Counters(); c.Lost != 1 || c.Acked != 9 {
+		t.Fatalf("counters lost=%d acked=%d, want 1/9", c.Lost, c.Acked)
 	}
 }
 
@@ -89,8 +91,8 @@ func TestSecondClusterAfterFenceBacksOffAgain(t *testing.T) {
 	// Well past the one-SRTT fence: a new hole is a new congestion event.
 	tLater := 0.1 + 2*s.SRTT() + 0.01
 	s.OnAck(tLater, 9) // loses 2,3,5,6 -> backoff 2
-	if s.Backoffs != 2 {
-		t.Fatalf("backoffs = %d, want 2", s.Backoffs)
+	if n := s.Counters().Backoffs; n != 2 {
+		t.Fatalf("backoffs = %d, want 2", n)
 	}
 	if s.Rate() >= r0/2 {
 		t.Fatalf("rate %v not reduced twice from %v", s.Rate(), r0)
@@ -104,24 +106,25 @@ func TestTimeoutDetection(t *testing.T) {
 	if b == nil {
 		t.Fatal("timed-out packet did not trigger backoff")
 	}
-	if s.TimeoutEv != 1 || s.Lost != 1 {
-		t.Fatalf("timeoutEv=%d lost=%d, want 1/1", s.TimeoutEv, s.Lost)
+	if c := s.Counters(); c.Timeouts != 1 || c.Lost != 1 {
+		t.Fatalf("timeouts=%d lost=%d, want 1/1", c.Timeouts, c.Lost)
 	}
 	if s.Outstanding() != 0 {
 		t.Fatalf("outstanding = %d after timeout, want 0", s.Outstanding())
 	}
 }
 
+// The floor is one packet per 2 s.
 func TestMinRateFloor(t *testing.T) {
-	s := NewSender(Config{PacketSize: 512, InitialRTT: 0.04, InitialRate: 1000, MinRate: 400})
+	s := NewSender(Config{PacketSize: 512, InitialRTT: 0.04, InitialRate: 1000})
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			s.OnSend(float64(i))
 		}
 		s.Step(float64(i) + 100*float64(i+1)) // force timeouts
 	}
-	if s.Rate() < 400 {
-		t.Fatalf("rate %v fell below MinRate", s.Rate())
+	if s.Rate() != 256 {
+		t.Fatalf("rate %v after ten timeouts, want the 256 B/s floor", s.Rate())
 	}
 }
 
@@ -146,10 +149,11 @@ func TestRTTEstimation(t *testing.T) {
 	if math.Abs(s.SRTT()-0.08) > 0.005 {
 		t.Fatalf("srtt = %v, want ~0.08", s.SRTT())
 	}
-	// Slope follows P/srtt².
+	// At a constant RTT the peak envelope is the SRTT, so the
+	// conservative slope is the instantaneous P/srtt².
 	wantS := 512 / (s.SRTT() * s.SRTT())
-	if math.Abs(s.Slope()-wantS) > 1e-6 {
-		t.Fatalf("slope = %v, want %v", s.Slope(), wantS)
+	if math.Abs(s.ConservativeSlope()-wantS) > 1e-6*wantS {
+		t.Fatalf("slope = %v, want %v", s.ConservativeSlope(), wantS)
 	}
 }
 
@@ -228,8 +232,8 @@ func TestReorderingWithinGapTolerated(t *testing.T) {
 			t.Fatalf("reordering within gap caused backoff at seq %d", q)
 		}
 	}
-	if s.Backoffs != 0 || s.Lost != 0 {
-		t.Fatalf("backoffs=%d lost=%d after pure reordering", s.Backoffs, s.Lost)
+	if c := s.Counters(); c.Backoffs != 0 || c.Lost != 0 {
+		t.Fatalf("backoffs=%d lost=%d after pure reordering", c.Backoffs, c.Lost)
 	}
 }
 
@@ -237,12 +241,12 @@ func TestDuplicateAckHarmless(t *testing.T) {
 	s := newTestSender()
 	q := s.OnSend(0)
 	s.OnAck(0.04, q)
-	acked := s.Acked
+	acked := s.Counters().Acked
 	s.OnAck(0.05, q) // duplicate
-	if s.Acked != acked {
+	if s.Counters().Acked != acked {
 		t.Fatal("duplicate ack double-counted")
 	}
-	if s.Backoffs != 0 {
+	if s.Counters().Backoffs != 0 {
 		t.Fatal("duplicate ack caused backoff")
 	}
 }
@@ -262,9 +266,9 @@ func TestAckForUnknownSeqIgnored(t *testing.T) {
 			if b := s.OnAck(0.06, seq); b != nil {
 				t.Fatalf("%d sent, ack for never-sent seq %d: backoff %+v", sent, seq, *b)
 			}
-			if s.Outstanding() != sent || s.Lost != 0 || s.Acked != 0 || s.Backoffs != 0 || s.Rate() != r0 {
+			if c := s.Counters(); s.Outstanding() != sent || c.Lost != 0 || c.Acked != 0 || c.Backoffs != 0 || s.Rate() != r0 {
 				t.Fatalf("%d sent, ack for never-sent seq %d: outstanding=%d lost=%d acked=%d backoffs=%d rate=%v (was %v)",
-					sent, seq, s.Outstanding(), s.Lost, s.Acked, s.Backoffs, s.Rate(), r0)
+					sent, seq, s.Outstanding(), c.Lost, c.Acked, c.Backoffs, s.Rate(), r0)
 			}
 			// The window still works: the real ACKs all count.
 			for q := int64(0); q < int64(sent); q++ {
@@ -272,8 +276,8 @@ func TestAckForUnknownSeqIgnored(t *testing.T) {
 					t.Fatalf("in-order ack %d after the bogus one: backoff %+v", q, *b)
 				}
 			}
-			if s.Acked != int64(sent) || s.Outstanding() != 0 {
-				t.Fatalf("acked=%d outstanding=%d after acking all %d", s.Acked, s.Outstanding(), sent)
+			if acked := s.Counters().Acked; acked != int64(sent) || s.Outstanding() != 0 {
+				t.Fatalf("acked=%d outstanding=%d after acking all %d", acked, s.Outstanding(), sent)
 			}
 		}
 	}
@@ -326,8 +330,8 @@ func TestConservativeSlopeAtMostInstantaneous(t *testing.T) {
 		q := s.OnSend(now)
 		s.OnAck(now+rtt, q)
 		now += 0.01
-		if s.ConservativeSlope() > s.Slope()+1e-9 {
-			t.Fatalf("conservative slope %v exceeds instantaneous %v", s.ConservativeSlope(), s.Slope())
+		if inst := 512 / (s.SRTT() * s.SRTT()); s.ConservativeSlope() > inst+1e-9 {
+			t.Fatalf("conservative slope %v exceeds instantaneous %v", s.ConservativeSlope(), inst)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"qav/internal/trace"
-	"qav/internal/transport"
 )
 
 // TestDebugT1Dump is a diagnostic, not an assertion: run with
@@ -26,7 +25,7 @@ func TestDebugT1Dump(t *testing.T) {
 		t.Logf("qa avg rate=%.0f avg layers=%.2f max layers=%.0f srtt=%.3f slope=%.0f",
 			res.Series.Get("qa.rate").AvgBetween(20, 120),
 			res.Series.Get("qa.layers").AvgBetween(20, 120),
-			seriesMax(res.Series.Get("qa.layers")), q.Tr.SRTT(), q.Tr.(*transport.RAP).Sender().Slope())
+			seriesMax(res.Series.Get("qa.layers")), q.Tr.SRTT(), q.Tr.ConservativeSlope())
 		t.Logf("adds=%d drops=%d backoffs=%d stalls=%d eff=%.3f poor=%.1f%%",
 			res.Stats.Adds, res.Stats.Drops, res.Stats.Backoffs, res.Stats.Stalls,
 			res.Stats.AvgEfficiency, res.Stats.PoorDistPct)

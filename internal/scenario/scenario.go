@@ -7,7 +7,6 @@ import (
 	"qav/internal/cbr"
 	"qav/internal/core"
 	"qav/internal/metrics"
-	"qav/internal/rap"
 	"qav/internal/sim"
 	"qav/internal/tcp"
 	"qav/internal/trace"
@@ -304,7 +303,7 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 				InitialRate: initialRate,
 			}})
 		default:
-			return transport.NewRAP(rap.Config{
+			return transport.NewRAP(transport.RAPConfig{
 				PacketSize:  cfg.PacketSize,
 				InitialRTT:  baseRTT,
 				InitialRate: initialRate,

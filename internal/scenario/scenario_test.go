@@ -232,7 +232,7 @@ func TestFineGrainVariantRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.QASrc.Tr.(*transport.RAP).Sender().FineGrainFactor() <= 0 {
+	if res.QASrc.Tr.(*transport.RAP).FineGrainFactor() <= 0 {
 		t.Fatal("fine grain factor not live")
 	}
 	if res.StallSec > 2 {

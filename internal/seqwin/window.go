@@ -1,7 +1,7 @@
-// Package seqwin is the outstanding-packet window shared by rap.Sender
-// and transport.Base: which sequences are sent and not yet acknowledged
-// or declared lost, when each was sent, and the two loss scans (reorder
-// gap, timeout) both senders run over that set.
+// Package seqwin is the outstanding-packet window under transport.Base,
+// and so under every rate-based backend: which sequences are sent and
+// not yet acknowledged or declared lost, when each was sent, and the two
+// loss scans (reorder gap, timeout) Base runs over that set.
 //
 // Send times live in a power-of-two ring indexed by seq & mask, with a
 // base below which nothing is outstanding. Send, Ack and GapLost are

@@ -7,24 +7,22 @@ import (
 	"qav/internal/seqwin"
 )
 
-// BaseConfig parameterizes the bookkeeping shared by rate-based
-// backends (transport/delay, transport/greedy). The defaults mirror
-// rap.Config's so backends are comparable out of the box.
+// reorderGap is how many later ACKs must pass a hole before the packet
+// is declared lost (the TCP dup-ack threshold analogue).
+const reorderGap = 3
+
+// BaseConfig parameterizes the bookkeeping shared by the rate-based
+// backends (RAP, transport/delay, transport/greedy).
 type BaseConfig struct {
 	// PacketSize is the fixed payload size in bytes (default 512).
 	PacketSize int
 	// InitialRate is the starting transmission rate, bytes/s (default
 	// two packets per InitialRTT).
 	InitialRate float64
-	// MinRate bounds rate decreases, bytes/s (default one packet / 2 s).
-	MinRate float64
 	// MaxRate optionally caps the rate (0 = uncapped), bytes/s.
 	MaxRate float64
 	// InitialRTT seeds the SRTT estimator, seconds (default 100 ms).
 	InitialRTT float64
-	// ReorderGap is how many later ACKs must pass a hole before the
-	// packet is declared lost (default 3).
-	ReorderGap int64
 }
 
 // SetDefaults fills zero fields in place.
@@ -38,22 +36,15 @@ func (c *BaseConfig) SetDefaults() {
 	if c.InitialRate <= 0 {
 		c.InitialRate = 2 * float64(c.PacketSize) / c.InitialRTT
 	}
-	if c.MinRate <= 0 {
-		c.MinRate = float64(c.PacketSize) / 2.0
-	}
-	if c.ReorderGap <= 0 {
-		c.ReorderGap = 3
-	}
 }
 
 // Base implements the transport bookkeeping every rate-based backend
 // needs — sequence numbers and the outstanding window with its ACK- and
-// timeout-based loss inference (seqwin.Window, the one rap.Sender
-// holds too), SRTT/RTO estimation with a peak-RTT envelope, and
-// clustered rate decreases — so a backend only writes its rate policy.
-// The RTT estimator and backoff fence are Base's own: the rap package
-// is the frozen reference whose byte-exact behaviour the figure goldens
-// pin, while Base is the shared substrate new backends may evolve.
+// timeout-based loss inference (seqwin.Window), SRTT/RTO estimation
+// with a peak-RTT envelope, and clustered rate decreases — so a backend
+// only writes its rate policy. The figure goldens and the model digest
+// pin its arithmetic through the RAP backend, and internal/rap's
+// differential holds it to the pre-Base RAP sender call by call.
 //
 // Not goroutine-safe; one flow owns one Base.
 type Base struct {
@@ -97,10 +88,10 @@ func NewBase(cfg BaseConfig) Base {
 // Rate returns the current transmission rate, bytes/s.
 func (b *Base) Rate() float64 { return b.rate }
 
-// SetRate sets the rate, clamped to [MinRate, MaxRate].
+// SetRate sets the rate, clamped to [one packet per 2 s, MaxRate].
 func (b *Base) SetRate(r float64) {
-	if r < b.cfg.MinRate {
-		r = b.cfg.MinRate
+	if minRate := float64(b.cfg.PacketSize) / 2; r < minRate {
+		r = minRate
 	}
 	if b.cfg.MaxRate > 0 && r > b.cfg.MaxRate {
 		r = b.cfg.MaxRate
@@ -128,9 +119,6 @@ func (b *Base) StepInterval() float64 { return b.srtt }
 
 // PacketSize returns the configured payload size, bytes.
 func (b *Base) PacketSize() int { return b.cfg.PacketSize }
-
-// Config returns the effective (defaulted) configuration.
-func (b *Base) Config() BaseConfig { return b.cfg }
 
 // Counters returns the cumulative decision counts.
 func (b *Base) Counters() Counters { return b.ctr }
@@ -173,7 +161,7 @@ func (b *Base) AckRTT(now float64, seq int64) (rtt float64, ok bool) {
 // removing them from the outstanding set. The returned slice is reused
 // across calls.
 func (b *Base) ReorderLosses() []int64 {
-	b.lost = b.win.GapLost(b.lost[:0], b.cfg.ReorderGap)
+	b.lost = b.win.GapLost(b.lost[:0], reorderGap)
 	b.ctr.Lost += int64(len(b.lost))
 	return b.lost
 }
@@ -241,8 +229,9 @@ func (b *Base) updateRTT(sample float64) {
 	}
 }
 
-// Instrument attaches ins and publishes the packet counters under
-// prefix, the same Func-metric shape the RAP backend registers.
+// Instrument attaches ins and publishes the packet counters and the
+// rate under prefix as snapshot-time Func metrics ("<prefix>.sent",
+// ".acked", ".lost", ".rate").
 func (b *Base) Instrument(reg *metrics.Registry, prefix string, ins *Instruments) {
 	b.ins = ins
 	reg.CounterFunc(prefix+".sent", func() int64 { return b.ctr.Sent })

@@ -5,14 +5,11 @@ import "testing"
 func TestBaseConfigDefaults(t *testing.T) {
 	var c BaseConfig
 	c.SetDefaults()
-	if c.PacketSize != 512 || c.InitialRTT != 0.1 || c.ReorderGap != 3 {
+	if c.PacketSize != 512 || c.InitialRTT != 0.1 {
 		t.Fatalf("defaults %+v", c)
 	}
 	if want := 2 * 512 / 0.1; c.InitialRate != want {
 		t.Fatalf("InitialRate = %v, want %v (two packets per RTT)", c.InitialRate, want)
-	}
-	if want := 512 / 2.0; c.MinRate != want {
-		t.Fatalf("MinRate = %v, want %v", c.MinRate, want)
 	}
 }
 
@@ -92,10 +89,10 @@ func TestBaseBackoffFence(t *testing.T) {
 }
 
 func TestBaseRateClamp(t *testing.T) {
-	b := NewBase(BaseConfig{InitialRate: 1_000, MinRate: 500, MaxRate: 2_000})
+	b := NewBase(BaseConfig{PacketSize: 1000, InitialRate: 1_000, MaxRate: 2_000})
 	b.SetRate(100)
 	if b.Rate() != 500 {
-		t.Fatalf("rate %.0f, want clamped to MinRate", b.Rate())
+		t.Fatalf("rate %.0f, want clamped to the floor of one packet per 2 s", b.Rate())
 	}
 	b.SetRate(10_000)
 	if b.Rate() != 2_000 {

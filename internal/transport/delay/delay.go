@@ -24,7 +24,7 @@ import (
 // tuned on the repo's dumbbell scenarios.
 type Config struct {
 	// Base is the shared bookkeeping configuration (packet size, rate
-	// bounds, initial RTT, reorder gap).
+	// cap, initial RTT).
 	Base transport.BaseConfig
 	// ProcessNoise is the Kalman process-noise variance added per
 	// sample (default 1e-4); larger tracks gradient changes faster.

@@ -1,4 +1,4 @@
-package rap
+package transport
 
 // Fine-grain rate adaptation (the RAP variant the QA paper sets aside
 // because its sawtooth is harder to predict, included here as the

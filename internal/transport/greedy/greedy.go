@@ -16,7 +16,7 @@ import (
 // defaults.
 type Config struct {
 	// Base is the shared bookkeeping configuration (packet size, rate
-	// bounds, initial RTT, reorder gap).
+	// cap, initial RTT).
 	Base transport.BaseConfig
 	// SSGrowth is the per-step multiplicative factor during slow start
 	// (default 1.5).

@@ -1,94 +1,93 @@
 package transport
 
-import (
-	"qav/internal/metrics"
-	"qav/internal/rap"
-)
+// RAPConfig parameterizes a RAP sender. Zero fields take BaseConfig's
+// defaults.
+type RAPConfig struct {
+	// PacketSize is the fixed payload size in bytes.
+	PacketSize int
+	// InitialRate is the starting transmission rate, bytes/s.
+	InitialRate float64
+	// MaxRate optionally caps the rate (0 = uncapped), bytes/s.
+	MaxRate float64
+	// InitialRTT seeds the SRTT estimator, seconds.
+	InitialRTT float64
+	// FineGrain enables the RAP variant with fine-grain inter-ACK rate
+	// adaptation (short/long RTT ratio modulating the inter-packet
+	// gap). The quality adaptation paper analyzes the variant without
+	// it; the variant with it is smoother against TCP.
+	FineGrain bool
+}
 
-// RAP adapts the reference rap.Sender to the Transport interface. It is
-// a zero-logic shim: every method delegates to the sender unchanged, so
-// a flow driven through the adapter is transmit-decision-identical to
-// one driving the sender directly (the differential test in this
-// package holds both to bitwise-equal rates, gaps, and backoffs).
+// RAP is the Rate Adaptation Protocol sender (Rejaie, Handley, Estrin),
+// the TCP-friendly, rate-based AIMD congestion control the paper's
+// quality adaptation runs on and the backend behind every figure and
+// table the repo regenerates: Base's bookkeeping plus the AIMD policy —
+// one packet per SRTT up each step, halve once per loss cluster — and
+// the optional fine-grain IPG factor. Not goroutine-safe; one flow owns
+// one RAP.
 type RAP struct {
-	snd *rap.Sender
-
-	// scratch is the reused Backoff conversion buffer: backoffs are
-	// rare, but the ACK path must stay allocation-free even through a
-	// loss episode. Valid until the next OnAck/Step, per the interface
-	// contract.
-	scratch Backoff
+	Base
+	fg fineGrain
 }
 
-// NewRAP returns the RAP backend (zero cfg fields take rap's defaults).
-func NewRAP(cfg rap.Config) *RAP {
-	return &RAP{snd: rap.NewSender(cfg)}
-}
+var _ Transport = (*RAP)(nil)
 
-// Sender exposes the wrapped rap.Sender for rap-specific inspection
-// (fine-grain factor, instantaneous slope) in tests and diagnostics.
-func (t *RAP) Sender() *rap.Sender { return t.snd }
-
-func (t *RAP) convert(b *rap.Backoff) *Backoff {
-	if b == nil {
-		return nil
+// NewRAP returns a RAP sender with cfg (zero fields take defaults).
+func NewRAP(cfg RAPConfig) *RAP {
+	return &RAP{
+		Base: NewBase(BaseConfig{
+			PacketSize:  cfg.PacketSize,
+			InitialRate: cfg.InitialRate,
+			MaxRate:     cfg.MaxRate,
+			InitialRTT:  cfg.InitialRTT,
+		}),
+		fg: fineGrain{enabled: cfg.FineGrain},
 	}
-	t.scratch = Backoff{Time: b.Time, OldRate: b.OldRate, NewRate: b.NewRate, LostSeqs: b.LostSeqs}
-	return &t.scratch
 }
-
-// OnSend registers a packet transmission and returns its sequence number.
-func (t *RAP) OnSend(now float64) int64 { return t.snd.OnSend(now) }
-
-// OnAck processes an acknowledgement, returning any loss backoff.
-func (t *RAP) OnAck(now float64, seq int64) *Backoff {
-	return t.convert(t.snd.OnAck(now, seq))
-}
-
-// Step runs RAP's periodic rate decision (timeout check, additive
-// increase).
-func (t *RAP) Step(now float64) *Backoff { return t.convert(t.snd.Step(now)) }
-
-// StepInterval returns one SRTT.
-func (t *RAP) StepInterval() float64 { return t.snd.StepInterval() }
-
-// Rate returns the current transmission rate, bytes/s.
-func (t *RAP) Rate() float64 { return t.snd.Rate() }
-
-// IPG returns the current inter-packet gap, seconds.
-func (t *RAP) IPG() float64 { return t.snd.IPG() }
-
-// SRTT returns the smoothed RTT estimate, seconds.
-func (t *RAP) SRTT() float64 { return t.snd.SRTT() }
-
-// ConservativeSlope returns RAP's peak-RTT-envelope slope estimate.
-func (t *RAP) ConservativeSlope() float64 { return t.snd.ConservativeSlope() }
-
-// PacketSize returns the configured payload size, bytes.
-func (t *RAP) PacketSize() int { return t.snd.PacketSize() }
 
 // Kind returns KindRAP.
-func (t *RAP) Kind() Kind { return KindRAP }
+func (r *RAP) Kind() Kind { return KindRAP }
 
-// Counters returns the sender's cumulative decision counts.
-func (t *RAP) Counters() Counters {
-	return Counters{
-		Sent:     t.snd.Sent,
-		Acked:    t.snd.Acked,
-		Lost:     t.snd.Lost,
-		Backoffs: t.snd.Backoffs,
-		Timeouts: t.snd.TimeoutEv,
-	}
+// IPG returns the current inter-packet gap in seconds, including the
+// fine-grain feedback adjustment when that variant is enabled.
+func (r *RAP) IPG() float64 { return r.Base.IPG() * r.fg.factor() }
+
+// FineGrainFactor returns the current fine-grain IPG multiplier (1 when
+// the variant is disabled).
+func (r *RAP) FineGrainFactor() float64 { return r.fg.factor() }
+
+// ConservativeSlope returns a pessimistic estimate of the additive
+// increase slope (one packet per SRTT, once per SRTT, bytes/s²) based on
+// the peak-RTT envelope rather than the instantaneous SRTT. Queue
+// buildup makes SRTT — and hence the instantaneous slope — swing
+// several-fold within one congestion cycle; the paper (§2.2) names slope
+// misestimation as a cause of critical situations, so quality adaptation
+// decisions use this slower, smaller estimate.
+func (r *RAP) ConservativeSlope() float64 {
+	rtt := r.PeakRTT()
+	return float64(r.PacketSize()) / (rtt * rtt)
 }
 
-// Instrument wires the shared instruments and per-prefix Func counters
-// through to the sender, preserving the exact metric names the direct
-// rap path registered ("<prefix>.sent", ".acked", ".lost", ".rate").
-func (t *RAP) Instrument(reg *metrics.Registry, prefix string, ins *Instruments) {
-	t.snd.Instrument(reg, prefix, &rap.Instruments{
-		Backoffs: ins.Backoffs,
-		Timeouts: ins.Timeouts,
-		SRTT:     ins.SRTT,
-		AckGap:   ins.AckGap,
-	})
+// OnAck processes an acknowledgement for seq received at time now. It
+// returns the backoff performed, if any (loss inferred from the ACK
+// pattern), or nil.
+func (r *RAP) OnAck(now float64, seq int64) *Backoff {
+	if rtt, ok := r.AckRTT(now, seq); ok {
+		r.fg.sample(rtt)
+	}
+	if lost := r.ReorderLosses(); len(lost) > 0 {
+		return r.Backoff(now, r.Rate()/2, lost)
+	}
+	return nil
+}
+
+// Step performs the periodic (once per SRTT) rate decision: checking for
+// timed-out packets and, absent loss, applying the additive increase. It
+// returns the backoff performed, if any.
+func (r *RAP) Step(now float64) *Backoff {
+	if lost := r.TimeoutLosses(now); len(lost) > 0 {
+		return r.Backoff(now, r.Rate()/2, lost)
+	}
+	r.SetRate(r.Rate() + float64(r.PacketSize())/r.SRTT())
+	return nil
 }

@@ -6,11 +6,11 @@
 // exactly that surface — the scenario sources drive any backend through
 // it, and backends plug in without the QA or scenario layers changing.
 //
-// Three backends implement it:
+// Three backends implement it, each Base (sequence window, RTT/RTO
+// estimator, backoff fence, counters, instruments) plus a rate policy:
 //
-//   - the RAP adapter in this package (NewRAP), wrapping the reference
-//     rap.Sender byte-for-byte: every figure and table the repo
-//     regenerates is produced through this adapter;
+//   - RAP in this package (NewRAP), the paper's AIMD sender: every
+//     figure and table the repo regenerates is produced through it;
 //   - transport/delay, a delay-based (GCC-style) controller that
 //     Kalman-filters the RTT gradient and backs off on overuse, before
 //     loss;
@@ -129,11 +129,10 @@ type Transport interface {
 // Instruments are the metric handles a transport records through,
 // registered once per flow class. The record sites are branch-guarded:
 // an uninstrumented backend pays one predictable branch. The names
-// registered under a prefix are byte-stable with the pre-interface
-// rap.Instruments ("<prefix>.backoffs", ".timeouts", ".srtt",
-// ".ackgap"), so RAP-backend reports did not change when the seam was
-// extracted. Backends may register extra, backend-specific metrics in
-// Instrument (the delay backend adds "<prefix>.overuse").
+// registered under a prefix ("<prefix>.backoffs", ".timeouts", ".srtt",
+// ".ackgap") are part of the report format. Backends may register
+// extra, backend-specific metrics in Instrument (the delay backend adds
+// "<prefix>.overuse").
 type Instruments struct {
 	// Backoffs counts rate decreases (loss clusters or overuse events
 	// reacted to).

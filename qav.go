@@ -31,9 +31,9 @@ import (
 	"qav/internal/core"
 	"qav/internal/metrics"
 	"qav/internal/netio"
-	"qav/internal/rap"
 	"qav/internal/scenario"
 	"qav/internal/trace"
+	"qav/internal/transport"
 	"qav/internal/video"
 )
 
@@ -166,7 +166,7 @@ type (
 	// Pipe is a UDP relay imposing bandwidth, delay, and loss.
 	Pipe = netio.Pipe
 	// RAPConfig parameterizes the RAP congestion control sender.
-	RAPConfig = rap.Config
+	RAPConfig = transport.RAPConfig
 	// VideoConfig parameterizes the client-side playout model
 	// (hierarchical decoding, startup buffering, stall accounting).
 	VideoConfig = video.Config
