@@ -77,7 +77,7 @@ func main() {
 	pkt := flag.Int("pkt", 512, "packet size, bytes")
 	transportName := flag.String("transport", "", "congestion-control backend for QA and cross-traffic flows: rap (default), delay, greedy")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU)")
-	shards := flag.Int("shards", 1, "engines per run: 1 = classic serial, N >= 2 = one bottleneck shard plus N-1 flow shards with identical results (see DESIGN.md, Parallel DES)")
+	shards := flag.Int("shards", 1, "engines per run: 1 = classic serial, N >= 2 = one bottleneck shard plus N-1 flow shards with identical results; pays off above roughly 4,000 flows (x1.4 at 10,000 flows and 3 shards on 2 vCPUs) and costs 10-20% below that (see DESIGN.md, Parallel DES)")
 	tsv := flag.Bool("tsv", false, "dump full time series as TSV")
 	events := flag.Bool("events", false, "dump the controller event log")
 	reportPath := flag.String("report", "", `write a JSON run report to this file ("-" = stdout)`)

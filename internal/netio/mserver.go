@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"qav/internal/core"
+	"qav/internal/flow"
 	"qav/internal/metrics"
 	"qav/internal/transport"
 )
@@ -614,7 +615,7 @@ func (sh *shard) run(ctx context.Context) {
 // Tick-driven (sustained load): sleep to the next wheel tick, then take
 // what queued meanwhile with non-blocking reads. An acknowledgement
 // waits at most a tick in the socket buffer; a packet leaves at most a
-// tick after its nextSend and never before it, and buildPacket advances
+// tick after its NextSend and never before it, and buildPacket advances
 // the pace from the scheduled instant, so the lateness is repaid.
 //
 // The read deadline armed by the arrival-driven branch is cleared on
@@ -786,7 +787,7 @@ func (sh *shard) handle(m inMsg, now float64) {
 		st.onAck(now, m.ack)
 		sh.srv.acked.Inc()
 		// No re-filing: acks only move wake instants later (idle
-		// expiry pushes out; nextSend is untouched), and the wheel
+		// expiry pushes out; NextSend is untouched), and the wheel
 		// re-files lazily at fire time.
 	}
 }
@@ -809,7 +810,7 @@ func (sh *shard) pump(now float64) (sent int, next float64) {
 			st = nxt
 			continue
 		}
-		if st.nextSend <= now && k < len(sh.msgs) {
+		if st.flow.NextSend <= now && k < len(sh.msgs) {
 			k = sh.buildDue(st, now, k)
 		}
 		// Re-file at the (possibly moved) wake instant. Wakes still in
@@ -840,7 +841,7 @@ func (sh *shard) expired(st *session, now float64) bool {
 // wakeAt is the earliest instant st next needs service: its paced send
 // or whichever expiry comes first.
 func (sh *shard) wakeAt(st *session) float64 {
-	w := st.nextSend
+	w := st.flow.NextSend
 	if st.deadline < w {
 		w = st.deadline
 	}
@@ -850,20 +851,13 @@ func (sh *shard) wakeAt(st *session) float64 {
 	return w
 }
 
-// sendBurst bounds per-session catch-up within one pump. A session
-// that fell behind (timer coalescing at idleSweepSec, a long inbox
-// drain, a descheduled shard) may send up to this many back-to-back
-// packets per wakeup instead of one, so recovery takes
-// O(backlog/burst) wakeups rather than O(backlog) — while staying
-// small enough that no one session can monopolize the write batch.
-const sendBurst = 8
-
-// buildDue appends st's due packets (up to sendBurst, bounded by the
-// batch budget) to the write batch starting at index k, returning the
-// new fill level. buildPacket advances st.nextSend each call, so the
-// loop exits as soon as the session is caught up.
+// buildDue appends st's due packets (up to flow.SendBurst, the most
+// pacing debt the driver lets a session carry; bounded by the batch
+// budget) to the write batch starting at index k, returning the new
+// fill level. buildPacket advances the driver's NextSend each call, so
+// the loop exits as soon as the session is caught up.
 func (sh *shard) buildDue(st *session, now float64, k int) int {
-	for b := 0; b < sendBurst && st.nextSend <= now && k < len(sh.msgs); b++ {
+	for b := 0; b < flow.SendBurst && st.flow.NextSend <= now && k < len(sh.msgs); b++ {
 		if n := st.buildPacket(now, sh.msgs[k].Buf); n > 0 {
 			sh.msgs[k].N = n
 			sh.msgs[k].Addr = st.addr

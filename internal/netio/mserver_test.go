@@ -433,27 +433,27 @@ func TestSessionAckForNeverSentSeqIgnored(t *testing.T) {
 	if sess == nil {
 		t.Fatal("session not created")
 	}
-	for sess.snd.Outstanding() < 5 {
+	for sess.flow.Tr.Outstanding() < 5 {
 		now += 0.02
 		sh.pump(now)
 	}
-	rate, out, sent := sess.snd.Rate(), sess.snd.Outstanding(), sess.snd.Counters().Sent
+	rate, out, sent := sess.flow.Tr.Rate(), sess.flow.Tr.Outstanding(), sess.flow.Tr.Counters().Sent
 	for _, seq := range []int64{sent, sent + 1000, -7} {
 		sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 	}
 	if st := sh.srv.Stats(); st.Backoffs != 0 {
 		t.Fatalf("ACKs for never-sent sequences caused %d backoffs", st.Backoffs)
 	}
-	if sess.snd.Rate() != rate || sess.snd.Outstanding() != out || sess.snd.Counters().Lost != 0 {
-		t.Fatalf("rate %v -> %v, outstanding %d -> %d, lost %d", rate, sess.snd.Rate(), out, sess.snd.Outstanding(), sess.snd.Counters().Lost)
+	if sess.flow.Tr.Rate() != rate || sess.flow.Tr.Outstanding() != out || sess.flow.Tr.Counters().Lost != 0 {
+		t.Fatalf("rate %v -> %v, outstanding %d -> %d, lost %d", rate, sess.flow.Tr.Rate(), out, sess.flow.Tr.Outstanding(), sess.flow.Tr.Counters().Lost)
 	}
 	// The honest ACKs that follow are all taken.
 	for seq := int64(0); seq < sent; seq++ {
 		sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 	}
-	if sess.snd.Counters().Acked != sent || sess.snd.Outstanding() != 0 || sh.srv.Stats().Backoffs != 0 {
+	if sess.flow.Tr.Counters().Acked != sent || sess.flow.Tr.Outstanding() != 0 || sh.srv.Stats().Backoffs != 0 {
 		t.Fatalf("after acking all %d: acked %d, outstanding %d, backoffs %d",
-			sent, sess.snd.Counters().Acked, sess.snd.Outstanding(), sh.srv.Stats().Backoffs)
+			sent, sess.flow.Tr.Counters().Acked, sess.flow.Tr.Outstanding(), sh.srv.Stats().Backoffs)
 	}
 }
 
@@ -571,7 +571,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				ackAll := func(now float64) {
 					// Acknowledge everything outstanding (in order) so RAP and
 					// the controller reach — and stay in — steady state.
-					for seq := sess.snd.Counters().Acked + sess.snd.Counters().Lost; seq < sess.snd.Counters().Sent; seq++ {
+					for seq := sess.flow.Tr.Counters().Acked + sess.flow.Tr.Counters().Lost; seq < sess.flow.Tr.Counters().Sent; seq++ {
 						sh.handle(inMsg{addr: sinkAddr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 					}
 				}
@@ -587,12 +587,12 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					pumpSlice()
 				}
-				sentBefore := sess.snd.Counters().Sent
+				sentBefore := sess.flow.Tr.Counters().Sent
 				allocs := testing.AllocsPerRun(20, pumpSlice)
 				if allocs != 0 {
 					t.Fatalf("steady-state serve send loop (%s/%s): %.1f allocs per 1s slice, want 0", kind, leg.name, allocs)
 				}
-				if sess.snd.Counters().Sent == sentBefore {
+				if sess.flow.Tr.Counters().Sent == sentBefore {
 					t.Fatal("measured window sent nothing")
 				}
 			})
@@ -630,7 +630,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				for i := 0; i < 50; i++ {
 					now += 0.02
 					sh.pumpDue(now)
-					for seq := sess.snd.Counters().Acked + sess.snd.Counters().Lost; seq < sess.snd.Counters().Sent; seq++ {
+					for seq := sess.flow.Tr.Counters().Acked + sess.flow.Tr.Counters().Lost; seq < sess.flow.Tr.Counters().Sent; seq++ {
 						n, _ := EncodeAck(ack, Ack{AckSeq: seq, NackLayer: NoNack})
 						peer.WriteToUDPAddrPort(ack[:n], srvAddr)
 					}
@@ -645,14 +645,14 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				tickSlice()
 			}
-			sentBefore, drainedBefore := sess.snd.Counters().Sent, drained
+			sentBefore, drainedBefore := sess.flow.Tr.Counters().Sent, drained
 			if allocs := testing.AllocsPerRun(20, tickSlice); allocs != 0 {
 				t.Fatalf("steady-state drain+pump (%s): %.1f allocs per 1s slice, want 0", kind, allocs)
 			}
-			if sess.snd.Counters().Sent == sentBefore || drained == drainedBefore {
-				t.Fatalf("measured window sent %d packets and drained %d datagrams", sess.snd.Counters().Sent-sentBefore, drained-drainedBefore)
+			if sess.flow.Tr.Counters().Sent == sentBefore || drained == drainedBefore {
+				t.Fatalf("measured window sent %d packets and drained %d datagrams", sess.flow.Tr.Counters().Sent-sentBefore, drained-drainedBefore)
 			}
-			if sess.snd.Counters().Acked == 0 {
+			if sess.flow.Tr.Counters().Acked == 0 {
 				t.Fatal("no ACK ever reached the session through the socket")
 			}
 		})
@@ -688,7 +688,7 @@ func TestMultiServerMemoryBoundedUnderLoad(t *testing.T) {
 		for i := 0; i < slices; i++ {
 			now += 0.02
 			sh.pump(now)
-			for seq := sess.snd.Counters().Acked + sess.snd.Counters().Lost; seq < sess.snd.Counters().Sent; seq++ {
+			for seq := sess.flow.Tr.Counters().Acked + sess.flow.Tr.Counters().Lost; seq < sess.flow.Tr.Counters().Sent; seq++ {
 				if seq%2 == 0 {
 					continue // half the stream is never acknowledged
 				}

@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"qav/internal/core"
+	"qav/internal/flow"
 	"qav/internal/metrics"
 	"qav/internal/transport"
 )
@@ -12,7 +13,6 @@ import (
 type nack struct {
 	layer int
 	off   int64
-	n     int
 }
 
 // nackCap bounds pending retransmissions per client. A misbehaving
@@ -22,10 +22,6 @@ type nack struct {
 // records the shed load.
 const nackCap = 64
 
-// seqWindow is the per-client seq -> layer attribution ring size, a
-// power of two. Memory per client scales with it.
-const seqWindow = 1 << 10
-
 // nackRing is a fixed-capacity drop-oldest queue of retransmission
 // requests.
 type nackRing struct {
@@ -34,14 +30,17 @@ type nackRing struct {
 	dropped int64
 }
 
-func (q *nackRing) push(nk nack) {
-	if q.n == len(q.buf) {
+// push queues nk and reports whether the oldest request was shed to
+// make room.
+func (q *nackRing) push(nk nack) (shed bool) {
+	if shed = q.n == len(q.buf); shed {
 		q.head = (q.head + 1) % len(q.buf)
 		q.n--
 		q.dropped++
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = nk
 	q.n++
+	return shed
 }
 
 func (q *nackRing) pop() nack {
@@ -63,44 +62,36 @@ func (q *nackRing) queued(layer int, off int64) bool {
 }
 
 // sessionInstruments are the shared (per-shard, not per-session)
-// metric handles a session records through. Nil handles are skipped, so
-// a partially-instrumented session is fine.
+// metric handles a session records through.
 type sessionInstruments struct {
 	Retransmits *metrics.Counter // selective retransmissions sent
 	NackDrops   *metrics.Counter // retransmission requests shed at the cap
 	Delivered   *metrics.Counter // acked packets credited to the controller
-	Backoffs    *metrics.Counter // RAP multiplicative decreases (loss inferred)
+	Backoffs    *metrics.Counter // rate decreases (loss inferred)
 	// Lateness is pacing lateness in µs: the instant a packet is built
-	// minus the nextSend it was scheduled for. It is what wake
+	// minus the NextSend it was scheduled for. It is what wake
 	// coalescing spends to save CPU (up to a wheel tick per packet) and
 	// what an overloaded shard shows first.
 	Lateness *metrics.Histogram
 }
 
-// session is the per-client stream state: one RAP sender (the same
-// transport.RAP the simulator's flows run, held by concrete pointer so
-// the send path pays no interface dispatch), one quality adaptation
-// controller, the seq -> layer attribution ring, per-layer stream
-// offsets, and the bounded retransmission queue. It is not
+// session is one client's stream: the shared flow.Driver (the QA +
+// congestion-control loop the simulator's sources also run, here over
+// transport.RAP and stepped lazily at send time) plus what only the
+// server has — the wire encoding, per-layer stream offsets, the bounded
+// retransmission queue, expiry instants and the wheel linkage. It is not
 // goroutine-safe — its owner, a MultiServer shard, touches it from its
 // one goroutine only. All times are float64 seconds on the shard's clock.
 type session struct {
-	snd  *transport.RAP
-	ctrl *core.Controller
+	flow flow.Driver
 	addr netip.AddrPort
 
-	pktSize     int
-	payload     []byte // shared zero payload, read-only
-	seqLayer    seqRing
-	layerOff    []int64 // next byte offset per layer's stream
-	sentByLayer []int64 // packets per layer
-	nacks       nackRing
-	retransmits int64
+	payload  []byte  // shared zero payload, read-only
+	layerOff []int64 // next byte offset per layer's stream
+	nacks    nackRing
 
-	ins *sessionInstruments
+	ins *sessionInstruments // nil: uninstrumented (tests)
 
-	lastStep float64 // last RAP Step invocation
-	nextSend float64 // next paced transmission instant
 	lastRecv float64 // last ack/req arrival, for idle expiry
 	deadline float64 // stream end
 
@@ -126,85 +117,43 @@ func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, p
 	if err != nil {
 		return nil, err
 	}
-	maxL := ctrl.P.MaxLayers
 	return &session{
-		snd:         transport.NewRAP(rcfg),
-		ctrl:        ctrl,
-		addr:        addr,
-		pktSize:     rcfg.PacketSize,
-		payload:     payload,
-		seqLayer:    newSeqRing(seqWindow),
-		layerOff:    make([]int64, maxL),
-		sentByLayer: make([]int64, maxL),
-		lastStep:    now,
-		nextSend:    now,
-		lastRecv:    now,
-		wslot:       wheelNone,
+		flow:     flow.New(transport.NewRAP(rcfg), ctrl, now),
+		addr:     addr,
+		payload:  payload,
+		layerOff: make([]int64, ctrl.P.MaxLayers),
+		lastRecv: now,
+		wslot:    wheelNone,
 	}, nil
 }
 
-// step runs the periodic (once per SRTT) RAP rate decision if due.
-func (st *session) step(now float64) {
-	if now-st.lastStep < st.snd.StepInterval() {
-		return
-	}
-	if b := st.snd.Step(now); b != nil {
-		st.onBackoff(now, b)
-	}
-	st.lastStep = now
-}
-
 // buildPacket assembles the next paced data packet into buf (which must
-// hold pktSize bytes) and returns its wire length. It advances the
-// stream: RAP step if due, layer selection or selective retransmission,
-// sequence assignment, and the next-send instant. Zero-alloc.
+// hold a full packet) and returns its wire length. The driver takes the
+// send slot — step if due, layer or repair, sequence, next-send instant
+// — and the session supplies the stream offset: the next new bytes of
+// the layer, or the oldest requested hole on a repair slot. Zero-alloc.
 func (st *session) buildPacket(now float64, buf []byte) int {
-	st.step(now)
-	var layer int
+	late := now - st.flow.NextSend
+	backedOff := st.flow.StepIfDue(now)
+	seq, layer := st.flow.Send(now, st.nacks.n > 0)
+	repair := layer == flow.Repair
 	var off int64
-	retrans := false
-	// Selective retransmission (§1.3): when the rate exceeds the
-	// consumption rate, spend the next slot repairing the oldest
-	// requested hole instead of sending new data. Retransmissions
-	// remain congestion controlled (they consume a send slot).
-	if st.nacks.n > 0 && st.snd.Rate() >= st.ctrl.ConsumptionRate() {
+	if repair {
 		nk := st.nacks.pop()
-		layer, off, retrans = nk.layer, nk.off, true
-		st.retransmits++
-		if st.ins != nil && st.ins.Retransmits != nil {
+		layer, off = nk.layer, nk.off
+	} else {
+		off = st.layerOff[layer]
+		st.layerOff[layer] += int64(st.flow.PacketSize)
+	}
+	if st.ins != nil {
+		st.ins.Lateness.Observe(late * 1e6)
+		if backedOff {
+			st.ins.Backoffs.Inc()
+		}
+		if repair {
 			st.ins.Retransmits.Inc()
 		}
-		st.ctrl.Tick(now, st.snd.Rate(), st.snd.ConservativeSlope())
-	} else {
-		layer = st.ctrl.PickLayer(now, st.snd.Rate(), st.snd.ConservativeSlope(), st.pktSize)
-		off = st.layerOff[layer]
-		st.layerOff[layer] += int64(st.pktSize)
 	}
-	seq := st.snd.OnSend(now)
-	if !retrans {
-		// Retransmitted bytes sit behind the playout point; they repair
-		// holes but do not extend the receiver's buffer, so they are not
-		// credited to the controller on ACK.
-		st.seqLayer.put(seq, layer)
-	}
-	if layer >= 0 && layer < len(st.sentByLayer) {
-		st.sentByLayer[layer]++
-	}
-	// Advance the pace from the *scheduled* instant, not the actual
-	// one, so lateness (timer coalescing at the shard sweep, a long
-	// inbox drain, a descheduled goroutine) is repaid by temporarily
-	// closer spacing instead of silently sagging below the target rate.
-	// Debt is capped at sendBurst gaps: a long stall earns a bounded
-	// catch-up burst, never an unbounded line-rate blast.
-	ipg := st.snd.IPG()
-	base := st.nextSend
-	if st.ins != nil && st.ins.Lateness != nil {
-		st.ins.Lateness.Observe((now - base) * 1e6)
-	}
-	if floor := now - float64(sendBurst)*ipg; base < floor {
-		base = floor
-	}
-	st.nextSend = base + ipg
 	n, err := EncodeData(buf, DataHeader{
 		Seq:        seq,
 		Layer:      uint8(layer),
@@ -217,42 +166,33 @@ func (st *session) buildPacket(now float64, buf []byte) int {
 	return n
 }
 
-// onAck feeds one acknowledgement through RAP and the controller, and
-// queues any piggybacked retransmission request.
+// onAck feeds one acknowledgement to the driver and queues any
+// piggybacked retransmission request.
 func (st *session) onAck(now float64, a Ack) {
 	st.lastRecv = now
-	if b := st.snd.OnAck(now, a.AckSeq); b != nil {
-		st.onBackoff(now, b)
-	}
-	if layer, ok := st.seqLayer.take(a.AckSeq); ok {
-		st.ctrl.OnDelivered(now, layer, st.pktSize)
-		if st.ins != nil && st.ins.Delivered != nil {
-			st.ins.Delivered.Inc()
-		}
-	}
-	if a.NackLayer != NoNack && int(a.NackLayer) < len(st.layerOff) {
+	backedOff, credited := st.flow.Ack(now, a.AckSeq)
+	// A request must name bytes already sent on a layer that exists;
+	// NackOff is checked before it is quantized because Go's remainder
+	// keeps the dividend's sign, which would round (-pktSize, 0) up to 0.
+	shed := false
+	if a.NackLayer != NoNack && int(a.NackLayer) < len(st.layerOff) && a.NackOff >= 0 {
 		// Quantize the request to packet-aligned offsets and bound it
 		// to one packet per queue entry.
-		pkt := int64(st.pktSize)
+		pkt := int64(st.flow.PacketSize)
 		off := a.NackOff - a.NackOff%pkt
-		if off >= 0 && off < st.layerOff[a.NackLayer] && !st.nacks.queued(int(a.NackLayer), off) {
-			before := st.nacks.dropped
-			st.nacks.push(nack{layer: int(a.NackLayer), off: off, n: int(pkt)})
-			if st.nacks.dropped != before && st.ins != nil && st.ins.NackDrops != nil {
-				st.ins.NackDrops.Inc()
-			}
+		if off < st.layerOff[a.NackLayer] && !st.nacks.queued(int(a.NackLayer), off) {
+			shed = st.nacks.push(nack{layer: int(a.NackLayer), off: off})
 		}
 	}
-}
-
-// onBackoff passes a RAP backoff on to the controller and drops layer
-// attribution for the packets it declared lost.
-func (st *session) onBackoff(now float64, b *transport.Backoff) {
-	st.ctrl.OnBackoff(now, b.NewRate, st.snd.ConservativeSlope())
-	for _, q := range b.LostSeqs {
-		st.seqLayer.del(q)
-	}
-	if st.ins != nil && st.ins.Backoffs != nil {
-		st.ins.Backoffs.Inc()
+	if st.ins != nil {
+		if backedOff {
+			st.ins.Backoffs.Inc()
+		}
+		if credited {
+			st.ins.Delivered.Inc()
+		}
+		if shed {
+			st.ins.NackDrops.Inc()
+		}
 	}
 }

@@ -6,9 +6,9 @@ import "math"
 // path: a two-level hierarchical timing wheel over the shard's sessions.
 //
 // Motivation. A pump that walks every connected session on every wakeup
-// to find the few whose nextSend is due costs a shard O(population) even
+// to find the few whose NextSend is due costs a shard O(population) even
 // when almost all of it is idle. The wheel schedules each session at its
-// next wake instant — min(nextSend, deadline, idle expiry) — and a
+// next wake instant — min(NextSend, deadline, idle expiry) — and a
 // wakeup advances the wheel position and touches only the sessions
 // whose slots fire: O(due), not O(connected).
 //

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"qav/internal/core"
+	"qav/internal/flow"
 	"qav/internal/transport"
 )
 
@@ -218,11 +219,11 @@ func scanPump(sh *shard, now float64) (sent int, next float64) {
 			sh.removeSession(st)
 			continue
 		}
-		if st.nextSend <= now {
+		if st.flow.NextSend <= now {
 			k = sh.buildDue(st, now, k)
 		}
-		if st.nextSend < next {
-			next = st.nextSend
+		if st.flow.NextSend < next {
+			next = st.flow.NextSend
 		}
 	}
 	sh.flush(k)
@@ -298,7 +299,7 @@ func TestPacerDifferentialRandomized(t *testing.T) {
 		// Ack decisions are generated once (from the scan shard's
 		// state) and applied to both, so the servers see identical
 		// input even while we verify their states match.
-		for seq := st.snd.Counters().Acked + st.snd.Counters().Lost; seq < st.snd.Counters().Sent; seq++ {
+		for seq := st.flow.Tr.Counters().Acked + st.flow.Tr.Counters().Lost; seq < st.flow.Tr.Counters().Sent; seq++ {
 			if frac < 1 && rng.Float64() >= frac {
 				continue
 			}
@@ -321,11 +322,11 @@ func TestPacerDifferentialRandomized(t *testing.T) {
 			if b == nil {
 				t.Fatalf("step %d: %v live under scan, expired under wheel", step, addr)
 			}
-			if a.snd.Counters().Sent != b.snd.Counters().Sent {
-				t.Fatalf("step %d %v: sent %d vs %d", step, addr, a.snd.Counters().Sent, b.snd.Counters().Sent)
+			if a.flow.Tr.Counters().Sent != b.flow.Tr.Counters().Sent {
+				t.Fatalf("step %d %v: sent %d vs %d", step, addr, a.flow.Tr.Counters().Sent, b.flow.Tr.Counters().Sent)
 			}
-			if a.nextSend != b.nextSend {
-				t.Fatalf("step %d %v: nextSend %.17g vs %.17g", step, addr, a.nextSend, b.nextSend)
+			if a.flow.NextSend != b.flow.NextSend {
+				t.Fatalf("step %d %v: nextSend %.17g vs %.17g", step, addr, a.flow.NextSend, b.flow.NextSend)
 			}
 			if a.deadline != b.deadline {
 				t.Fatalf("step %d %v: deadline %.17g vs %.17g", step, addr, a.deadline, b.deadline)
@@ -442,7 +443,7 @@ func TestPumpDueReturnsWhenOnlyTheClockHelps(t *testing.T) {
 	sh.handle(inMsg{addr: synthAddr(1), kind: KindReq, durMs: 60_000}, 0)
 	st := sh.sessions[synthAddr(1)]
 	sh.pumpDue(0)
-	st.nextSend = 1e9 // nothing to send; only the idle cutoff wakes it
+	st.flow.NextSend = 1e9 // nothing to send; only the idle cutoff wakes it
 	sh.wheel.unlink(st)
 	sh.wheel.place(st, sh.wakeAt(st))
 	done := make(chan struct{})
@@ -474,7 +475,7 @@ func TestShardStallRecoveryBurst(t *testing.T) {
 	sh.handle(inMsg{addr: addr, kind: KindReq, durMs: 3_600_000}, now)
 	st := sh.sessions[addr]
 	ackAll := func() {
-		for seq := st.snd.Counters().Acked + st.snd.Counters().Lost; seq < st.snd.Counters().Sent; seq++ {
+		for seq := st.flow.Tr.Counters().Acked + st.flow.Tr.Counters().Lost; seq < st.flow.Tr.Counters().Sent; seq++ {
 			sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 		}
 	}
@@ -493,14 +494,14 @@ func TestShardStallRecoveryBurst(t *testing.T) {
 		sh.pump(now)
 		ackAll()
 	}
-	sentBefore := st.snd.Counters().Sent
+	sentBefore := st.flow.Tr.Counters().Sent
 	start := now
 	for now-start < 2.0 {
 		now += 0.02
 		sh.pump(now)
 		ackAll()
 	}
-	rate := float64(st.snd.Counters().Sent-sentBefore) / (now - start)
+	rate := float64(st.flow.Tr.Counters().Sent-sentBefore) / (now - start)
 	const target = 40_000.0 / 512.0
 	if rate < 0.85*target {
 		t.Fatalf("post-stall rate %.1f pkt/s at 20 ms wakeups, want ≈%.1f (one-per-wakeup ceiling would be 50)", rate, target)
@@ -517,7 +518,7 @@ func addIdle(sh *shard, n int, now float64) {
 	for i := 0; i < n; i++ {
 		st := &session{
 			addr:     synthAddr(100_000 + i),
-			nextSend: 1e9,
+			flow:     flow.Driver{NextSend: 1e9},
 			deadline: 1e9,
 			lastRecv: now,
 			wslot:    wheelNone,
@@ -560,7 +561,7 @@ func pumpVisits(t testing.TB, pump pumpFn, visits func(*shard, float64) int64, n
 	ackAll := func() {
 		for _, a := range addrs {
 			st := sh.sessions[a]
-			for seq := st.snd.Counters().Acked + st.snd.Counters().Lost; seq < st.snd.Counters().Sent; seq++ {
+			for seq := st.flow.Tr.Counters().Acked + st.flow.Tr.Counters().Lost; seq < st.flow.Tr.Counters().Sent; seq++ {
 				sh.handle(inMsg{addr: a, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 			}
 		}
@@ -621,7 +622,7 @@ func BenchmarkPumpIdleScaling(b *testing.B) {
 				for i := 0; i < 200; i++ {
 					now += 0.005
 					pump(sh, now)
-					for seq := st.snd.Counters().Acked + st.snd.Counters().Lost; seq < st.snd.Counters().Sent; seq++ {
+					for seq := st.flow.Tr.Counters().Acked + st.flow.Tr.Counters().Lost; seq < st.flow.Tr.Counters().Sent; seq++ {
 						sh.handle(inMsg{addr: addr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 					}
 				}

@@ -31,13 +31,19 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	ack = ack[:n]
+	// A negative offset is a well-formed ACK; it is the session that must
+	// refuse to retransmit for it (TestSessionRejectsNegativeNackOffset).
+	negAck := make([]byte, AckLen)
+	if _, err = EncodeAck(negAck, Ack{AckSeq: 100, NackLayer: 0, NackOff: -1, NackLen: 512}); err != nil {
+		tb.Fatal(err)
+	}
 	req := make([]byte, ReqLen)
 	n, err = EncodeReq(req, Req{DurationMs: 30_000})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	req = req[:n]
-	return [][]byte{data, ack, req}
+	return [][]byte{data, ack, negAck, req}
 }
 
 // FuzzWireDecode feeds arbitrary bytes through every decoder: none may

@@ -6,25 +6,22 @@ package scenario
 
 import (
 	"qav/internal/core"
+	"qav/internal/flow"
 	"qav/internal/sim"
 	"qav/internal/transport"
 )
 
-// ccFlow is the transport-driven flow driver shared by every
-// congestion-controlled scenario source. It owns the four event paths a
-// flow has — paced sends, periodic steps, data delivery at the sink,
-// ACK return — and drives whichever transport.Transport backend the
-// flow was built with. Role-specific behaviour (the QA source's layer
-// accounting) hangs off the nil-guarded hooks; plain cross-traffic
-// leaves them nil and pays nothing.
+// ccFlow is a congestion-controlled flow in the simulator: the shared
+// flow.Driver (the QA + congestion-control loop; Tr, Ctrl and the
+// per-layer byte counters are its fields) plus what only the simulator
+// has — the engine events that schedule paced sends and periodic steps,
+// and the packets that carry data to the sink and ACKs back.
 type ccFlow struct {
-	// Tr is the congestion-control backend driving this flow.
-	Tr transport.Transport
+	flow.Driver
 
 	eng     *sim.Engine
 	net     sim.Network
 	flowID  int
-	pktSize int
 	ackSize int
 	sink    sim.Receiver
 	ackSink sim.Receiver
@@ -34,68 +31,38 @@ type ccFlow struct {
 	sendFn func()
 	stepFn func()
 
-	// pick chooses the layer for the next packet (QA); when nil the
-	// packet's Layer keeps the pool's zero value, as plain flows always
-	// sent.
-	pick func(now float64) int
-	// sent observes each transmission (seq, layer from pick or 0).
-	sent func(seq int64, layer int)
-	// delivered observes each acknowledged sequence.
-	delivered func(now float64, seq int64)
-	// backoff observes each rate decrease the transport reports; the
-	// *transport.Backoff is only valid for the duration of the call.
-	backoff func(now float64, b *transport.Backoff)
-
 	// RecvBytes counts payload bytes delivered to the sink.
 	RecvBytes int64
 }
 
-func (f *ccFlow) init(eng *sim.Engine, net sim.Network, flowID int, tr transport.Transport) {
-	f.Tr = tr
+// start builds the driver over tr and ctrl (nil for cross traffic) and
+// schedules the send and step loops at time at.
+func (f *ccFlow) start(eng *sim.Engine, net sim.Network, flowID int, tr transport.Transport, ctrl *core.Controller, at float64) {
+	f.Driver = flow.New(tr, ctrl, at)
 	f.eng = eng
 	f.net = net
 	f.flowID = flowID
-	f.pktSize = tr.PacketSize()
 	f.ackSize = 40
 	f.sink = sim.ReceiverFunc(f.recvData)
 	f.ackSink = sim.ReceiverFunc(f.recvAck)
 	f.sendFn = f.sendLoop
 	f.stepFn = f.stepLoop
-}
-
-// start schedules the send and step loops; hooks must be set before the
-// engine runs.
-func (f *ccFlow) start(at float64) {
-	f.eng.At(at, f.sendFn)
-	f.eng.At(at, f.stepFn)
+	eng.At(at, f.sendFn)
+	eng.At(at, f.stepFn)
 }
 
 func (f *ccFlow) sendLoop() {
 	now := f.eng.Now()
-	layer := 0
-	picked := f.pick != nil
-	if picked {
-		layer = f.pick(now)
-	}
-	seq := f.Tr.OnSend(now)
-	if f.sent != nil {
-		f.sent(seq, layer)
-	}
+	seq, layer := f.Send(now, false)
 	p := f.eng.Pool().Get()
-	p.FlowID, p.Seq, p.Size = f.flowID, seq, f.pktSize
-	p.Kind, p.SendTime = sim.Data, now
-	if picked {
-		p.Layer = layer
-	}
+	p.FlowID, p.Seq, p.Size = f.flowID, seq, f.PacketSize
+	p.Kind, p.SendTime, p.Layer = sim.Data, now, layer
 	f.net.SendData(p, f.sink)
-	f.eng.After(f.Tr.IPG(), f.sendFn)
+	f.eng.At(f.NextSend, f.sendFn)
 }
 
 func (f *ccFlow) stepLoop() {
-	now := f.eng.Now()
-	if b := f.Tr.Step(now); b != nil && f.backoff != nil {
-		f.backoff(now, b)
-	}
+	f.Step(f.eng.Now())
 	f.eng.After(f.Tr.StepInterval(), f.stepFn)
 }
 
@@ -107,13 +74,7 @@ func (f *ccFlow) recvData(p *sim.Packet) {
 }
 
 func (f *ccFlow) recvAck(p *sim.Packet) {
-	now := f.eng.Now()
-	if b := f.Tr.OnAck(now, p.AckSeq); b != nil && f.backoff != nil {
-		f.backoff(now, b)
-	}
-	if f.delivered != nil {
-		f.delivered(now, p.AckSeq)
-	}
+	f.Ack(f.eng.Now(), p.AckSeq)
 }
 
 // RAPSource is a plain (non-adaptive-quality) congestion-controlled
@@ -126,81 +87,21 @@ type RAPSource struct {
 // NewRAPSource creates a cross-traffic flow over tr starting at start.
 func NewRAPSource(eng *sim.Engine, net sim.Network, flowID int, tr transport.Transport, start float64) *RAPSource {
 	r := &RAPSource{}
-	r.init(eng, net, flowID, tr)
-	r.start(start)
+	r.start(eng, net, flowID, tr, nil, start)
 	return r
 }
 
 // QASource is the paper's system under test: a congestion-controlled
 // flow whose packets are assigned to video layers by the quality
-// adaptation controller.
+// adaptation controller (the driver's Ctrl).
 type QASource struct {
 	ccFlow
-	Ctrl *core.Controller
-
-	// seqLayer attributes in-flight packets to layers for ACK crediting.
-	seqLayer map[int64]int
-
-	// SentByLayer / DeliveredByLayer count payload bytes per layer
-	// (cumulative), for the Fig 11 per-layer transmit- and delivered-rate
-	// breakdowns. They grow on demand, so any MaxLayers works.
-	SentByLayer      []int64
-	DeliveredByLayer []int64
-	// LostPkts counts data packets inferred lost.
-	LostPkts int64
 }
 
 // NewQASource creates the quality-adaptive flow over tr. Its controller
 // must be constructed by the caller (so scenarios can vary Kmax etc.).
 func NewQASource(eng *sim.Engine, net sim.Network, flowID int, tr transport.Transport, ctrl *core.Controller, start float64) *QASource {
-	q := &QASource{
-		Ctrl:     ctrl,
-		seqLayer: make(map[int64]int),
-	}
-	q.init(eng, net, flowID, tr)
-	q.pick = q.pickLayer
-	q.sent = q.onSent
-	q.delivered = q.onDelivered
-	q.backoff = q.onBackoff
-	q.start(start)
+	q := &QASource{}
+	q.start(eng, net, flowID, tr, ctrl, start)
 	return q
-}
-
-func (q *QASource) pickLayer(now float64) int {
-	return q.Ctrl.PickLayer(now, q.Tr.Rate(), q.Tr.ConservativeSlope(), q.pktSize)
-}
-
-func (q *QASource) onSent(seq int64, layer int) {
-	q.seqLayer[seq] = layer
-	if layer >= 0 {
-		q.SentByLayer = growCounters(q.SentByLayer, layer)
-		q.SentByLayer[layer] += int64(q.pktSize)
-	}
-}
-
-func (q *QASource) onDelivered(now float64, seq int64) {
-	if layer, ok := q.seqLayer[seq]; ok {
-		delete(q.seqLayer, seq)
-		q.Ctrl.OnDelivered(now, layer, q.pktSize)
-		if layer >= 0 {
-			q.DeliveredByLayer = growCounters(q.DeliveredByLayer, layer)
-			q.DeliveredByLayer[layer] += int64(q.pktSize)
-		}
-	}
-}
-
-// growCounters extends a per-layer counter slice so index layer is valid.
-func growCounters(c []int64, layer int) []int64 {
-	for len(c) <= layer {
-		c = append(c, 0)
-	}
-	return c
-}
-
-func (q *QASource) onBackoff(now float64, b *transport.Backoff) {
-	q.LostPkts += int64(len(b.LostSeqs))
-	for _, seq := range b.LostSeqs {
-		delete(q.seqLayer, seq)
-	}
-	q.Ctrl.OnBackoff(now, b.NewRate, q.Tr.ConservativeSlope())
 }

@@ -1,9 +1,10 @@
 // Package seqwin is the outstanding-packet window under transport.Base,
 // and so under every rate-based backend: which sequences are sent and
-// not yet acknowledged or declared lost, when each was sent, and the two
-// loss scans (reorder gap, timeout) Base runs over that set.
+// not yet acknowledged or declared lost, when each was sent, what the
+// sender tagged it with (the flow driver's seq -> layer attribution),
+// and the two loss scans (reorder gap, timeout) Base runs over that set.
 //
-// Send times live in a power-of-two ring indexed by seq & mask, with a
+// Slots live in a power-of-two ring indexed by seq & mask, with a
 // base below which nothing is outstanding. Send, Ack and GapLost are
 // O(1) amortised: base only moves forward, so all GapLost calls
 // together visit each sequence once. After GapLost nothing outstanding
@@ -23,7 +24,7 @@ const minSlots = 16
 // Window tracks outstanding sequences 0, 1, 2, ... in send order. The
 // zero value is an empty window ready for use. Not goroutine-safe.
 type Window struct {
-	sentAt []float64 // send time at slot seq & mask; NaN = not outstanding
+	slots  []slot // sequence seq lives at slots[seq&mask]
 	mask   int64
 	base   int64 // no sequence below base is outstanding
 	next   int64 // sequence the next Send assigns
@@ -31,71 +32,87 @@ type Window struct {
 	n      int   // outstanding count
 }
 
+type slot struct {
+	sentAt float64 // NaN = not outstanding
+	tag    int32   // caller's label; meaningless once sentAt is NaN
+}
+
 // Len returns the number of outstanding sequences.
 func (w *Window) Len() int { return w.n }
 
-// Send records the next sequence as sent at now and returns it. now
-// must not be NaN.
+// Send records the next sequence as sent at now, with tag 0, and
+// returns it. now must not be NaN.
 func (w *Window) Send(now float64) int64 {
 	seq := w.next
-	if seq-w.base >= int64(len(w.sentAt)) {
+	if seq-w.base >= int64(len(w.slots)) {
 		w.grow()
 	}
-	w.sentAt[seq&w.mask] = now
+	w.slots[seq&w.mask] = slot{sentAt: now}
 	w.next++
 	w.n++
 	return seq
+}
+
+// SetTag labels seq, if it is outstanding, with tag: Ack hands the label
+// back, and a sequence that leaves the window by loss takes it along.
+func (w *Window) SetTag(seq int64, tag int32) {
+	if seq < w.base || seq >= w.next {
+		return
+	}
+	if s := &w.slots[seq&w.mask]; !math.IsNaN(s.sentAt) {
+		s.tag = tag
+	}
 }
 
 // grow makes room for one more sequence: it first slides base over
 // leading slots that are no longer outstanding, and doubles the ring
 // only if the live span still fills it.
 func (w *Window) grow() {
-	for w.base < w.next && math.IsNaN(w.sentAt[w.base&w.mask]) {
+	for w.base < w.next && math.IsNaN(w.slots[w.base&w.mask].sentAt) {
 		w.base++
 	}
-	if w.next-w.base < int64(len(w.sentAt)) {
+	if w.next-w.base < int64(len(w.slots)) {
 		return
 	}
-	size := 2 * len(w.sentAt)
+	size := 2 * len(w.slots)
 	if size == 0 {
 		size = minSlots
 	}
-	fresh := make([]float64, size)
+	fresh := make([]slot, size)
 	for i := range fresh {
-		fresh[i] = math.NaN()
+		fresh[i].sentAt = math.NaN()
 	}
 	mask := int64(size - 1)
 	for seq := w.base; seq < w.next; seq++ {
-		fresh[seq&mask] = w.sentAt[seq&w.mask]
+		fresh[seq&mask] = w.slots[seq&w.mask]
 	}
-	w.sentAt, w.mask = fresh, mask
+	w.slots, w.mask = fresh, mask
 }
 
-// Ack acknowledges seq. It returns seq's send time and true if seq was
-// outstanding (and no longer is); false for a duplicate, for a sequence
-// already declared lost, and for a sequence never sent. Only a sequence
-// that was sent can raise the highest-acknowledged mark GapLost works
-// from: an ACK from the wire for a sequence outside [0, next) must not
-// condemn the whole window.
-func (w *Window) Ack(seq int64) (sentAt float64, ok bool) {
+// Ack acknowledges seq. It returns seq's send time, its tag and true if
+// seq was outstanding (and no longer is); zeros and false for a
+// duplicate, for a sequence already declared lost, and for a sequence
+// never sent. Only a sequence that was sent can raise the
+// highest-acknowledged mark GapLost works from: an ACK from the wire for
+// a sequence outside [0, next) must not condemn the whole window.
+func (w *Window) Ack(seq int64) (sentAt float64, tag int32, ok bool) {
 	if seq < 0 || seq >= w.next {
-		return 0, false
+		return 0, 0, false
 	}
 	if seq >= w.ackEnd {
 		w.ackEnd = seq + 1
 	}
 	if seq < w.base {
-		return 0, false
+		return 0, 0, false
 	}
-	i := seq & w.mask
-	sentAt = w.sentAt[i]
-	if math.IsNaN(sentAt) {
-		return 0, false
+	s := &w.slots[seq&w.mask]
+	if math.IsNaN(s.sentAt) {
+		return 0, 0, false
 	}
-	w.sentAt[i] = math.NaN()
+	sentAt = s.sentAt
+	s.sentAt = math.NaN()
 	w.n--
-	return sentAt, true
+	return sentAt, s.tag, true
 }
 
 // GapLost removes every outstanding sequence that trails the highest
@@ -103,10 +120,9 @@ func (w *Window) Ack(seq int64) (sentAt float64, ok bool) {
 // order.
 func (w *Window) GapLost(dst []int64, gap int64) []int64 {
 	for end := w.ackEnd - gap; w.base < end; w.base++ {
-		i := w.base & w.mask
-		if !math.IsNaN(w.sentAt[i]) {
+		if s := &w.slots[w.base&w.mask]; !math.IsNaN(s.sentAt) {
 			dst = append(dst, w.base)
-			w.sentAt[i] = math.NaN()
+			s.sentAt = math.NaN()
 			w.n--
 		}
 	}
@@ -119,13 +135,12 @@ func (w *Window) GapLost(dst []int64, gap int64) []int64 {
 func (w *Window) TimedOut(dst []int64, now, timeout float64) []int64 {
 	first := w.next // lowest sequence still outstanding afterwards
 	for seq := w.base; seq < w.next && w.n > 0; seq++ {
-		i := seq & w.mask
-		t := w.sentAt[i]
+		s := &w.slots[seq&w.mask]
 		switch {
-		case math.IsNaN(t):
-		case now-t > timeout:
+		case math.IsNaN(s.sentAt):
+		case now-s.sentAt > timeout:
 			dst = append(dst, seq)
-			w.sentAt[i] = math.NaN()
+			s.sentAt = math.NaN()
 			w.n--
 		case first == w.next:
 			first = seq

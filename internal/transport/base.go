@@ -59,7 +59,11 @@ type Base struct {
 	gotRTT  bool
 	peakRTT float64
 
-	win seqwin.Window // sequence counter, send times, highest ACK
+	win seqwin.Window // sequence counter, send times and tags, highest ACK
+
+	// ackTag/ackFresh are what the last AckRTT acknowledged (see Acked).
+	ackTag   int32
+	ackFresh bool
 
 	backoffFence float64
 
@@ -133,6 +137,16 @@ func (b *Base) OnSend(now float64) int64 {
 	return b.win.Send(now)
 }
 
+// Tag labels the outstanding sequence seq (call it right after the
+// OnSend that returned seq). The flow driver stores the packet's layer
+// here, so attribution lives and dies with the window entry.
+func (b *Base) Tag(seq int64, tag int32) { b.win.SetTag(seq, tag) }
+
+// Acked reports what the last OnAck acknowledged: fresh is true when its
+// sequence was outstanding — not a duplicate, not already declared lost,
+// not never sent — and tag is then the label Tag gave it (0 if none).
+func (b *Base) Acked() (tag int32, fresh bool) { return b.ackTag, b.ackFresh }
+
 // AckRTT records the acknowledgement bookkeeping for seq at now —
 // outstanding removal, RTT/RTO update, instrument observations — and
 // returns the RTT sample (ok=false for a duplicate, and for a sequence
@@ -146,7 +160,8 @@ func (b *Base) AckRTT(now float64, seq int64) (rtt float64, ok bool) {
 		}
 		b.lastAckAt = now
 	}
-	sendTime, had := b.win.Ack(seq)
+	sendTime, tag, had := b.win.Ack(seq)
+	b.ackTag, b.ackFresh = tag, had
 	if !had {
 		return 0, false
 	}

@@ -3,8 +3,9 @@
 // central claim is that quality adaptation is decoupled from congestion
 // control: the QA controller only needs a transmission rate, a
 // conservative slope estimate, and backoff notifications. Transport is
-// exactly that surface — the scenario sources drive any backend through
-// it, and backends plug in without the QA or scenario layers changing.
+// exactly that surface — the flow driver (internal/flow) drives any
+// backend through it, in the simulator and on the wire, and backends
+// plug in without the QA, scenario or serving layers changing.
 //
 // Three backends implement it, each Base (sequence window, RTT/RTO
 // estimator, backoff fence, counters, instruments) plus a rate policy:
@@ -88,7 +89,7 @@ type Counters struct {
 	Timeouts int64 // Step invocations that detected timed-out packets
 }
 
-// Transport is the congestion-control surface a scenario flow consumes.
+// Transport is the congestion-control surface the flow driver consumes.
 // All timestamps are the caller's clock (virtual or wall); backends keep
 // no clocks of their own, so the same state machine runs in the
 // simulator and over real sockets.
@@ -96,9 +97,16 @@ type Transport interface {
 	// OnSend registers a packet transmission at now and returns its
 	// sequence number.
 	OnSend(now float64) int64
+	// Tag labels the sequence the preceding OnSend returned; the label
+	// leaves the backend with the sequence, by ACK or by loss.
+	Tag(seq int64, tag int32)
 	// OnAck processes an acknowledgement for seq, returning the backoff
 	// performed (loss inferred, or — delay backend — overuse), or nil.
 	OnAck(now float64, seq int64) *Backoff
+	// Acked reports whether the last OnAck's sequence was outstanding
+	// (fresh: not a duplicate, not declared lost, not never sent) and,
+	// if so, its Tag label.
+	Acked() (tag int32, fresh bool)
 	// Step performs the periodic rate decision (timeout detection,
 	// increase/decrease); the caller invokes it every StepInterval.
 	Step(now float64) *Backoff
@@ -120,6 +128,9 @@ type Transport interface {
 	Kind() Kind
 	// Counters returns the cumulative decision counts.
 	Counters() Counters
+	// Outstanding returns the number of packets sent and neither
+	// acknowledged nor declared lost: Sent - Acked - Lost.
+	Outstanding() int
 	// Instrument attaches ins (shared between flows of one class; must
 	// be non-nil) and publishes the backend's packet counters on reg
 	// under prefix as snapshot-time Func metrics. Call before the run.
