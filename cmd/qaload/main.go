@@ -5,22 +5,22 @@
 // assertions (CI runs it under -race). It measures nothing for the
 // record: performance claims come from bench/ (bash bench/run.sh).
 //
-// By default it spins up an in-process netio.MultiServer on loopback
-// and exercises the whole serving path end to end; point -addr at an
-// external qaserver to load that instead.
+// By default it spins up an in-process netio.MultiServer on loopback —
+// -shards N SO_REUSEPORT sockets, one shard goroutine each (one socket
+// off linux) — and exercises the whole serving path end to end; point
+// -addr at an external qaserver to load that instead.
 //
 // Examples:
 //
 //	qaload -clients 1000 -dur 10s -soak
 //	qaload -clients 64 -dur 8s -batch generic      # unbatched I/O
-//	qaload -clients 64 -dur 8s -sockets demux      # shared-socket mode
+//	qaload -clients 64 -dur 8s -shards 2 -soak     # two shard goroutines race
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -37,7 +37,6 @@ import (
 type loadResult struct {
 	clients int
 	dur     time.Duration
-	sockets netio.SocketMode // "" against an external server
 
 	pktsPerSec   float64
 	goodputBps   float64
@@ -54,7 +53,6 @@ type loadResult struct {
 type loadOpts struct {
 	addr    string
 	kind    netio.BatchKind
-	sockets netio.SocketMode
 	clients int
 	dur     time.Duration
 	stagger time.Duration
@@ -71,9 +69,12 @@ func main() {
 	clients := flag.Int("clients", 1000, "concurrent emulated clients")
 	dur := flag.Duration("dur", 10*time.Second, "stream duration each client requests")
 	stagger := flag.Duration("stagger", time.Second, "join stagger window")
-	shards := flag.Int("shards", 0, "server client-table shards (0 = auto)")
+	shards := 1 // one socket where SO_REUSEPORT groups do not exist, else one per core
+	if netio.ReuseportAvailable() {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	flag.IntVar(&shards, "shards", shards, "in-process server's SO_REUSEPORT sockets, one shard each")
 	batch := flag.String("batch", "", "batch I/O kind: auto, mmsg, generic")
-	sockets := flag.String("sockets", "", "socket layout: reuseport (default where available), demux")
 	// The defaults are chosen coherent: two layers (2 x 6000 B/s) fit
 	// comfortably under the 16000 B/s rate cap, so per-client state
 	// reaches a steady layer allocation instead of churning add/drop
@@ -98,11 +99,10 @@ func main() {
 	opts := loadOpts{
 		addr:    *addr,
 		kind:    kind,
-		sockets: netio.SocketMode(*sockets),
 		clients: *clients,
 		dur:     *dur,
 		stagger: *stagger,
-		shards:  *shards,
+		shards:  shards,
 		c:       *c,
 		kmax:    *kmax,
 		layers:  *layers,
@@ -145,46 +145,20 @@ func runOnce(o loadOpts) (*loadResult, error) {
 	var srvWg sync.WaitGroup
 	target := o.addr
 	if target == "" {
-		mode := o.sockets
-		if mode == "" {
-			mode = netio.SocketDemux
-			if netio.ReuseportAvailable() {
-				mode = netio.SocketReuseport
-			}
+		conns, err := netio.ListenReuseport("udp", "127.0.0.1:0", o.shards)
+		if err != nil {
+			return nil, err
 		}
-		cfg := netio.MultiConfig{
+		for _, c := range conns {
+			defer c.Close()
+		}
+		srv, err = netio.NewMultiServerConns(conns, netio.MultiConfig{
 			QA:        core.Params{C: o.c, Kmax: o.kmax, MaxLayers: o.layers, StartupSec: 0.2},
 			RAP:       transport.RAPConfig{PacketSize: o.pkt, MaxRate: o.maxRate, InitialRTT: 0.02},
-			Shards:    o.shards,
 			BatchKind: o.kind,
-		}
-		switch mode {
-		case netio.SocketReuseport:
-			n := o.shards
-			if n <= 0 {
-				n = netio.DefaultShards()
-			}
-			conns, err := netio.ListenReuseport("udp", "127.0.0.1:0", n)
-			if err != nil {
-				return nil, err
-			}
-			for _, c := range conns {
-				defer c.Close()
-			}
-			if srv, err = netio.NewMultiServerConns(conns, cfg); err != nil {
-				return nil, err
-			}
-		case netio.SocketDemux:
-			conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-			if err != nil {
-				return nil, err
-			}
-			defer conn.Close()
-			if srv, err = netio.NewMultiServer(conn, cfg); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("unknown -sockets mode %q", mode)
+		})
+		if err != nil {
+			return nil, err
 		}
 		srvWg.Add(1)
 		go func() {
@@ -192,8 +166,8 @@ func runOnce(o loadOpts) (*loadResult, error) {
 			srv.Serve(ctx)
 		}()
 		target = srv.Addr()
-		fmt.Printf("qaload: in-process server on %s (%s batch, %s sockets, %d clients x %.0f B/s cap)\n",
-			target, srv.BatchKind(), srv.SocketMode(), o.clients, o.maxRate)
+		fmt.Printf("qaload: in-process server on %s (%s batch, %d shards, %d clients x %.0f B/s cap)\n",
+			target, srv.BatchKind(), len(conns), o.clients, o.maxRate)
 	}
 
 	// Heap sampler: HeapAlloc every 250 ms over the run; start/end
@@ -249,7 +223,6 @@ func runOnce(o loadOpts) (*loadResult, error) {
 	// state, this stays well under one.
 	pkts := res.PktsTotal
 	if srv != nil {
-		b.sockets = srv.SocketMode()
 		b.srv = srv.Stats()
 		pkts = b.srv.SentPkts
 	}
@@ -273,15 +246,14 @@ func report(b *loadResult) {
 		b.clients, b.dur.Seconds(), b.pktsPerSec, b.goodputBps, b.jain, b.starved,
 		b.allocsPerPkt, float64(b.heapStart)/1e6, float64(b.heapEnd)/1e6)
 	if st := b.srv; st.SentPkts > 0 {
-		fmt.Printf("qaload: server sent=%d acked=%d backoffs=%d retrans-drops=%d inbox-drops=%d bad=%d\n",
-			st.SentPkts, st.AckedPkts, st.Backoffs, st.NackDrops, st.InboxDrops, st.BadPackets)
+		fmt.Printf("qaload: server sent=%d acked=%d backoffs=%d retrans-drops=%d bad=%d\n",
+			st.SentPkts, st.AckedPkts, st.Backoffs, st.NackDrops, st.BadPackets)
 	}
 }
 
 // soakAssert enforces the soak invariants: everyone was served, service
 // was fair, the send path did not allocate per packet, and the heap did
-// not creep over the run. In reuseport mode there is no reader->inbox
-// hop, so any shed at all is a bug.
+// not creep over the run.
 func soakAssert(b *loadResult) error {
 	if b.starved > 0 {
 		return fmt.Errorf("soak: %d of %d clients starved", b.starved, b.clients)
@@ -294,9 +266,6 @@ func soakAssert(b *loadResult) error {
 	}
 	if b.allocsPerPkt > 1.0 {
 		return fmt.Errorf("soak: %.2f allocs per served packet (want < 1; the send loop itself must be 0)", b.allocsPerPkt)
-	}
-	if b.sockets == netio.SocketReuseport && b.srv.InboxDrops != 0 {
-		return fmt.Errorf("soak: %d inbox sheds in reuseport mode (there are no inboxes to shed)", b.srv.InboxDrops)
 	}
 	if b.heapStart > 0 && float64(b.heapEnd) > 1.5*float64(b.heapStart)+8e6 {
 		return fmt.Errorf("soak: heap grew %.1f MB -> %.1f MB over the run",

@@ -1,7 +1,9 @@
 // Command qaserver streams layered video data over UDP with RAP
 // congestion control and quality adaptation, serving many clients
-// concurrently from a sharded client table over batched I/O
-// (netio.MultiServer). Pair it with qaclient, or load it with qaload.
+// concurrently over batched I/O (netio.MultiServer): -shards N binds N
+// SO_REUSEPORT sockets on the listen address, one shard goroutine each,
+// and the kernel steers every client to one of them (one socket off
+// linux). Pair it with qaclient, or load it with qaload.
 //
 // Examples:
 //
@@ -14,10 +16,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 
 	"qav/internal/core"
 	"qav/internal/netio"
@@ -31,9 +33,12 @@ func main() {
 	layers := flag.Int("layers", 8, "maximum encoded layers")
 	pkt := flag.Int("pkt", 512, "packet size, bytes")
 	maxRate := flag.Float64("max-rate", 0, "cap on per-client transmission rate, bytes/s (0 = none)")
-	shards := flag.Int("shards", 0, "client-table shards (0 = auto: one per core, max 8; explicit values above 8 are honored)")
+	shards := 1 // one socket where SO_REUSEPORT groups do not exist, else one per core
+	if netio.ReuseportAvailable() {
+		shards = runtime.GOMAXPROCS(0)
+	}
+	flag.IntVar(&shards, "shards", shards, "SO_REUSEPORT sockets on the listen address, one shard each")
 	batch := flag.String("batch", "", "batch I/O kind: auto, mmsg, generic")
-	sockets := flag.String("sockets", "", "socket layout: reuseport (default where available), demux")
 	maxClients := flag.Int("max-clients", 4096, "concurrent stream cap (joins beyond it are refused)")
 	metricsAddr := flag.String("metrics", "", "HTTP address serving current metrics as JSON (e.g. 127.0.0.1:9090; empty = disabled)")
 	flag.Parse()
@@ -45,62 +50,31 @@ func main() {
 	if *batch == "auto" {
 		kind = netio.BatchAuto
 	}
-	mode := netio.SocketMode(*sockets)
-	if mode == "" {
-		mode = netio.SocketDemux
-		if netio.ReuseportAvailable() {
-			mode = netio.SocketReuseport
-		}
+	conns, err := netio.ListenReuseport("udp", *listen, shards)
+	if err != nil {
+		fatal(err)
 	}
-	cfg := netio.MultiConfig{
+	for _, c := range conns {
+		defer c.Close()
+	}
+	srv, err := netio.NewMultiServerConns(conns, netio.MultiConfig{
 		QA:         core.Params{C: *c, Kmax: *kmax, MaxLayers: *layers, StartupSec: 0.5},
 		RAP:        transport.RAPConfig{PacketSize: *pkt, MaxRate: *maxRate, InitialRTT: 0.05},
-		Shards:     *shards,
 		BatchKind:  kind,
 		MaxClients: *maxClients,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	var srv *netio.MultiServer
-	switch mode {
-	case netio.SocketReuseport:
-		n := *shards
-		if n <= 0 {
-			n = netio.DefaultShards()
-		}
-		conns, err := netio.ListenReuseport("udp", *listen, n)
-		if err != nil {
-			fatal(err)
-		}
-		for _, c := range conns {
-			defer c.Close()
-		}
-		if srv, err = netio.NewMultiServerConns(conns, cfg); err != nil {
-			fatal(err)
-		}
-	case netio.SocketDemux:
-		la, err := net.ResolveUDPAddr("udp", *listen)
-		if err != nil {
-			fatal(err)
-		}
-		conn, err := net.ListenUDP("udp", la)
-		if err != nil {
-			fatal(err)
-		}
-		defer conn.Close()
-		if srv, err = netio.NewMultiServer(conn, cfg); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown -sockets mode %q", mode))
-	}
-	fmt.Printf("qaserver: listening on %s (C=%.0f B/s, Kmax=%d, %d layers, %s batch, %s sockets, max %d clients)\n",
-		srv.Addr(), *c, *kmax, *layers, srv.BatchKind(), srv.SocketMode(), *maxClients)
+	fmt.Printf("qaserver: listening on %s (C=%.0f B/s, Kmax=%d, %d layers, %s batch, %d shards, max %d clients)\n",
+		srv.Addr(), *c, *kmax, *layers, srv.BatchKind(), len(conns), *maxClients)
 	if *metricsAddr != "" {
 		go serveMetrics(*metricsAddr, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			srv.WriteMetricsJSON(w)
 		}))
 	}
-	err := srv.Serve(ctx)
+	err = srv.Serve(ctx)
 	st := srv.Stats()
 	fmt.Printf("qaserver: done: accepted=%d sent=%d acked=%d backoffs=%d retransmits=%d bad=%d err=%v\n",
 		st.Accepted, st.SentPkts, st.AckedPkts, st.Backoffs, st.Retransmits, st.BadPackets, err)

@@ -18,24 +18,15 @@ import (
 	"qav/internal/transport"
 )
 
-// SocketMode names the two socket layouts a MultiServer can run in.
-// The mode is chosen by constructor — NewMultiServer (demux) vs
-// NewMultiServerConns (reuseport/owned) — these constants exist so
-// command-line tools can expose the choice as a flag.
+// SocketMode names a MultiServer's socket layout. There is one layout
+// — every shard owns one socket — so the type and its one value exist
+// only because bench/ prints them in its server child's ready line;
+// they go with the next benchmark-archetype PR.
 type SocketMode string
 
-const (
-	// SocketDemux: one shared socket, one reader goroutine
-	// demultiplexing to per-shard inboxes by FNV address hash. Portable
-	// (works on every platform) and the non-linux default.
-	SocketDemux SocketMode = "demux"
-	// SocketReuseport: one SO_REUSEPORT socket per shard, each shard
-	// goroutine doing its own batched reads and writes. The kernel
-	// steers each client 4-tuple to a consistent socket, so the
-	// reader->inbox hop (and its sheds) disappears. Linux only; see
-	// ListenReuseport.
-	SocketReuseport SocketMode = "reuseport"
-)
+// SocketReuseport is the only layout: one socket per shard (on linux,
+// SO_REUSEPORT siblings; see ListenReuseport).
+const SocketReuseport SocketMode = "reuseport"
 
 // MultiConfig parameterizes a multi-client streaming server.
 type MultiConfig struct {
@@ -44,21 +35,6 @@ type MultiConfig struct {
 	// RAP configures every stream's congestion control. PacketSize is
 	// the wire size (header + payload); if zero it defaults to 512.
 	RAP transport.RAPConfig
-	// Shards is the number of independent client-table shards, each
-	// owned by one goroutine. When unset it defaults to
-	// DefaultShards(): GOMAXPROCS capped at 8, because in demux mode
-	// the single reader goroutine becomes the bottleneck well before
-	// eight shards are saturated and further shards only add wakeups.
-	// An explicit value is honored as given — including values above 8
-	// (useful in reuseport mode, where every shard owns a socket and
-	// there is no shared reader); a value above GOMAXPROCS is accepted
-	// but flagged in Stats().ShardsOverCPU rather than silently
-	// clamped, since shards beyond the core count just time-slice.
-	// Ignored by NewMultiServerConns, which runs one shard per socket.
-	Shards int
-	// Batch is the number of datagrams moved per batched syscall
-	// (default 32, capped at the platform batch capacity).
-	Batch int
 	// BatchKind selects the I/O implementation (default BatchAuto:
 	// mmsg on Linux, generic elsewhere).
 	BatchKind BatchKind
@@ -72,15 +48,9 @@ type MultiConfig struct {
 	IdleTimeout time.Duration
 }
 
-// DefaultShards is the shard count used when MultiConfig.Shards is
-// unset: GOMAXPROCS, capped at 8 (see the Shards field doc for why).
-func DefaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	return n
-}
+// batchLen is the number of datagrams one batched syscall moves, in
+// either direction.
+const batchLen = 32
 
 func (c *MultiConfig) normalize() error {
 	if c.RAP.PacketSize <= 0 {
@@ -88,12 +58,6 @@ func (c *MultiConfig) normalize() error {
 	}
 	if c.RAP.PacketSize <= DataHeaderLen {
 		return fmt.Errorf("netio: packet size %d <= header %d", c.RAP.PacketSize, DataHeaderLen)
-	}
-	if c.Shards <= 0 {
-		c.Shards = DefaultShards()
-	}
-	if c.Batch <= 0 {
-		c.Batch = 32
 	}
 	if c.MaxClients <= 0 {
 		c.MaxClients = 4096
@@ -107,8 +71,8 @@ func (c *MultiConfig) normalize() error {
 	return nil
 }
 
-// inMsg is one demultiplexed inbound datagram, passed by value through
-// a shard's inbox channel (no per-message allocation).
+// inMsg is one decoded inbound datagram, passed by value from the read
+// batch to handle (no per-message allocation).
 type inMsg struct {
 	addr  netip.AddrPort
 	kind  byte
@@ -116,41 +80,23 @@ type inMsg struct {
 	durMs uint32 // valid when kind == KindReq
 }
 
-// MultiServer streams layered data to many clients concurrently. Two
-// socket layouts exist:
-//
-// Demux (NewMultiServer): one UDP socket; a reader goroutine drains it
-// in batches and demultiplexes requests/acknowledgements to per-shard
-// inboxes by client address hash.
-//
-// Owned (NewMultiServerConns): one socket per shard — on linux,
-// SO_REUSEPORT siblings on one port (ListenReuseport) — and each shard
-// goroutine does its own batched reads, deleting the reader->inbox
-// hop and its sheds.
-//
-// In both modes each shard goroutine exclusively owns its client table
-// and paces its sessions' data packets out through its own batched
-// writer — there is no mutex anywhere on the packet path, and at
-// steady state the send loop performs zero heap allocations per packet
-// (buffers, batch scratch, session state, and the pacing wheel's
-// intrusive lists are all preallocated; inboxes carry values). Time is
-// sampled once per shard loop iteration into a coarse shared clock
-// (coarseNs); the per-message paths never syscall for time.
+// MultiServer streams layered data to many clients concurrently. Each
+// shard owns one socket — on linux, SO_REUSEPORT siblings on one port
+// (ListenReuseport), so the kernel steers each client's 4-tuple to a
+// consistent shard — and one goroutine that reads it, handles what
+// arrived and paces its sessions' data packets out through it, in
+// batches. The goroutine exclusively owns the shard's client table:
+// there is no mutex anywhere on the packet path, and at steady state
+// the send loop performs zero heap allocations per packet (buffers,
+// batch scratch, session state, and the pacing wheel's intrusive lists
+// are all preallocated). Each shard reads the clock in one method
+// (shard.now), once per wake; the per-message paths never syscall for
+// time.
 type MultiServer struct {
 	cfg     MultiConfig
-	conn    *net.UDPConn // demux mode; nil when shards own their sockets
-	reader  BatchConn    // demux mode
-	owned   bool         // shards own their sockets (reuseport mode)
 	shards  []*shard
 	start   time.Time
 	payload []byte // shared zero payload, read-only
-
-	// coarseNs is the coarse clock: monotonic nanoseconds since start,
-	// published by publishNow once per shard/reader loop iteration and
-	// read lock-free everywhere a "recent enough" timestamp suffices
-	// (read-deadline arming, inbox-wakeup handling). Staleness is
-	// bounded by the shortest loop period (at most idleSweepSec).
-	coarseNs atomic.Int64
 
 	active atomic.Int64 // live sessions across all shards
 
@@ -159,7 +105,6 @@ type MultiServer struct {
 	rejected  *metrics.Counter
 	expired   *metrics.Counter
 	badPkt    *metrics.Counter
-	inboxDrop *metrics.Counter
 	unknown   *metrics.Counter
 	sent      *metrics.Counter
 	acked     *metrics.Counter
@@ -168,26 +113,22 @@ type MultiServer struct {
 	sessIns   sessionInstruments
 }
 
-// shard owns a disjoint subset of clients. All shard state except the
-// sheds counter is touched only by the shard's goroutine.
+// shard owns one socket and a disjoint subset of clients; all its state
+// is touched only by the shard's goroutine.
 type shard struct {
 	srv      *MultiServer
-	inbox    chan inMsg // demux mode; nil when the shard owns a socket
+	conn     *net.UDPConn
 	sessions map[netip.AddrPort]*session
-	writer   BatchConn
-	msgs     []Message    // preallocated write batch (Buf sized to PacketSize)
-	wheel    timingWheel  // files each session at its next wake instant (wheel.go)
-	idleSec  float64      // cfg.IdleTimeout in seconds, cached off the hot path
-	sheds    atomic.Int64 // inbox messages shed for this shard (demux mode; written by the reader)
+	writer   BatchConn   // conn, batched: the shard's reads and writes
+	msgs     []Message   // preallocated write batch (Buf sized to PacketSize)
+	rdBuf    []Message   // preallocated read batch
+	wheel    timingWheel // files each session at its next wake instant (wheel.go)
+	wake     wakePolicy
+	idleSec  float64 // cfg.IdleTimeout in seconds, cached off the hot path
 
 	// sessIns is what this shard's sessions record through: the
 	// server-wide counters plus the shard's own lateness histogram.
 	sessIns sessionInstruments
-
-	// Owned-socket (reuseport) mode only:
-	conn  *net.UDPConn
-	rdBuf []Message // preallocated read batch
-	wake  wakePolicy
 	// Loop instruments, written by this shard's goroutine alone (atomic
 	// only so that a snapshot may run beside it); same-name instruments
 	// of all shards sum in the registry.
@@ -196,9 +137,17 @@ type shard struct {
 	rxBatch   *metrics.Histogram // srv.rxbatch: datagrams per socket drain
 }
 
-// newMulti validates the config and builds the shared (mode-agnostic)
-// server core; the constructors attach sockets and shards.
-func newMulti(cfg MultiConfig) (*MultiServer, error) {
+// NewMultiServerConns builds a server with one shard per socket: each
+// shard exclusively owns its socket and does its own batched reads and
+// writes. The sockets are expected to share a port via SO_REUSEPORT
+// (see ListenReuseport) so the kernel steers each client's 4-tuple to a
+// consistent shard; any per-socket layout works, though — distinct
+// ports with an external balancer is equally valid. Sockets stay
+// caller-owned: close them (or cancel Serve's context) to shut down.
+func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, error) {
+	if len(conns) == 0 {
+		return nil, fmt.Errorf("netio: NewMultiServerConns needs at least one socket")
+	}
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -216,7 +165,6 @@ func newMulti(cfg MultiConfig) (*MultiServer, error) {
 		rejected:  reg.Counter("srv.rejected"),
 		expired:   reg.Counter("srv.expired"),
 		badPkt:    reg.Counter("srv.badpkt"),
-		inboxDrop: reg.Counter("srv.inboxdrop"),
 		unknown:   reg.Counter("srv.unknownack"),
 		sent:      reg.Counter("srv.sent"),
 		acked:     reg.Counter("srv.acked"),
@@ -231,94 +179,47 @@ func newMulti(cfg MultiConfig) (*MultiServer, error) {
 	}
 	reg.GaugeFunc("srv.clients", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("srv.shards", func() float64 { return float64(len(s.shards)) })
-	if cfg.Shards > runtime.GOMAXPROCS(0) {
+	if len(conns) > runtime.GOMAXPROCS(0) {
 		// Honored, not clamped: the caller asked for it. The counter
 		// makes the oversubscription visible in metrics and Stats.
 		s.shardwarn.Inc()
 	}
-	return s, nil
-}
-
-func (s *MultiServer) addShard(writer BatchConn) *shard {
-	sh := &shard{
-		srv:      s,
-		sessions: make(map[netip.AddrPort]*session),
-		writer:   writer,
-		msgs:     make([]Message, s.cfg.Batch),
-		idleSec:  s.cfg.IdleTimeout.Seconds(),
-		sessIns:  s.sessIns,
-	}
-	// 1 µs .. ~1 s: a tick of coalescing sits mid-range, a stalled shard
-	// at the top.
-	sh.sessIns.Lateness = s.reg.ShardHistogram("srv.pacing.lateness_us", metrics.HistogramOpts{MinExp: 0, MaxExp: 20})
-	for j := range sh.msgs {
-		sh.msgs[j].Buf = make([]byte, s.cfg.RAP.PacketSize)
-	}
-	s.shards = append(s.shards, sh)
-	return sh
-}
-
-// NewMultiServer wraps an already-bound UDP socket in a sharded
-// multi-client server (demux mode). The socket stays caller-owned:
-// close it (or cancel Serve's context) to shut down.
-func NewMultiServer(conn *net.UDPConn, cfg MultiConfig) (*MultiServer, error) {
-	s, err := newMulti(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.conn = conn
-	if s.reader, err = NewBatchConn(conn, s.cfg.BatchKind); err != nil {
-		return nil, err
-	}
-	for i := 0; i < s.cfg.Shards; i++ {
-		writer, err := NewBatchConn(conn, s.cfg.BatchKind)
-		if err != nil {
-			return nil, err
-		}
-		sh := s.addShard(writer)
-		sh.inbox = make(chan inMsg, 4*s.cfg.Batch)
-	}
-	return s, nil
-}
-
-// NewMultiServerConns builds a server where each shard exclusively owns
-// one of the given sockets (owned/reuseport mode): no reader goroutine,
-// no inbox channels, no sheds — each shard does its own batched reads
-// between pump wakeups. The sockets are expected to share a port via
-// SO_REUSEPORT (see ListenReuseport) so the kernel steers each client's
-// 4-tuple to a consistent shard; any per-socket layout works, though —
-// distinct ports with an external balancer is equally valid. cfg.Shards
-// is ignored: there is one shard per socket. Sockets stay caller-owned.
-func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, error) {
-	if len(conns) == 0 {
-		return nil, fmt.Errorf("netio: NewMultiServerConns needs at least one socket")
-	}
-	cfg.Shards = len(conns)
-	s, err := newMulti(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.owned = true
 	for _, c := range conns {
-		bc, err := NewBatchConn(c, s.cfg.BatchKind)
+		bc, err := NewBatchConn(c, cfg.BatchKind)
 		if err != nil {
 			return nil, err
 		}
-		sh := s.addShard(bc)
-		sh.conn = c
-		sh.rdBuf = make([]Message, s.cfg.Batch)
-		for j := range sh.rdBuf {
-			sh.rdBuf[j].Buf = make([]byte, 2048) // acks and reqs are tens of bytes
-		}
-		s.reg.CounterFunc("srv.wakeups", sh.wakeups.Load)
-		s.reg.CounterFunc("srv.coalesced_ticks", sh.coalesced.Load)
-		sh.rxBatch = s.reg.ShardHistogram("srv.rxbatch", metrics.HistogramOpts{MinExp: 0, MaxExp: 8})
+		s.shards = append(s.shards, s.newShard(c, bc))
 	}
 	// Siblings from ListenReuseport are configured alike: the first
 	// socket's grant stands for all.
 	rcvbuf := float64(rcvbufBytes(conns[0]))
-	s.reg.GaugeFunc("srv.rcvbuf_bytes", func() float64 { return rcvbuf })
+	reg.GaugeFunc("srv.rcvbuf_bytes", func() float64 { return rcvbuf })
 	return s, nil
+}
+
+func (s *MultiServer) newShard(conn *net.UDPConn, bc BatchConn) *shard {
+	sh := &shard{
+		srv:      s,
+		conn:     conn,
+		sessions: make(map[netip.AddrPort]*session),
+		writer:   bc,
+		msgs:     make([]Message, batchLen),
+		rdBuf:    make([]Message, batchLen),
+		idleSec:  s.cfg.IdleTimeout.Seconds(),
+		sessIns:  s.sessIns,
+	}
+	for j := range sh.msgs {
+		sh.msgs[j].Buf = make([]byte, s.cfg.RAP.PacketSize)
+		sh.rdBuf[j].Buf = make([]byte, 2048) // acks and reqs are tens of bytes
+	}
+	// 1 µs .. ~1 s: a tick of coalescing sits mid-range, a stalled shard
+	// at the top.
+	sh.sessIns.Lateness = s.reg.ShardHistogram("srv.pacing.lateness_us", metrics.HistogramOpts{MinExp: 0, MaxExp: 20})
+	s.reg.CounterFunc("srv.wakeups", sh.wakeups.Load)
+	s.reg.CounterFunc("srv.coalesced_ticks", sh.coalesced.Load)
+	sh.rxBatch = s.reg.ShardHistogram("srv.rxbatch", metrics.HistogramOpts{MinExp: 0, MaxExp: 8})
+	return sh
 }
 
 // Metrics returns the server's aggregate metrics registry. Snapshots
@@ -329,52 +230,18 @@ func (s *MultiServer) Metrics() *metrics.Registry { return s.reg }
 // JSON, expvar-style.
 func (s *MultiServer) WriteMetricsJSON(w io.Writer) error { return s.reg.WriteJSON(w) }
 
-// Addr returns the server's bound address (the first socket's, in
-// owned mode — reuseport siblings share it).
-func (s *MultiServer) Addr() string {
-	if s.owned {
-		return s.shards[0].conn.LocalAddr().String()
-	}
-	return s.conn.LocalAddr().String()
-}
+// Addr returns the server's bound address: the first socket's, which
+// reuseport siblings share.
+func (s *MultiServer) Addr() string { return s.shards[0].conn.LocalAddr().String() }
 
 // BatchKind reports the I/O implementation actually in use.
-func (s *MultiServer) BatchKind() BatchKind {
-	if s.owned {
-		return s.shards[0].writer.Kind()
-	}
-	return s.reader.Kind()
-}
+func (s *MultiServer) BatchKind() BatchKind { return s.shards[0].writer.Kind() }
 
-// SocketMode reports the socket layout in use.
-func (s *MultiServer) SocketMode() SocketMode {
-	if s.owned {
-		return SocketReuseport
-	}
-	return SocketDemux
-}
+// SocketMode reports the socket layout in use, always SocketReuseport.
+func (s *MultiServer) SocketMode() SocketMode { return SocketReuseport }
 
 // ActiveClients returns the number of live streams.
 func (s *MultiServer) ActiveClients() int { return int(s.active.Load()) }
-
-// publishNow samples the monotonic clock once and publishes it to the
-// coarse clock. Shard and reader loops call it once per iteration;
-// everything inside an iteration (handle/drain/pump, deadline arming)
-// reuses the published instant instead of syscalling.
-func (s *MultiServer) publishNow() float64 {
-	ns := time.Since(s.start).Nanoseconds()
-	s.coarseNs.Store(ns)
-	return float64(ns) / 1e9
-}
-
-// coarseDeadline turns a duration-from-now into an absolute deadline
-// off the coarse clock — no time syscall. The result lags a fresh
-// time.Now() by at most the publisher loop period, which callers
-// absorb by construction (deadlines here are polling intervals, not
-// precision timers).
-func (s *MultiServer) coarseDeadline(d time.Duration) time.Time {
-	return s.start.Add(time.Duration(s.coarseNs.Load()) + d)
-}
 
 // MultiStats is a point-in-time aggregate snapshot.
 type MultiStats struct {
@@ -389,91 +256,49 @@ type MultiStats struct {
 	NackDrops     int64
 	Backoffs      int64 // RAP backoffs across all sessions
 	BadPackets    int64
-	InboxDrops    int64
-	// InboxDropsPerShard breaks InboxDrops down by destination shard
-	// (all zeros in owned/reuseport mode, which has no inboxes). A
-	// single hot entry means one shard's clients are flooding; uniform
-	// drops mean the shards themselves can't keep up.
-	InboxDropsPerShard []int64
-	UnknownAcks        int64
-	// ShardsOverCPU is nonzero when the configured shard count exceeds
-	// GOMAXPROCS (the shards merely time-slice; see MultiConfig.Shards).
+	UnknownAcks   int64
+	// ShardsOverCPU is nonzero when there are more sockets, hence shard
+	// goroutines, than GOMAXPROCS (the shards merely time-slice).
 	ShardsOverCPU int64
 }
 
 // Stats returns aggregate counters. Safe concurrently with serving.
 func (s *MultiServer) Stats() MultiStats {
-	perShard := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		perShard[i] = sh.sheds.Load()
-	}
 	return MultiStats{
-		ActiveClients:      int(s.active.Load()),
-		Accepted:           s.accepted.Load(),
-		Rejected:           s.rejected.Load(),
-		Expired:            s.expired.Load(),
-		SentPkts:           s.sent.Load(),
-		AckedPkts:          s.acked.Load(),
-		Delivered:          s.sessIns.Delivered.Load(),
-		Retransmits:        s.sessIns.Retransmits.Load(),
-		NackDrops:          s.sessIns.NackDrops.Load(),
-		Backoffs:           s.sessIns.Backoffs.Load(),
-		BadPackets:         s.badPkt.Load(),
-		InboxDrops:         s.inboxDrop.Load(),
-		InboxDropsPerShard: perShard,
-		UnknownAcks:        s.unknown.Load(),
-		ShardsOverCPU:      s.shardwarn.Load(),
+		ActiveClients: int(s.active.Load()),
+		Accepted:      s.accepted.Load(),
+		Rejected:      s.rejected.Load(),
+		Expired:       s.expired.Load(),
+		SentPkts:      s.sent.Load(),
+		AckedPkts:     s.acked.Load(),
+		Delivered:     s.sessIns.Delivered.Load(),
+		Retransmits:   s.sessIns.Retransmits.Load(),
+		NackDrops:     s.sessIns.NackDrops.Load(),
+		Backoffs:      s.sessIns.Backoffs.Load(),
+		BadPackets:    s.badPkt.Load(),
+		UnknownAcks:   s.unknown.Load(),
+		ShardsOverCPU: s.shardwarn.Load(),
 	}
 }
 
-// Serve runs the shard goroutines (plus, in demux mode, the reader)
-// until ctx is cancelled or a socket fails. The first loop to fail stops
-// the others, and Serve returns its error.
+// Serve runs one goroutine per shard until ctx is cancelled or a socket
+// fails. The first shard to fail stops the others, and Serve returns
+// its error.
 func (s *MultiServer) Serve(ctx context.Context) error {
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	var wg sync.WaitGroup
-	loop := func(run func(context.Context) error) {
+	for _, sh := range s.shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := run(ctx); err != nil {
+			if err := sh.run(ctx); err != nil {
 				cancel(err)
 			}
 		}()
 	}
-	for _, sh := range s.shards {
-		if s.owned {
-			loop(sh.runOwned)
-		} else {
-			loop(func(ctx context.Context) error { sh.run(ctx); return nil })
-		}
-	}
-	if !s.owned {
-		loop(s.readLoop)
-	}
 	wg.Wait()
 	return context.Cause(ctx)
-}
-
-// shardOf hashes a client address to its owning shard (FNV-1a over the
-// 16-byte address and port; allocation-free). Demux mode only — in
-// owned mode the kernel's reuseport steering decides, and the two
-// need not agree (see DESIGN.md).
-func (s *MultiServer) shardOf(addr netip.AddrPort) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	a16 := addr.Addr().As16()
-	for _, b := range a16 {
-		h = (h ^ uint64(b)) * prime64
-	}
-	p := addr.Port()
-	h = (h ^ uint64(p&0xff)) * prime64
-	h = (h ^ uint64(p>>8)) * prime64
-	return s.shards[h%uint64(len(s.shards))]
 }
 
 // decodeMsg validates and decodes one inbound datagram. Malformed or
@@ -511,101 +336,26 @@ func (s *MultiServer) decodeMsg(msg *Message) (inMsg, bool) {
 	return m, true
 }
 
-// readLoop (demux mode) drains the socket in batches and demultiplexes
-// to shard inboxes. A full inbox sheds the message rather than
-// blocking the reader, so one client's flood cannot stall ingestion
-// for other shards; sheds are counted per destination shard.
-func (s *MultiServer) readLoop(ctx context.Context) error {
-	ms := make([]Message, s.cfg.Batch)
-	for i := range ms {
-		ms[i].Buf = make([]byte, 2048) // acks and reqs are tens of bytes
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil
-		}
-		s.reader.SetReadDeadline(s.coarseDeadline(100 * time.Millisecond))
-		n, err := s.reader.ReadBatch(ms)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				// Republish so the next deadline is armed off a fresh
-				// base even when every shard is asleep — a stale base
-				// would make successive deadlines land in the past and
-				// spin this loop.
-				s.publishNow()
-				continue
-			}
-			return err
-		}
-		for i := 0; i < n; i++ {
-			m, ok := s.decodeMsg(&ms[i])
-			if !ok {
-				continue
-			}
-			sh := s.shardOf(m.addr)
-			select {
-			case sh.inbox <- m:
-			default:
-				s.inboxDrop.Inc()
-				sh.sheds.Add(1)
-			}
-		}
-	}
-}
-
-// inboxBurst bounds how many inbox messages a shard consumes per loop
-// iteration, so an acknowledgement flood from one client cannot starve
-// the send path that every other client on the shard depends on.
-const inboxBurst = 128
+// readBurst bounds how many datagrams a shard reads, and how many
+// packets it sends, per loop iteration, so an acknowledgement flood from
+// one client cannot starve the send path that every other client on the
+// shard depends on, nor a send backlog the reads.
+const readBurst = 128
 
 // idleSweepSec is the maximum shard sleep, so expiry and new joins are
 // noticed promptly even with nothing to send.
 const idleSweepSec = 0.05
 
-// run is the demux-mode shard goroutine: drain a bounded burst of
-// inbox messages, pace out due packets in one batched write, then
-// sleep until the earliest next wake (or the next inbox arrival). The
-// clock is sampled once per iteration (publishNow); drain and pump
-// share that instant.
-func (sh *shard) run(ctx context.Context) {
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		default:
-		}
-		now := sh.srv.publishNow()
-		sh.drain(now)
-		_, next := sh.pump(now)
-		delay := next - sh.srv.publishNow()
-		if delay <= 0 {
-			continue // more packets already due
-		}
-		if delay > idleSweepSec {
-			delay = idleSweepSec
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(time.Duration(delay * float64(time.Second)))
-		select {
-		case <-ctx.Done():
-			return
-		case m := <-sh.inbox:
-			sh.handle(m, sh.srv.publishNow())
-		case <-timer.C:
-		}
-	}
+// now is the shard loop's one clock read: wall seconds since the server
+// started. Everything inside an iteration — handle, pump, deadline
+// arming — reuses the instant it returned.
+func (sh *shard) now() float64 {
+	return float64(time.Since(sh.srv.start).Nanoseconds()) / 1e9
 }
 
-// runOwned is the owned-socket shard goroutine. One iteration sends
-// what is due, then takes input, in one of two ways chosen by the
-// shard's own event rate (wakePolicy, wake.go):
+// run is the shard goroutine. One iteration sends what is due, then
+// takes input, in one of two ways chosen by the shard's own event rate
+// (wakePolicy, wake.go):
 //
 // Arrival-driven (light load, and always from idle): block in the
 // socket read with the deadline at the earliest next wake, so a REQ or
@@ -621,12 +371,11 @@ func (sh *shard) run(ctx context.Context) {
 // The read deadline armed by the arrival-driven branch is cleared on
 // the way into the tick-driven one: the poller fails even a read that
 // would not wait once the deadline has passed (see TryReadBatch).
-func (sh *shard) runOwned(ctx context.Context) error {
+func (sh *shard) run(ctx context.Context) error {
 	_, err := sh.writer.TryReadBatch(nil)
 	canCoalesce := err == nil // else ErrNoTryRead: this platform waits for every arrival
-	srv := sh.srv
-	armed := false // a read deadline is set on the socket
-	now := srv.publishNow()
+	armed := false            // a read deadline is set on the socket
+	now := sh.now()
 	for ctx.Err() == nil {
 		sent, next := sh.pumpDue(now)
 		prev := now
@@ -641,9 +390,9 @@ func (sh *shard) runOwned(ctx context.Context) error {
 				// backlog (pumpDue stopped at its bound) go straight to the
 				// socket instead, so input keeps pace with output.
 				wake := wheelTickStart(wheelTick(now) + 1)
-				time.Sleep(time.Duration((wake - srv.publishNow()) * float64(time.Second)))
+				time.Sleep(time.Duration((wake - sh.now()) * float64(time.Second)))
 			}
-			now = srv.publishNow()
+			now = sh.now()
 			if n, err = sh.drainSocket(now); err != nil {
 				return err
 			}
@@ -656,10 +405,10 @@ func (sh *shard) runOwned(ctx context.Context) error {
 			if delay > idleSweepSec {
 				delay = idleSweepSec
 			}
-			sh.writer.SetReadDeadline(srv.coarseDeadline(time.Duration(delay * float64(time.Second))))
+			sh.writer.SetReadDeadline(sh.srv.start.Add(time.Duration((now + delay) * float64(time.Second))))
 			armed = true
 			n, err = sh.writer.ReadBatch(sh.rdBuf)
-			now = srv.publishNow()
+			now = sh.now()
 			if err != nil {
 				if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
 					return err
@@ -685,8 +434,8 @@ func (sh *shard) runOwned(ctx context.Context) error {
 const readFloorSec = 1e-4
 
 // pumpDue calls pump until nothing more is due at now: one pump writes
-// at most one batch (cfg.Batch packets), and a wheel tick under load
-// makes several batches due at once. It stops after inboxBurst packets
+// at most one batch (batchLen packets), and a wheel tick under load
+// makes several batches due at once. It stops after readBurst packets
 // all the same — leaving next <= now — so that a deep backlog alternates
 // with reads the way a flood of reads alternates with sends, and after
 // a pump that wrote nothing (a session whose idle cutoff rounds to
@@ -695,17 +444,17 @@ func (sh *shard) pumpDue(now float64) (sent int, next float64) {
 	for {
 		k, nx := sh.pump(now)
 		sent, next = sent+k, nx
-		if k == 0 || next > now || sent >= inboxBurst {
+		if k == 0 || next > now || sent >= readBurst {
 			return sent, next
 		}
 	}
 }
 
 // drainSocket (tick-driven branch) reads what is queued on the shard's
-// socket without waiting, up to inboxBurst datagrams, and handles it.
+// socket without waiting, up to readBurst datagrams, and handles it.
 func (sh *shard) drainSocket(now float64) (int, error) {
 	total := 0
-	for total < inboxBurst {
+	for total < readBurst {
 		n, err := sh.writer.TryReadBatch(sh.rdBuf)
 		if err != nil {
 			return total, err
@@ -730,19 +479,7 @@ func (sh *shard) handleRead(n int, now float64) {
 	}
 }
 
-// drain consumes up to inboxBurst queued messages without blocking.
-func (sh *shard) drain(now float64) {
-	for i := 0; i < inboxBurst; i++ {
-		select {
-		case m := <-sh.inbox:
-			sh.handle(m, now)
-		default:
-			return
-		}
-	}
-}
-
-// handle applies one demultiplexed datagram to the shard's table.
+// handle applies one decoded datagram to the shard's table.
 func (sh *shard) handle(m inMsg, now float64) {
 	switch m.kind {
 	case KindReq:

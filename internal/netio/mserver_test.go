@@ -14,51 +14,33 @@ import (
 	"qav/internal/transport"
 )
 
-func testMultiServer(t *testing.T, cfg MultiConfig) *MultiServer {
+// testMultiServer serves cfg on `shards` SO_REUSEPORT siblings of one
+// loopback port (one plain socket off linux, where socket groups are
+// unsupported) and stops it when the test ends. The returned channel
+// yields Serve's result.
+func testMultiServer(t *testing.T, shards int, cfg MultiConfig) (*MultiServer, <-chan error) {
 	t.Helper()
-	conn := listenUDPTB(t)
-	t.Cleanup(func() { conn.Close() })
+	if !ReuseportAvailable() {
+		shards = 1
+	}
+	conns, err := ListenReuseport("udp", "127.0.0.1:0", shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	})
 	if cfg.QA.C == 0 {
 		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2}
 	}
 	if cfg.RAP.PacketSize == 0 {
 		cfg.RAP = transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
 	}
-	srv, err := NewMultiServer(conn, cfg)
+	srv, err := NewMultiServerConns(conns, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.Serve(ctx)
-	}()
-	t.Cleanup(func() { cancel(); wg.Wait() })
-	return srv
-}
-
-// testOwnedServer serves in owned-socket mode on one plain loopback
-// socket (one shard; SO_REUSEPORT is only needed for several), so every
-// client of the test shares the shard loop under test. The returned
-// channel yields Serve's result.
-func testOwnedServer(t *testing.T, cfg MultiConfig) (*MultiServer, <-chan error) {
-	t.Helper()
-	conn := listenUDPTB(t)
-	t.Cleanup(func() { conn.Close() })
-	if cfg.QA.C == 0 {
-		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2}
-	}
-	if cfg.RAP.PacketSize == 0 {
-		cfg.RAP = transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000}
-	}
-	srv, err := NewMultiServerConns([]*net.UDPConn{conn}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.shards[0].writer.TryReadBatch(nil); errors.Is(err, ErrNoTryRead) {
-		t.Skip("no non-blocking batch read on this platform: the shard loop never coalesces")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
@@ -68,10 +50,25 @@ func testOwnedServer(t *testing.T, cfg MultiConfig) (*MultiServer, <-chan error)
 		select {
 		case <-served:
 		case <-time.After(5 * time.Second):
-			t.Error("owned-mode Serve did not return after cancel")
+			t.Error("Serve did not return after cancel")
 		}
 	})
 	return srv, served
+}
+
+// needTryRead skips t where the batch layer has no non-blocking read:
+// there the shard loop never coalesces.
+func needTryRead(t *testing.T) {
+	t.Helper()
+	conn := listenUDPTB(t)
+	defer conn.Close()
+	bc, err := NewBatchConn(conn, BatchAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bc.TryReadBatch(nil); errors.Is(err, ErrNoTryRead) {
+		t.Skip("no non-blocking batch read on this platform: the shard loop never coalesces")
+	}
 }
 
 // coalescedTicks reads the srv.coalesced_ticks counter.
@@ -83,7 +80,7 @@ func coalescedTicks(srv *MultiServer) int64 {
 // staggered joins and two leave waves while metrics snapshots race the
 // serving path. Per-client isolation: nobody starves, service is fair.
 func TestMultiServerManyClients(t *testing.T) {
-	srv := testMultiServer(t, MultiConfig{Shards: 4})
+	srv, _ := testMultiServer(t, 4, MultiConfig{})
 
 	// Metrics and stats snapshots concurrent with serving: the race
 	// detector run in CI is the real assertion here.
@@ -142,19 +139,21 @@ func TestMultiServerManyClients(t *testing.T) {
 
 // TestMultiServerNackStormIsolation points a misbehaving client at the
 // server — an acknowledgement flood each carrying a retransmission
-// request — while well-behaved clients stream. The storm must be
-// absorbed (bounded nack queue, shed inbox load, congestion-controlled
-// repair) without stalling the other clients.
+// request — while well-behaved clients stream, on two shards. The
+// storm must be absorbed (bounded nack queue, congestion-controlled
+// repair) without stalling the other clients, whichever shard the
+// kernel steers each of them to.
 func TestMultiServerNackStormIsolation(t *testing.T) {
-	nackStorm(t, testMultiServer(t, MultiConfig{Shards: 2}))
+	srv, _ := testMultiServer(t, 2, MultiConfig{})
+	nackStorm(t, srv)
 }
 
-// TestOwnedNackStormIsolation is the same storm against the owned-socket
-// loop, attacker and victims on one shard: the flood is itself load, so
-// the shard rides it out tick-driven, where inboxBurst bounds each
-// tick's drain instead of each inbox wake.
+// TestOwnedNackStormIsolation is the same storm with attacker and
+// victims on one shard: the flood is itself load, so the shard rides it
+// out tick-driven, where readBurst bounds each tick's drain.
 func TestOwnedNackStormIsolation(t *testing.T) {
-	srv, served := testOwnedServer(t, MultiConfig{})
+	needTryRead(t)
+	srv, served := testMultiServer(t, 1, MultiConfig{})
 	nackStorm(t, srv)
 	if n := coalescedTicks(srv); n == 0 {
 		t.Error("a 30k-datagram flood never switched the shard to tick mode")
@@ -234,15 +233,13 @@ func nackStorm(t *testing.T, srv *MultiServer) {
 		}
 	}
 	st := srv.Stats()
-	if st.NackDrops+st.InboxDrops+st.Retransmits == 0 {
-		t.Errorf("storm left no trace: nack drops %d, inbox drops %d, retransmits %d",
-			st.NackDrops, st.InboxDrops, st.Retransmits)
+	if st.NackDrops+st.Retransmits == 0 {
+		t.Errorf("storm left no trace: nack drops %d, retransmits %d", st.NackDrops, st.Retransmits)
 	}
-	t.Logf("storm absorbed: nackdrops=%d inboxdrops=%d retransmits=%d jain=%.3f",
-		st.NackDrops, st.InboxDrops, st.Retransmits, res.Jain)
+	t.Logf("storm absorbed: nackdrops=%d retransmits=%d jain=%.3f", st.NackDrops, st.Retransmits, res.Jain)
 }
 
-// TestOwnedLoopSurvivesModeSwitches ramps one owned-socket shard from 4
+// TestOwnedLoopSurvivesModeSwitches ramps one shard from 4
 // clients to 300 and back to 4. At 4 the loop is arrival-driven and
 // arms a read deadline every iteration; at 300 it must go tick-driven
 // with that deadline still armed and soon expired (if it is not
@@ -251,7 +248,8 @@ func nackStorm(t *testing.T, srv *MultiServer) {
 // waiting on arrivals. While busy, a newcomer's REQ must still be
 // answered within 10 ms: it waits for the next tick, not for a sweep.
 func TestOwnedLoopSurvivesModeSwitches(t *testing.T) {
-	srv, served := testOwnedServer(t, MultiConfig{})
+	needTryRead(t)
+	srv, served := testMultiServer(t, 1, MultiConfig{})
 	alive := func(when string) {
 		t.Helper()
 		select {
@@ -364,7 +362,7 @@ func TestOwnedLoopSurvivesModeSwitches(t *testing.T) {
 // versions, random noise, and data-kind packets. Nothing may panic, and
 // the streams must complete.
 func TestMultiServerMalformedDatagrams(t *testing.T) {
-	srv := testMultiServer(t, MultiConfig{Shards: 2})
+	srv, _ := testMultiServer(t, 2, MultiConfig{})
 
 	noiseDone := make(chan struct{})
 	go func() {
@@ -460,7 +458,7 @@ func TestSessionAckForNeverSentSeqIgnored(t *testing.T) {
 // TestMultiServerAdmissionCap verifies MaxClients: joins beyond the cap
 // are refused while the capacity is occupied.
 func TestMultiServerAdmissionCap(t *testing.T) {
-	srv := testMultiServer(t, MultiConfig{Shards: 2, MaxClients: 4})
+	srv, _ := testMultiServer(t, 2, MultiConfig{MaxClients: 4})
 	req := make([]byte, ReqLen)
 	n, _ := EncodeReq(req, Req{DurationMs: 60_000})
 	conns := make([]*net.UDPConn, 8)
@@ -473,7 +471,7 @@ func TestMultiServerAdmissionCap(t *testing.T) {
 		conns[i] = c
 	}
 	// Re-send joins until the cap is provably full and at least one
-	// refusal has been counted (requests may be shed under load).
+	// refusal has been counted (requests may be lost under load).
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		for _, c := range conns {
@@ -500,7 +498,7 @@ func TestMultiServerAdmissionCap(t *testing.T) {
 // TestMultiServerIdleExpiry checks that a client that vanishes without
 // acking is swept from the table long before its requested stream ends.
 func TestMultiServerIdleExpiry(t *testing.T) {
-	srv := testMultiServer(t, MultiConfig{Shards: 1, IdleTimeout: 300 * time.Millisecond})
+	srv, _ := testMultiServer(t, 1, MultiConfig{IdleTimeout: 300 * time.Millisecond})
 	conn, err := net.DialUDP("udp", nil, mustUDPAddr(t, srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -545,10 +543,9 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			t.Run(string(kind)+"/"+leg.name, func(t *testing.T) {
 				conn := listenUDPTB(t)
 				defer conn.Close()
-				srv, err := NewMultiServer(conn, MultiConfig{
+				srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
 					QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
 					RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
-					Shards:    1,
 					BatchKind: kind,
 				})
 				if err != nil {
@@ -668,10 +665,9 @@ func TestMultiServerMemoryBoundedUnderLoad(t *testing.T) {
 	}
 	conn := listenUDPTB(t)
 	defer conn.Close()
-	srv, err := NewMultiServer(conn, MultiConfig{
-		QA:     core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-		RAP:    transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
-		Shards: 1,
+	srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+		QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+		RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -708,9 +704,8 @@ func TestMultiServerMemoryBoundedUnderLoad(t *testing.T) {
 	}
 }
 
-// TestMultiServerReuseport runs the owned-socket mode end to end: each
-// shard on its own SO_REUSEPORT sibling, kernel-steered clients, no
-// reader goroutine — so there must be zero inbox sheds by construction.
+// TestMultiServerReuseport serves end to end from two SO_REUSEPORT
+// siblings: each shard on its own socket, clients steered by the kernel.
 func TestMultiServerReuseport(t *testing.T) {
 	if !ReuseportAvailable() {
 		t.Skip("SO_REUSEPORT socket groups unsupported on this platform")
@@ -758,49 +753,16 @@ func TestMultiServerReuseport(t *testing.T) {
 	if st.Accepted != 8 || st.SentPkts == 0 || st.AckedPkts == 0 {
 		t.Fatalf("accepted=%d sent=%d acked=%d", st.Accepted, st.SentPkts, st.AckedPkts)
 	}
-	if st.InboxDrops != 0 {
-		t.Fatalf("owned-socket mode shed %d inbox messages; it has no inboxes", st.InboxDrops)
-	}
-	for i, d := range st.InboxDropsPerShard {
-		if d != 0 {
-			t.Fatalf("shard %d reports %d sheds in owned-socket mode", i, d)
-		}
-	}
 }
 
 // TestServeReturnsWhenASocketDies: a socket failing under Serve must end
-// Serve with that error, not leave it waiting on the loops whose sockets
-// (or inboxes) are still fine — in demux mode the shards behind a dead
-// reader, in owned mode the siblings of a dead shard.
+// Serve with that error, not leave it waiting on the shards whose
+// sockets are still fine.
 func TestServeReturnsWhenASocketDies(t *testing.T) {
 	cfg := MultiConfig{
-		QA:     core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
-		RAP:    transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
-		Shards: 2,
+		QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
+		RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
 	}
-	check := func(t *testing.T, srv *MultiServer, victim *net.UDPConn) {
-		served := make(chan error, 1)
-		go func() { served <- srv.Serve(context.Background()) }()
-		time.Sleep(200 * time.Millisecond)
-		victim.Close()
-		select {
-		case err := <-served:
-			if err == nil || errors.Is(err, context.Canceled) {
-				t.Fatalf("Serve returned %v, want the socket's read error", err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("Serve still blocked 2 s after its socket was closed")
-		}
-	}
-	t.Run("demux", func(t *testing.T) {
-		conn := listenUDPTB(t)
-		defer conn.Close()
-		srv, err := NewMultiServer(conn, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(t, srv, conn)
-	})
 	t.Run("owned", func(t *testing.T) {
 		// Two plain sockets on two ports: one shard each, no SO_REUSEPORT
 		// needed. The first dies, the second stays healthy.
@@ -811,46 +773,58 @@ func TestServeReturnsWhenASocketDies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, srv, conns[0])
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(context.Background()) }()
+		time.Sleep(200 * time.Millisecond)
+		conns[0].Close()
+		select {
+		case err := <-served:
+			if err == nil || errors.Is(err, context.Canceled) {
+				t.Fatalf("Serve returned %v, want the socket's read error", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("Serve still blocked 2 s after its socket was closed")
+		}
 	})
 }
 
-// TestMultiServerShardsOverridePolicy pins the explicit Shards policy:
-// the 8-shard cap applies only to the default, an explicit value above
-// it is honored as given, and oversubscribing GOMAXPROCS is flagged in
-// stats rather than silently clamped.
+// TestMultiServerShardsOverridePolicy pins the shard policy: one shard
+// per socket, however many sockets (the old silent cap of 8 is gone),
+// and more sockets than GOMAXPROCS flagged in stats rather than
+// clamped.
 func TestMultiServerShardsOverridePolicy(t *testing.T) {
-	conn := listenUDPTB(t)
-	defer conn.Close()
-	base := MultiConfig{
+	cfg := MultiConfig{
 		QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
 		RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 30_000},
 	}
 	want := runtime.GOMAXPROCS(0) + 3
 	if want < 9 {
-		want = 9 // also prove the old silent cap of 8 is gone
+		want = 9
 	}
-	cfg := base
-	cfg.Shards = want
-	srv, err := NewMultiServer(conn, cfg)
+	conns := make([]*net.UDPConn, want)
+	for i := range conns {
+		conns[i] = listenUDPTB(t)
+		defer conns[i].Close()
+	}
+	srv, err := NewMultiServerConns(conns, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(srv.shards); got != want {
-		t.Fatalf("explicit Shards=%d built %d shards (old code clamped at 8)", want, got)
+		t.Fatalf("%d sockets built %d shards", want, got)
 	}
 	if srv.Stats().ShardsOverCPU == 0 {
-		t.Fatalf("Shards=%d > GOMAXPROCS=%d not flagged in ShardsOverCPU", want, runtime.GOMAXPROCS(0))
+		t.Fatalf("%d sockets > GOMAXPROCS=%d not flagged in ShardsOverCPU", want, runtime.GOMAXPROCS(0))
 	}
-	def, err := NewMultiServer(conn, base)
+	one, err := NewMultiServerConns(conns[:1], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(def.shards); got != DefaultShards() {
-		t.Fatalf("default built %d shards, want DefaultShards()=%d", got, DefaultShards())
+	if got := len(one.shards); got != 1 {
+		t.Fatalf("one socket built %d shards", got)
 	}
-	if def.Stats().ShardsOverCPU != 0 {
-		t.Fatal("default shard count flagged as oversubscribed")
+	if one.Stats().ShardsOverCPU != 0 {
+		t.Fatal("one shard flagged as oversubscribed")
 	}
 }
 

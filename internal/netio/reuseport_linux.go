@@ -1,17 +1,15 @@
-// SO_REUSEPORT socket siblings for the owned-socket serving mode.
+// SO_REUSEPORT socket siblings: one socket per MultiServer shard.
 //
 // Linux (3.9+) lets N UDP sockets bind the same address:port when every
 // one sets SO_REUSEPORT before bind; the kernel then steers each
 // datagram to one of them by a hash of the 4-tuple, so a given client's
-// packets always land on the same socket. Handing one sibling to each
-// shard replaces the userspace reader->inbox demultiplexer with kernel
-// steering: no channel hop, no sheds, reads spread across shard
-// goroutines.
+// packets always land on the same socket, hence the same shard, and
+// reads spread across shard goroutines with no userspace hop.
 //
 // The stdlib syscall package does not export the option constant on
 // linux (it predates the feature's ABI), and this repo is stdlib-only,
 // so it is defined locally. Gated to linux like batch_mmsg.go; other
-// platforms get the stub that reports the feature unavailable.
+// platforms get a stub that binds one plain socket and refuses more.
 
 //go:build linux
 

@@ -27,7 +27,6 @@ const nackCap = 64
 type nackRing struct {
 	buf     [nackCap]nack
 	head, n int
-	dropped int64
 }
 
 // push queues nk and reports whether the oldest request was shed to
@@ -36,7 +35,6 @@ func (q *nackRing) push(nk nack) (shed bool) {
 	if shed = q.n == len(q.buf); shed {
 		q.head = (q.head + 1) % len(q.buf)
 		q.n--
-		q.dropped++
 	}
 	q.buf[(q.head+q.n)%len(q.buf)] = nk
 	q.n++

@@ -40,14 +40,17 @@ func TestSessionRejectsNegativeNackOffset(t *testing.T) {
 
 func TestNackRingDropOldest(t *testing.T) {
 	var q nackRing
+	sheds := 0
 	for i := 0; i < nackCap+10; i++ {
-		q.push(nack{layer: 0, off: int64(i) * 512})
+		if q.push(nack{layer: 0, off: int64(i) * 512}) {
+			sheds++
+		}
 	}
 	if q.n != nackCap {
 		t.Fatalf("queue length %d want %d", q.n, nackCap)
 	}
-	if q.dropped != 10 {
-		t.Fatalf("dropped %d want 10", q.dropped)
+	if sheds != 10 {
+		t.Fatalf("push shed %d want 10", sheds)
 	}
 	// The oldest 10 were shed: the head must now be entry 10.
 	if nk := q.pop(); nk.off != 10*512 {

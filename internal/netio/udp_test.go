@@ -15,12 +15,12 @@ import (
 // client on one shard, already running (testMultiServer stops it).
 func testServer(t *testing.T, c float64, maxRate float64) *MultiServer {
 	t.Helper()
-	return testMultiServer(t, MultiConfig{
+	srv, _ := testMultiServer(t, 1, MultiConfig{
 		QA:         core.Params{C: c, Kmax: 2, MaxLayers: 6, StartupSec: 0.2},
 		RAP:        transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: maxRate},
-		Shards:     1,
 		MaxClients: 1,
 	})
+	return srv
 }
 
 // runStream streams to one client for dur and returns both sides' stats.

@@ -1,6 +1,6 @@
 package netio
 
-// Wake coalescing for the owned-socket shard loop (runOwned).
+// Wake coalescing for the shard loop (shard.run).
 //
 // A shard that blocks in the socket read is woken by every arrival. At
 // a few hundred packets per second that is what keeps a REQ or an ACK

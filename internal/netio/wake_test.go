@@ -34,16 +34,16 @@ func TestWakePolicyIdleNeverCoalesces(t *testing.T) {
 
 func TestWakePolicyNeedsSustainedLoad(t *testing.T) {
 	var p wakePolicy
-	// One burst from idle — a full inboxBurst of datagrams and a full
+	// One burst from idle — a full readBurst of datagrams and a full
 	// round of sends in a single zero-length iteration — is not load.
-	if p.observe(0, 2*inboxBurst) {
+	if p.observe(0, 2*readBurst) {
 		t.Fatalf("a single burst switched an idle shard to tick mode (rate %.3f)", p.rate)
 	}
 	// The same burst once per idle sweep is not sustained either.
 	for i := 0; i < 1000; i++ {
-		if p.observe(idleSweepSec, 2*inboxBurst) {
+		if p.observe(idleSweepSec, 2*readBurst) {
 			t.Fatalf("one burst per sweep (%.1f events/tick) switched modes at sweep %d",
-				2*inboxBurst*wheelTickSec/idleSweepSec, i)
+				2*readBurst*wheelTickSec/idleSweepSec, i)
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -249,14 +250,13 @@ func pacerHarness(t testing.TB, cfg MultiConfig) *shard {
 	t.Helper()
 	conn := listenUDPTB(t)
 	t.Cleanup(func() { conn.Close() })
-	cfg.Shards = 1
 	if cfg.QA.C == 0 {
 		cfg.QA = core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1}
 	}
 	if cfg.RAP.PacketSize == 0 {
 		cfg.RAP = transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000}
 	}
-	srv, err := NewMultiServer(conn, cfg)
+	srv, err := NewMultiServerConns([]*net.UDPConn{conn}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +279,20 @@ func synthAddr(i int) netip.AddrPort {
 // counts and exact next-send instants.
 func TestPacerDifferentialRandomized(t *testing.T) {
 	cfg := MultiConfig{
-		Batch:       1024, // never the binding constraint: due-set order must not matter
 		IdleTimeout: 700 * time.Millisecond,
 		MaxStream:   time.Hour,
 	}
 	scan := pacerHarness(t, cfg)
 	wheel := pacerHarness(t, cfg)
 	both := [2]*shard{scan, wheel}
+	for _, sh := range both {
+		// A batch that is never the binding constraint: due-set order
+		// must not matter.
+		sh.msgs = make([]Message, 1024)
+		for i := range sh.msgs {
+			sh.msgs[i].Buf = make([]byte, sh.srv.cfg.RAP.PacketSize)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(7))
 	now := 0.0
@@ -388,10 +395,10 @@ func TestPacerDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestPumpDueSendsWholeTick pins the owned loop's send stage: one pump
+// TestPumpDueSendsWholeTick pins the shard loop's send stage: one pump
 // writes at most one batch, so a wake that finds more than a batch due
 // (every tick-driven wake under load) must pump again until nothing is
-// due — but only up to inboxBurst packets, after which it reports the
+// due — but only up to readBurst packets, after which it reports the
 // backlog (next <= now) instead of finishing it, so the caller reads
 // the socket in between.
 func TestPumpDueSendsWholeTick(t *testing.T) {
@@ -402,8 +409,8 @@ func TestPumpDueSendsWholeTick(t *testing.T) {
 	}
 	sh := pacerHarness(t, MultiConfig{})
 	join(sh, 50) // every new session's first packet is due at once
-	if k, _ := sh.pump(0); k != sh.srv.cfg.Batch {
-		t.Fatalf("one pump wrote %d packets, want exactly one batch of %d", k, sh.srv.cfg.Batch)
+	if k, _ := sh.pump(0); k != len(sh.msgs) {
+		t.Fatalf("one pump wrote %d packets, want exactly one batch of %d", k, len(sh.msgs))
 	}
 	sh = pacerHarness(t, MultiConfig{})
 	join(sh, 50)
@@ -414,8 +421,8 @@ func TestPumpDueSendsWholeTick(t *testing.T) {
 	sh = pacerHarness(t, MultiConfig{})
 	join(sh, 300)
 	sent, next := sh.pumpDue(0)
-	if sent < inboxBurst || sent >= inboxBurst+sh.srv.cfg.Batch {
-		t.Fatalf("pumpDue wrote %d packets against a 300-packet backlog, want the bound [%d, %d)", sent, inboxBurst, inboxBurst+sh.srv.cfg.Batch)
+	if sent < readBurst || sent >= readBurst+len(sh.msgs) {
+		t.Fatalf("pumpDue wrote %d packets against a 300-packet backlog, want the bound [%d, %d)", sent, readBurst, readBurst+len(sh.msgs))
 	}
 	if next > 0 {
 		t.Fatalf("pumpDue stopped at its bound but reports next=%v > now: the loop would sleep on a backlog", next)

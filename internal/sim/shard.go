@@ -104,7 +104,7 @@ func (m *mailbox) flip() bool {
 	return len(m.cur) > 0
 }
 
-// winCmd tells a worker to run one window: drain inboxes, then execute
+// winCmd tells a worker to run one window: drain mailboxes, then execute
 // up to hi (strictly below for interior windows, inclusive with the
 // clock advanced to hi for the final one, matching the serial
 // RunUntil(Duration)).
@@ -114,7 +114,7 @@ type winCmd struct {
 }
 
 // shardWorker drives one engine on its own goroutine, lock-step with
-// the coordinator: receive a window command, drain inboxes, run, park.
+// the coordinator: receive a window command, drain mailboxes, run, park.
 type shardWorker struct {
 	eng     *Engine
 	consume func()
@@ -259,7 +259,7 @@ func (d *ShardedDumbbell) AssignFlow(flowID, s int) {
 	d.owner[flowID] = s
 }
 
-func (d *ShardedDumbbell) shardOf(flowID int) int {
+func (d *ShardedDumbbell) flowShard(flowID int) int {
 	if flowID >= len(d.owner) || d.owner[flowID] < 0 {
 		panic(fmt.Sprintf("sim: flow %d not assigned to a shard", flowID))
 	}
@@ -333,7 +333,7 @@ func (d *ShardedDumbbell) consumeBneck() {
 	}
 }
 
-// consumeFlow drains flow shard i's inboxes: dropped packets go back
+// consumeFlow drains flow shard i's mailboxes: dropped packets go back
 // to the local pool, deliveries are scheduled at their arrival times,
 // keyed by the instant the bottleneck transmitted them.
 func (d *ShardedDumbbell) consumeFlow(i int) {
@@ -452,11 +452,11 @@ func (d *ShardedDumbbell) stopWorkers() {
 type shardedOut struct{ d *ShardedDumbbell }
 
 func (o shardedOut) Deliver(at float64, p *Packet) {
-	o.d.toShard[o.d.shardOf(p.FlowID)].put(at, o.d.bneck.Now(), o.d.bneck.curPt, p)
+	o.d.toShard[o.d.flowShard(p.FlowID)].put(at, o.d.bneck.Now(), o.d.bneck.curPt, p)
 }
 
 func (o shardedOut) Drop(p *Packet) {
-	o.d.returns[o.d.shardOf(p.FlowID)].put(0, 0, 0, p)
+	o.d.returns[o.d.flowShard(p.FlowID)].put(0, 0, 0, p)
 }
 
 // ShardNet is one flow shard's front onto the sharded dumbbell. It

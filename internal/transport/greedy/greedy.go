@@ -7,10 +7,7 @@
 // is what that standing queue does to a QA flow's buffer math.
 package greedy
 
-import (
-	"qav/internal/metrics"
-	"qav/internal/transport"
-)
+import "qav/internal/transport"
 
 // Config parameterizes the greedy controller. Zero fields take
 // defaults.
@@ -98,10 +95,4 @@ func (c *Controller) loss(now float64, lost []int64) *transport.Backoff {
 func (c *Controller) ConservativeSlope() float64 {
 	prtt := c.PeakRTT()
 	return c.cfg.IncreasePkts * float64(c.PacketSize()) / (prtt * prtt)
-}
-
-// Instrument publishes the shared transport instruments and counters
-// under prefix.
-func (c *Controller) Instrument(reg *metrics.Registry, prefix string, ins *transport.Instruments) {
-	c.Base.Instrument(reg, prefix, ins)
 }

@@ -175,9 +175,10 @@ type (
 	PlaybackStats = video.Stats
 )
 
-// NewServer wraps a bound UDP socket in a streaming server.
+// NewServer wraps a bound UDP socket in a one-shard streaming server.
+// The socket stays caller-owned.
 func NewServer(conn *net.UDPConn, cfg ServerConfig) (*Server, error) {
-	return netio.NewMultiServer(conn, cfg)
+	return netio.NewMultiServerConns([]*net.UDPConn{conn}, cfg)
 }
 
 // DialStream connects to a server (or pipe), streams for dur, and
