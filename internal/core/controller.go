@@ -56,15 +56,22 @@ type Controller struct {
 	lastAllocRate float64
 	allocDirty    bool
 
-	// Events is the append-only decision log.
+	// Events is the decision log (bounded by P.MaxEvents), for display;
+	// the counts live in the running sums below.
 	Events []Event
 
-	// ins, when set via Instrument, receives decision events as counter
-	// increments. Nil on uninstrumented controllers.
+	// Running sums of every decision, whatever the log kept: Stats reads
+	// them. sumE is Σe over drops, poorDrops the poor-distribution drops.
+	tally     DropStats
+	sumE      float64
+	poorDrops int
+
+	// ins, set via Instrument, receives the same decisions as counter
+	// increments; noInstruments on uninstrumented controllers.
 	ins *Instruments
 
 	// Cumulative quality/playback statistics.
-	StallSec     float64
+	stallSec     float64 // completed stalls; StallSec adds an open one
 	stallBegin   float64
 	PlayedSec    float64
 	LayerSeconds float64 // integral of active layer count over played time
@@ -83,7 +90,30 @@ func NewController(p Params) (*Controller, error) {
 		bufs:    make([]float64, 1),
 		credits: make([]float64, 1),
 		shares:  make([]float64, 1),
+		ins:     &noInstruments,
 	}, nil
+}
+
+// Stats returns the controller's decision counts and the Tables 1-2
+// metrics, from running sums kept as the decisions are made.
+func (c *Controller) Stats() DropStats {
+	st := c.tally
+	if st.Drops > 0 {
+		st.AvgEfficiency = c.sumE / float64(st.Drops)
+		st.PoorDistPct = 100 * float64(c.poorDrops) / float64(st.Drops)
+	} else {
+		st.AvgEfficiency = 1
+	}
+	return st
+}
+
+// StallSec returns the playback time lost to stalls, counting a stall
+// still in progress up to the last Tick.
+func (c *Controller) StallSec() float64 {
+	if c.stalled {
+		return c.stallSec + (c.lastTick - c.stallBegin)
+	}
+	return c.stallSec
 }
 
 // ActiveLayers returns the number of currently active layers.
@@ -192,7 +222,7 @@ func (c *Controller) Tick(now, R, S float64) {
 	} else if c.stalled {
 		if c.bufs[0] >= startup/2 {
 			c.stalled = false
-			c.StallSec += now - c.stallBegin
+			c.stallSec += now - c.stallBegin
 			c.event(Event{Time: now, Kind: EvStallEnd, Rate: R})
 		}
 	}
@@ -439,6 +469,8 @@ func (c *Controller) safeSlope(s float64) float64 {
 	return s
 }
 
+// event logs a decision and counts it, into the running sums Stats reads
+// and the attached instruments: the one place decisions are counted.
 func (c *Controller) event(e Event) {
 	if c.P.MaxEvents > 0 && len(c.Events) >= c.P.MaxEvents {
 		// Keep the most recent half; amortized O(1) per event and the
@@ -447,5 +479,32 @@ func (c *Controller) event(e Event) {
 		c.Events = c.Events[:n]
 	}
 	c.Events = append(c.Events, e)
-	c.record(e)
+	ins := c.ins
+	switch e.Kind {
+	case EvAddLayer:
+		c.tally.Adds++
+		inc(ins.Adds)
+	case EvDropLayer:
+		c.tally.Drops++
+		inc(ins.Drops)
+		// Table 1's e; a drop with nothing buffered wasted nothing.
+		if e.BufTotal > 0 {
+			c.sumE += (e.BufTotal - e.BufDrop) / e.BufTotal
+		} else {
+			c.sumE++
+		}
+		if e.Critical {
+			inc(ins.CriticalDrops)
+		}
+		if e.PoorDist {
+			c.poorDrops++
+			inc(ins.PoorDistDrops)
+		}
+	case EvBackoff:
+		c.tally.Backoffs++
+		inc(ins.Backoffs)
+	case EvStallStart:
+		c.tally.Stalls++
+		inc(ins.Stalls)
+	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"qav/internal/metrics"
 )
 
 // loopback drives a controller against an idealized network: whatever
@@ -150,8 +152,8 @@ func TestControllerSurvivesSawtoothSteadily(t *testing.T) {
 		lb.run(period, rate, slope)
 		lb.c.OnBackoff(lb.now, low, slope)
 	}
-	if lb.c.StallSec > 0 {
-		t.Fatalf("stalled %.2fs during a steady sawtooth", lb.c.StallSec)
+	if lb.c.StallSec() > 0 {
+		t.Fatalf("stalled %.2fs during a steady sawtooth", lb.c.StallSec())
 	}
 	if got := lb.c.ActiveLayers(); got != 3 {
 		t.Fatalf("steady sawtooth holds %d layers, want 3", got)
@@ -241,7 +243,7 @@ func TestControllerStallAndResume(t *testing.T) {
 	// Starve below the base-layer rate long enough to exhaust buffering.
 	lb.c.OnBackoff(lb.now, 100, cS)
 	lb.run(30, func(float64) float64 { return 100 }, cS)
-	if !lb.c.Stalled() && lb.c.StallSec == 0 {
+	if !lb.c.Stalled() && lb.c.StallSec() == 0 {
 		t.Fatal("expected a stall during starvation")
 	}
 	// Recover.
@@ -249,7 +251,7 @@ func TestControllerStallAndResume(t *testing.T) {
 	if lb.c.Stalled() {
 		t.Fatal("stall did not clear after recovery")
 	}
-	if lb.c.StallSec <= 0 {
+	if lb.c.StallSec() <= 0 {
 		t.Fatal("StallSec not accounted")
 	}
 }
@@ -494,5 +496,74 @@ func TestEventLogBounded(t *testing.T) {
 	}
 	if len(c2.Events) != 10_000 {
 		t.Fatalf("uncapped log truncated to %d", len(c2.Events))
+	}
+}
+
+// Stats reads running sums, not the log: with MaxEvents capping the log
+// at 4 entries, every decision is still counted, and e and the
+// poor-distribution share come out as over the whole run.
+func TestStatsCountsPastTheLogCap(t *testing.T) {
+	c, err := NewController(Params{C: 1000, MaxEvents: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []Event{
+		{Kind: EvPlayStart},
+		{Kind: EvAddLayer},
+		{Kind: EvAddLayer},
+		{Kind: EvBackoff},
+		{Kind: EvDropLayer, BufTotal: 1000, BufDrop: 10},
+		{Kind: EvDropLayer, BufTotal: 1000, BufDrop: 100, PoorDist: true},
+		{Kind: EvDropLayer}, // nothing buffered: nothing wasted, e = 1
+		{Kind: EvStallStart},
+	} {
+		c.event(e)
+	}
+	st := c.Stats()
+	wantE := ((1000.0-10)/1000 + (1000.0-100)/1000 + 1) / 3
+	if st.Drops != 3 || st.Adds != 2 || st.Backoffs != 1 || st.Stalls != 1 ||
+		st.AvgEfficiency != wantE || st.PoorDistPct != 100.0/3 {
+		t.Fatalf("stats %+v; want 3 drops, 2 adds, 1 backoff, 1 stall, e %v, poor %v%%", st, wantE, 100.0/3)
+	}
+	if len(c.Events) > 4 {
+		t.Fatalf("log holds %d events past its cap of 4", len(c.Events))
+	}
+	if st := (&Controller{}).Stats(); st.AvgEfficiency != 1 || st.PoorDistPct != 0 {
+		t.Fatalf("no-drop stats %+v; want e 1 and no poor drops", st)
+	}
+}
+
+// A run that ends mid-stall has lost playback since the stall began:
+// StallSec counts the open stall up to the last Tick, and the
+// stalled.sec gauge reads the same.
+func TestStallSecCountsOpenStall(t *testing.T) {
+	lb := newLoopback(t, baseParams())
+	reg := metrics.NewRegistry()
+	lb.c.Instrument(reg, "qa", NewInstruments(reg, "qa"))
+	lb.run(5, func(float64) float64 { return 1500 }, cS)
+	// Starve below one layer: no whole byte is delivered per tick, so
+	// the stall never clears.
+	starve := func(float64) float64 { return 100 }
+	lb.c.OnBackoff(lb.now, 100, cS)
+	for !lb.c.Stalled() && lb.now < 60 {
+		lb.run(lb.dt, starve, cS)
+	}
+	lb.run(3, starve, cS)
+	lb.c.Tick(lb.now, 100, cS)
+	began := -1.0
+	for _, e := range lb.c.Events {
+		if e.Kind == EvStallStart {
+			began = e.Time
+		}
+	}
+	if !lb.c.Stalled() || began < 0 {
+		t.Fatalf("stalled %v, stall began at %v; want a stall still open", lb.c.Stalled(), began)
+	}
+	want := lb.now - began
+	if got := lb.c.StallSec(); got != want || want < 3 {
+		t.Fatalf("StallSec %v mid-stall, want %v (last tick %v - stall start %v)", got, want, lb.now, began)
+	}
+	if got := reg.Snapshot().Gauges["qa.stalled.sec"]; got != want {
+		t.Fatalf("qa.stalled.sec gauge %v, want %v", got, want)
 	}
 }

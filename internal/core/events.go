@@ -57,3 +57,18 @@ type Event struct {
 	// opposed to the immediate post-backoff rule.
 	Critical bool
 }
+
+// DropStats summarizes a controller's decisions, the raw material for
+// the paper's Tables 1 and 2 (Controller.Stats).
+type DropStats struct {
+	Drops int // layer-drop events
+	// AvgEfficiency is the mean of e = (buf_total - buf_drop)/buf_total
+	// over drop events (Table 1); 1.0 when no buffered data was wasted.
+	AvgEfficiency float64
+	// PoorDistPct is the percentage of drops that happened although the
+	// total buffering would have sufficed for recovery (Table 2).
+	PoorDistPct float64
+	Adds        int // layer additions
+	Backoffs    int // congestion backoffs
+	Stalls      int // base-layer underflow events
+}

@@ -3,9 +3,9 @@ package core
 import "qav/internal/metrics"
 
 // Instruments are the metric handles the quality adaptation controller
-// records through. Record sites live in the controller's event sink and
-// are nil-guarded, so an uninstrumented controller pays one branch per
-// decision event (not per packet).
+// records through. Controller.event bumps them beside its own running
+// sums, so an uninstrumented controller pays one branch per decision
+// event (not per packet).
 type Instruments struct {
 	// Adds counts layers added; Drops counts layers dropped (all causes).
 	Adds  *metrics.Counter
@@ -38,13 +38,14 @@ func NewInstruments(reg *metrics.Registry, prefix string) *Instruments {
 
 // Instrument attaches ins and publishes the controller's quality state
 // on reg under the same prefix as snapshot-time Func metrics. Call
-// before the simulation starts.
+// before the simulation starts. With a nil reg only ins attaches: the
+// server's sessions share counters and publish no per-session gauges.
 func (c *Controller) Instrument(reg *metrics.Registry, prefix string, ins *Instruments) {
 	c.ins = ins
 	reg.GaugeFunc(prefix+".layers", func() float64 { return float64(c.na) })
 	reg.GaugeFunc(prefix+".buftotal", func() float64 { return c.TotalBuf() })
 	reg.GaugeFunc(prefix+".played.sec", func() float64 { return c.PlayedSec })
-	reg.GaugeFunc(prefix+".stalled.sec", func() float64 { return c.StallSec })
+	reg.GaugeFunc(prefix+".stalled.sec", func() float64 { return c.StallSec() })
 	reg.GaugeFunc(prefix+".layers.mean", func() float64 {
 		if c.PlayedSec <= 0 {
 			return 0
@@ -53,25 +54,12 @@ func (c *Controller) Instrument(reg *metrics.Registry, prefix string, ins *Instr
 	})
 }
 
-// record forwards a decision event to the attached instruments, if any.
-func (c *Controller) record(e Event) {
-	if c.ins == nil {
-		return
-	}
-	switch e.Kind {
-	case EvAddLayer:
-		c.ins.Adds.Inc()
-	case EvDropLayer:
-		c.ins.Drops.Inc()
-		if e.Critical {
-			c.ins.CriticalDrops.Inc()
-		}
-		if e.PoorDist {
-			c.ins.PoorDistDrops.Inc()
-		}
-	case EvBackoff:
-		c.ins.Backoffs.Inc()
-	case EvStallStart:
-		c.ins.Stalls.Inc()
+// noInstruments is what an uninstrumented controller counts into: every
+// handle nil, so inc skips it.
+var noInstruments Instruments
+
+func inc(ctr *metrics.Counter) {
+	if ctr != nil {
+		ctr.Inc()
 	}
 }

@@ -81,9 +81,9 @@ type Params struct {
 	ProtectSec float64
 	// MaxEvents bounds the decision log: past the cap the oldest half
 	// is discarded, keeping recent history. Zero keeps the full log
-	// (the simulator's default — analyses replay the whole run); a
+	// (the simulator's default, for event dumps and figures); a
 	// long-running server sets a cap so a churning stream cannot grow
-	// memory without bound.
+	// memory without bound. Stats counts every decision either way.
 	MaxEvents int
 }
 

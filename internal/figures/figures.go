@@ -15,6 +15,7 @@ import (
 	"io"
 	"sort"
 
+	"qav/internal/core"
 	"qav/internal/metrics"
 	"qav/internal/scenario"
 	"qav/internal/trace"
@@ -212,7 +213,7 @@ func Figure13(scale float64, opts ...scenario.PresetOption) (*Result, error) {
 type TableCell struct {
 	Test string
 	Kmax int
-	trace.DropStats
+	core.DropStats
 }
 
 // TablesSweep runs the Table 1/2 sweep: tests T1 and T2 for each Kmax.

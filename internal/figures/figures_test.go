@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"qav/internal/trace"
+	"qav/internal/core"
 )
 
 func TestFigure1ShapeMatchesPaper(t *testing.T) {
@@ -52,10 +52,10 @@ func TestFigure2ShapeMatchesPaper(t *testing.T) {
 
 func TestRenderTablesFormatting(t *testing.T) {
 	cells := []TableCell{
-		{Test: "T1", Kmax: 2, DropStats: trace.DropStats{Drops: 10, AvgEfficiency: 0.9977, PoorDistPct: 0}},
-		{Test: "T1", Kmax: 8, DropStats: trace.DropStats{Drops: 4, AvgEfficiency: 0.9999, PoorDistPct: 0}},
-		{Test: "T2", Kmax: 2, DropStats: trace.DropStats{Drops: 20, AvgEfficiency: 0.9915, PoorDistPct: 2.4}},
-		{Test: "T2", Kmax: 8, DropStats: trace.DropStats{}},
+		{Test: "T1", Kmax: 2, DropStats: core.DropStats{Drops: 10, AvgEfficiency: 0.9977, PoorDistPct: 0}},
+		{Test: "T1", Kmax: 8, DropStats: core.DropStats{Drops: 4, AvgEfficiency: 0.9999, PoorDistPct: 0}},
+		{Test: "T2", Kmax: 2, DropStats: core.DropStats{Drops: 20, AvgEfficiency: 0.9915, PoorDistPct: 2.4}},
+		{Test: "T2", Kmax: 8, DropStats: core.DropStats{}},
 	}
 	var buf bytes.Buffer
 	if err := RenderTables(&buf, cells); err != nil {

@@ -68,22 +68,21 @@ func New(tr transport.Transport, ctrl *core.Controller, start float64) Driver {
 	return d
 }
 
-// Step runs the transport's periodic rate decision at now and reports
-// whether it backed off. The simulator calls it from a timer, every
+// Step runs the transport's periodic rate decision at now, handing a
+// backoff to the controller. The simulator calls it from a timer, every
 // StepInterval.
-func (d *Driver) Step(now float64) (backedOff bool) {
+func (d *Driver) Step(now float64) {
 	d.lastStep = now
-	return d.backoff(now, d.Tr.Step(now))
+	d.backoff(now, d.Tr.Step(now))
 }
 
 // StepIfDue is Step once a StepInterval has passed since the last one:
 // the server's cadence, checked at send time, so a flow whose IPG
 // exceeds its SRTT steps once per packet rather than once per SRTT.
-func (d *Driver) StepIfDue(now float64) (backedOff bool) {
-	if now-d.lastStep < d.Tr.StepInterval() {
-		return false
+func (d *Driver) StepIfDue(now float64) {
+	if now-d.lastStep >= d.Tr.StepInterval() {
+		d.Step(now)
 	}
-	return d.Step(now)
 }
 
 // Send takes the send slot at now: it returns the sequence registered
@@ -126,27 +125,24 @@ func (d *Driver) Send(now float64, repairPending bool) (seq int64, layer int) {
 // controller: a backoff reaches the controller before the delivery does,
 // and only a sequence the transport calls fresh — outstanding until this
 // ACK, so not a duplicate, not already declared lost, not never sent —
-// is credited, to the layer it was tagged with.
-func (d *Driver) Ack(now float64, seq int64) (backedOff, credited bool) {
-	backedOff = d.backoff(now, d.Tr.OnAck(now, seq))
+// is credited, to the layer it was tagged with. It reports whether it
+// credited one.
+func (d *Driver) Ack(now float64, seq int64) (credited bool) {
+	d.backoff(now, d.Tr.OnAck(now, seq))
 	if d.Ctrl == nil {
-		return backedOff, false
+		return false
 	}
 	layer, fresh := d.Tr.Acked()
 	if !fresh || layer == Repair {
-		return backedOff, false
+		return false
 	}
 	d.Ctrl.OnDelivered(now, int(layer), d.PacketSize)
 	d.DeliveredByLayer[layer] += int64(d.PacketSize)
-	return backedOff, true
+	return true
 }
 
-func (d *Driver) backoff(now float64, b *transport.Backoff) bool {
-	if b == nil {
-		return false
-	}
-	if d.Ctrl != nil {
+func (d *Driver) backoff(now float64, b *transport.Backoff) {
+	if b != nil && d.Ctrl != nil {
 		d.Ctrl.OnBackoff(now, b.NewRate, d.Tr.ConservativeSlope())
 	}
-	return true
 }

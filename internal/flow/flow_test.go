@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -51,17 +52,18 @@ func TestDuplicateAckCreditsOnce(t *testing.T) {
 	d := newDriver(t, transport.RAPConfig{}, core.Params{})
 	seqs := sendN(d, 4)
 	now := d.NextSend + 0.05
-	if _, ok := d.Ack(now, seqs[1]); !ok {
+	if !d.Ack(now, seqs[1]) {
 		t.Fatal("first ACK not credited")
 	}
 	buf := d.Ctrl.TotalBuf()
 	for i := 0; i < 3; i++ {
-		if backedOff, ok := d.Ack(now+float64(i)*0.01, seqs[1]); ok || backedOff {
-			t.Fatalf("duplicate ACK %d: backedOff %v, credited %v", i, backedOff, ok)
+		if d.Ack(now+float64(i)*0.01, seqs[1]) {
+			t.Fatalf("duplicate ACK %d credited", i)
 		}
 	}
-	if got := d.Ctrl.TotalBuf(); got != buf || credited(d) != 1 || d.Tr.Counters().Acked != 1 {
-		t.Fatalf("after 3 duplicates: buffer %v -> %v, credited %d, acked %d", buf, got, credited(d), d.Tr.Counters().Acked)
+	if got := d.Ctrl.TotalBuf(); got != buf || credited(d) != 1 || d.Tr.Counters().Acked != 1 || d.Ctrl.Stats().Backoffs != 0 {
+		t.Fatalf("after 3 duplicates: buffer %v -> %v, credited %d, acked %d, backoffs %d",
+			buf, got, credited(d), d.Tr.Counters().Acked, d.Ctrl.Stats().Backoffs)
 	}
 }
 
@@ -76,14 +78,12 @@ func TestAckForLostSeqCreditsNothing(t *testing.T) {
 	now := d.NextSend
 	// ACK 3: sequences 0 is beyond the reorder gap -> lost, backoff, fence
 	// until now + SRTT.
-	backedOff, ok := d.Ack(now, seqs[3])
-	if !backedOff || !ok {
-		t.Fatalf("ACK 3: backedOff %v, credited %v; want a backoff (seq 0 lost) and a credit", backedOff, ok)
+	if ok := d.Ack(now, seqs[3]); !ok || d.Ctrl.Stats().Backoffs != 1 {
+		t.Fatalf("ACK 3: credited %v, backoffs %d; want a backoff (seq 0 lost) and a credit", ok, d.Ctrl.Stats().Backoffs)
 	}
 	// ACK 9 an instant later: 1, 2, 4, 5, 6 are lost inside the fence.
-	backedOff, ok = d.Ack(now+1e-3, seqs[9])
-	if backedOff || !ok {
-		t.Fatalf("ACK 9 inside the fence: backedOff %v, credited %v; want no backoff and a credit", backedOff, ok)
+	if ok := d.Ack(now+1e-3, seqs[9]); !ok || d.Ctrl.Stats().Backoffs != 1 {
+		t.Fatalf("ACK 9 inside the fence: credited %v, backoffs %d; want no new backoff and a credit", ok, d.Ctrl.Stats().Backoffs)
 	}
 	c := d.Tr.Counters()
 	if c.Lost != 6 || c.Backoffs != 1 || d.Tr.Outstanding() != 4 {
@@ -91,13 +91,13 @@ func TestAckForLostSeqCreditsNothing(t *testing.T) {
 	}
 	buf, rate := d.Ctrl.TotalBuf(), d.Tr.Rate()
 	for _, seq := range []int64{0 /* lost outside the fence */, 1, 2, 4, 5, 6 /* inside */} {
-		if backedOff, ok := d.Ack(now+2e-3, seq); backedOff || ok {
-			t.Fatalf("late ACK for lost seq %d: backedOff %v, credited %v", seq, backedOff, ok)
+		if d.Ack(now+2e-3, seq) {
+			t.Fatalf("late ACK for lost seq %d credited", seq)
 		}
 	}
-	if d.Ctrl.TotalBuf() != buf || d.Tr.Rate() != rate || credited(d) != 2 || d.Tr.Counters().Acked != 2 {
-		t.Fatalf("late ACKs moved state: buffer %v -> %v, rate %v -> %v, credited %d, acked %d",
-			buf, d.Ctrl.TotalBuf(), rate, d.Tr.Rate(), credited(d), d.Tr.Counters().Acked)
+	if d.Ctrl.TotalBuf() != buf || d.Tr.Rate() != rate || credited(d) != 2 || d.Tr.Counters().Acked != 2 || d.Ctrl.Stats().Backoffs != 1 {
+		t.Fatalf("late ACKs moved state: buffer %v -> %v, rate %v -> %v, credited %d, acked %d, backoffs %d",
+			buf, d.Ctrl.TotalBuf(), rate, d.Tr.Rate(), credited(d), d.Tr.Counters().Acked, d.Ctrl.Stats().Backoffs)
 	}
 }
 
@@ -107,18 +107,18 @@ func TestAckForNeverSentSeqChangesNothing(t *testing.T) {
 	now := d.NextSend
 	buf, rate, out := d.Ctrl.TotalBuf(), d.Tr.Rate(), d.Tr.Outstanding()
 	for _, seq := range []int64{int64(len(seqs)), 1 << 40, -1, -1 << 40} {
-		if backedOff, ok := d.Ack(now, seq); backedOff || ok {
-			t.Fatalf("ACK for never-sent seq %d: backedOff %v, credited %v", seq, backedOff, ok)
+		if d.Ack(now, seq) {
+			t.Fatalf("ACK for never-sent seq %d credited", seq)
 		}
 	}
 	c := d.Tr.Counters()
-	if d.Ctrl.TotalBuf() != buf || d.Tr.Rate() != rate || d.Tr.Outstanding() != out || c.Lost != 0 || c.Acked != 0 {
-		t.Fatalf("state moved: buffer %v -> %v, rate %v -> %v, outstanding %d -> %d, lost %d, acked %d",
-			buf, d.Ctrl.TotalBuf(), rate, d.Tr.Rate(), out, d.Tr.Outstanding(), c.Lost, c.Acked)
+	if d.Ctrl.TotalBuf() != buf || d.Tr.Rate() != rate || d.Tr.Outstanding() != out || c.Lost != 0 || c.Acked != 0 || d.Ctrl.Stats().Backoffs != 0 {
+		t.Fatalf("state moved: buffer %v -> %v, rate %v -> %v, outstanding %d -> %d, lost %d, acked %d, backoffs %d",
+			buf, d.Ctrl.TotalBuf(), rate, d.Tr.Rate(), out, d.Tr.Outstanding(), c.Lost, c.Acked, d.Ctrl.Stats().Backoffs)
 	}
 	// The honest ACKs that follow are all taken.
 	for _, seq := range seqs {
-		if _, ok := d.Ack(now, seq); !ok {
+		if !d.Ack(now, seq) {
 			t.Fatalf("honest ACK %d not credited", seq)
 		}
 	}
@@ -146,9 +146,8 @@ func TestBackoffReachesControllerBeforeDelivery(t *testing.T) {
 		t.Fatalf("no layer-0 packet with two layers active (layers %d)", d.Ctrl.ActiveLayers())
 	}
 	before, events := d.Ctrl.TotalBuf(), len(d.Ctrl.Events)
-	backedOff, ok := d.Ack(d.NextSend+10, x)
-	if !backedOff || !ok {
-		t.Fatalf("ACK %d: backedOff %v, credited %v; want both", x, backedOff, ok)
+	if ok := d.Ack(d.NextSend+10, x); !ok || d.Ctrl.Stats().Backoffs != 1 {
+		t.Fatalf("ACK %d: credited %v, backoffs %d; want a credit and a backoff", x, ok, d.Ctrl.Stats().Backoffs)
 	}
 	ev := d.Ctrl.Events[events:]
 	if len(ev) != 2 || ev[0].Kind != core.EvBackoff || ev[1].Kind != core.EvDropLayer {
@@ -186,10 +185,10 @@ func TestRepairSlotConsumesSeqAndPaceNeverCredited(t *testing.T) {
 		t.Fatalf("SentByLayer[0] = %d after one data packet and one repair, want %d", d.SentByLayer[0], pkt)
 	}
 	now := d.NextSend
-	if _, ok := d.Ack(now, seq0); ok {
+	if d.Ack(now, seq0) {
 		t.Fatal("repair ACK credited")
 	}
-	if _, ok := d.Ack(now, seq1); !ok {
+	if !d.Ack(now, seq1) {
 		t.Fatal("data ACK not credited")
 	}
 	if c := d.Tr.Counters(); c.Sent != 2 || c.Acked != 2 || credited(d) != 1 {
@@ -210,8 +209,8 @@ func TestRepairSlotConsumesSeqAndPaceNeverCredited(t *testing.T) {
 		t.Fatalf("rate %v == consumption %v with a repair pending: layer %d, want Repair", d.Tr.Rate(), d.Ctrl.ConsumptionRate(), layer)
 	}
 	seqs := sendN(d, 4)
-	if backedOff, _ := d.Ack(d.NextSend, seqs[3]); !backedOff {
-		t.Fatal("no backoff")
+	if d.Ack(d.NextSend, seqs[3]); d.Ctrl.Stats().Backoffs != 1 {
+		t.Fatalf("%d backoffs, want 1", d.Ctrl.Stats().Backoffs)
 	}
 	if d.Ctrl.ActiveLayers() != 3 || d.Tr.Rate() >= d.Ctrl.ConsumptionRate() {
 		t.Fatalf("after the backoff: %d layers, rate %v vs consumption %v", d.Ctrl.ActiveLayers(), d.Tr.Rate(), d.Ctrl.ConsumptionRate())
@@ -297,8 +296,8 @@ func TestCrossTraffic(t *testing.T) {
 		t.Fatalf("NextSend %v, SentByLayer %v", d.NextSend, d.SentByLayer)
 	}
 	seqs := sendN(&d, 5)
-	if backedOff, ok := d.Ack(d.NextSend, seqs[4]); !backedOff || ok {
-		t.Fatalf("ACK 4 of 0..4: backedOff %v, credited %v; want a backoff and no credit", backedOff, ok)
+	if ok := d.Ack(d.NextSend, seqs[4]); ok || d.Tr.Counters().Backoffs != 1 {
+		t.Fatalf("ACK 4 of 0..4: credited %v, backoffs %d; want a backoff and no credit", ok, d.Tr.Counters().Backoffs)
 	}
 }
 
@@ -327,5 +326,82 @@ func TestDriverMemoryBoundedUnderLoss(t *testing.T) {
 	}
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 1<<20 {
 		t.Fatalf("heap grew %d bytes over 1M half-lost packets, want ~0", growth)
+	}
+}
+
+// runCadence drives a cross-traffic driver over RAP for dur seconds of
+// virtual time on a queue-free path: packet seq is ACKed delay(seq)
+// after it is sent (delays keep ACKs in order), and packets sent at or
+// after dieAt are never ACKed. With timer, Step runs every StepInterval
+// from the start, as a simulator source steps; without, StepIfDue runs
+// before each send, as a server session steps. It returns the rate at
+// dur and how long after the first unACKed packet was sent a timeout
+// declared it lost (0 if none did).
+func runCadence(rcfg transport.RAPConfig, timer bool, dur float64, delay func(seq int64) float64, dieAt float64) (rate, detect float64) {
+	d := New(transport.NewRAP(rcfg), nil, 0)
+	type ack struct {
+		at  float64
+		seq int64
+	}
+	var acks []ack
+	step, firstLost := 0.0, -1.0
+	for {
+		now, timeouts := d.NextSend, d.Tr.Counters().Timeouts
+		switch {
+		case len(acks) > 0 && acks[0].at <= now:
+			now = acks[0].at
+			d.Ack(now, acks[0].seq)
+			acks = acks[1:]
+		case timer && step < now:
+			now = step
+			d.Step(now)
+			step = now + d.Tr.StepInterval()
+		default:
+			if now > dur {
+				return d.Tr.Rate(), detect
+			}
+			if !timer {
+				d.StepIfDue(now)
+			}
+			seq, _ := d.Send(now, false)
+			if now < dieAt {
+				acks = append(acks, ack{now + delay(seq), seq})
+			} else if firstLost < 0 {
+				firstLost = now
+			}
+		}
+		if detect == 0 && firstLost >= 0 && d.Tr.Counters().Timeouts > timeouts {
+			detect = now - firstLost
+		}
+	}
+}
+
+// The simulator steps RAP on a timer, once per SRTT; the server steps it
+// at send time, once a StepInterval has passed. At IPG = 2·SRTT the two
+// diverge: the server adds P/SRTT at most once per packet, and notices a
+// timeout only at its next send. This measures both; DESIGN.md "Flow
+// driver" quotes the numbers.
+func TestStepCadenceDivergence(t *testing.T) {
+	const rtt = 0.1
+	start := transport.RAPConfig{PacketSize: pkt, InitialRTT: rtt, InitialRate: pkt / (2 * rtt)}
+	fixed := func(int64) float64 { return rtt }
+	timerRate, _ := runCadence(start, true, 1, fixed, math.Inf(1))
+	lazyRate, _ := runCadence(start, false, 1, fixed, math.Inf(1))
+	t.Logf("rate 1 s after starting at IPG = 2·SRTT: timer Step %.0f B/s, StepIfDue %.0f B/s (%.2fx)", timerRate, lazyRate, timerRate/lazyRate)
+	if !(lazyRate < timerRate) {
+		t.Fatalf("StepIfDue reached %.0f B/s, timer Step %.0f B/s; want the lazy cadence slower", lazyRate, timerRate)
+	}
+
+	// Held at IPG = 2·SRTT by MaxRate, over a path whose RTT alternates
+	// 60/140 ms so the RTO (SRTT + 4·RTTVAR) falls off both grids; the
+	// path dies at 10 s.
+	held := start
+	held.MaxRate = start.InitialRate
+	jitter := func(seq int64) float64 { return rtt + 0.04*float64(1-2*(seq&1)) }
+	_, timerDetect := runCadence(held, true, 20, jitter, 10)
+	_, lazyDetect := runCadence(held, false, 20, jitter, 10)
+	t.Logf("timeout detected after the lost packet's send: timer Step %.0f ms, StepIfDue %.0f ms", 1e3*timerDetect, 1e3*lazyDetect)
+	if timerDetect == 0 || !(lazyDetect > timerDetect) {
+		t.Fatalf("timeout detected after %v s (timer) and %v s (StepIfDue); want both, the lazy cadence later", timerDetect, lazyDetect)
 	}
 }

@@ -171,12 +171,7 @@ func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, e
 		shardwarn: reg.Counter("srv.shardsovercpu"),
 		batchSz:   reg.Histogram("srv.batchsz", metrics.HistogramOpts{MinExp: 0, MaxExp: 8}),
 	}
-	s.sessIns = sessionInstruments{
-		Retransmits: reg.Counter("srv.retransmits"),
-		NackDrops:   reg.Counter("srv.nackdrops"),
-		Delivered:   reg.Counter("srv.delivered"),
-		Backoffs:    reg.Counter("srv.backoffs"),
-	}
+	s.sessIns = newSessionInstruments(reg)
 	reg.GaugeFunc("srv.clients", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("srv.shards", func() float64 { return float64(len(s.shards)) })
 	if len(conns) > runtime.GOMAXPROCS(0) {
@@ -254,7 +249,7 @@ type MultiStats struct {
 	Delivered     int64
 	Retransmits   int64
 	NackDrops     int64
-	Backoffs      int64 // RAP backoffs across all sessions
+	Backoffs      int64 // congestion backoffs across all sessions (srv.qa.backoffs)
 	BadPackets    int64
 	UnknownAcks   int64
 	// ShardsOverCPU is nonzero when there are more sockets, hence shard
@@ -274,7 +269,7 @@ func (s *MultiServer) Stats() MultiStats {
 		Delivered:     s.sessIns.Delivered.Load(),
 		Retransmits:   s.sessIns.Retransmits.Load(),
 		NackDrops:     s.sessIns.NackDrops.Load(),
-		Backoffs:      s.sessIns.Backoffs.Load(),
+		Backoffs:      s.sessIns.QA.Backoffs.Load(),
 		BadPackets:    s.badPkt.Load(),
 		UnknownAcks:   s.unknown.Load(),
 		ShardsOverCPU: s.shardwarn.Load(),
@@ -495,12 +490,11 @@ func (sh *shard) handle(m inMsg, now float64) {
 				return
 			}
 			var err error
-			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, srv.payload, now)
+			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, srv.payload, &sh.sessIns, now)
 			if err != nil {
 				srv.active.Add(-1)
 				return // unreachable: params validated at construction
 			}
-			st.ins = &sh.sessIns
 			sh.sessions[m.addr] = st
 			srv.accepted.Inc()
 		}

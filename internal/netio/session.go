@@ -65,12 +65,26 @@ type sessionInstruments struct {
 	Retransmits *metrics.Counter // selective retransmissions sent
 	NackDrops   *metrics.Counter // retransmission requests shed at the cap
 	Delivered   *metrics.Counter // acked packets credited to the controller
-	Backoffs    *metrics.Counter // rate decreases (loss inferred)
+	// QA are the controllers' own decision counters (srv.qa.adds,
+	// .drops, .drops.poordist, .drops.critical, .backoffs, .stalls),
+	// bumped where the simulator's qa.* are.
+	QA *core.Instruments
 	// Lateness is pacing lateness in µs: the instant a packet is built
 	// minus the NextSend it was scheduled for. It is what wake
 	// coalescing spends to save CPU (up to a wheel tick per packet) and
 	// what an overloaded shard shows first.
 	Lateness *metrics.Histogram
+}
+
+// newSessionInstruments registers the server-wide session counters on
+// reg; each shard adds its own Lateness histogram.
+func newSessionInstruments(reg *metrics.Registry) sessionInstruments {
+	return sessionInstruments{
+		Retransmits: reg.Counter("srv.retransmits"),
+		NackDrops:   reg.Counter("srv.nackdrops"),
+		Delivered:   reg.Counter("srv.delivered"),
+		QA:          core.NewInstruments(reg, "srv.qa"),
+	}
 }
 
 // session is one client's stream: the shared flow.Driver (the QA +
@@ -88,7 +102,7 @@ type session struct {
 	layerOff []int64 // next byte offset per layer's stream
 	nacks    nackRing
 
-	ins *sessionInstruments // nil: uninstrumented (tests)
+	ins *sessionInstruments // the shard's, shared by its sessions
 
 	lastRecv float64 // last ack/req arrival, for idle expiry
 	deadline float64 // stream end
@@ -104,7 +118,7 @@ type session struct {
 // (core.NewController errors only on bad Params; callers validate once
 // at server construction) and payload must be pktSize-DataHeaderLen
 // bytes.
-func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, payload []byte, now float64) (*session, error) {
+func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, payload []byte, ins *sessionInstruments, now float64) (*session, error) {
 	if qa.MaxEvents == 0 {
 		// A served stream can run for hours; a client whose rate
 		// straddles a layer boundary churns add/drop events forever, so
@@ -115,10 +129,12 @@ func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, p
 	if err != nil {
 		return nil, err
 	}
+	ctrl.Instrument(nil, "srv.qa", ins.QA)
 	return &session{
 		flow:     flow.New(transport.NewRAP(rcfg), ctrl, now),
 		addr:     addr,
 		payload:  payload,
+		ins:      ins,
 		layerOff: make([]int64, ctrl.P.MaxLayers),
 		lastRecv: now,
 		wslot:    wheelNone,
@@ -132,7 +148,7 @@ func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, p
 // the layer, or the oldest requested hole on a repair slot. Zero-alloc.
 func (st *session) buildPacket(now float64, buf []byte) int {
 	late := now - st.flow.NextSend
-	backedOff := st.flow.StepIfDue(now)
+	st.flow.StepIfDue(now)
 	seq, layer := st.flow.Send(now, st.nacks.n > 0)
 	repair := layer == flow.Repair
 	var off int64
@@ -143,14 +159,9 @@ func (st *session) buildPacket(now float64, buf []byte) int {
 		off = st.layerOff[layer]
 		st.layerOff[layer] += int64(st.flow.PacketSize)
 	}
-	if st.ins != nil {
-		st.ins.Lateness.Observe(late * 1e6)
-		if backedOff {
-			st.ins.Backoffs.Inc()
-		}
-		if repair {
-			st.ins.Retransmits.Inc()
-		}
+	st.ins.Lateness.Observe(late * 1e6)
+	if repair {
+		st.ins.Retransmits.Inc()
 	}
 	n, err := EncodeData(buf, DataHeader{
 		Seq:        seq,
@@ -168,7 +179,7 @@ func (st *session) buildPacket(now float64, buf []byte) int {
 // piggybacked retransmission request.
 func (st *session) onAck(now float64, a Ack) {
 	st.lastRecv = now
-	backedOff, credited := st.flow.Ack(now, a.AckSeq)
+	credited := st.flow.Ack(now, a.AckSeq)
 	// A request must name bytes already sent on a layer that exists;
 	// NackOff is checked before it is quantized because Go's remainder
 	// keeps the dividend's sign, which would round (-pktSize, 0) up to 0.
@@ -182,15 +193,10 @@ func (st *session) onAck(now float64, a Ack) {
 			shed = st.nacks.push(nack{layer: int(a.NackLayer), off: off})
 		}
 	}
-	if st.ins != nil {
-		if backedOff {
-			st.ins.Backoffs.Inc()
-		}
-		if credited {
-			st.ins.Delivered.Inc()
-		}
-		if shed {
-			st.ins.NackDrops.Inc()
-		}
+	if credited {
+		st.ins.Delivered.Inc()
+	}
+	if shed {
+		st.ins.NackDrops.Inc()
 	}
 }

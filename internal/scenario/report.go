@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"io"
 
+	"qav/internal/core"
 	"qav/internal/metrics"
-	"qav/internal/trace"
 )
 
 // RunReport is the structured, JSON-stable summary of one run: the
@@ -17,13 +17,13 @@ type RunReport struct {
 	Name string `json:"name"`
 	// Transport names the congestion-control backend the run's QA and
 	// cross-traffic flows used ("rap", "delay", "greedy").
-	Transport  string           `json:"transport"`
-	Config     Config           `json:"config"`
-	PlayedSec  float64          `json:"played_sec"`
-	StallSec   float64          `json:"stall_sec"`
-	MeanLayers float64          `json:"mean_layers"`
-	Drops      trace.DropStats  `json:"drops"`
-	Fleet      FleetStats       `json:"fleet"`
+	Transport  string         `json:"transport"`
+	Config     Config         `json:"config"`
+	PlayedSec  float64        `json:"played_sec"`
+	StallSec   float64        `json:"stall_sec"`
+	MeanLayers float64        `json:"mean_layers"`
+	Drops      core.DropStats `json:"drops"`
+	Fleet      FleetStats     `json:"fleet"`
 	// Fluid summarizes the hybrid background aggregate; nil (and absent
 	// from the JSON) for pure packet-level runs, so their reports stay
 	// byte-identical.

@@ -163,7 +163,7 @@ type Result struct {
 	Cfg    Config
 	Series *trace.Set
 	Events []core.Event
-	Stats  trace.DropStats
+	Stats  core.DropStats
 
 	QASrc   *QASource   // the first QA flow (nil without one); the figures' flow
 	QASrcs  []*QASource // all QA flows, fleet runs included
@@ -398,9 +398,9 @@ func newFluid(cfg *Config, eng *sim.Engine, link *sim.Link, fq *sim.FluidQueue, 
 func finishResult(res *Result) {
 	if res.QASrc != nil {
 		res.Events = res.QASrc.Ctrl.Events
-		res.Stats = trace.ComputeDropStats(res.Events)
+		res.Stats = res.QASrc.Ctrl.Stats()
 		res.PlayedSec = res.QASrc.Ctrl.PlayedSec
-		res.StallSec = res.QASrc.Ctrl.StallSec
+		res.StallSec = res.QASrc.Ctrl.StallSec()
 		res.LayerSeconds = res.QASrc.Ctrl.LayerSeconds
 	}
 }

@@ -16,20 +16,63 @@ type Queue interface {
 	Drops() int64
 }
 
+// fifo is the packet ring DropTail and RED hold their packets in.
+// Dequeuing advances the head index instead of reslicing from the front,
+// so a long-lived queue reuses one backing array instead of pinning
+// consumed prefixes until the next realloc. The ring is always a power
+// of two so wrap-around is a mask, not a divide — push and Dequeue sit
+// on the per-packet hot path.
+type fifo struct {
+	ring  []*Packet
+	mask  int // len(ring)-1
+	head  int // index of the oldest packet
+	count int
+	bytes int
+}
+
+// push appends p at the tail.
+func (f *fifo) push(p *Packet) {
+	if f.count == len(f.ring) {
+		f.grow()
+	}
+	f.ring[(f.head+f.count)&f.mask] = p
+	f.count++
+	f.bytes += p.Size
+}
+
+// grow doubles the full ring (always to a power of two), unwrapping
+// it to the front.
+func (f *fifo) grow() {
+	next := make([]*Packet, max(8, 2*len(f.ring)))
+	n := copy(next, f.ring[f.head:])
+	copy(next[n:], f.ring[:f.head])
+	f.ring, f.mask, f.head = next, len(next)-1, 0
+}
+
+// Dequeue implements Queue.
+func (f *fifo) Dequeue() *Packet {
+	if f.count == 0 {
+		return nil
+	}
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) & f.mask
+	f.count--
+	f.bytes -= p.Size
+	return p
+}
+
+// Len implements Queue.
+func (f *fifo) Len() int { return f.count }
+
+// Bytes implements Queue.
+func (f *fifo) Bytes() int { return f.bytes }
+
 // DropTail is a FIFO queue with a byte-capacity limit, the queue
-// discipline the paper's ns-2 scenarios use at the bottleneck. Packets
-// live in a ring buffer: dequeuing advances the head index instead of
-// reslicing from the front, so long-lived queues reuse one backing array
-// instead of pinning consumed prefixes until the next realloc. The ring
-// is always a power of two so wrap-around is a mask, not a divide — the
-// enqueue/dequeue pair sits on the per-packet hot path.
+// discipline the paper's ns-2 scenarios use at the bottleneck.
 type DropTail struct {
+	fifo
 	limit   int // bytes
-	ring    []*Packet
-	mask    int // len(ring)-1; ring length is always a power of two
-	head    int // index of the oldest packet
-	count   int
-	bytes   int
 	dropped int64
 }
 
@@ -48,45 +91,9 @@ func (q *DropTail) Enqueue(p *Packet) bool {
 		q.dropped++
 		return false
 	}
-	if q.count == len(q.ring) {
-		q.grow()
-	}
-	q.ring[(q.head+q.count)&q.mask] = p
-	q.count++
-	q.bytes += p.Size
+	q.push(p)
 	return true
 }
-
-// grow doubles the ring (always to a power of two), unwrapping the
-// occupied span to the front.
-func (q *DropTail) grow() {
-	next := make([]*Packet, max(8, 2*len(q.ring)))
-	for i := 0; i < q.count; i++ {
-		next[i] = q.ring[(q.head+i)&q.mask]
-	}
-	q.ring = next
-	q.mask = len(next) - 1
-	q.head = 0
-}
-
-// Dequeue implements Queue.
-func (q *DropTail) Dequeue() *Packet {
-	if q.count == 0 {
-		return nil
-	}
-	p := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) & q.mask
-	q.count--
-	q.bytes -= p.Size
-	return p
-}
-
-// Len implements Queue.
-func (q *DropTail) Len() int { return q.count }
-
-// Bytes implements Queue.
-func (q *DropTail) Bytes() int { return q.bytes }
 
 // Drops implements Queue.
 func (q *DropTail) Drops() int64 { return q.dropped }

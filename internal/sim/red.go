@@ -9,11 +9,10 @@ import (
 // as the paper's "future work" bottleneck variant and for the DropTail vs
 // RED ablation bench. Averaging and dropping follow the classic gentle-off
 // algorithm with byte-mode thresholds expressed in packets of MeanPktSize.
-// Packets live in the same power-of-two ring buffer DropTail uses:
-// dequeuing advances the head index instead of reslicing from the front,
-// so a long-lived queue reuses one backing array (alloc-free at steady
-// state) instead of pinning consumed prefixes until the next realloc.
+// Packets live in the same ring DropTail uses (fifo).
 type RED struct {
+	fifo
+
 	limit   int // hard byte limit
 	minTh   float64
 	maxTh   float64
@@ -22,11 +21,6 @@ type RED struct {
 	meanPkt int
 
 	rng     *rand.Rand
-	ring    []*Packet
-	mask    int // len(ring)-1; ring length is always a power of two
-	head    int // index of the oldest packet
-	count   int
-	bytes   int
 	avg     float64 // average queue length in packets
 	pktCnt  int     // packets since last drop
 	dropped int64
@@ -172,48 +166,18 @@ func (q *RED) Enqueue(p *Packet) bool {
 		q.pktCnt = 0
 		return false
 	}
-	if q.count == len(q.ring) {
-		q.grow()
-	}
-	q.ring[(q.head+q.count)&q.mask] = p
-	q.count++
-	q.bytes += p.Size
+	q.push(p)
 	return true
-}
-
-// grow doubles the ring (always to a power of two), unwrapping the
-// occupied span to the front.
-func (q *RED) grow() {
-	next := make([]*Packet, max(8, 2*len(q.ring)))
-	for i := 0; i < q.count; i++ {
-		next[i] = q.ring[(q.head+i)&q.mask]
-	}
-	q.ring = next
-	q.mask = len(next) - 1
-	q.head = 0
 }
 
 // Dequeue implements Queue.
 func (q *RED) Dequeue() *Packet {
-	if q.count == 0 {
-		return nil
-	}
-	p := q.ring[q.head]
-	q.ring[q.head] = nil
-	q.head = (q.head + 1) & q.mask
-	q.count--
-	q.bytes -= p.Size
-	if q.count == 0 && q.now != nil {
+	p := q.fifo.Dequeue()
+	if p != nil && q.count == 0 && q.now != nil {
 		q.idleAt = q.now()
 	}
 	return p
 }
-
-// Len implements Queue.
-func (q *RED) Len() int { return q.count }
-
-// Bytes implements Queue.
-func (q *RED) Bytes() int { return q.bytes }
 
 // Drops implements Queue.
 func (q *RED) Drops() int64 { return q.dropped }

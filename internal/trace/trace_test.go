@@ -2,11 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
-
-	"qav/internal/core"
 )
 
 func TestSeriesStats(t *testing.T) {
@@ -136,60 +133,6 @@ func TestWriteTSVGroupsByTimeVector(t *testing.T) {
 	}
 	if strings.Contains(lines[0], "shifted") {
 		t.Fatalf("shifted clock joined the wrong table: %q", lines[0])
-	}
-}
-
-func TestComputeDropStats(t *testing.T) {
-	events := []core.Event{
-		{Kind: core.EvPlayStart},
-		{Kind: core.EvAddLayer},
-		{Kind: core.EvAddLayer},
-		{Kind: core.EvBackoff},
-		{Kind: core.EvDropLayer, BufTotal: 1000, BufDrop: 10},
-		{Kind: core.EvDropLayer, BufTotal: 1000, BufDrop: 100, PoorDist: true},
-		{Kind: core.EvStallStart},
-	}
-	st := ComputeDropStats(events)
-	if st.Drops != 2 || st.Adds != 2 || st.Backoffs != 1 || st.Stalls != 1 {
-		t.Fatalf("counts wrong: %+v", st)
-	}
-	wantE := ((1000.0-10)/1000 + (1000.0-100)/1000) / 2
-	if math.Abs(st.AvgEfficiency-wantE) > 1e-12 {
-		t.Fatalf("efficiency %v, want %v", st.AvgEfficiency, wantE)
-	}
-	if st.PoorDistPct != 50 {
-		t.Fatalf("poor%% = %v, want 50", st.PoorDistPct)
-	}
-}
-
-func TestComputeDropStatsNoDrops(t *testing.T) {
-	st := ComputeDropStats([]core.Event{{Kind: core.EvAddLayer}})
-	if st.AvgEfficiency != 1 || st.PoorDistPct != 0 {
-		t.Fatalf("no-drop defaults wrong: %+v", st)
-	}
-}
-
-func TestComputeDropStatsZeroTotal(t *testing.T) {
-	st := ComputeDropStats([]core.Event{
-		{Kind: core.EvDropLayer, BufTotal: 0, BufDrop: 0},
-	})
-	if st.AvgEfficiency != 1 {
-		t.Fatalf("zero-buffer drop should count as fully efficient, got %v", st.AvgEfficiency)
-	}
-}
-
-func TestQualityChanges(t *testing.T) {
-	events := []core.Event{
-		{Time: 1, Kind: core.EvAddLayer},
-		{Time: 2, Kind: core.EvDropLayer},
-		{Time: 3, Kind: core.EvBackoff},
-		{Time: 10, Kind: core.EvAddLayer},
-	}
-	if got := QualityChanges(events, 0, 5); got != 2 {
-		t.Fatalf("changes in [0,5) = %d, want 2", got)
-	}
-	if got := QualityChanges(events, 5, 20); got != 1 {
-		t.Fatalf("changes in [5,20) = %d, want 1", got)
 	}
 }
 

@@ -73,7 +73,7 @@ type (
 	// SimResult carries traces, events, and statistics from a run.
 	SimResult = scenario.Result
 	// DropStats summarizes drop events (Tables 1 and 2 metrics).
-	DropStats = trace.DropStats
+	DropStats = core.DropStats
 	// Series is a named time series collected during a run.
 	Series = trace.Series
 )
