@@ -44,7 +44,9 @@ type BatchConn interface {
 	// one with an empty ms, which is how callers probe for support.
 	TryReadBatch(ms []Message) (int, error)
 	// WriteBatch sends ms[i].Buf[:ms[i].N] to ms[i].Addr for every
-	// message, returning how many were sent.
+	// message. A message the kernel refuses is skipped, not the end of
+	// the batch: WriteBatch returns how many were sent and the first
+	// refusal's error.
 	WriteBatch(ms []Message) (int, error)
 	// SetReadDeadline bounds future ReadBatch calls.
 	SetReadDeadline(t time.Time) error
@@ -118,10 +120,16 @@ func (g *genericBatch) ReadBatch(ms []Message) (int, error) {
 func (g *genericBatch) TryReadBatch(ms []Message) (int, error) { return g.try.read(g.conn, ms) }
 
 func (g *genericBatch) WriteBatch(ms []Message) (int, error) {
+	sent := 0
+	var first error
 	for i := range ms {
 		if _, err := g.conn.WriteToUDPAddrPort(ms[i].Buf[:ms[i].N], ms[i].Addr); err != nil {
-			return i, err
+			if first == nil {
+				first = err
+			}
+			continue
 		}
+		sent++
 	}
-	return len(ms), nil
+	return sent, first
 }

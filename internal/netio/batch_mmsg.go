@@ -36,10 +36,55 @@ type mmsghdr struct {
 	_   [4]byte
 }
 
+// UDP generic segmentation offload (Linux 4.18+): one sendmsg whose
+// UDP_SEGMENT cmsg carries gso_size N hands the kernel a buffer that
+// leaves the host as datagrams of N bytes each, the last one possibly
+// shorter. Receivers see ordinary datagrams. The stdlib predates the
+// option, so its number is pinned here.
+const (
+	udpSegment = 103 // UDP_SEGMENT, level IPPROTO_UDP
+	// gsoMaxSegs is UDP_MAX_SEGMENTS on kernels before 6.x (later ones
+	// allow 128).
+	gsoMaxSegs = 64
+	// gsoMaxBytes bounds a run's payload: a GSO buffer is still one UDP
+	// send and must fit the 16-bit length fields (IPv6 header, the
+	// larger, plus the UDP header).
+	gsoMaxBytes = 65535 - 40 - 8
+)
+
+// gsoCmsg is one UDP_SEGMENT control message, CMSG_SPACE(2) bytes.
+type gsoCmsg struct {
+	hdr  syscall.Cmsghdr
+	size uint16
+	_    [6]byte
+}
+
+// gsoRun is how many messages at the head of ms one header can carry as
+// a GSO run: consecutive messages to ms[0].Addr in which every datagram
+// but the last is ms[0].N bytes long (the gso_size) and the last is no
+// longer, at most gsoMaxSegs of them and gsoMaxBytes in all. A run of 1
+// is an ordinary datagram.
+func gsoRun(ms []Message) int {
+	size, total := ms[0].N, ms[0].N
+	k := 1
+	for k < len(ms) && k < gsoMaxSegs {
+		m := &ms[k]
+		if m.Addr != ms[0].Addr || m.N > size || m.N == 0 || total+m.N > gsoMaxBytes {
+			break
+		}
+		total += m.N
+		k++
+		if m.N < size {
+			break // a short datagram ends the run
+		}
+	}
+	return k
+}
+
 // mmsgConn implements BatchConn over recvmmsg/sendmmsg. Not
-// goroutine-safe: hdrs/iovs/names are single-owner scratch. Multiple
-// mmsgConns may wrap the same socket (one per shard); the kernel
-// serializes the datagram syscalls.
+// goroutine-safe: hdrs/iovs/names/ctrl/runs are single-owner scratch.
+// Multiple mmsgConns may wrap the same socket (one per shard); the
+// kernel serializes the datagram syscalls.
 type mmsgConn struct {
 	conn *net.UDPConn
 	rc   syscall.RawConn
@@ -47,6 +92,13 @@ type mmsgConn struct {
 	hdrs  []mmsghdr
 	iovs  []syscall.Iovec
 	names []syscall.RawSockaddrInet6
+	ctrl  []gsoCmsg // one UDP_SEGMENT cmsg per header
+	runs  []int     // messages carried by each header of a write
+
+	// gso: write runs of same-destination datagrams as one header each.
+	// Set by the probe in newMmsgConn, cleared for good when the kernel
+	// refuses a GSO header but takes the same datagrams one by one.
+	gso bool
 
 	// Per-call scratch threaded through the prebound readiness
 	// callbacks (method values, so rc.Read/rc.Write calls do not mint a
@@ -70,6 +122,20 @@ func newMmsgConn(conn *net.UDPConn) (BatchConn, error) {
 		hdrs:  make([]mmsghdr, mmsgCap),
 		iovs:  make([]syscall.Iovec, mmsgCap),
 		names: make([]syscall.RawSockaddrInet6, mmsgCap),
+		ctrl:  make([]gsoCmsg, mmsgCap),
+		runs:  make([]int, mmsgCap),
+	}
+	for i := range c.ctrl {
+		c.ctrl[i].hdr.Level = syscall.IPPROTO_UDP
+		c.ctrl[i].hdr.Type = udpSegment
+		c.ctrl[i].hdr.SetLen(syscall.CmsgLen(2))
+	}
+	// The option exists (Linux 4.18+) if reading it succeeds.
+	var probe error
+	if err := rc.Control(func(fd uintptr) {
+		_, probe = syscall.GetsockoptInt(int(fd), syscall.IPPROTO_UDP, udpSegment)
+	}); err == nil && probe == nil {
+		c.gso = true
 	}
 	c.readFn = c.doRecv
 	c.tryFn = c.doTryRecv
@@ -139,6 +205,7 @@ func (c *mmsgConn) recv(ms []Message, fn func(fd uintptr) bool) (int, error) {
 		h.Namelen = syscall.SizeofSockaddrInet6
 		h.Iov = &c.iovs[i]
 		h.Iovlen = 1
+		h.Control, h.Controllen = nil, 0 // a write may have left a cmsg here
 		c.hdrs[i].n = 0
 	}
 	c.nmsgs = len(ms)
@@ -155,36 +222,87 @@ func (c *mmsgConn) recv(ms []Message, fn func(fd uintptr) bool) (int, error) {
 	return c.got, nil
 }
 
+// WriteBatch sends ms in sendmmsg calls of up to mmsgCap messages, one
+// GSO run (gsoRun) per header while c.gso holds. sendmmsg stops at the
+// first header the kernel refuses, and that refusal is the header's
+// own (an address the kernel will not send to, say), so the refused
+// message is skipped and the rest still go. A refused GSO header is
+// first resent as plain datagrams: if they go, the refusal was GSO's
+// (EIO without checksum offload; EINVAL for gso_size beyond the path
+// MTU or under SO_NO_CHECK) and the conn stops using it; if the first
+// is refused too, it is skipped and GSO stays on, so a peer the kernel
+// will not send to cannot turn GSO off for its shard-mates.
 func (c *mmsgConn) WriteBatch(ms []Message) (int, error) {
 	sent := 0
-	for sent < len(ms) {
-		batch := ms[sent:]
-		if len(batch) > mmsgCap {
-			batch = batch[:mmsgCap]
-		}
-		for i := range batch {
-			c.iovs[i].Base = &batch[i].Buf[0]
-			c.iovs[i].Len = uint64(batch[i].N)
-			h := &c.hdrs[i].hdr
-			h.Name = (*byte)(unsafe.Pointer(&c.names[i]))
-			h.Namelen = addrPortToSockaddr(&c.names[i], batch[i].Addr)
-			h.Iov = &c.iovs[i]
-			h.Iovlen = 1
-			c.hdrs[i].n = 0
-		}
-		c.nmsgs = len(batch)
+	var first error
+	plain := 0       // messages at the head of ms[i:] to resend one per header
+	verdict := false // the next call's first header is such a resend
+	for i := 0; i < len(ms); {
+		c.nmsgs = c.fill(ms[i:], plain)
 		if err := c.rc.Write(c.writeFn); err != nil {
-			return sent, err
+			return sent, err // deadline and closed-conn errors surface here
 		}
-		if c.errno != 0 {
-			return sent, c.errno
+		if c.errno != 0 { // hdrs[0] was refused, nothing went
+			if c.runs[0] > 1 {
+				plain, verdict = c.runs[0], true
+				continue
+			}
+			if first == nil {
+				first = c.errno
+			}
+			i++
+			plain, verdict = max(plain-1, 0), false
+			continue
 		}
 		if c.got == 0 {
 			return sent, fmt.Errorf("netio: sendmmsg made no progress")
 		}
-		sent += c.got
+		if verdict {
+			c.gso, verdict = false, false
+		}
+		for h := 0; h < c.got; h++ {
+			i += c.runs[h]
+			sent += c.runs[h]
+			plain = max(plain-c.runs[h], 0)
+		}
 	}
-	return sent, nil
+	return sent, first
+}
+
+// fill lays out one sendmmsg's headers for the head of ms (at most
+// mmsgCap messages): the first `plain` messages one per header, the
+// rest one GSO run per header while c.gso holds. It records each
+// header's message count in c.runs and returns the header count.
+func (c *mmsgConn) fill(ms []Message, plain int) int {
+	if len(ms) > mmsgCap {
+		ms = ms[:mmsgCap]
+	}
+	nh := 0
+	for i := 0; i < len(ms); nh++ {
+		k := 1
+		if c.gso && i >= plain {
+			k = gsoRun(ms[i:])
+		}
+		for j := i; j < i+k; j++ {
+			c.iovs[j].Base = &ms[j].Buf[0]
+			c.iovs[j].Len = uint64(ms[j].N)
+		}
+		h := &c.hdrs[nh].hdr
+		h.Name = (*byte)(unsafe.Pointer(&c.names[nh]))
+		h.Namelen = addrPortToSockaddr(&c.names[nh], ms[i].Addr)
+		h.Iov = &c.iovs[i]
+		h.Iovlen = uint64(k)
+		h.Control, h.Controllen = nil, 0
+		if k > 1 {
+			c.ctrl[nh].size = uint16(ms[i].N)
+			h.Control = (*byte)(unsafe.Pointer(&c.ctrl[nh]))
+			h.SetControllen(int(unsafe.Sizeof(c.ctrl[nh])))
+		}
+		c.hdrs[nh].n = 0
+		c.runs[nh] = k
+		i += k
+	}
+	return nh
 }
 
 // addrPortToSockaddr encodes ap into sa (an Inet6-sized buffer that

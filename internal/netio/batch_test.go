@@ -217,52 +217,99 @@ func TestBatchMmsgRequestedExplicitly(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchIO is the batched-vs-unbatched A/B: one op moves 32
-// datagrams from a sender socket to a receiver socket on loopback.
-func BenchmarkBatchIO(b *testing.B) {
-	for _, kind := range availableKinds(b) {
-		b.Run(string(kind), func(b *testing.B) {
-			rxConn := listenUDPTB(b)
+// TestWriteBatchSkipsRefused: a datagram the kernel refuses (port 0:
+// EINVAL) costs only itself. The messages after it still go, and
+// WriteBatch reports how many went with the refusal's error.
+func TestWriteBatchSkipsRefused(t *testing.T) {
+	for _, kind := range availableKinds(t) {
+		t.Run(string(kind), func(t *testing.T) {
+			rxConn := listenUDPTB(t)
 			defer rxConn.Close()
-			txConn := listenUDPTB(b)
+			txConn := listenUDPTB(t)
 			defer txConn.Close()
-			rx, err := NewBatchConn(rxConn, kind)
-			if err != nil {
-				b.Fatal(err)
-			}
 			tx, err := NewBatchConn(txConn, kind)
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
-			dst := rxConn.LocalAddr().(*net.UDPAddr).AddrPort()
-			const batch = 32
-			out := make([]Message, batch)
-			for i := range out {
-				out[i].Buf = make([]byte, 512)
-				out[i].N = 512
+			good := rxConn.LocalAddr().(*net.UDPAddr).AddrPort()
+			bad := netip.MustParseAddrPort("127.0.0.1:0")
+			out := make([]Message, 3)
+			for i, dst := range []netip.AddrPort{good, bad, good} {
+				out[i].Buf = []byte(fmt.Sprintf("datagram-%d", i))
+				out[i].N = len(out[i].Buf)
 				out[i].Addr = dst
 			}
-			in := make([]Message, batch)
-			for i := range in {
-				in[i].Buf = make([]byte, 2048)
+			n, err := tx.WriteBatch(out)
+			if n != 2 || err == nil {
+				t.Fatalf("WriteBatch = %d, %v; want 2 and the refusal", n, err)
 			}
-			rx.SetReadDeadline(time.Time{})
-			b.SetBytes(batch * 512)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tx.WriteBatch(out); err != nil {
-					b.Fatal(err)
+			buf := make([]byte, 64)
+			for _, want := range []string{"datagram-0", "datagram-2"} {
+				rxConn.SetReadDeadline(time.Now().Add(2 * time.Second))
+				n, _, err := rxConn.ReadFromUDPAddrPort(buf)
+				if err != nil {
+					t.Fatalf("waiting for %s: %v", want, err)
 				}
-				got := 0
-				for got < batch {
-					n, err := rx.ReadBatch(in[:batch-got])
-					if err != nil {
-						b.Fatal(err)
-					}
-					got += n
+				if string(buf[:n]) != want {
+					t.Fatalf("got %q, want %q", buf[:n], want)
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkBatchIO is the batched-vs-unbatched A/B: one op writes one
+// batch from a sender socket and reads every datagram of it back on
+// loopback. Three shapes: 32 × 512 B to one receiver; serve_fat's,
+// 1,400 B datagrams in runs of 3 across 11 receivers; and 32 × 512 B to
+// 32 receivers, runs of 1, where GSO must change nothing.
+func BenchmarkBatchIO(b *testing.B) {
+	shapes := []struct{ rcvs, run, size int }{{1, 32, 512}, {11, 3, 1400}, {32, 1, 512}}
+	for _, kind := range availableKinds(b) {
+		for _, sh := range shapes {
+			b.Run(fmt.Sprintf("%s/%drcv_run%d_%dB", kind, sh.rcvs, sh.run, sh.size), func(b *testing.B) {
+				txConn := listenUDPTB(b)
+				defer txConn.Close()
+				tx, err := NewBatchConn(txConn, kind)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rx := make([]BatchConn, sh.rcvs)
+				var out []Message
+				for r := range rx {
+					rxConn := listenUDPTB(b)
+					defer rxConn.Close()
+					if rx[r], err = NewBatchConn(rxConn, kind); err != nil {
+						b.Fatal(err)
+					}
+					rx[r].SetReadDeadline(time.Time{})
+					dst := rxConn.LocalAddr().(*net.UDPAddr).AddrPort()
+					for j := 0; j < sh.run; j++ {
+						out = append(out, Message{Buf: make([]byte, sh.size), N: sh.size, Addr: dst})
+					}
+				}
+				in := make([]Message, sh.run)
+				for i := range in {
+					in[i].Buf = make([]byte, 2048)
+				}
+				b.SetBytes(int64(len(out) * sh.size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if n, err := tx.WriteBatch(out); err != nil || n != len(out) {
+						b.Fatalf("WriteBatch = %d, %v", n, err)
+					}
+					for _, r := range rx {
+						for got := 0; got < sh.run; {
+							n, err := r.ReadBatch(in[:sh.run-got])
+							if err != nil {
+								b.Fatal(err)
+							}
+							got += n
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -107,6 +107,7 @@ type MultiServer struct {
 	badPkt    *metrics.Counter
 	unknown   *metrics.Counter
 	sent      *metrics.Counter
+	sendErrs  *metrics.Counter
 	acked     *metrics.Counter
 	shardwarn *metrics.Counter
 	batchSz   *metrics.Histogram
@@ -167,6 +168,7 @@ func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, e
 		badPkt:    reg.Counter("srv.badpkt"),
 		unknown:   reg.Counter("srv.unknownack"),
 		sent:      reg.Counter("srv.sent"),
+		sendErrs:  reg.Counter("srv.senderrs"),
 		acked:     reg.Counter("srv.acked"),
 		shardwarn: reg.Counter("srv.shardsovercpu"),
 		batchSz:   reg.Histogram("srv.batchsz", metrics.HistogramOpts{MinExp: 0, MaxExp: 8}),
@@ -357,8 +359,9 @@ func (sh *shard) now() float64 {
 // an ACK is handled the moment it lands and an idle shard costs one
 // wake per idleSweepSec.
 //
-// Tick-driven (sustained load): sleep to the next wheel tick, then take
-// what queued meanwhile with non-blocking reads. An acknowledgement
+// Tick-driven (sustained load): sleep to the next wheel tick (tickSleep:
+// in the kernel, so the ACKs that land meanwhile wake nothing), then
+// take what queued meanwhile with non-blocking reads. An acknowledgement
 // waits at most a tick in the socket buffer; a packet leaves at most a
 // tick after its NextSend and never before it, and buildPacket advances
 // the pace from the scheduled instant, so the lateness is repaid.
@@ -385,7 +388,7 @@ func (sh *shard) run(ctx context.Context) error {
 				// backlog (pumpDue stopped at its bound) go straight to the
 				// socket instead, so input keeps pace with output.
 				wake := wheelTickStart(wheelTick(now) + 1)
-				time.Sleep(time.Duration((wake - sh.now()) * float64(time.Second)))
+				tickSleep(time.Duration((wake - sh.now()) * float64(time.Second)))
 			}
 			now = sh.now()
 			if n, err = sh.drainSocket(now); err != nil {
@@ -598,11 +601,18 @@ func (sh *shard) buildDue(st *session, now float64, k int) int {
 	return k
 }
 
-// flush writes the first k batch entries in one batched syscall.
+// flush writes the first k batch entries in one batched write and
+// counts what went (srv.sent) and what the kernel refused
+// (srv.senderrs). A refusal is not fatal: the batch layer skips the
+// refused datagram and sends the rest, and RAP takes the missing packet
+// for a loss of that session alone.
 func (sh *shard) flush(k int) {
 	if k > 0 {
-		sh.writer.WriteBatch(sh.msgs[:k]) // per-datagram kernel errors are not fatal
-		sh.srv.sent.Add(int64(k))
+		n, _ := sh.writer.WriteBatch(sh.msgs[:k]) // the count is the outcome: the error only names the first refusal
+		sh.srv.sent.Add(int64(n))
+		if n < k {
+			sh.srv.sendErrs.Add(int64(k - n))
+		}
 		sh.srv.batchSz.Observe(float64(k))
 	}
 }

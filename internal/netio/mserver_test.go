@@ -3,8 +3,10 @@ package netio
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"testing"
@@ -533,7 +535,10 @@ func TestMultiServerIdleExpiry(t *testing.T) {
 // TestAllocFreeServeSendLoop is the serving-path tentpole invariant:
 // once a session reaches steady state, pumping packets through the
 // shard — layer pick, RAP accounting, encode, batched write — and
-// feeding the acknowledgements back allocates nothing.
+// feeding the acknowledgements back allocates nothing. At 100 kB/s of
+// 512 B packets every 20 ms pump writes a run of about four packets to
+// the one viewer, so the mmsg kind's writes take the GSO path (a
+// UDP_SEGMENT cmsg per run) throughout the measured window.
 func TestAllocFreeServeSendLoop(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; run without -race")
@@ -545,7 +550,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				defer conn.Close()
 				srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
 					QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-					RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+					RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
 					BatchKind: kind,
 				})
 				if err != nil {
@@ -572,10 +577,13 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 						sh.handle(inMsg{addr: sinkAddr, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
 					}
 				}
+				minRun := 0 // fewest packets one pump wrote since the last reset
 				pumpSlice := func() {
 					for i := 0; i < 50; i++ {
 						now += 0.02
-						leg.pump(sh, now)
+						if k, _ := leg.pump(sh, now); k < minRun {
+							minRun = k
+						}
 						ackAll(now)
 					}
 				}
@@ -584,13 +592,13 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				for i := 0; i < 20; i++ {
 					pumpSlice()
 				}
-				sentBefore := sess.flow.Tr.Counters().Sent
+				minRun = math.MaxInt
 				allocs := testing.AllocsPerRun(20, pumpSlice)
 				if allocs != 0 {
 					t.Fatalf("steady-state serve send loop (%s/%s): %.1f allocs per 1s slice, want 0", kind, leg.name, allocs)
 				}
-				if sess.flow.Tr.Counters().Sent == sentBefore {
-					t.Fatal("measured window sent nothing")
+				if minRun < 2 {
+					t.Fatalf("a measured pump wrote %d packets, want runs of >= 2 to the viewer", minRun)
 				}
 			})
 		}
@@ -602,7 +610,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			defer conn.Close()
 			srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
 				QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-				RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+				RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
 				BatchKind: kind,
 			})
 			if err != nil {
@@ -622,11 +630,13 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			sh.handle(inMsg{addr: peerAddr, kind: KindReq, durMs: 3_600_000}, now)
 			sess := sh.sessions[peerAddr]
 			ack := make([]byte, AckLen)
-			drained := 0
+			drained, minRun := 0, 0
 			tickSlice := func() {
 				for i := 0; i < 50; i++ {
 					now += 0.02
-					sh.pumpDue(now)
+					if k, _ := sh.pumpDue(now); k < minRun {
+						minRun = k
+					}
 					for seq := sess.flow.Tr.Counters().Acked + sess.flow.Tr.Counters().Lost; seq < sess.flow.Tr.Counters().Sent; seq++ {
 						n, _ := EncodeAck(ack, Ack{AckSeq: seq, NackLayer: NoNack})
 						peer.WriteToUDPAddrPort(ack[:n], srvAddr)
@@ -642,15 +652,88 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				tickSlice()
 			}
-			sentBefore, drainedBefore := sess.flow.Tr.Counters().Sent, drained
+			drainedBefore := drained
+			minRun = math.MaxInt
 			if allocs := testing.AllocsPerRun(20, tickSlice); allocs != 0 {
 				t.Fatalf("steady-state drain+pump (%s): %.1f allocs per 1s slice, want 0", kind, allocs)
 			}
-			if sess.flow.Tr.Counters().Sent == sentBefore || drained == drainedBefore {
-				t.Fatalf("measured window sent %d packets and drained %d datagrams", sess.flow.Tr.Counters().Sent-sentBefore, drained-drainedBefore)
+			if minRun < 2 || drained == drainedBefore {
+				t.Fatalf("measured window: fewest packets per pump %d (want runs of >= 2), drained %d datagrams", minRun, drained-drainedBefore)
 			}
 			if sess.flow.Tr.Counters().Acked == 0 {
 				t.Fatal("no ACK ever reached the session through the socket")
+			}
+		})
+	}
+}
+
+// TestRefusedPeerCostsOnlyItself: a session at an address the kernel
+// will not send to (port 0) shares every pump with two good ones. Every
+// packet of the good sessions arrives, srv.sent counts exactly those,
+// and srv.senderrs counts the refused session's.
+func TestRefusedPeerCostsOnlyItself(t *testing.T) {
+	for _, kind := range availableKinds(t) {
+		t.Run(string(kind), func(t *testing.T) {
+			conn := listenUDPTB(t)
+			defer conn.Close()
+			srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+				QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+				RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+				BatchKind: kind,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := srv.shards[0]
+			var rcv []*net.UDPConn
+			addrs := []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:0")}
+			for i := 0; i < 2; i++ {
+				c := listenUDPTB(t)
+				defer c.Close()
+				rcv = append(rcv, c)
+				addrs = append(addrs, c.LocalAddr().(*net.UDPAddr).AddrPort())
+			}
+			// The refused session joins between the two good ones, so
+			// whether the pump visits them in join order or in reverse, a
+			// good session's packets follow the refused ones in the batch.
+			now := 0.0
+			for _, a := range []netip.AddrPort{addrs[1], addrs[0], addrs[2]} {
+				sh.handle(inMsg{addr: a, kind: KindReq, durMs: 60_000}, now)
+			}
+			for i := 0; i < 50; i++ {
+				now += 0.02
+				sh.pump(now)
+				for _, a := range addrs {
+					sess := sh.sessions[a]
+					for seq := sess.flow.Tr.Counters().Acked + sess.flow.Tr.Counters().Lost; seq < sess.flow.Tr.Counters().Sent; seq++ {
+						sh.handle(inMsg{addr: a, kind: KindAck, ack: Ack{AckSeq: seq, NackLayer: NoNack}}, now)
+					}
+				}
+			}
+			arrived := int64(0)
+			buf := make([]byte, 2048)
+			for i, c := range rcv {
+				want := sh.sessions[addrs[i+1]].flow.Tr.Counters().Sent
+				got := int64(0)
+				for got < want {
+					c.SetReadDeadline(time.Now().Add(time.Second))
+					if _, _, err := c.ReadFromUDPAddrPort(buf); err != nil {
+						break
+					}
+					got++
+				}
+				if got != want {
+					t.Errorf("good session %d: %d of its %d packets arrived", i, got, want)
+				}
+				arrived += got
+			}
+			refused := sh.sessions[addrs[0]].flow.Tr.Counters().Sent
+			snap := srv.Metrics().Snapshot()
+			if st := srv.Stats(); st.SentPkts != arrived {
+				t.Errorf("srv.sent = %d, %d arrived", st.SentPkts, arrived)
+			}
+			if refused == 0 || snap.Counters["srv.senderrs"] != refused {
+				t.Errorf("srv.senderrs = %d, the refused session built %d packets", snap.Counters["srv.senderrs"], refused)
 			}
 		})
 	}

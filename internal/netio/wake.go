@@ -15,10 +15,11 @@ package netio
 //
 // The thresholds are constants, not configuration. What they weigh is
 // wake-ups per tick against at most one tick of added delay, and both
-// sides are fixed by the wheel tick, which is the finest sleep the Go
-// runtime delivers anyway (while a thread idles in epoll_wait, timer
-// waits are rounded up to a millisecond). Nothing about a deployment
-// changes that balance.
+// sides are fixed by the wheel tick: the wheel's quantum, hence when a
+// tick-driven shard next has anything to do, and about the finest wait
+// an arrival-driven read gets (while a thread idles in epoll_wait,
+// timer waits are rounded up to a millisecond). Nothing about a
+// deployment changes that balance.
 
 const (
 	// wakeTauSec is the time constant of the event-rate average: long
