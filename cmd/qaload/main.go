@@ -13,7 +13,6 @@
 // Examples:
 //
 //	qaload -clients 1000 -dur 10s -soak
-//	qaload -clients 64 -dur 8s -batch generic      # unbatched I/O
 //	qaload -clients 64 -dur 8s -shards 2 -soak     # two shard goroutines race
 package main
 
@@ -52,7 +51,6 @@ type loadResult struct {
 // loadOpts is one run's full parameterization.
 type loadOpts struct {
 	addr    string
-	kind    netio.BatchKind
 	clients int
 	dur     time.Duration
 	stagger time.Duration
@@ -74,7 +72,6 @@ func main() {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	flag.IntVar(&shards, "shards", shards, "in-process server's SO_REUSEPORT sockets, one shard each")
-	batch := flag.String("batch", "", "batch I/O kind: auto, mmsg, generic")
 	// The defaults are chosen coherent: two layers (2 x 6000 B/s) fit
 	// comfortably under the 16000 B/s rate cap, so per-client state
 	// reaches a steady layer allocation instead of churning add/drop
@@ -92,13 +89,8 @@ func main() {
 		runtime.MemProfileRate = 1
 	}
 
-	kind := netio.BatchKind(*batch)
-	if *batch == "auto" {
-		kind = netio.BatchAuto
-	}
 	opts := loadOpts{
 		addr:    *addr,
-		kind:    kind,
 		clients: *clients,
 		dur:     *dur,
 		stagger: *stagger,
@@ -153,9 +145,8 @@ func runOnce(o loadOpts) (*loadResult, error) {
 			defer c.Close()
 		}
 		srv, err = netio.NewMultiServerConns(conns, netio.MultiConfig{
-			QA:        core.Params{C: o.c, Kmax: o.kmax, MaxLayers: o.layers, StartupSec: 0.2},
-			RAP:       transport.RAPConfig{PacketSize: o.pkt, MaxRate: o.maxRate, InitialRTT: 0.02},
-			BatchKind: o.kind,
+			QA:  core.Params{C: o.c, Kmax: o.kmax, MaxLayers: o.layers, StartupSec: 0.2},
+			RAP: transport.RAPConfig{PacketSize: o.pkt, MaxRate: o.maxRate, InitialRTT: 0.02},
 		})
 		if err != nil {
 			return nil, err

@@ -38,7 +38,6 @@ func main() {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	flag.IntVar(&shards, "shards", shards, "SO_REUSEPORT sockets on the listen address, one shard each")
-	batch := flag.String("batch", "", "batch I/O kind: auto, mmsg, generic")
 	maxClients := flag.Int("max-clients", 4096, "concurrent stream cap (joins beyond it are refused)")
 	metricsAddr := flag.String("metrics", "", "HTTP address serving current metrics as JSON (e.g. 127.0.0.1:9090; empty = disabled)")
 	flag.Parse()
@@ -46,10 +45,6 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	kind := netio.BatchKind(*batch)
-	if *batch == "auto" {
-		kind = netio.BatchAuto
-	}
 	conns, err := netio.ListenReuseport("udp", *listen, shards)
 	if err != nil {
 		fatal(err)
@@ -60,7 +55,6 @@ func main() {
 	srv, err := netio.NewMultiServerConns(conns, netio.MultiConfig{
 		QA:         core.Params{C: *c, Kmax: *kmax, MaxLayers: *layers, StartupSec: 0.5},
 		RAP:        transport.RAPConfig{PacketSize: *pkt, MaxRate: *maxRate, InitialRTT: 0.05},
-		BatchKind:  kind,
 		MaxClients: *maxClients,
 	})
 	if err != nil {

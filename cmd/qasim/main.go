@@ -16,7 +16,8 @@
 // byte-identical for any -parallel setting.
 //
 // -preset builds the scenario from a named preset instead of the custom
-// flags; explicitly set flags still override the preset's fields:
+// setup; explicitly set flags override the preset's fields (see
+// simFlags.configs):
 //
 //	qasim -preset T2 -dur 120 -report -
 //	qasim -preset Fleet -flows 500 -report fleet.json
@@ -47,37 +48,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 
-	"qav/internal/core"
 	"qav/internal/metrics"
 	"qav/internal/scenario"
 	"qav/internal/transport"
 )
 
 func main() {
-	preset := flag.String("preset", "", "build the scenario from a preset ("+strings.Join(scenario.Presets(), ", ")+"); explicit flags override its fields")
-	flows := flag.Int("flows", 0, "total flow population; implies -preset Fleet when no preset is named")
-	fluid := flag.Int("fluid", 0, "additional background flows modeled as a fluid aggregate (half TCP, half RAP) instead of packet-level")
-	traceFlows := flag.Int("traceflows", -1, "cap per-flow trace series at N flows per class and emit fleet aggregates (0 = legacy full tracing, -1 = preset default)")
-	bw := flag.Float64("bw", 800_000, "bottleneck bandwidth, bytes/s")
-	rtt := flag.Float64("rtt", 0.04, "base round-trip time, seconds")
-	queue := flag.Float64("queue", 0.12, "bottleneck queue, seconds of bandwidth")
-	red := flag.Bool("red", false, "use RED instead of DropTail at the bottleneck")
-	ntcp := flag.Int("tcp", 10, "number of competing Sack-TCP flows")
-	nrap := flag.Int("rap", 9, "number of competing plain RAP flows")
-	cbrFrac := flag.Float64("cbr", 0, "CBR burst rate as a fraction of bw (0 = none)")
-	cbrStart := flag.Float64("cbr-start", 30, "CBR start time, s")
-	cbrStop := flag.Float64("cbr-stop", 60, "CBR stop time, s")
-	c := flag.Float64("c", 10_000, "per-layer consumption rate, bytes/s")
-	kmaxList := flag.String("kmax", "2", "smoothing factor, or comma-separated list for a sweep")
-	maxLayers := flag.Int("layers", 8, "maximum encoded layers")
-	dur := flag.Float64("dur", 60, "simulated duration, seconds")
-	pkt := flag.Int("pkt", 512, "packet size, bytes")
-	transportName := flag.String("transport", "", "congestion-control backend for QA and cross-traffic flows: rap (default), delay, greedy")
+	sf := newSimFlags(flag.CommandLine)
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU)")
-	shards := flag.Int("shards", 1, "engines per run: 1 = classic serial, N >= 2 = one bottleneck shard plus N-1 flow shards with identical results; pays off above roughly 4,000 flows (x1.4 at 10,000 flows and 3 shards on 2 vCPUs) and costs 10-20% below that (see DESIGN.md, Parallel DES)")
 	tsv := flag.Bool("tsv", false, "dump full time series as TSV")
 	events := flag.Bool("events", false, "dump the controller event log")
 	reportPath := flag.String("report", "", `write a JSON run report to this file ("-" = stdout)`)
@@ -85,22 +64,14 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	flag.Parse()
 
-	kmaxes, err := parseKmaxes(*kmaxList)
+	cfgs, kmaxes, err := sf.configs()
 	if err != nil {
 		fatal(err)
 	}
-	trKind, err := transport.ParseKind(*transportName)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Which flags were given explicitly: in preset mode only those
-	// override the preset's fields.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	presetName := *preset
-	if presetName == "" && (*flows > 0 || *fluid > 0) {
-		presetName = "Fleet"
+	if *reportPath != "" {
+		for i := range cfgs {
+			cfgs[i].Metrics = metrics.NewRegistry()
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -124,102 +95,6 @@ func main() {
 			pprof.Lookup("allocs").WriteTo(f, 0)
 			f.Close()
 		}()
-	}
-
-	cfgs := make([]scenario.Config, len(kmaxes))
-	for i, kmax := range kmaxes {
-		var cfg scenario.Config
-		if presetName != "" {
-			opts := []scenario.PresetOption{scenario.WithKmax(kmax)}
-			if *flows > 0 {
-				opts = append(opts, scenario.WithFlows(*flows))
-			}
-			if *fluid > 0 {
-				opts = append(opts, scenario.WithFluidFlows(*fluid))
-			}
-			if set["transport"] {
-				opts = append(opts, scenario.WithTransport(trKind))
-			}
-			cfg, err = scenario.Preset(presetName, opts...)
-			if err != nil {
-				fatal(err)
-			}
-			// Explicit flags override the preset's fields; untouched
-			// flags keep the preset's values, not the flag defaults.
-			if set["bw"] {
-				cfg.BottleneckRate = *bw
-			}
-			if set["rtt"] {
-				cfg.LinkDelay, cfg.AccessDelay = *rtt/4, *rtt/8
-			}
-			if set["queue"] {
-				cfg.QueueBytes = int(cfg.BottleneckRate * *queue)
-			}
-			if set["red"] {
-				cfg.UseRED = *red
-			}
-			if set["tcp"] {
-				cfg.NumTCP = *ntcp
-			}
-			if set["rap"] {
-				cfg.NumRAP = *nrap
-			}
-			if set["c"] {
-				cfg.QA.C = *c
-			}
-			if set["layers"] {
-				cfg.QA.MaxLayers = *maxLayers
-			}
-			if set["dur"] {
-				cfg.Duration = *dur
-			}
-			if set["pkt"] {
-				cfg.PacketSize = *pkt
-			}
-			if set["cbr"] {
-				cfg.CBRRate = *cbrFrac * cfg.BottleneckRate
-				cfg.CBRStart, cfg.CBRStop = *cbrStart, *cbrStop
-			}
-		} else {
-			cfg = scenario.Config{
-				Name:           fmt.Sprintf("custom(Kmax=%d)", kmax),
-				Transport:      trKind,
-				BottleneckRate: *bw,
-				LinkDelay:      *rtt / 4,
-				AccessDelay:    *rtt / 8,
-				QueueBytes:     int(*bw * *queue),
-				UseRED:         *red,
-				PacketSize:     *pkt,
-				NumTCP:         *ntcp,
-				NumRAP:         *nrap,
-				WithQA:         true,
-				QA: core.Params{
-					C:         *c,
-					Kmax:      kmax,
-					MaxLayers: *maxLayers,
-				},
-				Duration: *dur,
-			}
-			if *cbrFrac > 0 {
-				cfg.CBRRate = *cbrFrac * *bw
-				cfg.CBRStart = *cbrStart
-				cfg.CBRStop = *cbrStop
-			}
-		}
-		if *traceFlows >= 0 {
-			cfg.MaxTraceFlows = *traceFlows
-		}
-		cfg.Shards = *shards
-		// Normalize here (Run would do it too) so flag mistakes surface
-		// before any simulation starts, with the effective defaults filled
-		// in for the report.
-		if err := cfg.Normalize(); err != nil {
-			fatal(err)
-		}
-		if *reportPath != "" {
-			cfg.Metrics = metrics.NewRegistry()
-		}
-		cfgs[i] = cfg
 	}
 
 	results, err := scenario.RunAll(cfgs, *parallel)
@@ -309,25 +184,6 @@ func writeReports(path string, reps []scenario.RunReport) error {
 		w = f
 	}
 	return scenario.WriteReports(w, reps)
-}
-
-func parseKmaxes(list string) ([]int, error) {
-	var kmaxes []int
-	for _, part := range strings.Split(list, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad -kmax value %q: %v", part, err)
-		}
-		kmaxes = append(kmaxes, k)
-	}
-	if len(kmaxes) == 0 {
-		return nil, fmt.Errorf("-kmax list %q is empty", list)
-	}
-	return kmaxes, nil
 }
 
 func fatal(err error) {

@@ -46,11 +46,11 @@ type Controller struct {
 	tickDt  float64 // duration covered by the current Tick
 
 	// lastChange is the time of the most recent add/drop/play event,
-	// for AddSpacing enforcement.
+	// for addSpacing enforcement.
 	lastChange float64
 
 	// Allocation cache: shares are recomputed at most every
-	// PlanHorizon/5 (or immediately after add/drop/backoff or a rate
+	// planHorizon/5 (or immediately after add/drop/backoff or a rate
 	// swing), not on every packet.
 	lastAlloc     float64
 	lastAllocRate float64
@@ -80,8 +80,7 @@ type Controller struct {
 // NewController returns a controller with one active (base) layer and
 // empty buffers.
 func NewController(p Params) (*Controller, error) {
-	p.setDefaults()
-	if err := p.Validate(); err != nil {
+	if err := p.Normalize(); err != nil {
 		return nil, err
 	}
 	return &Controller{
@@ -241,7 +240,7 @@ func (c *Controller) allocStale(now float64) bool {
 	if c.allocDirty || c.lastAllocRate <= 0 {
 		return true
 	}
-	if now-c.lastAlloc >= c.P.PlanHorizon/5 {
+	if now-c.lastAlloc >= planHorizon/5 {
 		return true
 	}
 	swing := math.Abs(c.rate-c.lastAllocRate) / c.lastAllocRate
@@ -286,8 +285,8 @@ func (c *Controller) maybeAdd(now float64) {
 	}
 	// A new layer's playout is anchored to the base layer's (§2.1's
 	// inter-layer timing dependency): no adds before playback starts,
-	// and no adds within AddSpacing of the previous quality change.
-	if !c.playing || now-c.lastChange < c.P.AddSpacing {
+	// and no adds within addSpacing of the previous quality change.
+	if !c.playing || now-c.lastChange < addSpacing {
 		return
 	}
 	// Condition 1: the instantaneous rate sustains all layers plus one.
@@ -351,7 +350,7 @@ func (c *Controller) computeShares(now float64) {
 	if R >= total {
 		// Filling phase: every consuming layer gets C; the surplus goes
 		// to the layer the SendPacket scan selects. Past Kmax the scan is
-		// extended (ExtraStates) so buffers keep absorbing bandwidth that
+		// extended (extraStates) so buffers keep absorbing bandwidth that
 		// cannot yet become a new layer.
 		for i := 0; i < c.na; i++ {
 			c.shares[i] = cons
@@ -364,7 +363,7 @@ func (c *Controller) computeShares(now float64) {
 	}
 
 	// Draining phase.
-	h := c.P.PlanHorizon
+	h := planHorizon
 	need := (total - R) * h
 	ladder := c.drainLadder(R)
 	drains, unmet := DrainPlanInto(c.drainsBuf, ladder, c.bufs[:c.na], need, cons*h)
@@ -435,13 +434,13 @@ func (c *Controller) fillLayer() int {
 		// every layer — draining is rate-limited to C per layer, so an
 		// empty top-layer buffer cannot be compensated by the base
 		// layer's riches.
-		reserve := c.P.ProtectSec * c.P.C
+		reserve := protectSec * c.P.C
 		for i := 0; i < c.na; i++ {
 			if c.bufs[i] < reserve {
 				return i
 			}
 		}
-		layer, ok = FillTarget(c.rate, c.bufs[:c.na], c.P.C, c.slope, c.P.Kmax+c.P.ExtraStates)
+		layer, ok = FillTarget(c.rate, c.bufs[:c.na], c.P.C, c.slope, c.P.Kmax+extraStates)
 		if !ok {
 			layer = 0
 		}

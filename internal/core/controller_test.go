@@ -292,6 +292,41 @@ func TestControllerParamsValidation(t *testing.T) {
 	}
 }
 
+// NaN fails every range comparison, so a "<= 0" check lets it through:
+// Normalize must reject every non-finite value, and fill the defaults a
+// caller left at zero.
+func TestParamsNormalize(t *testing.T) {
+	for name, p := range map[string]Params{
+		"C NaN":           {C: math.NaN()},
+		"C +Inf":          {C: math.Inf(1)},
+		"C -Inf":          {C: math.Inf(-1)},
+		"StartupSec NaN":  {C: 1000, StartupSec: math.NaN()},
+		"StartupSec +Inf": {C: 1000, StartupSec: math.Inf(1)},
+		"Kmax negative":   {C: 1000, Kmax: -1},
+	} {
+		if err := p.Normalize(); err == nil {
+			t.Errorf("%s: accepted %+v", name, p)
+		}
+		if _, err := NewController(p); err == nil {
+			t.Errorf("%s: NewController accepted it", name)
+		}
+	}
+	p := Params{C: 1000}
+	if err := p.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Params{C: 1000, Kmax: 2, MaxLayers: 8, StartupSec: 1}); p != want {
+		t.Fatalf("Normalize filled %+v, want %+v", p, want)
+	}
+	c, err := NewController(Params{C: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.P != p {
+		t.Fatalf("NewController runs %+v, Normalize reports %+v", c.P, p)
+	}
+}
+
 func TestControllerDegenerateSlope(t *testing.T) {
 	c, err := NewController(baseParams())
 	if err != nil {

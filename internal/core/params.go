@@ -12,7 +12,10 @@
 // assumption).
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Allocation selects the inter-layer buffer allocation policy. The
 // paper's contribution is the optimal policy; the other two are the
@@ -43,6 +46,31 @@ func (a Allocation) String() string {
 	}
 }
 
+// Fixed choices of this implementation that no run varies (DESIGN.md,
+// "Parameterization notes").
+const (
+	// planHorizon is the draining allocator's planning horizon, seconds;
+	// the cached allocation is refreshed at least every planHorizon/5.
+	planHorizon float64 = 0.05
+	// extraStates lets buffers keep growing past Kmax while the adding
+	// condition's rate test fails (the paper's 2.9-layer modem example):
+	// scenario-2 states up to Kmax+extraStates are pursued.
+	extraStates = 24
+	// addSpacing is the minimum time, seconds, between a layer change and
+	// a subsequent add. Until the first RTT sample the slope estimate is
+	// arbitrary, and §2.1 warns against several layers being added per
+	// congestion-control cycle; spacing bounds the damage.
+	addSpacing float64 = 0.5
+	// protectSec keeps at least this many seconds of data buffered in
+	// every active layer once the Kmax targets are met, before surplus
+	// chases the deeper (bottom-heavy) states. Buffer draining is bounded
+	// per layer by the consumption rate C, so a top layer with zero
+	// buffer starves in deep multi-backoff dips no matter how much the
+	// base layer holds; a small reserve prevents exactly the "poor
+	// distribution" drops Table 2 counts.
+	protectSec float64 = 0.5
+)
+
 // Params configures a quality adaptation controller.
 type Params struct {
 	// C is the per-layer consumption rate in bytes/s.
@@ -55,30 +83,10 @@ type Params struct {
 	// StartupSec is how many seconds of base-layer data must be buffered
 	// before playback starts.
 	StartupSec float64
-	// PlanHorizon is the draining-allocator planning horizon in seconds
-	// (clamped to [PlanHorizonMin, PlanHorizonMax] around the RTT).
-	PlanHorizon float64
-	// ExtraStates lets buffers keep growing past Kmax while the adding
-	// condition's rate test fails (the paper's 2.9-layer modem example):
-	// scenario-2 states up to Kmax+ExtraStates are pursued.
-	ExtraStates int
-	// AddSpacing is the minimum time between layer changes and a
-	// subsequent add. Until the first RTT sample the slope estimate is
-	// arbitrary, and §2.1 warns against several layers being added per
-	// congestion-control cycle; spacing bounds the damage.
-	AddSpacing float64
 	// Alloc selects the inter-layer buffer allocation policy (the
 	// default AllocOptimal is the paper's contribution; the others are
 	// §2.3's strawmen for ablations).
 	Alloc Allocation
-	// ProtectSec keeps at least this many seconds of data buffered in
-	// every active layer once the Kmax targets are met, before surplus
-	// chases the deeper (bottom-heavy) states. Buffer draining is
-	// bounded per layer by the consumption rate C, so a top layer with
-	// zero buffer starves in deep multi-backoff dips no matter how much
-	// the base layer holds; a small reserve prevents exactly the
-	// "poor distribution" drops Table 2 counts.
-	ProtectSec float64
 	// MaxEvents bounds the decision log: past the cap the oldest half
 	// is discarded, keeping recent history. Zero keeps the full log
 	// (the simulator's default, for event dumps and figures); a
@@ -87,21 +95,11 @@ type Params struct {
 	MaxEvents int
 }
 
-// Validate checks parameter sanity.
-func (p *Params) Validate() error {
-	if p.C <= 0 {
-		return fmt.Errorf("core: C must be positive, got %v", p.C)
-	}
-	if p.Kmax < 1 {
-		return fmt.Errorf("core: Kmax must be >= 1, got %d", p.Kmax)
-	}
-	if p.MaxLayers < 1 {
-		return fmt.Errorf("core: MaxLayers must be >= 1, got %d", p.MaxLayers)
-	}
-	return nil
-}
-
-func (p *Params) setDefaults() {
+// Normalize fills the zero fields that have defaults (Kmax 2, MaxLayers
+// 8, StartupSec 1 s) and checks the result. NewController applies it to
+// its own copy; scenario.Config.Normalize applies it in place, so a run
+// report's config is what the controller ran.
+func (p *Params) Normalize() error {
 	if p.Kmax == 0 {
 		p.Kmax = 2
 	}
@@ -111,16 +109,16 @@ func (p *Params) setDefaults() {
 	if p.StartupSec == 0 {
 		p.StartupSec = 1.0
 	}
-	if p.PlanHorizon == 0 {
-		p.PlanHorizon = 0.05
+	// The negated comparisons also reject NaN, which fails every test.
+	switch {
+	case !(p.C > 0) || math.IsInf(p.C, 1):
+		return fmt.Errorf("core: C must be positive and finite, got %v", p.C)
+	case p.Kmax < 1:
+		return fmt.Errorf("core: Kmax must be >= 1, got %d", p.Kmax)
+	case p.MaxLayers < 1:
+		return fmt.Errorf("core: MaxLayers must be >= 1, got %d", p.MaxLayers)
+	case math.IsNaN(p.StartupSec) || math.IsInf(p.StartupSec, 0):
+		return fmt.Errorf("core: StartupSec must be finite, got %v", p.StartupSec)
 	}
-	if p.ExtraStates == 0 {
-		p.ExtraStates = 24
-	}
-	if p.AddSpacing == 0 {
-		p.AddSpacing = 0.5
-	}
-	if p.ProtectSec == 0 {
-		p.ProtectSec = 0.5
-	}
+	return nil
 }

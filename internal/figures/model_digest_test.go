@@ -12,14 +12,17 @@ import (
 	"qav/internal/scenario"
 )
 
-// Goldens of TestModelDigestEngineCountersRemoved, recorded at commit
-// 13df823 (the parent of the calendar-queue tuning change). A change to
-// the event scheduler, or to how often a timer is re-armed, must leave
-// them alone; a change to the model (a transport, a queue, the
-// controller, the report schema) re-records them and says why.
+// Goldens of TestModelDigestEngineCountersRemoved. A change to the event
+// scheduler, or to how often a timer is re-armed, must leave them alone;
+// a change to the model (a transport, a queue, the controller, the
+// report schema) re-records them and says why. Last re-recorded when the
+// report's config lost the keys of options that became constants
+// (WithQA, FluidInterval, MaxTraceLayers, and QA's PlanHorizon,
+// ExtraStates, AddSpacing, ProtectSec) and gained the QA defaults; the
+// simulated behaviour did not change (CHANGES.md has the proof).
 const (
-	goldenPaperDigest = "c3eb9eadf2ff8dd4237c64a1742a8855dd68535013cebf5b47ec24fab0153424"
-	goldenFleetDigest = "33c47c2ef2ace8e4b74284fb2859cb4d919673355f212d85f24f6d6ce927eb19"
+	goldenPaperDigest = "abf3d93cb9cc3d6fa6625f1eb350537aaa0f078ec015b628f0739c2537856871"
+	goldenFleetDigest = "d4ba82fd1d8bd4a96bbf7cc9003285c0779a72a3702b32ad2f1422e527b88484"
 )
 
 // modelDigest hashes reports (and extra) the way the benchmark's

@@ -21,12 +21,13 @@ type LoadConfig struct {
 	// joins at (i*97 ms) mod window, exact integer milliseconds, so
 	// joins neither phase-lock nor thundering-herd.
 	Stagger time.Duration
-	// ReadBuf sizes each client's receive buffer (default 2048).
-	ReadBuf int
 	// IdleExit is how long a client waits with no data before treating
 	// the stream as over (default 2 s).
 	IdleExit time.Duration
 }
+
+// loadReadBuf sizes each emulated client's receive buffer, bytes.
+const loadReadBuf = 2048
 
 // ClientLoad is one emulated client's receive summary.
 type ClientLoad struct {
@@ -66,9 +67,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 	}
 	if cfg.Stagger <= 0 {
 		cfg.Stagger = time.Second
-	}
-	if cfg.ReadBuf <= 0 {
-		cfg.ReadBuf = 2048
 	}
 	if cfg.IdleExit <= 0 {
 		cfg.IdleExit = 2 * time.Second
@@ -150,7 +148,7 @@ func runLoadClient(ctx context.Context, cfg LoadConfig, out *ClientLoad) error {
 		return err
 	}
 
-	buf := make([]byte, cfg.ReadBuf)
+	buf := make([]byte, loadReadBuf)
 	ackBuf := make([]byte, AckLen)
 	start := time.Now()
 	deadline := start.Add(cfg.Dur + cfg.IdleExit + 3*time.Second)

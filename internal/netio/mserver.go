@@ -35,9 +35,6 @@ type MultiConfig struct {
 	// RAP configures every stream's congestion control. PacketSize is
 	// the wire size (header + payload); if zero it defaults to 512.
 	RAP transport.RAPConfig
-	// BatchKind selects the I/O implementation (default BatchAuto:
-	// mmsg on Linux, generic elsewhere).
-	BatchKind BatchKind
 	// MaxClients caps concurrent streams; joins beyond it are refused
 	// (default 4096).
 	MaxClients int
@@ -145,7 +142,15 @@ type shard struct {
 // consistent shard; any per-socket layout works, though — distinct
 // ports with an external balancer is equally valid. Sockets stay
 // caller-owned: close them (or cancel Serve's context) to shut down.
+// The batch I/O is the platform's best (BatchAuto: mmsg on Linux,
+// generic elsewhere).
 func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, error) {
+	return newMultiServerConns(conns, cfg, BatchAuto)
+}
+
+// newMultiServerConns is NewMultiServerConns over the batch I/O that
+// kind names; tests reach the generic path through it.
+func newMultiServerConns(conns []*net.UDPConn, cfg MultiConfig, kind BatchKind) (*MultiServer, error) {
 	if len(conns) == 0 {
 		return nil, fmt.Errorf("netio: NewMultiServerConns needs at least one socket")
 	}
@@ -182,7 +187,7 @@ func NewMultiServerConns(conns []*net.UDPConn, cfg MultiConfig) (*MultiServer, e
 		s.shardwarn.Inc()
 	}
 	for _, c := range conns {
-		bc, err := NewBatchConn(c, cfg.BatchKind)
+		bc, err := NewBatchConn(c, kind)
 		if err != nil {
 			return nil, err
 		}

@@ -548,11 +548,10 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 			t.Run(string(kind)+"/"+leg.name, func(t *testing.T) {
 				conn := listenUDPTB(t)
 				defer conn.Close()
-				srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
-					QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-					RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
-					BatchKind: kind,
-				})
+				srv, err := newMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+					QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+					RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
+				}, kind)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -608,11 +607,10 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 		t.Run(string(kind)+"/drain", func(t *testing.T) {
 			conn := listenUDPTB(t)
 			defer conn.Close()
-			srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
-				QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-				RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
-				BatchKind: kind,
-			})
+			srv, err := newMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+				QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+				RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
+			}, kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -676,11 +674,10 @@ func TestRefusedPeerCostsOnlyItself(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			conn := listenUDPTB(t)
 			defer conn.Close()
-			srv, err := NewMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
-				QA:        core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
-				RAP:       transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
-				BatchKind: kind,
-			})
+			srv, err := newMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+				QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 2, StartupSec: 0.1},
+				RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 40_000},
+			}, kind)
 			if err != nil {
 				t.Fatal(err)
 			}

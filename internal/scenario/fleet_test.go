@@ -15,9 +15,6 @@ func TestFleetPresetShape(t *testing.T) {
 	if cfg.NumQA != 5 || cfg.NumTCP != 5 || cfg.NumRAP != 0 {
 		t.Fatalf("Fleet(10) population wrong: %d QA, %d TCP, %d RAP", cfg.NumQA, cfg.NumTCP, cfg.NumRAP)
 	}
-	if !cfg.WithQA {
-		t.Error("NumQA > 0 should normalize WithQA to true")
-	}
 	if cfg.MaxTraceFlows == 0 {
 		t.Error("Fleet preset must select fleet (capped) sampling")
 	}

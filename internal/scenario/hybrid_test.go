@@ -34,13 +34,10 @@ func TestHybridConfigValidation(t *testing.T) {
 	}
 
 	// A fluid background is a traffic source: fluid-only configs are
-	// valid, and get the default coupling interval.
+	// valid.
 	cfg = Config{BottleneckRate: 100_000, Duration: 1, QueueBytes: 10_000, FluidTCP: 50}
 	if err := cfg.Normalize(); err != nil {
 		t.Fatalf("fluid-only config rejected: %v", err)
-	}
-	if cfg.FluidInterval != 0.01 {
-		t.Errorf("FluidInterval defaulted to %v, want 0.01", cfg.FluidInterval)
 	}
 
 	// WithFluidFlows(0) must leave the Fleet preset byte-identical to a

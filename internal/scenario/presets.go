@@ -153,7 +153,7 @@ func presetT1(o presetOpts) Config {
 		PacketSize:     512,
 		NumTCP:         10,
 		NumRAP:         9,
-		WithQA:         true,
+		NumQA:          1,
 		QA: core.Params{
 			C:          fair / 4,
 			Kmax:       o.kmax,
@@ -251,7 +251,7 @@ func presetSingleQA(o presetOpts) Config {
 		AccessDelay:    0.005,
 		QueueBytes:     4 * 512,
 		PacketSize:     512,
-		WithQA:         true,
+		NumQA:          1,
 		QA: core.Params{
 			C:          3_000,
 			Kmax:       o.kmax,

@@ -152,6 +152,10 @@ func startSampler(eng *sim.Engine, net *sim.Dumbbell, cfg Config, res *Result) {
 	eng.At(0, sample)
 }
 
+// traceLayers is how many layers the QA trace records per-layer series
+// for: Fig 11 plots four.
+const traceLayers = 4
+
 // layerSeries bundles one video layer's five trace series (Fig 11's
 // per-layer breakdown).
 type layerSeries struct {
@@ -168,9 +172,9 @@ type layerSeries struct {
 // buf/share/drain/tx/rx per layer.
 type qaTrace struct {
 	sRate, sCons, sLayers, sBufTotal *trace.Series
-	perLayer                         []layerSeries
+	perLayer                         [traceLayers]layerSeries
 
-	lastSent, lastDelivered []int64
+	lastSent, lastDelivered [traceLayers]int64
 
 	interval float64
 	qaC      float64
@@ -178,15 +182,12 @@ type qaTrace struct {
 
 func newQATrace(series func(string) *trace.Series, cfg *Config) *qaTrace {
 	qt := &qaTrace{
-		sRate:         series("qa.rate"),
-		sCons:         series("qa.consumption"),
-		sLayers:       series("qa.layers"),
-		sBufTotal:     series("qa.buftotal"),
-		perLayer:      make([]layerSeries, cfg.MaxTraceLayers),
-		lastSent:      make([]int64, cfg.MaxTraceLayers),
-		lastDelivered: make([]int64, cfg.MaxTraceLayers),
-		interval:      cfg.SampleInterval,
-		qaC:           cfg.QA.C,
+		sRate:     series("qa.rate"),
+		sCons:     series("qa.consumption"),
+		sLayers:   series("qa.layers"),
+		sBufTotal: series("qa.buftotal"),
+		interval:  cfg.SampleInterval,
+		qaC:       cfg.QA.C,
 	}
 	for l := range qt.perLayer {
 		qt.perLayer[l] = layerSeries{

@@ -31,9 +31,8 @@ type Config struct {
 	// Traffic mix.
 	PacketSize   int
 	NumTCP       int
-	NumRAP       int // plain RAP flows (excluding the QA flows)
-	NumQA        int // QA flows; WithQA is shorthand for NumQA=1
-	WithQA       bool
+	NumRAP       int     // plain RAP flows (excluding the QA flows)
+	NumQA        int     // QA flows
 	FineGrainRAP bool    // use the RAP variant with fine-grain adaptation
 	CBRRate      float64 // bytes/s; 0 = no CBR source
 	CBRStart     float64
@@ -56,17 +55,14 @@ type Config struct {
 	// (10^5–10^6 flows) the packet engine cannot reach.
 	FluidTCP int
 	FluidRAP int
-	// FluidInterval is the fluid<->packet coupling step in seconds
-	// (default 0.01 when any fluid flows are configured).
-	FluidInterval float64
 
-	// Quality adaptation parameters.
+	// Quality adaptation parameters; Normalize fills their defaults
+	// when the run has QA flows.
 	QA core.Params
 
 	// Run control.
 	Duration       float64
 	SampleInterval float64
-	MaxTraceLayers int // per-layer series recorded (default 4, like Fig 11)
 
 	// MaxTraceFlows selects fleet sampling. 0 (the default) is the
 	// legacy mode: one fully traced QA flow and a rate series per RAP
@@ -110,7 +106,21 @@ type Config struct {
 // calls it on its private copy, and flag- or file-driven callers (qasim)
 // call it to display or serialize what will actually run.
 func (cfg *Config) Normalize() error {
-	if cfg.BottleneckRate <= 0 || cfg.Duration <= 0 {
+	// NaN passes every range check below, so non-finite values go first.
+	for _, f := range []struct {
+		name string
+		x    float64
+	}{
+		{"BottleneckRate", cfg.BottleneckRate}, {"LinkDelay", cfg.LinkDelay},
+		{"AccessDelay", cfg.AccessDelay}, {"CBRRate", cfg.CBRRate},
+		{"CBRStart", cfg.CBRStart}, {"CBRStop", cfg.CBRStop},
+		{"Duration", cfg.Duration}, {"SampleInterval", cfg.SampleInterval},
+	} {
+		if math.IsNaN(f.x) || math.IsInf(f.x, 0) {
+			return fmt.Errorf("scenario: config %q: %s must be finite, got %v", cfg.Name, f.name, f.x)
+		}
+	}
+	if cfg.BottleneckRate <= 0 || cfg.Duration <= 0 || cfg.QueueBytes <= 0 {
 		return fmt.Errorf("scenario: incomplete config %+v", *cfg)
 	}
 	if cfg.NumTCP < 0 || cfg.NumRAP < 0 || cfg.NumQA < 0 {
@@ -124,14 +134,8 @@ func (cfg *Config) Normalize() error {
 		return fmt.Errorf("scenario: negative fluid flow counts (%d TCP, %d RAP)",
 			cfg.FluidTCP, cfg.FluidRAP)
 	}
-	if cfg.FluidTCP+cfg.FluidRAP > 0 && cfg.FluidInterval <= 0 {
-		cfg.FluidInterval = 0.01
-	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = 0.1
-	}
-	if cfg.MaxTraceLayers <= 0 {
-		cfg.MaxTraceLayers = 4
 	}
 	if cfg.PacketSize <= 0 {
 		cfg.PacketSize = 512
@@ -144,13 +148,11 @@ func (cfg *Config) Normalize() error {
 	if cfg.FineGrainRAP && kind != transport.KindRAP {
 		return fmt.Errorf("scenario: FineGrainRAP requires the rap transport, got %q", kind)
 	}
-	// WithQA is shorthand for one QA flow; NumQA > 0 implies WithQA so
-	// both spellings normalize to the same effective config.
-	if cfg.WithQA && cfg.NumQA == 0 {
-		cfg.NumQA = 1
-	}
 	if cfg.NumQA > 0 {
-		cfg.WithQA = true
+		// The controller's own defaulting, so the report records what ran.
+		if err := cfg.QA.Normalize(); err != nil {
+			return err
+		}
 	}
 	if cfg.NumQA+cfg.NumRAP+cfg.NumTCP+cfg.FluidTCP+cfg.FluidRAP == 0 && cfg.CBRRate <= 0 {
 		return fmt.Errorf("scenario: config %q has no traffic sources", cfg.Name)
@@ -371,24 +373,20 @@ func newFluid(cfg *Config, eng *sim.Engine, link *sim.Link, fq *sim.FluidQueue, 
 	total := cfg.NumQA + cfg.NumRAP + cfg.NumTCP + cfg.FluidTCP + cfg.FluidRAP
 	share := cfg.BottleneckRate / float64(total)
 	var classes []sim.FluidClassConfig
-	class := func(name string, flows int, beta float64) {
+	class := func(name string, flows int) {
 		if flows > 0 {
 			classes = append(classes, sim.FluidClassConfig{
 				Name:        name,
 				Flows:       flows,
 				PacketSize:  cfg.PacketSize,
 				RTT:         baseRTT,
-				Beta:        beta,
 				InitialRate: share * float64(flows),
 			})
 		}
 	}
-	class("tcp", cfg.FluidTCP, 0.5)
-	class("rap", cfg.FluidRAP, 0.5)
-	f := sim.NewFluid(eng, link, fq, sim.FluidConfig{
-		Interval: cfg.FluidInterval,
-		Classes:  classes,
-	})
+	class("tcp", cfg.FluidTCP)
+	class("rap", cfg.FluidRAP)
+	f := sim.NewFluid(eng, link, fq, sim.FluidConfig{Classes: classes})
 	f.Start()
 	return f
 }

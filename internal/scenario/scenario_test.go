@@ -157,6 +157,49 @@ func TestRunRejectsEmptyConfig(t *testing.T) {
 	}
 }
 
+// NaN passes every "<= 0" check, so without an explicit test a NaN
+// bandwidth reached sim.NewDumbbell as a negative queue (a panic) and a
+// NaN C ran a controller that never started playback.
+func TestNormalizeRejectsNonFinite(t *testing.T) {
+	for name, mut := range map[string]func(*Config){
+		"BottleneckRate NaN":  func(c *Config) { c.BottleneckRate = math.NaN() },
+		"BottleneckRate +Inf": func(c *Config) { c.BottleneckRate = math.Inf(1) },
+		"LinkDelay NaN":       func(c *Config) { c.LinkDelay = math.NaN() },
+		"AccessDelay -Inf":    func(c *Config) { c.AccessDelay = math.Inf(-1) },
+		"Duration NaN":        func(c *Config) { c.Duration = math.NaN() },
+		"SampleInterval NaN":  func(c *Config) { c.SampleInterval = math.NaN() },
+		"CBRRate NaN":         func(c *Config) { c.CBRRate = math.NaN() },
+		"CBRStop +Inf":        func(c *Config) { c.CBRStop = math.Inf(1) },
+		"QA.C NaN":            func(c *Config) { c.QA.C = math.NaN() },
+		"QA.StartupSec NaN":   func(c *Config) { c.QA.StartupSec = math.NaN() },
+		"QueueBytes zero":     func(c *Config) { c.QueueBytes = 0 },
+	} {
+		cfg := MustPreset("T1")
+		mut(&cfg)
+		if err := cfg.Normalize(); err == nil {
+			t.Errorf("%s: normalized without error", name)
+		}
+	}
+}
+
+// The report's config is the effective one: QA defaults the caller left
+// at zero are filled by the same method the controller applies.
+func TestNormalizeFillsQADefaults(t *testing.T) {
+	cfg := MustPreset("T1")
+	cfg.QA = core.Params{C: cfg.QA.C}
+	cfg.Duration = 5
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Report().Config.QA; got != res.QASrc.Ctrl.P {
+		t.Fatalf("report records QA %+v, the controller ran %+v", got, res.QASrc.Ctrl.P)
+	}
+	if got := res.Cfg.QA; got.Kmax != 2 || got.MaxLayers != 8 || got.StartupSec != 1 {
+		t.Fatalf("defaults not filled: %+v", got)
+	}
+}
+
 func TestT1FairnessAcrossRAPFlows(t *testing.T) {
 	cfg := MustPreset("T1", WithKmax(2))
 	cfg.Duration = 60

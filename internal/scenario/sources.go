@@ -22,7 +22,6 @@ type ccFlow struct {
 	eng     *sim.Engine
 	net     sim.Network
 	flowID  int
-	ackSize int
 	sink    sim.Receiver
 	ackSink sim.Receiver
 
@@ -42,7 +41,6 @@ func (f *ccFlow) start(eng *sim.Engine, net sim.Network, flowID int, tr transpor
 	f.eng = eng
 	f.net = net
 	f.flowID = flowID
-	f.ackSize = 40
 	f.sink = sim.ReceiverFunc(f.recvData)
 	f.ackSink = sim.ReceiverFunc(f.recvAck)
 	f.sendFn = f.sendLoop
@@ -69,7 +67,7 @@ func (f *ccFlow) stepLoop() {
 func (f *ccFlow) recvData(p *sim.Packet) {
 	f.RecvBytes += int64(p.Size)
 	ack := f.eng.Pool().Get()
-	ack.FlowID, ack.Kind, ack.Size, ack.AckSeq = f.flowID, sim.Ack, f.ackSize, p.Seq
+	ack.FlowID, ack.Kind, ack.Size, ack.AckSeq = f.flowID, sim.Ack, sim.AckSize, p.Seq
 	f.net.SendAck(ack, f.ackSink)
 }
 

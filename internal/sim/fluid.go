@@ -48,9 +48,6 @@ type FluidClassConfig struct {
 	Flows      int     // modeled population, > 0
 	PacketSize int     // bytes; the additive-increase quantum
 	RTT        float64 // zero-queue round-trip time, seconds
-	// Beta is the multiplicative decrease applied to a flow that sees
-	// loss (default 0.5, the TCP/RAP halving).
-	Beta float64
 	// InitialRate is the aggregate starting rate in bytes/s (default:
 	// the class floor of one packet per RTT per flow).
 	InitialRate float64
@@ -58,16 +55,18 @@ type FluidClassConfig struct {
 
 // FluidConfig configures a Fluid aggregate.
 type FluidConfig struct {
-	// Interval is the fluid<->packet coupling step in seconds (default
-	// 10 ms). Each step exchanges one round of measurements between the
-	// aggregate and the bottleneck.
-	Interval float64
-	// MaxShare caps the link fraction the aggregate may be served at
-	// (default Link's MaxFluidShare); the packet path always keeps the
-	// remainder.
-	MaxShare float64
-	Classes  []FluidClassConfig
+	Classes []FluidClassConfig
 }
+
+const (
+	// fluidInterval is the fluid<->packet coupling step in seconds. Each
+	// step exchanges one round of measurements between the aggregate and
+	// the bottleneck.
+	fluidInterval float64 = 0.01
+	// fluidBeta is the multiplicative decrease applied to a flow that
+	// sees loss: the TCP/RAP halving.
+	fluidBeta float64 = 0.5
+)
 
 // fluidClass is one class's live state.
 type fluidClass struct {
@@ -87,12 +86,10 @@ type fluidClass struct {
 // and reads from other goroutines are only safe at barriers or after
 // the run (the same access rules as the link itself).
 type Fluid struct {
-	eng      *Engine
-	link     *Link
-	q        *FluidQueue
-	interval float64
-	maxShare float64
-	classes  []fluidClass
+	eng     *Engine
+	link    *Link
+	q       *FluidQueue
+	classes []fluidClass
 
 	backlog     float64 // fluid bytes queued at the bottleneck
 	srvRate     float64 // EWMA of serviced fluid bandwidth, the link reservation
@@ -110,25 +107,17 @@ type Fluid struct {
 }
 
 // NewFluid builds a fluid aggregate on eng, coupled to link and the
-// shared buffer q. Zero config fields get defaults; invalid ones panic
-// (construction-time errors, like the rest of the sim package).
+// shared buffer q. Invalid classes panic (construction-time errors,
+// like the rest of the sim package).
 func NewFluid(eng *Engine, link *Link, q *FluidQueue, cfg FluidConfig) *Fluid {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 0.01
-	}
-	if cfg.MaxShare <= 0 || cfg.MaxShare > MaxFluidShare {
-		cfg.MaxShare = MaxFluidShare
-	}
 	if len(cfg.Classes) == 0 {
 		panic("sim: fluid aggregate needs at least one class")
 	}
 	f := &Fluid{
-		eng:      eng,
-		link:     link,
-		q:        q,
-		interval: cfg.Interval,
-		maxShare: cfg.MaxShare,
-		classes:  make([]fluidClass, len(cfg.Classes)),
+		eng:     eng,
+		link:    link,
+		q:       q,
+		classes: make([]fluidClass, len(cfg.Classes)),
 	}
 	for i, c := range cfg.Classes {
 		if c.Flows <= 0 {
@@ -139,9 +128,6 @@ func NewFluid(eng *Engine, link *Link, q *FluidQueue, cfg FluidConfig) *Fluid {
 		}
 		if c.RTT <= 0 {
 			panic(fmt.Sprintf("sim: fluid class %q needs a positive RTT, got %v", c.Name, c.RTT))
-		}
-		if c.Beta <= 0 || c.Beta >= 1 {
-			c.Beta = 0.5
 		}
 		rate := c.InitialRate
 		if floor := float64(c.Flows) * float64(c.PacketSize) / c.RTT; rate < floor {
@@ -160,7 +146,7 @@ func NewFluid(eng *Engine, link *Link, q *FluidQueue, cfg FluidConfig) *Fluid {
 // order part of the model, which the serial/sharded bit-identity
 // argument deliberately avoids.
 func (f *Fluid) Start() {
-	f.eng.At(0.73*f.interval, f.stepFn)
+	f.eng.At(0.73*fluidInterval, f.stepFn)
 }
 
 // Rate returns the aggregate's current total send rate in bytes/s.
@@ -244,13 +230,13 @@ func (f *Fluid) step() {
 	// Service: below saturation the aggregate gets the capacity the
 	// packets leave over; past it, each side's share is proportional to
 	// its arrival rate — how a saturated FIFO actually divides a link —
-	// and the aggregate never takes more than MaxShare.
+	// and the aggregate never takes more than MaxFluidShare.
 	pktTarget := pktOffered
 	if total := pktOffered + demand; total > capacity {
 		pktTarget = capacity * pktOffered / total
 	}
 	avail := capacity - pktTarget
-	if lim := capacity * f.maxShare; avail > lim {
+	if lim := capacity * MaxFluidShare; avail > lim {
 		avail = lim
 	}
 	served := f.backlog + inflow
@@ -291,7 +277,7 @@ func (f *Fluid) step() {
 		switch {
 		case dropped > 0 && now >= c.holdUntil:
 			// Multiplicative decrease, population-smoothed: each flow
-			// that saw a drop this RTT halves (Beta), and the expected
+			// that saw a drop this RTT halves (fluidBeta), and the expected
 			// fraction hit is the per-flow expected drop count — loss
 			// ratio times the packets a flow sends in one RTT. A
 			// desynchronized aggregate of many flows therefore decays
@@ -301,7 +287,7 @@ func (f *Fluid) step() {
 			if frac > 1 {
 				frac = 1
 			}
-			c.rate *= 1 - c.cfg.Beta*frac
+			c.rate *= 1 - fluidBeta*frac
 			c.holdUntil = now + rtt
 			f.Backoffs++
 		case dropped == 0 && now >= c.holdUntil:
@@ -333,7 +319,7 @@ func (f *Fluid) step() {
 	f.link.SetFluidRate(f.srvRate)
 	f.q.SetFluidBytes(f.backlog)
 
-	f.eng.At(now+f.interval, f.stepFn)
+	f.eng.At(now+fluidInterval, f.stepFn)
 }
 
 // FluidQueue couples a fluid aggregate's backlog into a packet queue's

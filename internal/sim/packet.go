@@ -21,6 +21,10 @@ func (k Kind) String() string {
 	}
 }
 
+// AckSize is the size, bytes, of every acknowledgement the simulated
+// transports send.
+const AckSize = 40
+
 // SackBlock is a contiguous range of received sequence numbers
 // [Start, End), carried on TCP acknowledgements.
 type SackBlock struct {

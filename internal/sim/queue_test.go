@@ -156,8 +156,19 @@ func BenchmarkDropTailRing(b *testing.B) {
 	}
 }
 
+// newTestRED is NewRED with the thresholds (packets) replaced and, when
+// wq > 0, the averaging weight: values only these tests vary.
+func newTestRED(cfg REDConfig, minTh, maxTh, wq float64) *RED {
+	q := NewRED(cfg)
+	q.minTh, q.maxTh = minTh, maxTh
+	if wq > 0 {
+		q.wq = wq
+	}
+	return q
+}
+
 func TestREDDropsUnderSustainedLoad(t *testing.T) {
-	q := NewRED(REDConfig{LimitBytes: 64 * 512, MeanPktSize: 512, MinThresh: 5, MaxThresh: 15, Seed: 42})
+	q := NewRED(REDConfig{LimitBytes: 64 * 512, MeanPktSize: 512, Seed: 42})
 	drops := 0
 	// Keep the queue persistently long; RED must drop before the hard limit.
 	for i := 0; i < 2000; i++ {
@@ -177,7 +188,7 @@ func TestREDDropsUnderSustainedLoad(t *testing.T) {
 }
 
 func TestREDQuietQueueDoesNotDrop(t *testing.T) {
-	q := NewRED(REDConfig{LimitBytes: 64 * 512, MeanPktSize: 512, MinThresh: 5, MaxThresh: 15, Seed: 1})
+	q := NewRED(REDConfig{LimitBytes: 64 * 512, MeanPktSize: 512, Seed: 1})
 	for i := 0; i < 1000; i++ {
 		if !q.Enqueue(mkPkt(int64(i), 512)) {
 			t.Fatalf("RED dropped packet %d from an always-short queue", i)
@@ -193,7 +204,7 @@ func TestREDQuietQueueDoesNotDrop(t *testing.T) {
 func TestREDSoakDoesNotGrow(t *testing.T) {
 	// Thresholds high enough that nothing early-drops: the soak
 	// exercises the ring, not the drop path.
-	q := NewRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, MinThresh: 1e6, MaxThresh: 3e6, Seed: 7})
+	q := newTestRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, Seed: 7}, 1e6, 3e6, 0)
 	pkts := make([]*Packet, 64)
 	for i := range pkts {
 		pkts[i] = mkPkt(int64(i), 512)
@@ -221,7 +232,7 @@ func TestREDSoakDoesNotGrow(t *testing.T) {
 }
 
 func TestREDFIFOAcrossWraparound(t *testing.T) {
-	q := NewRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, MinThresh: 1e6, MaxThresh: 3e6, Seed: 7})
+	q := newTestRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, Seed: 7}, 1e6, 3e6, 0)
 	next := int64(0) // next seq to enqueue
 	want := int64(0) // next seq expected out
 	// Interleave enqueues and dequeues so head walks around the ring.
@@ -259,8 +270,8 @@ func TestREDIdleDecaysAverage(t *testing.T) {
 	now := 0.0
 	clock := func() float64 { return now }
 	// LinkRate 512 B/s -> one 512 B packet slot per second.
-	q := NewRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, MinThresh: 1e6, MaxThresh: 3e6,
-		Wq: 0.1, Seed: 7, Now: clock, LinkRate: 512})
+	q := newTestRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, Seed: 7, Now: clock, LinkRate: 512},
+		1e6, 3e6, 0.1)
 	// Build up a nonzero average.
 	for i := 0; i < 50; i++ {
 		q.Enqueue(mkPkt(int64(i), 512))
@@ -280,8 +291,7 @@ func TestREDIdleDecaysAverage(t *testing.T) {
 
 	// Same queue without a clock: the old EWMA-on-arrival behavior,
 	// one small step toward zero per arrival, no idle decay.
-	q2 := NewRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, MinThresh: 1e6, MaxThresh: 3e6,
-		Wq: 0.1, Seed: 7})
+	q2 := newTestRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, Seed: 7}, 1e6, 3e6, 0.1)
 	for i := 0; i < 50; i++ {
 		q2.Enqueue(mkPkt(int64(i), 512))
 	}
@@ -298,8 +308,7 @@ func TestREDIdleDecaysAverage(t *testing.T) {
 // RED's averaged queue length, suppress idle decay while it is nonzero,
 // and surface through EarlyDropProb's deterministic ramp.
 func TestREDAuxBytesAndEarlyDropProb(t *testing.T) {
-	q := NewRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512,
-		MinThresh: 5, MaxThresh: 15, MaxP: 0.1, Wq: 0.5, Seed: 7})
+	q := newTestRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, Seed: 7}, 5, 15, 0.5)
 	if got := q.EarlyDropProb(); got != 0 {
 		t.Fatalf("EarlyDropProb on an empty queue = %v, want 0", got)
 	}
@@ -322,21 +331,20 @@ func TestREDAuxBytesAndEarlyDropProb(t *testing.T) {
 		t.Fatalf("EarlyDropProb = %v, want ramp value %v", got, want)
 	}
 
-	// Pin the average above MaxThresh: the ramp saturates at 1.
+	// Pin the average above the maximum threshold: the ramp saturates at 1.
 	q.SetAuxBytes(func() float64 { return 100 * 512 })
 	for i := 0; i < 20; i++ {
 		q.Enqueue(mkPkt(int64(100+i), 512))
 	}
 	if got := q.EarlyDropProb(); got != 1 {
-		t.Fatalf("EarlyDropProb above MaxThresh = %v, want 1", got)
+		t.Fatalf("EarlyDropProb above the maximum threshold = %v, want 1", got)
 	}
 
 	// Idle decay must not fire while fluid occupancy persists: a queue
 	// holding fluid is not idle, whatever its packet count.
 	now := 0.0
-	q2 := NewRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512,
-		MinThresh: 1e6, MaxThresh: 3e6, Wq: 0.1, Seed: 7,
-		Now: func() float64 { return now }, LinkRate: 512})
+	q2 := newTestRED(REDConfig{LimitBytes: 1 << 20, MeanPktSize: 512, Seed: 7,
+		Now: func() float64 { return now }, LinkRate: 512}, 1e6, 3e6, 0.1)
 	q2.SetAuxBytes(func() float64 { return 20 * 512 })
 	for i := 0; i < 50; i++ {
 		if q2.Enqueue(mkPkt(int64(i), 512)) {
@@ -352,7 +360,7 @@ func TestREDAuxBytesAndEarlyDropProb(t *testing.T) {
 }
 
 func TestREDHardLimit(t *testing.T) {
-	q := NewRED(REDConfig{LimitBytes: 4 * 512, MeanPktSize: 512, MinThresh: 100, MaxThresh: 300, Seed: 1})
+	q := newTestRED(REDConfig{LimitBytes: 4 * 512, MeanPktSize: 512, Seed: 1}, 100, 300, 0)
 	fits := 0
 	for i := 0; i < 10; i++ {
 		if q.Enqueue(mkPkt(int64(i), 512)) {

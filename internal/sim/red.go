@@ -13,11 +13,11 @@ import (
 type RED struct {
 	fifo
 
-	limit   int // hard byte limit
-	minTh   float64
-	maxTh   float64
-	maxP    float64
-	wq      float64
+	limit   int     // hard byte limit
+	minTh   float64 // packets
+	maxTh   float64 // packets
+	maxP    float64 // drop probability at maxTh
+	wq      float64 // EWMA weight
 	meanPkt int
 
 	rng     *rand.Rand
@@ -43,14 +43,12 @@ type RED struct {
 	aux func() float64
 }
 
-// REDConfig holds RED parameters. Zero fields get classic defaults.
+// REDConfig holds RED parameters. The thresholds, maximum drop
+// probability and averaging weight are the classic ones: minimum 5
+// packets, maximum 15, 0.1 at the maximum, weight 0.002.
 type REDConfig struct {
-	LimitBytes  int     // hard capacity
-	MinThresh   float64 // packets
-	MaxThresh   float64 // packets
-	MaxP        float64 // max drop probability at MaxThresh
-	Wq          float64 // EWMA weight
-	MeanPktSize int     // bytes
+	LimitBytes  int // hard capacity
+	MeanPktSize int // bytes
 	Seed        int64
 
 	// Now, when non-nil, is the virtual clock (sim: eng.Now) used to
@@ -70,24 +68,12 @@ func NewRED(cfg REDConfig) *RED {
 	if cfg.MeanPktSize <= 0 {
 		cfg.MeanPktSize = 512
 	}
-	if cfg.MinThresh <= 0 {
-		cfg.MinThresh = 5
-	}
-	if cfg.MaxThresh <= 0 {
-		cfg.MaxThresh = 3 * cfg.MinThresh
-	}
-	if cfg.MaxP <= 0 {
-		cfg.MaxP = 0.1
-	}
-	if cfg.Wq <= 0 {
-		cfg.Wq = 0.002
-	}
 	q := &RED{
 		limit:   cfg.LimitBytes,
-		minTh:   cfg.MinThresh,
-		maxTh:   cfg.MaxThresh,
-		maxP:    cfg.MaxP,
-		wq:      cfg.Wq,
+		minTh:   5,
+		maxTh:   15,
+		maxP:    0.1,
+		wq:      0.002,
 		meanPkt: cfg.MeanPktSize,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
@@ -105,9 +91,9 @@ func NewRED(cfg REDConfig) *RED {
 func (q *RED) SetAuxBytes(aux func() float64) { q.aux = aux }
 
 // EarlyDropProb returns the current base drop probability for an
-// average-size arrival — the Floyd-Jacobson ramp from 0 at MinThresh
-// to MaxP at MaxThresh, 1 above — without updating the average or
-// consuming randomness. A fluid aggregate applies this rate to its
+// average-size arrival — the Floyd-Jacobson ramp from 0 at the minimum
+// threshold to maxP at the maximum, 1 above — without updating the
+// average or consuming randomness. A fluid aggregate applies this rate to its
 // arrivals each coupling step, so the background sees the same early
 // congestion signal the packet flows do.
 func (q *RED) EarlyDropProb() float64 {

@@ -20,7 +20,6 @@ import (
 type Config struct {
 	FlowID     int
 	PacketSize int     // bytes
-	AckSize    int     // bytes
 	InitialRTT float64 // seeds the RTO before the first sample, seconds
 	MaxCwnd    float64 // packets; 0 = unlimited
 	Start      float64 // start time, seconds
@@ -29,9 +28,6 @@ type Config struct {
 func (c *Config) setDefaults() {
 	if c.PacketSize <= 0 {
 		c.PacketSize = 512
-	}
-	if c.AckSize <= 0 {
-		c.AckSize = 40
 	}
 	if c.InitialRTT <= 0 {
 		c.InitialRTT = 0.1
@@ -336,7 +332,7 @@ func (k *sink) Recv(p *sim.Packet) {
 	}
 	k.board.add(p.Seq)
 	ack := k.src.eng.Pool().Get()
-	ack.FlowID, ack.Kind, ack.Size = p.FlowID, sim.Ack, k.src.cfg.AckSize
+	ack.FlowID, ack.Kind, ack.Size = p.FlowID, sim.Ack, sim.AckSize
 	ack.CumAck, ack.AckSeq, ack.Echo = k.board.cumack(), p.Seq, p.SendTime
 	ack.Sack = k.board.appendSack(ack.Sack[:0])
 	k.src.net.SendAck(ack, k.ackSink)

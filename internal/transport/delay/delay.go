@@ -20,80 +20,23 @@ import (
 	"qav/internal/transport"
 )
 
-// Config parameterizes the delay controller. Zero fields take defaults
-// tuned on the repo's dumbbell scenarios.
+// Config parameterizes the delay controller. Its filter and detector
+// tuning (kalman.go, detector.go) are constants, set on the repo's
+// dumbbell scenarios.
 type Config struct {
 	// Base is the shared bookkeeping configuration (packet size, rate
 	// cap, initial RTT).
 	Base transport.BaseConfig
-	// ProcessNoise is the Kalman process-noise variance added per
-	// sample (default 1e-4); larger tracks gradient changes faster.
-	ProcessNoise float64
-	// NoiseInit seeds the measurement-noise variance (default 0.01).
-	NoiseInit float64
-	// NoiseChi is the EWMA factor for the online residual-variance
-	// estimate, in (0,1) (default 0.9).
-	NoiseChi float64
-	// Gamma0 is the initial overuse threshold in s/s (default 0.01).
-	Gamma0 float64
-	// GammaMin/GammaMax clamp the adaptive threshold
-	// (defaults 0.002 / 0.3).
-	GammaMin float64
-	GammaMax float64
-	// KUp is the threshold adaptation rate when |m| exceeds γ, 1/s
-	// (default 8; fast chase prevents starvation next to loss-based
-	// flows).
-	KUp float64
-	// KDown is the adaptation rate when |m| is below γ, 1/s
-	// (default 0.2).
-	KDown float64
-	// OveruseTime is how long the gradient must stay over threshold
-	// before overuse is declared, seconds (default 0.01).
-	OveruseTime float64
-	// Beta is the multiplicative decrease applied on overuse, toward
-	// the measured delivered rate (default 0.85).
-	Beta float64
 }
 
-func (c *Config) setDefaults() {
-	c.Base.SetDefaults()
-	if c.ProcessNoise <= 0 {
-		c.ProcessNoise = 1e-4
-	}
-	if c.NoiseInit <= 0 {
-		c.NoiseInit = 0.01
-	}
-	if c.NoiseChi <= 0 || c.NoiseChi >= 1 {
-		c.NoiseChi = 0.9
-	}
-	if c.Gamma0 <= 0 {
-		c.Gamma0 = 0.01
-	}
-	if c.GammaMin <= 0 {
-		c.GammaMin = 0.002
-	}
-	if c.GammaMax <= 0 {
-		c.GammaMax = 0.3
-	}
-	if c.KUp <= 0 {
-		c.KUp = 8
-	}
-	if c.KDown <= 0 {
-		c.KDown = 0.2
-	}
-	if c.OveruseTime <= 0 {
-		c.OveruseTime = 0.01
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.85
-	}
-}
+// beta is the multiplicative decrease applied on overuse, toward the
+// measured delivered rate.
+const beta float64 = 0.85
 
 // Controller is the delay-based transport. Not goroutine-safe; one flow
 // owns one Controller.
 type Controller struct {
 	transport.Base
-	cfg Config
 
 	filter   kalman
 	detect   detector
@@ -102,7 +45,7 @@ type Controller struct {
 	haveRTT  bool
 
 	// delivered is an EWMA of the ACK-clocked delivery rate, bytes/s —
-	// the floor the multiplicative decrease aims Beta× below.
+	// the floor the multiplicative decrease aims beta× below.
 	delivered float64
 
 	underuse bool
@@ -113,14 +56,13 @@ type Controller struct {
 
 var _ transport.Transport = (*Controller)(nil)
 
-// New returns a delay controller (zero cfg fields take defaults).
+// New returns a delay controller (zero cfg.Base fields take defaults).
 func New(cfg Config) *Controller {
-	cfg.setDefaults()
+	cfg.Base.SetDefaults()
 	return &Controller{
 		Base:      transport.NewBase(cfg.Base),
-		cfg:       cfg,
-		filter:    newKalman(cfg.ProcessNoise, cfg.NoiseInit, cfg.NoiseChi),
-		detect:    newDetector(cfg.Gamma0, cfg.GammaMin, cfg.GammaMax, cfg.KUp, cfg.KDown, cfg.OveruseTime),
+		filter:    newKalman(),
+		detect:    newDetector(),
 		lastAckT:  -1,
 		delivered: cfg.Base.InitialRate,
 	}
@@ -171,7 +113,7 @@ func (c *Controller) OnAck(now float64, seq int64) *transport.Backoff {
 		if r := c.Rate(); r < target {
 			target = r
 		}
-		if b := c.Backoff(now, c.cfg.Beta*target, nil); b != nil {
+		if b := c.Backoff(now, beta*target, nil); b != nil {
 			c.overuses++
 			if c.overuseCtr != nil {
 				c.overuseCtr.Inc()

@@ -25,7 +25,7 @@ func (p *prng) next() float64 { // uniform in [-1, 1)
 // narrower than the raw noise and its mean tracks the true gradient.
 func TestKalmanConvergence(t *testing.T) {
 	const trueM = 0.05
-	k := newKalman(1e-4, 0.01, 0.9)
+	k := newKalman()
 	rng := prng(0x12345678DEADBEEF)
 	var last float64
 	for i := 0; i < 4000; i++ {
@@ -51,7 +51,7 @@ func TestKalmanConvergence(t *testing.T) {
 }
 
 func TestKalmanDegenerateMeasurementResets(t *testing.T) {
-	k := newKalman(1e-4, 0.01, 0.9)
+	k := newKalman()
 	k.update(0.01)
 	if m := k.update(math.Inf(1)); m != 0 {
 		t.Fatalf("infinite measurement produced %v, want reset to 0", m)
@@ -66,7 +66,7 @@ func TestKalmanDegenerateMeasurementResets(t *testing.T) {
 // is, and a strong negative gradient reads as underuse.
 func TestDetectorHysteresis(t *testing.T) {
 	const dt = 0.001
-	d := newDetector(0.01, 0.002, 0.3, 8, 0.2, 0.01)
+	d := newDetector()
 	now := 0.0
 	step := func(m float64) signal {
 		now += dt
@@ -104,7 +104,7 @@ func TestDetectorHysteresis(t *testing.T) {
 
 	// A decreasing gradient inside the excursion postpones the verdict
 	// (the queue is already easing).
-	d2 := newDetector(0.01, 0.002, 0.3, 8, 0.2, 0.01)
+	d2 := newDetector()
 	n2 := 0.0
 	for i := 0; i < 30; i++ {
 		n2 += dt
@@ -120,7 +120,7 @@ func TestDetectorHysteresis(t *testing.T) {
 }
 
 func TestDetectorThresholdAdapts(t *testing.T) {
-	d := newDetector(0.01, 0.002, 0.3, 8, 0.2, 0.01)
+	d := newDetector()
 	// A loss-based neighbour's sawtooth: large oscillating gradients. γ
 	// must chase up toward the oscillation amplitude so the detector
 	// stops treating the ambient queue swing as overuse.
@@ -162,7 +162,7 @@ func TestOveruseBacksOffBeforeLoss(t *testing.T) {
 		seq := c.OnSend(now)
 		ipg := c.IPG()
 		// The queue grows by half a send-gap of delay per packet: a
-		// clean +0.33 s/s RTT gradient, far above GammaMax.
+		// clean +0.33 s/s RTT gradient, far above gammaMax.
 		b := c.OnAck(now+rtt, seq)
 		if b != nil {
 			backoff = b

@@ -18,25 +18,27 @@ const (
 // delay flow stops backing off for queue oscillation it cannot remove.
 type detector struct {
 	gamma     float64
-	gammaMin  float64
-	gammaMax  float64
-	kUp       float64 // γ adaptation rate when |m| > γ, 1/s
-	kDown     float64 // γ adaptation rate when |m| ≤ γ, 1/s
-	overTime  float64 // sustained-overuse requirement, s
 	overSince float64 // time first entered the over-threshold region
 	inOver    bool
 	prevM     float64
 }
 
-func newDetector(gamma0, gammaMin, gammaMax, kUp, kDown, overTime float64) detector {
-	return detector{
-		gamma:    gamma0,
-		gammaMin: gammaMin,
-		gammaMax: gammaMax,
-		kUp:      kUp,
-		kDown:    kDown,
-		overTime: overTime,
-	}
+const (
+	gamma0   float64 = 0.01  // initial threshold γ, s/s
+	gammaMin float64 = 0.002 // γ's clamp, s/s
+	gammaMax float64 = 0.3
+	// kUp is γ's adaptation rate when |m| > γ, 1/s: the fast chase keeps
+	// a delay flow from starving next to loss-based flows.
+	kUp float64 = 8
+	// kDown is γ's adaptation rate when |m| ≤ γ, 1/s.
+	kDown float64 = 0.2
+	// overuseTime is how long, seconds, the gradient must stay over γ
+	// before overuse is declared.
+	overuseTime float64 = 0.01
+)
+
+func newDetector() detector {
+	return detector{gamma: gamma0}
 }
 
 // update consumes the filtered gradient m at time now (dt seconds since
@@ -49,16 +51,16 @@ func (d *detector) update(now, dt, m float64) signal {
 	if abs < 0 {
 		abs = -abs
 	}
-	k := d.kDown
+	k := kDown
 	if abs > d.gamma {
-		k = d.kUp
+		k = kUp
 	}
 	d.gamma += dt * k * (abs - d.gamma)
-	if d.gamma < d.gammaMin {
-		d.gamma = d.gammaMin
+	if d.gamma < gammaMin {
+		d.gamma = gammaMin
 	}
-	if d.gamma > d.gammaMax {
-		d.gamma = d.gammaMax
+	if d.gamma > gammaMax {
+		d.gamma = gammaMax
 	}
 
 	var s signal
@@ -69,7 +71,7 @@ func (d *detector) update(now, dt, m float64) signal {
 			d.overSince = now
 		}
 		// Sustained and not easing off → overuse.
-		if now-d.overSince >= d.overTime && m >= d.prevM {
+		if now-d.overSince >= overuseTime && m >= d.prevM {
 			s = sigOveruse
 		}
 	case m < -d.gamma:

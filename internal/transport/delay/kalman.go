@@ -9,26 +9,34 @@ import "math"
 // bursty ACK jitter widens the gate instead of whipsawing the estimate
 // (the same trick the GCC arrival filter uses).
 type kalman struct {
-	m   float64 // gradient estimate, s/s
-	p   float64 // estimate variance
-	r   float64 // measurement-noise variance (EWMA of residual²)
-	q   float64 // process noise added per update
-	chi float64 // residual-variance EWMA factor in (0,1)
-	n   int64   // samples consumed
+	m float64 // gradient estimate, s/s
+	p float64 // estimate variance
+	r float64 // measurement-noise variance (EWMA of residual²)
+	n int64   // samples consumed
 }
 
-func newKalman(q, r0, chi float64) kalman {
-	return kalman{p: 0.1, r: r0, q: q, chi: chi}
+const (
+	// processNoise is the variance added per update; larger tracks
+	// gradient changes faster.
+	processNoise float64 = 1e-4
+	// noiseInit seeds the measurement-noise variance.
+	noiseInit float64 = 0.01
+	// noiseChi is the residual-variance EWMA factor, in (0,1).
+	noiseChi float64 = 0.9
+)
+
+func newKalman() kalman {
+	return kalman{p: 0.1, r: noiseInit}
 }
 
 // update folds one gradient measurement z into the estimate and returns
 // the posterior mean.
 func (k *kalman) update(z float64) float64 {
 	k.n++
-	k.p += k.q
+	k.p += processNoise
 	resid := z - k.m
 	// Residual variance EWMA, floored so the gain never pins to 1.
-	k.r = k.chi*k.r + (1-k.chi)*resid*resid
+	k.r = noiseChi*k.r + (1-noiseChi)*resid*resid
 	if k.r < 1e-8 {
 		k.r = 1e-8
 	}

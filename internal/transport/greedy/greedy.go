@@ -9,49 +9,35 @@ package greedy
 
 import "qav/internal/transport"
 
-// Config parameterizes the greedy controller. Zero fields take
-// defaults.
+// Config parameterizes the greedy controller.
 type Config struct {
 	// Base is the shared bookkeeping configuration (packet size, rate
 	// cap, initial RTT).
 	Base transport.BaseConfig
-	// SSGrowth is the per-step multiplicative factor during slow start
-	// (default 1.5).
-	SSGrowth float64
-	// IncreasePkts is how many packets per SRTT the post-slow-start
-	// additive increase adds per step (default 2, twice RAP's slope).
-	IncreasePkts float64
-	// Beta is the multiplicative decrease factor on loss (default 0.7).
-	Beta float64
 }
 
-func (c *Config) setDefaults() {
-	c.Base.SetDefaults()
-	if c.SSGrowth <= 1 {
-		c.SSGrowth = 1.5
-	}
-	if c.IncreasePkts <= 0 {
-		c.IncreasePkts = 2
-	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		c.Beta = 0.7
-	}
-}
+const (
+	// ssGrowth is the per-step multiplicative factor during slow start.
+	ssGrowth float64 = 1.5
+	// increasePkts is how many packets per SRTT the post-slow-start
+	// additive increase adds per step: twice RAP's slope.
+	increasePkts float64 = 2
+	// beta is the multiplicative decrease factor on loss.
+	beta float64 = 0.7
+)
 
 // Controller is the greedy transport. Not goroutine-safe; one flow owns
 // one Controller.
 type Controller struct {
 	transport.Base
-	cfg       Config
 	slowStart bool
 }
 
 var _ transport.Transport = (*Controller)(nil)
 
-// New returns a greedy controller (zero cfg fields take defaults).
+// New returns a greedy controller (zero cfg.Base fields take defaults).
 func New(cfg Config) *Controller {
-	cfg.setDefaults()
-	return &Controller{Base: transport.NewBase(cfg.Base), cfg: cfg, slowStart: true}
+	return &Controller{Base: transport.NewBase(cfg.Base), slowStart: true}
 }
 
 // Kind returns transport.KindGreedy.
@@ -78,21 +64,21 @@ func (c *Controller) Step(now float64) *transport.Backoff {
 		return c.loss(now, lost)
 	}
 	if c.slowStart {
-		c.SetRate(c.Rate() * c.cfg.SSGrowth)
+		c.SetRate(c.Rate() * ssGrowth)
 	} else {
-		c.SetRate(c.Rate() + c.cfg.IncreasePkts*float64(c.PacketSize())/c.SRTT())
+		c.SetRate(c.Rate() + increasePkts*float64(c.PacketSize())/c.SRTT())
 	}
 	return nil
 }
 
 func (c *Controller) loss(now float64, lost []int64) *transport.Backoff {
 	c.slowStart = false
-	return c.Backoff(now, c.cfg.Beta*c.Rate(), lost)
+	return c.Backoff(now, beta*c.Rate(), lost)
 }
 
 // ConservativeSlope returns the pessimistic increase-slope estimate:
-// IncreasePkts packets per peak-RTT, per peak-RTT.
+// increasePkts packets per peak-RTT, per peak-RTT.
 func (c *Controller) ConservativeSlope() float64 {
 	prtt := c.PeakRTT()
-	return c.cfg.IncreasePkts * float64(c.PacketSize()) / (prtt * prtt)
+	return increasePkts * float64(c.PacketSize()) / (prtt * prtt)
 }

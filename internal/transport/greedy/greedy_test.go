@@ -8,7 +8,7 @@ import (
 
 // TestSlowStartThenAdditive walks the controller through its whole
 // lifecycle: multiplicative probe, first loss ends slow start with a
-// ×Beta cut, and later steps climb additively at IncreasePkts per SRTT.
+// ×beta cut, and later steps climb additively at increasePkts per SRTT.
 func TestSlowStartThenAdditive(t *testing.T) {
 	c := New(Config{Base: transport.BaseConfig{
 		PacketSize: 512, InitialRTT: 0.04, InitialRate: 10_000,
@@ -17,7 +17,7 @@ func TestSlowStartThenAdditive(t *testing.T) {
 		t.Fatal("controller should start in slow start")
 	}
 
-	// Loss-free steps multiply the rate by SSGrowth.
+	// Loss-free steps multiply the rate by ssGrowth.
 	now := 0.0
 	ack := func() {
 		seq := c.OnSend(now)
@@ -60,7 +60,7 @@ func TestSlowStartThenAdditive(t *testing.T) {
 		t.Fatal("loss did not end slow start")
 	}
 
-	// Post-slow-start steps climb additively: IncreasePkts·pkt/SRTT.
+	// Post-slow-start steps climb additively: increasePkts·pkt/SRTT.
 	now += c.SRTT() // clear the backoff fence
 	before = c.Rate()
 	if b := c.Step(now); b != nil {

@@ -1,6 +1,9 @@
 package video
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config parameterizes a playout receiver.
 type Config struct {
@@ -12,9 +15,6 @@ type Config struct {
 	// StartupBytes of base-layer data must be contiguous from offset 0
 	// before playback starts.
 	StartupBytes int64
-	// SlotBytes quantizes decodability accounting (a "frame" worth of
-	// bytes). Default: C/10 (100 ms of data).
-	SlotBytes int64
 }
 
 // Stats summarizes delivered playback quality.
@@ -40,20 +40,23 @@ type Stats struct {
 // decoding constraint. It is the measurement model only — it makes no
 // adaptation decisions (those are the sender's, per the paper).
 type Receiver struct {
-	cfg     Config
-	layers  []IntervalSet
-	playing bool
-	stalled bool
-	playPos int64   // byte offset of the playout point within each layer
-	lastT   float64 // last Advance time
-	carryT  float64 // sub-slot playback time carried between Advances
-	stats   Stats
+	cfg Config
+	// slotBytes quantizes decodability accounting: a "frame" worth of
+	// bytes, 100 ms of data (C/10, at least 1).
+	slotBytes int64
+	layers    []IntervalSet
+	playing   bool
+	stalled   bool
+	playPos   int64   // byte offset of the playout point within each layer
+	lastT     float64 // last Advance time
+	carryT    float64 // sub-slot playback time carried between Advances
+	stats     Stats
 }
 
 // NewReceiver returns a playout receiver.
 func NewReceiver(cfg Config) (*Receiver, error) {
-	if cfg.C <= 0 {
-		return nil, fmt.Errorf("video: C must be positive, got %v", cfg.C)
+	if !(cfg.C > 0) || math.IsInf(cfg.C, 1) {
+		return nil, fmt.Errorf("video: C must be positive and finite, got %v", cfg.C)
 	}
 	if cfg.MaxLayers <= 0 {
 		cfg.MaxLayers = 8
@@ -61,15 +64,14 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 	if cfg.StartupBytes <= 0 {
 		cfg.StartupBytes = int64(cfg.C) // one second
 	}
-	if cfg.SlotBytes <= 0 {
-		cfg.SlotBytes = int64(cfg.C / 10)
-		if cfg.SlotBytes < 1 {
-			cfg.SlotBytes = 1
-		}
+	slot := int64(cfg.C / 10)
+	if slot < 1 {
+		slot = 1
 	}
 	return &Receiver{
-		cfg:    cfg,
-		layers: make([]IntervalSet, cfg.MaxLayers),
+		cfg:       cfg,
+		slotBytes: slot,
+		layers:    make([]IntervalSet, cfg.MaxLayers),
 		stats: Stats{
 			LayerPlayedSec: make([]float64, cfg.MaxLayers),
 			LayerGapSec:    make([]float64, cfg.MaxLayers),
@@ -146,13 +148,13 @@ func (r *Receiver) Advance(now float64) {
 	}
 
 	// Consume whole slots; the fractional remainder waits for the next
-	// Advance (slot duration is SlotBytes/C seconds).
-	slotSec := float64(r.cfg.SlotBytes) / r.cfg.C
+	// Advance (slot duration is slotBytes/C seconds).
+	slotSec := float64(r.slotBytes) / r.cfg.C
 	pending := dt + r.carry()
 	for pending >= slotSec {
 		pending -= slotSec
-		baseOK := r.layers[0].Contains(r.playPos, r.playPos+r.cfg.SlotBytes)
-		if !baseOK && r.layers[0].Max() < r.playPos+r.cfg.SlotBytes {
+		baseOK := r.layers[0].Contains(r.playPos, r.playPos+r.slotBytes)
+		if !baseOK && r.layers[0].Max() < r.playPos+r.slotBytes {
 			// The playout point has reached the data frontier: a true
 			// buffer underflow. Stall and wait for more data.
 			r.stalled = true
@@ -168,7 +170,7 @@ func (r *Receiver) Advance(now float64) {
 		if baseOK {
 			decodable = 0
 			for l := 0; l < len(r.layers); l++ {
-				if r.layers[l].Contains(r.playPos, r.playPos+r.cfg.SlotBytes) && decodable == l {
+				if r.layers[l].Contains(r.playPos, r.playPos+r.slotBytes) && decodable == l {
 					decodable = l + 1
 					r.stats.LayerPlayedSec[l] += slotSec
 				} else if r.layers[l].TotalCovered() > 0 {
@@ -185,7 +187,7 @@ func (r *Receiver) Advance(now float64) {
 			}
 		}
 		r.stats.DecodableLayerSec += slotSec * float64(decodable)
-		r.playPos += r.cfg.SlotBytes
+		r.playPos += r.slotBytes
 	}
 	r.setCarry(pending)
 }

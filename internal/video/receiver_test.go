@@ -7,7 +7,7 @@ import (
 
 func newRx(t *testing.T) *Receiver {
 	t.Helper()
-	r, err := NewReceiver(Config{C: 1000, MaxLayers: 4, StartupBytes: 500, SlotBytes: 100})
+	r, err := NewReceiver(Config{C: 1000, MaxLayers: 4, StartupBytes: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,14 +121,16 @@ func TestReceiverIgnoresForeignLayers(t *testing.T) {
 }
 
 func TestReceiverConfigValidation(t *testing.T) {
-	if _, err := NewReceiver(Config{C: 0}); err == nil {
-		t.Fatal("zero C accepted")
+	for _, c := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := NewReceiver(Config{C: c}); err == nil {
+			t.Fatalf("C = %v accepted", c)
+		}
 	}
 	r, err := NewReceiver(Config{C: 50}) // defaults kick in
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.cfg.SlotBytes < 1 || r.cfg.MaxLayers != 8 {
+	if r.slotBytes < 1 || r.cfg.MaxLayers != 8 {
 		t.Fatalf("defaults wrong: %+v", r.cfg)
 	}
 }

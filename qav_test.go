@@ -119,7 +119,7 @@ func TestFacadeUDPEndToEnd(t *testing.T) {
 
 func TestFacadePresets(t *testing.T) {
 	t1 := qav.T1(3, 1)
-	if t1.QA.Kmax != 3 || !t1.WithQA || t1.NumTCP != 10 {
+	if t1.QA.Kmax != 3 || t1.NumQA != 1 || t1.NumTCP != 10 {
 		t.Fatalf("T1 preset wrong: %+v", t1)
 	}
 	t2 := qav.T2(4, 1)
