@@ -36,6 +36,10 @@ type Controller struct {
 	ladder    []State
 	drainsBuf []float64
 
+	// geo holds the formula terms for the rate, slope and layer count of
+	// its last use (see geom).
+	geo geometry
+
 	rate  float64 // last known transmission rate
 	slope float64 // last known additive-increase slope
 
@@ -298,7 +302,7 @@ func (c *Controller) maybeAdd(now float64) {
 	// *enlarged* layer set survive Kmax backoffs — adding must not
 	// endanger existing layers (§2.1) even under Kmax-deep loss (§3.1).
 	if c.P.Alloc == AllocOptimal {
-		if _, needMore := FillTarget(c.rate, c.bufs[:c.na], c.P.C, c.slope, c.P.Kmax); needMore {
+		if _, needMore := c.geom().fillTarget(c.bufs[:c.na], c.P.Kmax); needMore {
 			return
 		}
 	}
@@ -365,7 +369,7 @@ func (c *Controller) computeShares(now float64) {
 	// Draining phase.
 	h := planHorizon
 	need := (total - R) * h
-	ladder := c.drainLadder(R)
+	ladder := c.drainLadder()
 	drains, unmet := DrainPlanInto(c.drainsBuf, ladder, c.bufs[:c.na], need, cons*h)
 	c.drainsBuf = drains
 	if unmet > 1e-9 {
@@ -385,7 +389,7 @@ func (c *Controller) computeShares(now float64) {
 				return
 			}
 			need = (total - R) * h
-			ladder = c.drainLadder(R)
+			ladder = c.drainLadder()
 			drains, unmet = DrainPlanInto(c.drainsBuf, ladder, c.bufs[:c.na], need, cons*h)
 			c.drainsBuf = drains
 		}
@@ -425,7 +429,8 @@ func (c *Controller) fillLayer() int {
 		// Strawman: everything to the base layer.
 		return 0
 	default:
-		layer, ok := FillTarget(c.rate, c.bufs[:c.na], c.P.C, c.slope, c.P.Kmax)
+		g := c.geom()
+		layer, ok := g.fillTarget(c.bufs[:c.na], c.P.Kmax)
 		if ok {
 			return layer
 		}
@@ -440,7 +445,7 @@ func (c *Controller) fillLayer() int {
 				return i
 			}
 		}
-		layer, ok = FillTarget(c.rate, c.bufs[:c.na], c.P.C, c.slope, c.P.Kmax+extraStates)
+		layer, ok = g.fillTarget(c.bufs[:c.na], c.P.Kmax+extraStates)
 		if !ok {
 			layer = 0
 		}
@@ -451,12 +456,23 @@ func (c *Controller) fillLayer() int {
 // drainLadder returns the reverse-path floors for draining: the optimal
 // state ladder, or no floors at all for the strawman policies (they
 // have no notion of a maximally efficient path).
-func (c *Controller) drainLadder(R float64) []State {
+func (c *Controller) drainLadder() []State {
 	if c.P.Alloc != AllocOptimal {
 		return nil
 	}
-	c.ladder = AppendStateLadder(c.ladder, R, c.na, 0, c.P.Kmax, c.P.C, c.slope)
+	c.ladder = c.geom().appendLadder(c.ladder, 0, c.P.Kmax)
 	return c.ladder
+}
+
+// geom returns the formula terms for the current rate, slope and layer
+// count, recomputed only when one of them has changed since the last
+// call: the up to three SendPacket scans of one refresh and its drain
+// ladder share them.
+func (c *Controller) geom() *geometry {
+	if g := &c.geo; g.na != c.na || g.R != c.rate || g.S != c.slope {
+		*g = newGeometry(c.rate, c.na, c.P.C, c.slope)
+	}
+	return &c.geo
 }
 
 func (c *Controller) safeSlope(s float64) float64 {

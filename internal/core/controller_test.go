@@ -303,6 +303,9 @@ func TestParamsNormalize(t *testing.T) {
 		"StartupSec NaN":  {C: 1000, StartupSec: math.NaN()},
 		"StartupSec +Inf": {C: 1000, StartupSec: math.Inf(1)},
 		"Kmax negative":   {C: 1000, Kmax: -1},
+		// Per-packet cost grows with Kmax: no caller may pick any it likes.
+		"Kmax above bound": {C: 1000, Kmax: maxKmax + 1},
+		"Kmax 100000":      {C: 1000, Kmax: 100_000},
 	} {
 		if err := p.Normalize(); err == nil {
 			t.Errorf("%s: accepted %+v", name, p)
@@ -310,6 +313,9 @@ func TestParamsNormalize(t *testing.T) {
 		if _, err := NewController(p); err == nil {
 			t.Errorf("%s: NewController accepted it", name)
 		}
+	}
+	if _, err := NewController(Params{C: 1000, Kmax: maxKmax}); err != nil {
+		t.Errorf("Kmax %d rejected: %v", maxKmax, err)
 	}
 	p := Params{C: 1000}
 	if err := p.Normalize(); err != nil {

@@ -86,53 +86,104 @@ const (
 // (Appendix A.4). R may be below na·C (mid-drain): the current shortfall
 // then counts as the first triangle with k1 = 0.
 func BufTotal(s Scenario, R float64, na int, k int, C, S float64) float64 {
-	naC := float64(na) * C
-	if k < 0 || naC <= 0 {
+	if k < 0 || float64(na)*C <= 0 {
 		return 0
 	}
-	switch s {
-	case Scenario1:
-		// R/2^k by exponent arithmetic: bit-identical to
-		// R/math.Pow(2, float64(k)) for every k a caller can pass
-		// (TestLdexpMatchesPowDivision), without Pow's cost on the
-		// server's per-packet path (PickLayer -> Tick -> FillTarget).
-		h := naC - math.Ldexp(R, -k)
-		return TriangleArea(h, S)
-	case Scenario2:
-		k1 := K1(R, naC)
-		if k < k1 {
-			return 0
-		}
-		first := TriangleArea(naC-math.Ldexp(R, -k1), S)
-		rest := float64(k-k1) * TriangleArea(naC/2, S)
-		return first + rest
-	default:
-		panic("core: unknown scenario")
-	}
+	g := newGeometry(R, na, C, S)
+	return g.total(s, k)
 }
 
 // BufLayer returns the maximally efficient buffer share of layer i needed
 // to survive k backoffs under the given scenario (Appendix A.5).
 func BufLayer(s Scenario, R float64, na, k, i int, C, S float64) float64 {
-	naC := float64(na) * C
 	if k < 0 || i < 0 || i >= na {
 		return 0
 	}
+	g := newGeometry(R, na, C, S)
+	return g.layer(s, k, i)
+}
+
+// geometry holds the terms of Appendix A's formulas that do not depend on
+// the number of backoffs k, for one rate R, na layers of rate C and slope
+// S. Its methods are BufTotal and BufLayer for k >= 0, with the same
+// operations in the same order, so callers that ask about many k (the
+// SendPacket scan, the state ladder) compute K1 and the scenario-2
+// triangles once and get bit-identical values.
+type geometry struct {
+	R, C, S float64
+	na      int
+	naC     float64
+	k1      int     // K1(R, naC)
+	h2      float64 // scenario 2's first deficit, naC - R/2^k1
+	first2  float64 // its area
+	half    float64 // naC/2: the deficit of each later scenario-2 backoff
+	rest2   float64 // its area
+}
+
+func newGeometry(R float64, na int, C, S float64) geometry {
+	g := geometry{R: R, C: C, S: S, na: na, naC: float64(na) * C}
+	g.k1 = K1(R, g.naC)
+	g.h2 = g.naC - math.Ldexp(R, -g.k1)
+	g.first2 = TriangleArea(g.h2, S)
+	g.half = g.naC / 2
+	g.rest2 = TriangleArea(g.half, S)
+	return g
+}
+
+// h1 is scenario 1's deficit after k back-to-back backoffs. R/2^k by
+// exponent arithmetic is bit-identical to R/math.Pow(2, float64(k)) for
+// every k a caller can pass (TestLdexpMatchesPowDivision), without Pow's
+// cost on the per-packet path.
+func (g *geometry) h1(k int) float64 { return g.naC - math.Ldexp(g.R, -k) }
+
+func (g *geometry) total(s Scenario, k int) float64 {
 	switch s {
 	case Scenario1:
-		h := naC - math.Ldexp(R, -k)
-		return Band(h, C, S, i)
+		return TriangleArea(g.h1(k), g.S)
 	case Scenario2:
-		k1 := K1(R, naC)
-		if k < k1 {
+		if k < g.k1 {
 			return 0
 		}
-		first := Band(naC-math.Ldexp(R, -k1), C, S, i)
-		rest := float64(k-k1) * Band(naC/2, C, S, i)
-		return first + rest
+		return g.first2 + float64(k-g.k1)*g.rest2
 	default:
 		panic("core: unknown scenario")
 	}
+}
+
+func (g *geometry) layer(s Scenario, k, i int) float64 {
+	switch s {
+	case Scenario1:
+		return Band(g.h1(k), g.C, g.S, i)
+	case Scenario2:
+		if k < g.k1 {
+			return 0
+		}
+		return Band(g.h2, g.C, g.S, i) + float64(k-g.k1)*Band(g.half, g.C, g.S, i)
+	default:
+		panic("core: unknown scenario")
+	}
+}
+
+// firstAbove is one of the SendPacket scan's two walks: the least k in
+// [1, kmax] whose total requirement in scenario s exceeds total, with
+// that requirement, or kmax and its requirement when none does (k = 0
+// and requirement 0 when kmax < 1 or total < 0). For R >= 0 both totals,
+// as computed, are non-decreasing in k (Ldexp is exact and rounding is
+// monotone), so a binary search finds the k the walk upward found.
+func (g *geometry) firstAbove(s Scenario, total float64, kmax int) (int, float64) {
+	if kmax < 1 || !(0 <= total) {
+		return 0, 0
+	}
+	lo, hi := 1, kmax
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.total(s, mid) <= total {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, g.total(s, lo)
 }
 
 // AddCondition reports whether §2.1's two conditions to add layer na+1

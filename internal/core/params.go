@@ -69,6 +69,10 @@ const (
 	// base layer holds; a small reserve prevents exactly the "poor
 	// distribution" drops Table 2 counts.
 	protectSec float64 = 0.5
+	// maxKmax bounds Kmax, as K1's own guard bounds the backoffs it
+	// counts: per-packet work and the drain ladder grow with Kmax, and
+	// 2^-64 of any rate is no deficit worth buffering for.
+	maxKmax = 64
 )
 
 // Params configures a quality adaptation controller.
@@ -113,8 +117,8 @@ func (p *Params) Normalize() error {
 	switch {
 	case !(p.C > 0) || math.IsInf(p.C, 1):
 		return fmt.Errorf("core: C must be positive and finite, got %v", p.C)
-	case p.Kmax < 1:
-		return fmt.Errorf("core: Kmax must be >= 1, got %d", p.Kmax)
+	case p.Kmax < 1 || p.Kmax > maxKmax:
+		return fmt.Errorf("core: Kmax must be in [1, %d], got %d", maxKmax, p.Kmax)
 	case p.MaxLayers < 1:
 		return fmt.Errorf("core: MaxLayers must be >= 1, got %d", p.MaxLayers)
 	case math.IsNaN(p.StartupSec) || math.IsInf(p.StartupSec, 0):

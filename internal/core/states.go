@@ -37,32 +37,40 @@ func StateLadder(R float64, na, kmin, kmax int, C, S float64) []State {
 // draining allocator) holds the heap steady. The result aliases dst and
 // is valid until the next call with the same dst.
 func AppendStateLadder(dst []State, R float64, na, kmin, kmax int, C, S float64) []State {
+	g := newGeometry(R, na, C, S)
+	return g.appendLadder(dst, kmin, kmax)
+}
+
+// appendLadder is AppendStateLadder over g.
+func (g *geometry) appendLadder(dst []State, kmin, kmax int) []State {
 	raw := dst[:0]
+	na := g.na
 	if na <= 0 || kmax < kmin {
 		return raw
 	}
+	kmin = max(kmin, 0) // no state needs buffering for k < 0
 	for k := kmin; k <= kmax; k++ {
-		for _, sc := range []Scenario{Scenario1, Scenario2} {
-			tot := BufTotal(sc, R, na, k, C, S)
-			if tot <= 0 {
-				continue
+		t1 := g.total(Scenario1, k)
+		if t1 > 0 {
+			raw = appendState(raw, State{Scen: Scenario1, K: k, RawTotal: t1}, na)
+			h := g.h1(k)
+			for i, layer := 0, raw[len(raw)-1].Layer; i < na; i++ {
+				layer[i] = Band(h, g.C, g.S, i)
 			}
-			if sc == Scenario2 && BufTotal(Scenario1, R, na, k, C, S) == tot {
-				// Identical to the scenario-1 state (k <= k1): skip dup.
-				continue
+		}
+		// For k <= k1 scenario 2 is the scenario-1 state again: skip it.
+		if t2 := g.total(Scenario2, k); t2 > 0 && t2 != t1 {
+			raw = appendState(raw, State{Scen: Scenario2, K: k, RawTotal: t2}, na)
+		}
+	}
+	// A layer's two scenario-2 bands are the same for every k: take them
+	// once per layer and fill that layer of every scenario-2 state.
+	for i := 0; i < na; i++ {
+		first, rest := Band(g.h2, g.C, g.S, i), Band(g.half, g.C, g.S, i)
+		for j := range raw {
+			if raw[j].Scen == Scenario2 {
+				raw[j].Layer[i] = first + float64(raw[j].K-g.k1)*rest
 			}
-			var layer []float64
-			if n := len(raw); n < cap(raw) {
-				layer = raw[:n+1][n].Layer // recycle the evicted entry's slice
-			}
-			if cap(layer) < na {
-				layer = make([]float64, na)
-			}
-			layer = layer[:na]
-			for i := 0; i < na; i++ {
-				layer[i] = BufLayer(sc, R, na, k, i, C, S)
-			}
-			raw = append(raw, State{Scen: sc, K: k, RawTotal: tot, Layer: layer})
 		}
 	}
 	// Stable insertion sort by (RawTotal, Scen): the ladder holds at
@@ -90,6 +98,19 @@ func AppendStateLadder(dst []State, R float64, na, kmin, kmax int, C, S float64)
 	return raw
 }
 
+// appendState appends st with an na-long Layer, recycling the slice of
+// the entry the append evicts from raw's backing array.
+func appendState(raw []State, st State, na int) []State {
+	if n := len(raw); n < cap(raw) {
+		st.Layer = raw[:n+1][n].Layer
+	}
+	if cap(st.Layer) < na {
+		st.Layer = make([]float64, na)
+	}
+	st.Layer = st.Layer[:na]
+	return append(raw, st)
+}
+
 func stateLess(a, b *State) bool {
 	if a.RawTotal != b.RawTotal {
 		return a.RawTotal < b.RawTotal
@@ -108,47 +129,41 @@ func stateLess(a, b *State) bool {
 // target in that state. While scenario-1 states remain unsatisfied, a
 // layer is never filled beyond its next scenario-1 target (the paper's
 // clamp keeping scenario-2 allocations inside the scenario-1 envelope).
+// R must not be negative.
 func FillTarget(R float64, bufs []float64, C, S float64, kmax int) (layer int, ok bool) {
-	na := len(bufs)
-	if na == 0 {
+	if len(bufs) == 0 {
 		return 0, false
 	}
+	g := newGeometry(R, len(bufs), C, S)
+	return g.fillTarget(bufs, kmax)
+}
+
+// fillTarget is FillTarget over g; len(bufs) is g.na.
+func (g *geometry) fillTarget(bufs []float64, kmax int) (layer int, ok bool) {
 	total := 0.0
 	for _, b := range bufs {
 		total += b
 	}
-
-	k1n, bufReq1 := 0, 0.0
-	for bufReq1 <= total && k1n < kmax {
-		k1n++
-		bufReq1 = BufTotal(Scenario1, R, na, k1n, C, S)
-	}
+	// The first state of each scenario whose total exceeds the buffering.
+	k1n, bufReq1 := g.firstAbove(Scenario1, total, kmax)
+	k2n, bufReq2 := g.firstAbove(Scenario2, total, kmax)
 	s1Done := bufReq1 <= total // all scenario-1 states up to kmax satisfied
-
-	k2n, bufReq2 := 0, 0.0
-	for bufReq2 <= total && k2n < kmax {
-		k2n++
-		bufReq2 = BufTotal(Scenario2, R, na, k2n, C, S)
-	}
 	s2Done := bufReq2 <= total
-
 	if s1Done && s2Done {
 		return 0, false
 	}
 
 	const eps = 1e-9
 	workS1 := !s1Done && (s2Done || bufReq1 <= bufReq2)
-	for i := 0; i < na; i++ {
-		l1 := BufLayer(Scenario1, R, na, k1n, i, C, S)
-		l2 := BufLayer(Scenario2, R, na, k2n, i, C, S)
+	h1 := g.h1(k1n)
+	for i, b := range bufs {
+		short1 := Band(h1, g.C, g.S, i) > b+eps
 		if workS1 {
-			if l1 > bufs[i]+eps {
+			if short1 {
 				return i, true
 			}
-		} else {
-			if l2 > bufs[i]+eps && (s1Done || l1 > bufs[i]+eps) {
-				return i, true
-			}
+		} else if g.layer(Scenario2, k2n, i) > b+eps && (s1Done || short1) {
+			return i, true
 		}
 	}
 	// Totals said unsatisfied but every layer met its per-layer target:

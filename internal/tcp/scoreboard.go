@@ -16,12 +16,14 @@
 // allocations and memory bounded by the peak window instead of the
 // sequence space. Sliding the base is O(1) amortized per packet; what
 // an ACK costs beyond that is word-parallel — absorbing its SACK blocks
-// is O(blocks + block words), loss inference and the pipe count are
-// O(window/64), and the sink's SACK scan is O(words down to the third
-// run). The map implementation survives only as
-// the tests' reference (scoreboard_ref_test.go): TestScoreboardDifferential*
-// and TestTCPDifferentialMapVsWindowed replay randomized loss/reorder/RTO
-// workloads against both and require bit-for-bit identical decisions.
+// is O(blocks + block words), loss inference visits only the words above
+// a watermark below which nothing is left to infer, the pipe count and
+// "any loss pending?" are counts kept as words change, and the sink's
+// SACK scan is O(words down to the third run). The map implementation
+// survives only as the tests' reference (scoreboard_ref_test.go):
+// TestScoreboardDifferential* and TestTCPDifferentialMapVsWindowed replay
+// randomized loss/reorder/RTO workloads against both and require
+// bit-for-bit identical decisions.
 package tcp
 
 import (
@@ -30,12 +32,13 @@ import (
 	"qav/internal/sim"
 )
 
-// sendBoard is the sender-side scoreboard. All sequence arguments lie
-// in the current window [lo, hi) = [highAck, nextSeq) except advance,
-// whose range is the newly cumulatively-acknowledged prefix. extend
-// must be called (with the new highest sequence) before state is first
-// touched for that sequence. Binaries run windowedSendBoard; the
-// interface is the seam through which tests substitute the map reference.
+// sendBoard is the sender-side scoreboard over the window [highAck,
+// nextSeq): extend moves its top, advance its bottom. All other sequence
+// arguments lie in the window, except advance's, whose range is the newly
+// cumulatively-acknowledged prefix. extend must be called (with the new
+// highest sequence) before state is first touched for that sequence.
+// Binaries run windowedSendBoard; the interface is the seam through which
+// tests substitute the map reference.
 type sendBoard interface {
 	extend(seq int64)             // reserve tracking capacity through seq
 	sacked(seq int64) bool        // SACKed by the receiver
@@ -44,12 +47,12 @@ type sendBoard interface {
 	markLost(seq int64)           // set lost, clear rtx-out
 	rtxOut(seq int64) bool        // retransmitted, awaiting ack
 	markRtxOut(seq int64)
-	lostCount() int                      // number of sequences currently marked lost
-	nextLost(lo, hi int64) (int64, bool) // lowest lost && !rtxOut sequence
-	pipe(lo, hi int64) int               // sent but neither sacked nor (lost && !rtxOut)
-	advance(lo, hi int64)                // cumulative ack moved: reclaim [lo, hi)
-	markAllUnsackedLost(lo, hi int64)    // RTO: every unsacked sequence is presumed lost
-	inferLost(lo, hiSacked int64)        // SACK loss inference (>= 3 sacked above => lost)
+	lostCount() int                   // number of sequences currently marked lost
+	nextLost() (int64, bool)          // lowest lost && !rtxOut sequence of the window
+	pipe() int                        // window sequences neither sacked nor (lost && !rtxOut)
+	advance(lo, hi int64)             // cumulative ack moved: reclaim [lo, hi)
+	markAllUnsackedLost(lo, hi int64) // RTO: every unsacked sequence is presumed lost
+	inferLost(lo, hiSacked int64)     // SACK loss inference (>= 3 sacked above => lost)
 }
 
 // recvBoard is the sink-side received-sequence tracker.
@@ -86,19 +89,25 @@ func newSeqBits(capSeqs int64) seqBits {
 	return seqBits{words: make([]uint64, capSeqs/64), mask: capSeqs - 1}
 }
 
-func (b *seqBits) get(seq int64) bool {
+// slot returns seq's ring word and its bit in it.
+func (b *seqBits) slot(seq int64) (w int, bit uint64) {
 	i := seq & b.mask
-	return b.words[i>>6]&(1<<uint(i&63)) != 0
+	return int(i >> 6), 1 << uint(i&63)
+}
+
+func (b *seqBits) get(seq int64) bool {
+	w, bit := b.slot(seq)
+	return b.words[w]&bit != 0
 }
 
 func (b *seqBits) set(seq int64) {
-	i := seq & b.mask
-	b.words[i>>6] |= 1 << uint(i&63)
+	w, bit := b.slot(seq)
+	b.words[w] |= bit
 }
 
 func (b *seqBits) clear(seq int64) {
-	i := seq & b.mask
-	b.words[i>>6] &^= 1 << uint(i&63)
+	w, bit := b.slot(seq)
+	b.words[w] &^= bit
 }
 
 // grow doubles (at least) the capacity to hold newCap sequences and
@@ -166,9 +175,19 @@ type windowedSendBoard struct {
 	loss seqBits
 	rtx  seqBits
 
-	base  int64 // lowest tracked sequence (the cumulative ack)
-	high  int64 // one past the highest sequence ever extended to
-	nLost int
+	base int64 // lowest tracked sequence (the cumulative ack)
+	high int64 // one past the highest sequence ever extended to
+
+	// Counts over the window, moved by every word put stores: loss bits,
+	// pending losses (loss &^ rtx) and the sequences pipe leaves out
+	// (sack | loss &^ rtx). No bit outside the window is ever set, so a
+	// whole word's popcount is its window part's.
+	nLost, nPending, nExcl int
+
+	// wm is the inference watermark: every sequence of [base, wm) is
+	// sacked or lost. Only advance clears those bits, and it moves base
+	// past them, so loss inference never needs to look below wm.
+	wm int64
 }
 
 func newWindowedSendBoard() *windowedSendBoard {
@@ -194,23 +213,37 @@ func (b *windowedSendBoard) extend(seq int64) {
 	b.high = seq + 1
 }
 
+// put stores new contents for ring word w of the three bitmaps, moving
+// the counts by the popcount differences.
+func (b *windowedSendBoard) put(w int, sack, loss, rtx uint64) {
+	os, ol, or := b.sack.words[w], b.loss.words[w], b.rtx.words[w]
+	b.nLost += bits.OnesCount64(loss) - bits.OnesCount64(ol)
+	b.nPending += bits.OnesCount64(loss&^rtx) - bits.OnesCount64(ol&^or)
+	b.nExcl += bits.OnesCount64(sack|loss&^rtx) - bits.OnesCount64(os|ol&^or)
+	b.sack.words[w], b.loss.words[w], b.rtx.words[w] = sack, loss, rtx
+}
+
 func (b *windowedSendBoard) sacked(seq int64) bool { return b.sack.get(seq) }
 func (b *windowedSendBoard) lost(seq int64) bool   { return b.loss.get(seq) }
 func (b *windowedSendBoard) rtxOut(seq int64) bool { return b.rtx.get(seq) }
-func (b *windowedSendBoard) markRtxOut(seq int64)  { b.rtx.set(seq) }
 func (b *windowedSendBoard) lostCount() int        { return b.nLost }
 
-func (b *windowedSendBoard) markLost(seq int64) {
-	if !b.loss.get(seq) {
-		b.loss.set(seq)
-		b.nLost++
-	}
-	b.rtx.clear(seq)
+func (b *windowedSendBoard) markRtxOut(seq int64) {
+	w, bit := b.sack.slot(seq)
+	b.put(w, b.sack.words[w], b.loss.words[w], b.rtx.words[w]|bit)
 }
 
-func (b *windowedSendBoard) nextLost(lo, hi int64) (int64, bool) {
+func (b *windowedSendBoard) markLost(seq int64) {
+	w, bit := b.sack.slot(seq)
+	b.put(w, b.sack.words[w], b.loss.words[w]|bit, b.rtx.words[w]&^bit)
+}
+
+func (b *windowedSendBoard) nextLost() (int64, bool) {
+	if b.nPending == 0 {
+		return 0, false
+	}
 	found, at := false, int64(0)
-	ringSpans(lo, hi, b.loss.mask, func(sp span) bool {
+	ringSpans(b.base, b.high, b.loss.mask, func(sp span) bool {
 		if w := b.loss.words[sp.w] &^ b.rtx.words[sp.w] & sp.mask; w != 0 {
 			at = sp.seq + int64(bits.TrailingZeros64(w)) - int64(sp.off)
 			found = true
@@ -221,45 +254,36 @@ func (b *windowedSendBoard) nextLost(lo, hi int64) (int64, bool) {
 	return at, found
 }
 
-func (b *windowedSendBoard) pipe(lo, hi int64) int {
-	excluded := 0
-	ringSpans(lo, hi, b.sack.mask, func(sp span) bool {
-		w := (b.sack.words[sp.w] | (b.loss.words[sp.w] &^ b.rtx.words[sp.w])) & sp.mask
-		excluded += bits.OnesCount64(w)
-		return true
-	})
-	return int(hi-lo) - excluded
-}
+func (b *windowedSendBoard) pipe() int { return int(b.high-b.base) - b.nExcl }
 
 func (b *windowedSendBoard) advance(lo, hi int64) {
 	ringSpans(lo, hi, b.sack.mask, func(sp span) bool {
-		b.nLost -= bits.OnesCount64(b.loss.words[sp.w] & sp.mask)
-		b.sack.words[sp.w] &^= sp.mask
-		b.loss.words[sp.w] &^= sp.mask
-		b.rtx.words[sp.w] &^= sp.mask
+		b.put(sp.w, b.sack.words[sp.w]&^sp.mask, b.loss.words[sp.w]&^sp.mask, b.rtx.words[sp.w]&^sp.mask)
 		return true
 	})
 	b.base = hi
-	if b.high < b.base {
-		b.high = b.base
-	}
+	b.high = max(b.high, b.base)
+	b.wm = max(b.wm, b.base)
 }
 
 func (b *windowedSendBoard) markSackedRange(lo, hi int64) {
 	ringSpans(lo, hi, b.sack.mask, func(sp span) bool {
-		b.sack.words[sp.w] |= sp.mask
+		// An ACK repeats its SACK blocks: most words are SACKed already.
+		if s := b.sack.words[sp.w]; s|sp.mask != s {
+			b.put(sp.w, s|sp.mask, b.loss.words[sp.w], b.rtx.words[sp.w])
+		}
 		return true
 	})
 }
 
 func (b *windowedSendBoard) markAllUnsackedLost(lo, hi int64) {
 	ringSpans(lo, hi, b.sack.mask, func(sp span) bool {
-		unsacked := ^b.sack.words[sp.w] & sp.mask
-		b.nLost += bits.OnesCount64(unsacked &^ b.loss.words[sp.w])
-		b.loss.words[sp.w] |= unsacked
-		b.rtx.words[sp.w] &^= unsacked
+		s := b.sack.words[sp.w]
+		unsacked := ^s & sp.mask
+		b.put(sp.w, s, b.loss.words[sp.w]|unsacked, b.rtx.words[sp.w]&^unsacked)
 		return true
 	})
+	b.covered(lo, hi)
 }
 
 // inferLost marks lost every unsacked, not-yet-lost sequence of
@@ -267,19 +291,27 @@ func (b *windowedSendBoard) markAllUnsackedLost(lo, hi int64) {
 // hiSacked, inclusive). The SACKed set does not change during
 // inference, so "three sacked above" holds exactly for the sequences
 // below the third-highest SACKed one: find that by popcount from the
-// top, then mark [lo, third) a word at a time. O(window/64) per call.
+// top, then mark [lo, third) a word at a time — from the watermark up,
+// as below it there is nothing left to mark.
 func (b *windowedSendBoard) inferLost(lo, hiSacked int64) {
 	third, ok := b.nthSackedDown(lo, hiSacked+1, 3)
 	if !ok {
 		return
 	}
-	ringSpans(lo, third, b.sack.mask, func(sp span) bool {
-		fresh := ^b.sack.words[sp.w] &^ b.loss.words[sp.w] & sp.mask
-		b.nLost += bits.OnesCount64(fresh)
-		b.loss.words[sp.w] |= fresh
-		b.rtx.words[sp.w] &^= fresh
+	ringSpans(max(lo, b.wm), third, b.sack.mask, func(sp span) bool {
+		s, l := b.sack.words[sp.w], b.loss.words[sp.w]
+		fresh := ^s &^ l & sp.mask
+		b.put(sp.w, s, l|fresh, b.rtx.words[sp.w]&^fresh)
 		return true
 	})
+	b.covered(lo, third)
+}
+
+// covered records that every sequence of [lo, hi) is sacked or lost.
+func (b *windowedSendBoard) covered(lo, hi int64) {
+	if lo <= b.wm && b.wm < hi {
+		b.wm = hi
+	}
 }
 
 // nthSackedDown returns the n-th highest SACKed sequence of [lo, hi),

@@ -8,8 +8,9 @@ import (
 )
 
 // The map[int64]bool scoreboards the windowed ones replaced: the
-// pre-windowed code verbatim, kept as the reference the differential
-// tests compare against. useMapBoards puts them under a whole Source.
+// pre-windowed code verbatim, except that the send board now tracks its
+// own window for pipe, kept as the reference the differential tests
+// compare against. useMapBoards puts them under a whole Source.
 
 // useMapBoards swaps src's scoreboards for the map reference. Call it
 // straight after NewSource: the boards are first touched by the source's
@@ -23,6 +24,8 @@ type mapSendBoard struct {
 	sack map[int64]bool
 	loss map[int64]bool
 	rtx  map[int64]bool
+
+	lo, hi int64 // the window [highAck, nextSeq), moved by advance and extend
 }
 
 func newMapSendBoard() *mapSendBoard {
@@ -33,7 +36,7 @@ func newMapSendBoard() *mapSendBoard {
 	}
 }
 
-func (b *mapSendBoard) extend(int64)          {}
+func (b *mapSendBoard) extend(seq int64)      { b.hi = max(b.hi, seq+1) }
 func (b *mapSendBoard) sacked(seq int64) bool { return b.sack[seq] }
 func (b *mapSendBoard) markSacked(seq int64)  { b.sack[seq] = true }
 func (b *mapSendBoard) lost(seq int64) bool   { return b.loss[seq] }
@@ -56,7 +59,7 @@ func (b *mapSendBoard) markLost(seq int64) {
 	delete(b.rtx, seq)
 }
 
-func (b *mapSendBoard) nextLost(lo, hi int64) (int64, bool) {
+func (b *mapSendBoard) nextLost() (int64, bool) {
 	best := int64(math.MaxInt64)
 	for seq := range b.loss {
 		if !b.rtx[seq] && seq < best {
@@ -69,9 +72,9 @@ func (b *mapSendBoard) nextLost(lo, hi int64) (int64, bool) {
 	return best, true
 }
 
-func (b *mapSendBoard) pipe(lo, hi int64) int {
+func (b *mapSendBoard) pipe() int {
 	n := 0
-	for seq := lo; seq < hi; seq++ {
+	for seq := b.lo; seq < b.hi; seq++ {
 		if b.sack[seq] || (b.loss[seq] && !b.rtx[seq]) {
 			continue
 		}
@@ -86,6 +89,7 @@ func (b *mapSendBoard) advance(lo, hi int64) {
 		delete(b.loss, seq)
 		delete(b.rtx, seq)
 	}
+	b.lo, b.hi = hi, max(b.hi, hi)
 }
 
 func (b *mapSendBoard) markAllUnsackedLost(lo, hi int64) {

@@ -17,11 +17,11 @@ func diffSendBoards(ref, win sendBoard, lo, hi int64) string {
 	if r, w := ref.lostCount(), win.lostCount(); r != w {
 		return fmt.Sprintf("lostCount ref=%d win=%d", r, w)
 	}
-	if r, w := ref.pipe(lo, hi), win.pipe(lo, hi); r != w {
+	if r, w := ref.pipe(), win.pipe(); r != w {
 		return fmt.Sprintf("pipe ref=%d win=%d", r, w)
 	}
-	rs, rok := ref.nextLost(lo, hi)
-	ws, wok := win.nextLost(lo, hi)
+	rs, rok := ref.nextLost()
+	ws, wok := win.nextLost()
 	if rs != ws || rok != wok {
 		return fmt.Sprintf("nextLost ref=%d,%v win=%d,%v", rs, rok, ws, wok)
 	}
@@ -39,10 +39,43 @@ func diffSendBoards(ref, win sendBoard, lo, hi int64) string {
 	return ""
 }
 
+// boardInvariants recounts the windowed board's kept counts from its
+// bits and checks the inference watermark: every sequence of [base, wm)
+// is sacked or lost. It returns the first violation, or "".
+func boardInvariants(b *windowedSendBoard) string {
+	lost, pending, excl := 0, 0, 0
+	for q := b.base; q < b.high; q++ {
+		s, l, r := b.sacked(q), b.lost(q), b.rtxOut(q)
+		if l {
+			lost++
+		}
+		if l && !r {
+			pending++
+		}
+		if s || l && !r {
+			excl++
+		}
+	}
+	if lost != b.nLost || pending != b.nPending || excl != b.nExcl {
+		return fmt.Sprintf("counts lost/pending/excluded kept %d/%d/%d, bits say %d/%d/%d",
+			b.nLost, b.nPending, b.nExcl, lost, pending, excl)
+	}
+	if b.wm < b.base || b.wm > b.high {
+		return fmt.Sprintf("watermark %d outside the window [%d,%d)", b.wm, b.base, b.high)
+	}
+	for q := b.base; q < b.wm; q++ {
+		if !b.sacked(q) && !b.lost(q) {
+			return fmt.Sprintf("watermark %d above %d, which is neither sacked nor lost", b.wm, q)
+		}
+	}
+	return ""
+}
+
 // TestScoreboardDifferentialRandom drives the map reference and the
 // windowed implementation through >= 10k randomized operation traces —
 // sends, SACK blocks, loss inference, retransmissions, cumack advances,
-// and RTO storms — asserting identical observable state after every step.
+// and RTO storms — asserting identical observable state, and the
+// windowed board's counts and watermark, after every step.
 func TestScoreboardDifferentialRandom(t *testing.T) {
 	iters := 10_000
 	if testing.Short() {
@@ -93,8 +126,8 @@ func TestScoreboardDifferentialRandom(t *testing.T) {
 				ref.inferLost(lo, hs)
 				win.inferLost(lo, hs)
 			case k < 6: // retransmit the next lost hole
-				rs, rok := ref.nextLost(lo, hi)
-				ws, wok := win.nextLost(lo, hi)
+				rs, rok := ref.nextLost()
+				ws, wok := win.nextLost()
 				if rs != ws || rok != wok {
 					t.Fatalf("iter %d step %d: nextLost ref=%d,%v win=%d,%v", it, op, rs, rok, ws, wok)
 				}
@@ -122,8 +155,88 @@ func TestScoreboardDifferentialRandom(t *testing.T) {
 			if d := diffSendBoards(ref, win, lo, hi); d != "" {
 				t.Fatalf("iter %d step %d window [%d,%d): %s", it, op, lo, hi, d)
 			}
+			if d := boardInvariants(win); d != "" {
+				t.Fatalf("iter %d step %d window [%d,%d): %s", it, op, lo, hi, d)
+			}
 		}
 	}
+}
+
+// TestScoreboardWatermarkDirected pins the kept counts and the inference
+// watermark where they move most: an RTO marks every unsacked sequence
+// lost, so the watermark jumps to nextSeq, and inference after new sends
+// starts there; the rings grow while losses are pending, and the counts
+// and the next retransmission survive the re-placement.
+func TestScoreboardWatermarkDirected(t *testing.T) {
+	check := func(t *testing.T, ref *mapSendBoard, win *windowedSendBoard) {
+		t.Helper()
+		if d := diffSendBoards(ref, win, win.base, win.high); d != "" {
+			t.Fatal(d)
+		}
+		if d := boardInvariants(win); d != "" {
+			t.Fatal(d)
+		}
+	}
+	send := func(ref *mapSendBoard, win *windowedSendBoard, n int64) {
+		for i := int64(0); i < n; i++ {
+			ref.extend(win.high)
+			win.extend(win.high)
+		}
+	}
+	both := func(ref *mapSendBoard, win *windowedSendBoard, f func(b sendBoard)) {
+		f(ref)
+		f(win)
+	}
+
+	t.Run("rto", func(t *testing.T) {
+		ref, win := newMapSendBoard(), newWindowedSendBoard()
+		send(ref, win, 100)
+		both(ref, win, func(b sendBoard) { b.advance(0, 10) })
+		both(ref, win, func(b sendBoard) { b.markSackedRange(40, 45) })
+		both(ref, win, func(b sendBoard) { b.inferLost(10, 44) })
+		if win.wm != 42 {
+			t.Fatalf("watermark %d after inference, want the third-highest sacked, 42", win.wm)
+		}
+		both(ref, win, func(b sendBoard) { b.markRtxOut(10) })
+		check(t, ref, win)
+		both(ref, win, func(b sendBoard) { b.markAllUnsackedLost(10, 100) })
+		if win.wm != 100 {
+			t.Fatalf("watermark %d after the RTO, want nextSeq 100", win.wm)
+		}
+		if _, pending := win.nextLost(); !pending || win.pipe() != 0 {
+			t.Fatalf("after the RTO pipe %d, want 0 with losses pending", win.pipe())
+		}
+		check(t, ref, win)
+		// New data above the watermark; inference marks only it.
+		send(ref, win, 20)
+		both(ref, win, func(b sendBoard) { b.markSackedRange(110, 113) })
+		both(ref, win, func(b sendBoard) { b.inferLost(10, 112) })
+		if win.wm != 110 {
+			t.Fatalf("watermark %d, want 110", win.wm)
+		}
+		check(t, ref, win)
+		both(ref, win, func(b sendBoard) { b.advance(10, 105) })
+		check(t, ref, win)
+	})
+
+	t.Run("ring growth with losses pending", func(t *testing.T) {
+		ref, win := newMapSendBoard(), newWindowedSendBoard()
+		send(ref, win, minRingSeqs-8)
+		both(ref, win, func(b sendBoard) { b.advance(0, 30) })
+		both(ref, win, func(b sendBoard) { b.markSackedRange(200, 210) })
+		both(ref, win, func(b sendBoard) { b.inferLost(30, 209) })
+		both(ref, win, func(b sendBoard) { b.markRtxOut(30) })
+		check(t, ref, win)
+		before := len(win.sack.words)
+		send(ref, win, 3*minRingSeqs)
+		if len(win.sack.words) == before {
+			t.Fatal("rings did not grow")
+		}
+		if seq, ok := win.nextLost(); !ok || seq != 31 {
+			t.Fatalf("next loss after growth %d,%v, want 31", seq, ok)
+		}
+		check(t, ref, win)
+	})
 }
 
 // TestInferLostDirected pins the word-parallel inferLost against the
@@ -592,4 +705,35 @@ func TestWindowedBoardRingGrowth(t *testing.T) {
 	if d := diffSendBoards(ref, win, hi-3, hi); d != "" {
 		t.Fatalf("after advance: %s", d)
 	}
+}
+
+var benchPipe int // keeps the pipe counts alive
+
+// BenchmarkSendBoardAck times the windowed send board through one SACK
+// recovery episode per iteration, making the calls Source.onAck and
+// trySend make: the first packet of a 128-packet window is lost, each
+// of the other 127 comes back as an ACK whose SACK block reaches it
+// (absorb, infer, count the pipe, look for a loss to retransmit), and
+// the retransmission's ACK advances the cumulative ack over the window.
+func BenchmarkSendBoardAck(b *testing.B) {
+	const window = 128
+	board := newWindowedSendBoard()
+	var base int64
+	pipe := 0
+	for i := 0; i < b.N; i++ {
+		for seq := base; seq < base+window; seq++ {
+			board.extend(seq)
+		}
+		for seq := base + 1; seq < base+window; seq++ {
+			board.markSackedRange(base+1, seq+1)
+			board.inferLost(base, seq)
+			pipe += board.pipe()
+			if lost, ok := board.nextLost(); ok {
+				board.markRtxOut(lost)
+			}
+		}
+		board.advance(base, base+window)
+		base += window
+	}
+	benchPipe = pipe
 }

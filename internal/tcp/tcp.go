@@ -112,12 +112,6 @@ func (s *Source) Cwnd() float64 { return s.cwnd }
 // GoodputBytes returns bytes cumulatively acknowledged.
 func (s *Source) GoodputBytes() int64 { return s.AckedPkts * int64(s.cfg.PacketSize) }
 
-// pipe estimates packets in flight: sent but neither cumacked, sacked,
-// nor marked lost (lost packets have left the network).
-func (s *Source) pipe() int {
-	return s.board.pipe(s.highAck, s.nextSeq)
-}
-
 func (s *Source) trySend() {
 	window := s.cwnd
 	if s.cfg.MaxCwnd > 0 && window > s.cfg.MaxCwnd {
@@ -127,10 +121,10 @@ func (s *Source) trySend() {
 	// one more packet in the pipe, except the retransmission of a
 	// sequence SACKed after it was marked lost, which the pipe never
 	// counts.
-	pipe := s.pipe()
+	pipe := s.board.pipe()
 	for pipe < int(window) {
 		// Retransmissions first.
-		if seq, ok := s.board.nextLost(s.highAck, s.nextSeq); ok {
+		if seq, ok := s.board.nextLost(); ok {
 			s.transmit(seq, true)
 			if !s.board.sacked(seq) {
 				pipe++
@@ -208,7 +202,7 @@ func (s *Source) onRTO() {
 	if s.ins != nil {
 		s.ins.RTOBackoffs.Inc()
 	}
-	s.ssthresh = math.Max(float64(s.pipe())/2, 2)
+	s.ssthresh = math.Max(float64(s.board.pipe())/2, 2)
 	s.cwnd = 1
 	s.dupacks = 0
 	s.inRecovery = false
@@ -279,7 +273,7 @@ func (s *Source) onAck(p *sim.Packet) {
 		// Enter fast recovery.
 		s.inRecovery = true
 		s.recover = s.nextSeq
-		s.ssthresh = math.Max(float64(s.pipe())/2, 2)
+		s.ssthresh = math.Max(float64(s.board.pipe())/2, 2)
 		s.cwnd = s.ssthresh
 		s.FastRecover++
 		if s.ins != nil {
