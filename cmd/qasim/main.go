@@ -35,10 +35,11 @@
 //	qasim -flows 100 -fluid 999900 -dur 10 -report -
 //
 // -shards N splits ONE run across N engines (a bottleneck shard plus
-// N-1 flow shards) synchronized by a conservative time barrier. Results
-// — reports, traces, TSVs — are bit-identical to -shards 1; see
-// DESIGN.md, "Parallel DES". Orthogonal to -parallel, which runs the
-// independent sweep configs concurrently.
+// N-1 flow shards) synchronized by a conservative time barrier; it
+// needs a positive -rtt. The run takes the same path as -shards 1, on a
+// different topology, and its results — reports, traces, TSVs — are
+// bit-identical; see DESIGN.md, "Parallel DES". Orthogonal to
+// -parallel, which runs the independent sweep configs concurrently.
 package main
 
 import (

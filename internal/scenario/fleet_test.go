@@ -103,18 +103,19 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 // Every series the sampler records is pre-sized from
 // Duration/SampleInterval: after a run, each series must still be at
 // exactly the reserved capacity — any append regrowth would have left a
-// larger one.
+// larger one. The sharded leg has a ticker per flow engine and one for
+// the bottleneck.
 func TestSamplerPreSizesAllSeries(t *testing.T) {
-	for _, mode := range []string{"legacy", "fleet"} {
+	for _, mode := range []string{"legacy", "fleet", "fleet-sharded"} {
 		t.Run(mode, func(t *testing.T) {
-			var cfg Config
-			if mode == "legacy" {
+			cfg := MustPreset("Fleet", WithFlows(8))
+			switch mode {
+			case "legacy":
 				cfg = MustPreset("T1")
-				cfg.Duration = 10
-			} else {
-				cfg = MustPreset("Fleet", WithFlows(8))
-				cfg.Duration = 10
+			case "fleet-sharded":
+				cfg.Shards = 3
 			}
+			cfg.Duration = 10
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

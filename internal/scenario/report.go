@@ -128,8 +128,8 @@ func (r *Result) fluidStats() *FluidStats {
 // population — every flow at zero goodput, the most pathological run —
 // yields 0 rather than NaN (0/0): encoding/json refuses to marshal
 // NaN, so a NaN here would make -report fail exactly when its output
-// matters most. Every Jain computation (run report, serial sampler,
-// sharded fleet coordinator) must go through this one guard.
+// matters most. Every Jain computation (the run report and the
+// sampler's fleetFold) must go through this one guard.
 func jainIndex(sum, sumSq float64, n int) float64 {
 	if n <= 0 || !(sumSq > 0) {
 		return 0

@@ -4,25 +4,26 @@ import (
 	"fmt"
 
 	"qav/internal/sim"
+	"qav/internal/tcp"
 	"qav/internal/trace"
 )
 
-// startSampler schedules the periodic trace sampler on eng. Sampling is
-// part of the run's dynamics — every QA controller is ticked at every
-// sample so consumption is current — so the sampler must run for every
-// config, and its cadence (cfg.SampleInterval) is part of the result.
-//
-// Series handles and per-layer counters are hoisted out of the closure:
-// resolving fmt.Sprintf names through the set's map on every 0.1 s tick
-// for every layer dominated the sample cost. Every series is pre-sized
-// from Duration/SampleInterval, so steady-state sampling appends within
-// capacity and never regrows.
+// The sampler is one ticker per flow engine, each on the tick
+// recurrence t = 0, Δ, 2Δ, ... while t+Δ <= Duration. Sampling is part
+// of the run's dynamics — every QA controller is ticked at every sample
+// so consumption is current — so it runs for every config, and its
+// cadence (cfg.SampleInterval) is part of the result. A ticker ticks and
+// traces the flows on its engine. The bottleneck's queue.bytes and
+// fluid.rate ride on the ticker of the engine that owns the link: in a
+// serial run that is the one ticker, so a serial run takes one sample
+// event per tick; a sharded run gives the bottleneck engine a ticker of
+// its own.
 //
 // Two trace modes (cfg.MaxTraceFlows):
 //
 //   - 0, legacy: the first QA flow gets the full per-layer breakdown and
 //     every RAP flow a rate series — exactly the series set the figures
-//     dump, byte-identical to the pre-fleet sampler.
+//     dump.
 //   - N > 0, fleet: per-flow series are capped at N per class (the
 //     first QA flow keeps its full breakdown; further QA flows, RAP and
 //     TCP flows get one rate series each up to the cap) and fleet-wide
@@ -31,7 +32,201 @@ import (
 //     goodput over the last interval), and fleet.jain.tcp (Jain's
 //     fairness index over cumulative per-flow TCP goodput). Trace cost
 //     stays O(1) in the flow population.
-func startSampler(eng *sim.Engine, net *sim.Dumbbell, cfg Config, res *Result) {
+//
+// Fleet aggregates sum per-flow floats, and float addition is not
+// associative, so tickers never partial-sum. Each ticker parks its
+// flows' per-tick values in a ring slot indexed by global flow
+// position, and fleetFold.add sums a slot in global flow order: the
+// same additions, in the same order, on every topology. With one flow
+// engine the ticker folds its own tick from a one-slot ring; with more,
+// fleetCoordinator folds at each barrier the ticks every engine has
+// finished.
+//
+// Every series is created before the run, in one order (trace.Set
+// orders its TSV output by creation, and figure TSVs are the regression
+// oracle), pre-sized from Duration/SampleInterval so that sampling
+// appends within capacity, and written by exactly one ticker.
+
+// qaSlot/rapSlot/tcpSlot bind one flow to its (optional) per-flow
+// series and its global position within its class, for the ring.
+type qaSlot struct {
+	src    *QASource
+	global int
+	full   *qaTrace      // first QA flow only: the full breakdown
+	series *trace.Series // later QA flows, fleet mode, below the cap
+}
+
+type rapSlot struct {
+	src    *RAPSource
+	global int
+	series *trace.Series
+}
+
+type tcpSlot struct {
+	src    *tcp.Source
+	global int
+	series *trace.Series
+	last   int64 // goodput at the previous tick, for series
+}
+
+// fleetSlot holds one tick's per-flow values, written by the tickers
+// that own the flows and folded once every one of them has written.
+type fleetSlot struct {
+	qaRate  []float64
+	rapRate []float64
+	tcpGood []int64
+}
+
+// ticker samples one engine's flows. When sharded it is that engine's
+// worker's private state during windows; the coordinator reads only
+// the ring, and only at barriers.
+type ticker struct {
+	eng      *sim.Engine
+	interval float64
+	duration float64
+
+	qas  []qaSlot
+	raps []rapSlot
+	tcps []tcpSlot
+
+	// ring is the fleet scratch (nil in legacy trace mode); j counts
+	// this ticker's ticks, which every ticker and the coordinator agree
+	// on because they all run the same recurrence. fold is set when
+	// this is the only flow engine's ticker: it folds its own ticks.
+	ring []fleetSlot
+	j    int
+	fold *fleetFold
+
+	// The bottleneck engine's ticker only.
+	sQueue *trace.Series
+	queue  sim.Queue
+	fluid  *sim.Fluid
+	sFluid *trace.Series
+
+	tickFn func()
+}
+
+func (t *ticker) tick() {
+	now := t.eng.Now()
+	var slot *fleetSlot
+	if t.ring != nil {
+		slot = &t.ring[t.j%len(t.ring)]
+	}
+	for _, qs := range t.qas {
+		q := qs.src
+		// Tick every controller — consumption/playback dynamics —
+		// whether or not the flow is traced.
+		q.Ctrl.Tick(now, q.Tr.Rate(), q.Tr.ConservativeSlope())
+		if qs.full != nil {
+			qs.full.sample(now, q)
+		} else if qs.series != nil {
+			qs.series.Add(now, q.Tr.Rate())
+		}
+		if slot != nil {
+			slot.qaRate[qs.global] = q.Tr.Rate()
+		}
+	}
+	for _, rs := range t.raps {
+		rate := rs.src.Tr.Rate()
+		if rs.series != nil {
+			rs.series.Add(now, rate)
+		}
+		if slot != nil {
+			slot.rapRate[rs.global] = rate
+		}
+	}
+	for i := range t.tcps {
+		ts := &t.tcps[i]
+		g := ts.src.GoodputBytes()
+		if ts.series != nil {
+			ts.series.Add(now, float64(g-ts.last)/t.interval)
+			ts.last = g
+		}
+		if slot != nil {
+			slot.tcpGood[ts.global] = g
+		}
+	}
+	if t.sQueue != nil {
+		t.sQueue.Add(now, float64(t.queue.Bytes()))
+	}
+	if t.sFluid != nil {
+		t.sFluid.Add(now, t.fluid.Rate())
+	}
+	if t.fold != nil {
+		t.fold.add(now, slot)
+	}
+	t.j++
+	if now+t.interval <= t.duration {
+		t.eng.After(t.interval, t.tickFn)
+	}
+}
+
+// fleetFold turns one tick's ring slot into the fleet aggregate series.
+type fleetFold struct {
+	sQA, sRap, sTCP, sJain *trace.Series
+
+	interval     float64
+	nTCP         int
+	lastTCPTotal int64
+}
+
+func (f *fleetFold) add(now float64, slot *fleetSlot) {
+	// Global flow order: the one addition order.
+	qaRate, rapRate := 0.0, 0.0
+	for _, v := range slot.qaRate {
+		qaRate += v
+	}
+	for _, v := range slot.rapRate {
+		rapRate += v
+	}
+	f.sQA.Add(now, qaRate)
+	f.sRap.Add(now, rapRate)
+	// Aggregate TCP goodput over the last interval, and Jain's fairness
+	// index over cumulative per-flow goodput.
+	var total int64
+	var sum, sumSq float64
+	for _, g := range slot.tcpGood {
+		total += g
+		x := float64(g)
+		sum += x
+		sumSq += x * x
+	}
+	f.sTCP.Add(now, float64(total-f.lastTCPTotal)/f.interval)
+	f.lastTCPTotal = total
+	f.sJain.Add(now, jainIndex(sum, sumSq, f.nTCP))
+}
+
+// fleetCoordinator folds the ring at each barrier of a run with several
+// flow engines, consuming exactly the ticks every engine has certainly
+// executed (tick time strictly below the horizon; at the final barrier,
+// at or below it).
+type fleetCoordinator struct {
+	*fleetFold
+	ring     []fleetSlot
+	duration float64
+
+	t    float64 // next unconsumed tick's time, on the tick recurrence
+	j    int
+	done bool
+}
+
+func (c *fleetCoordinator) atBarrier(hi float64, final bool) {
+	for !c.done && (c.t < hi || (final && c.t <= hi)) {
+		c.add(c.t, &c.ring[c.j%len(c.ring)])
+		if c.t+c.interval <= c.duration {
+			c.t += c.interval
+			c.j++
+		} else {
+			c.done = true
+		}
+	}
+}
+
+// startTickers creates every series, builds the tickers and schedules
+// them at t = 0 (after the flows, so the t = 0 tick lands after the
+// t = 0 flow starts). It returns the coordinator's barrier callback, or
+// nil when no coordinator is needed.
+func startTickers(topo *topology, cfg *Config, res *Result) func(hi float64, final bool) {
 	// Samples land at 0, Δ, 2Δ, ... while now+Δ <= Duration, plus slack
 	// for the float accumulation at the boundary.
 	reserve := int(cfg.Duration/cfg.SampleInterval) + 2
@@ -40,7 +235,6 @@ func startSampler(eng *sim.Engine, net *sim.Dumbbell, cfg Config, res *Result) {
 		s.Reserve(reserve)
 		return s
 	}
-
 	fleet := cfg.MaxTraceFlows > 0
 	capped := func(n int) int {
 		if fleet && n > cfg.MaxTraceFlows {
@@ -49,107 +243,102 @@ func startSampler(eng *sim.Engine, net *sim.Dumbbell, cfg Config, res *Result) {
 		return n
 	}
 
-	var full *qaTrace
-	if res.QASrc != nil {
-		full = newQATrace(series, &cfg)
+	n := len(topo.flows)
+	ticks := make([]*ticker, n)
+	for i, e := range topo.flows {
+		ticks[i] = &ticker{eng: e, interval: cfg.SampleInterval, duration: cfg.Duration}
 	}
-	// Rate series for QA flows beyond the first, fleet mode only (the
-	// first flow's rate is qa.rate above).
-	var sQA []*trace.Series
-	if fleet {
-		for i := 1; i < capped(len(res.QASrcs)); i++ {
-			sQA = append(sQA, series(fmt.Sprintf("qa%d.rate", i)))
+	// Flow IDs are assigned in class order (QA, RAP, TCP) and flow i
+	// runs on engine i mod n, so a class member's ticker follows from
+	// its global class index. A flow that is neither traced nor summed
+	// into the fleet aggregates is left out.
+	for qi, q := range res.QASrcs {
+		slot := qaSlot{src: q, global: qi}
+		if qi == 0 {
+			slot.full = newQATrace(series, cfg)
+		} else if fleet && qi < capped(len(res.QASrcs)) {
+			slot.series = series(fmt.Sprintf("qa%d.rate", qi))
+		}
+		t := ticks[qi%n]
+		t.qas = append(t.qas, slot)
+	}
+	for ri, r := range res.RAPSrcs {
+		slot := rapSlot{src: r, global: ri}
+		if ri < capped(len(res.RAPSrcs)) {
+			slot.series = series(fmt.Sprintf("rap%d.rate", ri))
+		}
+		if slot.series != nil || fleet {
+			t := ticks[(cfg.NumQA+ri)%n]
+			t.raps = append(t.raps, slot)
 		}
 	}
-	sRap := make([]*trace.Series, capped(len(res.RAPSrcs)))
-	for i := range sRap {
-		sRap[i] = series(fmt.Sprintf("rap%d.rate", i))
-	}
-	var sTCP []*trace.Series
-	if fleet {
-		sTCP = make([]*trace.Series, capped(len(res.TCPSrcs)))
-		for i := range sTCP {
-			sTCP[i] = series(fmt.Sprintf("tcp%d.rate", i))
+	for ti, src := range res.TCPSrcs {
+		slot := tcpSlot{src: src, global: ti}
+		if fleet && ti < capped(len(res.TCPSrcs)) {
+			slot.series = series(fmt.Sprintf("tcp%d.rate", ti))
+		}
+		if slot.series != nil || fleet {
+			t := ticks[(cfg.NumQA+cfg.NumRAP+ti)%n]
+			t.tcps = append(t.tcps, slot)
 		}
 	}
-	sQueue := series("queue.bytes")
-	// Hybrid runs trace the background aggregate's modeled send rate
-	// right after the queue series (creation order is load-bearing: the
-	// sharded sampler mirrors it).
-	var sFluid *trace.Series
+	bt := ticks[0]
+	if bt.eng != topo.bneck {
+		bt = &ticker{eng: topo.bneck, interval: cfg.SampleInterval, duration: cfg.Duration}
+		ticks = append(ticks, bt)
+	}
+	bt.sQueue, bt.queue = series("queue.bytes"), topo.queue
 	if res.Fluid != nil {
-		sFluid = series("fluid.rate")
+		// Hybrid runs trace the background aggregate's modeled send rate
+		// right after the queue.
+		bt.fluid, bt.sFluid = res.Fluid, series("fluid.rate")
 	}
 
-	var sFleetQA, sFleetRap, sFleetTCP, sJain *trace.Series
-	var lastTCPTotal int64
-	var lastGoodput []int64
+	var coord *fleetCoordinator
 	if fleet {
-		sFleetQA = series("fleet.qa.rate")
-		sFleetRap = series("fleet.rap.rate")
-		sFleetTCP = series("fleet.tcp.goodput")
-		sJain = series("fleet.jain.tcp")
-		lastGoodput = make([]int64, len(sTCP))
+		fold := &fleetFold{
+			sQA:      series("fleet.qa.rate"),
+			sRap:     series("fleet.rap.rate"),
+			sTCP:     series("fleet.tcp.goodput"),
+			sJain:    series("fleet.jain.tcp"),
+			interval: cfg.SampleInterval,
+			nTCP:     len(res.TCPSrcs),
+		}
+		ringLen := 1
+		if n > 1 {
+			// One slot per tick that can be outstanding at a barrier: the
+			// ticks inside one lookahead window, plus slack for the
+			// window's closed/open boundaries.
+			ringLen = int(topo.lookahead/cfg.SampleInterval) + 2
+		}
+		ring := make([]fleetSlot, ringLen)
+		if n == 1 {
+			ticks[0].fold = fold
+		} else {
+			coord = &fleetCoordinator{fleetFold: fold, ring: ring, duration: cfg.Duration}
+		}
+		for i := range ring {
+			ring[i] = fleetSlot{
+				qaRate:  make([]float64, len(res.QASrcs)),
+				rapRate: make([]float64, len(res.RAPSrcs)),
+				tcpGood: make([]int64, len(res.TCPSrcs)),
+			}
+		}
+		for _, t := range ticks[:n] {
+			t.ring = ring
+		}
 	}
 
-	var sample func()
-	sample = func() {
-		now := eng.Now()
-		for qi, q := range res.QASrcs {
-			// Tick every controller — consumption/playback dynamics —
-			// whether or not the flow is traced.
-			q.Ctrl.Tick(now, q.Tr.Rate(), q.Tr.ConservativeSlope())
-			if qi == 0 {
-				full.sample(now, q)
-			} else if qi-1 < len(sQA) {
-				sQA[qi-1].Add(now, q.Tr.Rate())
-			}
-		}
-		for i, r := range res.RAPSrcs {
-			if i < len(sRap) {
-				sRap[i].Add(now, r.Tr.Rate())
-			}
-		}
-		for i, s := range sTCP {
-			good := res.TCPSrcs[i].GoodputBytes()
-			s.Add(now, float64(good-lastGoodput[i])/cfg.SampleInterval)
-			lastGoodput[i] = good
-		}
-		sQueue.Add(now, float64(net.Q.Bytes()))
-		if sFluid != nil {
-			sFluid.Add(now, res.Fluid.Rate())
-		}
-		if fleet {
-			qaRate, rapRate := 0.0, 0.0
-			for _, q := range res.QASrcs {
-				qaRate += q.Tr.Rate()
-			}
-			for _, r := range res.RAPSrcs {
-				rapRate += r.Tr.Rate()
-			}
-			sFleetQA.Add(now, qaRate)
-			sFleetRap.Add(now, rapRate)
-			// Aggregate TCP goodput over the last interval, and Jain's
-			// fairness index over cumulative per-flow goodput:
-			// (Σx)² / (n·Σx²) — 1.0 is a perfectly even split.
-			var total int64
-			var sum, sumSq float64
-			for _, t := range res.TCPSrcs {
-				g := t.GoodputBytes()
-				total += g
-				x := float64(g)
-				sum += x
-				sumSq += x * x
-			}
-			sFleetTCP.Add(now, float64(total-lastTCPTotal)/cfg.SampleInterval)
-			lastTCPTotal = total
-			sJain.Add(now, jainIndex(sum, sumSq, len(res.TCPSrcs)))
-		}
-		if now+cfg.SampleInterval <= cfg.Duration {
-			eng.After(cfg.SampleInterval, sample)
+	for _, t := range ticks {
+		if len(t.qas)+len(t.raps)+len(t.tcps) > 0 || t.sQueue != nil {
+			t.tickFn = t.tick
+			t.eng.At(0, t.tickFn)
 		}
 	}
-	eng.At(0, sample)
+	if coord == nil {
+		return nil
+	}
+	return coord.atBarrier
 }
 
 // traceLayers is how many layers the QA trace records per-layer series
@@ -164,12 +353,10 @@ type layerSeries struct {
 
 // qaTrace is the first QA flow's full per-layer trace: rate,
 // consumption, active layers, total buffering, and the five per-layer
-// series. It is extracted from the sampler body so the serial sampler
-// and the sharded per-shard ticker record byte-identical values from
-// one implementation. Creation order of its series is load-bearing
-// (trace.Set is creation-ordered and figure TSVs are the regression
-// oracle): qa.rate, qa.consumption, qa.layers, qa.buftotal, then
-// buf/share/drain/tx/rx per layer.
+// series. Creation order of its series is load-bearing (trace.Set is
+// creation-ordered and figure TSVs are the regression oracle): qa.rate,
+// qa.consumption, qa.layers, qa.buftotal, then buf/share/drain/tx/rx
+// per layer.
 type qaTrace struct {
 	sRate, sCons, sLayers, sBufTotal *trace.Series
 	perLayer                         [traceLayers]layerSeries

@@ -75,14 +75,15 @@ type Config struct {
 	// paper-reproduction regression oracle.
 	MaxTraceFlows int
 
-	// Shards selects parallel execution. 0 or 1 runs the classic
-	// serial engine, untouched. N >= 2 partitions the run across N
-	// engines — one for the bottleneck plus N-1 flow shards —
-	// synchronized by conservative time barriers (sim.ShardedDumbbell);
-	// results are identical to the serial engine, so this is purely a
-	// wall-clock knob. Excluded from reports (like the other execution
-	// knobs below) so runs differing only in shard count produce
-	// byte-identical RunReports.
+	// Shards selects parallel execution. 0 or 1 runs on one engine
+	// (sim.Dumbbell). N >= 2 partitions the run across N engines — one
+	// for the bottleneck plus N-1 flow shards — synchronized by
+	// conservative time barriers (sim.ShardedDumbbell), which needs
+	// positive LinkDelay and AccessDelay (the lookahead) and no
+	// SchedRec. Both take the same Run path and produce identical
+	// results, so this is purely a wall-clock knob. Excluded from
+	// reports (like the other execution knobs below) so runs differing
+	// only in shard count produce byte-identical RunReports.
 	Shards int `json:"-"`
 
 	// Metrics, when non-nil, receives the run's instrumentation: engine
@@ -122,6 +123,18 @@ func (cfg *Config) Normalize() error {
 	}
 	if cfg.BottleneckRate <= 0 || cfg.Duration <= 0 || cfg.QueueBytes <= 0 {
 		return fmt.Errorf("scenario: incomplete config %+v", *cfg)
+	}
+	if cfg.LinkDelay < 0 || cfg.AccessDelay < 0 {
+		return fmt.Errorf("scenario: config %q: negative propagation delay (LinkDelay %v, AccessDelay %v)",
+			cfg.Name, cfg.LinkDelay, cfg.AccessDelay)
+	}
+	if cfg.Shards > 1 {
+		if cfg.SchedRec != nil {
+			return fmt.Errorf("scenario: SchedRec capture needs the serial engine (Shards <= 1)")
+		}
+		if cfg.AccessDelay == 0 || cfg.LinkDelay == 0 {
+			return fmt.Errorf("scenario: Shards > 1 needs positive AccessDelay and LinkDelay (they bound the conservative lookahead)")
+		}
 	}
 	if cfg.NumTCP < 0 || cfg.NumRAP < 0 || cfg.NumQA < 0 {
 		// Negative counts would poison the fair-share rate split below
@@ -193,83 +206,46 @@ type Result struct {
 // package-level state, so independent Runs are safe to execute
 // concurrently (see RunAll) and always produce identical results for
 // identical configs.
+//
+// Serial and sharded runs (Config.Shards) take the same steps; only
+// newTopology differs between them.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg)
-	}
-
-	eng := sim.NewEngine()
-	if cfg.SchedRec != nil {
-		eng.RecordSched(cfg.SchedRec)
-	}
-	var queue sim.Queue
-	if cfg.UseRED {
-		queue = sim.NewRED(sim.REDConfig{
-			LimitBytes:  cfg.QueueBytes,
-			MeanPktSize: cfg.PacketSize,
-			Seed:        cfg.REDSeed,
-			// Virtual clock + bottleneck rate enable the Floyd-Jacobson
-			// idle-period decay of the queue average.
-			Now:      eng.Now,
-			LinkRate: cfg.BottleneckRate,
-		})
-	}
-	var fq *sim.FluidQueue
-	if cfg.FluidTCP+cfg.FluidRAP > 0 {
-		inner := queue
-		if inner == nil {
-			inner = sim.NewDropTail(cfg.QueueBytes)
-		}
-		fq = sim.NewFluidQueue(inner, cfg.QueueBytes)
-		queue = fq
-	}
-	net := sim.NewDumbbell(eng, sim.DumbbellConfig{
-		Rate:        cfg.BottleneckRate,
-		Delay:       cfg.LinkDelay,
-		AccessDelay: cfg.AccessDelay,
-		QueueBytes:  cfg.QueueBytes,
-		Queue:       queue,
-	})
-	baseRTT := net.BaseRTT()
+	topo := newTopology(&cfg)
 
 	res := &Result{Cfg: cfg, Series: trace.NewSet(), Metrics: cfg.Metrics}
-	if fq != nil {
+	if topo.fluidQ != nil {
 		// The fluid aggregate is constructed (and its first step
-		// scheduled) before any flow, on both execution paths, so its
-		// events hold the same scheduling order relative to the packet
-		// ones serially and sharded.
-		res.Fluid = newFluid(&cfg, eng, net.Bneck, fq, baseRTT)
+		// scheduled) before any flow, so its events hold the same
+		// scheduling order relative to the packet ones on every topology.
+		res.Fluid = newFluid(&cfg, topo.bneck, topo.link, topo.fluidQ, topo.baseRTT)
 	}
-	nflows, err := buildFlows(cfg, res, baseRTT, func(int) (*sim.Engine, sim.Network) {
-		return eng, net
-	})
+	nflows, err := buildFlows(cfg, res, topo.baseRTT, topo.place)
 	if err != nil {
 		return nil, err
 	}
+	if reg := cfg.Metrics; reg != nil {
+		topo.instrument(reg)
+		topo.link.InstrumentFlows(reg, nflows)
+		instrumentSources(reg, res)
+		if res.Fluid != nil {
+			res.Fluid.Instrument(reg)
+		}
+	}
+	atBarrier := startTickers(topo, &cfg, res)
 
-	instrument(cfg.Metrics, net, res, nflows)
-	instrumentFluid(cfg.Metrics, res)
-	startSampler(eng, net, cfg, res)
-
-	eng.RunUntil(cfg.Duration)
+	topo.run(cfg.Duration, atBarrier)
 
 	finishResult(res)
 	return res, nil
 }
 
-// placement maps a flow to the engine it runs on and the network front
-// it sends through. The serial path returns its single engine for every
-// flow; the sharded path assigns the flow to a shard and returns that
-// shard's engine and mailbox front.
-type placement func(flowID int) (*sim.Engine, sim.Network)
-
 // buildFlows constructs the run's traffic mix — QA, RAP, TCP, CBR, in
 // that order, with globally increasing flow IDs — placing each flow on
 // the engine place returns for it. It returns the total flow count.
-// Identical construction order on either execution path is part of the
+// Identical construction order on every topology is part of the
 // serial/sharded equivalence argument: flows that start at the same
 // staggered instant are scheduled, and therefore fire, in flow-ID order.
 func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int, error) {
@@ -363,8 +339,7 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 // class per configured population, each seeded at its fair share of
 // the bottleneck so convergence matches the packet flows' seeding —
 // attaches it to the bottleneck link and shared buffer, and schedules
-// its coupling steps. Shared by the serial and sharded paths; eng must
-// be the engine that owns the link (the bottleneck shard's).
+// its coupling steps. eng must be the engine that owns the link.
 func newFluid(cfg *Config, eng *sim.Engine, link *sim.Link, fq *sim.FluidQueue, baseRTT float64) *sim.Fluid {
 	// The packet flows' seed formula above (buildFlows) is frozen for
 	// RAP bit-stability and deliberately ignores the fluid population;
@@ -429,35 +404,10 @@ func stagger(i int, step float64) float64 {
 	return float64(i) * step
 }
 
-// instrument wires every layer of the run into reg: the engine and
-// bottleneck link/queue (with per-flow queueing-delay histograms for the
-// nflows constructed sources), the QA flow's RAP sender and controller
-// under "qa.*", cross-traffic RAP senders under "rap.*" (shared,
-// aggregated), and TCP sources under "tcp.*" (shared, aggregated).
-// No-op when reg is nil: uninstrumented runs pay nothing.
-func instrument(reg *metrics.Registry, net *sim.Dumbbell, res *Result, nflows int) {
-	if reg == nil {
-		return
-	}
-	net.Instrument(reg)
-	net.Bneck.InstrumentFlows(reg, nflows)
-	instrumentSources(reg, res)
-}
-
-// instrumentFluid registers the hybrid background's "fluid.*" metrics,
-// shared by the serial and sharded paths. No-op without a fluid half,
-// so pure packet-level reports keep their exact metric name set.
-func instrumentFluid(reg *metrics.Registry, res *Result) {
-	if reg == nil || res.Fluid == nil {
-		return
-	}
-	res.Fluid.Instrument(reg)
-}
-
 // instrumentSources registers the transport- and controller-level
-// instruments, shared between the serial and sharded paths (the
-// shared Instruments use atomic histograms and snapshot-time Func
-// reads, so multi-engine execution records into them safely).
+// instruments, one shared set per class (the shared Instruments use
+// atomic histograms and snapshot-time Func reads, so multi-engine
+// execution records into them safely).
 //
 // Transport namespaces derive from the backend kind — "qa.<kind>" for
 // the QA flows and "<kind>" for cross traffic — so the default RAP

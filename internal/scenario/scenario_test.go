@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"qav/internal/core"
+	"qav/internal/sim"
 	"qav/internal/transport"
 )
 
@@ -159,20 +160,28 @@ func TestRunRejectsEmptyConfig(t *testing.T) {
 
 // NaN passes every "<= 0" check, so without an explicit test a NaN
 // bandwidth reached sim.NewDumbbell as a negative queue (a panic) and a
-// NaN C ran a controller that never started playback.
+// NaN C ran a controller that never started playback. A negative delay
+// likewise panicked in sim.NewLink, inside a RunAll worker; and the
+// sharded engine's own requirements are checked here too, so a caller
+// that normalizes up front (qasim) reports them before any run starts.
 func TestNormalizeRejectsNonFinite(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
-		"BottleneckRate NaN":  func(c *Config) { c.BottleneckRate = math.NaN() },
-		"BottleneckRate +Inf": func(c *Config) { c.BottleneckRate = math.Inf(1) },
-		"LinkDelay NaN":       func(c *Config) { c.LinkDelay = math.NaN() },
-		"AccessDelay -Inf":    func(c *Config) { c.AccessDelay = math.Inf(-1) },
-		"Duration NaN":        func(c *Config) { c.Duration = math.NaN() },
-		"SampleInterval NaN":  func(c *Config) { c.SampleInterval = math.NaN() },
-		"CBRRate NaN":         func(c *Config) { c.CBRRate = math.NaN() },
-		"CBRStop +Inf":        func(c *Config) { c.CBRStop = math.Inf(1) },
-		"QA.C NaN":            func(c *Config) { c.QA.C = math.NaN() },
-		"QA.StartupSec NaN":   func(c *Config) { c.QA.StartupSec = math.NaN() },
-		"QueueBytes zero":     func(c *Config) { c.QueueBytes = 0 },
+		"BottleneckRate NaN":       func(c *Config) { c.BottleneckRate = math.NaN() },
+		"BottleneckRate +Inf":      func(c *Config) { c.BottleneckRate = math.Inf(1) },
+		"LinkDelay NaN":            func(c *Config) { c.LinkDelay = math.NaN() },
+		"AccessDelay -Inf":         func(c *Config) { c.AccessDelay = math.Inf(-1) },
+		"Duration NaN":             func(c *Config) { c.Duration = math.NaN() },
+		"SampleInterval NaN":       func(c *Config) { c.SampleInterval = math.NaN() },
+		"CBRRate NaN":              func(c *Config) { c.CBRRate = math.NaN() },
+		"CBRStop +Inf":             func(c *Config) { c.CBRStop = math.Inf(1) },
+		"QA.C NaN":                 func(c *Config) { c.QA.C = math.NaN() },
+		"QA.StartupSec NaN":        func(c *Config) { c.QA.StartupSec = math.NaN() },
+		"QueueBytes zero":          func(c *Config) { c.QueueBytes = 0 },
+		"LinkDelay negative":       func(c *Config) { c.LinkDelay = -0.01 },
+		"AccessDelay negative":     func(c *Config) { c.AccessDelay = -0.005 },
+		"SchedRec sharded":         func(c *Config) { c.Shards = 2; c.SchedRec = &sim.SchedRecorder{} },
+		"Shards, zero AccessDelay": func(c *Config) { c.Shards = 3; c.AccessDelay = 0 },
+		"Shards, zero LinkDelay":   func(c *Config) { c.Shards = 2; c.LinkDelay = 0 },
 	} {
 		cfg := MustPreset("T1")
 		mut(&cfg)

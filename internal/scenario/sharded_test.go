@@ -8,6 +8,7 @@ import (
 	"qav/internal/core"
 	"qav/internal/metrics"
 	"qav/internal/sim"
+	"qav/internal/transport"
 )
 
 // diffSharded runs cfg serially, then at each shard count, and requires
@@ -104,7 +105,8 @@ func TestShardedSampleOnHorizonDifferential(t *testing.T) {
 
 // TestShardedVariedConfigsDifferential sweeps structural variants —
 // RED, fine-grain RAP, a RAP-only mix, a TCP-only mix, an uncapped
-// legacy trace — through the differential harness.
+// legacy trace, the delay and greedy backends — through the
+// differential harness.
 func TestShardedVariedConfigsDifferential(t *testing.T) {
 	base := Config{
 		BottleneckRate: 150_000,
@@ -125,6 +127,12 @@ func TestShardedVariedConfigsDifferential(t *testing.T) {
 		{"rap-only-legacy", func(c *Config) { c.NumRAP = 4 }},
 		{"tcp-heavy", func(c *Config) { c.NumTCP = 6; c.NumQA = 1; c.MaxTraceFlows = 3 }},
 		{"cbr-only", func(c *Config) { c.CBRRate = 40_000; c.CBRStop = 3 }},
+		{"delay", func(c *Config) {
+			c.Transport = transport.KindDelay
+			c.NumQA, c.NumRAP, c.NumTCP = 2, 2, 2
+			c.MaxTraceFlows = 1
+		}},
+		{"greedy-legacy", func(c *Config) { c.Transport = transport.KindGreedy; c.NumQA, c.NumRAP, c.NumTCP = 1, 3, 2 }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -171,9 +179,9 @@ func TestShardedPhysicsCountersMatchSerial(t *testing.T) {
 	}
 }
 
-// TestShardedRejectsInvalid covers the sharded path's own validation:
-// scheduler capture is serial-only, and the lookahead needs positive
-// cross-shard delays.
+// TestShardedRejectsInvalid covers the sharded engine's requirements
+// through Run: scheduler capture is serial-only, and the lookahead
+// needs positive cross-shard delays.
 func TestShardedRejectsInvalid(t *testing.T) {
 	cfg := MustPreset("T1")
 	cfg.Shards = 2
