@@ -13,6 +13,15 @@
 //
 // The driver keeps no clock: every call takes the caller's now (virtual
 // or wall seconds), like the transports and the controller under it.
+//
+// The driver makes every call the controller receives, so it can record
+// them (Record) and a fresh controller can take them again (Replay). The
+// controller reads no clock and no RNG, and its only input that depends
+// on its own decisions, a delivery's layer, comes from its own earlier
+// pick: a record therefore replays any controller variant exactly, as
+// long as the transport's trace does not depend on the layers picked
+// (true in the simulator, where every packet has the same size and no
+// slot is spent on a repair).
 package flow
 
 import (
@@ -54,6 +63,8 @@ type Driver struct {
 	// sent, and fresh ACKs credited.
 	SentByLayer      []int64
 	DeliveredByLayer []int64
+
+	rec *[]Input // see Record; nil records nothing
 }
 
 // New returns a driver over tr and ctrl (nil for cross traffic) whose
@@ -66,6 +77,26 @@ func New(tr transport.Transport, ctrl *core.Controller, start float64) Driver {
 		d.SentByLayer, d.DeliveredByLayer = counters[:n:n], counters[n:]
 	}
 	return d
+}
+
+// Record appends every later controller call to *rec, in call order,
+// and every fresh ACK, a repair slot's included; Replay takes the
+// result. A nil rec stops recording.
+func (d *Driver) Record(rec *[]Input) { d.rec = rec }
+
+func (d *Driver) record(in Input) {
+	if d.rec != nil {
+		*d.rec = append(*d.rec, in)
+	}
+}
+
+// Tick advances the controller's playout clock to now under the
+// transport's current rate and slope, for a caller that samples the
+// controller between sends. The driver must have a controller.
+func (d *Driver) Tick(now float64) {
+	in := Input{Kind: InTick, Now: now, R: d.Tr.Rate(), S: d.Tr.ConservativeSlope()}
+	d.Ctrl.Tick(now, in.R, in.S)
+	d.record(in)
 }
 
 // Step runs the transport's periodic rate decision at now, handing a
@@ -98,19 +129,22 @@ func (d *Driver) StepIfDue(now float64) {
 // exactly at NextSend (the simulator), the next slot is now + IPG.
 func (d *Driver) Send(now float64, repairPending bool) (seq int64, layer int) {
 	c := d.Ctrl
+	in := Input{Kind: InPick, Now: now}
 	if c != nil {
-		rate, slope := d.Tr.Rate(), d.Tr.ConservativeSlope()
-		if repairPending && rate >= c.ConsumptionRate() {
-			layer = Repair
-			c.Tick(now, rate, slope)
+		in.R, in.S = d.Tr.Rate(), d.Tr.ConservativeSlope()
+		if repairPending && in.R >= c.ConsumptionRate() {
+			layer, in.Kind = Repair, InRepair
+			c.Tick(now, in.R, in.S)
 		} else {
-			layer = c.PickLayer(now, rate, slope, d.PacketSize)
+			layer = c.PickLayer(now, in.R, in.S, d.PacketSize)
 			d.SentByLayer[layer] += int64(d.PacketSize)
 		}
 	}
 	seq = d.Tr.OnSend(now)
 	if c != nil {
 		d.Tr.Tag(seq, int32(layer))
+		in.Seq = seq
+		d.record(in)
 	}
 	ipg := d.Tr.IPG()
 	base := d.NextSend
@@ -133,7 +167,11 @@ func (d *Driver) Ack(now float64, seq int64) (credited bool) {
 		return false
 	}
 	layer, fresh := d.Tr.Acked()
-	if !fresh || layer == Repair {
+	if !fresh {
+		return false
+	}
+	d.record(Input{Kind: InAck, Now: now, Seq: seq})
+	if layer == Repair {
 		return false
 	}
 	d.Ctrl.OnDelivered(now, int(layer), d.PacketSize)
@@ -143,6 +181,8 @@ func (d *Driver) Ack(now float64, seq int64) (credited bool) {
 
 func (d *Driver) backoff(now float64, b *transport.Backoff) {
 	if b != nil && d.Ctrl != nil {
-		d.Ctrl.OnBackoff(now, b.NewRate, d.Tr.ConservativeSlope())
+		in := Input{Kind: InBackoff, Now: now, R: b.NewRate, S: d.Tr.ConservativeSlope()}
+		d.Ctrl.OnBackoff(now, in.R, in.S)
+		d.record(in)
 	}
 }

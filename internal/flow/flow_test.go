@@ -2,6 +2,8 @@ package flow
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -403,5 +405,70 @@ func TestStepCadenceDivergence(t *testing.T) {
 	t.Logf("timeout detected after the lost packet's send: timer Step %.0f ms, StepIfDue %.0f ms", 1e3*timerDetect, 1e3*lazyDetect)
 	if timerDetect == 0 || !(lazyDetect > timerDetect) {
 		t.Fatalf("timeout detected after %v s (timer) and %v s (StepIfDue); want both, the lazy cadence later", timerDetect, lazyDetect)
+	}
+}
+
+// A record replays the driver's own controller bit for bit through
+// every kind of call: data and repair slots, ticks between sends,
+// backoffs, and ACKs that are fresh, duplicated, late for a lost
+// sequence, or for a repair.
+func TestReplayReproducesDriver(t *testing.T) {
+	qa := core.Params{C: 10_000, Kmax: 2, MaxLayers: 4, StartupSec: 0.1}
+	d := newDriver(t, transport.RAPConfig{InitialRate: 30_000, MaxRate: 60_000, InitialRTT: 0.05}, qa)
+	var rec []Input
+	d.Record(&rec)
+	rng := rand.New(rand.NewSource(1))
+	type ack struct {
+		at  float64
+		seq int64
+	}
+	var acks []ack // in arrival order: each is sent 50 ms after its packet
+	tick, step := 0.0, 0.0
+	for d.NextSend < 60 {
+		now := min(d.NextSend, tick, step)
+		if len(acks) > 0 && acks[0].at <= now {
+			d.Ack(acks[0].at, acks[0].seq)
+			acks = acks[1:]
+			continue
+		}
+		switch now {
+		case tick:
+			d.Tick(now)
+			tick += 0.1
+		case step:
+			d.Step(now)
+			step += d.Tr.StepInterval()
+		default:
+			seq, _ := d.Send(now, rng.Intn(10) == 0)
+			loss := 2
+			if now > 20 && now < 30 {
+				loss = 15 // a congested stretch the buffers cannot ride out
+			}
+			switch r := rng.Intn(50); {
+			case r < loss: // lost
+			case r < 4: // duplicated
+				acks = append(acks, ack{now + 0.05, seq}, ack{now + 0.05, seq})
+			default:
+				acks = append(acks, ack{now + 0.05, seq})
+			}
+		}
+	}
+	kinds := map[InputKind]int{}
+	for _, in := range rec {
+		kinds[in.Kind]++
+	}
+	st := d.Ctrl.Stats()
+	if len(kinds) != 5 || st.Drops == 0 || st.Adds == 0 {
+		t.Fatalf("inputs by kind %v, stats %+v: not every call was exercised", kinds, st)
+	}
+	c, err := core.NewController(qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Replay(c, rec, pkt)
+	if !reflect.DeepEqual(c.Events, d.Ctrl.Events) || c.Stats() != st || !reflect.DeepEqual(c.Buffers(), d.Ctrl.Buffers()) ||
+		c.StallSec() != d.Ctrl.StallSec() || c.PlayedSec != d.Ctrl.PlayedSec || c.LayerSeconds != d.Ctrl.LayerSeconds {
+		t.Fatalf("replay: %d events %+v bufs %v; driver: %d events %+v bufs %v",
+			len(c.Events), c.Stats(), c.Buffers(), len(d.Ctrl.Events), st, d.Ctrl.Buffers())
 	}
 }

@@ -161,6 +161,10 @@ func newMultiServerConns(conns []*net.UDPConn, cfg MultiConfig, kind BatchKind) 
 	if _, err := core.NewController(cfg.QA); err != nil {
 		return nil, err
 	}
+	// The wire names a layer in one byte, and NoNack takes the last value.
+	if cfg.QA.MaxLayers > NoNack {
+		return nil, fmt.Errorf("netio: QA.MaxLayers %d exceeds the %d layers the wire can name", cfg.QA.MaxLayers, NoNack)
+	}
 	reg := metrics.NewRegistry()
 	s := &MultiServer{
 		cfg:       cfg,

@@ -420,6 +420,26 @@ func TestMultiServerMalformedDatagrams(t *testing.T) {
 	}
 }
 
+// A data header names its layer in one byte and an ACK's NoNack takes
+// the last value, so a server with more layers would label layer 256 as
+// layer 0 and could never hear a NACK for layer 255.
+func TestMultiServerRejectsLayersTheWireCannotName(t *testing.T) {
+	conn := listenUDPTB(t)
+	defer conn.Close()
+	for _, tc := range []struct {
+		layers int
+		ok     bool
+	}{{NoNack, true}, {NoNack + 1, false}, {300, false}} {
+		cfg := MultiConfig{
+			QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: tc.layers, StartupSec: 0.2},
+			RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02},
+		}
+		if _, err := NewMultiServerConns([]*net.UDPConn{conn}, cfg); (err == nil) != tc.ok {
+			t.Errorf("MaxLayers %d: err %v, want accepted %v", tc.layers, err, tc.ok)
+		}
+	}
+}
+
 // TestSessionAckForNeverSentSeqIgnored: a client acknowledging a
 // sequence the server never sent must not be able to talk its session
 // into a backoff. Before the window ignored such ACKs, one of them put

@@ -116,7 +116,7 @@ func (t *ticker) tick() {
 		q := qs.src
 		// Tick every controller — consumption/playback dynamics —
 		// whether or not the flow is traced.
-		q.Ctrl.Tick(now, q.Tr.Rate(), q.Tr.ConservativeSlope())
+		q.Tick(now)
 		if qs.full != nil {
 			qs.full.sample(now, q)
 		} else if qs.series != nil {

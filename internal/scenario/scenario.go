@@ -6,6 +6,7 @@ import (
 
 	"qav/internal/cbr"
 	"qav/internal/core"
+	"qav/internal/flow"
 	"qav/internal/metrics"
 	"qav/internal/sim"
 	"qav/internal/tcp"
@@ -100,6 +101,10 @@ type Config struct {
 	// run's scheduler churn can be replayed against a bare structure —
 	// see sim.ReplaySched and BenchmarkScheduler. Observation-only.
 	SchedRec *sim.SchedRecorder `json:"-"`
+
+	// record, when non-nil, receives one flow.Driver record per QA flow,
+	// in flow order, for tests that replay the run (flow.Replay).
+	record *[][]flow.Input
 }
 
 // Normalize validates the config and fills defaulted fields in place.
@@ -225,6 +230,12 @@ func Run(cfg Config) (*Result, error) {
 	nflows, err := buildFlows(cfg, res, topo.baseRTT, topo.place)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.record != nil {
+		*cfg.record = make([][]flow.Input, len(res.QASrcs))
+		for i, q := range res.QASrcs {
+			q.Record(&(*cfg.record)[i])
+		}
 	}
 	if reg := cfg.Metrics; reg != nil {
 		topo.instrument(reg)
