@@ -297,15 +297,11 @@ func (c *Controller) maybeAdd(now float64) {
 	if c.rate < float64(c.na+1)*c.P.C {
 		return
 	}
-	// Condition 2 (smoothed): every per-layer target up to Kmax backoffs
-	// in both scenarios is met, and the buffering on hand would let the
+	// Condition 2 (smoothed): the buffering on hand would let the
 	// *enlarged* layer set survive Kmax backoffs — adding must not
 	// endanger existing layers (§2.1) even under Kmax-deep loss (§3.1).
-	if c.P.Alloc == AllocOptimal {
-		if _, needMore := c.geom().fillTarget(c.bufs[:c.na], c.P.Kmax); needMore {
-			return
-		}
-	}
+	// It implies every fill target up to Kmax for the current layers
+	// (TestAddConditionMeetsFillTargets).
 	if !AddCondition(c.rate, c.na, c.TotalBuf(), c.P.C, c.slope, c.P.Kmax) {
 		return
 	}
@@ -466,7 +462,7 @@ func (c *Controller) drainLadder() []State {
 
 // geom returns the formula terms for the current rate, slope and layer
 // count, recomputed only when one of them has changed since the last
-// call: the up to three SendPacket scans of one refresh and its drain
+// call: the up to two SendPacket scans of one refresh and its drain
 // ladder share them.
 func (c *Controller) geom() *geometry {
 	if g := &c.geo; g.na != c.na || g.R != c.rate || g.S != c.slope {

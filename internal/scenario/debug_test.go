@@ -16,10 +16,7 @@ func TestDebugT1Dump(t *testing.T) {
 	for _, kmax := range []int{2, 8} {
 		cfg := MustPreset("T1", WithKmax(kmax))
 		cfg.Duration = 120
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runChecked(t, cfg)
 		q := res.QASrc
 		t.Logf("=== %s C=%.0f fair=%.0f", cfg.Name, cfg.QA.C, cfg.BottleneckRate/20)
 		t.Logf("qa avg rate=%.0f avg layers=%.2f max layers=%.0f srtt=%.3f slope=%.0f",

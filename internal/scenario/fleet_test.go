@@ -34,10 +34,7 @@ func TestFleetPresetShape(t *testing.T) {
 func TestFleetSamplingCappedWithAggregates(t *testing.T) {
 	cfg := MustPreset("Fleet", WithFlows(12))
 	cfg.Duration = 8
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	for _, name := range []string{
 		"qa.rate", "qa1.rate", "qa3.rate", "tcp0.rate", "tcp3.rate",
 		"fleet.qa.rate", "fleet.tcp.goodput", "fleet.jain.tcp",
@@ -86,10 +83,7 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 			cfgs[i].Duration = 6
 			cfgs[i].Metrics = metrics.NewRegistry()
 		}
-		results, err := RunAll(cfgs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := runAllChecked(t, cfgs, workers)
 		return marshalReports(t, results)
 	}
 	want := runWith(1)
@@ -116,10 +110,7 @@ func TestSamplerPreSizesAllSeries(t *testing.T) {
 				cfg.Shards = 3
 			}
 			cfg.Duration = 10
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runChecked(t, cfg)
 			reserve := int(cfg.Duration/cfg.SampleInterval) + 2
 			for _, name := range res.Series.Names() {
 				s := res.Series.Get(name)
@@ -143,10 +134,7 @@ func TestFleetRunsAtModeratePopulation(t *testing.T) {
 	}
 	cfg := MustPreset("Fleet", WithFlows(100))
 	cfg.Duration = 5
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	fs := res.Report().Fleet
 	if fs.Flows != 100 {
 		t.Fatalf("expected 100 flows, got %+v", fs)

@@ -62,10 +62,7 @@ func TestHybridFluidOnlyRun(t *testing.T) {
 		SampleInterval: 0.1,
 		Metrics:        metrics.NewRegistry(),
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	if res.Fluid == nil {
 		t.Fatal("hybrid run produced no fluid aggregate")
 	}
@@ -120,10 +117,7 @@ func TestPurePacketReportHasNoFluidKey(t *testing.T) {
 	cfg := MustPreset("Fleet", WithFlows(8))
 	cfg.Duration = 2
 	cfg.Metrics = metrics.NewRegistry()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	var buf bytes.Buffer
 	if err := res.Report().WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -200,25 +194,16 @@ func TestHybridToleranceBands(t *testing.T) {
 				// The full packet-level reference.
 				ref := MustPreset("Fleet", WithFlows(total))
 				mut(&ref)
-				refRes, err := Run(ref)
-				if err != nil {
-					t.Fatal(err)
-				}
+				refRes := runChecked(t, ref)
 
 				// The hybrid: 20 packet flows, the rest fluid; serial and
 				// 4-shard runs must agree byte for byte.
 				hyb := hybridFleet(t, total, pkt)
 				mut(&hyb)
-				hybRes, err := Run(hyb)
-				if err != nil {
-					t.Fatal(err)
-				}
+				hybRes := runChecked(t, hyb)
 				shardCfg := hyb
 				shardCfg.Shards = 4
-				shardRes, err := Run(shardCfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				shardRes := runChecked(t, shardCfg)
 				var serialRep, shardRep bytes.Buffer
 				if err := hybRes.Report().WriteJSON(&serialRep); err != nil {
 					t.Fatal(err)
@@ -313,10 +298,7 @@ func TestHybridDeterministicAcrossWorkersAndShards(t *testing.T) {
 			regs = [2]*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
 		}
 		cfgs := []Config{baseCfg(shards, regs[0]), baseCfg(shards, regs[1])}
-		results, err := RunAll(cfgs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := runAllChecked(t, cfgs, workers)
 		return marshalReports(t, results)
 	}
 
@@ -358,10 +340,7 @@ func TestHybridMillionFlowFleet(t *testing.T) {
 	cfg := hybridFleet(t, total, 100)
 	cfg.Duration = 5
 	cfg.Metrics = metrics.NewRegistry()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	rep := res.Report()
 	if rep.Fluid == nil || rep.Fluid.TCPFlows+rep.Fluid.RAPFlows != total-100 {
 		t.Fatalf("fluid population wrong: %+v", rep.Fluid)

@@ -60,18 +60,11 @@ func TestRunAllMatchesSequential(t *testing.T) {
 	cfgs := sweepConfigs()
 	seq := make([]*Result, len(cfgs))
 	for i, cfg := range cfgs {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[i] = res
+		seq[i] = runChecked(t, cfg)
 	}
 	for _, workers := range []int{1, 2, 4, len(cfgs) + 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			par, err := RunAll(cfgs, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
+			par := runAllChecked(t, cfgs, workers)
 			if len(par) != len(cfgs) {
 				t.Fatalf("got %d results, want %d", len(par), len(cfgs))
 			}
@@ -86,9 +79,8 @@ func TestRunAllMatchesSequential(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	res, err := RunAll(nil, 4)
-	if err != nil || len(res) != 0 {
-		t.Fatalf("RunAll(nil) = %v, %v", res, err)
+	if res := runAllChecked(t, nil, 4); len(res) != 0 {
+		t.Fatalf("%d results for no configs", len(res))
 	}
 }
 
@@ -115,10 +107,7 @@ func TestRunAllAggregatesFirstError(t *testing.T) {
 func TestRunEmitsDeliveredSeries(t *testing.T) {
 	cfg := MustPreset("SingleQA", WithKmax(2))
 	cfg.Duration = 10
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	for _, name := range []string{"qa.tx.l0", "qa.rx.l0", "qa.tx.l3", "qa.rx.l3"} {
 		if res.Series.Get(name) == nil {
 			t.Fatalf("series %q missing", name)

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -18,18 +19,6 @@ import (
 // drives any controller variant exactly as a full run of that variant
 // would. These tests hold replay to that, bit for bit, and use it to
 // judge Table 2's drops with the future known.
-
-// recordRun runs cfg with the QA flows' controller calls recorded.
-func recordRun(t *testing.T, cfg Config) (*Result, [][]flow.Input) {
-	t.Helper()
-	var rec [][]flow.Input
-	cfg.record = &rec
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, rec
-}
 
 // outcome is what a run reports of one controller.
 type outcome struct {
@@ -96,10 +85,7 @@ func TestReplayMatchesRun(t *testing.T) {
 				}
 			}
 			for _, cfg := range cfgs {
-				run, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				run := runChecked(t, cfg)
 				name := fmt.Sprintf("%s Kmax %d %v", test, cfg.QA.Kmax, cfg.QA.Alloc)
 				nonVacuous(t, name, checkReplay(t, name, run, 0, rec[0]))
 			}
@@ -111,10 +97,7 @@ func TestReplayMatchesRunOtherTransports(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.KindDelay, transport.KindGreedy} {
 		_, rec := recordRun(t, MustPreset("T1", WithKmax(2), WithTransport(kind)))
 		for _, kmax := range []int{2, 8} {
-			run, err := Run(MustPreset("T1", WithKmax(kmax), WithTransport(kind)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			run := runChecked(t, MustPreset("T1", WithKmax(kmax), WithTransport(kind)))
 			name := fmt.Sprintf("T1 %s Kmax %d", kind, kmax)
 			nonVacuous(t, name, checkReplay(t, name, run, 0, rec[0]))
 		}
@@ -131,10 +114,7 @@ func TestReplayMatchesRunFleet(t *testing.T) {
 		_, rec := recordRun(t, cfg)
 		recs = append(recs, rec)
 		cfg.QA.Kmax = 4
-		run, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		run := runChecked(t, cfg)
 		drops := 0
 		for i := range run.QASrcs {
 			drops += checkReplay(t, fmt.Sprintf("Fleet shards %d QA flow %d", shards, i), run, i, rec[i])
@@ -156,11 +136,14 @@ const (
 )
 
 // judged is one drop, its class and the dip that followed it: the
-// lowest rate as a share of na·C, and the time until R ≥ na·C.
+// lowest rate as a share of na·C, the time until R ≥ na·C, the backoffs
+// inside the dip, the first k whose k smallest buffers hold less than
+// the k smallest bands (0 if none), and Σbuf/Σbands.
 type judged struct {
-	class    int
-	critical bool
-	low, dur float64
+	class           int
+	critical        bool
+	low, dur, ratio float64
+	backoffs, k     int
 }
 
 // classify judges one drop of layer na-1 at rec[0]'s call, with bufs the
@@ -175,7 +158,7 @@ func classify(rec []flow.Input, bufs []float64, C float64) judged {
 	top := float64(na) * C
 	bands := make([]float64, na)
 	t, R := rec[0].Now, rec[0].R
-	low := R
+	low, backoffs := R, 0
 	recovered := false
 	for _, in := range rec[1:] {
 		if in.Kind == flow.InAck {
@@ -187,12 +170,15 @@ func classify(rec []flow.Input, bufs []float64, C float64) judged {
 		}
 		t, R = in.Now, in.R
 		low = min(low, R)
+		if in.Kind == flow.InBackoff {
+			backoffs++
+		}
 		if R >= top {
 			recovered = true
 			break
 		}
 	}
-	j := judged{class: unrecovered, low: low / top, dur: t - rec[0].Now}
+	j := judged{class: unrecovered, low: low / top, dur: t - rec[0].Now, backoffs: backoffs}
 	if !recovered {
 		return j
 	}
@@ -200,18 +186,18 @@ func classify(rec []flow.Input, bufs []float64, C float64) judged {
 	sort.Float64s(sorted)
 	sort.Float64s(bands)
 	var haveK, needK float64
-	fails := false
 	for k := range sorted {
 		haveK += sorted[k]
 		needK += bands[k]
-		if haveK < needK {
-			fails = true
+		if haveK < needK && j.k == 0 {
+			j.k = k + 1
 		}
 	}
+	j.ratio = haveK / needK
 	switch {
 	case haveK < needK:
 		j.class = beyondDesign
-	case fails:
+	case j.k > 0:
 		j.class = poorDist
 	default:
 		j.class = needless
@@ -253,6 +239,14 @@ func median(v []float64) float64 {
 	v = append([]float64(nil), v...)
 	sort.Float64s(v)
 	return v[len(v)/2]
+}
+
+// spread is v's median and range.
+func spread(v []float64) string {
+	if len(v) == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.3g [%.3g, %.3g]", median(v), slices.Min(v), slices.Max(v))
 }
 
 // TestTable2Triage prints Table 2's drops by hindsight class, for all
@@ -300,5 +294,12 @@ func TestTable2Triage(t *testing.T) {
 		}
 		fmt.Fprintf(&b, "%s %4d %4d %5.2f %5.2f %5.2f\n", name, len(low), critical, median(low), median(dur), longest)
 	}
+	var k, ratio, backoffs []float64
+	for _, j := range all {
+		if j.class == poorDist {
+			k, ratio, backoffs = append(k, float64(j.k)), append(ratio, j.ratio), append(backoffs, float64(j.backoffs))
+		}
+	}
+	fmt.Fprintf(&b, "(b), median [range]: first failing k %s, Σbuf/Σbands %s, backoffs inside the dip %s\n", spread(k), spread(ratio), spread(backoffs))
 	t.Logf("Table 2 by hindsight: (a) beyond the design point, (b) poor distribution, (c) not needed, (d) run ended first\n%s", b.String())
 }

@@ -40,10 +40,7 @@ func marshalReports(t *testing.T, results []*Result) []byte {
 // machine-diffable sweeps.
 func TestReportDeterministicAcrossRunsAndWorkers(t *testing.T) {
 	runWith := func(workers int) []byte {
-		results, err := RunAll(reportConfigs(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		results := runAllChecked(t, reportConfigs(), workers)
 		return marshalReports(t, results)
 	}
 	want := runWith(1)
@@ -61,10 +58,7 @@ func TestReportContainsAllLayers(t *testing.T) {
 	cfg := MustPreset("T1", WithKmax(2))
 	cfg.Duration = 15
 	cfg.Metrics = metrics.NewRegistry()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	rep := res.Report()
 	if rep.Name != cfg.Name || rep.PlayedSec <= 0 {
 		t.Fatalf("report header wrong: %+v", rep)
@@ -149,10 +143,7 @@ func TestSharedRegistryAcrossParallelRuns(t *testing.T) {
 			cfg := MustPreset("T1", WithKmax(kmax))
 			cfg.Duration = 10
 			cfg.Metrics = metrics.NewRegistry()
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runChecked(t, cfg)
 			counts = append(counts, res.Metrics.Snapshot().Counters["qa.rap.sent"])
 		}
 		return counts
@@ -166,9 +157,7 @@ func TestSharedRegistryAcrossParallelRuns(t *testing.T) {
 		cfg.Metrics = shared
 		cfgs = append(cfgs, cfg)
 	}
-	if _, err := RunAll(cfgs, len(cfgs)); err != nil {
-		t.Fatal(err)
-	}
+	runAllChecked(t, cfgs, len(cfgs))
 	var want int64
 	for _, n := range perRun {
 		want += n

@@ -19,10 +19,7 @@ func diffSharded(t *testing.T, cfg Config, shards []int) {
 	t.Helper()
 	serial := cfg
 	serial.Shards = 0
-	wantRes, err := Run(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantRes := runChecked(t, serial)
 	var wantRep bytes.Buffer
 	if err := wantRes.Report().WriteJSON(&wantRep); err != nil {
 		t.Fatal(err)
@@ -32,10 +29,7 @@ func diffSharded(t *testing.T, cfg Config, shards []int) {
 	for _, n := range shards {
 		scfg := cfg
 		scfg.Shards = n
-		gotRes, err := Run(scfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
+		gotRes := runChecked(t, scfg)
 		var gotRep bytes.Buffer
 		if err := gotRes.Report().WriteJSON(&gotRep); err != nil {
 			t.Fatalf("shards=%d: %v", n, err)
@@ -155,10 +149,7 @@ func TestShardedPhysicsCountersMatchSerial(t *testing.T) {
 		cfg.Duration = 4
 		cfg.Shards = shards
 		cfg.Metrics = metrics.NewRegistry()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runChecked(t, cfg)
 		return res.Metrics.Snapshot().Counters
 	}
 	want := snap(0)
@@ -264,10 +255,7 @@ func TestReportMarshalsWithZeroGoodput(t *testing.T) {
 		SampleInterval: 0.01,
 		MaxTraceFlows:  2,
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	rep := res.Report()
 	if rep.Fleet.JainFairnessTCP != 0 {
 		t.Errorf("Jain index over zero goodput = %v, want 0", rep.Fleet.JainFairnessTCP)

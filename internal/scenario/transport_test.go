@@ -50,10 +50,7 @@ func TestDelayFairWithTCP(t *testing.T) {
 		Duration:       30,
 		SampleInterval: 0.1,
 	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	capacity := cfg.BottleneckRate * cfg.Duration
 	delayBytes := float64(res.RAPSrcs[0].RecvBytes)
 	tcpBytes := float64(res.TCPSrcs[0].GoodputBytes())
@@ -77,10 +74,7 @@ func TestDelayFairWithTCP(t *testing.T) {
 func TestDelayLosesLessThanRAP(t *testing.T) {
 	lost := func(kind transport.Kind) (int64, float64) {
 		cfg := MustPreset("SingleRAP", WithTransport(kind))
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runChecked(t, cfg)
 		c := res.RAPSrcs[0].Tr.Counters()
 		return c.Lost, float64(res.RAPSrcs[0].RecvBytes) / (cfg.BottleneckRate * cfg.Duration)
 	}
@@ -103,10 +97,7 @@ func TestDelayReportNamespaces(t *testing.T) {
 	cfg := MustPreset("T1", WithTransport(transport.KindDelay))
 	cfg.Duration = 15
 	cfg.Metrics = metrics.NewRegistry()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runChecked(t, cfg)
 	rep := res.Report()
 	if rep.Transport != "delay" {
 		t.Fatalf("report transport %q, want delay", rep.Transport)
