@@ -306,9 +306,9 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduler replays the event-queue churn of one real Figure 11
-// run (T1, Kmax=2, 40 simulated seconds: every schedule and dequeue the
-// engine issued, in execution order) against the calendar queue in
+// BenchmarkScheduler replays the calendar churn of one real Figure 11
+// run (T1, Kmax=2, 40 simulated seconds: every calendar schedule and
+// dequeue the engine issued, in execution order) against the queue in
 // isolation. The same replay against the reference heap is
 // BenchmarkSchedReplay in internal/sim, where the heap lives.
 func BenchmarkScheduler(b *testing.B) {

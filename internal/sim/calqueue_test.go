@@ -301,73 +301,178 @@ func TestCalQueueSparseEventsInLargeCalendar(t *testing.T) {
 // through an identical randomized At/AtFunc/AtFuncPrio/Cancel/RunUntil
 // workload and asserts the firing order (callback identity and time) is
 // bit-for-bit identical, including same-time (pt, seq) ties and
-// cancel-after-recycle handles.
+// cancel-after-recycle handles. Its delay-line leg sends constant-delay
+// hops down delay lines among those timers and asserts the same order
+// as the identical workload with every hop an AfterFunc, on both.
 func TestEngineSchedulerDifferential(t *testing.T) {
 	workloads := 300
 	if testing.Short() {
 		workloads = 50
 	}
-	for w := 0; w < workloads; w++ {
-		type fired struct {
-			id int
-			at float64
+	t.Run("timers", func(t *testing.T) {
+		for w := 0; w < workloads; w++ {
+			cal, heap := timerWorkload(NewEngine(), w), timerWorkload(&Engine{sched: &heapSched{}}, w)
+			sameFirings(t, w, "calendar", cal, "heap", heap)
 		}
-		run := func(e *Engine) []fired {
-			rng := rand.New(rand.NewSource(int64(w)))
-			var log []fired
-			var timers []Timer
-			id := 0
-			schedule := func() {
-				id := id
-				at := e.Now() + rng.Float64()*rng.Float64()*5
-				if rng.Intn(10) == 0 {
-					at = e.Now() // same-instant scheduling
-				}
-				if rng.Intn(12) == 0 {
-					at = e.Now() + 1e4 + rng.Float64()*1e5 // far future
-				}
-				var tm Timer
-				switch rng.Intn(3) {
-				case 0:
-					tm = e.At(at, func() { log = append(log, fired{id, e.Now()}) })
-				case 1:
-					tm = e.AtFunc(at, func(any) { log = append(log, fired{id, e.Now()}) }, nil)
-				default:
-					// An explicit tie key behind the clock, as the sharded
-					// runner injects: equal-time order is (pt, seq), not seq.
-					tm = e.AtFuncPrio(at, e.Now()*rng.Float64(), func(any) { log = append(log, fired{id, e.Now()}) }, nil)
-				}
-				timers = append(timers, tm)
-			}
-			for i := 0; i < 150; i++ {
-				switch r := rng.Intn(10); {
-				case r < 5:
-					schedule()
-					id++
-				case r < 7 && len(timers) > 0:
-					// Cancel a random handle — possibly stale (fired
-					// and recycled), which must be a no-op.
-					timers[rng.Intn(len(timers))].Cancel()
-				case r < 9:
-					e.RunUntil(e.Now() + rng.Float64()*3)
-				default:
-					e.Step()
-				}
-			}
-			e.Run()
-			return log
+	})
+	t.Run("delay-lines", func(t *testing.T) {
+		onHorizon := 0
+		for w := 0; w < workloads; w++ {
+			ref, _ := hopWorkload(&Engine{sched: &heapSched{}}, w, false)
+			cal, _ := hopWorkload(NewEngine(), w, false)
+			sameFirings(t, w, "heap+AfterFunc", ref, "calendar+AfterFunc", cal)
+			heapLines, _ := hopWorkload(&Engine{sched: &heapSched{}}, w, true)
+			sameFirings(t, w, "heap+AfterFunc", ref, "heap+lines", heapLines)
+			calLines, n := hopWorkload(NewEngine(), w, true)
+			sameFirings(t, w, "heap+AfterFunc", ref, "calendar+lines", calLines)
+			onHorizon += n
 		}
-		cal, heap := run(NewEngine()), run(&Engine{sched: &heapSched{}})
-		if len(cal) != len(heap) {
-			t.Fatalf("workload %d: calendar fired %d callbacks, heap %d", w, len(cal), len(heap))
+		if onHorizon == 0 {
+			t.Error("no RunBelow horizon fell exactly on a pending line head")
 		}
-		for i := range cal {
-			if cal[i] != heap[i] {
-				t.Fatalf("workload %d: firing %d diverged: calendar %+v, heap %+v",
-					w, i, cal[i], heap[i])
-			}
+	})
+}
+
+// fired is one callback run: which, and when.
+type fired struct {
+	id int
+	at float64
+}
+
+func sameFirings(t *testing.T, w int, an string, a []fired, bn string, b []fired) {
+	t.Helper()
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			t.Fatalf("workload %d: firing %d diverged: %s %+v, %s %+v", w, i, an, a[i], bn, b[i])
 		}
 	}
+	if len(a) != len(b) {
+		t.Fatalf("workload %d: %s fired %d callbacks, %s %d", w, an, len(a), bn, len(b))
+	}
+}
+
+// timerWorkload is workload w of calendar timers only.
+func timerWorkload(e *Engine, w int) []fired {
+	rng := rand.New(rand.NewSource(int64(w)))
+	var log []fired
+	var timers []Timer
+	id := 0
+	schedule := func() {
+		id := id
+		at := e.Now() + rng.Float64()*rng.Float64()*5
+		if rng.Intn(10) == 0 {
+			at = e.Now() // same-instant scheduling
+		}
+		if rng.Intn(12) == 0 {
+			at = e.Now() + 1e4 + rng.Float64()*1e5 // far future
+		}
+		var tm Timer
+		switch rng.Intn(3) {
+		case 0:
+			tm = e.At(at, func() { log = append(log, fired{id, e.Now()}) })
+		case 1:
+			tm = e.AtFunc(at, func(any) { log = append(log, fired{id, e.Now()}) }, nil)
+		default:
+			// An explicit tie key behind the clock, as the sharded
+			// runner injects: equal-time order is (pt, seq), not seq.
+			tm = e.AtFuncPrio(at, e.Now()*rng.Float64(), func(any) { log = append(log, fired{id, e.Now()}) }, nil)
+		}
+		timers = append(timers, tm)
+	}
+	for i := 0; i < 150; i++ {
+		switch r := rng.Intn(10); {
+		case r < 5:
+			schedule()
+			id++
+		case r < 7 && len(timers) > 0:
+			// Cancel a random handle — possibly stale (fired
+			// and recycled), which must be a no-op.
+			timers[rng.Intn(len(timers))].Cancel()
+		case r < 9:
+			e.RunUntil(e.Now() + rng.Float64()*3)
+		default:
+			e.Step()
+		}
+	}
+	e.Run()
+	return log
+}
+
+// hopWorkload is workload w of packet hops on four constant-delay
+// paths (one of zero delay, two sharing a delay) mixed with calendar
+// timers, some cancelled, some with explicit tie keys. A hop rides a
+// delay line if lines is set and is an AfterFunc otherwise; arriving
+// hops and firing timers send more hops and set more timers. Every time
+// is a multiple of 1/4, so hops, timers and RunBelow/RunUntil horizons
+// tie exactly and often; with lines it also counts the RunBelow calls
+// whose horizon is exactly a pending line head.
+func hopWorkload(e *Engine, w int, lines bool) (log []fired, onHorizon int) {
+	rng := rand.New(rand.NewSource(int64(w)))
+	delays := []float64{0, 0.25, 0.25, 1}
+	var timers []Timer
+	id := 0
+	var send func(path int)
+	var schedule func()
+	react := func(id int) {
+		log = append(log, fired{id, e.Now()})
+		switch rng.Intn(4) {
+		case 0:
+			send(rng.Intn(len(delays)))
+		case 1:
+			schedule()
+		}
+	}
+	hopLines := make([]*delayLine, len(delays))
+	hopFns := make([]func(any), len(delays))
+	for i := range delays {
+		hopLines[i] = e.newLine(func(p *Packet) { react(int(p.Seq)) })
+		hopFns[i] = func(arg any) { react(int(arg.(*Packet).Seq)) }
+	}
+	send = func(path int) {
+		id++
+		p := &Packet{Seq: int64(id)}
+		if lines {
+			hopLines[path].after(delays[path], p)
+		} else {
+			e.AfterFunc(delays[path], hopFns[path], p)
+		}
+	}
+	schedule = func() {
+		id++
+		id := id
+		at := e.Now() + float64(rng.Intn(9))/4
+		if rng.Intn(3) == 0 {
+			timers = append(timers, e.AtFuncPrio(at, e.Now()-float64(rng.Intn(2))/4, func(any) { react(id) }, nil))
+			return
+		}
+		timers = append(timers, e.At(at, func() { react(id) }))
+	}
+	for i := 0; i < 150; i++ {
+		switch r := rng.Intn(12); {
+		case r < 4:
+			send(rng.Intn(len(delays)))
+		case r < 6:
+			schedule()
+		case r < 7 && len(timers) > 0:
+			timers[rng.Intn(len(timers))].Cancel()
+		case r < 9:
+			h := e.Now() + float64(rng.Intn(5))/4
+			for _, l := range hopLines {
+				if l.q.n > 0 && l.time == h {
+					onHorizon++
+					break
+				}
+			}
+			e.RunBelow(h)
+		case r < 11:
+			e.RunUntil(e.Now() + float64(rng.Intn(5))/4)
+		default:
+			e.Step()
+		}
+	}
+	for i := 0; i < 1000 && e.Step(); i++ {
+	}
+	return log, onHorizon
 }
 
 // --- Timer semantics on the calendar ----------------------------------

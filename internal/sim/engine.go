@@ -82,6 +82,19 @@ type Engine struct {
 	pool  PacketPool
 	rec   *SchedRecorder // optional operation capture (RecordSched)
 
+	// The packet hops in flight ride delay lines (line.go), not the
+	// calendar; minLine is the non-empty line with the least head, nil
+	// when every line is empty.
+	lines   []*delayLine
+	minLine *delayLine
+
+	// head caches the calendar's least event while headOK, so firing a
+	// run of line hops does not ask the calendar again each time: a
+	// push can only replace it with the pushed event, and a pop
+	// invalidates it.
+	head   *event
+	headOK bool
+
 	// Event-loop statistics. Plain fields, not atomics: the engine is
 	// single-threaded, so tracking costs a predictable increment per
 	// event, and Instrument publishes them as snapshot-time Func
@@ -114,14 +127,15 @@ func (e *Engine) Processed() uint64 { return e.nRun }
 func (e *Engine) Pool() *PacketPool { return &e.pool }
 
 // Instrument publishes the engine's event-loop statistics on reg as
-// snapshot-time Func metrics: events scheduled, executed, recycled
-// (free-list hits), cancelled (dead events released unfired), current
-// and peak scheduler depth, and the calendar queue's tuning (retunes,
-// those that changed the bucket count, bucket count and width) and cost
-// (list links walked by sorted inserts, far-future overflow routings: a
-// walk of more than a link or so per scheduled event, or an overflow
-// share of more than a few percent, is a mistuned calendar). The record
-// path stays the engine's existing plain-field increments —
+// snapshot-time Func metrics: events scheduled and executed (delay-line
+// hops included), recycled (free-list hits), cancelled (dead events
+// released unfired), the calendar's current and peak depth, inserts
+// (sim.sched.pushes: the events that did not ride a delay line), tuning
+// (retunes, those that changed the bucket count, bucket count and
+// width) and cost (list links walked by sorted inserts, far-future
+// overflow routings: a walk of more than a link or so per insert, or an
+// overflow share of more than a few percent, is a mistuned calendar).
+// The record path stays the engine's existing plain-field increments —
 // instrumentation adds nothing per event. Snapshots must be
 // synchronized with the engine's goroutine (taken from it, or after the
 // run finishes).
@@ -133,6 +147,7 @@ func (e *Engine) Instrument(reg *metrics.Registry) {
 	reg.GaugeFunc("sim.sched.depth", func() float64 { return float64(e.sched.len()) })
 	reg.GaugeFunc("sim.sched.maxdepth", func() float64 { return float64(e.depthMax) })
 	if cq, ok := e.sched.(*calQueue); ok {
+		reg.CounterFunc("sim.sched.pushes", func() int64 { return int64(cq.pushes) })
 		reg.CounterFunc("sim.sched.resizes", func() int64 { return int64(cq.resizes) })
 		reg.CounterFunc("sim.sched.retunes", func() int64 { return int64(cq.retunes) })
 		reg.CounterFunc("sim.sched.overflow", func() int64 { return int64(cq.ovPushes) })
@@ -197,6 +212,9 @@ func (e *Engine) schedule(t, pt float64, fn func(), fn1 func(any), arg any) Time
 		e.rec.Ops = append(e.rec.Ops, SchedOp{Kind: SchedPush, Time: t})
 	}
 	e.sched.push(ev)
+	if e.headOK && (e.head == nil || evLess(ev, e.head)) {
+		e.head = ev
+	}
 	if e.depth++; e.depth > e.depthMax {
 		e.depthMax = e.depth
 	}
@@ -233,7 +251,8 @@ func (e *Engine) AfterFunc(d float64, fn func(arg any), arg any) Timer {
 
 // fire runs a just-dequeued event, or discards it if it was cancelled,
 // and reports which. The scheduler is not consulted: every run loop
-// below pays it one peek and one pop per event and nothing else.
+// below pays it one peek and one pop per calendar event and nothing
+// else.
 func (e *Engine) fire(ev *event) bool {
 	e.depth--
 	if e.rec != nil {
@@ -257,13 +276,33 @@ func (e *Engine) fire(ev *event) bool {
 	return true
 }
 
+// next returns the least pending entry: the calendar's head ev, or,
+// when l is non-nil, the head of delay line l, which sorts before it.
+// Both nil means nothing is pending.
+func (e *Engine) next() (ev *event, l *delayLine) {
+	if !e.headOK {
+		e.head, e.headOK = e.sched.peek(), true
+	}
+	ev = e.head
+	if l = e.minLine; l != nil && (ev == nil || l.before(ev.time, ev.pt, ev.seq)) {
+		return nil, l
+	}
+	return ev, nil
+}
+
 // Step runs the next pending event. It reports false when no events remain.
 func (e *Engine) Step() bool {
 	for {
-		ev := e.sched.pop()
+		ev, l := e.next()
+		if l != nil {
+			e.fireLine(l)
+			return true
+		}
 		if ev == nil {
 			return false
 		}
+		e.sched.pop()
+		e.headOK = false
 		if e.fire(ev) {
 			return true
 		}
@@ -275,10 +314,7 @@ func (e *Engine) Step() bool {
 // released even when they lie beyond t, so a burst of cancelled timers
 // ahead of the horizon does not linger across calls.
 func (e *Engine) RunUntil(t float64) {
-	for ev := e.sched.peek(); ev != nil && (ev.dead || ev.time <= t); ev = e.sched.peek() {
-		e.sched.pop()
-		e.fire(ev)
-	}
+	e.runTo(t)
 	if t > e.now {
 		e.now = t
 	}
@@ -294,8 +330,27 @@ func (e *Engine) RunUntil(t float64) {
 // Dead (cancelled) events at the head are released even beyond t,
 // matching RunUntil.
 func (e *Engine) RunBelow(t float64) {
-	for ev := e.sched.peek(); ev != nil && (ev.dead || ev.time < t); ev = e.sched.peek() {
+	e.runTo(math.Nextafter(t, math.Inf(-1))) // below t is at or below the float before it
+}
+
+// runTo executes events with time <= t in (time, pt, seq) order across
+// the calendar and the delay lines, releasing dead events that reach
+// the head whatever their time.
+func (e *Engine) runTo(t float64) {
+	for {
+		ev, l := e.next()
+		if l != nil {
+			if l.time > t {
+				return
+			}
+			e.fireLine(l)
+			continue
+		}
+		if ev == nil || !ev.dead && ev.time > t {
+			return
+		}
 		e.sched.pop()
+		e.headOK = false
 		e.fire(ev)
 	}
 }

@@ -277,3 +277,32 @@ func TestEngineOrderProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A delay line is a FIFO only while its keys never decrease: a push
+// behind the newest hop's (time, pt), or behind the clock, must panic
+// rather than fire out of order. Equal keys are in order (seq breaks
+// the tie).
+func TestDelayLinePushOutOfOrderPanics(t *testing.T) {
+	e := NewEngine()
+	l := e.newLine(func(*Packet) {})
+	l.push(2, 1, nil)
+	l.push(2, 1, nil)
+	for _, k := range []struct{ t, pt float64 }{{1.5, 1}, {2, 0.5}, {math.NaN(), 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("push at (%v, %v) behind (2, 1) did not panic", k.t, k.pt)
+				}
+			}()
+			l.push(k.t, k.pt, nil)
+		}()
+	}
+	e.Run()
+	o := e.newLine(func(*Packet) {})
+	defer func() {
+		if recover() == nil {
+			t.Error("push into an empty line behind the clock did not panic")
+		}
+	}()
+	o.push(1, 0, nil)
+}

@@ -9,11 +9,10 @@ import (
 // LinkOut receives packets leaving a link: Deliver is called at
 // transmit-start time with the absolute instant the packet exits the
 // far end (serialization + propagation already added), Drop with a
-// packet the queue refused. The default output schedules delivery on
-// the link's own engine and releases drops to its pool — exactly the
-// pre-hook behavior, event for event. The sharded dumbbell substitutes
-// a mailbox emitter so both paths cross the shard boundary at the next
-// time barrier instead.
+// packet the queue refused. The default output sends deliveries down a
+// delay line on the link's own engine and releases drops to its pool.
+// The sharded dumbbell substitutes a mailbox emitter so both paths
+// cross the shard boundary at the next time barrier instead.
 type LinkOut interface {
 	Deliver(at float64, p *Packet)
 	Drop(p *Packet)
@@ -33,22 +32,18 @@ type Link struct {
 	out LinkOut
 
 	// freeAt is when the current serialization finishes; the link is
-	// busy while Now() < freeAt. wake is the pending "link free" event,
-	// armed only when a packet is actually waiting, so an uncongested
-	// link costs one event per packet instead of two.
+	// busy while Now() < freeAt. wake holds the pending "link free"
+	// instant (at most one), armed only when a packet is actually
+	// waiting, so an uncongested link costs one event per packet
+	// instead of two.
 	freeAt float64
-	wake   Timer
+	wake   *delayLine
 
 	// fluidRate is the bandwidth currently reserved by a hybrid fluid
 	// aggregate (SetFluidRate); packets serialize at the residual
 	// rate - fluidRate. Zero outside hybrid runs, where the residual is
 	// bit-identical to the full rate.
 	fluidRate float64
-
-	// deliverFn/txDoneFn are bound once at construction so the
-	// per-packet events schedule via AtFunc without minting closures.
-	deliverFn func(any)
-	txDoneFn  func(any)
 
 	// TxBytes counts bytes successfully transmitted.
 	TxBytes int64
@@ -79,9 +74,8 @@ func NewLink(eng *Engine, q Queue, rate, delay float64) *Link {
 		panic("sim: link delay must be non-negative")
 	}
 	l := &Link{eng: eng, queue: q, rate: rate, delay: delay}
-	l.deliverFn = l.deliver
-	l.txDoneFn = l.txDone
-	l.out = engineOut{l}
+	l.wake = eng.newLine(l.txDone)
+	l.out = engineOut{eng.newLine(l.deliver)}
 	return l
 }
 
@@ -89,12 +83,13 @@ func NewLink(eng *Engine, q Queue, rate, delay float64) *Link {
 // the default engineOut keeps the serial single-engine behavior.
 func (l *Link) SetOut(out LinkOut) { l.out = out }
 
-// engineOut is the default LinkOut: delivery as one precomputed event
-// on the link's own engine, drops released to its pool.
-type engineOut struct{ l *Link }
+// engineOut is the default LinkOut: deliveries ride a delay line on
+// the link's own engine (their instants never decrease, since freeAt
+// does not), drops are released to its pool.
+type engineOut struct{ line *delayLine }
 
-func (o engineOut) Deliver(at float64, p *Packet) { o.l.eng.AtFunc(at, o.l.deliverFn, p) }
-func (o engineOut) Drop(p *Packet)                { o.l.eng.pool.Put(p) }
+func (o engineOut) Deliver(at float64, p *Packet) { o.line.push(at, o.line.eng.now, p) }
+func (o engineOut) Drop(p *Packet)                { o.line.eng.pool.Put(p) }
 
 // Rate returns the link bandwidth in bytes per second.
 func (l *Link) Rate() float64 { return l.rate }
@@ -165,19 +160,20 @@ func (l *Link) Offer(p *Packet) {
 		l.out.Drop(p)
 		return
 	}
-	p.enqAt = l.eng.Now()
-	if l.wake.Active() {
-		// A link-free event is already armed (and may be firing in this
+	now := l.eng.now
+	p.enqAt = now
+	if l.wake.q.n > 0 {
+		// A link-free event is already armed (and may be due in this
 		// very instant): it owns the next dequeue. Transmitting here too
 		// would overlap serializations.
 		return
 	}
-	if l.eng.Now() >= l.freeAt {
+	if now >= l.freeAt {
 		l.transmitNext()
 	} else {
 		// Busy, and nothing will revisit the queue when serialization
 		// ends: arm the link-free event now.
-		l.wake = l.eng.AtFunc(l.freeAt, l.txDoneFn, nil)
+		l.wake.push(l.freeAt, now, nil)
 	}
 }
 
@@ -186,11 +182,12 @@ func (l *Link) transmitNext() {
 	if p == nil {
 		return
 	}
+	now := l.eng.now
 	txTime := float64(p.Size) / (l.rate - l.fluidRate)
 	l.TxBytes += int64(p.Size)
 	l.TxPackets++
 	if l.delayHist != nil {
-		d := l.eng.Now() - p.enqAt
+		d := now - p.enqAt
 		l.delayHist.Observe(d)
 		if uint(p.FlowID) < uint(len(l.flowDelay)) {
 			l.flowDelay[p.FlowID].Observe(d)
@@ -198,26 +195,25 @@ func (l *Link) transmitNext() {
 	}
 	// The link is free to start the next packet as soon as serialization
 	// finishes; delivery lands after serialization + propagation. Both
-	// instants are known now, so the delivery event is scheduled directly
-	// instead of chaining a second event off the serialization one — no
-	// per-packet closures, and no second event at all when the queue is
-	// empty (the next Offer restarts the link).
-	l.freeAt = l.eng.Now() + txTime
+	// instants are known now, so the delivery is sent down its line
+	// directly instead of chaining a second event off the serialization
+	// one — and there is no second event at all when the queue is empty
+	// (the next Offer restarts the link).
+	l.freeAt = now + txTime
 	if l.queue.Len() > 0 {
-		l.wake = l.eng.AtFunc(l.freeAt, l.txDoneFn, nil)
+		l.wake.push(l.freeAt, now, nil)
 	}
 	l.out.Deliver(l.freeAt+l.delay, p)
 }
 
 // txDone fires when serialization finishes: the link may start the next
 // queued packet.
-func (l *Link) txDone(any) { l.transmitNext() }
+func (l *Link) txDone(*Packet) { l.transmitNext() }
 
 // deliver hands the packet to its destination and releases it. The
 // receiver borrows the packet only for the duration of Recv (see
 // PacketPool).
-func (l *Link) deliver(arg any) {
-	p := arg.(*Packet)
+func (l *Link) deliver(p *Packet) {
 	if p.Dst != nil {
 		p.Dst.Recv(p)
 	}

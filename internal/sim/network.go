@@ -29,10 +29,10 @@ type Dumbbell struct {
 	accessDelay  float64 // source -> bottleneck, per direction
 	reverseDelay float64 // sink -> source (full reverse path)
 
-	// offerFn/ackFn are bound once so the per-packet hops schedule via
-	// AtFunc without minting closures.
-	offerFn func(any)
-	ackFn   func(any)
+	// The two hops every flow shares, each one constant delay, so each
+	// is a delay line.
+	access  *delayLine // source -> bottleneck queue
+	reverse *delayLine // sink -> source
 }
 
 // DumbbellConfig configures a dumbbell topology.
@@ -54,6 +54,9 @@ func NewDumbbell(eng *Engine, cfg DumbbellConfig) *Dumbbell {
 		}
 		q = NewDropTail(cfg.QueueBytes)
 	}
+	if cfg.AccessDelay < 0 {
+		panic("sim: dumbbell access delay must be non-negative")
+	}
 	d := &Dumbbell{
 		Eng:          eng,
 		Q:            q,
@@ -61,8 +64,8 @@ func NewDumbbell(eng *Engine, cfg DumbbellConfig) *Dumbbell {
 		accessDelay:  cfg.AccessDelay,
 		reverseDelay: cfg.AccessDelay + cfg.Delay,
 	}
-	d.offerFn = d.offer
-	d.ackFn = d.deliverAck
+	d.access = eng.newLine(d.Bneck.Offer)
+	d.reverse = eng.newLine(d.deliverAck)
 	return d
 }
 
@@ -84,21 +87,18 @@ func (d *Dumbbell) BaseRTT() float64 {
 // drop or after dst.Recv returns.
 func (d *Dumbbell) SendData(p *Packet, dst Receiver) {
 	p.Dst = dst
-	d.Eng.AfterFunc(d.accessDelay, d.offerFn, p)
+	d.access.after(d.accessDelay, p)
 }
-
-func (d *Dumbbell) offer(arg any) { d.Bneck.Offer(arg.(*Packet)) }
 
 // SendAck returns an acknowledgement to dst over the uncongested reverse
 // path. Like SendData, the network owns (and eventually releases) the
 // packet once handed over.
 func (d *Dumbbell) SendAck(p *Packet, dst Receiver) {
 	p.Dst = dst
-	d.Eng.AfterFunc(d.reverseDelay, d.ackFn, p)
+	d.reverse.after(d.reverseDelay, p)
 }
 
-func (d *Dumbbell) deliverAck(arg any) {
-	p := arg.(*Packet)
+func (d *Dumbbell) deliverAck(p *Packet) {
 	if p.Dst != nil {
 		p.Dst.Recv(p)
 	}

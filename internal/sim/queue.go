@@ -16,54 +16,31 @@ type Queue interface {
 	Drops() int64
 }
 
-// fifo is the packet ring DropTail and RED hold their packets in.
-// Dequeuing advances the head index instead of reslicing from the front,
-// so a long-lived queue reuses one backing array instead of pinning
-// consumed prefixes until the next realloc. The ring is always a power
-// of two so wrap-around is a mask, not a divide — push and Dequeue sit
-// on the per-packet hot path.
+// fifo is the packet ring DropTail and RED hold their packets in,
+// with a running byte count.
 type fifo struct {
-	ring  []*Packet
-	mask  int // len(ring)-1
-	head  int // index of the oldest packet
-	count int
+	q     ring[*Packet]
 	bytes int
 }
 
 // push appends p at the tail.
 func (f *fifo) push(p *Packet) {
-	if f.count == len(f.ring) {
-		f.grow()
-	}
-	f.ring[(f.head+f.count)&f.mask] = p
-	f.count++
+	f.q.push(p)
 	f.bytes += p.Size
-}
-
-// grow doubles the full ring (always to a power of two), unwrapping
-// it to the front.
-func (f *fifo) grow() {
-	next := make([]*Packet, max(8, 2*len(f.ring)))
-	n := copy(next, f.ring[f.head:])
-	copy(next[n:], f.ring[:f.head])
-	f.ring, f.mask, f.head = next, len(next)-1, 0
 }
 
 // Dequeue implements Queue.
 func (f *fifo) Dequeue() *Packet {
-	if f.count == 0 {
+	if f.q.n == 0 {
 		return nil
 	}
-	p := f.ring[f.head]
-	f.ring[f.head] = nil
-	f.head = (f.head + 1) & f.mask
-	f.count--
+	p := f.q.pop()
 	f.bytes -= p.Size
 	return p
 }
 
 // Len implements Queue.
-func (f *fifo) Len() int { return f.count }
+func (f *fifo) Len() int { return f.q.n }
 
 // Bytes implements Queue.
 func (f *fifo) Bytes() int { return f.bytes }

@@ -109,7 +109,7 @@ func (q *RED) EarlyDropProb() float64 {
 
 // Enqueue implements Queue with early random dropping.
 func (q *RED) Enqueue(p *Packet) bool {
-	if q.count == 0 && q.now != nil && (q.aux == nil || q.aux() == 0) {
+	if q.Len() == 0 && q.now != nil && (q.aux == nil || q.aux() == 0) {
 		// Arrival to an idle queue: decay the average as if the idle
 		// period had been m empty packet slots (avg *= (1-wq)^m)
 		// instead of applying a single EWMA step toward zero. A queue
@@ -159,7 +159,7 @@ func (q *RED) Enqueue(p *Packet) bool {
 // Dequeue implements Queue.
 func (q *RED) Dequeue() *Packet {
 	p := q.fifo.Dequeue()
-	if p != nil && q.count == 0 && q.now != nil {
+	if p != nil && q.Len() == 0 && q.now != nil {
 		q.idleAt = q.now()
 	}
 	return p

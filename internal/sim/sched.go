@@ -43,8 +43,8 @@ type SchedOp struct {
 	Time float64
 }
 
-// SchedRecorder captures the engine's event-queue operations in
-// execution order, so a real run's churn — its exact interleaving of
+// SchedRecorder captures the engine's calendar operations (delay-line
+// hops are not among them) in execution order, so a real run's churn — its exact interleaving of
 // schedules and dequeues, with the live depth and time deltas that
 // implies — can be replayed against a bare scheduler structure
 // (ReplaySched, BenchmarkScheduler). Attach with Engine.RecordSched

@@ -6,9 +6,9 @@ import (
 	"qav/internal/sim"
 )
 
-// BenchmarkSchedReplay replays the event-queue churn of two real runs —
-// Figure 11 (T1, Kmax=2, 40 simulated seconds: a head of a few dozen
-// events) and a 1000-flow RED fleet (5 s: thousands of events within one
+// BenchmarkSchedReplay replays the calendar churn of two real runs —
+// Figure 11 (T1, Kmax=2, 80 simulated seconds: a head of a few dozen
+// events) and a 1000-flow RED fleet (5 s: hundreds of events within one
 // queueing delay, a retransmission timer per TCP flow behind them) —
 // against the reference heap and the calendar queue in isolation: same
 // ops, same times, same live depths, so the difference is purely the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"qav/internal/figures"
+	"qav/internal/metrics"
 	"qav/internal/scenario"
 	"qav/internal/sim"
 )
@@ -22,11 +23,12 @@ func recordSched(tb testing.TB, cfg scenario.Config) []sim.SchedOp {
 	return rec.Ops
 }
 
-// figure11Trace is one real Figure 11 run: T1, Kmax=2, 40 simulated
-// seconds — a few dozen packet events at the head, timers behind.
+// figure11Trace is one real Figure 11 run: T1, Kmax=2, 80 simulated
+// seconds — a few dozen events at the head, timers behind. The packet
+// hops ride delay lines, so the trace holds the calendar's share only.
 func figure11Trace(tb testing.TB) []sim.SchedOp {
 	cfg := scenario.MustPreset("T1", scenario.WithKmax(2), scenario.WithScale(figures.DefaultScale))
-	cfg.Duration = 40
+	cfg.Duration = 80
 	return recordSched(tb, cfg)
 }
 
@@ -132,7 +134,7 @@ func densityStepTrace(n, opsPerPhase int) []sim.SchedOp {
 // per 64 pushes (one retune per 64 x population pushes), and every pop
 // must return what the reference heap returns.
 func TestSchedCostOnRecordedTraces(t *testing.T) {
-	fleet := fleetTrace(t, 200, 3)
+	fleet := fleetTrace(t, 200, 7)
 	for _, tr := range []struct {
 		name string
 		ops  []sim.SchedOp
@@ -165,6 +167,55 @@ func TestSchedCostOnRecordedTraces(t *testing.T) {
 			}
 			if c.Retunes == 0 {
 				t.Error("the calendar never tuned itself")
+			}
+		})
+	}
+}
+
+// TestPacketHopsOffCalendar holds the packet hops to their delay lines,
+// by count and not by clock: a transmitted packet's access hop,
+// serialization slot, delivery and acknowledgement never touch the
+// calendar, so on a Figure 11 run and a 40-flow RED fleet it takes at
+// most 1.25 inserts per packet (send pacing and the transports' timers;
+// with the hops on the calendar it took about five). sim.sched.pushes
+// must count exactly the inserts a SchedRecorder sees.
+func TestPacketHopsOffCalendar(t *testing.T) {
+	fleet := scenario.MustPreset("Fleet", scenario.WithFlows(40), scenario.WithScale(figures.DefaultScale))
+	fleet.UseRED = true
+	fleet.REDSeed = 1
+	for _, tc := range []struct {
+		name string
+		cfg  scenario.Config
+	}{
+		{"figure11", scenario.MustPreset("T1", scenario.WithKmax(2), scenario.WithScale(figures.DefaultScale))},
+		{"fleet-40-red", fleet},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			rec := &sim.SchedRecorder{}
+			cfg.SchedRec = rec
+			cfg.Metrics = metrics.NewRegistry()
+			if _, err := scenario.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			var pushes int64
+			for _, op := range rec.Ops {
+				if op.Kind == sim.SchedPush {
+					pushes++
+				}
+			}
+			c := cfg.Metrics.Snapshot().Counters
+			tx := c["link.tx.packets"]
+			t.Logf("%d calendar inserts, %d packets transmitted, %d events scheduled: %.3f inserts per packet",
+				pushes, tx, c["sim.events.scheduled"], float64(pushes)/float64(tx))
+			if got := c["sim.sched.pushes"]; got != pushes {
+				t.Errorf("sim.sched.pushes = %d, the recorder saw %d inserts", got, pushes)
+			}
+			if tx < 10_000 {
+				t.Fatalf("%d packets transmitted: too short to say anything", tx)
+			}
+			if float64(pushes) > 1.25*float64(tx) {
+				t.Errorf("%d calendar inserts for %d packets, want <= 1.25 per packet", pushes, tx)
 			}
 		})
 	}

@@ -21,7 +21,7 @@ import (
 //	bottleneck -> sink     takes the bottleneck propagation Delay
 //
 // The acknowledgement path never crosses: a flow's sink and source
-// share a shard, so acks are plain engine-local events.
+// share a shard, so acks ride a delay line on the flow engine.
 //
 // Lookahead. Any packet handed across a boundary at virtual time t
 // arrives no earlier than t + min(AccessDelay, Delay). That minimum is
@@ -164,7 +164,7 @@ type ShardedDumbbell struct {
 	workers []*shardWorker
 	merged  []shardMsg // bneck-side merge scratch, reused every window
 
-	offerFn func(any)
+	arrivals *delayLine // merged access-hop arrivals at the bottleneck
 
 	barriers int64 // completed barrier count, published by Instrument
 }
@@ -201,7 +201,7 @@ func NewShardedDumbbell(flowShards int, cfg DumbbellConfig, queueFn func(*Engine
 	}
 	d.link = NewLink(d.bneck, d.q, cfg.Rate, cfg.Delay)
 	d.link.SetOut(shardedOut{d})
-	d.offerFn = func(arg any) { d.link.Offer(arg.(*Packet)) }
+	d.arrivals = d.bneck.newLine(d.link.Offer)
 	d.flows = make([]*Engine, flowShards)
 	d.nets = make([]*ShardNet, flowShards)
 	d.toBneck = make([]*mailbox, flowShards)
@@ -304,12 +304,17 @@ func (d *ShardedDumbbell) Processed() uint64 {
 // engine. The boxes are merged into one arrival sequence ordered by
 // (arrival time, send instant, sender's scheduling instant, FlowID),
 // stably, so packets one shard emitted back-to-back keep their
-// execution order; scheduling the merged sequence in order with the
-// send instant as the tie key reproduces the serial engine's ordering —
-// both between two arrivals (serially, same-time arrivals fire in the
-// order their sends scheduled them, which is the order of the sends'
-// own scheduling) and between an arrival and a bneck-local event such
-// as the link freeing (serially ordered by which was scheduled first).
+// execution order; pushing the merged sequence in order onto the
+// arrivals line with the send instant as the tie key reproduces the
+// serial engine's ordering — both between two arrivals (serially,
+// same-time arrivals fire in the order their sends scheduled them,
+// which is the order of the sends' own scheduling) and between an
+// arrival and a bneck-local event such as the link freeing (serially
+// ordered by which was scheduled first). The sequence is sorted by
+// (arrival, send instant), the line's key order, and one window's
+// arrivals all lie beyond the previous window's: a send in [lo, hi)
+// arrives in [lo+AccessDelay, hi+AccessDelay), and the window width
+// L is at most AccessDelay.
 func (d *ShardedDumbbell) consumeBneck() {
 	d.merged = d.merged[:0]
 	for _, mb := range d.toBneck {
@@ -329,13 +334,15 @@ func (d *ShardedDumbbell) consumeBneck() {
 		return ma.p.FlowID < mb.p.FlowID
 	})
 	for _, m := range d.merged {
-		d.bneck.AtFuncPrio(m.at, m.pt, d.offerFn, m.p)
+		d.arrivals.push(m.at, m.pt, m.p)
 	}
 }
 
 // consumeFlow drains flow shard i's mailboxes: dropped packets go back
-// to the local pool, deliveries are scheduled at their arrival times,
-// keyed by the instant the bottleneck transmitted them.
+// to the local pool, deliveries go onto the shard's delivery line at
+// their arrival times, keyed by the instant the bottleneck transmitted
+// them. The bottleneck emitted them in that order, and, as for
+// consumeBneck, windows cannot overlap: L is at most the link delay.
 func (d *ShardedDumbbell) consumeFlow(i int) {
 	eng := d.flows[i]
 	for _, m := range d.returns[i].cur {
@@ -343,7 +350,7 @@ func (d *ShardedDumbbell) consumeFlow(i int) {
 	}
 	net := d.nets[i]
 	for _, m := range d.toShard[i].cur {
-		eng.AtFuncPrio(m.at, m.pt, net.deliverFn, m.p)
+		net.deliveries.push(m.at, m.pt, m.p)
 	}
 }
 
@@ -469,14 +476,14 @@ type ShardNet struct {
 	eng *Engine
 	idx int
 
-	ackFn     func(any)
-	deliverFn func(any)
+	reverse    *delayLine // sink -> source
+	deliveries *delayLine // bottleneck -> sink, drained from the mailbox
 }
 
 func newShardNet(d *ShardedDumbbell, idx int) *ShardNet {
 	n := &ShardNet{d: d, eng: d.flows[idx], idx: idx}
-	n.ackFn = n.deliverLocal
-	n.deliverFn = n.deliverLocal
+	n.reverse = n.eng.newLine(n.deliverLocal)
+	n.deliveries = n.eng.newLine(n.deliverLocal)
 	return n
 }
 
@@ -492,7 +499,7 @@ func (n *ShardNet) SendData(p *Packet, dst Receiver) {
 // path, entirely on the local engine.
 func (n *ShardNet) SendAck(p *Packet, dst Receiver) {
 	p.Dst = dst
-	n.eng.AfterFunc(n.d.reverseDelay, n.ackFn, p)
+	n.reverse.after(n.d.reverseDelay, p)
 }
 
 // BaseRTT returns the zero-queue round-trip propagation time.
@@ -501,8 +508,7 @@ func (n *ShardNet) BaseRTT() float64 { return n.d.BaseRTT() }
 // deliverLocal hands a packet to its receiver and releases it to the
 // shard's own pool — the pool it was drawn from, per the ownership
 // rules above.
-func (n *ShardNet) deliverLocal(arg any) {
-	p := arg.(*Packet)
+func (n *ShardNet) deliverLocal(p *Packet) {
 	if p.Dst != nil {
 		p.Dst.Recv(p)
 	}
