@@ -126,12 +126,11 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
-// BenchmarkTablesSweep runs the full 10-simulation Table 1/2 sweep
-// sequentially (workers=1) and on the parallel runner (workers=CPUs), so
-// `go test -bench TablesSweep` shows the wall-clock speedup directly.
-// Both variants produce identical TableCell values (see
-// figures.TestTablesSweepParallelMatchesSequential and
-// scenario.TestRunAllMatchesSequential).
+// BenchmarkTablesSweep runs the Table 1/2 sweep, 2 simulations and 8
+// replays (scenario.RunReports), on one worker and on one per CPU; the
+// two workers of the sweep's two simulations are all it can use. Both
+// variants produce identical TableCell values (see
+// figures.TestTablesSweepParallelMatchesSequential).
 func BenchmarkTablesSweep(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

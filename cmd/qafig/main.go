@@ -10,6 +10,7 @@
 //	qafig -fig 12           # Fig 12: effect of Kmax
 //	qafig -fig 13           # Fig 13: CBR-burst responsiveness
 //	qafig -tables           # Tables 1 and 2 (Kmax sweep over T1/T2)
+//	qafig -tables -seeds 200   # each cell as median [p10, p90] over 200 start seeds
 //	qafig -transports       # transport A/B: rap vs delay vs greedy
 //	qafig -fig 11 -transport delay   # any figure on another backend
 //	qafig -all              # everything, summaries only
@@ -20,7 +21,10 @@
 //
 // Sweeps (-tables, -fig 12, -all) run their independent simulations on a
 // worker pool; -parallel bounds the workers (default: one per CPU). The
-// output is byte-identical to a sequential run.
+// output is byte-identical to a sequential run. -tables simulates each
+// test once and replays the other Kmax values on the recorded controller
+// inputs; -seeds N does so for start seeds 1..N and reports its rate in
+// seeds/s on stderr.
 //
 // -report FILE writes one structured JSON run report per underlying
 // simulation (effective config, final metric counters, histogram
@@ -35,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"qav/internal/figures"
 	"qav/internal/scenario"
@@ -49,6 +54,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything (summaries only)")
 	scale := flag.Float64("scale", figures.DefaultScale, "bottleneck scale factor (8 = paper figure axes)")
 	kmax := flag.Int("kmax", 2, "smoothing factor for -fig 11")
+	seeds := flag.Int("seeds", 0, "with -tables: run start seeds 1..N and print each cell as median [p10, p90]")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU)")
 	out := flag.String("out", "", "write output to file instead of stdout")
 	report := flag.String("report", "", `write a JSON run report to this file ("-" = stdout)`)
@@ -61,13 +67,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qafig:", err)
 		os.Exit(1)
 	}
-	if err := run(*fig, *kmax, *scale, *parallel, *tables, *transports, *all, trKind, *out, *report, *cpuprofile, *memprofile); err != nil {
+	if *seeds < 0 || *seeds > 0 && (!*tables || *report != "") {
+		fmt.Fprintln(os.Stderr, "qafig: -seeds needs -tables and a positive count, and takes no -report")
+		os.Exit(2)
+	}
+	if err := run(*fig, *kmax, *seeds, *scale, *parallel, *tables, *transports, *all, trKind, *out, *report, *cpuprofile, *memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "qafig:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig, kmax int, scale float64, parallel int, tables, transports, all bool, trKind transport.Kind, out, report, cpuprofile, memprofile string) error {
+func run(fig, kmax, seeds int, scale float64, parallel int, tables, transports, all bool, trKind transport.Kind, out, report, cpuprofile, memprofile string) error {
 	w := io.Writer(os.Stdout)
 	if out != "" {
 		f, err := os.Create(out)
@@ -113,6 +123,16 @@ func run(fig, kmax int, scale float64, parallel int, tables, transports, all boo
 			return err
 		}
 		return writeReport(report, res.Reports)
+	case seeds > 0:
+		t0 := time.Now()
+		cells, err := figures.TablesSeeds(nil, seeds, scale, parallel, opts...)
+		if err != nil {
+			return err
+		}
+		sec := time.Since(t0).Seconds()
+		fmt.Fprintf(os.Stderr, "qafig: %d seeds in %.2f s, %.2f seeds/s (%d simulations, %d replays)\n",
+			seeds, sec, float64(seeds)/sec, 2*seeds, seeds*(len(cells)-2))
+		return figures.RenderSpreads(w, cells)
 	case tables:
 		cells, reps, err := figures.TablesSweep(nil, scale, parallel, opts...)
 		if err != nil {

@@ -13,7 +13,7 @@ package figures
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"qav/internal/core"
 	"qav/internal/metrics"
@@ -217,12 +217,31 @@ type TableCell struct {
 }
 
 // TablesSweep runs the Table 1/2 sweep: tests T1 and T2 for each Kmax.
-// The paper uses Kmax in {2, 3, 4, 5, 8}. The 2 x len(kmaxes) runs are
-// independent full simulations and execute concurrently on workers
-// goroutines (<= 0 means one per CPU); cell values are identical to the
-// sequential path because each run owns its engine and RNGs. The second
-// return value is one run report per cell, in cell order.
+// The paper uses Kmax in {2, 3, 4, 5, 8}. Kmax changes only the
+// controller, which the network never hears from, so the sweep simulates
+// each test once and replays the other Kmax values on the recorded
+// controller inputs (scenario.RunReports): 2 simulations and
+// 2·(len(kmaxes)−1) replays, on workers goroutines (<= 0 means one per
+// CPU). Every report is byte-identical to a full simulation of its cell.
+// The second return value is one run report per cell, in cell order.
 func TablesSweep(kmaxes []int, scale float64, workers int, opts ...scenario.PresetOption) ([]TableCell, []scenario.RunReport, error) {
+	cfgs, cells := tablesConfigs(kmaxes, scale, opts...)
+	for i := range cfgs {
+		cfgs[i] = instrumented(cfgs[i])
+	}
+	reps, err := scenario.RunReports(cfgs, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range reps {
+		cells[i].DropStats = reps[i].Drops
+	}
+	return cells, reps, nil
+}
+
+// tablesConfigs returns the sweep's configs, T1 then T2, each for every
+// Kmax (the paper's when kmaxes is empty), and their cells.
+func tablesConfigs(kmaxes []int, scale float64, opts ...scenario.PresetOption) ([]scenario.Config, []TableCell) {
 	if len(kmaxes) == 0 {
 		kmaxes = []int{2, 3, 4, 5, 8}
 	}
@@ -230,83 +249,175 @@ func TablesSweep(kmaxes []int, scale float64, workers int, opts ...scenario.Pres
 	var cells []TableCell
 	for _, test := range []string{"T1", "T2"} {
 		for _, kmax := range kmaxes {
-			cfgs = append(cfgs, instrumented(scenario.MustPreset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...)))
+			cfgs = append(cfgs, scenario.MustPreset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...))
 			cells = append(cells, TableCell{Test: test, Kmax: kmax})
 		}
 	}
-	results, err := scenario.RunAll(cfgs, workers)
+	return cfgs, cells
+}
+
+// CellSpread is one (test, Kmax) cell over start seeds 1..Seeds
+// (scenario.Config.StartSeed): Table 1's efficiency and Table 2's
+// poor-distribution share, in percent, each as its 10th percentile,
+// median and 90th percentile over the Dropped seeds whose run dropped a
+// layer (a run without a drop has neither number).
+type CellSpread struct {
+	Test          string
+	Kmax          int
+	Seeds         int
+	Dropped       int
+	Eff, PoorDist [3]float64
+}
+
+// TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds, all
+// seeds' configs in one scenario.RunReports call: 2 simulations and
+// 2·(len(kmaxes)−1) replays per seed, on workers goroutines (<= 0 means
+// one per CPU). It returns the cells in TablesSweep's order.
+func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
+	var cfgs []scenario.Config
+	var cells []TableCell
+	for seed := 1; seed <= seeds; seed++ {
+		var seedCfgs []scenario.Config
+		seedCfgs, cells = tablesConfigs(kmaxes, scale, opts...)
+		for i := range seedCfgs {
+			seedCfgs[i].StartSeed = int64(seed)
+		}
+		cfgs = append(cfgs, seedCfgs...)
+	}
+	reps, err := scenario.RunReports(cfgs, workers)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	reps := make([]scenario.RunReport, len(results))
-	for i, res := range results {
-		cells[i].DropStats = res.Stats
-		reps[i] = res.Report()
+	out := make([]CellSpread, len(cells))
+	for i, c := range cells {
+		var eff, poor []float64
+		for j := i; j < len(reps); j += len(cells) {
+			if d := reps[j].Drops; d.Drops > 0 {
+				eff = append(eff, 100*d.AvgEfficiency)
+				poor = append(poor, d.PoorDistPct)
+			}
+		}
+		out[i] = CellSpread{Test: c.Test, Kmax: c.Kmax, Seeds: seeds, Dropped: len(eff), Eff: deciles(eff), PoorDist: deciles(poor)}
 	}
-	return cells, reps, nil
+	return out, nil
+}
+
+// deciles returns v's 10th percentile, median and 90th percentile,
+// interpolated linearly between order statistics (zeros for an empty v).
+// It sorts v.
+func deciles(v []float64) [3]float64 {
+	if len(v) == 0 {
+		return [3]float64{}
+	}
+	slices.Sort(v)
+	q := func(p float64) float64 {
+		x := p * float64(len(v)-1)
+		i := int(x)
+		if i+1 == len(v) {
+			return v[i]
+		}
+		return v[i] + (x-float64(i))*(v[i+1]-v[i])
+	}
+	return [3]float64{q(0.1), q(0.5), q(0.9)}
 }
 
 // RenderTables writes Table 1 (buffering efficiency) and Table 2 (drops
 // due to poor buffer distribution) from sweep cells.
 func RenderTables(w io.Writer, cells []TableCell) error {
-	kset := map[int]bool{}
-	for _, c := range cells {
-		kset[c.Kmax] = true
-	}
-	var kmaxes []int
-	for k := range kset {
-		kmaxes = append(kmaxes, k)
-	}
-	sort.Ints(kmaxes)
 	byKey := map[string]TableCell{}
+	var kmaxes []int
 	for _, c := range cells {
 		byKey[fmt.Sprintf("%s/%d", c.Test, c.Kmax)] = c
+		kmaxes = append(kmaxes, c.Kmax)
 	}
-
-	render := func(title string, f func(TableCell) string) error {
-		if _, err := fmt.Fprintf(w, "%s\n      ", title); err != nil {
-			return err
-		}
-		for _, k := range kmaxes {
-			if _, err := fmt.Fprintf(w, "Kmax=%-8d", k); err != nil {
-				return err
+	table := func(title string, f func(TableCell) string) error {
+		return renderGrid(w, title, kmaxes, 13, func(key string) string {
+			c, ok := byKey[key]
+			switch {
+			case !ok:
+				return "-"
+			case c.Drops == 0:
+				return "no-drops"
 			}
-		}
-		fmt.Fprintln(w)
-		for _, test := range []string{"T1", "T2"} {
-			if _, err := fmt.Fprintf(w, "%-6s", test); err != nil {
-				return err
-			}
-			for _, k := range kmaxes {
-				c, ok := byKey[fmt.Sprintf("%s/%d", test, k)]
-				cell := "-"
-				if ok {
-					cell = f(c)
-				}
-				if _, err := fmt.Fprintf(w, "%-13s", cell); err != nil {
-					return err
-				}
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintln(w)
-		return nil
+			return f(c)
+		})
 	}
-
-	if err := render("Table 1: buffering efficiency e (paper: 96-99.99%)", func(c TableCell) string {
-		if c.Drops == 0 {
-			return "no-drops"
-		}
+	if err := table("Table 1: buffering efficiency e (paper: 96-99.99%)", func(c TableCell) string {
 		return fmt.Sprintf("%.2f%%", 100*c.AvgEfficiency)
 	}); err != nil {
 		return err
 	}
-	return render("Table 2: drops due to poor buffer distribution (paper: 0-11%)", func(c TableCell) string {
-		if c.Drops == 0 {
-			return "no-drops"
-		}
+	return table("Table 2: drops due to poor buffer distribution (paper: 0-11%)", func(c TableCell) string {
 		return fmt.Sprintf("%.1f%%", c.PoorDistPct)
 	})
+}
+
+// RenderSpreads writes Tables 1 and 2 from TablesSeeds cells, each cell
+// as "median [p10, p90]" in percent. A cell with seeds that dropped no
+// layer gives their count after a slash ("/3": three seeds left out).
+func RenderSpreads(w io.Writer, cells []CellSpread) error {
+	byKey := map[string]CellSpread{}
+	var kmaxes []int
+	seeds := 0
+	for _, c := range cells {
+		byKey[fmt.Sprintf("%s/%d", c.Test, c.Kmax)] = c
+		kmaxes = append(kmaxes, c.Kmax)
+		seeds = c.Seeds
+	}
+	table := func(title, format string, f func(CellSpread) [3]float64) error {
+		return renderGrid(w, fmt.Sprintf(title, seeds), kmaxes, 22, func(key string) string {
+			c, ok := byKey[key]
+			switch {
+			case !ok:
+				return "-"
+			case c.Dropped == 0:
+				return "no-drops"
+			}
+			d := f(c)
+			cell := fmt.Sprintf(format, d[1], d[0], d[2])
+			if c.Dropped < c.Seeds {
+				cell += fmt.Sprintf("/%d", c.Seeds-c.Dropped)
+			}
+			return cell
+		})
+	}
+	if err := table("Table 1: buffering efficiency e %%, median [p10, p90] over %d start seeds (paper: 96-99.99%%)",
+		"%.2f [%.2f, %.2f]", func(c CellSpread) [3]float64 { return c.Eff }); err != nil {
+		return err
+	}
+	return table("Table 2: drops due to poor buffer distribution %%, median [p10, p90] over %d start seeds (paper: 0-11%%)",
+		"%.1f [%.1f, %.1f]", func(c CellSpread) [3]float64 { return c.PoorDist })
+}
+
+// renderGrid writes one table: title, a header of the distinct kmaxes
+// in ascending order, then a row each for T1 and T2 whose cells are
+// cell("T1/2") and so on, in columns width wide.
+func renderGrid(w io.Writer, title string, kmaxes []int, width int, cell func(key string) string) error {
+	kmaxes = slices.Clone(kmaxes)
+	slices.Sort(kmaxes)
+	kmaxes = slices.Compact(kmaxes)
+	if _, err := fmt.Fprintf(w, "%s\n      ", title); err != nil {
+		return err
+	}
+	for _, k := range kmaxes {
+		if _, err := fmt.Fprintf(w, "%-*s", width, fmt.Sprintf("Kmax=%d", k)); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintln(w)
+	for _, test := range []string{"T1", "T2"} {
+		if _, err := fmt.Fprintf(w, "%-6s", test); err != nil {
+			return err
+		}
+		for _, k := range kmaxes {
+			if _, err := fmt.Fprintf(w, "%-*s", width, cell(fmt.Sprintf("%s/%d", test, k))); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintln(w)
+	}
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 // TransportKinds are the backends the A/B sweep compares, in sweep

@@ -2,6 +2,7 @@ package figures
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -128,5 +129,54 @@ func TestFigure11And13ShapeMatchesPaper(t *testing.T) {
 	}
 	if f13.Get("stall_sec") > 2 {
 		t.Fatalf("Fig 13: base layer starved %vs", f13.Get("stall_sec"))
+	}
+}
+
+func TestDeciles(t *testing.T) {
+	for _, c := range []struct {
+		v    []float64
+		want [3]float64
+	}{
+		{nil, [3]float64{}},
+		{[]float64{7}, [3]float64{7, 7, 7}},
+		{[]float64{10, 0, 5}, [3]float64{1, 5, 9}},
+		{[]float64{4, 3, 2, 1, 0, 9, 8, 7, 6, 5, 10}, [3]float64{1, 5, 9}},
+	} {
+		if got := deciles(c.v); got != c.want {
+			t.Errorf("deciles(%v) = %v, want %v", c.v, got, c.want)
+		}
+	}
+}
+
+// Seeded cells come out in TablesSweep's order, every seed counted, with
+// p10 <= median <= p90, and render one line per test.
+func TestTablesSeeds(t *testing.T) {
+	cells, err := TablesSeeds([]int{2, 8}, 3, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := []string{"T1/2", "T1/8", "T2/2", "T2/8"}
+	if len(cells) != len(order) {
+		t.Fatalf("%d cells, want %d", len(cells), len(order))
+	}
+	for i, c := range cells {
+		if got := fmt.Sprintf("%s/%d", c.Test, c.Kmax); got != order[i] || c.Seeds != 3 || c.Dropped > 3 {
+			t.Errorf("cell %d: %+v, want %s over 3 seeds", i, c, order[i])
+		}
+		for _, d := range [][3]float64{c.Eff, c.PoorDist} {
+			if !(d[0] <= d[1] && d[1] <= d[2]) {
+				t.Errorf("%s: deciles %v out of order", order[i], d)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := RenderSpreads(&buf, cells); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"over 3 start seeds", "Kmax=2", "Kmax=8", "\nT1    ", "\nT2    ", " ["} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
 	}
 }

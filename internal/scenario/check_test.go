@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,6 +11,8 @@ import (
 
 	"qav/internal/core"
 	"qav/internal/flow"
+	"qav/internal/metrics"
+	"qav/internal/sim"
 	"qav/internal/transport"
 )
 
@@ -55,13 +59,18 @@ type baseLayer struct {
 
 // findings pins the runs whose base layer underflows (EXPERIMENTS.md
 // "Base layer, by the controller's own account"), keyed by config with
-// the execution knobs cleared (see checkRun). Only the greedy runs
-// stall.
+// the execution knobs cleared (see checkRecords). Only the greedy runs
+// and two T2 runs at scale 1 stall.
 var findings = map[Config]baseLayer{
 	MustPreset("Fleet"):                                                {Flows: 14, Clamps: 320, Bytes: 13871},
 	MustPreset("Fleet", WithFlows(40)):                                 {Flows: 1, Clamps: 18, Bytes: 1040},
 	withDuration(MustPreset("Fleet", WithFlows(1000)), 5):              {Flows: 1, Clamps: 1, Bytes: 5},
 	MustPreset("T2"):                                                   {Flows: 1, Clamps: 4, Bytes: 314},
+	MustPreset("T2", WithKmax(5)):                                      {Flows: 1, Clamps: 13, Stalls: 1, Bytes: 838},
+	MustPreset("T2", WithKmax(8)):                                      {Flows: 1, Clamps: 9, Bytes: 826},
+	withAlloc(MustPreset("T2", WithKmax(3)), core.AllocEqual):          {Flows: 1, Clamps: 47, Stalls: 1, Bytes: 3058},
+	MustPreset("T1", WithKmax(5)):                                      {Flows: 1, Clamps: 9, Bytes: 360},
+	withAlloc(MustPreset("T1", WithKmax(3)), core.AllocEqual):          {Flows: 1, Clamps: 179, Bytes: 8134},
 	MustPreset("T1", WithKmax(8)):                                      {Flows: 1, Clamps: 18, Bytes: 672},
 	MustPreset("T1", WithTransport(transport.KindDelay)):               {Flows: 1, Clamps: 51, Bytes: 3547},
 	MustPreset("T1", WithKmax(8), WithTransport(transport.KindDelay)):  {Flows: 1, Clamps: 31, Bytes: 2160},
@@ -71,6 +80,11 @@ var findings = map[Config]baseLayer{
 
 func withDuration(cfg Config, d float64) Config {
 	cfg.Duration = d
+	return cfg
+}
+
+func withAlloc(cfg Config, a core.Allocation) Config {
+	cfg.QA.Alloc = a
 	return cfg
 }
 
@@ -114,17 +128,60 @@ func runAllChecked(t *testing.T, cfgs []Config, workers int) []*Result {
 	return results
 }
 
+// reportsChecked is RunReports with every group's record checked as
+// recordRun checks a run's, under each config of the group, and each
+// first replay held to its config's report.
+func reportsChecked(t *testing.T, cfgs []Config, workers int) []RunReport {
+	t.Helper()
+	recs := make([][][]flow.Input, len(cfgs))
+	cfgs = slices.Clone(cfgs)
+	for i := range cfgs {
+		cfgs[i].record = &recs[i]
+	}
+	reps, err := RunReports(cfgs, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		if len(recs[i]) != cfgs[i].NumQA {
+			t.Fatalf("%s: %d records for %d QA flows", cfgs[i].Name, len(recs[i]), cfgs[i].NumQA)
+		}
+		checkRecords(t, cfgs[i], rep.Config, recs[i], func(j int, c *core.Controller) {
+			if j == 0 && (c.Stats() != rep.Drops || c.StallSec() != rep.StallSec || c.PlayedSec != rep.PlayedSec) {
+				t.Fatalf("%s: the replay ends at %+v, the report says %+v", cfgs[i].Name, c.Stats(), rep.Drops)
+			}
+		})
+	}
+	return reps
+}
+
 // checkRun checks each QA flow's record, that each replay ends where its
 // flow did, that Result.Stats is the first flow's, and that the run's
 // base-layer account is the one findings pins for it (none if unpinned).
 func checkRun(t *testing.T, cfg Config, res *Result, rec [][]flow.Input) {
 	t.Helper()
-	var got baseLayer
-	for i, q := range res.QASrcs {
-		c, b := checkRecord(t, res.Cfg.QA, rec[i], res.Cfg.PacketSize)
-		if c.Stats() != q.Ctrl.Stats() || len(c.Events) != len(q.Ctrl.Events) {
+	if len(rec) != len(res.QASrcs) {
+		t.Fatalf("%s: %d records for %d QA flows", cfg.Name, len(rec), len(res.QASrcs))
+	}
+	checkRecords(t, cfg, res.Cfg, rec, func(i int, c *core.Controller) {
+		if q := res.QASrcs[i]; c.Stats() != q.Ctrl.Stats() || len(c.Events) != len(q.Ctrl.Events) {
 			t.Fatalf("%s QA flow %d: the replay ends at %+v, the run at %+v", cfg.Name, i, c.Stats(), q.Ctrl.Stats())
 		}
+	})
+	if res.QASrc != nil && res.Stats != res.QASrc.Ctrl.Stats() {
+		t.Fatalf("%s: Result.Stats %+v, the first QA flow's %+v", cfg.Name, res.Stats, res.QASrc.Ctrl.Stats())
+	}
+}
+
+// checkRecords checks each QA flow's record of a run of cfg (n is cfg
+// normalized), hands each flow's replay to match, and holds the run's
+// base-layer account to the one findings pins for it (none if unpinned).
+func checkRecords(t *testing.T, cfg, n Config, rec [][]flow.Input, match func(i int, c *core.Controller)) {
+	t.Helper()
+	var got baseLayer
+	for i := range rec {
+		c, b := checkRecord(t, n.QA, rec[i], n.PacketSize)
+		match(i, c)
 		if b.Clamps > 0 {
 			got.Flows++
 		}
@@ -132,18 +189,15 @@ func checkRun(t *testing.T, cfg Config, res *Result, rec [][]flow.Input) {
 		got.Stalls += b.Stalls
 		got.Bytes += b.Bytes
 	}
-	if res.QASrc != nil && res.Stats != res.QASrc.Ctrl.Stats() {
-		t.Fatalf("%s: Result.Stats %+v, the first QA flow's %+v", cfg.Name, res.Stats, res.QASrc.Ctrl.Stats())
-	}
 	got.Bytes = math.Round(got.Bytes)
 	key := cfg
 	key.Shards, key.Metrics, key.SchedRec, key.record = 0, nil, nil, nil
 	if want := findings[key]; got != want {
-		t.Errorf("%s, %g s: base layer %+v, want %+v", cfg.Name, cfg.Duration, got, want)
+		t.Errorf("%s %v, %g s: base layer %+v, want %+v", cfg.Name, n.QA.Alloc, cfg.Duration, got, want)
 	}
 	if got.Clamps > 0 {
-		t.Logf("%s, %g s: base-layer underflow on %d of %d QA flows, %d clamps, %.0f B, %d stalls",
-			cfg.Name, cfg.Duration, got.Flows, len(res.QASrcs), got.Clamps, got.Bytes, got.Stalls)
+		t.Logf("%s %v, %g s: base-layer underflow on %d of %d QA flows, %d clamps, %.0f B, %d stalls",
+			cfg.Name, n.QA.Alloc, cfg.Duration, got.Flows, len(rec), got.Clamps, got.Bytes, got.Stalls)
 	}
 }
 
@@ -340,5 +394,108 @@ func TestCheckerRandomProcess(t *testing.T) {
 		if st := c.Stats(); st.Adds == 0 || st.Drops == 0 {
 			t.Errorf("seed %d: %+v: the process never adds or never drops", seed, st)
 		}
+	}
+}
+
+// RunReports simulates each network once and replays every other config
+// of its group on the record. That is exact only while the network never
+// reads a controller decision, so every report must be, byte for byte,
+// what Run and Report give for its config. A layer-dependent packet size
+// or a repair slot in the simulator fails this test. The scale-1 legs
+// run under -short.
+func TestRunReportsMatchesRun(t *testing.T) {
+	legs := map[string][]Config{}
+	for _, scale := range []float64{1, 8} {
+		if scale != 1 && testing.Short() {
+			continue
+		}
+		for _, test := range []string{"T1", "T2"} {
+			var cfgs []Config
+			for _, kmax := range paperKmax {
+				cfgs = append(cfgs, MustPreset(test, WithKmax(kmax), WithScale(scale)))
+			}
+			for _, alloc := range []core.Allocation{core.AllocEqual, core.AllocBase} {
+				cfg := MustPreset(test, WithKmax(3), WithScale(scale))
+				cfg.QA.Alloc = alloc
+				cfgs = append(cfgs, cfg)
+			}
+			legs[fmt.Sprintf("%s scale %g", test, scale)] = cfgs
+		}
+	}
+	for _, kind := range []transport.Kind{transport.KindDelay, transport.KindGreedy} {
+		legs["T1 "+string(kind)] = []Config{
+			MustPreset("T1", WithKmax(2), WithTransport(kind)),
+			MustPreset("T1", WithKmax(8), WithTransport(kind)),
+		}
+	}
+	var fleet []Config
+	for _, shards := range []int{1, 3} {
+		for _, kmax := range []int{2, 4} {
+			cfg := MustPreset("Fleet", WithFlows(40), WithKmax(kmax))
+			cfg.Shards = shards
+			fleet = append(fleet, cfg)
+		}
+	}
+	legs["Fleet"] = fleet
+	for name, cfgs := range legs {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for i := range cfgs {
+				cfgs[i].Metrics = metrics.NewRegistry()
+			}
+			reps := reportsChecked(t, cfgs, 2)
+			for i, cfg := range cfgs {
+				cfg.Metrics = metrics.NewRegistry()
+				want, err := json.Marshal(runChecked(t, cfg).Report())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := json.Marshal(reps[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: RunReports differs from Run:\n got %s\nwant %s", cfg.Name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// Configs group only when they differ in nothing but name, controller
+// parameters and registry: a change to the network, the run or the
+// sampling simulates again.
+func TestRunReportsGrouping(t *testing.T) {
+	base := MustPreset("T1", WithKmax(2))
+	base.Metrics = metrics.NewRegistry()
+	same := MustPreset("T1", WithKmax(8))
+	same.QA.Alloc = core.AllocEqual
+	same.Metrics = metrics.NewRegistry()
+	k0, ok := keyOf(base)
+	if k1, ok1 := keyOf(same); !ok || !ok1 || k0 != k1 {
+		t.Fatal("T1 at Kmax 2 and 8 do not share a simulation")
+	}
+	for name, change := range map[string]func(*Config){
+		"REDSeed":    func(c *Config) { c.REDSeed = 7 },
+		"StartSeed":  func(c *Config) { c.StartSeed = 1 },
+		"Duration":   func(c *Config) { c.Duration = 20 },
+		"QueueBytes": func(c *Config) { c.QueueBytes++ },
+		"Transport":  func(c *Config) { c.Transport = transport.KindDelay },
+		"Shards":     func(c *Config) { c.Shards = 2 },
+		"Metrics":    func(c *Config) { c.Metrics = nil },
+	} {
+		cfg := same
+		change(&cfg)
+		if k, ok := keyOf(cfg); ok && k == k0 {
+			t.Errorf("configs that differ in %s share a simulation", name)
+		}
+	}
+	alone := base
+	alone.SchedRec = &sim.SchedRecorder{}
+	if _, ok := keyOf(alone); ok {
+		t.Error("a run with SchedRec shares a simulation")
+	}
+	if _, ok := keyOf(MustPreset("SingleRAP")); ok {
+		t.Error("a run without a QA flow shares a simulation")
 	}
 }

@@ -146,17 +146,21 @@ func (r *Result) Report() RunReport {
 		Name:      r.Cfg.Name,
 		Transport: string(r.Cfg.Transport),
 		Config:    r.Cfg,
-		PlayedSec: r.PlayedSec,
-		StallSec:  r.StallSec,
-		Drops:     r.Stats,
 		Fleet:     r.fleetStats(),
 		Fluid:     r.fluidStats(),
 		Metrics:   r.Metrics.Snapshot(),
 	}
+	r.quality(&rep)
+	return rep
+}
+
+// quality sets rep's delivered-quality numbers from the result's.
+func (r *Result) quality(rep *RunReport) {
+	rep.PlayedSec, rep.StallSec, rep.Drops = r.PlayedSec, r.StallSec, r.Stats
+	rep.MeanLayers = 0
 	if r.PlayedSec > 0 {
 		rep.MeanLayers = r.LayerSeconds / r.PlayedSec
 	}
-	return rep
 }
 
 // WriteJSON writes the report as indented JSON.

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"qav/internal/cbr"
 	"qav/internal/core"
@@ -38,6 +39,13 @@ type Config struct {
 	CBRRate      float64 // bytes/s; 0 = no CBR source
 	CBRStart     float64
 	CBRStop      float64
+
+	// StartSeed, when nonzero, moves each QA, RAP and TCP flow's start
+	// later by a uniform draw in [0, 1 s), drawn in flow-ID order from
+	// this seed: one sample of the test per seed, for Tables 1–2 as
+	// distributions. The CBR burst keeps its times. Zero (the default)
+	// keeps the presets' starts and the report's bytes.
+	StartSeed int64 `json:",omitempty"`
 
 	// Transport selects the congestion-control backend driving the QA
 	// and cross-traffic flows ("" or transport.KindRAP = the paper's
@@ -301,6 +309,19 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 		}
 	}
 
+	var jitter *rand.Rand
+	if cfg.StartSeed != 0 {
+		jitter = rand.New(rand.NewSource(cfg.StartSeed))
+	}
+	// start is a flow's start time, jittered under StartSeed; the
+	// flows call it in flow-ID order.
+	start := func(at float64) float64 {
+		if jitter != nil {
+			at += jitter.Float64()
+		}
+		return at
+	}
+
 	for i := 0; i < cfg.NumQA; i++ {
 		ctrl, err := core.NewController(cfg.QA)
 		if err != nil {
@@ -309,7 +330,7 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 		// The first QA flow starts at 0 like the paper runs; additional
 		// fleet flows stagger to avoid phase locking.
 		eng, net := place(flowID)
-		res.QASrcs = append(res.QASrcs, NewQASource(eng, net, flowID, newTr(), ctrl, stagger(i, 0.097)))
+		res.QASrcs = append(res.QASrcs, NewQASource(eng, net, flowID, newTr(), ctrl, start(stagger(i, 0.097))))
 		flowID++
 	}
 	if len(res.QASrcs) > 0 {
@@ -318,17 +339,16 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 	for i := 0; i < cfg.NumRAP; i++ {
 		// Stagger starts slightly to avoid phase locking.
 		eng, net := place(flowID)
-		res.RAPSrcs = append(res.RAPSrcs, NewRAPSource(eng, net, flowID, newTr(), stagger(i, 0.111)))
+		res.RAPSrcs = append(res.RAPSrcs, NewRAPSource(eng, net, flowID, newTr(), start(stagger(i, 0.111))))
 		flowID++
 	}
 	for i := 0; i < cfg.NumTCP; i++ {
-		start := 0.05 + stagger(i, 0.087)
 		eng, net := place(flowID)
 		res.TCPSrcs = append(res.TCPSrcs, tcp.NewSource(eng, net, tcp.Config{
 			FlowID:     flowID,
 			PacketSize: cfg.PacketSize,
 			InitialRTT: baseRTT,
-			Start:      start,
+			Start:      start(0.05 + stagger(i, 0.087)),
 		}))
 		flowID++
 	}
@@ -381,12 +401,17 @@ func newFluid(cfg *Config, eng *sim.Engine, link *sim.Link, fq *sim.FluidQueue, 
 // onto the result, after the engine(s) have run to completion.
 func finishResult(res *Result) {
 	if res.QASrc != nil {
-		res.Events = res.QASrc.Ctrl.Events
-		res.Stats = res.QASrc.Ctrl.Stats()
-		res.PlayedSec = res.QASrc.Ctrl.PlayedSec
-		res.StallSec = res.QASrc.Ctrl.StallSec()
-		res.LayerSeconds = res.QASrc.Ctrl.LayerSeconds
+		res.readController(res.QASrc.Ctrl)
 	}
+}
+
+// readController copies c's delivered-quality summary onto the result.
+func (res *Result) readController(c *core.Controller) {
+	res.Events = c.Events
+	res.Stats = c.Stats()
+	res.PlayedSec = c.PlayedSec
+	res.StallSec = c.StallSec()
+	res.LayerSeconds = c.LayerSeconds
 }
 
 // stagger spreads flow i's start time over a bounded one-second window.
@@ -435,11 +460,12 @@ func instrumentSources(reg *metrics.Registry, res *Result) {
 		// flows.
 		prefix := "qa." + string(kind)
 		trIns := transport.NewInstruments(reg, prefix)
-		coreIns := core.NewInstruments(reg, "qa")
-		for _, q := range res.QASrcs {
+		ctrls := make([]*core.Controller, len(res.QASrcs))
+		for i, q := range res.QASrcs {
 			q.Tr.Instrument(reg, prefix, trIns)
-			q.Ctrl.Instrument(reg, "qa", coreIns)
+			ctrls[i] = q.Ctrl
 		}
+		instrumentControllers(reg, ctrls)
 	}
 	if len(res.RAPSrcs) > 0 {
 		ins := transport.NewInstruments(reg, string(kind))
@@ -452,5 +478,14 @@ func instrumentSources(reg *metrics.Registry, res *Result) {
 		for _, t := range res.TCPSrcs {
 			t.Instrument(reg, "tcp", ins)
 		}
+	}
+}
+
+// instrumentControllers registers the QA controllers' instruments under
+// "qa", one shared set: a run's, and a replay's (RunReports).
+func instrumentControllers(reg *metrics.Registry, ctrls []*core.Controller) {
+	ins := core.NewInstruments(reg, "qa")
+	for _, c := range ctrls {
+		c.Instrument(reg, "qa", ins)
 	}
 }

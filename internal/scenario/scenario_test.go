@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 
 	"qav/internal/core"
@@ -259,5 +261,29 @@ func TestAttributionLivesInTheWindow(t *testing.T) {
 				t.Fatalf("%s QA flow %d: %d sequences attributed and unresolved, %d outstanding", name, i, held, q.Tr.Outstanding())
 			}
 		}
+	}
+}
+
+// A start seed jitters every flow's start, the same way each time; seed
+// 0 leaves the run and its report as the preset has them.
+func TestStartSeed(t *testing.T) {
+	report := func(seed int64) string {
+		cfg := MustPreset("T1", WithScale(8))
+		cfg.StartSeed = seed
+		b, err := json.Marshal(runChecked(t, cfg).Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	zero, one := report(0), report(1)
+	if strings.Contains(zero, "StartSeed") || !strings.Contains(one, `"StartSeed":1`) {
+		t.Error("the report names StartSeed at seed 0, or not at seed 1")
+	}
+	if one != report(1) {
+		t.Error("seed 1 runs differ")
+	}
+	if strings.Replace(report(2), `"StartSeed":2`, `"StartSeed":1`, 1) == one {
+		t.Error("seeds 1 and 2 run the same")
 	}
 }

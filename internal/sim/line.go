@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ring is the package's one growable FIFO ring: the bottleneck queues
 // hold their packets in one (fifo) and every delay line its pending
@@ -77,6 +80,11 @@ func (e *Engine) newLine(fn func(*Packet)) *delayLine {
 	l := &delayLine{eng: e, fn: fn}
 	e.lines = append(e.lines, l)
 	return l
+}
+
+// dropLine removes l, an empty line, from e's merge.
+func (e *Engine) dropLine(l *delayLine) {
+	e.lines = slices.DeleteFunc(e.lines, func(o *delayLine) bool { return o == l })
 }
 
 // after sends p down the line to arrive d from now (d >= 0).

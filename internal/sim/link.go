@@ -80,8 +80,15 @@ func NewLink(eng *Engine, q Queue, rate, delay float64) *Link {
 }
 
 // SetOut replaces the link's output. Call before the simulation starts;
-// the default engineOut keeps the serial single-engine behavior.
-func (l *Link) SetOut(out LinkOut) { l.out = out }
+// the default engineOut keeps the serial single-engine behavior. The
+// default's delivery line leaves the engine with it, so the merge does
+// not scan a line that never fills.
+func (l *Link) SetOut(out LinkOut) {
+	if o, ok := l.out.(engineOut); ok {
+		l.eng.dropLine(o.line)
+	}
+	l.out = out
+}
 
 // engineOut is the default LinkOut: deliveries ride a delay line on
 // the link's own engine (their instants never decrease, since freeAt

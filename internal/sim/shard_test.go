@@ -256,3 +256,18 @@ func TestShardedPoolOwnership(t *testing.T) {
 		}
 	}
 }
+
+// The sharded bottleneck's link delivers through the mailboxes, so
+// SetOut takes the default delivery line off the engine: the merge
+// scans the link's wake and the arrivals, nothing else.
+func TestSetOutDropsDeliveryLine(t *testing.T) {
+	e := NewEngine()
+	NewLink(e, NewDropTail(600), 30_000, 0.01)
+	if len(e.lines) != 2 {
+		t.Fatalf("a link holds %d lines, want its wake and its deliveries", len(e.lines))
+	}
+	d := NewShardedDumbbell(2, DumbbellConfig{Rate: 30_000, Delay: 0.010, AccessDelay: 0.005, QueueBytes: 600}, nil)
+	if got := d.bneck.lines; len(got) != 2 || got[0] != d.link.wake || got[1] != d.arrivals {
+		t.Fatalf("the sharded bottleneck holds %d lines, want the link's wake and the arrivals", len(got))
+	}
+}
