@@ -127,7 +127,7 @@ func BenchmarkTable2(b *testing.B) {
 }
 
 // BenchmarkTablesSweep runs the Table 1/2 sweep, 2 simulations and 8
-// replays (scenario.RunReports), on one worker and on one per CPU; the
+// followers (scenario.RunReports), on one worker and on one per CPU; the
 // two workers of the sweep's two simulations are all it can use. Both
 // variants produce identical TableCell values (see
 // figures.TestTablesSweepParallelMatchesSequential).

@@ -11,6 +11,7 @@
 //	qafig -fig 13           # Fig 13: CBR-burst responsiveness
 //	qafig -tables           # Tables 1 and 2 (Kmax sweep over T1/T2)
 //	qafig -tables -seeds 200   # each cell as median [p10, p90] over 200 start seeds
+//	qafig -fig 12 -seeds 200   # each Fig 11-13 fact as median [p10, p90]
 //	qafig -transports       # transport A/B: rap vs delay vs greedy
 //	qafig -fig 11 -transport delay   # any figure on another backend
 //	qafig -all              # everything, summaries only
@@ -21,10 +22,13 @@
 //
 // Sweeps (-tables, -fig 12, -all) run their independent simulations on a
 // worker pool; -parallel bounds the workers (default: one per CPU). The
-// output is byte-identical to a sequential run. -tables simulates each
-// test once and replays the other Kmax values on the recorded controller
-// inputs; -seeds N does so for start seeds 1..N and reports its rate in
-// seeds/s on stderr.
+// output is byte-identical to a sequential run. -tables and -fig 12
+// simulate each test once and the other Kmax values follow it, their
+// controllers fed each call as the simulated flow's driver makes it.
+// -seeds N does so for start seeds 1..N and reports its rate in seeds/s
+// on stderr: with -tables, -fig 12 or -fig 13 it runs the tables' sweep,
+// 2N simulations and 8N followers, and prints the asked-for cells or
+// facts; with -fig 11 it runs N 40-s T1 simulations.
 //
 // -report FILE writes one structured JSON run report per underlying
 // simulation (effective config, final metric counters, histogram
@@ -54,7 +58,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate everything (summaries only)")
 	scale := flag.Float64("scale", figures.DefaultScale, "bottleneck scale factor (8 = paper figure axes)")
 	kmax := flag.Int("kmax", 2, "smoothing factor for -fig 11")
-	seeds := flag.Int("seeds", 0, "with -tables: run start seeds 1..N and print each cell as median [p10, p90]")
+	seeds := flag.Int("seeds", 0, "with -tables or -fig 11, 12, 13: run start seeds 1..N and print each cell or fact as median [p10, p90]")
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU)")
 	out := flag.String("out", "", "write output to file instead of stdout")
 	report := flag.String("report", "", `write a JSON run report to this file ("-" = stdout)`)
@@ -67,8 +71,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "qafig:", err)
 		os.Exit(1)
 	}
-	if *seeds < 0 || *seeds > 0 && (!*tables || *report != "") {
-		fmt.Fprintln(os.Stderr, "qafig: -seeds needs -tables and a positive count, and takes no -report")
+	if *seeds < 0 || *seeds > 0 && (!*tables && (*fig < 11 || *fig > 13) || *report != "") {
+		fmt.Fprintln(os.Stderr, "qafig: -seeds needs -tables or -fig 11, 12 or 13, and a positive count, and takes no -report")
 		os.Exit(2)
 	}
 	if err := run(*fig, *kmax, *seeds, *scale, *parallel, *tables, *transports, *all, trKind, *out, *report, *cpuprofile, *memprofile); err != nil {
@@ -125,14 +129,28 @@ func run(fig, kmax, seeds int, scale float64, parallel int, tables, transports, 
 		return writeReport(report, res.Reports)
 	case seeds > 0:
 		t0 := time.Now()
-		cells, err := figures.TablesSeeds(nil, seeds, scale, parallel, opts...)
-		if err != nil {
-			return err
+		sims, followers := 2*seeds, 8*seeds
+		var render func() error
+		if tables {
+			cells, err := figures.TablesSeeds(nil, seeds, scale, parallel, opts...)
+			if err != nil {
+				return err
+			}
+			render = func() error { return figures.RenderSpreads(w, cells) }
+		} else {
+			spread, err := figures.FigureSeeds(fig, kmax, seeds, scale, parallel, opts...)
+			if err != nil {
+				return err
+			}
+			if fig == 11 {
+				sims, followers = seeds, 0
+			}
+			render = func() error { return spread.Render(w) }
 		}
 		sec := time.Since(t0).Seconds()
-		fmt.Fprintf(os.Stderr, "qafig: %d seeds in %.2f s, %.2f seeds/s (%d simulations, %d replays)\n",
-			seeds, sec, float64(seeds)/sec, 2*seeds, seeds*(len(cells)-2))
-		return figures.RenderSpreads(w, cells)
+		fmt.Fprintf(os.Stderr, "qafig: %d seeds in %.2f s, %.2f seeds/s (%d simulations, %d followers)\n",
+			seeds, sec, float64(seeds)/sec, sims, followers)
+		return render()
 	case tables:
 		cells, reps, err := figures.TablesSweep(nil, scale, parallel, opts...)
 		if err != nil {

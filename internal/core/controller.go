@@ -143,6 +143,10 @@ func (c *Controller) Shares() []float64 {
 	return out
 }
 
+// Layer returns active layer l's buffer estimate in bytes and its
+// bandwidth share in bytes/s (valid after a Tick), without a copy.
+func (c *Controller) Layer(l int) (buf, share float64) { return c.bufs[l], c.shares[l] }
+
 // TotalBuf returns the total buffering across active layers, bytes.
 func (c *Controller) TotalBuf() float64 {
 	t := 0.0

@@ -127,78 +127,105 @@ func Figure2(opts ...scenario.PresetOption) (*Result, error) {
 	return out, nil
 }
 
+// preset is test's preset at kmax and scale, opts applied after.
+func preset(test string, kmax int, scale float64, opts []scenario.PresetOption) scenario.Config {
+	return scenario.MustPreset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...)
+}
+
+// figure11Config is Fig 11's run: T1 at kmax, its first 40 seconds.
+func figure11Config(kmax int, scale float64, opts []scenario.PresetOption) scenario.Config {
+	cfg := preset("T1", kmax, scale, opts)
+	cfg.Duration = 40 // the paper shows the first 40 seconds
+	return cfg
+}
+
 // Figure11 regenerates the detailed T1 trace: total transmit and
 // consumption rate, per-layer transmit-rate breakdown, per-layer drain
 // rate, and per-layer buffered data, with Kmax = 2 as in the paper.
 func Figure11(kmax int, scale float64, opts ...scenario.PresetOption) (*Result, error) {
-	cfg := instrumented(scenario.MustPreset("T1", append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...))
-	cfg.Duration = 40 // the paper shows the first 40 seconds
-	res, err := scenario.Run(cfg)
+	res, err := scenario.Run(instrumented(figure11Config(kmax, scale, opts)))
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{
-		Name:   fmt.Sprintf("Figure 11: first 40 seconds of the Kmax=%d T1 trace", kmax),
-		Series: res.Series,
-		Run:    res,
-	}
+	out := &Result{Name: figure11Name(kmax), Series: res.Series, Run: res}
 	out.Reports = append(out.Reports, res.Report())
+	figure11Facts(out, res)
+	return out, nil
+}
+
+func figure11Name(kmax int) string {
+	return fmt.Sprintf("Figure 11: first 40 seconds of the Kmax=%d T1 trace", kmax)
+}
+
+// figure11Facts appends Fig 11's facts of res to out.
+func figure11Facts(out *Result, res *scenario.Result) {
 	out.fact("avg_rate", res.Series.Get("qa.rate").AvgBetween(10, 40), "QA flow transmission rate (B/s)")
 	out.fact("avg_layers", res.Series.Get("qa.layers").AvgBetween(10, 40), "active layers")
 	out.fact("buf_l0_avg", res.Series.Get("qa.buf.l0").AvgBetween(10, 40), "base layer buffers most (paper Fig 11)")
 	out.fact("buf_l3_avg", res.Series.Get("qa.buf.l3").AvgBetween(10, 40), "highest traced layer buffers least")
 	out.fact("stall_sec", res.StallSec, "playback stalls (paper: none)")
-	return out, nil
 }
 
+const figure12Name = "Figure 12: effect of Kmax on buffering and quality"
+
 // Figure12 regenerates the Kmax comparison: number of active layers and
-// per-layer buffering for Kmax in {2, 3, 4}. The three runs are
-// independent simulations and execute concurrently on workers goroutines
-// (<= 0 means one per CPU); results are identical to the sequential path.
+// per-layer buffering for Kmax in {2, 3, 4}. Kmax changes only the
+// controller, so scenario.RunEach simulates T1 once, at Kmax 2, and the
+// other two follow it; workers is RunEach's.
 func Figure12(scale float64, workers int, opts ...scenario.PresetOption) (*Result, error) {
-	out := &Result{Name: "Figure 12: effect of Kmax on buffering and quality", Series: trace.NewSet()}
+	out := &Result{Name: figure12Name, Series: trace.NewSet()}
 	kmaxes := []int{2, 3, 4}
 	cfgs := make([]scenario.Config, len(kmaxes))
 	for i, kmax := range kmaxes {
-		cfgs[i] = instrumented(scenario.MustPreset("T1", append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...))
+		cfgs[i] = instrumented(preset("T1", kmax, scale, opts))
 	}
-	results, err := scenario.RunAll(cfgs, workers)
-	if err != nil {
+	results := make([]*scenario.Result, len(cfgs))
+	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { results[i] = res }); err != nil {
 		return nil, err
 	}
-	for _, res := range results {
+	for i, res := range results {
 		out.Reports = append(out.Reports, res.Report())
-	}
-	for i, kmax := range kmaxes {
-		cfg, res := cfgs[i], results[i]
 		layers := res.Series.Get("qa.layers")
 		buft := res.Series.Get("qa.buftotal")
-		dstL := out.Series.Series(fmt.Sprintf("kmax%d.layers", kmax))
-		dstB := out.Series.Series(fmt.Sprintf("kmax%d.buftotal", kmax))
-		for i := range layers.T {
-			dstL.Add(layers.T[i], layers.V[i])
-			dstB.Add(buft.T[i], buft.V[i])
+		dstL := out.Series.Series(fmt.Sprintf("kmax%d.layers", kmaxes[i]))
+		dstB := out.Series.Series(fmt.Sprintf("kmax%d.buftotal", kmaxes[i]))
+		for j := range layers.T {
+			dstL.Add(layers.T[j], layers.V[j])
+			dstB.Add(buft.T[j], buft.V[j])
 		}
-		changes := res.Stats.Adds + res.Stats.Drops
-		out.fact(fmt.Sprintf("kmax%d.changes", kmax), float64(changes), "quality changes (fewer with higher Kmax)")
-		out.fact(fmt.Sprintf("kmax%d.buf_avg", kmax), buft.AvgBetween(30, cfg.Duration), "avg total buffering (more with higher Kmax)")
-		bufMax, _ := buft.Max()
-		out.fact(fmt.Sprintf("kmax%d.buf_max", kmax), bufMax, "peak total buffering")
+		figure12Facts(out, kmaxes[i], res)
 		out.Run = res
 	}
 	return out, nil
 }
 
+// figure12Facts appends Fig 12's facts of res, the T1 run at kmax, to
+// out.
+func figure12Facts(out *Result, kmax int, res *scenario.Result) {
+	buft := res.Series.Get("qa.buftotal")
+	out.fact(fmt.Sprintf("kmax%d.changes", kmax), float64(res.Stats.Adds+res.Stats.Drops), "quality changes (fewer with higher Kmax)")
+	out.fact(fmt.Sprintf("kmax%d.buf_avg", kmax), buft.AvgBetween(30, res.Cfg.Duration), "avg total buffering (more with higher Kmax)")
+	bufMax, _ := buft.Max()
+	out.fact(fmt.Sprintf("kmax%d.buf_max", kmax), bufMax, "peak total buffering")
+}
+
+const figure13Name = "Figure 13: effect of long-term changes in bandwidth (CBR burst)"
+
 // Figure13 regenerates the responsiveness experiment: T2's CBR source at
 // half the bottleneck bandwidth from t=30s to t=60s, Kmax = 4.
 func Figure13(scale float64, opts ...scenario.PresetOption) (*Result, error) {
-	cfg := instrumented(scenario.MustPreset("T2", append([]scenario.PresetOption{scenario.WithKmax(4), scenario.WithScale(scale)}, opts...)...))
-	res, err := scenario.Run(cfg)
+	res, err := scenario.Run(instrumented(preset("T2", 4, scale, opts)))
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Name: "Figure 13: effect of long-term changes in bandwidth (CBR burst)", Series: res.Series, Run: res}
+	out := &Result{Name: figure13Name, Series: res.Series, Run: res}
 	out.Reports = append(out.Reports, res.Report())
+	figure13Facts(out, res)
+	return out, nil
+}
+
+// figure13Facts appends Fig 13's facts of res to out.
+func figure13Facts(out *Result, res *scenario.Result) {
 	layers := res.Series.Get("qa.layers")
 	out.fact("layers_before", layers.AvgBetween(15, 30), "avg layers before the burst")
 	out.fact("layers_during", layers.AvgBetween(40, 60), "avg layers during the burst (drops)")
@@ -206,7 +233,6 @@ func Figure13(scale float64, opts ...scenario.PresetOption) (*Result, error) {
 	out.fact("stall_sec", res.StallSec, "base layer never jeopardized (paper)")
 	out.fact("drops", float64(res.Stats.Drops), "layer drops")
 	out.fact("adds", float64(res.Stats.Adds), "layer additions")
-	return out, nil
 }
 
 // TableCell is one (test, Kmax) sweep outcome.
@@ -219,9 +245,9 @@ type TableCell struct {
 // TablesSweep runs the Table 1/2 sweep: tests T1 and T2 for each Kmax.
 // The paper uses Kmax in {2, 3, 4, 5, 8}. Kmax changes only the
 // controller, which the network never hears from, so the sweep simulates
-// each test once and replays the other Kmax values on the recorded
-// controller inputs (scenario.RunReports): 2 simulations and
-// 2·(len(kmaxes)−1) replays, on workers goroutines (<= 0 means one per
+// each test once and the other Kmax values follow it
+// (scenario.RunReports): 2 simulations + 2·(len(kmaxes)−1) followers (8
+// at the paper's Kmax values), on workers goroutines (<= 0 means one per
 // CPU). Every report is byte-identical to a full simulation of its cell.
 // The second return value is one run report per cell, in cell order.
 func TablesSweep(kmaxes []int, scale float64, workers int, opts ...scenario.PresetOption) ([]TableCell, []scenario.RunReport, error) {
@@ -249,7 +275,7 @@ func tablesConfigs(kmaxes []int, scale float64, opts ...scenario.PresetOption) (
 	var cells []TableCell
 	for _, test := range []string{"T1", "T2"} {
 		for _, kmax := range kmaxes {
-			cfgs = append(cfgs, scenario.MustPreset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...))
+			cfgs = append(cfgs, preset(test, kmax, scale, opts))
 			cells = append(cells, TableCell{Test: test, Kmax: kmax})
 		}
 	}
@@ -269,11 +295,9 @@ type CellSpread struct {
 	Eff, PoorDist [3]float64
 }
 
-// TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds, all
-// seeds' configs in one scenario.RunReports call: 2 simulations and
-// 2·(len(kmaxes)−1) replays per seed, on workers goroutines (<= 0 means
-// one per CPU). It returns the cells in TablesSweep's order.
-func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
+// seedConfigs returns the Table 1/2 sweep's configs (tablesConfigs) for
+// start seeds 1..seeds in turn, and one seed's cells.
+func seedConfigs(kmaxes []int, seeds int, scale float64, opts []scenario.PresetOption) ([]scenario.Config, []TableCell) {
 	var cfgs []scenario.Config
 	var cells []TableCell
 	for seed := 1; seed <= seeds; seed++ {
@@ -284,15 +308,25 @@ func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...sc
 		}
 		cfgs = append(cfgs, seedCfgs...)
 	}
-	reps, err := scenario.RunReports(cfgs, workers)
-	if err != nil {
+	return cfgs, cells
+}
+
+// TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds, all
+// seeds' configs in one scenario.RunEach call: 2 simulations +
+// 2·(len(kmaxes)−1) followers per seed (8 at the paper's Kmax values),
+// on workers goroutines (<= 0 means one per CPU). It returns the cells
+// in TablesSweep's order.
+func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
+	cfgs, cells := seedConfigs(kmaxes, seeds, scale, opts)
+	drops := make([]core.DropStats, len(cfgs))
+	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { drops[i] = res.Stats }); err != nil {
 		return nil, err
 	}
 	out := make([]CellSpread, len(cells))
 	for i, c := range cells {
 		var eff, poor []float64
-		for j := i; j < len(reps); j += len(cells) {
-			if d := reps[j].Drops; d.Drops > 0 {
+		for j := i; j < len(drops); j += len(cells) {
+			if d := drops[j]; d.Drops > 0 {
 				eff = append(eff, 100*d.AvgEfficiency)
 				poor = append(poor, d.PoorDistPct)
 			}
@@ -300,6 +334,92 @@ func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...sc
 		out[i] = CellSpread{Test: c.Test, Kmax: c.Kmax, Seeds: seeds, Dropped: len(eff), Eff: deciles(eff), PoorDist: deciles(poor)}
 	}
 	return out, nil
+}
+
+// Spread is a figure's facts over start seeds 1..Seeds, each as its
+// 10th percentile, median and 90th percentile (deciles).
+type Spread struct {
+	Name  string
+	Seeds int
+	Facts []FactSpread
+}
+
+// FactSpread is one fact of a Spread.
+type FactSpread struct {
+	Key, Note string
+	Deciles   [3]float64
+}
+
+// FigureSeeds gives Fig 11, 12 or 13's facts over start seeds 1..seeds
+// (scenario.Config.StartSeed), on workers goroutines (<= 0 means one per
+// CPU). Figs 12 and 13 read the runs of TablesSeeds's sweep at the
+// paper's Kmax values, and add none: per seed, Fig 12's Kmax 2 is the T1
+// simulation and its Kmax 3 and 4 follow it, and Fig 13's Kmax 4 follows
+// the T2 simulation. Fig 11 is a 40-s T1 run at kmax per seed.
+func FigureSeeds(fig, kmax, seeds int, scale float64, workers int, opts ...scenario.PresetOption) (*Spread, error) {
+	if seeds < 1 {
+		return nil, fmt.Errorf("figures: %d seeds", seeds)
+	}
+	var cfgs []scenario.Config
+	var facts func(i int, to *Result, res *scenario.Result)
+	out := &Spread{Seeds: seeds}
+	switch fig {
+	case 11:
+		for seed := 1; seed <= seeds; seed++ {
+			cfg := figure11Config(kmax, scale, opts)
+			cfg.StartSeed = int64(seed)
+			cfgs = append(cfgs, cfg)
+		}
+		out.Name = figure11Name(kmax)
+		facts = func(_ int, to *Result, res *scenario.Result) { figure11Facts(to, res) }
+	case 12, 13:
+		var cells []TableCell
+		cfgs, cells = seedConfigs(nil, seeds, scale, opts)
+		out.Name = map[int]string{12: figure12Name, 13: figure13Name}[fig]
+		facts = func(i int, to *Result, res *scenario.Result) {
+			switch c := cells[i%len(cells)]; {
+			case fig == 12 && c.Test == "T1" && c.Kmax <= 4:
+				figure12Facts(to, c.Kmax, res)
+			case fig == 13 && c.Test == "T2" && c.Kmax == 4:
+				figure13Facts(to, res)
+			}
+		}
+	default:
+		return nil, fmt.Errorf("figures: no seeded Figure %d (have 11, 12, 13)", fig)
+	}
+	got := make([]Result, len(cfgs))
+	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { facts(i, &got[i], res) }); err != nil {
+		return nil, err
+	}
+	// A seed's facts are its configs', in config order.
+	bySeed := make([][]Fact, seeds)
+	per := len(cfgs) / seeds
+	for i := range got {
+		bySeed[i/per] = append(bySeed[i/per], got[i].Summary...)
+	}
+	for k, f := range bySeed[0] {
+		v := make([]float64, seeds)
+		for s := range bySeed {
+			v[s] = bySeed[s][k].Value
+		}
+		out.Facts = append(out.Facts, FactSpread{Key: f.Key, Note: f.Note, Deciles: deciles(v)})
+	}
+	return out, nil
+}
+
+// Render writes the spread as a figure summary, each fact as "median
+// [p10, p90]".
+func (s *Spread) Render(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "## %s, median [p10, p90] over %d start seeds\n", s.Name, s.Seeds); err != nil {
+		return err
+	}
+	for _, f := range s.Facts {
+		d := f.Deciles
+		if _, err := fmt.Fprintf(w, "# %-28s %12.3f [%.3f, %.3f]   %s\n", f.Key, d[1], d[0], d[2], f.Note); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // deciles returns v's 10th percentile, median and 90th percentile,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qav/internal/core"
+	"qav/internal/scenario"
 )
 
 func TestFigure1ShapeMatchesPaper(t *testing.T) {
@@ -177,6 +178,61 @@ func TestTablesSeeds(t *testing.T) {
 	for _, want := range []string{"over 3 start seeds", "Kmax=2", "Kmax=8", "\nT1    ", "\nT2    ", " ["} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// Seeded figure facts come in the figure's order, each the median and
+// deciles of full runs of its config at each seed, though Figs 12 and 13
+// read followers of the tables' sweep.
+func TestFigureSeeds(t *testing.T) {
+	for _, fig := range []int{11, 12, 13} {
+		var want Result
+		facts := func(cfg scenario.Config, add func(*Result, *scenario.Result)) {
+			cfg.StartSeed = 1
+			res, err := scenario.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			add(&want, res)
+		}
+		switch fig {
+		case 11:
+			facts(figure11Config(2, 1, nil), figure11Facts)
+		case 12:
+			for _, kmax := range []int{2, 3, 4} {
+				facts(preset("T1", kmax, 1, nil), func(out *Result, res *scenario.Result) { figure12Facts(out, kmax, res) })
+			}
+		case 13:
+			facts(preset("T2", 4, 1, nil), figure13Facts)
+		}
+		one, err := FigureSeeds(fig, 2, 1, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(one.Facts) != len(want.Summary) {
+			t.Fatalf("Fig %d: %d facts, want %d", fig, len(one.Facts), len(want.Summary))
+		}
+		for k, f := range want.Summary {
+			if got := one.Facts[k]; got.Key != f.Key || got.Deciles != [3]float64{f.Value, f.Value, f.Value} {
+				t.Errorf("Fig %d seed 1: %s %v, a run gives %v", fig, got.Key, got.Deciles, f.Value)
+			}
+		}
+		three, err := FigureSeeds(fig, 2, 3, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range three.Facts {
+			if d := f.Deciles; !(d[0] <= d[1] && d[1] <= d[2]) {
+				t.Errorf("Fig %d %s: deciles %v out of order", fig, f.Key, d)
+			}
+		}
+		var buf bytes.Buffer
+		if err := three.Render(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if out := buf.String(); !strings.Contains(out, "over 3 start seeds") || strings.Count(out, "\n") != len(three.Facts)+1 {
+			t.Errorf("Fig %d rendered:\n%s", fig, out)
 		}
 	}
 }

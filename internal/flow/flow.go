@@ -14,14 +14,15 @@
 // The driver keeps no clock: every call takes the caller's now (virtual
 // or wall seconds), like the transports and the controller under it.
 //
-// The driver makes every call the controller receives, so it can record
-// them (Record) and a fresh controller can take them again (Replay). The
+// The driver makes every call the controller receives, so it can hand
+// each one, as it makes it, to followers (Follow): a fresh controller
+// behind a Replayer, or a record (Record) that Replay takes later. The
 // controller reads no clock and no RNG, and its only input that depends
 // on its own decisions, a delivery's layer, comes from its own earlier
-// pick: a record therefore replays any controller variant exactly, as
-// long as the transport's trace does not depend on the layers picked
-// (true in the simulator, where every packet has the same size and no
-// slot is spent on a repair).
+// pick: any controller variant that follows a driver therefore ends
+// where a run of that variant would, as long as the transport's trace
+// does not depend on the layers picked (true in the simulator, where
+// every packet has the same size and no slot is spent on a repair).
 package flow
 
 import (
@@ -64,7 +65,7 @@ type Driver struct {
 	SentByLayer      []int64
 	DeliveredByLayer []int64
 
-	rec *[]Input // see Record; nil records nothing
+	follow []func(Input) // see Follow
 }
 
 // New returns a driver over tr and ctrl (nil for cross traffic) whose
@@ -79,14 +80,20 @@ func New(tr transport.Transport, ctrl *core.Controller, start float64) Driver {
 	return d
 }
 
-// Record appends every later controller call to *rec, in call order,
-// and every fresh ACK, a repair slot's included; Replay takes the
-// result. A nil rec stops recording.
-func (d *Driver) Record(rec *[]Input) { d.rec = rec }
+// Follow hands f every later controller call, in call order, as the
+// driver makes it, and every fresh ACK, a repair slot's included. A
+// Replayer's Feed makes them again on another controller.
+func (d *Driver) Follow(f func(Input)) { d.follow = append(d.follow, f) }
 
-func (d *Driver) record(in Input) {
-	if d.rec != nil {
-		*d.rec = append(*d.rec, in)
+// Record appends every later controller call to *rec, as Follow hands
+// them; Replay takes the result.
+func (d *Driver) Record(rec *[]Input) {
+	d.Follow(func(in Input) { *rec = append(*rec, in) })
+}
+
+func (d *Driver) emit(in Input) {
+	for _, f := range d.follow {
+		f(in)
 	}
 }
 
@@ -96,7 +103,7 @@ func (d *Driver) record(in Input) {
 func (d *Driver) Tick(now float64) {
 	in := Input{Kind: InTick, Now: now, R: d.Tr.Rate(), S: d.Tr.ConservativeSlope()}
 	d.Ctrl.Tick(now, in.R, in.S)
-	d.record(in)
+	d.emit(in)
 }
 
 // Step runs the transport's periodic rate decision at now, handing a
@@ -144,7 +151,7 @@ func (d *Driver) Send(now float64, repairPending bool) (seq int64, layer int) {
 	if c != nil {
 		d.Tr.Tag(seq, int32(layer))
 		in.Seq = seq
-		d.record(in)
+		d.emit(in)
 	}
 	ipg := d.Tr.IPG()
 	base := d.NextSend
@@ -170,7 +177,7 @@ func (d *Driver) Ack(now float64, seq int64) (credited bool) {
 	if !fresh {
 		return false
 	}
-	d.record(Input{Kind: InAck, Now: now, Seq: seq})
+	d.emit(Input{Kind: InAck, Now: now, Seq: seq})
 	if layer == Repair {
 		return false
 	}
@@ -183,6 +190,6 @@ func (d *Driver) backoff(now float64, b *transport.Backoff) {
 	if b != nil && d.Ctrl != nil {
 		in := Input{Kind: InBackoff, Now: now, R: b.NewRate, S: d.Tr.ConservativeSlope()}
 		d.Ctrl.OnBackoff(now, in.R, in.S)
-		d.record(in)
+		d.emit(in)
 	}
 }

@@ -417,6 +417,19 @@ func TestReplayReproducesDriver(t *testing.T) {
 	d := newDriver(t, transport.RAPConfig{InitialRate: 30_000, MaxRate: 60_000, InitialRTT: 0.05}, qa)
 	var rec []Input
 	d.Record(&rec)
+	// Two followers beside the record: one like the driver's controller,
+	// one at another Kmax.
+	same, other := qa, qa
+	other.Kmax = 3
+	followers := make([]*Replayer, 2)
+	for i, p := range []core.Params{same, other} {
+		c, err := core.NewController(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		followers[i] = NewReplayer(c, pkt)
+		d.Follow(followers[i].Feed)
+	}
 	rng := rand.New(rand.NewSource(1))
 	type ack struct {
 		at  float64
@@ -461,14 +474,92 @@ func TestReplayReproducesDriver(t *testing.T) {
 	if len(kinds) != 5 || st.Drops == 0 || st.Adds == 0 {
 		t.Fatalf("inputs by kind %v, stats %+v: not every call was exercised", kinds, st)
 	}
+	for _, p := range []core.Params{same, other} {
+		c, err := core.NewController(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Replay(c, rec, pkt)
+		want := d.Ctrl
+		if p.Kmax != qa.Kmax {
+			want = followers[1].Ctrl
+			if c.Stats() == st {
+				t.Errorf("Kmax %d ends where Kmax %d does: the comparison is vacuous", p.Kmax, qa.Kmax)
+			}
+		}
+		if !reflect.DeepEqual(c.Events, want.Events) || c.Stats() != want.Stats() || !reflect.DeepEqual(c.Buffers(), want.Buffers()) ||
+			c.StallSec() != want.StallSec() || c.PlayedSec != want.PlayedSec || c.LayerSeconds != want.LayerSeconds {
+			t.Fatalf("Kmax %d: replay: %d events %+v bufs %v; live: %d events %+v bufs %v",
+				p.Kmax, len(c.Events), c.Stats(), c.Buffers(), len(want.Events), want.Stats(), want.Buffers())
+		}
+	}
+	f := followers[0]
+	if !reflect.DeepEqual(f.Ctrl.Events, d.Ctrl.Events) || !reflect.DeepEqual(f.SentByLayer, d.SentByLayer) || !reflect.DeepEqual(f.DeliveredByLayer, d.DeliveredByLayer) {
+		t.Fatalf("follower: %+v sent %v delivered %v; driver: %+v sent %v delivered %v",
+			f.Ctrl.Stats(), f.SentByLayer, f.DeliveredByLayer, st, d.SentByLayer, d.DeliveredByLayer)
+	}
+}
+
+// A follower of a long run that loses one packet in twenty (in three on
+// congested stretches), with ACKs out of order, credits every layer what
+// the driver credits, and holds tags only for the packets in flight: a
+// lost sequence leaves its window once an ACK passes it by the
+// transport's reorder gap, so the window's ring stays small
+// (seqwin.TestRingStaysSmallInSteadyState).
+func TestReplayerRingBoundedUnderLoss(t *testing.T) {
+	qa := core.Params{C: 2_000, Kmax: 2, MaxLayers: 4, StartupSec: 0.1, MaxEvents: 64}
+	d := newDriver(t, transport.RAPConfig{InitialRate: 10_000, MaxRate: 20_000, InitialRTT: 0.05}, qa)
 	c, err := core.NewController(qa)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Replay(c, rec, pkt)
-	if !reflect.DeepEqual(c.Events, d.Ctrl.Events) || c.Stats() != st || !reflect.DeepEqual(c.Buffers(), d.Ctrl.Buffers()) ||
-		c.StallSec() != d.Ctrl.StallSec() || c.PlayedSec != d.Ctrl.PlayedSec || c.LayerSeconds != d.Ctrl.LayerSeconds {
-		t.Fatalf("replay: %d events %+v bufs %v; driver: %d events %+v bufs %v",
-			len(c.Events), c.Stats(), c.Buffers(), len(d.Ctrl.Events), st, d.Ctrl.Buffers())
+	r := NewReplayer(c, pkt)
+	d.Follow(r.Feed)
+	rng := rand.New(rand.NewSource(2))
+	type ack struct {
+		at  float64
+		seq int64
+	}
+	var acks []ack // unordered: each arrives 50-150 ms after its packet
+	held := 0
+	for sent := 0; sent < 200_000; {
+		next := -1
+		for i, a := range acks {
+			if a.at <= d.NextSend && (next < 0 || a.at < acks[next].at) {
+				next = i
+			}
+		}
+		if next >= 0 {
+			a := acks[next]
+			acks = append(acks[:next], acks[next+1:]...)
+			d.Ack(a.at, a.seq)
+			continue
+		}
+		now := d.NextSend
+		d.StepIfDue(now)
+		d.Tick(now)
+		seq, _ := d.Send(now, false)
+		sent++
+		loss := 20
+		if sent%20_000 > 15_000 {
+			loss = 3 // a congested stretch: the top layers go
+		}
+		if rng.Intn(loss) > 0 {
+			acks = append(acks, ack{now + 0.05 + 0.1*rng.Float64(), seq})
+		}
+		held = max(held, r.win.Len())
+	}
+	t.Logf("at most %d tags held, %+v, %+v", held, d.Tr.Counters(), c.Stats())
+	if held > 64 {
+		t.Errorf("the follower held up to %d tags", held)
+	}
+	if !reflect.DeepEqual(r.SentByLayer, d.SentByLayer) || !reflect.DeepEqual(r.DeliveredByLayer, d.DeliveredByLayer) {
+		t.Errorf("follower sent %v delivered %v; driver sent %v delivered %v", r.SentByLayer, r.DeliveredByLayer, d.SentByLayer, d.DeliveredByLayer)
+	}
+	if st := c.Stats(); st != d.Ctrl.Stats() || st.Drops == 0 || st.Stalls > 0 {
+		t.Errorf("follower %+v, driver %+v", st, d.Ctrl.Stats())
+	}
+	if ctr := d.Tr.Counters(); ctr.Lost < 5_000 || r.DeliveredByLayer[2] == 0 {
+		t.Errorf("%+v, delivered %v: not lossy or not layered enough to test", ctr, r.DeliveredByLayer)
 	}
 }

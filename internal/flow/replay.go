@@ -1,6 +1,10 @@
 package flow
 
-import "qav/internal/core"
+import (
+	"qav/internal/core"
+	"qav/internal/seqwin"
+	"qav/internal/transport"
+)
 
 // InputKind names the controller call an Input stands for.
 type InputKind uint8
@@ -30,40 +34,57 @@ type Input struct {
 	Seq  int64   // the slot's or the ACK's sequence; unused by a tick or a backoff
 }
 
-// Replayer makes a record's controller calls again, one input at a
-// time, for a caller that looks at the controller between them.
+// Replayer makes a driver's controller calls again on another
+// controller, one input at a time: live, as the driver makes them (Feed
+// handed to Driver.Follow), or from a record. It keeps the per-layer
+// byte counts the driver keeps, for its own picks.
 type Replayer struct {
-	ctrl    *core.Controller
+	Ctrl *core.Controller
+	// SentByLayer / DeliveredByLayer count payload bytes per layer as
+	// the driver's do: this replay's data picks, and the ACKs it credits.
+	SentByLayer      []int64
+	DeliveredByLayer []int64
+
 	pktSize int
-	tags    map[int64]int // seq -> the layer this replay picked for it
+	// win holds the layer this replay picked for each sequence as its
+	// tag, as the transport's window holds the driver's: the driver's
+	// sequences are that window's, 0, 1, 2, ... in send order. A lost
+	// sequence leaves once an ACK passes it by transport.ReorderGap, as
+	// it leaves the transport's window, and can never be fresh again.
+	win  seqwin.Window
+	lost []int64 // GapLost's scratch
 }
 
 // NewReplayer returns a replayer that drives ctrl, a fresh controller,
 // with pktSize-byte packets.
 func NewReplayer(ctrl *core.Controller, pktSize int) *Replayer {
-	return &Replayer{ctrl: ctrl, pktSize: pktSize, tags: make(map[int64]int)}
+	n := ctrl.P.MaxLayers
+	counters := make([]int64, 2*n)
+	return &Replayer{Ctrl: ctrl, SentByLayer: counters[:n:n], DeliveredByLayer: counters[n:], pktSize: pktSize}
 }
 
 // Feed makes the call in stands for. An ACK credits the layer this
 // replay picked for its sequence, and nothing for a repair slot.
 func (r *Replayer) Feed(in Input) {
-	c := r.ctrl
+	c := r.Ctrl
 	switch in.Kind {
 	case InPick:
-		r.tags[in.Seq] = c.PickLayer(in.Now, in.R, in.S, r.pktSize)
+		layer := c.PickLayer(in.Now, in.R, in.S, r.pktSize)
+		r.SentByLayer[layer] += int64(r.pktSize)
+		r.win.SetTag(r.win.Send(in.Now), int32(layer))
 	case InRepair:
 		c.Tick(in.Now, in.R, in.S)
-		r.tags[in.Seq] = Repair
+		r.win.SetTag(r.win.Send(in.Now), Repair)
 	case InTick:
 		c.Tick(in.Now, in.R, in.S)
 	case InBackoff:
 		c.OnBackoff(in.Now, in.R, in.S)
 	case InAck:
-		layer, ok := r.tags[in.Seq]
-		// A fresh ACK is the last word on its sequence.
-		delete(r.tags, in.Seq)
+		_, layer, ok := r.win.Ack(in.Seq)
+		r.lost = r.win.GapLost(r.lost[:0], transport.ReorderGap)
 		if ok && layer != Repair {
-			c.OnDelivered(in.Now, layer, r.pktSize)
+			c.OnDelivered(in.Now, int(layer), r.pktSize)
+			r.DeliveredByLayer[layer] += int64(r.pktSize)
 		}
 	}
 }

@@ -155,6 +155,29 @@ func reportsChecked(t *testing.T, cfgs []Config, workers int) []RunReport {
 	return reps
 }
 
+// eachChecked is RunEach with every config's record checked as recordRun
+// checks a run's. It returns the results in input order.
+func eachChecked(t *testing.T, cfgs []Config, workers int) []*Result {
+	t.Helper()
+	recs := make([][][]flow.Input, len(cfgs))
+	cfgs = slices.Clone(cfgs)
+	for i := range cfgs {
+		cfgs[i].record = &recs[i]
+	}
+	results := make([]*Result, len(cfgs))
+	if err := RunEach(cfgs, workers, func(i int, res *Result) { results[i] = res }); err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		checkRecords(t, cfgs[i], res.Cfg, recs[i], func(j int, c *core.Controller) {
+			if j == 0 && (c.Stats() != res.Stats || len(c.Events) != len(res.Events)) {
+				t.Fatalf("%s: the replay ends at %+v, the result says %+v", cfgs[i].Name, c.Stats(), res.Stats)
+			}
+		})
+	}
+	return results
+}
+
 // checkRun checks each QA flow's record, that each replay ends where its
 // flow did, that Result.Stats is the first flow's, and that the run's
 // base-layer account is the one findings pins for it (none if unpinned).

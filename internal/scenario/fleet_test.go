@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"qav/internal/core"
 	"qav/internal/metrics"
+	"qav/internal/trace"
 )
 
 func TestFleetPresetShape(t *testing.T) {
@@ -123,6 +125,32 @@ func TestSamplerPreSizesAllSeries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Sampling a QA trace reads the controller's per-layer state in place:
+// with its series pre-sized, a sample allocates nothing.
+func TestQATraceSampleAllocatesNothing(t *testing.T) {
+	cfg := MustPreset("T1")
+	if err := cfg.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.NewController(cfg.QA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := trace.NewSet()
+	qt := newQATrace(func(name string) *trace.Series {
+		s := set.Series(name)
+		s.Reserve(1000)
+		return s
+	}, &cfg, c, make([]int64, cfg.QA.MaxLayers), make([]int64, cfg.QA.MaxLayers))
+	now := 0.0
+	if allocs := testing.AllocsPerRun(100, func() {
+		qt.sample(now, 50_000)
+		now += cfg.SampleInterval
+	}); allocs != 0 {
+		t.Fatalf("%v allocations per sample", allocs)
 	}
 }
 

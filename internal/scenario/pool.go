@@ -1,13 +1,13 @@
 package scenario
 
 import (
-	"maps"
 	"runtime"
 	"sync"
 
 	"qav/internal/core"
 	"qav/internal/flow"
 	"qav/internal/metrics"
+	"qav/internal/trace"
 )
 
 // RunAll executes every config with Run on a bounded worker pool and
@@ -29,21 +29,26 @@ func RunAll(cfgs []Config, workers int) ([]*Result, error) {
 	return results, firstErr(errs)
 }
 
-// RunReports returns one report per config, in input order, each byte
-// for byte what Run and then Report give for it. Configs equal once
-// Name, QA and Metrics are cleared (with a registry attached to all or
-// to none) run the same network, since no controller decision reaches
-// it (DESIGN.md, "Flow driver"). Such a group is simulated once, for its
-// first config, with the QA flows' controller calls recorded; each other
-// config replays the record on fresh controllers (flow.Replay), and its
-// report is the simulated one with the replay's "qa.*" controller
-// metrics and delivered quality laid over it. A replayed config's own
-// registry receives nothing. Configs with SchedRec set, or without a QA
-// flow, run alone.
+// RunEach runs every config and hands do each one's Result with its
+// index. Configs equal once Name, QA and Metrics are cleared (with a
+// registry attached to all or to none) run the same network, since no
+// controller decision reaches it (DESIGN.md, "Flow driver"). Such a
+// group is simulated once, for its first config, and every other config
+// of the group follows it: one fresh controller per QA flow takes each
+// call the simulated flow's driver makes, as the driver makes it
+// (flow.Replayer), and the sampler traces it as it traces the flow. A
+// follower's Result has the series, events and delivered quality of a
+// Run of its config, byte for byte, and its Report is that Run's
+// report; its own registry receives nothing. Configs with SchedRec set,
+// or without a QA flow, run alone.
 //
 // Groups run on a pool of workers as RunAll's runs do, with the same
-// determinism and error rule; a failed slot holds a zero report.
-func RunReports(cfgs []Config, workers int) ([]RunReport, error) {
+// determinism. do runs on the worker of the config's group once the
+// group's simulation has ended, so calls for different groups may run
+// at once. RunEach returns the error of the earliest failing config by
+// input index, and do never sees a failed config. If a group's
+// simulation fails, the rest of the group starts over without it.
+func RunEach(cfgs []Config, workers int, do func(i int, res *Result)) error {
 	var groups [][]int
 	index := map[groupKey]int{}
 	for i, cfg := range cfgs {
@@ -57,12 +62,23 @@ func RunReports(cfgs []Config, workers int) ([]RunReport, error) {
 		}
 		groups = append(groups, []int{i})
 	}
-	reps := make([]RunReport, len(cfgs))
 	errs := make([]error, len(cfgs))
 	forEach(len(groups), workers, func(g int) {
-		runGroup(cfgs, groups[g], reps, errs)
+		runGroup(cfgs, groups[g], do, errs)
 	})
-	return reps, firstErr(errs)
+	return firstErr(errs)
+}
+
+// RunReports returns one report per config, in input order, each byte
+// for byte what Run and then Report give for it, from RunEach's runs: a
+// group of configs that share a network is one simulation and its
+// followers. A failed slot holds a zero report.
+func RunReports(cfgs []Config, workers int) ([]RunReport, error) {
+	reps := make([]RunReport, len(cfgs))
+	err := RunEach(cfgs, workers, func(i int, res *Result) {
+		reps[i] = res.Report()
+	})
+	return reps, err
 }
 
 // groupKey is what a group's configs share: the config without its name,
@@ -83,78 +99,86 @@ func keyOf(cfg Config) (groupKey, bool) {
 	return k, true
 }
 
-// runGroup simulates the group's first config and replays the others on
-// its record. If the simulation fails, the rest of the group starts
-// over without it.
-func runGroup(cfgs []Config, group []int, reps []RunReport, errs []error) {
+// runGroup simulates the group's first config with the others following
+// it. A record asked for by any config of the group is the simulated
+// run's.
+func runGroup(cfgs []Config, group []int, do func(int, *Result), errs []error) {
 	lead := cfgs[group[0]]
-	rec := lead.record
-	if rec == nil {
-		rec = new([][]flow.Input)
-		lead.record = rec
+	var fols []*follower
+	recorded := lead.record != nil
+	for _, i := range group[1:] {
+		f, err := newFollower(i, cfgs[i])
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		fols = append(fols, f)
+		recorded = recorded || cfgs[i].record != nil
 	}
-	res, err := Run(lead)
+	if recorded && lead.record == nil {
+		lead.record = new([][]flow.Input)
+	}
+	res, err := run(lead, fols)
 	if err != nil {
 		errs[group[0]] = err
 		if len(group) > 1 {
-			runGroup(cfgs, group[1:], reps, errs)
+			runGroup(cfgs, group[1:], do, errs)
 		}
 		return
 	}
-	reps[group[0]] = res.Report()
-	for _, i := range group[1:] {
-		reps[i], errs[i] = replayReport(cfgs[i], reps[group[0]], *rec)
-		if cfgs[i].record != nil {
-			*cfgs[i].record = *rec
+	do(group[0], res)
+	for _, f := range fols {
+		if rec := cfgs[f.i].record; rec != nil {
+			*rec = *lead.record
 		}
+		do(f.i, f.res)
 	}
 }
 
-// replayReport is cfg's report from base, the report of a simulated run
-// of its group, and that run's record: fresh controllers replay the
-// record, one per QA flow, instrumented as instrumentSources does; their
-// metrics are laid over base's and the first one's delivered quality
-// replaces base's.
-func replayReport(cfg Config, base RunReport, rec [][]flow.Input) (RunReport, error) {
+// follower is config i of a group, which follows the group's simulated
+// run: one fresh controller per QA flow behind a flow.Replayer, and the
+// Result they end in.
+type follower struct {
+	i    int
+	res  *Result
+	reps []*flow.Replayer // one per QA flow, in flow order
+}
+
+// newFollower normalizes cfg, config i, and builds its controllers,
+// instrumented on a private registry if cfg has one.
+func newFollower(i int, cfg Config) (*follower, error) {
 	if err := cfg.Normalize(); err != nil {
-		return RunReport{}, err
+		return nil, err
 	}
-	ctrls := make([]*core.Controller, len(rec))
-	for i := range ctrls {
+	f := &follower{i: i, res: &Result{Cfg: cfg, Series: trace.NewSet()}}
+	ctrls := make([]*core.Controller, cfg.NumQA)
+	for j := range ctrls {
 		c, err := core.NewController(cfg.QA)
 		if err != nil {
-			return RunReport{}, err
+			return nil, err
 		}
-		ctrls[i] = c
+		ctrls[j] = c
+		f.reps = append(f.reps, flow.NewReplayer(c, cfg.PacketSize))
 	}
-	var reg *metrics.Registry
 	if cfg.Metrics != nil {
-		reg = metrics.NewRegistry()
-		instrumentControllers(reg, ctrls)
+		f.res.Metrics = metrics.NewRegistry()
+		instrumentControllers(f.res.Metrics, ctrls)
 	}
-	for i, c := range ctrls {
-		flow.Replay(c, rec[i], cfg.PacketSize)
-	}
-	rep := base
-	rep.Name, rep.Config = cfg.Name, cfg
-	rep.Metrics = overlay(base.Metrics, reg.Snapshot())
-	var res Result
-	res.readController(ctrls[0])
-	res.quality(&rep)
-	return rep, nil
+	return f, nil
 }
 
-// overlay returns a copy of base with top's instruments laid over it.
-func overlay(base, top metrics.Snapshot) metrics.Snapshot {
-	out := metrics.Snapshot{
-		Counters:   maps.Clone(base.Counters),
-		Gauges:     maps.Clone(base.Gauges),
-		Histograms: maps.Clone(base.Histograms),
+// finish completes the follower's Result once lead, the run it
+// followed, has ended: lead's series that are not the follower's own
+// join its set, in lead's order, and its first controller's delivered
+// quality is read.
+func (f *follower) finish(lead *Result) {
+	for _, name := range lead.Series.Names() {
+		if f.res.Series.Get(name) == nil {
+			f.res.Series.Add(lead.Series.Get(name))
+		}
 	}
-	maps.Copy(out.Counters, top.Counters)
-	maps.Copy(out.Gauges, top.Gauges)
-	maps.Copy(out.Histograms, top.Histograms)
-	return out
+	f.res.lead = lead
+	f.res.readController(f.reps[0].Ctrl)
 }
 
 // forEach calls do(i) for every i in [0, n) on a pool of workers (<= 0

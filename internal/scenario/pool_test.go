@@ -1,9 +1,14 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+
+	"qav/internal/metrics"
 )
 
 // sweepConfigs is the shortened T1/T2 x Kmax grid the determinism tests
@@ -123,5 +128,92 @@ func TestRunEmitsDeliveredSeries(t *testing.T) {
 	rx := res.Series.Get("qa.rx.l0").Avg()
 	if rx > tx*1.5 {
 		t.Fatalf("delivered rate %v far above transmit rate %v", rx, tx)
+	}
+}
+
+// A follower ends where a full Run of its config ends: its report is
+// the same JSON, byte for byte, and its series the same TSV, its own
+// qa.* series and the network's it shares with the simulated run. T1 and
+// T2 at the paper's Kmax values; the scale-8 legs skip under -short.
+func TestFollowersMatchRun(t *testing.T) {
+	for _, scale := range []float64{1, 8} {
+		if scale != 1 && testing.Short() {
+			continue
+		}
+		for _, test := range []string{"T1", "T2"} {
+			t.Run(fmt.Sprintf("%s scale %g", test, scale), func(t *testing.T) {
+				t.Parallel()
+				var cfgs []Config
+				for _, kmax := range paperKmax {
+					cfg := MustPreset(test, WithKmax(kmax), WithScale(scale))
+					cfg.Metrics = metrics.NewRegistry()
+					cfgs = append(cfgs, cfg)
+				}
+				got := eachChecked(t, cfgs, 1)
+				for i, cfg := range cfgs {
+					if follows := got[i].lead != nil; follows != (i > 0) {
+						t.Fatalf("Kmax %d: follower %v, want %v", cfg.QA.Kmax, follows, i > 0)
+					}
+					cfg.Metrics = metrics.NewRegistry()
+					want := runChecked(t, cfg)
+					if i > 0 && got[i].Series.Get("qa.layers") == got[0].Series.Get("qa.layers") {
+						t.Fatalf("Kmax %d: the follower traces the simulated controller", cfg.QA.Kmax)
+					}
+					for _, f := range []func(*Result) ([]byte, error){reportJSON, seriesTSV} {
+						g, err := f(got[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						w, err := f(want)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(g, w) {
+							t.Errorf("Kmax %d: the follower differs from Run:\n got %.300s\nwant %.300s", cfg.QA.Kmax, g, w)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func reportJSON(res *Result) ([]byte, error) { return json.Marshal(res.Report()) }
+
+func seriesTSV(res *Result) ([]byte, error) {
+	var buf bytes.Buffer
+	err := res.Series.WriteTSV(&buf)
+	return buf.Bytes(), err
+}
+
+// A group whose first config fails starts over without it: the next
+// config is simulated, the last follows it, and both end where their own
+// Runs do.
+func TestRunEachRestartsWithoutFailedLead(t *testing.T) {
+	var cfgs []Config
+	for _, kmax := range []int{2, 2, 4} {
+		cfg := MustPreset("T1", WithKmax(kmax))
+		cfg.Duration = 20
+		cfgs = append(cfgs, cfg)
+	}
+	cfgs[0].QA.C = -1
+	results := make([]*Result, len(cfgs))
+	err := RunEach(cfgs, 1, func(i int, res *Result) { results[i] = res })
+	if err == nil || !strings.Contains(err.Error(), "C must be positive") {
+		t.Fatalf("got error %v, want the failed lead's", err)
+	}
+	if results[0] != nil || results[1] == nil || results[1].lead != nil || results[2] == nil || results[2].lead != results[1] {
+		t.Fatalf("results %v: want none for the failed config, a simulation, and its follower", results)
+	}
+	for i, res := range results[1:] {
+		want := runChecked(t, cfgs[i+1])
+		g, err := reportJSON(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := reportJSON(want); !bytes.Equal(g, w) {
+			t.Errorf("config %d: the report differs from Run's:\n got %s\nwant %s", i+1, g, w)
+		}
+		assertResultsIdentical(t, want, res)
 	}
 }

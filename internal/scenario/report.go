@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"io"
+	"maps"
 
 	"qav/internal/core"
 	"qav/internal/metrics"
@@ -140,8 +141,20 @@ func jainIndex(sum, sumSq float64, n int) float64 {
 // Report summarizes the run. The metrics snapshot is taken now, from
 // the run's registry (empty when the config had none attached); call it
 // after Run has returned — the snapshot's Func instruments read the
-// simulation's single-threaded state.
+// simulation's single-threaded state. A follower's (RunEach) is the
+// report of the run it followed, under its own name and config, with its
+// controllers' metrics and delivered quality: a Run's, byte for byte.
 func (r *Result) Report() RunReport {
+	if r.lead != nil {
+		rep := r.lead.Report()
+		rep.Name, rep.Config = r.Cfg.Name, r.Cfg
+		top := r.Metrics.Snapshot()
+		maps.Copy(rep.Metrics.Counters, top.Counters)
+		maps.Copy(rep.Metrics.Gauges, top.Gauges)
+		maps.Copy(rep.Metrics.Histograms, top.Histograms)
+		r.quality(&rep)
+		return rep
+	}
 	rep := RunReport{
 		Name:      r.Cfg.Name,
 		Transport: string(r.Cfg.Transport),

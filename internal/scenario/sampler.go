@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 
+	"qav/internal/core"
 	"qav/internal/sim"
 	"qav/internal/tcp"
 	"qav/internal/trace"
@@ -52,7 +53,7 @@ import (
 type qaSlot struct {
 	src    *QASource
 	global int
-	full   *qaTrace      // first QA flow only: the full breakdown
+	traces []*qaTrace    // first QA flow only: its full breakdown, then each follower's
 	series *trace.Series // later QA flows, fleet mode, below the cap
 }
 
@@ -115,15 +116,18 @@ func (t *ticker) tick() {
 	for _, qs := range t.qas {
 		q := qs.src
 		// Tick every controller — consumption/playback dynamics —
-		// whether or not the flow is traced.
+		// whether or not the flow is traced; the driver ticks the
+		// followers' controllers with its own.
 		q.Tick(now)
-		if qs.full != nil {
-			qs.full.sample(now, q)
-		} else if qs.series != nil {
-			qs.series.Add(now, q.Tr.Rate())
+		rate := q.Tr.Rate()
+		for _, qt := range qs.traces {
+			qt.sample(now, rate)
+		}
+		if qs.series != nil {
+			qs.series.Add(now, rate)
 		}
 		if slot != nil {
-			slot.qaRate[qs.global] = q.Tr.Rate()
+			slot.qaRate[qs.global] = rate
 		}
 	}
 	for _, rs := range t.raps {
@@ -224,17 +228,21 @@ func (c *fleetCoordinator) atBarrier(hi float64, final bool) {
 
 // startTickers creates every series, builds the tickers and schedules
 // them at t = 0 (after the flows, so the t = 0 tick lands after the
-// t = 0 flow starts). It returns the coordinator's barrier callback, or
-// nil when no coordinator is needed.
-func startTickers(topo *topology, cfg *Config, res *Result) func(hi float64, final bool) {
+// t = 0 flow starts). Each follower's trace of the first QA flow goes
+// in its own Result's set. It returns the coordinator's barrier
+// callback, or nil when no coordinator is needed.
+func startTickers(topo *topology, cfg *Config, res *Result, fols []*follower) func(hi float64, final bool) {
 	// Samples land at 0, Δ, 2Δ, ... while now+Δ <= Duration, plus slack
 	// for the float accumulation at the boundary.
 	reserve := int(cfg.Duration/cfg.SampleInterval) + 2
-	series := func(name string) *trace.Series {
-		s := res.Series.Series(name)
-		s.Reserve(reserve)
-		return s
+	in := func(set *trace.Set) func(string) *trace.Series {
+		return func(name string) *trace.Series {
+			s := set.Series(name)
+			s.Reserve(reserve)
+			return s
+		}
 	}
+	series := in(res.Series)
 	fleet := cfg.MaxTraceFlows > 0
 	capped := func(n int) int {
 		if fleet && n > cfg.MaxTraceFlows {
@@ -255,7 +263,11 @@ func startTickers(topo *topology, cfg *Config, res *Result) func(hi float64, fin
 	for qi, q := range res.QASrcs {
 		slot := qaSlot{src: q, global: qi}
 		if qi == 0 {
-			slot.full = newQATrace(series, cfg)
+			slot.traces = []*qaTrace{newQATrace(series, cfg, q.Ctrl, q.SentByLayer, q.DeliveredByLayer)}
+			for _, f := range fols {
+				r := f.reps[0]
+				slot.traces = append(slot.traces, newQATrace(in(f.res.Series), &f.res.Cfg, r.Ctrl, r.SentByLayer, r.DeliveredByLayer))
+			}
 		} else if fleet && qi < capped(len(res.QASrcs)) {
 			slot.series = series(fmt.Sprintf("qa%d.rate", qi))
 		}
@@ -351,24 +363,30 @@ type layerSeries struct {
 	buf, share, drain, tx, rx *trace.Series
 }
 
-// qaTrace is the first QA flow's full per-layer trace: rate,
-// consumption, active layers, total buffering, and the five per-layer
-// series. Creation order of its series is load-bearing (trace.Set is
-// creation-ordered and figure TSVs are the regression oracle): qa.rate,
-// qa.consumption, qa.layers, qa.buftotal, then buf/share/drain/tx/rx
-// per layer.
+// qaTrace is the first QA flow's full per-layer trace of one
+// controller, the flow's or a follower's, read with the per-layer byte
+// counts kept beside it: rate, consumption, active layers, total
+// buffering, and the five per-layer series. Creation order of its series
+// is load-bearing (trace.Set is creation-ordered and figure TSVs are the
+// regression oracle): qa.rate, qa.consumption, qa.layers, qa.buftotal,
+// then buf/share/drain/tx/rx per layer.
 type qaTrace struct {
 	sRate, sCons, sLayers, sBufTotal *trace.Series
 	perLayer                         [traceLayers]layerSeries
 
+	ctrl                    *core.Controller
+	sent, delivered         []int64 // cumulative bytes per layer
 	lastSent, lastDelivered [traceLayers]int64
 
 	interval float64
 	qaC      float64
 }
 
-func newQATrace(series func(string) *trace.Series, cfg *Config) *qaTrace {
+func newQATrace(series func(string) *trace.Series, cfg *Config, ctrl *core.Controller, sent, delivered []int64) *qaTrace {
 	qt := &qaTrace{
+		ctrl:      ctrl,
+		sent:      sent,
+		delivered: delivered,
 		sRate:     series("qa.rate"),
 		sCons:     series("qa.consumption"),
 		sLayers:   series("qa.layers"),
@@ -388,21 +406,19 @@ func newQATrace(series func(string) *trace.Series, cfg *Config) *qaTrace {
 	return qt
 }
 
-// sample records one tick for q at virtual time now. The caller has
-// already ticked q's controller.
-func (qt *qaTrace) sample(now float64, q *QASource) {
-	qt.sRate.Add(now, q.Tr.Rate())
-	qt.sCons.Add(now, q.Ctrl.ConsumptionRate())
-	qt.sLayers.Add(now, float64(q.Ctrl.ActiveLayers()))
-	qt.sBufTotal.Add(now, q.Ctrl.TotalBuf())
-	bufs := q.Ctrl.Buffers()
-	shares := q.Ctrl.Shares()
+// sample records one tick at virtual time now, the flow's rate being
+// rate. The caller has already ticked the controller.
+func (qt *qaTrace) sample(now, rate float64) {
+	c, na := qt.ctrl, qt.ctrl.ActiveLayers()
+	qt.sRate.Add(now, rate)
+	qt.sCons.Add(now, c.ConsumptionRate())
+	qt.sLayers.Add(now, float64(na))
+	qt.sBufTotal.Add(now, c.TotalBuf())
 	for l := range qt.perLayer {
 		var buf, share, drain float64
-		if l < len(bufs) {
-			buf = bufs[l]
-			share = shares[l]
-			if q.Ctrl.Playing() {
+		if l < na {
+			buf, share = c.Layer(l)
+			if c.Playing() {
 				drain = qt.qaC - share
 				if drain < 0 {
 					drain = 0
@@ -410,11 +426,11 @@ func (qt *qaTrace) sample(now float64, q *QASource) {
 			}
 		}
 		var sent, delivered int64
-		if l < len(q.SentByLayer) {
-			sent = q.SentByLayer[l]
+		if l < len(qt.sent) {
+			sent = qt.sent[l]
 		}
-		if l < len(q.DeliveredByLayer) {
-			delivered = q.DeliveredByLayer[l]
+		if l < len(qt.delivered) {
+			delivered = qt.delivered[l]
 		}
 		txRate := float64(sent-qt.lastSent[l]) / qt.interval
 		rxRate := float64(delivered-qt.lastDelivered[l]) / qt.interval

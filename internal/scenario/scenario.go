@@ -111,7 +111,8 @@ type Config struct {
 	SchedRec *sim.SchedRecorder `json:"-"`
 
 	// record, when non-nil, receives one flow.Driver record per QA flow,
-	// in flow order, for tests that replay the run (flow.Replay).
+	// in flow order, for tests that replay the run (flow.Replay). A
+	// follower's (RunEach) is the record of the run it followed.
 	record *[][]flow.Input
 }
 
@@ -186,7 +187,9 @@ func (cfg *Config) Normalize() error {
 	return nil
 }
 
-// Result carries everything a figure or table needs from one run.
+// Result carries everything a figure or table needs from one run. A
+// follower's (RunEach) has no sources and no Fluid: they are those of
+// the run it followed, which its Report reads.
 type Result struct {
 	Cfg    Config
 	Series *trace.Set
@@ -204,8 +207,12 @@ type Result struct {
 	Fluid *sim.Fluid
 
 	// Metrics is the registry the run recorded into (nil when the
-	// config had none attached).
+	// config had none attached); a follower's is a private one that
+	// holds its controllers' instruments.
 	Metrics *metrics.Registry
+
+	// lead is, for a follower, the run it followed; nil for a run.
+	lead *Result
 
 	// PlayedSec/StallSec/LayerSeconds summarize delivered quality.
 	PlayedSec    float64
@@ -223,6 +230,13 @@ type Result struct {
 // Serial and sharded runs (Config.Shards) take the same steps; only
 // newTopology differs between them.
 func Run(cfg Config) (*Result, error) {
+	return run(cfg, nil)
+}
+
+// run is Run with fols following the run's QA flows: each QA flow's
+// driver hands every controller call to the followers' controllers for
+// that flow, and the sampler traces them as it traces the flow.
+func run(cfg Config, fols []*follower) (*Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
@@ -245,6 +259,11 @@ func Run(cfg Config) (*Result, error) {
 			q.Record(&(*cfg.record)[i])
 		}
 	}
+	for _, f := range fols {
+		for i, q := range res.QASrcs {
+			q.Follow(f.reps[i].Feed)
+		}
+	}
 	if reg := cfg.Metrics; reg != nil {
 		topo.instrument(reg)
 		topo.link.InstrumentFlows(reg, nflows)
@@ -253,11 +272,14 @@ func Run(cfg Config) (*Result, error) {
 			res.Fluid.Instrument(reg)
 		}
 	}
-	atBarrier := startTickers(topo, &cfg, res)
+	atBarrier := startTickers(topo, &cfg, res, fols)
 
 	topo.run(cfg.Duration, atBarrier)
 
 	finishResult(res)
+	for _, f := range fols {
+		f.finish(res)
+	}
 	return res, nil
 }
 
@@ -482,7 +504,7 @@ func instrumentSources(reg *metrics.Registry, res *Result) {
 }
 
 // instrumentControllers registers the QA controllers' instruments under
-// "qa", one shared set: a run's, and a replay's (RunReports).
+// "qa", one shared set: a run's, and a follower's (RunEach).
 func instrumentControllers(reg *metrics.Registry, ctrls []*core.Controller) {
 	ins := core.NewInstruments(reg, "qa")
 	for _, c := range ctrls {

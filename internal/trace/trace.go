@@ -131,6 +131,13 @@ func (set *Set) Series(name string) *Series {
 	return s
 }
 
+// Add puts s, which may belong to another set too, last in set's
+// creation order under its name. set must hold no series of that name.
+func (set *Set) Add(s *Series) {
+	set.byName[s.Name] = s
+	set.order = append(set.order, s)
+}
+
 // Names returns all series names in creation order.
 func (set *Set) Names() []string {
 	out := make([]string, len(set.order))

@@ -7,9 +7,11 @@ import (
 	"qav/internal/seqwin"
 )
 
-// reorderGap is how many later ACKs must pass a hole before the packet
-// is declared lost (the TCP dup-ack threshold analogue).
-const reorderGap = 3
+// ReorderGap is how many later ACKs must pass a hole before the packet
+// is declared lost (the TCP dup-ack threshold analogue). Every backend
+// runs the scan after each ACK, so an ACK of seq s leaves no sequence
+// below s+1-ReorderGap outstanding: none of them is ever fresh again.
+const ReorderGap = 3
 
 // BaseConfig parameterizes the bookkeeping shared by the rate-based
 // backends (RAP, transport/delay, transport/greedy).
@@ -176,7 +178,7 @@ func (b *Base) AckRTT(now float64, seq int64) (rtt float64, ok bool) {
 // removing them from the outstanding set. The returned slice is reused
 // across calls.
 func (b *Base) ReorderLosses() []int64 {
-	b.lost = b.win.GapLost(b.lost[:0], reorderGap)
+	b.lost = b.win.GapLost(b.lost[:0], ReorderGap)
 	b.ctr.Lost += int64(len(b.lost))
 	return b.lost
 }
