@@ -152,8 +152,8 @@ func main() {
 
 		if *events {
 			for _, e := range res.Events {
-				fmt.Printf("%8.3f %-8s layer=%d rate=%.0f bufdrop=%.0f buftotal=%.0f poor=%v\n",
-					e.Time, e.Kind, e.Layer, e.Rate, e.BufDrop, e.BufTotal, e.PoorDist)
+				fmt.Printf("%8.3f %-8s layer=%d rate=%.0f bufdrop=%.0f buftotal=%.0f poor=%v critical=%v\n",
+					e.Time, e.Kind, e.Layer, e.Rate, e.BufDrop, e.BufTotal, e.PoorDist, e.Critical)
 			}
 		}
 		if *tsv {

@@ -196,11 +196,12 @@ func AddCondition(R float64, na int, totalBuf, C, S float64, k int) bool {
 	if R < newC {
 		return false
 	}
-	need := math.Max(
-		BufTotal(Scenario1, R, na+1, k, C, S),
-		BufTotal(Scenario2, R, na+1, k, C, S),
-	)
-	return totalBuf >= need
+	// BufTotal's guards, then both scenarios from one geometry.
+	if k < 0 || newC <= 0 {
+		return totalBuf >= 0
+	}
+	g := newGeometry(R, na+1, C, S)
+	return totalBuf >= math.Max(g.total(Scenario1, k), g.total(Scenario2, k))
 }
 
 // DropCount returns how many layers must be dropped under §2.2's rule

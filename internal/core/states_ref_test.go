@@ -182,6 +182,20 @@ func diffFormulas(tc formulaCase, dst *[]State) string {
 	if d := diffFillTarget(tc); d != "" {
 		return d
 	}
+	// AddCondition at each k, on buffering equal to its requirement and
+	// one ulp either side, against the two-BufTotal form.
+	sum := 0.0
+	for _, b := range tc.bufs {
+		sum += b
+	}
+	for k := -1; k <= tc.kmax+1; k++ {
+		need := math.Max(bufTotalRef(Scenario1, tc.R, na+1, k, tc.C, tc.S), bufTotalRef(Scenario2, tc.R, na+1, k, tc.C, tc.S))
+		for _, b := range []float64{0, need, math.Nextafter(need, 0), math.Nextafter(need, math.Inf(1)), sum} {
+			if w, g := tc.R >= float64(na+1)*tc.C && b >= need, AddCondition(tc.R, na, b, tc.C, tc.S, k); w != g {
+				return fmt.Sprintf("AddCondition(k=%d, buf=%v) = %v, reference %v", k, b, g, w)
+			}
+		}
+	}
 	for _, kmin := range []int{0, 1}[:1+tc.kmax%2] {
 		want := stateLadderRef(tc.R, na, kmin, tc.kmax, tc.C, tc.S)
 		*dst = AppendStateLadder(*dst, tc.R, na, kmin, tc.kmax, tc.C, tc.S)

@@ -93,13 +93,13 @@ func Figure1(opts ...scenario.PresetOption) (*Result, error) {
 	out := &Result{Name: "Figure 1: transmission rate of a single RAP flow", Run: res}
 	out.Reports = append(out.Reports, res.Report())
 	out.Series = trace.NewSet()
-	rate := res.Series.Get("rap0.rate")
-	dst := out.Series.Series("rap.rate")
-	lnk := out.Series.Series("link.bandwidth")
-	for i := range rate.T {
-		dst.Add(rate.T[i], rate.V[i])
-		lnk.Add(rate.T[i], cfg.BottleneckRate)
+	rate := res.Series.Get("rap0.rate").Alias("rap.rate")
+	lnk := &trace.Series{Name: "link.bandwidth", T: rate.T, V: make([]float64, rate.Len())}
+	for i := range lnk.V {
+		lnk.V[i] = cfg.BottleneckRate
 	}
+	out.Series.Add(rate)
+	out.Series.Add(lnk)
 	out.fact("avg_rate", rate.AvgBetween(10, cfg.Duration), "average of sawtooth; paper: hunts around fair share")
 	out.fact("backoffs", float64(res.RAPSrcs[0].Tr.Counters().Backoffs), "multiplicative decreases (sawtooth teeth)")
 	out.fact("link_bw", cfg.BottleneckRate, "bottleneck bandwidth (B/s)")
@@ -185,14 +185,8 @@ func Figure12(scale float64, workers int, opts ...scenario.PresetOption) (*Resul
 	}
 	for i, res := range results {
 		out.Reports = append(out.Reports, res.Report())
-		layers := res.Series.Get("qa.layers")
-		buft := res.Series.Get("qa.buftotal")
-		dstL := out.Series.Series(fmt.Sprintf("kmax%d.layers", kmaxes[i]))
-		dstB := out.Series.Series(fmt.Sprintf("kmax%d.buftotal", kmaxes[i]))
-		for j := range layers.T {
-			dstL.Add(layers.T[j], layers.V[j])
-			dstB.Add(buft.T[j], buft.V[j])
-		}
+		out.Series.Add(res.Series.Get("qa.layers").Alias(fmt.Sprintf("kmax%d.layers", kmaxes[i])))
+		out.Series.Add(res.Series.Get("qa.buftotal").Alias(fmt.Sprintf("kmax%d.buftotal", kmaxes[i])))
 		figure12Facts(out, kmaxes[i], res)
 		out.Run = res
 	}
@@ -583,12 +577,8 @@ func TransportSweep(scale float64, workers int) (*Result, error) {
 		t1, fleet := results[2*i], results[2*i+1]
 		rate := t1.Series.Get("qa.rate")
 		layers := t1.Series.Get("qa.layers")
-		dstR := out.Series.Series(fmt.Sprintf("%s.qa.rate", k))
-		dstL := out.Series.Series(fmt.Sprintf("%s.qa.layers", k))
-		for j := range rate.T {
-			dstR.Add(rate.T[j], rate.V[j])
-			dstL.Add(layers.T[j], layers.V[j])
-		}
+		out.Series.Add(rate.Alias(fmt.Sprintf("%s.qa.rate", k)))
+		out.Series.Add(layers.Alias(fmt.Sprintf("%s.qa.layers", k)))
 		ctr := t1.QASrc.Tr.Counters()
 		out.fact(fmt.Sprintf("%s.avg_rate", k), rate.AvgBetween(10, 40), "QA transmission rate, Fig 11 scenario (B/s)")
 		out.fact(fmt.Sprintf("%s.avg_layers", k), layers.AvgBetween(10, 40), "active layers")

@@ -3,6 +3,7 @@ package figures
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -178,6 +179,40 @@ func TestTablesSeeds(t *testing.T) {
 	for _, want := range []string{"over 3 start seeds", "Kmax=2", "Kmax=8", "\nT1    ", "\nT2    ", " ["} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+}
+
+// Fig 11 is the first 40 s of the T1 run at Kmax 2: every series of
+// its run is an exact prefix of the full T1 run's, unjittered and at a
+// start seed, so a seeded Fig 11 could follow the tables' T1 lead
+// rather than simulate. Only stall_sec, the whole run's total, is not a
+// prefix fact.
+func TestFigure11IsT1Prefix(t *testing.T) {
+	for _, seed := range []int64{0, 3} {
+		short, full := figure11Config(2, DefaultScale, nil), preset("T1", 2, DefaultScale, nil)
+		short.StartSeed, full.StartSeed = seed, seed
+		if full.Duration <= short.Duration {
+			t.Fatalf("T1 runs %v s, Fig 11 %v s", full.Duration, short.Duration)
+		}
+		results, err := scenario.RunAll([]scenario.Config{short, full}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, f := results[0].Series, results[1].Series
+		if a, b := fmt.Sprint(s.Names()), fmt.Sprint(f.Names()); a != b {
+			t.Fatalf("seed %d: Fig 11 series %s, T1 series %s", seed, a, b)
+		}
+		for _, name := range s.Names() {
+			a, b := s.Get(name), f.Get(name)
+			if a.Len() < 2 || a.Len() >= b.Len() {
+				t.Fatalf("seed %d %s: %d samples against T1's %d", seed, name, a.Len(), b.Len())
+			}
+			for i := range a.V {
+				if math.Float64bits(a.T[i]) != math.Float64bits(b.T[i]) || math.Float64bits(a.V[i]) != math.Float64bits(b.V[i]) {
+					t.Fatalf("seed %d %s sample %d: (%v, %v), T1 (%v, %v)", seed, name, i, a.T[i], a.V[i], b.T[i], b.V[i])
+				}
+			}
 		}
 	}
 }

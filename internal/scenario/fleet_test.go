@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"qav/internal/core"
@@ -96,36 +98,95 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Every series the sampler records is pre-sized from
-// Duration/SampleInterval: after a run, each series must still be at
-// exactly the reserved capacity — any append regrowth would have left a
-// larger one. The sharded leg has a ticker per flow engine and one for
-// the bottleneck.
+// Every series the sampler records is on its ticker's clock and
+// pre-sized from Duration/SampleInterval. Series written by one ticker
+// (or by the fleet coordinator) share one time column, series of
+// different tickers never do, and len(T) == len(V). Each series' values
+// are still at exactly the reserved capacity, which trace.Set.OnClock
+// takes from its clock's: any append regrowth, or a clock reserved
+// short, would have left another. The sharded legs have a ticker per
+// flow engine and one for the bottleneck, and at 3 shards the
+// coordinator; the followers leg puts each follower's qa.* trace on the
+// lead's first ticker.
 func TestSamplerPreSizesAllSeries(t *testing.T) {
-	for _, mode := range []string{"legacy", "fleet", "fleet-sharded"} {
+	for _, mode := range []string{"legacy", "fleet", "fleet-shards2", "fleet-sharded", "followers"} {
 		t.Run(mode, func(t *testing.T) {
 			cfg := MustPreset("Fleet", WithFlows(8))
 			switch mode {
-			case "legacy":
+			case "legacy", "followers":
 				cfg = MustPreset("T1")
+			case "fleet-shards2":
+				cfg.Shards = 2
 			case "fleet-sharded":
 				cfg.Shards = 3
 			}
 			cfg.Duration = 10
-			res := runChecked(t, cfg)
+			var results []*Result
+			if mode == "followers" {
+				cfgs := []Config{cfg, cfg}
+				cfgs[1].QA.Kmax = 3
+				results = eachChecked(t, cfgs, 1)
+			} else {
+				results = []*Result{runChecked(t, cfg)}
+			}
 			reserve := int(cfg.Duration/cfg.SampleInterval) + 2
-			for _, name := range res.Series.Names() {
-				s := res.Series.Get(name)
-				if cap(s.T) != reserve || cap(s.V) != reserve {
-					t.Errorf("series %q regrew: cap T=%d V=%d, reserved %d",
-						name, cap(s.T), cap(s.V), reserve)
-				}
-				if s.Len() > reserve {
-					t.Errorf("series %q has %d samples, more than reserved %d", name, s.Len(), reserve)
+			columns := map[string]*float64{} // clock → its column
+			clocks := map[*float64]string{}  // column → its clock
+			for _, res := range results {
+				for _, name := range res.Series.Names() {
+					s := res.Series.Get(name)
+					if len(s.T) != len(s.V) || s.Len() == 0 || s.Len() > reserve {
+						t.Fatalf("series %q: %d times, %d values, reserved %d", name, len(s.T), len(s.V), reserve)
+					}
+					if cap(s.V) != reserve {
+						t.Errorf("series %q regrew: cap V=%d, reserved %d", name, cap(s.V), reserve)
+					}
+					clock, col := sampleClock(&res.Cfg, name), &s.T[0]
+					if c, ok := columns[clock]; ok && c != col {
+						t.Errorf("series %q is off the %s clock's column", name, clock)
+					}
+					if c, ok := clocks[col]; ok && c != clock {
+						t.Errorf("series %q on the %s clock shares the %s clock's column", name, clock, c)
+					}
+					columns[clock], clocks[col] = col, clock
 				}
 			}
 		})
 	}
+}
+
+// sampleClock names the clock the sampler writes series name on: flow
+// engine i's ticker, the bottleneck engine's, or the fleet coordinator's.
+// A sharded dumbbell has Shards-1 flow engines beside the bottleneck's;
+// with one flow engine its ticker folds the fleet aggregates.
+func sampleClock(cfg *Config, name string) string {
+	n := max(cfg.Shards-1, 1)
+	flowTicker := func(i int) string { return fmt.Sprintf("flow %d", i%n) }
+	var i int
+	switch {
+	case strings.HasPrefix(name, "qa."):
+		return flowTicker(0)
+	case scanIndex(name, "qa%d.rate", &i):
+		return flowTicker(i)
+	case scanIndex(name, "rap%d.rate", &i):
+		return flowTicker(cfg.NumQA + i)
+	case scanIndex(name, "tcp%d.rate", &i):
+		return flowTicker(cfg.NumQA + cfg.NumRAP + i)
+	case strings.HasPrefix(name, "fleet."):
+		if n == 1 {
+			return flowTicker(0)
+		}
+		return "coordinator"
+	case cfg.Shards > 1:
+		return "bottleneck"
+	default:
+		return flowTicker(0)
+	}
+}
+
+func scanIndex(name, format string, i *int) bool {
+	_, err := fmt.Sscanf(name, format, i)
+	return err == nil
 }
 
 // Sampling a QA trace reads the controller's per-layer state in place:
@@ -139,14 +200,11 @@ func TestQATraceSampleAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := trace.NewSet()
-	qt := newQATrace(func(name string) *trace.Series {
-		s := set.Series(name)
-		s.Reserve(1000)
-		return s
-	}, &cfg, c, make([]int64, cfg.QA.MaxLayers), make([]int64, cfg.QA.MaxLayers))
+	clock := trace.NewClock(1000)
+	qt := newQATrace(on(trace.NewSet(), clock), &cfg, c, make([]int64, cfg.QA.MaxLayers), make([]int64, cfg.QA.MaxLayers))
 	now := 0.0
 	if allocs := testing.AllocsPerRun(100, func() {
+		clock.Add(now)
 		qt.sample(now, 50_000)
 		now += cfg.SampleInterval
 	}); allocs != 0 {

@@ -45,8 +45,11 @@ import (
 //
 // Every series is created before the run, in one order (trace.Set
 // orders its TSV output by creation, and figure TSVs are the regression
-// oracle), pre-sized from Duration/SampleInterval so that sampling
-// appends within capacity, and written by exactly one ticker.
+// oracle), and written by exactly one ticker, on that ticker's clock:
+// one time column per ticker (and one for the coordinator), ticked once
+// per sample, so each series stores only its values. Clocks and values
+// are pre-sized from Duration/SampleInterval, so sampling appends
+// within capacity.
 
 // qaSlot/rapSlot/tcpSlot bind one flow to its (optional) per-flow
 // series and its global position within its class, for the ring.
@@ -85,6 +88,7 @@ type ticker struct {
 	eng      *sim.Engine
 	interval float64
 	duration float64
+	clock    *trace.Clock // every series this ticker writes is on it
 
 	qas  []qaSlot
 	raps []rapSlot
@@ -109,6 +113,7 @@ type ticker struct {
 
 func (t *ticker) tick() {
 	now := t.eng.Now()
+	t.clock.Add(now)
 	var slot *fleetSlot
 	if t.ring != nil {
 		slot = &t.ring[t.j%len(t.ring)]
@@ -208,6 +213,7 @@ type fleetCoordinator struct {
 	*fleetFold
 	ring     []fleetSlot
 	duration float64
+	clock    *trace.Clock // the fold's series are on it
 
 	t    float64 // next unconsumed tick's time, on the tick recurrence
 	j    int
@@ -216,6 +222,7 @@ type fleetCoordinator struct {
 
 func (c *fleetCoordinator) atBarrier(hi float64, final bool) {
 	for !c.done && (c.t < hi || (final && c.t <= hi)) {
+		c.clock.Add(c.t)
 		c.add(c.t, &c.ring[c.j%len(c.ring)])
 		if c.t+c.interval <= c.duration {
 			c.t += c.interval
@@ -235,14 +242,9 @@ func startTickers(topo *topology, cfg *Config, res *Result, fols []*follower) fu
 	// Samples land at 0, Δ, 2Δ, ... while now+Δ <= Duration, plus slack
 	// for the float accumulation at the boundary.
 	reserve := int(cfg.Duration/cfg.SampleInterval) + 2
-	in := func(set *trace.Set) func(string) *trace.Series {
-		return func(name string) *trace.Series {
-			s := set.Series(name)
-			s.Reserve(reserve)
-			return s
-		}
+	newTicker := func(e *sim.Engine) *ticker {
+		return &ticker{eng: e, interval: cfg.SampleInterval, duration: cfg.Duration, clock: trace.NewClock(reserve)}
 	}
-	series := in(res.Series)
 	fleet := cfg.MaxTraceFlows > 0
 	capped := func(n int) int {
 		if fleet && n > cfg.MaxTraceFlows {
@@ -254,7 +256,7 @@ func startTickers(topo *topology, cfg *Config, res *Result, fols []*follower) fu
 	n := len(topo.flows)
 	ticks := make([]*ticker, n)
 	for i, e := range topo.flows {
-		ticks[i] = &ticker{eng: e, interval: cfg.SampleInterval, duration: cfg.Duration}
+		ticks[i] = newTicker(e)
 	}
 	// Flow IDs are assigned in class order (QA, RAP, TCP) and flow i
 	// runs on engine i mod n, so a class member's ticker follows from
@@ -262,52 +264,59 @@ func startTickers(topo *topology, cfg *Config, res *Result, fols []*follower) fu
 	// into the fleet aggregates is left out.
 	for qi, q := range res.QASrcs {
 		slot := qaSlot{src: q, global: qi}
+		t := ticks[qi%n]
 		if qi == 0 {
-			slot.traces = []*qaTrace{newQATrace(series, cfg, q.Ctrl, q.SentByLayer, q.DeliveredByLayer)}
+			slot.traces = []*qaTrace{newQATrace(on(res.Series, t.clock), cfg, q.Ctrl, q.SentByLayer, q.DeliveredByLayer)}
 			for _, f := range fols {
 				r := f.reps[0]
-				slot.traces = append(slot.traces, newQATrace(in(f.res.Series), &f.res.Cfg, r.Ctrl, r.SentByLayer, r.DeliveredByLayer))
+				slot.traces = append(slot.traces, newQATrace(on(f.res.Series, t.clock), &f.res.Cfg, r.Ctrl, r.SentByLayer, r.DeliveredByLayer))
 			}
 		} else if fleet && qi < capped(len(res.QASrcs)) {
-			slot.series = series(fmt.Sprintf("qa%d.rate", qi))
+			slot.series = on(res.Series, t.clock)(fmt.Sprintf("qa%d.rate", qi))
 		}
-		t := ticks[qi%n]
 		t.qas = append(t.qas, slot)
 	}
 	for ri, r := range res.RAPSrcs {
 		slot := rapSlot{src: r, global: ri}
+		t := ticks[(cfg.NumQA+ri)%n]
 		if ri < capped(len(res.RAPSrcs)) {
-			slot.series = series(fmt.Sprintf("rap%d.rate", ri))
+			slot.series = on(res.Series, t.clock)(fmt.Sprintf("rap%d.rate", ri))
 		}
 		if slot.series != nil || fleet {
-			t := ticks[(cfg.NumQA+ri)%n]
 			t.raps = append(t.raps, slot)
 		}
 	}
 	for ti, src := range res.TCPSrcs {
 		slot := tcpSlot{src: src, global: ti}
+		t := ticks[(cfg.NumQA+cfg.NumRAP+ti)%n]
 		if fleet && ti < capped(len(res.TCPSrcs)) {
-			slot.series = series(fmt.Sprintf("tcp%d.rate", ti))
+			slot.series = on(res.Series, t.clock)(fmt.Sprintf("tcp%d.rate", ti))
 		}
 		if slot.series != nil || fleet {
-			t := ticks[(cfg.NumQA+cfg.NumRAP+ti)%n]
 			t.tcps = append(t.tcps, slot)
 		}
 	}
 	bt := ticks[0]
 	if bt.eng != topo.bneck {
-		bt = &ticker{eng: topo.bneck, interval: cfg.SampleInterval, duration: cfg.Duration}
+		bt = newTicker(topo.bneck)
 		ticks = append(ticks, bt)
 	}
-	bt.sQueue, bt.queue = series("queue.bytes"), topo.queue
+	bt.sQueue, bt.queue = on(res.Series, bt.clock)("queue.bytes"), topo.queue
 	if res.Fluid != nil {
 		// Hybrid runs trace the background aggregate's modeled send rate
 		// right after the queue.
-		bt.fluid, bt.sFluid = res.Fluid, series("fluid.rate")
+		bt.fluid, bt.sFluid = res.Fluid, on(res.Series, bt.clock)("fluid.rate")
 	}
 
 	var coord *fleetCoordinator
 	if fleet {
+		// The aggregates are folded by the one flow engine's ticker, or by
+		// the coordinator on a clock of its own.
+		clock := ticks[0].clock
+		if n > 1 {
+			clock = trace.NewClock(reserve)
+		}
+		series := on(res.Series, clock)
 		fold := &fleetFold{
 			sQA:      series("fleet.qa.rate"),
 			sRap:     series("fleet.rap.rate"),
@@ -327,7 +336,7 @@ func startTickers(topo *topology, cfg *Config, res *Result, fols []*follower) fu
 		if n == 1 {
 			ticks[0].fold = fold
 		} else {
-			coord = &fleetCoordinator{fleetFold: fold, ring: ring, duration: cfg.Duration}
+			coord = &fleetCoordinator{fleetFold: fold, ring: ring, duration: cfg.Duration, clock: clock}
 		}
 		for i := range ring {
 			ring[i] = fleetSlot{
@@ -351,6 +360,13 @@ func startTickers(topo *topology, cfg *Config, res *Result, fols []*follower) fu
 		return nil
 	}
 	return coord.atBarrier
+}
+
+// on returns a function that creates series in set on clock c, with
+// room for every tick c has reserved. It is the one place the sampler
+// creates a series.
+func on(set *trace.Set, c *trace.Clock) func(string) *trace.Series {
+	return func(name string) *trace.Series { return set.OnClock(name, c) }
 }
 
 // traceLayers is how many layers the QA trace records per-layer series

@@ -1,13 +1,18 @@
 // Package trace collects time series and computes the paper's evaluation
 // metrics: buffering efficiency (Table 1) and the fraction of layer drops
 // caused by poor inter-layer buffer distribution (Table 2).
+//
+// A series holds its own time column unless it is bound to a Clock
+// (Set.OnClock): series sampled at the same instants then share the
+// clock's one column and store only their values, and each one's T is
+// a view of the column's first Len() entries.
 package trace
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Series is a named time series (seconds, value).
@@ -15,21 +20,45 @@ type Series struct {
 	Name string
 	T    []float64
 	V    []float64
+
+	clock *Clock // nil: T is the series' own
 }
 
-// Add appends a sample.
+// Clock is one time column, shared by every series bound to it. A
+// sampler adds each sample time to the clock once, then one value to
+// each of its series.
+type Clock struct{ t []float64 }
+
+// NewClock returns an empty clock reserved for n ticks.
+func NewClock(n int) *Clock { return &Clock{t: make([]float64, 0, n)} }
+
+// Add appends sample time t to the column.
+func (c *Clock) Add(t float64) { c.t = append(c.t, t) }
+
+// Add appends a sample. On a series bound to a clock, t must be the
+// clock's time for this sample: only v is stored, and T grows to view
+// one more of the clock's times.
 func (s *Series) Add(t, v float64) {
-	s.T = append(s.T, t)
 	s.V = append(s.V, v)
+	if s.clock == nil {
+		s.T = append(s.T, t)
+		return
+	}
+	n := len(s.V)
+	// The full slice expression keeps an append to T off the column.
+	s.T = s.clock.t[:n:n]
+	if s.T[n-1] != t {
+		panic("trace: " + s.Name + " sampled off its clock")
+	}
 }
 
 // Reserve grows the series' capacity to hold at least n samples, so a
-// caller that knows its sample count up front (e.g. the scenario
-// sampler: Duration/SampleInterval) pays one allocation per vector
-// instead of the append regrowth ladder. Existing samples are kept; a
-// series already at capacity n is untouched.
+// caller that knows its sample count up front pays one allocation per
+// vector instead of the append regrowth ladder. Existing samples are
+// kept; a series already at capacity n is untouched. A bound series
+// reserves its values only; its times are the clock's.
 func (s *Series) Reserve(n int) {
-	if cap(s.T) < n {
+	if s.clock == nil && cap(s.T) < n {
 		t := make([]float64, len(s.T), n)
 		copy(t, s.T)
 		s.T = t
@@ -39,6 +68,13 @@ func (s *Series) Reserve(n int) {
 		copy(v, s.V)
 		s.V = v
 	}
+}
+
+// Alias returns a series named name that shares s's samples as they
+// are now. An Add to either one leaves the other as it was.
+func (s *Series) Alias(name string) *Series {
+	n := len(s.V)
+	return &Series{Name: name, T: s.T[:n:n], V: s.V[:n:n]}
 }
 
 // Len returns the number of samples.
@@ -131,6 +167,15 @@ func (set *Set) Series(name string) *Series {
 	return s
 }
 
+// OnClock returns a new series named name bound to c, with room for
+// as many values as c has reserved ticks. set must hold no series of
+// that name.
+func (set *Set) OnClock(name string, c *Clock) *Series {
+	s := &Series{Name: name, V: make([]float64, 0, cap(c.t)), clock: c}
+	set.Add(s)
+	return s
+}
+
 // Add puts s, which may belong to another set too, last in set's
 // creation order under its name. set must hold no series of that name.
 func (set *Set) Add(s *Series) {
@@ -195,30 +240,22 @@ func (set *Set) WriteTSV(w io.Writer) error {
 		}
 		return a.last < b.last
 	})
+	var line []byte
 	for _, k := range keys {
 		g := groups[k]
-		n := k.n
-		if _, err := fmt.Fprintf(w, "# time"); err != nil {
-			return err
-		}
+		line = append(line[:0], "# time"...)
 		for _, s := range g {
-			if _, err := fmt.Fprintf(w, "\t%s", s.Name); err != nil {
-				return err
-			}
+			line = append(append(line, '\t'), s.Name...)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
+		if _, err := w.Write(append(line, '\n')); err != nil {
 			return err
 		}
-		for i := 0; i < n; i++ {
-			if _, err := fmt.Fprintf(w, "%.3f", g[0].T[i]); err != nil {
-				return err
-			}
+		for i := 0; i < k.n; i++ {
+			line = strconv.AppendFloat(line[:0], g[0].T[i], 'f', 3, 64)
 			for _, s := range g {
-				if _, err := fmt.Fprintf(w, "\t%.3f", s.V[i]); err != nil {
-					return err
-				}
+				line = strconv.AppendFloat(append(line, '\t'), s.V[i], 'f', 3, 64)
 			}
-			if _, err := fmt.Fprintln(w); err != nil {
+			if _, err := w.Write(append(line, '\n')); err != nil {
 				return err
 			}
 		}

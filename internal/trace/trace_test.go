@@ -2,6 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -168,5 +174,192 @@ func TestReserveAppendsAllocationFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("adding %d reserved samples allocated %.0f times per run", n, allocs)
+	}
+}
+
+// Series on one clock store only their values; each one's T is a view of
+// the column's first Len() entries, and appending to that view leaves
+// the column as it was.
+func TestClockSharesOneColumn(t *testing.T) {
+	set := NewSet()
+	c := NewClock(8)
+	a, b := set.OnClock("a", c), set.OnClock("b", c)
+	if cap(a.V) != 8 || a.clock != c {
+		t.Fatalf("OnClock: cap V = %d, bound %v", cap(a.V), a.clock == c)
+	}
+	for i := 0; i < 3; i++ {
+		now := 0.5 * float64(i)
+		c.Add(now)
+		a.Add(now, float64(i))
+		b.Add(now, -float64(i))
+	}
+	if a.Len() != 3 || len(a.V) != 3 || &a.T[0] != &c.t[0] || &b.T[0] != &c.t[0] || a.T[2] != 1 {
+		t.Fatalf("a = %+v, b = %+v, column %v", a, b, c.t)
+	}
+	_ = append(a.T, 99)
+	c.Add(1.5)
+	if c.t[3] != 1.5 {
+		t.Fatalf("an append to a bound series' T wrote the column: %v", c.t)
+	}
+	a.Reserve(64)
+	if cap(a.V) < 64 || &b.T[0] != &c.t[0] {
+		t.Fatal("Reserve on a bound series")
+	}
+	// b is one sample behind the column: its next value takes tick 3.
+	b.Add(1.5, 7)
+	if b.Len() != 4 || b.T[3] != 1.5 || a.Len() != 3 {
+		t.Fatalf("a = %+v, b = %+v", a, b)
+	}
+	var buf bytes.Buffer
+	if err := set.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# time\ta\n0.000\t0.000\n0.500\t1.000\n1.000\t2.000\n# time\tb\n0.000\t-0.000\n0.500\t-1.000\n1.000\t-2.000\n1.500\t7.000\n"; buf.String() != want {
+		t.Fatalf("TSV:\n%s", buf.String())
+	}
+}
+
+// A bound series takes its times from the clock: an Add at any other time
+// than the column's next one is a sampler bug, and panics.
+func TestClockRejectsOffClockAdd(t *testing.T) {
+	c := NewClock(4)
+	s := NewSet().OnClock("s", c)
+	c.Add(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add at 2 on a clock at 1 did not panic")
+		}
+	}()
+	s.Add(2, 0)
+}
+
+// Adding values on a reserved clock allocates nothing.
+func TestClockAddsAllocationFree(t *testing.T) {
+	const n = 1202
+	c := NewClock(n)
+	set := NewSet()
+	a, b := set.OnClock("a", c), set.OnClock("b", c)
+	allocs := testing.AllocsPerRun(10, func() {
+		c.t, a.V, b.V = c.t[:0], a.V[:0], b.V[:0]
+		for i := 0; i < n; i++ {
+			now := float64(i)
+			c.Add(now)
+			a.Add(now, now)
+			b.Add(now, -now)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("adding %d samples to two bound series allocated %.0f times per run", n, allocs)
+	}
+}
+
+// An alias shares its source's samples under another name; later adds
+// to either leave the other as it was.
+func TestAliasSharesSamples(t *testing.T) {
+	var s Series
+	s.Reserve(8)
+	s.Add(1, 10)
+	s.Add(2, 20)
+	a := s.Alias("a")
+	if a.Name != "a" || a.Len() != 2 || &a.T[0] != &s.T[0] || &a.V[0] != &s.V[0] {
+		t.Fatalf("alias = %+v", a)
+	}
+	s.Add(3, 30)
+	a.Add(4, 40)
+	if a.Len() != 3 || a.V[2] != 40 || s.V[2] != 30 || s.T[2] != 3 {
+		t.Fatalf("source %+v, alias %+v", s, *a)
+	}
+}
+
+// writeTSVRef is WriteTSV as it was written with fmt, one call per cell:
+// the reference the strconv writer must match byte for byte.
+func writeTSVRef(set *Set, w io.Writer) error {
+	if len(set.order) == 0 {
+		return nil
+	}
+	groups := map[tsvKey][]*Series{}
+	var keys []tsvKey
+	for _, s := range set.order {
+		k := seriesKey(s)
+		if _, ok := groups[k]; !ok {
+			keys = append(keys, k)
+		}
+		groups[k] = append(groups[k], s)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.n != b.n {
+			return a.n < b.n
+		}
+		if a.first != b.first {
+			return a.first < b.first
+		}
+		return a.last < b.last
+	})
+	for _, k := range keys {
+		g := groups[k]
+		fmt.Fprintf(w, "# time")
+		for _, s := range g {
+			fmt.Fprintf(w, "\t%s", s.Name)
+		}
+		fmt.Fprintln(w)
+		for i := 0; i < k.n; i++ {
+			fmt.Fprintf(w, "%.3f", g[0].T[i])
+			for _, s := range g {
+				fmt.Fprintf(w, "\t%.3f", s.V[i])
+			}
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
+}
+
+// WriteTSV formats each cell with strconv, not fmt: every special value,
+// every halfway value at the third decimal and random ones of every
+// magnitude must print as fmt's "%.3f" does, cell by cell and as whole
+// tables.
+func TestWriteTSVMatchesSprintf(t *testing.T) {
+	vals := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		1e300, -1e300, math.MaxFloat64, 5e-324, -5e-324, 0.0004999, 0.9995, -0.9995}
+	for x := 0.0; x < 20; x++ {
+		for _, frac := range []float64{0.0005, 0.0015, 0.0025, 0.1235, 0.9995} {
+			vals = append(vals, x+frac, -(x + frac), 1000*x+frac)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, math.Ldexp(rng.Float64()-0.5, rng.Intn(120)-60))
+	}
+	for _, v := range vals {
+		if got, want := string(strconv.AppendFloat(nil, v, 'f', 3, 64)), fmt.Sprintf("%.3f", v); got != want {
+			t.Fatalf("%v: strconv %q, fmt %q", v, got, want)
+		}
+	}
+	set := NewSet()
+	c := NewClock(len(vals))
+	bound, neg := set.OnClock("bound", c), set.OnClock("neg", c)
+	own, short := set.Series("own"), set.Series("short")
+	for i, v := range vals {
+		now := 0.1 * float64(i)
+		c.Add(now)
+		bound.Add(now, v)
+		neg.Add(now, -v)
+		own.Add(v, v) // its own clock: the special values as times too
+		if i%3 == 0 {
+			short.Add(now, v)
+		}
+	}
+	var got, want bytes.Buffer
+	if err := set.WriteTSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeTSVRef(set, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("WriteTSV differs from the fmt reference:\n%.600s\nreference:\n%.600s", got.String(), want.String())
+	}
+	if n := strings.Count(got.String(), "# time"); n != 3 {
+		t.Fatalf("%d blocks, want 3", n)
 	}
 }
