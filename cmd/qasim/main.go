@@ -59,7 +59,7 @@ func main() {
 	sf := newSimFlags(flag.CommandLine)
 	parallel := flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU)")
 	tsv := flag.Bool("tsv", false, "dump full time series as TSV")
-	events := flag.Bool("events", false, "dump the controller event log")
+	events := flag.Bool("events", false, "dump the first QA flow's decision log")
 	reportPath := flag.String("report", "", `write a JSON run report to this file ("-" = stdout)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")

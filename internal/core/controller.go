@@ -60,9 +60,11 @@ type Controller struct {
 	lastAllocRate float64
 	allocDirty    bool
 
-	// Events is the decision log (bounded by P.MaxEvents), for display;
-	// the counts live in the running sums below.
-	Events []Event
+	// Events is the decision log, for display; nil unless KeepEvents
+	// was called (a kept log is bounded by P.MaxEvents). The counts live
+	// in the running sums below.
+	Events     []Event
+	keepEvents bool
 
 	// Running sums of every decision, whatever the log kept: Stats reads
 	// them. sumE is Σe over drops, poorDrops the poor-distribution drops.
@@ -96,6 +98,11 @@ func NewController(p Params) (*Controller, error) {
 		ins:     &noInstruments,
 	}, nil
 }
+
+// KeepEvents makes the controller log its decisions in Events from now
+// on. Without it the log stays nil: Stats and the instruments count
+// every decision either way.
+func (c *Controller) KeepEvents() { c.keepEvents = true }
 
 // Stats returns the controller's decision counts and the Tables 1-2
 // metrics, from running sums kept as the decisions are made.
@@ -484,16 +491,19 @@ func (c *Controller) safeSlope(s float64) float64 {
 	return s
 }
 
-// event logs a decision and counts it, into the running sums Stats reads
-// and the attached instruments: the one place decisions are counted.
+// event counts a decision, into the running sums Stats reads and the
+// attached instruments: the one place decisions are counted. It logs the
+// decision too if the log is kept (KeepEvents).
 func (c *Controller) event(e Event) {
-	if c.P.MaxEvents > 0 && len(c.Events) >= c.P.MaxEvents {
-		// Keep the most recent half; amortized O(1) per event and the
-		// slice capacity never exceeds the cap.
-		n := copy(c.Events, c.Events[len(c.Events)-c.P.MaxEvents/2:])
-		c.Events = c.Events[:n]
+	if c.keepEvents {
+		if c.P.MaxEvents > 0 && len(c.Events) >= c.P.MaxEvents {
+			// Keep the most recent half; amortized O(1) per event and
+			// the slice capacity never exceeds the cap.
+			n := copy(c.Events, c.Events[len(c.Events)-c.P.MaxEvents/2:])
+			c.Events = c.Events[:n]
+		}
+		c.Events = append(c.Events, e)
 	}
-	c.Events = append(c.Events, e)
 	ins := c.ins
 	switch e.Kind {
 	case EvAddLayer:

@@ -22,6 +22,7 @@ func newLoopback(t *testing.T, p Params) *loopback {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.KeepEvents()
 	return &loopback{c: c, dt: 0.005}
 }
 
@@ -376,15 +377,15 @@ func TestAllocationPolicyEfficiencyOrdering(t *testing.T) {
 	}
 }
 
-// TestEventLogBounded: with MaxEvents set, the decision log keeps only
-// recent history instead of growing without bound — the serving path
-// depends on this for hour-long streams whose rate straddles a layer
-// boundary (perpetual add/drop churn).
+// TestEventLogBounded: with MaxEvents set, a kept decision log keeps
+// only recent history instead of growing without bound, however long
+// the add/drop churn runs.
 func TestEventLogBounded(t *testing.T) {
 	c, err := NewController(Params{C: 1000, MaxEvents: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.KeepEvents()
 	for i := 0; i < 10_000; i++ {
 		c.event(Event{Time: float64(i)})
 	}
@@ -410,6 +411,7 @@ func TestEventLogBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c2.KeepEvents()
 	for i := 0; i < 10_000; i++ {
 		c2.event(Event{Time: float64(i)})
 	}
@@ -426,6 +428,7 @@ func TestStatsCountsPastTheLogCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.KeepEvents()
 	for _, e := range []Event{
 		{Kind: EvPlayStart},
 		{Kind: EvAddLayer},
@@ -449,6 +452,27 @@ func TestStatsCountsPastTheLogCap(t *testing.T) {
 	}
 	if st := (&Controller{}).Stats(); st.AvgEfficiency != 1 || st.PoorDistPct != 0 {
 		t.Fatalf("no-drop stats %+v; want e 1 and no poor drops", st)
+	}
+}
+
+// Without KeepEvents the controller logs nothing, whatever MaxEvents
+// says, and still counts every decision.
+func TestNoEventLogUnlessKept(t *testing.T) {
+	for _, maxEvents := range []int{0, 64} {
+		c, err := NewController(Params{C: 1000, MaxEvents: maxEvents})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := []EventKind{EvAddLayer, EvDropLayer, EvBackoff, EvStallStart}
+		for i := 0; i < 10_000; i++ {
+			c.event(Event{Kind: kinds[i%len(kinds)], Time: float64(i)})
+		}
+		if c.Events != nil {
+			t.Fatalf("MaxEvents %d: %d events logged without KeepEvents", maxEvents, len(c.Events))
+		}
+		if st := c.Stats(); st.Adds != 2500 || st.Drops != 2500 || st.Backoffs != 2500 || st.Stalls != 2500 || st.AvgEfficiency != 1 {
+			t.Fatalf("MaxEvents %d: stats %+v; want 2500 of each decision, e 1", maxEvents, st)
+		}
 	}
 }
 

@@ -91,11 +91,10 @@ type Params struct {
 	// default AllocOptimal is the paper's contribution; the others are
 	// §2.3's strawmen for ablations).
 	Alloc Allocation
-	// MaxEvents bounds the decision log: past the cap the oldest half
-	// is discarded, keeping recent history. Zero keeps the full log
-	// (the simulator's default, for event dumps and figures); a
-	// long-running server sets a cap so a churning stream cannot grow
-	// memory without bound. Stats counts every decision either way.
+	// MaxEvents bounds a kept decision log (Controller.KeepEvents):
+	// past the cap the oldest half is discarded, keeping recent
+	// history. Zero keeps the full log. A controller that keeps no log
+	// ignores it; Stats counts every decision either way.
 	MaxEvents int
 }
 

@@ -85,11 +85,11 @@ func (r *Result) Render(w io.Writer) error {
 // Figure1 regenerates the RAP sawtooth trace: one RAP flow alone on a
 // small bottleneck, transmission rate vs time against the link bandwidth.
 func Figure1(opts ...scenario.PresetOption) (*Result, error) {
-	cfg := instrumented(scenario.MustPreset("SingleRAP", opts...))
-	res, err := scenario.Run(cfg)
+	res, err := runPreset(scenario.Preset("SingleRAP", opts...))
 	if err != nil {
 		return nil, err
 	}
+	cfg := res.Cfg
 	out := &Result{Name: "Figure 1: transmission rate of a single RAP flow", Run: res}
 	out.Reports = append(out.Reports, res.Report())
 	out.Series = trace.NewSet()
@@ -110,8 +110,7 @@ func Figure1(opts ...scenario.PresetOption) (*Result, error) {
 // single QA flow whose receiver buffers absorb backoffs while layers
 // keep playing.
 func Figure2(opts ...scenario.PresetOption) (*Result, error) {
-	cfg := instrumented(scenario.MustPreset("SingleQA", append([]scenario.PresetOption{scenario.WithKmax(2)}, opts...)...))
-	res, err := scenario.Run(cfg)
+	res, err := runPreset(scenario.Preset("SingleQA", append([]scenario.PresetOption{scenario.WithKmax(2)}, opts...)...))
 	if err != nil {
 		return nil, err
 	}
@@ -127,23 +126,32 @@ func Figure2(opts ...scenario.PresetOption) (*Result, error) {
 	return out, nil
 }
 
+// runPreset runs cfg instrumented, unless err, the error of the preset
+// that made cfg, is set.
+func runPreset(cfg scenario.Config, err error) (*scenario.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return scenario.Run(instrumented(cfg))
+}
+
 // preset is test's preset at kmax and scale, opts applied after.
-func preset(test string, kmax int, scale float64, opts []scenario.PresetOption) scenario.Config {
-	return scenario.MustPreset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...)
+func preset(test string, kmax int, scale float64, opts []scenario.PresetOption) (scenario.Config, error) {
+	return scenario.Preset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...)
 }
 
 // figure11Config is Fig 11's run: T1 at kmax, its first 40 seconds.
-func figure11Config(kmax int, scale float64, opts []scenario.PresetOption) scenario.Config {
-	cfg := preset("T1", kmax, scale, opts)
+func figure11Config(kmax int, scale float64, opts []scenario.PresetOption) (scenario.Config, error) {
+	cfg, err := preset("T1", kmax, scale, opts)
 	cfg.Duration = 40 // the paper shows the first 40 seconds
-	return cfg
+	return cfg, err
 }
 
 // Figure11 regenerates the detailed T1 trace: total transmit and
 // consumption rate, per-layer transmit-rate breakdown, per-layer drain
 // rate, and per-layer buffered data, with Kmax = 2 as in the paper.
 func Figure11(kmax int, scale float64, opts ...scenario.PresetOption) (*Result, error) {
-	res, err := scenario.Run(instrumented(figure11Config(kmax, scale, opts)))
+	res, err := runPreset(figure11Config(kmax, scale, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +185,11 @@ func Figure12(scale float64, workers int, opts ...scenario.PresetOption) (*Resul
 	kmaxes := []int{2, 3, 4}
 	cfgs := make([]scenario.Config, len(kmaxes))
 	for i, kmax := range kmaxes {
-		cfgs[i] = instrumented(preset("T1", kmax, scale, opts))
+		cfg, err := preset("T1", kmax, scale, opts)
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = instrumented(cfg)
 	}
 	results := make([]*scenario.Result, len(cfgs))
 	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { results[i] = res }); err != nil {
@@ -208,7 +220,7 @@ const figure13Name = "Figure 13: effect of long-term changes in bandwidth (CBR b
 // Figure13 regenerates the responsiveness experiment: T2's CBR source at
 // half the bottleneck bandwidth from t=30s to t=60s, Kmax = 4.
 func Figure13(scale float64, opts ...scenario.PresetOption) (*Result, error) {
-	res, err := scenario.Run(instrumented(preset("T2", 4, scale, opts)))
+	res, err := runPreset(preset("T2", 4, scale, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +257,10 @@ type TableCell struct {
 // CPU). Every report is byte-identical to a full simulation of its cell.
 // The second return value is one run report per cell, in cell order.
 func TablesSweep(kmaxes []int, scale float64, workers int, opts ...scenario.PresetOption) ([]TableCell, []scenario.RunReport, error) {
-	cfgs, cells := tablesConfigs(kmaxes, scale, opts...)
+	cfgs, cells, err := tablesConfigs(kmaxes, scale, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
 	for i := range cfgs {
 		cfgs[i] = instrumented(cfgs[i])
 	}
@@ -261,7 +276,7 @@ func TablesSweep(kmaxes []int, scale float64, workers int, opts ...scenario.Pres
 
 // tablesConfigs returns the sweep's configs, T1 then T2, each for every
 // Kmax (the paper's when kmaxes is empty), and their cells.
-func tablesConfigs(kmaxes []int, scale float64, opts ...scenario.PresetOption) ([]scenario.Config, []TableCell) {
+func tablesConfigs(kmaxes []int, scale float64, opts ...scenario.PresetOption) ([]scenario.Config, []TableCell, error) {
 	if len(kmaxes) == 0 {
 		kmaxes = []int{2, 3, 4, 5, 8}
 	}
@@ -269,11 +284,15 @@ func tablesConfigs(kmaxes []int, scale float64, opts ...scenario.PresetOption) (
 	var cells []TableCell
 	for _, test := range []string{"T1", "T2"} {
 		for _, kmax := range kmaxes {
-			cfgs = append(cfgs, preset(test, kmax, scale, opts))
+			cfg, err := preset(test, kmax, scale, opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			cfgs = append(cfgs, cfg)
 			cells = append(cells, TableCell{Test: test, Kmax: kmax})
 		}
 	}
-	return cfgs, cells
+	return cfgs, cells, nil
 }
 
 // CellSpread is one (test, Kmax) cell over start seeds 1..Seeds
@@ -291,18 +310,20 @@ type CellSpread struct {
 
 // seedConfigs returns the Table 1/2 sweep's configs (tablesConfigs) for
 // start seeds 1..seeds in turn, and one seed's cells.
-func seedConfigs(kmaxes []int, seeds int, scale float64, opts []scenario.PresetOption) ([]scenario.Config, []TableCell) {
+func seedConfigs(kmaxes []int, seeds int, scale float64, opts []scenario.PresetOption) ([]scenario.Config, []TableCell, error) {
 	var cfgs []scenario.Config
 	var cells []TableCell
 	for seed := 1; seed <= seeds; seed++ {
-		var seedCfgs []scenario.Config
-		seedCfgs, cells = tablesConfigs(kmaxes, scale, opts...)
+		seedCfgs, seedCells, err := tablesConfigs(kmaxes, scale, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
 		for i := range seedCfgs {
 			seedCfgs[i].StartSeed = int64(seed)
 		}
-		cfgs = append(cfgs, seedCfgs...)
+		cfgs, cells = append(cfgs, seedCfgs...), seedCells
 	}
-	return cfgs, cells
+	return cfgs, cells, nil
 }
 
 // TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds, all
@@ -311,7 +332,10 @@ func seedConfigs(kmaxes []int, seeds int, scale float64, opts []scenario.PresetO
 // on workers goroutines (<= 0 means one per CPU). It returns the cells
 // in TablesSweep's order.
 func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
-	cfgs, cells := seedConfigs(kmaxes, seeds, scale, opts)
+	cfgs, cells, err := seedConfigs(kmaxes, seeds, scale, opts)
+	if err != nil {
+		return nil, err
+	}
 	drops := make([]core.DropStats, len(cfgs))
 	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { drops[i] = res.Stats }); err != nil {
 		return nil, err
@@ -360,7 +384,10 @@ func FigureSeeds(fig, kmax, seeds int, scale float64, workers int, opts ...scena
 	switch fig {
 	case 11:
 		for seed := 1; seed <= seeds; seed++ {
-			cfg := figure11Config(kmax, scale, opts)
+			cfg, err := figure11Config(kmax, scale, opts)
+			if err != nil {
+				return nil, err
+			}
 			cfg.StartSeed = int64(seed)
 			cfgs = append(cfgs, cfg)
 		}
@@ -368,7 +395,10 @@ func FigureSeeds(fig, kmax, seeds int, scale float64, workers int, opts ...scena
 		facts = func(_ int, to *Result, res *scenario.Result) { figure11Facts(to, res) }
 	case 12, 13:
 		var cells []TableCell
-		cfgs, cells = seedConfigs(nil, seeds, scale, opts)
+		var err error
+		if cfgs, cells, err = seedConfigs(nil, seeds, scale, opts); err != nil {
+			return nil, err
+		}
 		out.Name = map[int]string{12: figure12Name, 13: figure13Name}[fig]
 		facts = func(i int, to *Result, res *scenario.Result) {
 			switch c := cells[i%len(cells)]; {
@@ -555,12 +585,15 @@ func TransportSweep(scale float64, workers int) (*Result, error) {
 	kinds := TransportKinds()
 	var cfgs []scenario.Config
 	for _, k := range kinds {
-		t1 := instrumented(scenario.MustPreset("T1",
-			scenario.WithKmax(2), scenario.WithScale(scale), scenario.WithTransport(k)))
-		t1.Duration = 40 // match Figure11: the paper shows the first 40 seconds
-		fleet := instrumented(scenario.MustPreset("Fleet",
-			scenario.WithKmax(2), scenario.WithScale(scale), scenario.WithTransport(k)))
-		cfgs = append(cfgs, t1, fleet)
+		t1, err := figure11Config(2, scale, []scenario.PresetOption{scenario.WithTransport(k)})
+		if err != nil {
+			return nil, err
+		}
+		fleet, err := preset("Fleet", 2, scale, []scenario.PresetOption{scenario.WithTransport(k)})
+		if err != nil {
+			return nil, err
+		}
+		cfgs = append(cfgs, instrumented(t1), instrumented(fleet))
 	}
 	results, err := scenario.RunAll(cfgs, workers)
 	if err != nil {

@@ -190,7 +190,7 @@ func TestTablesSeeds(t *testing.T) {
 // prefix fact.
 func TestFigure11IsT1Prefix(t *testing.T) {
 	for _, seed := range []int64{0, 3} {
-		short, full := figure11Config(2, DefaultScale, nil), preset("T1", 2, DefaultScale, nil)
+		short, full := mustConfig(figure11Config(2, DefaultScale, nil)), mustConfig(preset("T1", 2, DefaultScale, nil))
 		short.StartSeed, full.StartSeed = seed, seed
 		if full.Duration <= short.Duration {
 			t.Fatalf("T1 runs %v s, Fig 11 %v s", full.Duration, short.Duration)
@@ -233,13 +233,13 @@ func TestFigureSeeds(t *testing.T) {
 		}
 		switch fig {
 		case 11:
-			facts(figure11Config(2, 1, nil), figure11Facts)
+			facts(mustConfig(figure11Config(2, 1, nil)), figure11Facts)
 		case 12:
 			for _, kmax := range []int{2, 3, 4} {
-				facts(preset("T1", kmax, 1, nil), func(out *Result, res *scenario.Result) { figure12Facts(out, kmax, res) })
+				facts(mustConfig(preset("T1", kmax, 1, nil)), func(out *Result, res *scenario.Result) { figure12Facts(out, kmax, res) })
 			}
 		case 13:
-			facts(preset("T2", 4, 1, nil), figure13Facts)
+			facts(mustConfig(preset("T2", 4, 1, nil)), figure13Facts)
 		}
 		one, err := FigureSeeds(fig, 2, 1, 1, 2)
 		if err != nil {
@@ -269,5 +269,50 @@ func TestFigureSeeds(t *testing.T) {
 		if out := buf.String(); !strings.Contains(out, "over 3 start seeds") || strings.Count(out, "\n") != len(three.Facts)+1 {
 			t.Errorf("Fig %d rendered:\n%s", fig, out)
 		}
+	}
+}
+
+// mustConfig is cfg, panicking on err; for the tests' static configs.
+func mustConfig(cfg scenario.Config, err error) scenario.Config {
+	if err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
+// A bad scale or Kmax reaches every exported entry point's caller as the
+// preset's error, not as a panic.
+func TestBadParamsAreErrors(t *testing.T) {
+	calls := map[string]func() error{
+		"Figure1 scale 0":    func() error { _, err := Figure1(scenario.WithScale(0)); return err },
+		"Figure2 kmax 0":     func() error { _, err := Figure2(scenario.WithKmax(0)); return err },
+		"Figure11 kmax 0":    func() error { _, err := Figure11(0, 1); return err },
+		"TablesSweep kmax 0": func() error { _, _, err := TablesSweep([]int{2, 0}, 1, 1); return err },
+		"TablesSeeds kmax 0": func() error { _, err := TablesSeeds([]int{0}, 2, 1, 1); return err },
+		"FigureSeeds kmax 0": func() error { _, err := FigureSeeds(11, 0, 2, 1, 1); return err },
+	}
+	for _, scale := range []float64{0, -1} {
+		at := fmt.Sprintf(" scale %v", scale)
+		calls["Figure11"+at] = func() error { _, err := Figure11(2, scale); return err }
+		calls["Figure12"+at] = func() error { _, err := Figure12(scale, 1); return err }
+		calls["Figure13"+at] = func() error { _, err := Figure13(scale); return err }
+		calls["TablesSweep"+at] = func() error { _, _, err := TablesSweep(nil, scale, 1); return err }
+		calls["TablesSeeds"+at] = func() error { _, err := TablesSeeds(nil, 2, scale, 1); return err }
+		for _, fig := range []int{11, 12, 13} {
+			calls[fmt.Sprintf("FigureSeeds %d%s", fig, at)] = func() error { _, err := FigureSeeds(fig, 2, 2, scale, 1); return err }
+		}
+		calls["TransportSweep"+at] = func() error { _, err := TransportSweep(scale, 1); return err }
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panic: %v", r)
+				}
+			}()
+			if err := call(); err == nil || !strings.Contains(err.Error(), "must be") {
+				t.Fatalf("got error %v, want the preset's", err)
+			}
+		})
 	}
 }

@@ -136,6 +136,7 @@ func TestBackoffReachesControllerBeforeDelivery(t *testing.T) {
 	// collapses the slope and makes the backoff unsurvivable on two layers.
 	d := newDriver(t, transport.RAPConfig{InitialRate: 30_000, MaxRate: 30_000, InitialRTT: 0.01},
 		core.Params{C: 10_000, Kmax: 1, MaxLayers: 2, StartupSec: 0.1})
+	d.Ctrl.KeepEvents()
 	d.Ctrl.OnDelivered(0, 0, 50_000)
 	var x int64 = -1 // a layer-0 sequence sent with two layers active
 	for i := 0; i < 200 && x < 0; i++ {
@@ -415,6 +416,7 @@ func TestStepCadenceDivergence(t *testing.T) {
 func TestReplayReproducesDriver(t *testing.T) {
 	qa := core.Params{C: 10_000, Kmax: 2, MaxLayers: 4, StartupSec: 0.1}
 	d := newDriver(t, transport.RAPConfig{InitialRate: 30_000, MaxRate: 60_000, InitialRTT: 0.05}, qa)
+	d.Ctrl.KeepEvents()
 	var rec []Input
 	d.Record(&rec)
 	// Two followers beside the record: one like the driver's controller,
@@ -427,6 +429,7 @@ func TestReplayReproducesDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.KeepEvents()
 		followers[i] = NewReplayer(c, pkt)
 		d.Follow(followers[i].Feed)
 	}
@@ -479,6 +482,7 @@ func TestReplayReproducesDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.KeepEvents()
 		Replay(c, rec, pkt)
 		want := d.Ctrl
 		if p.Kmax != qa.Kmax {

@@ -682,6 +682,65 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 				t.Fatal("no ACK ever reached the session through the socket")
 			}
 		})
+		// Loss: in every 4 s cycle the viewer acknowledges everything for
+		// 2 s, then withholds every third ACK for 2 s, so RAP backs off
+		// and the controller drops layers, then re-adds them. The measured
+		// window is one 20 s run: an allocation anywhere in it, such as a
+		// decision log growing, fails the leg.
+		t.Run(string(kind)+"/lossy", func(t *testing.T) {
+			conn := listenUDPTB(t)
+			defer conn.Close()
+			srv, err := newMultiServerConns([]*net.UDPConn{conn}, MultiConfig{
+				QA:  core.Params{C: 15_000, Kmax: 2, MaxLayers: 8, StartupSec: 0.1},
+				RAP: transport.RAPConfig{PacketSize: 512, InitialRTT: 0.02, MaxRate: 100_000},
+			}, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink := listenUDPTB(t)
+			defer sink.Close()
+			sinkAddr := sink.LocalAddr().(*net.UDPAddr).AddrPort()
+			sh := srv.shards[0]
+			now := 0.0
+			sh.handle(inMsg{addr: sinkAddr, kind: KindReq, durMs: 3_600_000}, now)
+			sess := sh.sessions[sinkAddr]
+			if sess == nil {
+				t.Fatal("session not created")
+			}
+			var next int64 // the next sequence to acknowledge or withhold
+			slice := 0
+			pumpSlice := func() {
+				lossy := slice%4 >= 2
+				slice++
+				for i := 0; i < 50; i++ {
+					now += 0.02
+					sh.pump(now)
+					for ; next < sess.flow.Tr.Counters().Sent; next++ {
+						if !lossy || next%3 != 0 {
+							sh.handle(inMsg{addr: sinkAddr, kind: KindAck, ack: Ack{AckSeq: next, NackLayer: NoNack}}, now)
+						}
+					}
+				}
+			}
+			qa := sess.ins.QA
+			var adds, drops, backoffs int64 // at the start of the last window
+			window := func() {
+				adds, drops, backoffs = qa.Adds.Load(), qa.Drops.Load(), qa.Backoffs.Load()
+				for i := 0; i < 20; i++ {
+					pumpSlice()
+				}
+			}
+			// AllocsPerRun's warm-up window sizes the controller's scratch
+			// at the first drops; the second window is measured.
+			if allocs := testing.AllocsPerRun(1, window); allocs != 0 {
+				t.Fatalf("lossy serve send loop (%s): %.0f allocs in 20 s, want 0", kind, allocs)
+			}
+			adds, drops, backoffs = qa.Adds.Load()-adds, qa.Drops.Load()-drops, qa.Backoffs.Load()-backoffs
+			if adds < 1 || drops < 1 || backoffs < 1 {
+				t.Fatalf("measured window: %d adds, %d drops, %d backoffs; want each >= 1", adds, drops, backoffs)
+			}
+			t.Logf("measured window: %d adds, %d drops, %d backoffs", adds, drops, backoffs)
+		})
 	}
 }
 

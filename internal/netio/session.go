@@ -119,12 +119,8 @@ type session struct {
 // at server construction) and payload must be pktSize-DataHeaderLen
 // bytes.
 func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, payload []byte, ins *sessionInstruments, now float64) (*session, error) {
-	if qa.MaxEvents == 0 {
-		// A served stream can run for hours; a client whose rate
-		// straddles a layer boundary churns add/drop events forever, so
-		// the decision log must not grow without bound.
-		qa.MaxEvents = 4096
-	}
+	// The controller keeps no decision log, so a stream's memory does
+	// not grow with its uptime; srv.qa.* counts its decisions.
 	ctrl, err := core.NewController(qa)
 	if err != nil {
 		return nil, err

@@ -233,6 +233,7 @@ func checkRecord(t *testing.T, p core.Params, rec []flow.Input, pktSize int) (*c
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.KeepEvents()
 	r := flow.NewReplayer(c, pktSize)
 	C, pkt := c.P.C, float64(pktSize)
 	bufs := []float64{0} // the checker's account

@@ -157,6 +157,9 @@ func newFollower(i int, cfg Config) (*follower, error) {
 		if err != nil {
 			return nil, err
 		}
+		if j == 0 { // the Result's Events
+			c.KeepEvents()
+		}
 		ctrls[j] = c
 		f.reps = append(f.reps, flow.NewReplayer(c, cfg.PacketSize))
 	}

@@ -217,3 +217,40 @@ func TestRunEachRestartsWithoutFailedLead(t *testing.T) {
 		assertResultsIdentical(t, want, res)
 	}
 }
+
+// The decision log is kept only where it is read. A run logs its first
+// QA flow alone (Result.Events is that flow's log), a follower its first
+// controller, and a recorded run every QA flow, for the checker. The
+// logs that are kept are the same in all three.
+func TestDecisionLogOnlyWhereRead(t *testing.T) {
+	cfg := MustPreset("Fleet", WithFlows(40))
+	recorded := runChecked(t, cfg)
+	for i, q := range recorded.QASrcs {
+		if len(q.Ctrl.Events) == 0 {
+			t.Fatalf("recorded run: QA flow %d of %d keeps no log", i, len(recorded.QASrcs))
+		}
+	}
+	fol := cfg
+	fol.Name += " (follower)"
+	results := make([]*Result, 2)
+	if err := RunEach([]Config{cfg, fol}, 1, func(i int, res *Result) { results[i] = res }); err != nil {
+		t.Fatal(err)
+	}
+	res := results[0]
+	if res.lead != nil || results[1].lead != res {
+		t.Fatal("the second config did not follow the first")
+	}
+	for i, q := range res.QASrcs[1:] {
+		if q.Ctrl.Events != nil {
+			t.Fatalf("QA flow %d keeps a log of %d events", i+1, len(q.Ctrl.Events))
+		}
+	}
+	if !reflect.DeepEqual(res.Events, res.QASrc.Ctrl.Events) {
+		t.Fatal("Result.Events is not the first QA flow's log")
+	}
+	for name, got := range map[string]*Result{"run": res, "follower": results[1]} {
+		if !reflect.DeepEqual(got.Events, recorded.Events) {
+			t.Fatalf("%s: %d events, the recorded run's first flow %d", name, len(got.Events), len(recorded.Events))
+		}
+	}
+}

@@ -39,6 +39,7 @@ func replayed(t *testing.T, p core.Params, rec []flow.Input, pktSize int) *core.
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.KeepEvents()
 	flow.Replay(c, rec, pktSize)
 	return c
 }
@@ -212,6 +213,7 @@ func triageCell(t *testing.T, p core.Params, rec []flow.Input, pktSize int) ([]j
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.KeepEvents()
 	r := flow.NewReplayer(c, pktSize)
 	var drops []judged
 	for i, in := range rec {

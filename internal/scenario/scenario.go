@@ -111,7 +111,8 @@ type Config struct {
 	SchedRec *sim.SchedRecorder `json:"-"`
 
 	// record, when non-nil, receives one flow.Driver record per QA flow,
-	// in flow order, for tests that replay the run (flow.Replay). A
+	// in flow order, for tests that replay the run (flow.Replay), and
+	// every QA controller of the run keeps its decision log. A
 	// follower's (RunEach) is the record of the run it followed.
 	record *[][]flow.Input
 }
@@ -135,8 +136,15 @@ func (cfg *Config) Normalize() error {
 			return fmt.Errorf("scenario: config %q: %s must be finite, got %v", cfg.Name, f.name, f.x)
 		}
 	}
-	if cfg.BottleneckRate <= 0 || cfg.Duration <= 0 || cfg.QueueBytes <= 0 {
-		return fmt.Errorf("scenario: incomplete config %+v", *cfg)
+	for _, f := range []struct {
+		name string
+		x    float64
+	}{
+		{"BottleneckRate", cfg.BottleneckRate}, {"Duration", cfg.Duration}, {"QueueBytes", float64(cfg.QueueBytes)},
+	} {
+		if f.x <= 0 {
+			return fmt.Errorf("scenario: config %q: %s must be positive, got %v", cfg.Name, f.name, f.x)
+		}
 	}
 	if cfg.LinkDelay < 0 || cfg.AccessDelay < 0 {
 		return fmt.Errorf("scenario: config %q: negative propagation delay (LinkDelay %v, AccessDelay %v)",
@@ -193,7 +201,7 @@ func (cfg *Config) Normalize() error {
 type Result struct {
 	Cfg    Config
 	Series *trace.Set
-	Events []core.Event
+	Events []core.Event // the first QA flow's decision log
 	Stats  core.DropStats
 
 	QASrc   *QASource   // the first QA flow (nil without one); the figures' flow
@@ -348,6 +356,11 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 		ctrl, err := core.NewController(cfg.QA)
 		if err != nil {
 			return 0, err
+		}
+		// Result.Events is the first QA flow's log; a recorded run
+		// logs every flow, for the tests that replay them.
+		if i == 0 || cfg.record != nil {
+			ctrl.KeepEvents()
 		}
 		// The first QA flow starts at 0 like the paper runs; additional
 		// fleet flows stagger to avoid phase locking.

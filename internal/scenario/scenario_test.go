@@ -165,6 +165,22 @@ func TestNormalizeRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// A non-positive size or duration is named with its value, not shown as
+// the whole config.
+func TestNormalizeNamesNonPositiveField(t *testing.T) {
+	for want, mut := range map[string]func(*Config){
+		"Duration must be positive, got 0":        func(c *Config) { c.Duration = 0 },
+		"BottleneckRate must be positive, got -1": func(c *Config) { c.BottleneckRate = -1 },
+		"QueueBytes must be positive, got 0":      func(c *Config) { c.QueueBytes = 0 },
+	} {
+		cfg := MustPreset("T1")
+		mut(&cfg)
+		if err := cfg.Normalize(); err == nil || err.Error() != `scenario: config "T1(Kmax=2)": `+want {
+			t.Errorf("got error %v, want %q", err, want)
+		}
+	}
+}
+
 // The report's config is the effective one: QA defaults the caller left
 // at zero are filled by the same method the controller applies.
 func TestNormalizeFillsQADefaults(t *testing.T) {

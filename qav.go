@@ -64,6 +64,7 @@ const (
 
 // NewController returns a quality adaptation controller for integration
 // with a custom transport: feed it Tick/PickLayer/OnDelivered/OnBackoff.
+// Stats counts its decisions; KeepEvents logs them in Events too.
 func NewController(p Params) (*Controller, error) { return core.NewController(p) }
 
 // Simulation types.
