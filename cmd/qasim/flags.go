@@ -16,12 +16,12 @@ import (
 type simFlags struct {
 	fs *flag.FlagSet
 
-	preset, kmax, transport          *string
-	flows, fluid, traceFlows, shards *int
-	bw, rtt, queue                   *float64
-	red                              *bool
-	ntcp, nrap, layers, pkt          *int
-	cbr, cbrStart, cbrStop, c, dur   *float64
+	preset, kmax, transport        *string
+	flows, fluid, traceFlows       *int
+	bw, rtt, queue                 *float64
+	red                            *bool
+	ntcp, nrap, layers, pkt        *int
+	cbr, cbrStart, cbrStop, c, dur *float64
 }
 
 func newSimFlags(fs *flag.FlagSet) *simFlags {
@@ -46,7 +46,6 @@ func newSimFlags(fs *flag.FlagSet) *simFlags {
 		dur:        fs.Float64("dur", 60, "simulated duration, seconds"),
 		pkt:        fs.Int("pkt", 512, "packet size, bytes"),
 		transport:  fs.String("transport", "", "congestion-control backend for QA and cross-traffic flows: rap (default), delay, greedy"),
-		shards:     fs.Int("shards", 1, "engines per run: 1 = classic serial, N >= 2 = one bottleneck shard plus N-1 flow shards with identical results; pays off above roughly 4,000 flows (x1.4 at 10,000 flows and 3 shards on 2 vCPUs) and costs 10-20% below that (see DESIGN.md, Parallel DES)"),
 	}
 }
 
@@ -137,7 +136,6 @@ func (f *simFlags) configs() ([]scenario.Config, []int, error) {
 		if *f.traceFlows >= 0 {
 			cfg.MaxTraceFlows = *f.traceFlows
 		}
-		cfg.Shards = *f.shards
 		// Normalize here (Run would do it too) so flag mistakes surface
 		// before any simulation starts, with the effective defaults filled
 		// in for the report.

@@ -34,12 +34,9 @@
 //
 //	qasim -flows 100 -fluid 999900 -dur 10 -report -
 //
-// -shards N splits ONE run across N engines (a bottleneck shard plus
-// N-1 flow shards) synchronized by a conservative time barrier; it
-// needs a positive -rtt. The run takes the same path as -shards 1, on a
-// different topology, and its results — reports, traces, TSVs — are
-// bit-identical; see DESIGN.md, "Parallel DES". Orthogonal to
-// -parallel, which runs the independent sweep configs concurrently.
+// Every run is one engine on one goroutine; -parallel spreads the
+// independent sweep configs over cores, and -fluid is the way to scale
+// one run.
 package main
 
 import (

@@ -214,7 +214,7 @@ func checkRecords(t *testing.T, cfg, n Config, rec [][]flow.Input, match func(i 
 	}
 	got.Bytes = math.Round(got.Bytes)
 	key := cfg
-	key.Shards, key.Metrics, key.SchedRec, key.record = 0, nil, nil, nil
+	key.Metrics, key.SchedRec, key.record = nil, nil, nil
 	if want := findings[key]; got != want {
 		t.Errorf("%s %v, %g s: base layer %+v, want %+v", cfg.Name, n.QA.Alloc, cfg.Duration, got, want)
 	}
@@ -453,12 +453,8 @@ func TestRunReportsMatchesRun(t *testing.T) {
 		}
 	}
 	var fleet []Config
-	for _, shards := range []int{1, 3} {
-		for _, kmax := range []int{2, 4} {
-			cfg := MustPreset("Fleet", WithFlows(40), WithKmax(kmax))
-			cfg.Shards = shards
-			fleet = append(fleet, cfg)
-		}
+	for _, kmax := range []int{2, 4} {
+		fleet = append(fleet, MustPreset("Fleet", WithFlows(40), WithKmax(kmax)))
 	}
 	legs["Fleet"] = fleet
 	for name, cfgs := range legs {
@@ -505,7 +501,6 @@ func TestRunReportsGrouping(t *testing.T) {
 		"Duration":   func(c *Config) { c.Duration = 20 },
 		"QueueBytes": func(c *Config) { c.QueueBytes++ },
 		"Transport":  func(c *Config) { c.Transport = transport.KindDelay },
-		"Shards":     func(c *Config) { c.Shards = 2 },
 		"Metrics":    func(c *Config) { c.Metrics = nil },
 	} {
 		cfg := same

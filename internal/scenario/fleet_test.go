@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"testing"
 
 	"qav/internal/core"
@@ -99,26 +97,18 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // Every series the sampler records is on its ticker's clock and
-// pre-sized from Duration/SampleInterval. Series written by one ticker
-// (or by the fleet coordinator) share one time column, series of
-// different tickers never do, and len(T) == len(V). Each series' values
-// are still at exactly the reserved capacity, which trace.Set.OnClock
-// takes from its clock's: any append regrowth, or a clock reserved
-// short, would have left another. The sharded legs have a ticker per
-// flow engine and one for the bottleneck, and at 3 shards the
-// coordinator; the followers leg puts each follower's qa.* trace on the
-// lead's first ticker.
+// pre-sized from Duration/SampleInterval: all of a run's series share
+// one time column, and len(T) == len(V). Each series' values are still
+// at exactly the reserved capacity, which trace.Set.OnClock takes from
+// its clock's: any append regrowth, or a clock reserved short, would
+// have left another. The followers leg puts each follower's qa.* trace
+// on the lead's clock.
 func TestSamplerPreSizesAllSeries(t *testing.T) {
-	for _, mode := range []string{"legacy", "fleet", "fleet-shards2", "fleet-sharded", "followers"} {
+	for _, mode := range []string{"legacy", "fleet", "followers"} {
 		t.Run(mode, func(t *testing.T) {
 			cfg := MustPreset("Fleet", WithFlows(8))
-			switch mode {
-			case "legacy", "followers":
+			if mode != "fleet" {
 				cfg = MustPreset("T1")
-			case "fleet-shards2":
-				cfg.Shards = 2
-			case "fleet-sharded":
-				cfg.Shards = 3
 			}
 			cfg.Duration = 10
 			var results []*Result
@@ -130,8 +120,7 @@ func TestSamplerPreSizesAllSeries(t *testing.T) {
 				results = []*Result{runChecked(t, cfg)}
 			}
 			reserve := int(cfg.Duration/cfg.SampleInterval) + 2
-			columns := map[string]*float64{} // clock → its column
-			clocks := map[*float64]string{}  // column → its clock
+			var column *float64 // the ticker's clock's
 			for _, res := range results {
 				for _, name := range res.Series.Names() {
 					s := res.Series.Get(name)
@@ -141,52 +130,15 @@ func TestSamplerPreSizesAllSeries(t *testing.T) {
 					if cap(s.V) != reserve {
 						t.Errorf("series %q regrew: cap V=%d, reserved %d", name, cap(s.V), reserve)
 					}
-					clock, col := sampleClock(&res.Cfg, name), &s.T[0]
-					if c, ok := columns[clock]; ok && c != col {
-						t.Errorf("series %q is off the %s clock's column", name, clock)
+					if column == nil {
+						column = &s.T[0]
+					} else if &s.T[0] != column {
+						t.Errorf("series %q is off the ticker's clock's column", name)
 					}
-					if c, ok := clocks[col]; ok && c != clock {
-						t.Errorf("series %q on the %s clock shares the %s clock's column", name, clock, c)
-					}
-					columns[clock], clocks[col] = col, clock
 				}
 			}
 		})
 	}
-}
-
-// sampleClock names the clock the sampler writes series name on: flow
-// engine i's ticker, the bottleneck engine's, or the fleet coordinator's.
-// A sharded dumbbell has Shards-1 flow engines beside the bottleneck's;
-// with one flow engine its ticker folds the fleet aggregates.
-func sampleClock(cfg *Config, name string) string {
-	n := max(cfg.Shards-1, 1)
-	flowTicker := func(i int) string { return fmt.Sprintf("flow %d", i%n) }
-	var i int
-	switch {
-	case strings.HasPrefix(name, "qa."):
-		return flowTicker(0)
-	case scanIndex(name, "qa%d.rate", &i):
-		return flowTicker(i)
-	case scanIndex(name, "rap%d.rate", &i):
-		return flowTicker(cfg.NumQA + i)
-	case scanIndex(name, "tcp%d.rate", &i):
-		return flowTicker(cfg.NumQA + cfg.NumRAP + i)
-	case strings.HasPrefix(name, "fleet."):
-		if n == 1 {
-			return flowTicker(0)
-		}
-		return "coordinator"
-	case cfg.Shards > 1:
-		return "bottleneck"
-	default:
-		return flowTicker(0)
-	}
-}
-
-func scanIndex(name, format string, i *int) bool {
-	_, err := fmt.Sscanf(name, format, i)
-	return err == nil
 }
 
 // Sampling a QA trace reads the controller's per-layer state in place:

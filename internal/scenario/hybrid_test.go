@@ -140,31 +140,9 @@ func TestPurePacketReportHasNoFluidKey(t *testing.T) {
 	}
 }
 
-// TestHybridDifferential holds hybrid runs — DropTail and RED — to the
-// sharded path's bit-identity contract: -shards stays purely a
-// wall-clock knob with a fluid background attached.
-func TestHybridDifferential(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"droptail", func(*Config) {}},
-		{"red", func(c *Config) { c.UseRED = true; c.REDSeed = 7 }},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := hybridFleet(t, 100, 12)
-			cfg.Duration = 5
-			tc.mut(&cfg)
-			diffSharded(t, cfg, []int{2, 4})
-		})
-	}
-}
-
 // TestHybridToleranceBands compares hybrid fleets against full
 // packet-level references of the same population, queue discipline, and
-// per-flow fair share: 100/500/1000 flows, DropTail and RED, each
-// hybrid run executed serially and at 4 shards (byte-identical). The
+// per-flow fair share: 100/500/1000 flows, DropTail and RED. The
 // fluid abstraction must reproduce the reference's aggregate behavior
 // within coarse bands — bottleneck utilization, foreground per-flow
 // goodput, and queue occupancy — while simulating only 20 packet flows.
@@ -196,24 +174,10 @@ func TestHybridToleranceBands(t *testing.T) {
 				mut(&ref)
 				refRes := runChecked(t, ref)
 
-				// The hybrid: 20 packet flows, the rest fluid; serial and
-				// 4-shard runs must agree byte for byte.
+				// The hybrid: 20 packet flows, the rest fluid.
 				hyb := hybridFleet(t, total, pkt)
 				mut(&hyb)
 				hybRes := runChecked(t, hyb)
-				shardCfg := hyb
-				shardCfg.Shards = 4
-				shardRes := runChecked(t, shardCfg)
-				var serialRep, shardRep bytes.Buffer
-				if err := hybRes.Report().WriteJSON(&serialRep); err != nil {
-					t.Fatal(err)
-				}
-				if err := shardRes.Report().WriteJSON(&shardRep); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(serialRep.Bytes(), shardRep.Bytes()) {
-					t.Error("hybrid report differs between serial and 4-shard runs")
-				}
 
 				if hyb.BottleneckRate != ref.BottleneckRate {
 					t.Fatalf("hybrid bottleneck %.0f != reference %.0f: the comparison is meaningless",
@@ -281,53 +245,40 @@ func TestHybridToleranceBands(t *testing.T) {
 	}
 }
 
-// TestHybridDeterministicAcrossWorkersAndShards: hybrid reports must be
-// byte-identical across RunAll worker counts and shard counts — the
-// fleet determinism guarantee extended to the fluid half.
-func TestHybridDeterministicAcrossWorkersAndShards(t *testing.T) {
-	baseCfg := func(shards int, reg *metrics.Registry) Config {
+// TestHybridDeterministicAcrossWorkers: hybrid reports must be
+// byte-identical across RunAll worker counts, with metrics attached
+// (fluid counters included) and without — the fleet determinism
+// guarantee extended to the fluid half.
+func TestHybridDeterministicAcrossWorkers(t *testing.T) {
+	baseCfg := func(reg *metrics.Registry) Config {
 		cfg := hybridFleet(t, 200, 12)
 		cfg.Duration = 4
-		cfg.Shards = shards
 		cfg.Metrics = reg
 		return cfg
 	}
-	runWith := func(workers, shards int, withMetrics bool) []byte {
+	runWith := func(workers int, withMetrics bool) []byte {
 		var regs [2]*metrics.Registry
 		if withMetrics {
 			regs = [2]*metrics.Registry{metrics.NewRegistry(), metrics.NewRegistry()}
 		}
-		cfgs := []Config{baseCfg(shards, regs[0]), baseCfg(shards, regs[1])}
+		cfgs := []Config{baseCfg(regs[0]), baseCfg(regs[1])}
 		results := runAllChecked(t, cfgs, workers)
 		return marshalReports(t, results)
 	}
 
-	// Dynamics (and fluid stats) are byte-identical across every worker
-	// and shard count. Metrics stay off here: the sharded path records
-	// its own engine-loop bookkeeping (sim.shard.barriers, window
-	// events), a documented snapshot difference that is not a dynamics
-	// one.
-	want := runWith(1, 0, false)
+	want := runWith(1, false)
 	for _, workers := range []int{1, 2} {
-		for _, shards := range []int{0, 2, 4} {
-			if got := runWith(workers, shards, false); !bytes.Equal(want, got) {
-				t.Fatalf("hybrid report differs at workers=%d shards=%d", workers, shards)
-			}
+		if got := runWith(workers, false); !bytes.Equal(want, got) {
+			t.Fatalf("hybrid report differs at workers=%d", workers)
 		}
 	}
-
-	// With metrics attached, reports — fluid counters included — must
-	// still be byte-identical across worker counts at a fixed shard
-	// count.
-	for _, shards := range []int{0, 4} {
-		want := runWith(1, shards, true)
-		if got := runWith(2, shards, true); !bytes.Equal(want, got) {
-			t.Fatalf("instrumented hybrid report differs across workers at shards=%d", shards)
-		}
+	want = runWith(1, true)
+	if got := runWith(2, true); !bytes.Equal(want, got) {
+		t.Fatal("instrumented hybrid report differs across workers")
 	}
 }
 
-// TestHybridMillionFlowFleet is the scale target (ROADMAP item 2): a
+// TestHybridMillionFlowFleet is the scale target of the hybrid model: a
 // million-flow population — 100 packet-level foreground flows riding on
 // 999,900 fluid ones — through one bottleneck, in seconds of wall
 // clock. Pure packet simulation at this population is ~10^4 times more

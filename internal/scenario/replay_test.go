@@ -105,26 +105,17 @@ func TestReplayMatchesRunOtherTransports(t *testing.T) {
 	}
 }
 
-// Every QA flow of a fleet replays, serial or sharded, and the two
-// topologies record the same calls.
+// Every QA flow of a fleet replays.
 func TestReplayMatchesRunFleet(t *testing.T) {
-	var recs [][][]flow.Input
-	for _, shards := range []int{1, 3} {
-		cfg := MustPreset("Fleet", WithFlows(40))
-		cfg.Shards = shards
-		_, rec := recordRun(t, cfg)
-		recs = append(recs, rec)
-		cfg.QA.Kmax = 4
-		run := runChecked(t, cfg)
-		drops := 0
-		for i := range run.QASrcs {
-			drops += checkReplay(t, fmt.Sprintf("Fleet shards %d QA flow %d", shards, i), run, i, rec[i])
-		}
-		nonVacuous(t, fmt.Sprintf("Fleet shards %d", shards), drops)
+	cfg := MustPreset("Fleet", WithFlows(40))
+	_, rec := recordRun(t, cfg)
+	cfg.QA.Kmax = 4
+	run := runChecked(t, cfg)
+	drops := 0
+	for i := range run.QASrcs {
+		drops += checkReplay(t, fmt.Sprintf("Fleet QA flow %d", i), run, i, rec[i])
 	}
-	if !reflect.DeepEqual(recs[0], recs[1]) {
-		t.Error("Fleet: the sharded run recorded other controller calls than the serial one")
-	}
+	nonVacuous(t, "Fleet", drops)
 }
 
 // A drop's class by what the future held, from the drop until the rate

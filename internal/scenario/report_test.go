@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"qav/internal/metrics"
@@ -164,5 +165,56 @@ func TestSharedRegistryAcrossParallelRuns(t *testing.T) {
 	}
 	if got := shared.Snapshot().Counters["qa.rap.sent"]; got != want {
 		t.Fatalf("shared registry aggregated %d sent packets, want the per-run sum %d", got, want)
+	}
+}
+
+// TestJainIndexGuard is the NaN regression: an all-zero TCP goodput
+// population must report fairness 0, not 0/0. encoding/json refuses
+// NaN, so the old code made the whole -report artifact fail exactly
+// when a run collapsed.
+func TestJainIndexGuard(t *testing.T) {
+	if v := jainIndex(0, 0, 0); v != 0 {
+		t.Errorf("jainIndex(0,0,0) = %v, want 0", v)
+	}
+	if v := jainIndex(0, 0, 5); v != 0 {
+		t.Errorf("jainIndex(0,0,5) = %v, want 0", v)
+	}
+	if v := jainIndex(6, 12, 3); math.Abs(v-1) > 1e-12 {
+		t.Errorf("jainIndex over an even split = %v, want 1", v)
+	}
+}
+
+// TestReportMarshalsWithZeroGoodput runs a fleet config too short for
+// any TCP flow to deliver a byte (TCP starts at 0.05 s) and requires
+// the report to marshal and the fairness series to stay finite.
+func TestReportMarshalsWithZeroGoodput(t *testing.T) {
+	cfg := Config{
+		Name:           "zero-goodput",
+		BottleneckRate: 100_000,
+		LinkDelay:      0.010,
+		AccessDelay:    0.005,
+		QueueBytes:     10_000,
+		NumTCP:         3,
+		Duration:       0.04,
+		SampleInterval: 0.01,
+		MaxTraceFlows:  2,
+	}
+	res := runChecked(t, cfg)
+	rep := res.Report()
+	if rep.Fleet.JainFairnessTCP != 0 {
+		t.Errorf("Jain index over zero goodput = %v, want 0", rep.Fleet.JainFairnessTCP)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatalf("report with zero TCP goodput fails to marshal: %v", err)
+	}
+	jain := res.Series.Get("fleet.jain.tcp")
+	if jain == nil || jain.Len() == 0 {
+		t.Fatal("fleet.jain.tcp series missing")
+	}
+	for i, v := range jain.V {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("fleet.jain.tcp sample %d is %v", i, v)
+		}
 	}
 }

@@ -84,17 +84,6 @@ type Config struct {
 	// paper-reproduction regression oracle.
 	MaxTraceFlows int
 
-	// Shards selects parallel execution. 0 or 1 runs on one engine
-	// (sim.Dumbbell). N >= 2 partitions the run across N engines — one
-	// for the bottleneck plus N-1 flow shards — synchronized by
-	// conservative time barriers (sim.ShardedDumbbell), which needs
-	// positive LinkDelay and AccessDelay (the lookahead) and no
-	// SchedRec. Both take the same Run path and produce identical
-	// results, so this is purely a wall-clock knob. Excluded from
-	// reports (like the other execution knobs below) so runs differing
-	// only in shard count produce byte-identical RunReports.
-	Shards int `json:"-"`
-
 	// Metrics, when non-nil, receives the run's instrumentation: engine
 	// event-loop statistics, bottleneck queue counters and queueing-delay
 	// histograms, RAP/TCP transport counters, and QA controller decision
@@ -149,14 +138,6 @@ func (cfg *Config) Normalize() error {
 	if cfg.LinkDelay < 0 || cfg.AccessDelay < 0 {
 		return fmt.Errorf("scenario: config %q: negative propagation delay (LinkDelay %v, AccessDelay %v)",
 			cfg.Name, cfg.LinkDelay, cfg.AccessDelay)
-	}
-	if cfg.Shards > 1 {
-		if cfg.SchedRec != nil {
-			return fmt.Errorf("scenario: SchedRec capture needs the serial engine (Shards <= 1)")
-		}
-		if cfg.AccessDelay == 0 || cfg.LinkDelay == 0 {
-			return fmt.Errorf("scenario: Shards > 1 needs positive AccessDelay and LinkDelay (they bound the conservative lookahead)")
-		}
 	}
 	if cfg.NumTCP < 0 || cfg.NumRAP < 0 || cfg.NumQA < 0 {
 		// Negative counts would poison the fair-share rate split below
@@ -234,9 +215,6 @@ type Result struct {
 // package-level state, so independent Runs are safe to execute
 // concurrently (see RunAll) and always produce identical results for
 // identical configs.
-//
-// Serial and sharded runs (Config.Shards) take the same steps; only
-// newTopology differs between them.
 func Run(cfg Config) (*Result, error) {
 	return run(cfg, nil)
 }
@@ -248,16 +226,26 @@ func run(cfg Config, fols []*follower) (*Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	topo := newTopology(&cfg)
+	eng := sim.NewEngine()
+	if cfg.SchedRec != nil {
+		eng.RecordSched(cfg.SchedRec)
+	}
+	q, fluidQ := newQueue(&cfg, eng)
+	net := sim.NewDumbbell(eng, sim.DumbbellConfig{
+		Rate:        cfg.BottleneckRate,
+		Delay:       cfg.LinkDelay,
+		AccessDelay: cfg.AccessDelay,
+		Queue:       q,
+	})
 
 	res := &Result{Cfg: cfg, Series: trace.NewSet(), Metrics: cfg.Metrics}
-	if topo.fluidQ != nil {
+	if fluidQ != nil {
 		// The fluid aggregate is constructed (and its first step
-		// scheduled) before any flow, so its events hold the same
-		// scheduling order relative to the packet ones on every topology.
-		res.Fluid = newFluid(&cfg, topo.bneck, topo.link, topo.fluidQ, topo.baseRTT)
+		// scheduled) before any flow, so its events keep one scheduling
+		// order relative to the packet ones.
+		res.Fluid = newFluid(&cfg, eng, net.Bneck, fluidQ, net.BaseRTT())
 	}
-	nflows, err := buildFlows(cfg, res, topo.baseRTT, topo.place)
+	nflows, err := buildFlows(cfg, res, net)
 	if err != nil {
 		return nil, err
 	}
@@ -273,16 +261,16 @@ func run(cfg Config, fols []*follower) (*Result, error) {
 		}
 	}
 	if reg := cfg.Metrics; reg != nil {
-		topo.instrument(reg)
-		topo.link.InstrumentFlows(reg, nflows)
+		net.Instrument(reg)
+		net.Bneck.InstrumentFlows(reg, nflows)
 		instrumentSources(reg, res)
 		if res.Fluid != nil {
 			res.Fluid.Instrument(reg)
 		}
 	}
-	atBarrier := startTickers(topo, &cfg, res, fols)
+	startTicker(net, &cfg, res, fols)
 
-	topo.run(cfg.Duration, atBarrier)
+	eng.RunUntil(cfg.Duration)
 
 	finishResult(res)
 	for _, f := range fols {
@@ -291,13 +279,38 @@ func run(cfg Config, fols []*follower) (*Result, error) {
 	return res, nil
 }
 
+// newQueue builds the bottleneck queue on eng: RED's average decays
+// against eng's clock, and a hybrid run wraps the queue in the fluid
+// shared-buffer coupling, which it also returns (nil otherwise).
+func newQueue(cfg *Config, eng *sim.Engine) (sim.Queue, *sim.FluidQueue) {
+	var q sim.Queue
+	if cfg.UseRED {
+		q = sim.NewRED(sim.REDConfig{
+			LimitBytes:  cfg.QueueBytes,
+			MeanPktSize: cfg.PacketSize,
+			Seed:        cfg.REDSeed,
+			// Virtual clock + bottleneck rate enable the Floyd-Jacobson
+			// idle-period decay of the queue average.
+			Now:      eng.Now,
+			LinkRate: cfg.BottleneckRate,
+		})
+	} else {
+		q = sim.NewDropTail(cfg.QueueBytes)
+	}
+	if cfg.FluidTCP+cfg.FluidRAP == 0 {
+		return q, nil
+	}
+	fq := sim.NewFluidQueue(q, cfg.QueueBytes)
+	return fq, fq
+}
+
 // buildFlows constructs the run's traffic mix — QA, RAP, TCP, CBR, in
-// that order, with globally increasing flow IDs — placing each flow on
-// the engine place returns for it. It returns the total flow count.
-// Identical construction order on every topology is part of the
-// serial/sharded equivalence argument: flows that start at the same
-// staggered instant are scheduled, and therefore fire, in flow-ID order.
-func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int, error) {
+// that order, with globally increasing flow IDs — on net and its
+// engine. It returns the total flow count. Flows that start at the
+// same staggered instant are scheduled, and therefore fire, in flow-ID
+// order.
+func buildFlows(cfg Config, res *Result, net *sim.Dumbbell) (int, error) {
+	eng, baseRTT := net.Eng, net.BaseRTT()
 	flowID := 0
 
 	// The QA term is 1 even without a QA flow — the legacy fair-share
@@ -364,7 +377,6 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 		}
 		// The first QA flow starts at 0 like the paper runs; additional
 		// fleet flows stagger to avoid phase locking.
-		eng, net := place(flowID)
 		res.QASrcs = append(res.QASrcs, NewQASource(eng, net, flowID, newTr(), ctrl, start(stagger(i, 0.097))))
 		flowID++
 	}
@@ -373,12 +385,10 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 	}
 	for i := 0; i < cfg.NumRAP; i++ {
 		// Stagger starts slightly to avoid phase locking.
-		eng, net := place(flowID)
 		res.RAPSrcs = append(res.RAPSrcs, NewRAPSource(eng, net, flowID, newTr(), start(stagger(i, 0.111))))
 		flowID++
 	}
 	for i := 0; i < cfg.NumTCP; i++ {
-		eng, net := place(flowID)
 		res.TCPSrcs = append(res.TCPSrcs, tcp.NewSource(eng, net, tcp.Config{
 			FlowID:     flowID,
 			PacketSize: cfg.PacketSize,
@@ -388,7 +398,6 @@ func buildFlows(cfg Config, res *Result, baseRTT float64, place placement) (int,
 		flowID++
 	}
 	if cfg.CBRRate > 0 {
-		eng, net := place(flowID)
 		cbr.NewSource(eng, net, cbr.Config{
 			FlowID:     flowID,
 			Rate:       cfg.CBRRate,
@@ -433,7 +442,7 @@ func newFluid(cfg *Config, eng *sim.Engine, link *sim.Link, fq *sim.FluidQueue, 
 }
 
 // finishResult copies the first QA flow's delivered-quality summary
-// onto the result, after the engine(s) have run to completion.
+// onto the result, after the engine has run to completion.
 func finishResult(res *Result) {
 	if res.QASrc != nil {
 		res.readController(res.QASrc.Ctrl)
@@ -461,10 +470,8 @@ func (res *Result) readController(c *core.Controller) {
 // whose offsets should coincide exactly (i and i plus one full period,
 // 1000/gcd(stepMilli, 1000) steps) would drift apart. Every stagger
 // step is a whole number of milliseconds, making the integer form
-// exact at any population size —
-// a prerequisite for the shard-vs-serial differential suite, where
-// coinciding start times must coincide bitwise regardless of which
-// shard constructs the flow.
+// exact at any population size, so coinciding start times coincide
+// bitwise.
 func stagger(i int, step float64) float64 {
 	stepMilli := int64(math.Round(step * 1000))
 	if m := int64(i) * stepMilli; m >= 1000 {
@@ -477,8 +484,8 @@ func stagger(i int, step float64) float64 {
 
 // instrumentSources registers the transport- and controller-level
 // instruments, one shared set per class (the shared Instruments use
-// atomic histograms and snapshot-time Func reads, so multi-engine
-// execution records into them safely).
+// atomic histograms and snapshot-time Func reads, so concurrent runs
+// sharing a registry record into them safely).
 //
 // Transport namespaces derive from the backend kind — "qa.<kind>" for
 // the QA flows and "<kind>" for cross traffic — so the default RAP

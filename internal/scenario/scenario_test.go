@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"qav/internal/core"
-	"qav/internal/sim"
 	"qav/internal/transport"
 )
 
@@ -135,32 +134,63 @@ func TestRunRejectsEmptyConfig(t *testing.T) {
 // NaN passes every "<= 0" check, so without an explicit test a NaN
 // bandwidth reached sim.NewDumbbell as a negative queue (a panic) and a
 // NaN C ran a controller that never started playback. A negative delay
-// likewise panicked in sim.NewLink, inside a RunAll worker; and the
-// sharded engine's own requirements are checked here too, so a caller
-// that normalizes up front (qasim) reports them before any run starts.
+// likewise panicked in sim.NewLink, inside a RunAll worker.
 func TestNormalizeRejectsNonFinite(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
-		"BottleneckRate NaN":       func(c *Config) { c.BottleneckRate = math.NaN() },
-		"BottleneckRate +Inf":      func(c *Config) { c.BottleneckRate = math.Inf(1) },
-		"LinkDelay NaN":            func(c *Config) { c.LinkDelay = math.NaN() },
-		"AccessDelay -Inf":         func(c *Config) { c.AccessDelay = math.Inf(-1) },
-		"Duration NaN":             func(c *Config) { c.Duration = math.NaN() },
-		"SampleInterval NaN":       func(c *Config) { c.SampleInterval = math.NaN() },
-		"CBRRate NaN":              func(c *Config) { c.CBRRate = math.NaN() },
-		"CBRStop +Inf":             func(c *Config) { c.CBRStop = math.Inf(1) },
-		"QA.C NaN":                 func(c *Config) { c.QA.C = math.NaN() },
-		"QA.StartupSec NaN":        func(c *Config) { c.QA.StartupSec = math.NaN() },
-		"QueueBytes zero":          func(c *Config) { c.QueueBytes = 0 },
-		"LinkDelay negative":       func(c *Config) { c.LinkDelay = -0.01 },
-		"AccessDelay negative":     func(c *Config) { c.AccessDelay = -0.005 },
-		"SchedRec sharded":         func(c *Config) { c.Shards = 2; c.SchedRec = &sim.SchedRecorder{} },
-		"Shards, zero AccessDelay": func(c *Config) { c.Shards = 3; c.AccessDelay = 0 },
-		"Shards, zero LinkDelay":   func(c *Config) { c.Shards = 2; c.LinkDelay = 0 },
+		"BottleneckRate NaN":   func(c *Config) { c.BottleneckRate = math.NaN() },
+		"BottleneckRate +Inf":  func(c *Config) { c.BottleneckRate = math.Inf(1) },
+		"LinkDelay NaN":        func(c *Config) { c.LinkDelay = math.NaN() },
+		"AccessDelay -Inf":     func(c *Config) { c.AccessDelay = math.Inf(-1) },
+		"Duration NaN":         func(c *Config) { c.Duration = math.NaN() },
+		"SampleInterval NaN":   func(c *Config) { c.SampleInterval = math.NaN() },
+		"CBRRate NaN":          func(c *Config) { c.CBRRate = math.NaN() },
+		"CBRStop +Inf":         func(c *Config) { c.CBRStop = math.Inf(1) },
+		"QA.C NaN":             func(c *Config) { c.QA.C = math.NaN() },
+		"QA.StartupSec NaN":    func(c *Config) { c.QA.StartupSec = math.NaN() },
+		"QueueBytes zero":      func(c *Config) { c.QueueBytes = 0 },
+		"LinkDelay negative":   func(c *Config) { c.LinkDelay = -0.01 },
+		"AccessDelay negative": func(c *Config) { c.AccessDelay = -0.005 },
 	} {
 		cfg := MustPreset("T1")
 		mut(&cfg)
 		if err := cfg.Normalize(); err == nil {
 			t.Errorf("%s: normalized without error", name)
+		}
+	}
+}
+
+// TestNormalizeRejectsNoTraffic is the zero-flow regression: before the
+// guard, a config with every class at zero slipped through Normalize
+// and the fair-share split divided the bottleneck rate by the zero flow
+// total, seeding every RAP config with +Inf.
+func TestNormalizeRejectsNoTraffic(t *testing.T) {
+	cfg := Config{BottleneckRate: 100_000, Duration: 1, QueueBytes: 10_000}
+	if err := cfg.Normalize(); err == nil {
+		t.Error("config with no traffic sources normalized without error")
+	}
+	if _, err := Run(cfg); err == nil {
+		t.Error("Run accepted a config with no traffic sources")
+	}
+	// CBR alone is a valid population (the fair-share split's QA term
+	// floors at 1, so no division by zero).
+	cfg.CBRRate = 10_000
+	if err := cfg.Normalize(); err != nil {
+		t.Errorf("CBR-only config rejected: %v", err)
+	}
+}
+
+// TestNormalizeRejectsNegativeCounts: a negative class count could
+// cancel the fair-share denominator exactly.
+func TestNormalizeRejectsNegativeCounts(t *testing.T) {
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.NumTCP = -1 },
+		func(c *Config) { c.NumRAP = -2 },
+		func(c *Config) { c.NumQA = -1 },
+	} {
+		cfg := Config{BottleneckRate: 100_000, Duration: 1, QueueBytes: 10_000, NumTCP: 2}
+		mut(&cfg)
+		if err := cfg.Normalize(); err == nil {
+			t.Errorf("negative flow count normalized without error: %+v", cfg)
 		}
 	}
 }
@@ -301,5 +331,45 @@ func TestStartSeed(t *testing.T) {
 	}
 	if strings.Replace(report(2), `"StartSeed":2`, `"StartSeed":1`, 1) == one {
 		t.Error("seeds 1 and 2 run the same")
+	}
+}
+
+// TestStaggerExactAtScale: the integer-millisecond wrap must make
+// offsets that coincide mathematically coincide bitwise at any
+// population size, while indices below the wrap keep the historical
+// float values bit for bit (the paper presets' byte-identity).
+func TestStaggerExactAtScale(t *testing.T) {
+	steps := []float64{0.097, 0.111, 0.087}
+	for _, step := range steps {
+		stepMilli := int64(math.Round(step * 1000))
+		// Below the wrap: the classic linear offset, bitwise.
+		for i := 0; int64(i)*stepMilli < 1000; i++ {
+			if got, want := stagger(i, step), float64(i)*step; got != want {
+				t.Fatalf("stagger(%d, %v) = %v, want the historical %v", i, step, got, want)
+			}
+		}
+		// At scale: exact wrap, no accumulated float drift. Offsets one
+		// full period apart (1000 steps for these co-prime step sizes)
+		// must be bitwise equal — the property math.Mod lost by flow
+		// ~10^4, where ulp error in float64(i)*step crossed the rounding
+		// boundary of the remainder.
+		for _, i := range []int64{11, 500, 10_007, 123_456} {
+			a := stagger(int(i+1000), step)
+			b := stagger(int(i+2000), step)
+			if a != b {
+				t.Fatalf("stagger period broken at step %v: i=%d gives %v, i=%d gives %v",
+					step, i+1000, a, i+2000, b)
+			}
+			want := float64((i+1000)*stepMilli%1000) / 1000
+			if a != want {
+				t.Fatalf("stagger(%d, %v) = %v, want exact %v", i+1000, step, a, want)
+			}
+		}
+		// The offset stays inside the one-second ramp window.
+		for _, i := range []int{0, 999, 10_000, 1_000_000} {
+			if v := stagger(i, step); v < 0 || v >= 1 {
+				t.Fatalf("stagger(%d, %v) = %v outside [0, 1)", i, step, v)
+			}
+		}
 	}
 }

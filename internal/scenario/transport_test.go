@@ -7,29 +7,6 @@ import (
 	"qav/internal/transport"
 )
 
-// TestShardedTransportDifferential holds the non-default backends to
-// the same contract as RAP: -shards is purely a wall-clock knob, so a
-// fleet of delay or greedy flows must produce bit-identical reports and
-// traces at every shard count.
-func TestShardedTransportDifferential(t *testing.T) {
-	for _, kind := range []transport.Kind{transport.KindDelay, transport.KindGreedy} {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := MustPreset("Fleet", WithFlows(12), WithTransport(kind))
-			cfg.Duration = 6
-			diffSharded(t, cfg, []int{2, 4})
-		})
-	}
-}
-
-// TestShardedTransportQADifferential runs the QA-tracing T1 topology
-// (full layer breakdown, per-flow series) over the delay backend, the
-// path where a backend bug would corrupt figure-grade traces.
-func TestShardedTransportQADifferential(t *testing.T) {
-	cfg := MustPreset("T1", WithTransport(transport.KindDelay))
-	cfg.Duration = 8
-	diffSharded(t, cfg, []int{2, 4})
-}
-
 // TestDelayFairWithTCP shares a dumbbell between one delay-based flow
 // and one Sack-TCP flow. The classic failure mode of delay-based
 // control is starvation — TCP fills the queue, the delay flow keeps

@@ -119,11 +119,10 @@ func newCalQueue() *calQueue {
 }
 
 // evLess is the engine's total event order: time, then scheduling-time
-// tie key, then scheduling seq. For a lone engine pt is Now() at
+// tie key, then scheduling seq. For At and AtFunc pt is Now() at
 // schedule time — non-decreasing in seq — so (time, pt, seq) collapses
 // to the classic (time, seq) order; the middle key only separates
-// events when the sharded runner injects a cross-shard arrival with an
-// explicit pt (Engine.AtFuncPrio).
+// events scheduled with an explicit pt (Engine.AtFuncPrio).
 func evLess(a, b *event) bool {
 	if a.time != b.time {
 		return a.time < b.time

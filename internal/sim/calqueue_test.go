@@ -318,17 +318,23 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 	t.Run("delay-lines", func(t *testing.T) {
 		onHorizon := 0
 		for w := 0; w < workloads; w++ {
-			ref, _ := hopWorkload(&Engine{sched: &heapSched{}}, w, false)
-			cal, _ := hopWorkload(NewEngine(), w, false)
+			ref, _, _ := hopWorkload(&Engine{sched: &heapSched{}}, w, false)
+			cal, _, _ := hopWorkload(NewEngine(), w, false)
 			sameFirings(t, w, "heap+AfterFunc", ref, "calendar+AfterFunc", cal)
-			heapLines, _ := hopWorkload(&Engine{sched: &heapSched{}}, w, true)
+			heapLines, _, missed := hopWorkload(&Engine{sched: &heapSched{}}, w, true)
 			sameFirings(t, w, "heap+AfterFunc", ref, "heap+lines", heapLines)
-			calLines, n := hopWorkload(NewEngine(), w, true)
+			if missed > 0 {
+				t.Errorf("workload %d: heap+lines: %d RunUntil calls left a line head at or before the horizon unfired", w, missed)
+			}
+			calLines, n, missed := hopWorkload(NewEngine(), w, true)
 			sameFirings(t, w, "heap+AfterFunc", ref, "calendar+lines", calLines)
+			if missed > 0 {
+				t.Errorf("workload %d: calendar+lines: %d RunUntil calls left a line head at or before the horizon unfired", w, missed)
+			}
 			onHorizon += n
 		}
 		if onHorizon == 0 {
-			t.Error("no RunBelow horizon fell exactly on a pending line head")
+			t.Error("no RunUntil horizon fell exactly on a pending line head")
 		}
 	})
 }
@@ -373,8 +379,8 @@ func timerWorkload(e *Engine, w int) []fired {
 		case 1:
 			tm = e.AtFunc(at, func(any) { log = append(log, fired{id, e.Now()}) }, nil)
 		default:
-			// An explicit tie key behind the clock, as the sharded
-			// runner injects: equal-time order is (pt, seq), not seq.
+			// An explicit tie key behind the clock, as tcp's RTO
+			// timer passes: equal-time order is (pt, seq), not seq.
 			tm = e.AtFuncPrio(at, e.Now()*rng.Float64(), func(any) { log = append(log, fired{id, e.Now()}) }, nil)
 		}
 		timers = append(timers, tm)
@@ -403,10 +409,11 @@ func timerWorkload(e *Engine, w int) []fired {
 // timers, some cancelled, some with explicit tie keys. A hop rides a
 // delay line if lines is set and is an AfterFunc otherwise; arriving
 // hops and firing timers send more hops and set more timers. Every time
-// is a multiple of 1/4, so hops, timers and RunBelow/RunUntil horizons
-// tie exactly and often; with lines it also counts the RunBelow calls
-// whose horizon is exactly a pending line head.
-func hopWorkload(e *Engine, w int, lines bool) (log []fired, onHorizon int) {
+// is a multiple of 1/4, so hops, timers and RunUntil horizons tie
+// exactly and often. With lines it also counts the RunUntil calls whose
+// horizon is exactly a pending line head (onHorizon), and those that
+// returned with a line head at or before the horizon (missed).
+func hopWorkload(e *Engine, w int, lines bool) (log []fired, onHorizon, missed int) {
 	rng := rand.New(rand.NewSource(int64(w)))
 	delays := []float64{0, 0.25, 0.25, 1}
 	var timers []Timer
@@ -463,7 +470,13 @@ func hopWorkload(e *Engine, w int, lines bool) (log []fired, onHorizon int) {
 					break
 				}
 			}
-			e.RunBelow(h)
+			e.RunUntil(h)
+			for _, l := range hopLines {
+				if l.q.n > 0 && l.time <= h {
+					missed++
+					break
+				}
+			}
 		case r < 11:
 			e.RunUntil(e.Now() + float64(rng.Intn(5))/4)
 		default:
@@ -472,7 +485,7 @@ func hopWorkload(e *Engine, w int, lines bool) (log []fired, onHorizon int) {
 	}
 	for i := 0; i < 1000 && e.Step(); i++ {
 	}
-	return log, onHorizon
+	return log, onHorizon, missed
 }
 
 // --- Timer semantics on the calendar ----------------------------------

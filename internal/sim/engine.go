@@ -74,7 +74,6 @@ func (t Timer) Active() bool {
 // which runs one private Engine per worker).
 type Engine struct {
 	now   float64
-	curPt float64 // pt of the event being executed (shard.go reads it)
 	seq   uint64
 	sched scheduler
 	nRun  uint64
@@ -176,13 +175,11 @@ func (e *Engine) AtFunc(t float64, fn func(arg any), arg any) Timer {
 // AtFuncPrio schedules fn(arg) at absolute virtual time t with an
 // explicit scheduling-time tie key pt. Events at equal time execute in
 // ascending (pt, seq) order; At/AtFunc record pt = Now(), which makes
-// that exactly the classic scheduling-sequence order for a lone engine.
-// The sharded runner injects cross-shard arrivals at window barriers —
-// wall-clock long after the peer engine emitted them — and passes the
-// emitting engine's virtual clock as pt, so a serial run and a sharded
-// run resolve same-instant ties (a packet arriving at a queue in the
-// same instant the link frees a slot) identically. pt must not exceed
-// t: an event cannot have been scheduled after it fires.
+// that exactly the classic scheduling-sequence order. A caller that
+// reschedules an event it first set earlier (tcp's RTO timer) passes
+// that earlier instant, so the event ties against others at t as if it
+// had never moved. pt must not exceed t: an event cannot have been
+// scheduled after it fires.
 func (e *Engine) AtFuncPrio(t, pt float64, fn func(arg any), arg any) Timer {
 	if pt > t {
 		panic(fmt.Sprintf("sim: event at %.9f with scheduling tie key %.9f in its future", t, pt))
@@ -264,7 +261,6 @@ func (e *Engine) fire(ev *event) bool {
 		return false
 	}
 	e.now = ev.time
-	e.curPt = ev.pt
 	e.nRun++
 	fn, fn1, arg := ev.fn, ev.fn1, ev.arg
 	e.release(ev) // safe before fn: generation bump detaches all Timers
@@ -318,19 +314,6 @@ func (e *Engine) RunUntil(t float64) {
 	if t > e.now {
 		e.now = t
 	}
-}
-
-// RunBelow executes events with time strictly less than t. Unlike
-// RunUntil it neither advances the clock to t nor touches events at
-// exactly t: an event sitting precisely on t stays queued. This is the
-// windowed-execution primitive of the sharded runner — a conservative
-// window [lo, hi) owns only the events below its horizon, and an event
-// exactly on the horizon belongs to the next window, after the barrier
-// has delivered any cross-shard packets that share its timestamp.
-// Dead (cancelled) events at the head are released even beyond t,
-// matching RunUntil.
-func (e *Engine) RunBelow(t float64) {
-	e.runTo(math.Nextafter(t, math.Inf(-1))) // below t is at or below the float before it
 }
 
 // runTo executes events with time <= t in (time, pt, seq) order across

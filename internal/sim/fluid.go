@@ -35,10 +35,7 @@ import (
 //
 // The model is deliberately deterministic — no randomness, every update
 // driven by the engine's virtual clock — so hybrid runs are exactly
-// reproducible and bit-identical between the serial and the sharded
-// execution paths (the Fluid steps on the bottleneck engine, whose
-// packet event stream the sharded differential suite already holds to
-// the serial order).
+// reproducible.
 
 // FluidClassConfig describes one aggregate AIMD class: Flows congestion
 // controlled flows (TCP or RAP — both are AIMD at this altitude)
@@ -82,8 +79,7 @@ type fluidClass struct {
 // Fluid is an aggregate AIMD background-traffic model attached to a
 // bottleneck link and its (FluidQueue-wrapped) buffer. Construct with
 // NewFluid, then Start before the engine runs. All state is owned by
-// the link's engine: in a sharded run that is the bottleneck shard,
-// and reads from other goroutines are only safe at barriers or after
+// the link's engine: reads from other goroutines are only safe after
 // the run (the same access rules as the link itself).
 type Fluid struct {
 	eng     *Engine
@@ -99,7 +95,7 @@ type Fluid struct {
 	stepFn func()
 
 	// Cumulative totals, single-writer (the engine thread); read them
-	// at barriers or after the run.
+	// after the run.
 	OfferedBytes float64
 	ServedBytes  float64
 	DroppedBytes float64
@@ -143,8 +139,7 @@ func NewFluid(eng *Engine, link *Link, q *FluidQueue, cfg FluidConfig) *Fluid {
 // an interval — an off-grid phase, so step instants never coincide with
 // the millisecond-aligned flow starts or the sampler's ticks. A shared
 // instant would be harmless dynamically but would make same-time event
-// order part of the model, which the serial/sharded bit-identity
-// argument deliberately avoids.
+// order part of the model.
 func (f *Fluid) Start() {
 	f.eng.At(0.73*fluidInterval, f.stepFn)
 }

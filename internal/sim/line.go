@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ring is the package's one growable FIFO ring: the bottleneck queues
 // hold their packets in one (fifo) and every delay line its pending
@@ -82,11 +79,6 @@ func (e *Engine) newLine(fn func(*Packet)) *delayLine {
 	return l
 }
 
-// dropLine removes l, an empty line, from e's merge.
-func (e *Engine) dropLine(l *delayLine) {
-	e.lines = slices.DeleteFunc(e.lines, func(o *delayLine) bool { return o == l })
-}
-
 // after sends p down the line to arrive d from now (d >= 0).
 func (l *delayLine) after(d float64, p *Packet) {
 	now := l.eng.now
@@ -140,7 +132,7 @@ func (e *Engine) fireLine(l *delayLine) {
 		}
 	}
 	e.minLine = m
-	e.now, e.curPt = h.time, h.pt
+	e.now = h.time
 	e.nRun++
 	l.fn(h.p)
 }

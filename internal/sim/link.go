@@ -6,18 +6,6 @@ import (
 	"qav/internal/metrics"
 )
 
-// LinkOut receives packets leaving a link: Deliver is called at
-// transmit-start time with the absolute instant the packet exits the
-// far end (serialization + propagation already added), Drop with a
-// packet the queue refused. The default output sends deliveries down a
-// delay line on the link's own engine and releases drops to its pool.
-// The sharded dumbbell substitutes a mailbox emitter so both paths
-// cross the shard boundary at the next time barrier instead.
-type LinkOut interface {
-	Deliver(at float64, p *Packet)
-	Drop(p *Packet)
-}
-
 // Link models a store-and-forward output link fed by a Queue: packets are
 // serialized at Rate bytes/s and then delayed by the propagation Delay
 // before being handed to their destination Receiver.
@@ -27,10 +15,6 @@ type Link struct {
 	rate  float64 // bytes per second
 	delay float64 // propagation delay, seconds
 
-	// out receives finished packets (deliveries and drops); defaults to
-	// the engine-local engineOut.
-	out LinkOut
-
 	// freeAt is when the current serialization finishes; the link is
 	// busy while Now() < freeAt. wake holds the pending "link free"
 	// instant (at most one), armed only when a packet is actually
@@ -38,6 +22,11 @@ type Link struct {
 	// instead of two.
 	freeAt float64
 	wake   *delayLine
+
+	// out carries each transmitted packet to the far end: its
+	// arrivals (serialization finish plus propagation) never decrease,
+	// since freeAt does not.
+	out *delayLine
 
 	// fluidRate is the bandwidth currently reserved by a hybrid fluid
 	// aggregate (SetFluidRate); packets serialize at the residual
@@ -75,28 +64,9 @@ func NewLink(eng *Engine, q Queue, rate, delay float64) *Link {
 	}
 	l := &Link{eng: eng, queue: q, rate: rate, delay: delay}
 	l.wake = eng.newLine(l.txDone)
-	l.out = engineOut{eng.newLine(l.deliver)}
+	l.out = eng.newLine(l.deliver)
 	return l
 }
-
-// SetOut replaces the link's output. Call before the simulation starts;
-// the default engineOut keeps the serial single-engine behavior. The
-// default's delivery line leaves the engine with it, so the merge does
-// not scan a line that never fills.
-func (l *Link) SetOut(out LinkOut) {
-	if o, ok := l.out.(engineOut); ok {
-		l.eng.dropLine(o.line)
-	}
-	l.out = out
-}
-
-// engineOut is the default LinkOut: deliveries ride a delay line on
-// the link's own engine (their instants never decrease, since freeAt
-// does not), drops are released to its pool.
-type engineOut struct{ line *delayLine }
-
-func (o engineOut) Deliver(at float64, p *Packet) { o.line.push(at, o.line.eng.now, p) }
-func (o engineOut) Drop(p *Packet)                { o.line.eng.pool.Put(p) }
 
 // Rate returns the link bandwidth in bytes per second.
 func (l *Link) Rate() float64 { return l.rate }
@@ -164,7 +134,7 @@ func (l *Link) InstrumentFlows(reg *metrics.Registry, n int) {
 func (l *Link) Offer(p *Packet) {
 	l.offered++
 	if !l.queue.Enqueue(p) {
-		l.out.Drop(p)
+		l.eng.pool.Put(p)
 		return
 	}
 	now := l.eng.now
@@ -210,7 +180,7 @@ func (l *Link) transmitNext() {
 	if l.queue.Len() > 0 {
 		l.wake.push(l.freeAt, now, nil)
 	}
-	l.out.Deliver(l.freeAt+l.delay, p)
+	l.out.push(l.freeAt+l.delay, now, p)
 }
 
 // txDone fires when serialization finishes: the link may start the next

@@ -85,6 +85,19 @@ func TestLinkIdleRestart(t *testing.T) {
 	}
 }
 
+// A link puts two delay lines in the engine's merge, its wake and its
+// deliveries, and nothing else.
+func TestLinkOwnsWakeAndDeliveryLines(t *testing.T) {
+	e := NewEngine()
+	l := NewLink(e, NewDropTail(600), 30_000, 0.01)
+	if len(e.lines) != 2 {
+		t.Fatalf("a link holds %d lines, want its wake and its deliveries", len(e.lines))
+	}
+	if e.lines[0] != l.wake || e.lines[1] != l.out {
+		t.Fatal("the link's lines are not its wake and its deliveries")
+	}
+}
+
 func TestDumbbellRTT(t *testing.T) {
 	e := NewEngine()
 	d := NewDumbbell(e, DumbbellConfig{

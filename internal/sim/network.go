@@ -5,9 +5,7 @@ import "qav/internal/metrics"
 // Network is the interface packet sources send through: data packets
 // travel the forward path to the bottleneck and on to their receiver,
 // acknowledgements return over the uncongested reverse path. Dumbbell
-// is the serial implementation; ShardedDumbbell's per-shard fronts
-// implement the same contract with the bottleneck on another engine.
-// In both cases the network owns a packet once handed over and
+// implements it. The network owns a packet once handed over and
 // eventually releases it to a pool.
 type Network interface {
 	SendData(p *Packet, dst Receiver)

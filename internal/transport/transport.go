@@ -19,8 +19,7 @@
 //     "adaptive bitrate over TCP" adversary).
 //
 // Backends are not goroutine-safe; each flow owns one instance and its
-// engine serializes access (shard-safe under the parallel DES barrier,
-// which never runs one flow's events concurrently with themselves).
+// engine, or its server shard, serializes access.
 package transport
 
 import (
