@@ -510,3 +510,59 @@ func TestStallSecCountsOpenStall(t *testing.T) {
 		t.Fatalf("qa.stalled.sec gauge %v, want %v", got, want)
 	}
 }
+
+// Instrument with a nil registry attaches the shared counters and
+// builds nothing: no gauge name, no closure. Two such controllers count
+// their adds, drops and backoffs into the one set of srv.qa.* counters
+// and publish no gauge; a controller instrumented with a registry
+// publishes its five.
+func TestInstrumentWithoutRegistry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	ins := NewInstruments(reg, "srv.qa")
+	a, b := newLoopback(t, baseParams()), newLoopback(t, baseParams())
+	if allocs := testing.AllocsPerRun(100, func() { a.c.Instrument(nil, "srv.qa", ins) }); allocs != 0 {
+		t.Fatalf("Instrument(nil, ...): %.0f allocs, want 0", allocs)
+	}
+	b.c.Instrument(nil, "srv.qa", ins)
+	for _, lb := range []*loopback{a, b} {
+		lb.run(30, func(float64) float64 { return 3600 }, cS)
+		lb.c.OnBackoff(lb.now, 100, 20)
+	}
+	sa, sb := a.c.Stats(), b.c.Stats()
+	if sa.Adds == 0 || sa.Drops == 0 || sa.Backoffs == 0 {
+		t.Fatalf("precondition: stats %+v, want adds, drops and backoffs", sa)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]int{
+		"srv.qa.adds":     sa.Adds + sb.Adds,
+		"srv.qa.drops":    sa.Drops + sb.Drops,
+		"srv.qa.backoffs": sa.Backoffs + sb.Backoffs,
+	} {
+		if got := snap.Counters[name]; got != int64(want) {
+			t.Errorf("%s = %d, controllers counted %d", name, got, want)
+		}
+	}
+	if len(snap.Gauges) != 0 {
+		t.Errorf("controllers without a registry published gauges %v", snap.Gauges)
+	}
+
+	simReg := metrics.NewRegistry()
+	c := newLoopback(t, baseParams())
+	c.c.Instrument(simReg, "qa", NewInstruments(simReg, "qa"))
+	c.run(30, func(float64) float64 { return 3600 }, cS)
+	gauges := simReg.Snapshot().Gauges
+	for name, want := range map[string]float64{
+		"qa.layers":      float64(c.c.ActiveLayers()),
+		"qa.buftotal":    c.c.TotalBuf(),
+		"qa.played.sec":  c.c.PlayedSec,
+		"qa.stalled.sec": c.c.StallSec(),
+		"qa.layers.mean": c.c.LayerSeconds / c.c.PlayedSec,
+	} {
+		if got, ok := gauges[name]; !ok || got != want {
+			t.Errorf("gauge %s = %v (published %v), want %v", name, got, ok, want)
+		}
+	}
+	if len(gauges) != 5 {
+		t.Errorf("%d gauges published, want 5: %v", len(gauges), gauges)
+	}
+}

@@ -39,9 +39,13 @@ func NewInstruments(reg *metrics.Registry, prefix string) *Instruments {
 // Instrument attaches ins and publishes the controller's quality state
 // on reg under the same prefix as snapshot-time Func metrics. Call
 // before the simulation starts. With a nil reg only ins attaches: the
-// server's sessions share counters and publish no per-session gauges.
+// server's sessions share counters and publish no per-session gauges,
+// so none is named or closed over.
 func (c *Controller) Instrument(reg *metrics.Registry, prefix string, ins *Instruments) {
 	c.ins = ins
+	if reg == nil {
+		return
+	}
 	reg.GaugeFunc(prefix+".layers", func() float64 { return float64(c.na) })
 	reg.GaugeFunc(prefix+".buftotal", func() float64 { return c.TotalBuf() })
 	reg.GaugeFunc(prefix+".played.sec", func() float64 { return c.PlayedSec })

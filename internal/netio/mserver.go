@@ -502,7 +502,7 @@ func (sh *shard) handle(m inMsg, now float64) {
 				return
 			}
 			var err error
-			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, srv.payload, &sh.sessIns, now)
+			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, sh.sessIns.QA, now)
 			if err != nil {
 				srv.active.Add(-1)
 				return // unreachable: params validated at construction
@@ -527,7 +527,7 @@ func (sh *shard) handle(m inMsg, now float64) {
 			sh.srv.unknown.Inc()
 			return
 		}
-		st.onAck(now, m.ack)
+		st.onAck(now, m.ack, &sh.sessIns)
 		sh.srv.acked.Inc()
 		// No re-filing: acks only move wake instants later (idle
 		// expiry pushes out; NextSend is untouched), and the wheel
@@ -601,7 +601,7 @@ func (sh *shard) wakeAt(st *session) float64 {
 // the loop exits as soon as the session is caught up.
 func (sh *shard) buildDue(st *session, now float64, k int) int {
 	for b := 0; b < flow.SendBurst && st.flow.NextSend <= now && k < len(sh.msgs); b++ {
-		if n := st.buildPacket(now, sh.msgs[k].Buf); n > 0 {
+		if n := st.buildPacket(now, sh.msgs[k].Buf, sh.srv.payload, &sh.sessIns); n > 0 {
 			sh.msgs[k].N = n
 			sh.msgs[k].Addr = st.addr
 			k++

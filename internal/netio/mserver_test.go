@@ -722,7 +722,7 @@ func TestAllocFreeServeSendLoop(t *testing.T) {
 					}
 				}
 			}
-			qa := sess.ins.QA
+			qa := sh.sessIns.QA
 			var adds, drops, backoffs int64 // at the start of the last window
 			window := func() {
 				adds, drops, backoffs = qa.Adds.Load(), qa.Drops.Load(), qa.Backoffs.Load()

@@ -9,11 +9,19 @@ import (
 	"qav/internal/transport"
 )
 
-// nack is a pending retransmission request.
-type nack struct {
-	layer int
-	off   int64
-}
+// nack is a pending retransmission request packed in one word: the
+// layer in the top byte (the wire names at most NoNack layers), the byte
+// offset below it. onAck admits only offsets under the layer's sent
+// bytes, which stay far below 2^56.
+type nack uint64
+
+const nackOffBits = 56
+
+func packNack(layer int, off int64) nack { return nack(uint64(layer)<<nackOffBits | uint64(off)) }
+
+func (nk nack) layer() int { return int(nk >> nackOffBits) }
+
+func (nk nack) off() int64 { return int64(nk & (1<<nackOffBits - 1)) }
 
 // nackCap bounds pending retransmissions per client. A misbehaving
 // receiver can request holes faster than the congestion-controlled
@@ -23,15 +31,19 @@ type nack struct {
 const nackCap = 64
 
 // nackRing is a fixed-capacity drop-oldest queue of retransmission
-// requests.
+// requests. Its buffer is allocated at the first push: most streams
+// never ask for a repair, and until one does the ring is a nil slice.
 type nackRing struct {
-	buf     [nackCap]nack
+	buf     []nack
 	head, n int
 }
 
 // push queues nk and reports whether the oldest request was shed to
 // make room.
 func (q *nackRing) push(nk nack) (shed bool) {
+	if q.buf == nil {
+		q.buf = make([]nack, nackCap)
+	}
 	if shed = q.n == len(q.buf); shed {
 		q.head = (q.head + 1) % len(q.buf)
 		q.n--
@@ -48,11 +60,10 @@ func (q *nackRing) pop() nack {
 	return nk
 }
 
-// queued reports whether a request for (layer, off) is already pending.
-func (q *nackRing) queued(layer int, off int64) bool {
+// queued reports whether a request equal to nk is already pending.
+func (q *nackRing) queued(nk nack) bool {
 	for i := 0; i < q.n; i++ {
-		nk := &q.buf[(q.head+i)%len(q.buf)]
-		if nk.layer == layer && nk.off == off {
+		if q.buf[(q.head+i)%len(q.buf)] == nk {
 			return true
 		}
 	}
@@ -90,19 +101,17 @@ func newSessionInstruments(reg *metrics.Registry) sessionInstruments {
 // session is one client's stream: the shared flow.Driver (the QA +
 // congestion-control loop the simulator's sources also run, here over
 // transport.RAP and stepped lazily at send time) plus what only the
-// server has — the wire encoding, per-layer stream offsets, the bounded
-// retransmission queue, expiry instants and the wheel linkage. It is not
-// goroutine-safe — its owner, a MultiServer shard, touches it from its
-// one goroutine only. All times are float64 seconds on the shard's clock.
+// server has — the wire encoding, the bounded retransmission queue,
+// expiry instants and the wheel linkage. A layer's next stream offset is
+// the driver's SentByLayer, which counts every new byte sent; the
+// payload and instruments a packet needs are the shard's, passed in. It
+// is not goroutine-safe — its owner, a MultiServer shard, touches it
+// from its one goroutine only. All times are float64 seconds on the
+// shard's clock.
 type session struct {
-	flow flow.Driver
-	addr netip.AddrPort
-
-	payload  []byte  // shared zero payload, read-only
-	layerOff []int64 // next byte offset per layer's stream
-	nacks    nackRing
-
-	ins *sessionInstruments // the shard's, shared by its sessions
+	flow  flow.Driver
+	addr  netip.AddrPort
+	nacks nackRing
 
 	lastRecv float64 // last ack/req arrival, for idle expiry
 	deadline float64 // stream end
@@ -114,57 +123,52 @@ type session struct {
 	wtick        int64 // absolute scheduled wheel tick (valid when queued)
 }
 
-// newSession builds a stream for addr. qa must already be validated
+// newSession builds a stream for addr whose controller counts its
+// decisions into qaIns. qa must already be validated
 // (core.NewController errors only on bad Params; callers validate once
-// at server construction) and payload must be pktSize-DataHeaderLen
-// bytes.
-func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, payload []byte, ins *sessionInstruments, now float64) (*session, error) {
+// at server construction).
+func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, qaIns *core.Instruments, now float64) (*session, error) {
 	// The controller keeps no decision log, so a stream's memory does
 	// not grow with its uptime; srv.qa.* counts its decisions.
 	ctrl, err := core.NewController(qa)
 	if err != nil {
 		return nil, err
 	}
-	ctrl.Instrument(nil, "srv.qa", ins.QA)
+	ctrl.Instrument(nil, "srv.qa", qaIns)
 	return &session{
 		flow:     flow.New(transport.NewRAP(rcfg), ctrl, now),
 		addr:     addr,
-		payload:  payload,
-		ins:      ins,
-		layerOff: make([]int64, ctrl.P.MaxLayers),
 		lastRecv: now,
 		wslot:    wheelNone,
 	}, nil
 }
 
-// buildPacket assembles the next paced data packet into buf (which must
-// hold a full packet) and returns its wire length. The driver takes the
-// send slot — step if due, layer or repair, sequence, next-send instant
-// — and the session supplies the stream offset: the next new bytes of
-// the layer, or the oldest requested hole on a repair slot. Zero-alloc.
-func (st *session) buildPacket(now float64, buf []byte) int {
+// buildPacket assembles the next paced data packet, carrying payload
+// (pktSize-DataHeaderLen bytes), into buf (which must hold a full
+// packet) and returns its wire length. The driver takes the send slot —
+// step if due, layer or repair, sequence, next-send instant — and the
+// session supplies the stream offset: the layer's bytes sent before
+// this packet, or the oldest requested hole on a repair slot. Zero-alloc.
+func (st *session) buildPacket(now float64, buf, payload []byte, ins *sessionInstruments) int {
 	late := now - st.flow.NextSend
 	st.flow.StepIfDue(now)
 	seq, layer := st.flow.Send(now, st.nacks.n > 0)
-	repair := layer == flow.Repair
 	var off int64
-	if repair {
+	if layer == flow.Repair {
 		nk := st.nacks.pop()
-		layer, off = nk.layer, nk.off
+		layer, off = nk.layer(), nk.off()
+		ins.Retransmits.Inc()
 	} else {
-		off = st.layerOff[layer]
-		st.layerOff[layer] += int64(st.flow.PacketSize)
+		// Send has counted this packet into the layer's sent bytes.
+		off = st.flow.SentByLayer[layer] - int64(st.flow.PacketSize)
 	}
-	st.ins.Lateness.Observe(late * 1e6)
-	if repair {
-		st.ins.Retransmits.Inc()
-	}
+	ins.Lateness.Observe(late * 1e6)
 	n, err := EncodeData(buf, DataHeader{
 		Seq:        seq,
 		Layer:      uint8(layer),
 		LayerOff:   off,
 		SendMicros: uint64(now * 1e6),
-	}, st.payload)
+	}, payload)
 	if err != nil {
 		return 0 // unreachable: buf is sized to pktSize at construction
 	}
@@ -173,26 +177,27 @@ func (st *session) buildPacket(now float64, buf []byte) int {
 
 // onAck feeds one acknowledgement to the driver and queues any
 // piggybacked retransmission request.
-func (st *session) onAck(now float64, a Ack) {
+func (st *session) onAck(now float64, a Ack, ins *sessionInstruments) {
 	st.lastRecv = now
 	credited := st.flow.Ack(now, a.AckSeq)
 	// A request must name bytes already sent on a layer that exists;
 	// NackOff is checked before it is quantized because Go's remainder
 	// keeps the dividend's sign, which would round (-pktSize, 0) up to 0.
+	sent := st.flow.SentByLayer
 	shed := false
-	if a.NackLayer != NoNack && int(a.NackLayer) < len(st.layerOff) && a.NackOff >= 0 {
+	if a.NackLayer != NoNack && int(a.NackLayer) < len(sent) && a.NackOff >= 0 {
 		// Quantize the request to packet-aligned offsets and bound it
 		// to one packet per queue entry.
 		pkt := int64(st.flow.PacketSize)
 		off := a.NackOff - a.NackOff%pkt
-		if off < st.layerOff[a.NackLayer] && !st.nacks.queued(int(a.NackLayer), off) {
-			shed = st.nacks.push(nack{layer: int(a.NackLayer), off: off})
+		if nk := packNack(int(a.NackLayer), off); off < sent[a.NackLayer] && !st.nacks.queued(nk) {
+			shed = st.nacks.push(nk)
 		}
 	}
 	if credited {
-		st.ins.Delivered.Inc()
+		ins.Delivered.Inc()
 	}
 	if shed {
-		st.ins.NackDrops.Inc()
+		ins.NackDrops.Inc()
 	}
 }
