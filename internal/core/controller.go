@@ -30,11 +30,11 @@ type Controller struct {
 	// Cached allocation (recomputed on every Tick).
 	shares []float64 // per-layer network share, bytes/s
 
-	// Scratch buffers reused across allocation recomputations: the
-	// draining planner runs on every backoff, and a long-lived serving
-	// session must not allocate there.
-	ladder    []State
-	drainsBuf []float64
+	// Scratch reused across allocation recomputations: the draining
+	// planner runs on every refresh below the consumption rate, and a
+	// long-lived serving session must not allocate there. Its first
+	// na entries are the last plan's drains.
+	drainBuf []float64
 
 	// geo holds the formula terms for the rate, slope and layer count of
 	// its last use (see geom).
@@ -376,9 +376,7 @@ func (c *Controller) computeShares(now float64) {
 	// Draining phase.
 	h := planHorizon
 	need := (total - R) * h
-	ladder := c.drainLadder()
-	drains, unmet := DrainPlanInto(c.drainsBuf, ladder, c.bufs[:c.na], need, cons*h)
-	c.drainsBuf = drains
+	drains, unmet := c.drainPlan(need, cons*h)
 	if unmet > 1e-9 {
 		// Shortfall this horizon: count it toward the arrears (scaled to
 		// the time actually elapsed) and only treat it as a critical
@@ -396,9 +394,7 @@ func (c *Controller) computeShares(now float64) {
 				return
 			}
 			need = (total - R) * h
-			ladder = c.drainLadder()
-			drains, unmet = DrainPlanInto(c.drainsBuf, ladder, c.bufs[:c.na], need, cons*h)
-			c.drainsBuf = drains
+			drains, unmet = c.drainPlan(need, cons*h)
 		}
 	} else {
 		c.arrears = 0
@@ -460,21 +456,25 @@ func (c *Controller) fillLayer() int {
 	}
 }
 
-// drainLadder returns the reverse-path floors for draining: the optimal
-// state ladder, or no floors at all for the strawman policies (they
-// have no notion of a maximally efficient path).
-func (c *Controller) drainLadder() []State {
+// drainPlan plans need bytes of draining, at most maxPerLayer per layer,
+// down the optimal state ladder, or with no floors at all for the
+// strawman policies (they have no notion of a maximally efficient
+// path).
+func (c *Controller) drainPlan(need, maxPerLayer float64) (drains []float64, unmet float64) {
+	kmax := c.P.Kmax
 	if c.P.Alloc != AllocOptimal {
-		return nil
+		kmax = -1
 	}
-	c.ladder = c.geom().appendLadder(c.ladder, 0, c.P.Kmax)
-	return c.ladder
+	if len(c.drainBuf) < 5*c.na {
+		c.drainBuf = make([]float64, 5*c.na)
+	}
+	return c.geom().drain(c.drainBuf, c.bufs[:c.na], kmax, need, maxPerLayer)
 }
 
 // geom returns the formula terms for the current rate, slope and layer
 // count, recomputed only when one of them has changed since the last
 // call: the up to two SendPacket scans of one refresh and its drain
-// ladder share them.
+// walk share them.
 func (c *Controller) geom() *geometry {
 	if g := &c.geo; g.na != c.na || g.R != c.rate || g.S != c.slope {
 		*g = newGeometry(c.rate, c.na, c.P.C, c.slope)

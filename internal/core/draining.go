@@ -12,22 +12,7 @@ package core
 // not be covered even after draining every layer to zero at full
 // consumption rate — a critical situation (§2.2) requiring layer drops.
 func DrainPlan(ladder []State, bufs []float64, need, maxPerLayer float64) (drains []float64, unmet float64) {
-	return DrainPlanInto(nil, ladder, bufs, need, maxPerLayer)
-}
-
-// DrainPlanInto is DrainPlan writing into dst when its capacity
-// suffices, so a per-tick caller reuses one buffer instead of
-// allocating a plan per recomputation. The result aliases dst.
-func DrainPlanInto(dst []float64, ladder []State, bufs []float64, need, maxPerLayer float64) (drains []float64, unmet float64) {
-	na := len(bufs)
-	if cap(dst) >= na {
-		drains = dst[:na]
-		for i := range drains {
-			drains[i] = 0
-		}
-	} else {
-		drains = make([]float64, na)
-	}
+	drains = make([]float64, len(bufs))
 	if need <= 0 {
 		return drains, 0
 	}
@@ -39,29 +24,63 @@ func DrainPlanInto(dst []float64, ladder []State, bufs []float64, need, maxPerLa
 		if m > 0 {
 			floors = ladder[m-1].Layer
 		}
-		for i := na - 1; i >= 0 && need > 0; i-- {
-			floor := 0.0
-			if floors != nil && i < len(floors) {
-				floor = floors[i]
-			}
-			avail := bufs[i] - drains[i] - floor
-			if avail <= 0 {
-				continue
-			}
-			room := maxPerLayer - drains[i]
-			if room <= 0 {
-				continue
-			}
-			take := avail
-			if take > room {
-				take = room
-			}
-			if take > need {
-				take = need
-			}
-			drains[i] += take
-			need -= take
-		}
+		need = drainPass(drains, bufs, floors, need, maxPerLayer)
 	}
 	return drains, need
+}
+
+// drain is DrainPlan(StateLadder(g.R, g.na, 0, kmax, g.C, g.S), bufs,
+// need, maxPerLayer) without the ladder: it walks down the ladder
+// (ladderWalk), one pass per state in DrainPlan's order with its
+// arithmetic, so its drains and unmet have DrainPlan's bits
+// (TestDrainWalkDifferential). kmax < 0 is the empty ladder: one pass
+// with zero floors. len(bufs) must be g.na, and scratch must hold 5·g.na
+// floats; drains aliases it, so a caller reuses it across calls.
+func (g *geometry) drain(scratch, bufs []float64, kmax int, need, maxPerLayer float64) (drains []float64, unmet float64) {
+	na := len(bufs)
+	drains, floors := scratch[:na], scratch[na:2*na]
+	clear(drains)
+	if need <= 0 {
+		return drains, 0
+	}
+	w := g.walkLadder(0, kmax, scratch[2*na:5*na])
+	for ; need > 0; w.step() {
+		if w.done() {
+			return drains, drainPass(drains, bufs, nil, need, maxPerLayer)
+		}
+		w.targets(floors)
+		need = drainPass(drains, bufs, floors, need, maxPerLayer)
+	}
+	return drains, need
+}
+
+// drainPass is one pass of the reverse walk, top layer first: each
+// layer gives what it holds above its floor (zero without floors), at
+// most maxPerLayer in all passes together, until need is met. It adds
+// the takes to drains and returns what is left of need.
+func drainPass(drains, bufs, floors []float64, need, maxPerLayer float64) float64 {
+	for i := len(bufs) - 1; i >= 0 && need > 0; i-- {
+		floor := 0.0
+		if floors != nil && i < len(floors) {
+			floor = floors[i]
+		}
+		avail := bufs[i] - drains[i] - floor
+		if avail <= 0 {
+			continue
+		}
+		room := maxPerLayer - drains[i]
+		if room <= 0 {
+			continue
+		}
+		take := avail
+		if take > room {
+			take = room
+		}
+		if take > need {
+			take = need
+		}
+		drains[i] += take
+		need -= take
+	}
+	return need
 }

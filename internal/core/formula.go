@@ -123,18 +123,35 @@ type geometry struct {
 func newGeometry(R float64, na int, C, S float64) geometry {
 	g := geometry{R: R, C: C, S: S, na: na, naC: float64(na) * C}
 	g.k1 = K1(R, g.naC)
-	g.h2 = g.naC - math.Ldexp(R, -g.k1)
+	g.h2 = g.naC - halved(R, g.k1)
 	g.first2 = TriangleArea(g.h2, S)
 	g.half = g.naC / 2
 	g.rest2 = TriangleArea(g.half, S)
 	return g
 }
 
-// h1 is scenario 1's deficit after k back-to-back backoffs. R/2^k by
-// exponent arithmetic is bit-identical to R/math.Pow(2, float64(k)) for
-// every k a caller can pass (TestLdexpMatchesPowDivision), without Pow's
-// cost on the per-packet path.
-func (g *geometry) h1(k int) float64 { return g.naC - math.Ldexp(g.R, -k) }
+// pow2neg holds 2^-k for every k a caller passes to halved, each exact.
+var pow2neg = func() (p [128]float64) {
+	for k := range p {
+		p[k] = math.Ldexp(1, -k)
+	}
+	return p
+}()
+
+// halved is R/2^k for k >= 0. Its one multiply by an exact power of two
+// is correctly rounded, subnormal and underflowing results included, so
+// it has the bits of math.Ldexp(R, -k) and of R/math.Pow(2, float64(k))
+// (TestLdexpMatchesPowDivision), without either's cost on the
+// per-packet path.
+func halved(R float64, k int) float64 {
+	if uint(k) < uint(len(pow2neg)) {
+		return R * pow2neg[k]
+	}
+	return math.Ldexp(R, -k)
+}
+
+// h1 is scenario 1's deficit after k back-to-back backoffs.
+func (g *geometry) h1(k int) float64 { return g.naC - halved(g.R, k) }
 
 func (g *geometry) total(s Scenario, k int) float64 {
 	switch s {
@@ -168,8 +185,9 @@ func (g *geometry) layer(s Scenario, k, i int) float64 {
 // [1, kmax] whose total requirement in scenario s exceeds total, with
 // that requirement, or kmax and its requirement when none does (k = 0
 // and requirement 0 when kmax < 1 or total < 0). For R >= 0 both totals,
-// as computed, are non-decreasing in k (Ldexp is exact and rounding is
-// monotone), so a binary search finds the k the walk upward found.
+// as computed, are non-decreasing in k (R/2^k shrinks with k and
+// rounding is monotone), so a binary search finds the k the walk upward
+// found.
 func (g *geometry) firstAbove(s Scenario, total float64, kmax int) (int, float64) {
 	if kmax < 1 || !(0 <= total) {
 		return 0, 0

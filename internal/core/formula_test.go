@@ -281,19 +281,21 @@ func TestTriangleArea(t *testing.T) {
 
 // TestLdexpMatchesPowDivision pins the rewrite of R/2^k in BufTotal,
 // BufLayer and their N variants from R/math.Pow(2, float64(k)) to
-// math.Ldexp(R, -k): both are the correctly rounded value of R*2^-k, so
-// they must agree bit for bit — over ordinary rates, over the whole
-// exponent range (results that land in the subnormals included), and on
+// math.Ldexp(R, -k), and then to halved's multiply by a table entry:
+// all are the correctly rounded value of R*2^-k, so they must agree bit
+// for bit — over ordinary rates, over the whole exponent range (results
+// that land in the subnormals or underflow to zero included), and on
 // the special values. k stops at 1023: past it Pow overflows to +Inf
 // and the quotient collapses to 0, and K1 never returns more than 65.
 func TestLdexpMatchesPowDivision(t *testing.T) {
 	check := func(R float64, k int) {
 		t.Helper()
 		want := R / math.Pow(2, float64(k))
-		got := math.Ldexp(R, -k)
-		if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("R=%v (%#x) k=%d: Ldexp %v (%#x), Pow division %v (%#x)",
-				R, math.Float64bits(R), k, got, math.Float64bits(got), want, math.Float64bits(want))
+		for _, got := range []float64{math.Ldexp(R, -k), halved(R, k)} {
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("R=%v (%#x) k=%d: got %v (%#x), Pow division %v (%#x)",
+					R, math.Float64bits(R), k, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(1999))
@@ -305,8 +307,16 @@ func TestLdexpMatchesPowDivision(t *testing.T) {
 		// Any bit pattern, any k that keeps Pow finite.
 		check(math.Float64frombits(rng.Uint64()), rng.Intn(1024))
 	}
+	for i := 0; i < 5_000; i++ {
+		// Every k of halved's table on tiny and subnormal R, where the
+		// multiply rounds: the result is subnormal or underflows.
+		R := math.Float64frombits(rng.Uint64() >> (1 + rng.Intn(12)))
+		for k := 0; k < len(pow2neg); k++ {
+			check(R, k)
+		}
+	}
 	for _, R := range []float64{0, math.Copysign(0, -1), 1, -1, math.SmallestNonzeroFloat64, math.MaxFloat64,
-		0x1p-1022, 0x1.fffffffffffffp-1023, math.Inf(1), math.Inf(-1), math.NaN()} {
+		0x1p-1022, 0x1.fffffffffffffp-1023, 0x1.8p-1000, 0x1.fffffffffffffp-960, math.Inf(1), math.Inf(-1), math.NaN()} {
 		for k := 0; k < 1024; k++ {
 			check(R, k)
 		}

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // State is one optimal buffer state on the maximally efficient path
 // (Figs 8-10): the per-layer buffer targets required to survive K
 // backoffs under Scen, made cumulative along the path so that filling
@@ -27,95 +29,140 @@ type State struct {
 // States whose raw total is zero (k too small to pull R below na·C) are
 // omitted. kmin of 0 includes the "finish the current drain" state used
 // by the draining allocator when R is already below na·C.
+//
+// The ladder is built as the draining allocator walks it, from the top
+// state down (ladderWalk), and reversed.
 func StateLadder(R float64, na, kmin, kmax int, C, S float64) []State {
-	return AppendStateLadder(nil, R, na, kmin, kmax, C, S)
-}
-
-// AppendStateLadder is StateLadder reusing dst's backing storage — the
-// returned slice and the Layer slices of its entries are recycled, so a
-// caller that rebuilds the ladder on every backoff (the serving path's
-// draining allocator) holds the heap steady. The result aliases dst and
-// is valid until the next call with the same dst.
-func AppendStateLadder(dst []State, R float64, na, kmin, kmax int, C, S float64) []State {
 	g := newGeometry(R, na, C, S)
-	return g.appendLadder(dst, kmin, kmax)
-}
-
-// appendLadder is AppendStateLadder over g.
-func (g *geometry) appendLadder(dst []State, kmin, kmax int) []State {
-	raw := dst[:0]
-	na := g.na
-	if na <= 0 || kmax < kmin {
-		return raw
-	}
-	kmin = max(kmin, 0) // no state needs buffering for k < 0
-	for k := kmin; k <= kmax; k++ {
-		t1 := g.total(Scenario1, k)
-		if t1 > 0 {
-			raw = appendState(raw, State{Scen: Scenario1, K: k, RawTotal: t1}, na)
-			h := g.h1(k)
-			for i, layer := 0, raw[len(raw)-1].Layer; i < na; i++ {
-				layer[i] = Band(h, g.C, g.S, i)
-			}
-		}
-		// For k <= k1 scenario 2 is the scenario-1 state again: skip it.
-		if t2 := g.total(Scenario2, k); t2 > 0 && t2 != t1 {
-			raw = appendState(raw, State{Scen: Scenario2, K: k, RawTotal: t2}, na)
-		}
-	}
-	// A layer's two scenario-2 bands are the same for every k: take them
-	// once per layer and fill that layer of every scenario-2 state.
-	for i := 0; i < na; i++ {
-		first, rest := Band(g.h2, g.C, g.S, i), Band(g.half, g.C, g.S, i)
-		for j := range raw {
-			if raw[j].Scen == Scenario2 {
-				raw[j].Layer[i] = first + float64(raw[j].K-g.k1)*rest
-			}
-		}
-	}
-	// Stable insertion sort by (RawTotal, Scen): the ladder holds at
-	// most 2·(kmax-kmin+1) entries, and avoiding sort.SliceStable keeps
-	// the reflection-based swapper off the hot path.
-	for i := 1; i < len(raw); i++ {
-		for j := i; j > 0 && stateLess(&raw[j], &raw[j-1]); j-- {
-			raw[j], raw[j-1] = raw[j-1], raw[j]
-		}
-	}
-	// Monotonic per-layer adjustment; the previous entry's adjusted
-	// targets are exactly the running max.
-	for idx := range raw {
-		tot := 0.0
-		for i := 0; i < na; i++ {
-			v := raw[idx].Layer[i]
-			if idx > 0 && v < raw[idx-1].Layer[i] {
-				v = raw[idx-1].Layer[i]
-				raw[idx].Layer[i] = v
-			}
-			tot += v
-		}
-		raw[idx].Total = tot
-	}
-	return raw
-}
-
-// appendState appends st with an na-long Layer, recycling the slice of
-// the entry the append evicts from raw's backing array.
-func appendState(raw []State, st State, na int) []State {
-	if n := len(raw); n < cap(raw) {
-		st.Layer = raw[:n+1][n].Layer
-	}
-	if cap(st.Layer) < na {
+	w := g.walkLadder(kmin, kmax, make([]float64, 3*max(na, 0)))
+	var ladder []State
+	for ; !w.done(); w.step() {
+		st := w.top()
 		st.Layer = make([]float64, na)
+		w.targets(st.Layer)
+		for _, v := range st.Layer {
+			st.Total += v
+		}
+		ladder = append(ladder, st)
 	}
-	st.Layer = st.Layer[:na]
-	return append(raw, st)
+	slices.Reverse(ladder)
+	return ladder
 }
 
-func stateLess(a, b *State) bool {
-	if a.RawTotal != b.RawTotal {
-		return a.RawTotal < b.RawTotal
+// ladderWalk steps down StateLadder's ladder from its top state without
+// building it. Each scenario's states are on the ladder in k order, their
+// raw totals being non-decreasing in k as computed (see firstAbove), so
+// the ladder is a merge of the two: stepping down, the state that leaves
+// is the head with the larger raw total, the scenario-2 one on a tie
+// (the ladder puts scenario 1 first). Each scenario's per-layer targets
+// are non-decreasing in k too, so a state's running-max targets are, per
+// layer, the larger of the two heads' raw targets.
+type ladderWalk struct {
+	g *geometry
+	// The heads: the k of each scenario's top remaining state, below
+	// lo1 (lo2) once the scenario has none left, and their raw totals.
+	head1, head2, lo1, lo2 int
+	t1, t2                 float64
+	// row1 holds scenario 1's head's per-layer targets once stale1 is
+	// false; first and rest hold each layer's two scenario-2 bands.
+	row1, first, rest []float64
+	stale1            bool
+}
+
+// walkLadder starts a walk down the ladder of g's states for k in
+// [kmin, kmax], on scratch of at least 3·g.na floats.
+func (g *geometry) walkLadder(kmin, kmax int, scratch []float64) ladderWalk {
+	kmin = max(kmin, 0) // no state needs buffering for k < 0
+	w := ladderWalk{g: g, head1: kmax, head2: kmax, lo1: kmin, lo2: max(kmin, g.k1)}
+	if g.na <= 0 || kmax < kmin {
+		w.head1, w.head2 = kmin-1, kmin-1
+		return w
 	}
-	return a.Scen < b.Scen
+	na := g.na
+	w.row1, w.first, w.rest = scratch[:na], scratch[na:2*na], scratch[2*na:3*na]
+	// A layer's two scenario-2 bands are the same for every k.
+	for i := range w.first {
+		w.first[i], w.rest[i] = Band(g.h2, g.C, g.S, i), Band(g.half, g.C, g.S, i)
+	}
+	w.seek1()
+	w.seek2()
+	return w
+}
+
+// seek1 makes head1 the head of scenario 1: its states are the k whose
+// raw total is positive, a suffix of the range.
+func (w *ladderWalk) seek1() {
+	if w.head1 >= w.lo1 {
+		if w.t1 = w.g.total(Scenario1, w.head1); !(w.t1 > 0) {
+			w.head1 = w.lo1 - 1
+		}
+	}
+	w.stale1 = true
+}
+
+// seek2 makes head2, or the first k below it with a state, the head of
+// scenario 2. At k = K1 the scenario-2 state is the scenario-1 state
+// again, and below K1 there is none: neither is on the ladder.
+func (w *ladderWalk) seek2() {
+	for ; w.head2 >= w.lo2; w.head2-- {
+		w.t2 = w.g.total(Scenario2, w.head2)
+		if w.t2 > 0 && w.t2 != w.g.total(Scenario1, w.head2) {
+			return
+		}
+	}
+}
+
+// done reports whether no state is left.
+func (w *ladderWalk) done() bool { return w.head1 < w.lo1 && w.head2 < w.lo2 }
+
+// top2 reports whether the top state is scenario 2's head.
+func (w *ladderWalk) top2() bool {
+	return w.head2 >= w.lo2 && (w.head1 < w.lo1 || w.t2 >= w.t1)
+}
+
+// top returns the top state without its targets.
+func (w *ladderWalk) top() State {
+	if w.top2() {
+		return State{Scen: Scenario2, K: w.head2, RawTotal: w.t2}
+	}
+	return State{Scen: Scenario1, K: w.head1, RawTotal: w.t1}
+}
+
+// step takes the top state off.
+func (w *ladderWalk) step() {
+	if w.top2() {
+		w.head2--
+		w.seek2()
+		return
+	}
+	w.head1--
+	w.seek1()
+}
+
+// targets writes the top state's per-layer targets, made monotone along
+// the ladder, to dst (g.na entries).
+func (w *ladderWalk) targets(dst []float64) {
+	has1, has2 := w.head1 >= w.lo1, w.head2 >= w.lo2
+	if has1 && w.stale1 {
+		h := w.g.h1(w.head1)
+		for i := range w.row1 {
+			w.row1[i] = Band(h, w.g.C, w.g.S, i)
+		}
+		w.stale1 = false
+	}
+	n2 := float64(w.head2 - w.g.k1)
+	for i := range dst {
+		v := 0.0
+		if has1 {
+			v = w.row1[i]
+		}
+		if has2 {
+			if v2 := w.first[i] + n2*w.rest[i]; !has1 || v < v2 {
+				v = v2
+			}
+		}
+		dst[i] = v
+	}
 }
 
 // FillTarget implements the paper's per-packet SendPacket scan (§4.1):

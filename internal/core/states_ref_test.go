@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -78,6 +79,7 @@ func stateLadderRef(R float64, na, kmin, kmax int, C, S float64) []State {
 			raw = append(raw, State{Scen: sc, K: k, RawTotal: tot, Layer: layer})
 		}
 	}
+	// Stable insertion sort by (RawTotal, Scen).
 	for i := 1; i < len(raw); i++ {
 		for j := i; j > 0 && stateLess(&raw[j], &raw[j-1]); j-- {
 			raw[j], raw[j-1] = raw[j-1], raw[j]
@@ -96,6 +98,13 @@ func stateLadderRef(R float64, na, kmin, kmax int, C, S float64) []State {
 		raw[idx].Total = tot
 	}
 	return raw
+}
+
+func stateLess(a, b *State) bool {
+	if a.RawTotal != b.RawTotal {
+		return a.RawTotal < b.RawTotal
+	}
+	return a.Scen < b.Scen
 }
 
 func fillTargetRef(R float64, bufs []float64, C, S float64, kmax int) (layer int, ok bool) {
@@ -162,9 +171,9 @@ func diffFillTarget(tc formulaCase) string {
 
 // diffFormulas compares the shipped formulas with the references on one
 // input: BufTotal and BufLayer for k from -1 past kmax (sparser as k
-// grows), FillTarget, and the ladder (into one recycled destination, as
-// the controller builds it). It returns the first difference, or "".
-func diffFormulas(tc formulaCase, dst *[]State) string {
+// grows), FillTarget, and the ladder. It returns the first difference,
+// or "".
+func diffFormulas(tc formulaCase) string {
 	na := len(tc.bufs)
 	bits := math.Float64bits
 	for k := -1; k <= tc.kmax+1; k += 1 + k/8 {
@@ -198,8 +207,7 @@ func diffFormulas(tc formulaCase, dst *[]State) string {
 	}
 	for _, kmin := range []int{0, 1}[:1+tc.kmax%2] {
 		want := stateLadderRef(tc.R, na, kmin, tc.kmax, tc.C, tc.S)
-		*dst = AppendStateLadder(*dst, tc.R, na, kmin, tc.kmax, tc.C, tc.S)
-		got := *dst
+		got := StateLadder(tc.R, na, kmin, tc.kmax, tc.C, tc.S)
 		if len(got) != len(want) {
 			return fmt.Sprintf("ladder kmin %d has %d states, reference %d", kmin, len(got), len(want))
 		}
@@ -268,17 +276,16 @@ func TestFormulaDifferential(t *testing.T) {
 	if testing.Short() {
 		iters = 1_000
 	}
-	var dst []State
 	rng := rand.New(rand.NewSource(64))
 	for it := 0; it < iters; it++ {
 		tc := randomFormulaCase(rng)
-		if d := diffFormulas(tc, &dst); d != "" {
+		if d := diffFormulas(tc); d != "" {
 			t.Fatalf("iter %d R=%v C=%v S=%v kmax=%d bufs=%v: %s", it, tc.R, tc.C, tc.S, tc.kmax, tc.bufs, d)
 		}
 	}
 
 	formulaEdges(func(tc formulaCase) {
-		if d := diffFormulas(tc, &dst); d != "" {
+		if d := diffFormulas(tc); d != "" {
 			t.Fatalf("R=%v na=%d kmax=%d: %s", tc.R, len(tc.bufs), tc.kmax, d)
 		}
 		// Total buffering exactly equal to every requirement the scan can
@@ -378,4 +385,183 @@ func TestAddConditionMeetsFillTargets(t *testing.T) {
 		t.Fatalf("AddCondition held on only %d inputs", held)
 	}
 	t.Logf("AddCondition held on %d inputs; FillTarget had nothing to fill on each", held)
+}
+
+// drainTakes runs DrainPlan's passes on ladder with need unbounded and
+// returns every take in the order the passes make them: their prefix
+// sums are the needs met exactly mid-pass.
+func drainTakes(ladder []State, bufs []float64, maxPerLayer float64) []float64 {
+	drains := make([]float64, len(bufs))
+	var takes []float64
+	for m := len(ladder); m >= 0; m-- {
+		for i := len(bufs) - 1; i >= 0; i-- {
+			floor := 0.0
+			if m > 0 {
+				floor = ladder[m-1].Layer[i]
+			}
+			if avail, room := bufs[i]-drains[i]-floor, maxPerLayer-drains[i]; avail > 0 && room > 0 {
+				take := min(avail, room)
+				drains[i] += take
+				takes = append(takes, take)
+			}
+		}
+	}
+	return takes
+}
+
+// drainCase is one input to the drain walk's differential comparison,
+// with its reference ladder.
+type drainCase struct {
+	R, C, S           float64
+	bufs              []float64
+	kmax              int
+	need, maxPerLayer float64
+	ladder            []State // stateLadderRef(R, len(bufs), 0, kmax, C, S)
+}
+
+// diffDrain compares the drain walk with DrainPlan on the reference
+// ladder of tc, and the walk without a ladder (kmax -1, the strawman
+// policies) with DrainPlan on none, bit for bit. The walk reuses scratch
+// as the controller reuses its own. It returns the first difference, or
+// "".
+func diffDrain(tc drainCase, scratch []float64) string {
+	g := newGeometry(tc.R, len(tc.bufs), tc.C, tc.S)
+	bits := math.Float64bits
+	for _, kmax := range []int{tc.kmax, -1} {
+		var ladder []State
+		if kmax == tc.kmax {
+			ladder = tc.ladder
+		}
+		want, wantUnmet := DrainPlan(ladder, tc.bufs, tc.need, tc.maxPerLayer)
+		got, gotUnmet := g.drain(scratch, tc.bufs, kmax, tc.need, tc.maxPerLayer)
+		if bits(gotUnmet) != bits(wantUnmet) || len(got) != len(want) {
+			return fmt.Sprintf("kmax %d: unmet %v, DrainPlan %v", kmax, gotUnmet, wantUnmet)
+		}
+		for i := range want {
+			if bits(got[i]) != bits(want[i]) {
+				return fmt.Sprintf("kmax %d: drains %v, DrainPlan %v", kmax, got, want)
+			}
+		}
+	}
+	return ""
+}
+
+// drainInputs calls f with tc at buffers and needs around tc's ladder:
+// a sample of the states' targets (the floors of a pass), one ulp either
+// side, and tc's own buffers, each with needs that a prefix of the takes
+// meets exactly mid-pass, none, and more than the buffers hold, under a
+// per-layer cap that binds and one that does not.
+func drainInputs(tc formulaCase, rng *rand.Rand, f func(drainCase)) {
+	na := len(tc.bufs)
+	ladder := stateLadderRef(tc.R, na, 0, tc.kmax, tc.C, tc.S)
+	cands := [][]float64{tc.bufs}
+	for j := 0; j < min(len(ladder), 2); j++ {
+		st := ladder[rng.Intn(len(ladder))]
+		for _, dir := range []float64{0, math.Inf(-1), math.Inf(1)} {
+			b := slices.Clone(st.Layer)
+			if dir != 0 {
+				for i := range b {
+					b[i] = math.Nextafter(b[i], dir)
+				}
+			}
+			cands = append(cands, b)
+		}
+	}
+	for _, bufs := range cands {
+		total := 0.0
+		for _, b := range bufs {
+			total += b
+		}
+		for _, maxPerLayer := range []float64{math.Inf(1), total / float64(2*na), rng.Float64() * total} {
+			needs := []float64{0, -1, 2*total + 1, rng.Float64() * total}
+			takes := drainTakes(ladder, bufs, maxPerLayer)
+			sum := 0.0
+			for j, take := range takes {
+				sum += take
+				if j < 2 || rng.Intn(len(takes)) < 3 {
+					needs = append(needs, sum)
+				}
+			}
+			for _, need := range needs {
+				f(drainCase{R: tc.R, C: tc.C, S: tc.S, bufs: bufs, kmax: tc.kmax, need: need, maxPerLayer: maxPerLayer, ladder: ladder})
+			}
+		}
+	}
+}
+
+// TestDrainWalkDifferential holds the controller's drain walk to
+// DrainPlan on the pre-change ladder, requiring the same bits, over
+// randomized inputs (na ≤ 8, Kmax ≤ 64) and directed edges: ties between
+// the scenarios' totals, k1 = 0, Kmax 0, 1 and 64, and deficits at a
+// band boundary and a few ulps either side.
+func TestDrainWalkDifferential(t *testing.T) {
+	scratch := make([]float64, 5*8)
+	check := func(tc formulaCase, rng *rand.Rand) {
+		t.Helper()
+		drainInputs(tc, rng, func(dc drainCase) {
+			if d := diffDrain(dc, scratch); d != "" {
+				t.Fatalf("R=%v C=%v S=%v kmax=%d bufs=%v need=%v maxPerLayer=%v: %s",
+					dc.R, dc.C, dc.S, dc.kmax, dc.bufs, dc.need, dc.maxPerLayer, d)
+			}
+		})
+	}
+	iters := 2_000
+	if testing.Short() {
+		iters = 300
+	}
+	rng := rand.New(rand.NewSource(66))
+	for it := 0; it < iters; it++ {
+		tc := randomFormulaCase(rng)
+		tc.kmax = min(tc.kmax, maxKmax)
+		check(tc, rng)
+	}
+
+	// Ties: at R = na·C/2 scenario 2's k = 3 state needs (na·C)²/(2S),
+	// and so does every scenario-1 state whose R/2^k rounds off na·C. At
+	// a power-of-two scale all of it is exact.
+	ties := 0
+	for _, na := range []int{1, 2, 3, 4} {
+		for _, scale := range []float64{0x1p-3, 1, 0x1p10} {
+			tc := formulaCase{R: float64(na) * scale, C: 2 * scale, S: 0.5 * scale * scale, bufs: make([]float64, na), kmax: maxKmax}
+			ladder := stateLadderRef(tc.R, na, 0, tc.kmax, tc.C, tc.S)
+			for j := 1; j < len(ladder); j++ {
+				if ladder[j].RawTotal == ladder[j-1].RawTotal && ladder[j].Scen != ladder[j-1].Scen {
+					ties++
+				}
+			}
+			check(tc, rng)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no ladder with a tie between the scenarios")
+	}
+
+	// k1 = 0, the K1 boundary, and Kmax -1 to 64.
+	formulaEdges(func(tc formulaCase) {
+		tc.kmax = min(tc.kmax, maxKmax)
+		check(tc, rng)
+	})
+
+	// Scenario 1's deficit at layer i's lower band boundary i·C at
+	// k = 0..3, and up to three ulps either side, at an exact C and one
+	// whose multiples round.
+	for _, C := range []float64{1000, 0.3} {
+		for na := 2; na <= 8; na++ {
+			for i := 1; i < na; i++ {
+				for k := 0; k <= 3; k++ {
+					R := math.Ldexp(float64(na-i)*C, k)
+					for _, d := range []int{-3, -2, -1, 0, 1, 2, 3} {
+						r := R
+						for ; d < 0; d++ {
+							r = math.Nextafter(r, 0)
+						}
+						for ; d > 0; d-- {
+							r = math.Nextafter(r, math.Inf(1))
+						}
+						check(formulaCase{R: r, C: C, S: 7 * C, bufs: make([]float64, na), kmax: 8}, rng)
+					}
+				}
+			}
+		}
+	}
 }

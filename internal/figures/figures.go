@@ -251,7 +251,7 @@ type TableCell struct {
 // TablesSweep runs the Table 1/2 sweep: tests T1 and T2 for each Kmax.
 // The paper uses Kmax in {2, 3, 4, 5, 8}. Kmax changes only the
 // controller, which the network never hears from, so the sweep simulates
-// each test once and the other Kmax values follow it
+// each test once and the other Kmax values follow it, untraced
 // (scenario.RunReports): 2 simulations + 2·(len(kmaxes)−1) followers (8
 // at the paper's Kmax values), on workers goroutines (<= 0 means one per
 // CPU). Every report is byte-identical to a full simulation of its cell.
@@ -327,24 +327,24 @@ func seedConfigs(kmaxes []int, seeds int, scale float64, opts []scenario.PresetO
 }
 
 // TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds, all
-// seeds' configs in one scenario.RunEach call: 2 simulations +
-// 2·(len(kmaxes)−1) followers per seed (8 at the paper's Kmax values),
-// on workers goroutines (<= 0 means one per CPU). It returns the cells
-// in TablesSweep's order.
+// seeds' configs in one scenario.RunReports call, untraced: 2
+// simulations + 2·(len(kmaxes)−1) followers per seed (8 at the paper's
+// Kmax values), on workers goroutines (<= 0 means one per CPU). It
+// returns the cells in TablesSweep's order.
 func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
 	cfgs, cells, err := seedConfigs(kmaxes, seeds, scale, opts)
 	if err != nil {
 		return nil, err
 	}
-	drops := make([]core.DropStats, len(cfgs))
-	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { drops[i] = res.Stats }); err != nil {
+	reps, err := scenario.RunReports(cfgs, workers)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]CellSpread, len(cells))
 	for i, c := range cells {
 		var eff, poor []float64
-		for j := i; j < len(drops); j += len(cells) {
-			if d := drops[j]; d.Drops > 0 {
+		for j := i; j < len(reps); j += len(cells) {
+			if d := reps[j].Drops; d.Drops > 0 {
 				eff = append(eff, 100*d.AvgEfficiency)
 				poor = append(poor, d.PoorDistPct)
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -102,6 +103,27 @@ func TestTablesSweepParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("cell %d differs:\nseq: %+v\npar: %+v", i, seq[i], par[i])
 		}
 	}
+}
+
+// A Table 1/2 sweep samples no series, since its reports read none
+// (scenario.RunReports runs untraced): the paper-scale sweep allocates
+// about 1.0 MB, where sampling its ten configs' series took 3.5 MB.
+func TestTablesSweepFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	if _, _, err := TablesSweep(nil, DefaultScale, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	got := m1.TotalAlloc - m0.TotalAlloc
+	if got > 2_000_000 {
+		t.Fatalf("one sweep allocated %d bytes, want at most 2,000,000", got)
+	}
+	t.Logf("one sweep allocated %d bytes", got)
 }
 
 // The expensive paper-scale figures run only outside -short.

@@ -214,7 +214,7 @@ func checkRecords(t *testing.T, cfg, n Config, rec [][]flow.Input, match func(i 
 	}
 	got.Bytes = math.Round(got.Bytes)
 	key := cfg
-	key.Metrics, key.SchedRec, key.record = nil, nil, nil
+	key.Metrics, key.SchedRec, key.record, key.untraced = nil, nil, nil, false
 	if want := findings[key]; got != want {
 		t.Errorf("%s %v, %g s: base layer %+v, want %+v", cfg.Name, n.QA.Alloc, cfg.Duration, got, want)
 	}
@@ -502,6 +502,7 @@ func TestRunReportsGrouping(t *testing.T) {
 		"QueueBytes": func(c *Config) { c.QueueBytes++ },
 		"Transport":  func(c *Config) { c.Transport = transport.KindDelay },
 		"Metrics":    func(c *Config) { c.Metrics = nil },
+		"untraced":   func(c *Config) { c.untraced = true },
 	} {
 		cfg := same
 		change(&cfg)

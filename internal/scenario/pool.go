@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 
 	"qav/internal/core"
@@ -72,8 +73,13 @@ func RunEach(cfgs []Config, workers int, do func(i int, res *Result)) error {
 // RunReports returns one report per config, in input order, each byte
 // for byte what Run and then Report give for it, from RunEach's runs: a
 // group of configs that share a network is one simulation and its
-// followers. A failed slot holds a zero report.
+// followers. The runs are untraced: a report reads no series, so none
+// is sampled. A failed slot holds a zero report.
 func RunReports(cfgs []Config, workers int) ([]RunReport, error) {
+	cfgs = slices.Clone(cfgs)
+	for i := range cfgs {
+		cfgs[i].untraced = true
+	}
 	reps := make([]RunReport, len(cfgs))
 	err := RunEach(cfgs, workers, func(i int, res *Result) {
 		reps[i] = res.Report()

@@ -178,6 +178,53 @@ func TestFollowersMatchRun(t *testing.T) {
 	}
 }
 
+// An untraced group (RunReports' runs) samples nothing, yet ends where
+// the traced group ends: the simulated run and each follower give the
+// same report JSON, byte for byte, and their Series hold no series. T1
+// and T2 at the paper's Kmax values; the scale-8 legs skip under -short.
+func TestUntracedGroupMatchesTraced(t *testing.T) {
+	for _, scale := range []float64{1, 8} {
+		if scale != 1 && testing.Short() {
+			continue
+		}
+		for _, test := range []string{"T1", "T2"} {
+			t.Run(fmt.Sprintf("%s scale %g", test, scale), func(t *testing.T) {
+				t.Parallel()
+				group := func(untraced bool) []*Result {
+					var cfgs []Config
+					for _, kmax := range paperKmax {
+						cfg := MustPreset(test, WithKmax(kmax), WithScale(scale))
+						cfg.Metrics = metrics.NewRegistry()
+						cfg.untraced = untraced
+						cfgs = append(cfgs, cfg)
+					}
+					return eachChecked(t, cfgs, 1)
+				}
+				traced, untraced := group(false), group(true)
+				for i, res := range untraced {
+					if follows := res.lead != nil; follows != (i > 0) {
+						t.Fatalf("config %d: follower %v, want %v", i, follows, i > 0)
+					}
+					if names := res.Series.Names(); len(names) != 0 {
+						t.Fatalf("config %d: untraced, yet it sampled %v", i, names)
+					}
+					g, err := reportJSON(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := reportJSON(traced[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(g, w) {
+						t.Errorf("config %d: the untraced report differs:\n got %.300s\nwant %.300s", i, g, w)
+					}
+				}
+			})
+		}
+	}
+}
+
 func reportJSON(res *Result) ([]byte, error) { return json.Marshal(res.Report()) }
 
 func seriesTSV(res *Result) ([]byte, error) {

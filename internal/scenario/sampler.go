@@ -41,6 +41,11 @@ import (
 // sample, so each series stores only its values. The clock and values
 // are pre-sized from Duration/SampleInterval, so sampling appends
 // within capacity.
+//
+// An untraced run (Config.untraced, RunReports' runs) keeps the ticks
+// and nothing else: no clock, no series, no fleet aggregates. Its tick
+// only ticks the QA controllers, so it runs what a traced run runs, and
+// its reports, which read counters and not series, are the same.
 
 // qaSlot/rapSlot/tcpSlot bind one flow to its (optional) per-flow
 // series.
@@ -66,7 +71,7 @@ type ticker struct {
 	eng      *sim.Engine
 	interval float64
 	duration float64
-	clock    *trace.Clock // every series the ticker writes is on it
+	clock    *trace.Clock // every series the ticker writes is on it; nil untraced
 
 	qas  []qaSlot
 	raps []rapSlot
@@ -83,14 +88,20 @@ type ticker struct {
 
 func (t *ticker) tick() {
 	now := t.eng.Now()
-	t.clock.Add(now)
-	qaRate, rapRate := 0.0, 0.0
+	traced := t.clock != nil
+	if traced {
+		t.clock.Add(now)
+	}
+	qaRate := 0.0
 	for _, qs := range t.qas {
 		q := qs.src
 		// Tick every controller — consumption/playback dynamics —
 		// whether or not the flow is traced; the driver ticks the
 		// followers' controllers with its own.
 		q.Tick(now)
+		if !traced {
+			continue
+		}
 		rate := q.Tr.Rate()
 		for _, qt := range qs.traces {
 			qt.sample(now, rate)
@@ -100,6 +111,19 @@ func (t *ticker) tick() {
 		}
 		qaRate += rate
 	}
+	if traced {
+		t.sample(now, qaRate)
+	}
+	if now+t.interval <= t.duration {
+		t.eng.After(t.interval, t.tickFn)
+	}
+}
+
+// sample traces the tick at now after the QA flows, whose summed rate is
+// qaRate: the RAP and TCP flows, the bottleneck and the fleet
+// aggregates.
+func (t *ticker) sample(now, qaRate float64) {
+	rapRate := 0.0
 	for _, rs := range t.raps {
 		rate := rs.src.Tr.Rate()
 		if rs.series != nil {
@@ -134,9 +158,6 @@ func (t *ticker) tick() {
 		f.lastTCPTotal = tcpTotal
 		f.sJain.Add(now, jainIndex(sum, sumSq, len(t.tcps)))
 	}
-	if now+t.interval <= t.duration {
-		t.eng.After(t.interval, t.tickFn)
-	}
 }
 
 // fleetFold is the fleet aggregate series.
@@ -145,15 +166,23 @@ type fleetFold struct {
 	lastTCPTotal           int64
 }
 
-// startTicker creates every series, builds the ticker and schedules it
-// at t = 0 on net's engine (after the flows, so the t = 0 tick lands
-// after the t = 0 flow starts). Each follower's trace of the first QA
-// flow goes in its own Result's set.
+// startTicker builds the ticker, creating every series unless cfg is
+// untraced, and schedules it at t = 0 on net's engine (after the flows,
+// so the t = 0 tick lands after the t = 0 flow starts). Each follower's
+// trace of the first QA flow goes in its own Result's set.
 func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) {
+	t := &ticker{eng: net.Eng, interval: cfg.SampleInterval, duration: cfg.Duration}
+	t.tickFn = t.tick
+	net.Eng.At(0, t.tickFn)
+	if cfg.untraced {
+		for _, q := range res.QASrcs {
+			t.qas = append(t.qas, qaSlot{src: q})
+		}
+		return
+	}
 	// Samples land at 0, Δ, 2Δ, ... while now+Δ <= Duration, plus slack
 	// for the float accumulation at the boundary.
-	reserve := int(cfg.Duration/cfg.SampleInterval) + 2
-	t := &ticker{eng: net.Eng, interval: cfg.SampleInterval, duration: cfg.Duration, clock: trace.NewClock(reserve)}
+	t.clock = trace.NewClock(int(cfg.Duration/cfg.SampleInterval) + 2)
 	series := on(res.Series, t.clock)
 	fleet := cfg.MaxTraceFlows > 0
 	capped := func(n int) int {
@@ -210,8 +239,6 @@ func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) 
 			sJain: series("fleet.jain.tcp"),
 		}
 	}
-	t.tickFn = t.tick
-	net.Eng.At(0, t.tickFn)
 }
 
 // on returns a function that creates series in set on clock c, with

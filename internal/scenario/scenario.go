@@ -104,6 +104,10 @@ type Config struct {
 	// every QA controller of the run keeps its decision log. A
 	// follower's (RunEach) is the record of the run it followed.
 	record *[][]flow.Input
+
+	// untraced, set by RunReports on its copies, runs the sampler's
+	// ticks without tracing anything: the Result's Series stays empty.
+	untraced bool
 }
 
 // Normalize validates the config and fills defaulted fields in place.
