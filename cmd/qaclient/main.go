@@ -56,7 +56,7 @@ func main() {
 		pb := st.Playback
 		fmt.Printf("playback: %.1fs played, %.2fs stalled (%d stalls), %.1f decodable layer-seconds\n",
 			pb.PlayedSec, pb.StallSec, pb.Stalls, pb.DecodableLayerSec)
-		fmt.Printf("repairs: %d NACKs sent, %d holes repaired\n", st.NacksSent, st.Retransmits)
+		fmt.Printf("repairs: %d NACKs sent, %d holes repaired, %d duplicates\n", st.NacksSent, st.Retransmits, st.Duplicates)
 	}
 }
 

@@ -11,84 +11,48 @@ import (
 	"qav/internal/video"
 )
 
-// ClientStats summarizes what a client received and could play.
-type ClientStats struct {
-	Packets int64
-	Bytes   int64
-	// ByLayer counts bytes per layer. It grows on demand to the highest
-	// layer seen; index through LayerBytes to avoid bounds worries.
-	ByLayer       []int64
-	HighestLayer  int
-	FirstArrival  time.Duration
-	LastArrival   time.Duration
-	ReorderEvents int64
-	Retransmits   int64 // repaired holes (selective retransmission)
-	NacksSent     int64
-
-	// Playback holds the playout-model quality metrics (decodable
-	// layer-seconds, stalls, per-layer gaps) when the client was
-	// created with a video receiver (DialVideo).
-	Playback video.Stats
-}
-
-// LayerBytes returns the bytes received for layer l, zero for layers
-// never seen (including l beyond the slice).
-func (st ClientStats) LayerBytes(l int) int64 {
-	if l < 0 || l >= len(st.ByLayer) {
-		return 0
-	}
-	return st.ByLayer[l]
-}
+// clientIdle is how long Stream waits with no data before treating the
+// stream as over.
+const clientIdle = 2 * time.Second
 
 // Client requests a stream from a server (directly or through a Pipe)
 // and acknowledges every data packet, mirroring the RAP receiver. With
 // a playout model attached (DialVideo) it additionally drives the
 // hierarchical decoder simulation and requests selective
-// retransmissions for base-layer holes.
+// retransmissions for base-layer holes. It is a socket, a lock and a
+// start time around one viewer.
 type Client struct {
 	conn *net.UDPConn
 
-	mu      sync.Mutex
-	stats   ClientStats
+	mu      sync.Mutex // guards v and started: Stats may run during Stream
+	v       viewer
 	started time.Time
-	lastSeq int64
-	rx      *video.Receiver
-	pktSize int64
-	seen    map[seenKey]bool // (layer, off) already delivered once
 
 	// reg is the per-stream metrics registry; snapshot functions lock
 	// c.mu, so it is safe to snapshot concurrently with streaming.
 	reg *metrics.Registry
 }
 
-type seenKey struct {
-	layer int
-	off   int64
-}
-
 // Dial connects a client to addr (the server or an emulating pipe).
 func Dial(addr string) (*Client, error) {
-	ra, err := net.ResolveUDPAddr("udp", addr)
+	conn, err := dialUDP(addr)
 	if err != nil {
-		return nil, fmt.Errorf("netio: resolve %q: %w", addr, err)
+		return nil, err
 	}
-	conn, err := net.DialUDP("udp", nil, ra)
-	if err != nil {
-		return nil, fmt.Errorf("netio: dial %q: %w", addr, err)
-	}
-	c := &Client{conn: conn, lastSeq: -1, seen: make(map[seenKey]bool), reg: metrics.NewRegistry()}
-	locked := func(read func() int64) func() int64 {
-		return func() int64 {
+	c := &Client{conn: conn, v: newViewer(nil), reg: metrics.NewRegistry()}
+	counter := func(name string, read func(*ClientStats) int64) {
+		c.reg.CounterFunc(name, func() int64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return read()
-		}
+			return read(&c.v.st)
+		})
 	}
-	c.reg.CounterFunc("netio.rx.packets", locked(func() int64 { return c.stats.Packets }))
-	c.reg.CounterFunc("netio.rx.bytes", locked(func() int64 { return c.stats.Bytes }))
-	c.reg.CounterFunc("netio.rx.reorders", locked(func() int64 { return c.stats.ReorderEvents }))
-	c.reg.CounterFunc("netio.rx.retransmits", locked(func() int64 { return c.stats.Retransmits }))
-	c.reg.CounterFunc("netio.rx.nacks", locked(func() int64 { return c.stats.NacksSent }))
+	counter("netio.rx.packets", func(st *ClientStats) int64 { return st.Packets })
+	counter("netio.rx.bytes", func(st *ClientStats) int64 { return st.Bytes })
+	counter("netio.rx.reorders", func(st *ClientStats) int64 { return st.ReorderEvents })
+	counter("netio.rx.retransmits", func(st *ClientStats) int64 { return st.Retransmits })
+	counter("netio.rx.duplicates", func(st *ClientStats) int64 { return st.Duplicates })
+	counter("netio.rx.nacks", func(st *ClientStats) int64 { return st.NacksSent })
 	return c, nil
 }
 
@@ -101,153 +65,48 @@ func (c *Client) Metrics() *metrics.Registry { return c.reg }
 // appear in Stats().Playback, and base-layer holes are NACKed for
 // selective retransmission.
 func DialVideo(addr string, cfg video.Config) (*Client, error) {
+	rx, err := video.NewReceiver(cfg)
+	if err != nil {
+		return nil, err
+	}
 	cl, err := Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	rx, err := video.NewReceiver(cfg)
-	if err != nil {
-		cl.Close()
-		return nil, err
-	}
-	cl.rx = rx
+	cl.v.rx = rx
 	return cl, nil
 }
 
 // Close releases the socket.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Stats returns a snapshot of receive-side statistics.
+// Stats returns a snapshot of receive-side statistics, with the playout
+// model advanced to now (not at all before Stream).
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.stats
-	out.ByLayer = make([]int64, len(c.stats.ByLayer))
-	copy(out.ByLayer, c.stats.ByLayer)
-	if c.rx != nil {
-		c.rx.Advance(time.Since(c.started).Seconds())
-		out.Playback = c.rx.Stats()
+	var now float64
+	if !c.started.IsZero() {
+		now = time.Since(c.started).Seconds()
 	}
-	return out
+	return c.v.Stats(now)
 }
 
 // Stream requests dur of streaming and acknowledges packets until the
-// flow goes idle or ctx is cancelled.
+// flow goes idle or ctx is cancelled. It fails if no data arrived.
 func (c *Client) Stream(ctx context.Context, dur time.Duration) error {
-	c.started = time.Now()
-	req := make([]byte, ReqLen)
-	n, err := EncodeReq(req, Req{DurationMs: uint32(dur / time.Millisecond)})
-	if err != nil {
-		return err
+	c.mu.Lock()
+	c.started = time.Now() // Stream is its only writer
+	c.mu.Unlock()
+	got, err := stream(ctx, c.conn, dur, clientIdle, c.started, make([]byte, 64<<10), c.onData)
+	if err == nil && !got {
+		err = fmt.Errorf("netio: no data received within %v", dur+clientIdle+3*time.Second)
 	}
-	if _, err := c.conn.Write(req[:n]); err != nil {
-		return fmt.Errorf("netio: request: %w", err)
-	}
-
-	buf := make([]byte, 64<<10)
-	ackBuf := make([]byte, AckLen)
-	deadline := time.Now().Add(dur + 5*time.Second)
-	idleLimit := 2 * time.Second
-	lastData := time.Now()
-	gotAny := false
-	for time.Now().Before(deadline) {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if gotAny && time.Since(lastData) > idleLimit {
-			return nil // stream ended
-		}
-		c.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		nr, err := c.conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		h, payload, err := DecodeData(buf[:nr])
-		if err != nil {
-			continue
-		}
-		gotAny = true
-		lastData = time.Now()
-		c.record(h, len(payload)+DataHeaderLen)
-
-		ack := Ack{AckSeq: h.Seq, EchoMicros: h.SendMicros, NackLayer: NoNack}
-		if c.rx != nil {
-			c.fillNack(&ack)
-		}
-		na, err := EncodeAck(ackBuf, ack)
-		if err != nil {
-			return err
-		}
-		if _, err := c.conn.Write(ackBuf[:na]); err != nil {
-			return fmt.Errorf("netio: ack: %w", err)
-		}
-	}
-	if !gotAny {
-		return fmt.Errorf("netio: no data received within %v", dur+5*time.Second)
-	}
-	return nil
+	return err
 }
 
-func (c *Client) record(h DataHeader, size int) {
+func (c *Client) onData(now float64, h DataHeader, size int) Ack {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := &c.stats
-	if c.rx != nil {
-		key := seenKey{layer: int(h.Layer), off: h.LayerOff}
-		if c.seen[key] {
-			st.Retransmits++
-		} else {
-			c.seen[key] = true
-		}
-		c.pktSize = int64(size)
-		c.rx.Deliver(time.Since(c.started).Seconds(), int(h.Layer), h.LayerOff, int64(size))
-	}
-	st.Packets++
-	st.Bytes += int64(size)
-	for len(st.ByLayer) <= int(h.Layer) {
-		st.ByLayer = append(st.ByLayer, 0)
-	}
-	st.ByLayer[h.Layer] += int64(size)
-	if int(h.Layer) > st.HighestLayer {
-		st.HighestLayer = int(h.Layer)
-	}
-	if st.Packets == 1 {
-		st.FirstArrival = time.Since(c.started)
-	}
-	st.LastArrival = time.Since(c.started)
-	if h.Seq < c.lastSeq {
-		st.ReorderEvents++
-	} else {
-		c.lastSeq = h.Seq
-	}
-}
-
-// fillNack attaches the oldest actionable base-layer hole to an
-// acknowledgement. A hole is actionable once the stream frontier has
-// moved at least two packets past it (otherwise it is probably just
-// reordering in flight).
-func (c *Client) fillNack(ack *Ack) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := time.Since(c.started).Seconds()
-	c.rx.Advance(now)
-	frontier := c.rx.FrontierOf(0)
-	margin := 2 * c.pktSize
-	if margin <= 0 {
-		margin = 1024
-	}
-	start, end, ok := c.rx.FirstHole(0, frontier-margin)
-	if !ok {
-		return
-	}
-	if end-start > 64<<10 {
-		end = start + 64<<10
-	}
-	ack.NackLayer = 0
-	ack.NackOff = start
-	ack.NackLen = uint32(end - start)
-	c.stats.NacksSent++
+	return c.v.OnData(now, h, size)
 }

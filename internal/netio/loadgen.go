@@ -3,7 +3,6 @@ package netio
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 )
@@ -26,7 +25,8 @@ type LoadConfig struct {
 	IdleExit time.Duration
 }
 
-// loadReadBuf sizes each emulated client's receive buffer, bytes.
+// loadReadBuf is each emulated client's initial receive buffer, bytes;
+// the first larger packet grows it to that packet's length.
 const loadReadBuf = 2048
 
 // ClientLoad is one emulated client's receive summary.
@@ -57,10 +57,10 @@ type LoadResult struct {
 }
 
 // RunLoad launches cfg.Clients emulated clients with staggered joins
-// and blocks until all streams end. Each client is a lightweight
-// request/read/ack loop (no playout model, no NACKs) with an
-// allocation-free receive path, so thousands run comfortably on one
-// host — the knob that matters is the server under test.
+// and blocks until all streams end. Each client is one playout-free
+// viewer (no NACKs) behind the receive loop Client.Stream uses, whose
+// per-packet path allocates nothing, so thousands run comfortably on
+// one host — the knob that matters is the server under test.
 func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 	if cfg.Clients <= 0 {
 		return LoadResult{}, fmt.Errorf("netio: load needs at least one client")
@@ -74,10 +74,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 	startAll := time.Now()
 	res := LoadResult{PerClient: make([]ClientLoad, cfg.Clients)}
 	var wg sync.WaitGroup
-	windowMs := int(cfg.Stagger / time.Millisecond)
-	if windowMs <= 0 {
-		windowMs = 1
-	}
+	windowMs := max(int(cfg.Stagger/time.Millisecond), 1)
 	for i := 0; i < cfg.Clients; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -91,116 +88,49 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadResult, error) {
 				return
 			case <-time.After(delay):
 			}
-			if err := runLoadClient(ctx, cfg, &res.PerClient[i]); err != nil {
-				res.PerClient[i].Err = err.Error()
+			cl, err := runLoadClient(ctx, cfg)
+			if err != nil {
+				cl.Err = err.Error()
 			}
+			res.PerClient[i] = cl
 		}(i)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(startAll)
-	res.MinGoodput = 0
-	var sum, sumSq float64
-	first := true
-	for i := range res.PerClient {
-		c := &res.PerClient[i]
+	var sumSq float64
+	for i, c := range res.PerClient {
 		res.PktsTotal += c.Packets
 		if c.Packets == 0 {
 			res.Starved++
 		}
 		res.GoodputTotal += c.Goodput
-		sum += c.Goodput
 		sumSq += c.Goodput * c.Goodput
-		if first || c.Goodput < res.MinGoodput {
+		if i == 0 || c.Goodput < res.MinGoodput {
 			res.MinGoodput = c.Goodput
 		}
-		if c.Goodput > res.MaxGoodput {
-			res.MaxGoodput = c.Goodput
-		}
-		first = false
+		res.MaxGoodput = max(res.MaxGoodput, c.Goodput)
 	}
 	if sumSq > 0 {
 		n := float64(len(res.PerClient))
-		res.Jain = sum * sum / (n * sumSq)
+		res.Jain = res.GoodputTotal * res.GoodputTotal / (n * sumSq)
 	}
 	return res, nil
 }
 
-// runLoadClient is one emulated client: request the stream, then read
-// data and acknowledge every packet until the stream goes idle. The
-// loop allocates nothing per packet.
-func runLoadClient(ctx context.Context, cfg LoadConfig, out *ClientLoad) error {
-	raddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
+// runLoadClient is one emulated client: one playout-free viewer behind
+// the receive loop, summarized when its stream ends.
+func runLoadClient(ctx context.Context, cfg LoadConfig) (ClientLoad, error) {
+	conn, err := dialUDP(cfg.Addr)
 	if err != nil {
-		return err
-	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return err
+		return ClientLoad{}, err
 	}
 	defer conn.Close()
-
-	req := make([]byte, ReqLen)
-	n, err := EncodeReq(req, Req{DurationMs: uint32(cfg.Dur / time.Millisecond)})
-	if err != nil {
-		return err
+	v := newViewer(nil)
+	_, err = stream(ctx, conn, cfg.Dur, cfg.IdleExit, time.Now(), make([]byte, loadReadBuf), v.OnData)
+	st := v.Stats(0)
+	out := ClientLoad{Packets: st.Packets, Bytes: st.Bytes, HighestLayer: st.HighestLayer}
+	if window := (st.LastArrival - st.FirstArrival).Seconds(); window > 0 {
+		out.Goodput = float64(st.Bytes) / window
 	}
-	if _, err := conn.Write(req[:n]); err != nil {
-		return err
-	}
-
-	buf := make([]byte, loadReadBuf)
-	ackBuf := make([]byte, AckLen)
-	start := time.Now()
-	deadline := start.Add(cfg.Dur + cfg.IdleExit + 3*time.Second)
-	lastData := start
-	var firstData, lastArrival time.Time
-	rereqAt := start.Add(500 * time.Millisecond) // join may have been shed under load; re-request
-	for time.Now().Before(deadline) {
-		if ctx.Err() != nil {
-			break
-		}
-		if out.Packets > 0 && time.Since(lastData) > cfg.IdleExit {
-			break // stream over
-		}
-		if out.Packets == 0 && time.Now().After(rereqAt) {
-			conn.Write(req[:n])
-			rereqAt = time.Now().Add(500 * time.Millisecond)
-		}
-		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-		nr, err := conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return err
-		}
-		h, payload, err := DecodeData(buf[:nr])
-		if err != nil {
-			continue
-		}
-		if out.Packets == 0 {
-			firstData = time.Now()
-		}
-		lastData = time.Now()
-		lastArrival = lastData
-		out.Packets++
-		out.Bytes += int64(len(payload) + DataHeaderLen)
-		if int(h.Layer) > out.HighestLayer {
-			out.HighestLayer = int(h.Layer)
-		}
-		na, err := EncodeAck(ackBuf, Ack{AckSeq: h.Seq, EchoMicros: h.SendMicros, NackLayer: NoNack})
-		if err != nil {
-			return err
-		}
-		if _, err := conn.Write(ackBuf[:na]); err != nil {
-			return err
-		}
-	}
-	if out.Packets > 0 {
-		window := lastArrival.Sub(firstData).Seconds()
-		if window > 0 {
-			out.Goodput = float64(out.Bytes) / window
-		}
-	}
-	return nil
+	return out, err
 }

@@ -33,7 +33,25 @@ func runStream(t *testing.T, srv *MultiServer, dialAddr string, dur time.Duratio
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Stream(ctx, dur); err != nil {
+	// Stats and metrics snapshots race the stream: the race detector
+	// run in CI checks the client's lock.
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(50 * time.Millisecond):
+				cl.Stats()
+				cl.Metrics().Snapshot()
+			}
+		}
+	}()
+	err = cl.Stream(ctx, dur)
+	close(stop)
+	<-stopped
+	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
 	return srv.Stats(), cl.Stats()
@@ -244,6 +262,8 @@ func TestSelectiveRetransmissionRepairsBaseLayer(t *testing.T) {
 	if ss.Retransmits == 0 {
 		t.Fatal("server never retransmitted despite NACKs")
 	}
+	t.Logf("server sent %d repairs; client: %d NACKs, %d holes repaired, %d duplicates",
+		ss.Retransmits, cs.NacksSent, cs.Retransmits, cs.Duplicates)
 	if cs.Retransmits == 0 {
 		t.Fatal("no repaired holes observed at the client")
 	}

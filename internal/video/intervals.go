@@ -7,7 +7,10 @@
 // per-layer gap time, and base-layer stalls.
 package video
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Interval is a half-open byte range [Start, End).
 type Interval struct {
@@ -21,27 +24,28 @@ type IntervalSet struct {
 }
 
 // Add inserts [start, end), merging with any overlapping or adjacent
-// intervals.
-func (s *IntervalSet) Add(start, end int64) {
+// intervals, and returns how many of its bytes were not covered before.
+// It works in place: only an insertion past the capacity allocates.
+func (s *IntervalSet) Add(start, end int64) (added int64) {
 	if end <= start {
-		return
+		return 0
 	}
 	// Find insertion window: all intervals with End >= start can merge.
 	i := sort.Search(len(s.ivs), func(i int) bool { return s.ivs[i].End >= start })
+	added = end - start
 	j := i
-	for j < len(s.ivs) && s.ivs[j].Start <= end {
-		j++
-	}
-	if i < j {
-		if s.ivs[i].Start < start {
-			start = s.ivs[i].Start
-		}
-		if s.ivs[j-1].End > end {
-			end = s.ivs[j-1].End
+	for ; j < len(s.ivs) && s.ivs[j].Start <= end; j++ {
+		if lo, hi := max(s.ivs[j].Start, start), min(s.ivs[j].End, end); hi > lo {
+			added -= hi - lo
 		}
 	}
-	merged := append(s.ivs[:i:i], Interval{Start: start, End: end})
-	s.ivs = append(merged, s.ivs[j:]...)
+	if i == j {
+		s.ivs = slices.Insert(s.ivs, i, Interval{Start: start, End: end})
+	} else {
+		s.ivs[i] = Interval{Start: min(start, s.ivs[i].Start), End: max(end, s.ivs[j-1].End)}
+		s.ivs = slices.Delete(s.ivs, i+1, j)
+	}
+	return added
 }
 
 // Contains reports whether the whole range [start, end) is covered.
@@ -111,7 +115,7 @@ func (s *IntervalSet) Max() int64 {
 	return s.ivs[len(s.ivs)-1].End
 }
 
-// Len returns the number of disjoint intervals (for tests).
+// Len returns the number of disjoint intervals (0: nothing arrived).
 func (s *IntervalSet) Len() int { return len(s.ivs) }
 
 // TotalCovered returns the total number of covered bytes.

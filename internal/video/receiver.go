@@ -80,15 +80,19 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 }
 
 // Deliver records n bytes of layer data at byte offset off, received at
-// time now. Out-of-range layers are dropped silently (future codec
-// levels this receiver cannot decode).
-func (r *Receiver) Deliver(now float64, layer int, off, n int64) {
+// time now, and returns how many of them were new (0 for a duplicate).
+// Out-of-range layers are dropped silently (future codec levels this
+// receiver cannot decode).
+func (r *Receiver) Deliver(now float64, layer int, off, n int64) (added int64) {
 	if layer < 0 || layer >= len(r.layers) || n <= 0 {
-		return
+		return 0
 	}
 	r.Advance(now)
-	r.layers[layer].Add(off, off+n)
+	return r.layers[layer].Add(off, off+n)
 }
+
+// Layers returns how many layers the receiver decodes (Config.MaxLayers).
+func (r *Receiver) Layers() int { return len(r.layers) }
 
 // Playing reports whether playback has started and is not stalled.
 func (r *Receiver) Playing() bool { return r.playing && !r.stalled }
@@ -150,7 +154,7 @@ func (r *Receiver) Advance(now float64) {
 	// Consume whole slots; the fractional remainder waits for the next
 	// Advance (slot duration is slotBytes/C seconds).
 	slotSec := float64(r.slotBytes) / r.cfg.C
-	pending := dt + r.carry()
+	pending := dt + r.carryT
 	for pending >= slotSec {
 		pending -= slotSec
 		baseOK := r.layers[0].Contains(r.playPos, r.playPos+r.slotBytes)
@@ -160,7 +164,7 @@ func (r *Receiver) Advance(now float64) {
 			r.stalled = true
 			r.stats.Stalls++
 			r.stats.StallSec += pending
-			r.setCarry(0)
+			r.carryT = 0
 			return
 		}
 		// Either the slot is decodable or it has a permanent loss hole:
@@ -168,12 +172,11 @@ func (r *Receiver) Advance(now float64) {
 		r.stats.PlayedSec += slotSec
 		decodable := 0
 		if baseOK {
-			decodable = 0
 			for l := 0; l < len(r.layers); l++ {
 				if r.layers[l].Contains(r.playPos, r.playPos+r.slotBytes) && decodable == l {
 					decodable = l + 1
 					r.stats.LayerPlayedSec[l] += slotSec
-				} else if r.layers[l].TotalCovered() > 0 {
+				} else if r.layers[l].Len() > 0 {
 					// The layer exists but this slot is not decodable
 					// (its own or a lower layer's hole).
 					r.stats.LayerGapSec[l] += slotSec
@@ -181,7 +184,7 @@ func (r *Receiver) Advance(now float64) {
 			}
 		} else {
 			for l := 0; l < len(r.layers); l++ {
-				if r.layers[l].TotalCovered() > 0 {
+				if r.layers[l].Len() > 0 {
 					r.stats.LayerGapSec[l] += slotSec
 				}
 			}
@@ -189,12 +192,8 @@ func (r *Receiver) Advance(now float64) {
 		r.stats.DecodableLayerSec += slotSec * float64(decodable)
 		r.playPos += r.slotBytes
 	}
-	r.setCarry(pending)
+	r.carryT = pending
 }
-
-// carry holds sub-slot playback time between Advance calls.
-func (r *Receiver) carry() float64     { return r.carryT }
-func (r *Receiver) setCarry(v float64) { r.carryT = v }
 
 // FrontierOf returns the highest received byte offset of layer i's
 // stream (0 when nothing arrived).

@@ -160,7 +160,8 @@ type (
 	Server = netio.MultiServer
 	// Client requests and acknowledges a UDP stream.
 	Client = netio.Client
-	// ClientStats summarizes what a client received per layer.
+	// ClientStats summarizes what a client received per layer and, with
+	// the playout model, what it could play, repaired and got twice.
 	ClientStats = netio.ClientStats
 	// PipeConfig describes one direction of an emulated network path.
 	PipeConfig = netio.PipeConfig
@@ -204,7 +205,8 @@ func NewPipe(listenAddr, serverAddr string, up, down PipeConfig, seed int64) (*P
 
 // DialVideoStream is DialStream with the playout model attached: the
 // returned stats include decodable-quality metrics, and base-layer loss
-// holes are repaired via selective retransmission NACKs.
+// holes are repaired via selective retransmission NACKs (Retransmits
+// counts the repairs, Duplicates the arrivals that added nothing).
 func DialVideoStream(ctx context.Context, addr string, dur time.Duration, cfg VideoConfig) (ClientStats, error) {
 	cl, err := netio.DialVideo(addr, cfg)
 	if err != nil {
