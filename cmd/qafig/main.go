@@ -26,9 +26,10 @@
 // simulate each test once and the other Kmax values follow it, their
 // controllers fed each call as the simulated flow's driver makes it.
 // -seeds N does so for start seeds 1..N and reports its rate in seeds/s
-// on stderr: with -tables, -fig 12 or -fig 13 it runs the tables' sweep,
-// 2N simulations and 8N followers, and prints the asked-for cells or
-// facts; with -fig 11 it runs N 40-s T1 simulations.
+// on stderr: with -tables it runs the tables' sweep, 2N simulations and
+// 8N followers; with -fig 12 its T1 legs at Kmax 2-4 (N simulations, 2N
+// followers); with -fig 13 its T2 leg at Kmax 4 (N simulations); with
+// -fig 11 N 40-s T1 simulations.
 //
 // -report FILE writes one structured JSON run report per underlying
 // simulation (effective config, final metric counters, histogram
@@ -142,8 +143,11 @@ func run(fig, kmax, seeds int, scale float64, parallel int, tables, transports, 
 			if err != nil {
 				return err
 			}
-			if fig == 11 {
+			switch fig {
+			case 11, 13:
 				sims, followers = seeds, 0
+			case 12:
+				sims, followers = seeds, 2*seeds
 			}
 			render = func() error { return spread.Render(w) }
 		}

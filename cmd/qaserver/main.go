@@ -39,7 +39,7 @@ func main() {
 	}
 	flag.IntVar(&shards, "shards", shards, "SO_REUSEPORT sockets on the listen address, one shard each")
 	maxClients := flag.Int("max-clients", 4096, "concurrent stream cap (joins beyond it are refused)")
-	metricsAddr := flag.String("metrics", "", "HTTP address serving current metrics as JSON (e.g. 127.0.0.1:9090; empty = disabled)")
+	metricsAddr := flag.String("metrics", "", "HTTP address serving current metrics as JSON (e.g. 127.0.0.1:9090; empty = disabled); under load, with a busy shard on every core, a scrape may wait ~10 ms to be read")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

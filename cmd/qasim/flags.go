@@ -55,8 +55,9 @@ func newSimFlags(fs *flag.FlagSet) *simFlags {
 // is given), or without one a custom setup; then each flag overrides
 // its own field. Over a preset only the flags given explicitly
 // override; the custom setup is built from every flag, defaults
-// included. A CBR burst brings the -cbr-start/-cbr-stop window with it,
-// and either end given alone moves just that end.
+// included. -bw over a preset without -queue keeps the preset's queue
+// in seconds. A CBR burst brings the -cbr-start/-cbr-stop window with
+// it, and either end given alone moves just that end.
 func (f *simFlags) configs() ([]scenario.Config, []int, error) {
 	kmaxes, err := parseKmaxes(*f.kmax)
 	if err != nil {
@@ -94,6 +95,9 @@ func (f *simFlags) configs() ([]scenario.Config, []int, error) {
 			}
 		}
 		if given("bw") {
+			if presetName != "" && !set["queue"] {
+				cfg.QueueBytes = int(float64(cfg.QueueBytes) * *f.bw / cfg.BottleneckRate)
+			}
 			cfg.BottleneckRate = *f.bw
 		}
 		if given("rtt") {

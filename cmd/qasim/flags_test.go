@@ -45,7 +45,7 @@ func TestPresetTakesEveryGivenFlag(t *testing.T) {
 			return c.BottleneckRate == 200_000 && c.QueueBytes == 40_000 && c.NumTCP == t1.NumTCP
 		}},
 		{[]string{"-preset", "T1", "-bw", "200000"}, func(c scenario.Config) bool {
-			return c.BottleneckRate == 200_000 && c.QueueBytes == t1.QueueBytes
+			return c.BottleneckRate == 200_000 && c.QueueBytes == 2*t1.QueueBytes && c.QueueBytes == 24_000
 		}},
 		{[]string{"-preset", "T1", "-dur", "5", "-layers", "3", "-c", "1000"}, func(c scenario.Config) bool {
 			return c.Duration == 5 && c.QA == core.Params{C: 1000, Kmax: 2, MaxLayers: 3, StartupSec: 1}

@@ -370,10 +370,10 @@ type FactSpread struct {
 
 // FigureSeeds gives Fig 11, 12 or 13's facts over start seeds 1..seeds
 // (scenario.Config.StartSeed), on workers goroutines (<= 0 means one per
-// CPU). Figs 12 and 13 read the runs of TablesSeeds's sweep at the
-// paper's Kmax values, and add none: per seed, Fig 12's Kmax 2 is the T1
-// simulation and its Kmax 3 and 4 follow it, and Fig 13's Kmax 4 follows
-// the T2 simulation. Fig 11 is a 40-s T1 run at kmax per seed.
+// CPU). Figs 12 and 13 run only the Tables sweep's configs they read:
+// per seed, Fig 12's T1 at Kmax 2 is simulated and Kmax 3 and 4 follow
+// it, and Fig 13's T2 at Kmax 4 is one simulation. Fig 11 is a 40-s T1
+// run at kmax per seed.
 func FigureSeeds(fig, kmax, seeds int, scale float64, workers int, opts ...scenario.PresetOption) (*Spread, error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("figures: %d seeds", seeds)
@@ -394,17 +394,24 @@ func FigureSeeds(fig, kmax, seeds int, scale float64, workers int, opts ...scena
 		out.Name = figure11Name(kmax)
 		facts = func(_ int, to *Result, res *scenario.Result) { figure11Facts(to, res) }
 	case 12, 13:
-		var cells []TableCell
-		var err error
-		if cfgs, cells, err = seedConfigs(nil, seeds, scale, opts); err != nil {
+		test, kmaxes := "T1", []int{2, 3, 4}
+		if fig == 13 {
+			test, kmaxes = "T2", []int{4}
+		}
+		all, cells, err := seedConfigs(kmaxes, seeds, scale, opts)
+		if err != nil {
 			return nil, err
+		}
+		for i, cfg := range all {
+			if cells[i%len(cells)].Test == test {
+				cfgs = append(cfgs, cfg)
+			}
 		}
 		out.Name = map[int]string{12: figure12Name, 13: figure13Name}[fig]
 		facts = func(i int, to *Result, res *scenario.Result) {
-			switch c := cells[i%len(cells)]; {
-			case fig == 12 && c.Test == "T1" && c.Kmax <= 4:
-				figure12Facts(to, c.Kmax, res)
-			case fig == 13 && c.Test == "T2" && c.Kmax == 4:
+			if fig == 12 {
+				figure12Facts(to, kmaxes[i%len(kmaxes)], res)
+			} else {
 				figure13Facts(to, res)
 			}
 		}

@@ -369,11 +369,13 @@ func (sh *shard) now() float64 {
 // wake per idleSweepSec.
 //
 // Tick-driven (sustained load): sleep to the next wheel tick (tickSleep:
-// in the kernel, so the ACKs that land meanwhile wake nothing), then
-// take what queued meanwhile with non-blocking reads. An acknowledgement
-// waits at most a tick in the socket buffer; a packet leaves at most a
-// tick after its NextSend and never before it, and buildPacket advances
-// the pace from the scheduled instant, so the lateness is repaid.
+// in the kernel and keeping the shard's P, so the ACKs that land
+// meanwhile wake nothing; other goroutines on that P run at its one
+// yield per tick), then take what queued meanwhile with non-blocking
+// reads. An acknowledgement waits at most a tick in the socket buffer; a
+// packet leaves at most a tick after its NextSend and never before it,
+// and buildPacket advances the pace from the scheduled instant, so the
+// lateness is repaid.
 //
 // The read deadline armed by the arrival-driven branch is cleared on
 // the way into the tick-driven one: the poller fails even a read that

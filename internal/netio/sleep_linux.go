@@ -3,8 +3,10 @@
 package netio
 
 import (
+	"runtime"
 	"syscall"
 	"time"
+	"unsafe"
 )
 
 // tickSleep is the tick-driven shard loop's sleep to the next wheel
@@ -13,18 +15,24 @@ import (
 // epoll_wait, which watches every socket the runtime polls, the shard's
 // own included: under load each ACK landing during the sleep woke the
 // process for nothing, since no goroutine reads that socket until the
-// tick. nanosleep goes through syscall.Syscall, and that costs a
-// hand-off every tick: the P is left in the syscall state, sysmon
-// retakes it during the sleep and hands it to another thread, which
-// finds nothing to run and parks, and the shard's thread takes a P back
-// on return. On serve_fanout that is about 144 context switches per
-// 1,000 packets (netio.srv.ctxsw_per_kpkt, 2 vCPUs); what it buys is
-// that a GC need not wait for the sleep to end. An EINTR ends the sleep
-// early; the shard loop then finds nothing due and sleeps again.
+// tick.
+//
+// The call is raw, so the shard keeps its P through the sleep. Through
+// syscall.Syscall the P would sit in the syscall state, and sysmon would
+// hand it every tick to a spare thread that finds nothing to run and
+// parks in epoll_wait (on serve_fanout, 2 vCPUs, about 138 context
+// switches per 1,000 packets against 36 raw: netio.srv.ctxsw_per_kpkt).
+// The one yield after the sleep is where other goroutines, GC workers
+// among them, get the P: with every P in a shard loop they run once per
+// tick, and a goroutine waiting on the network only when sysmon polls,
+// about every 10 ms. A stop-the-world's preemption signal ends the
+// sleep with EINTR; the shard loop then finds nothing due and sleeps
+// again.
 func tickSleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	ts := syscall.NsecToTimespec(int64(d))
-	_ = syscall.Nanosleep(&ts, nil) // EINTR, the only failure here, ends the sleep early
+	syscall.RawSyscall(syscall.SYS_NANOSLEEP, uintptr(unsafe.Pointer(&ts)), 0, 0) // EINTR, the only failure here, ends the sleep early
+	runtime.Gosched()
 }
