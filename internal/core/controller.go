@@ -89,14 +89,29 @@ func NewController(p Params) (*Controller, error) {
 	if err := p.Normalize(); err != nil {
 		return nil, err
 	}
-	return &Controller{
-		P:       p,
-		na:      1,
-		bufs:    make([]float64, 1),
-		credits: make([]float64, 1),
-		shares:  make([]float64, 1),
-		ins:     &noInstruments,
-	}, nil
+	c := &Controller{P: p, ins: &noInstruments}
+	c.Restart()
+	return c, nil
+}
+
+// Restart returns c to NewController's state under the same Params: one
+// active layer, empty buffers, playback not started, no decision
+// counted. It keeps the per-layer slices' capacity, the drain scratch,
+// the decision log's setting (KeepEvents) and the attached instruments,
+// so a restarted controller adds layers and plans drains without
+// allocating.
+func (c *Controller) Restart() {
+	*c = Controller{
+		P:          c.P,
+		na:         1,
+		bufs:       append(c.bufs[:0], 0),
+		credits:    append(c.credits[:0], 0),
+		shares:     append(c.shares[:0], 0),
+		drainBuf:   c.drainBuf,
+		Events:     c.Events[:0],
+		keepEvents: c.keepEvents,
+		ins:        c.ins,
+	}
 }
 
 // KeepEvents makes the controller log its decisions in Events from now

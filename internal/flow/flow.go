@@ -71,13 +71,23 @@ type Driver struct {
 // New returns a driver over tr and ctrl (nil for cross traffic) whose
 // first send and first lazy step are due at start.
 func New(tr transport.Transport, ctrl *core.Controller, start float64) Driver {
-	d := Driver{Tr: tr, Ctrl: ctrl, NextSend: start, lastStep: start, PacketSize: tr.PacketSize()}
-	if ctrl != nil {
-		n := ctrl.P.MaxLayers
+	d := Driver{Tr: tr, Ctrl: ctrl, PacketSize: tr.PacketSize()}
+	d.Restart(start)
+	return d
+}
+
+// Restart returns d to New's state at start: first send and first lazy
+// step due at start, per-layer counters zeroed in place (allocated on
+// first use), no followers. Tr and Ctrl are their owner's to restart.
+func (d *Driver) Restart(start float64) {
+	d.NextSend, d.lastStep, d.follow = start, start, nil
+	if d.Ctrl != nil && d.SentByLayer == nil {
+		n := d.Ctrl.P.MaxLayers
 		counters := make([]int64, 2*n)
 		d.SentByLayer, d.DeliveredByLayer = counters[:n:n], counters[n:]
 	}
-	return d
+	clear(d.SentByLayer)
+	clear(d.DeliveredByLayer)
 }
 
 // Follow hands f every later controller call, in call order, as the

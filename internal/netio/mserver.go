@@ -124,6 +124,11 @@ type shard struct {
 	wake     wakePolicy
 	idleSec  float64 // cfg.IdleTimeout in seconds, cached off the hot path
 
+	// free holds nfree expired sessions for the next joins, linked
+	// through wnext (they are off the wheel); see removeSession.
+	free  *session
+	nfree int
+
 	// sessIns is what this shard's sessions record through: the
 	// server-wide counters plus the shard's own lateness histogram.
 	sessIns sessionInstruments
@@ -503,9 +508,7 @@ func (sh *shard) handle(m inMsg, now float64) {
 				srv.rejected.Inc()
 				return
 			}
-			var err error
-			st, err = newSession(m.addr, srv.cfg.QA, srv.cfg.RAP, sh.sessIns.QA, now)
-			if err != nil {
+			if st = sh.join(m.addr, now); st == nil {
 				srv.active.Add(-1)
 				return // unreachable: params validated at construction
 			}
@@ -628,10 +631,33 @@ func (sh *shard) flush(k int) {
 	}
 }
 
-// removeSession drops an expired session from the wheel and the table.
+// join returns the session for a stream to addr that joins at now: an
+// expired one off the free list, restarted, or else a new one (nil only
+// if the QA params are invalid, which construction rules out).
+func (sh *shard) join(addr netip.AddrPort, now float64) *session {
+	if st := sh.free; st != nil {
+		sh.free, sh.nfree = st.wnext, sh.nfree-1
+		st.restart(addr, now)
+		return st
+	}
+	cfg := &sh.srv.cfg
+	st, _ := newSession(addr, cfg.QA, cfg.RAP, sh.sessIns.QA, now) // on error st is nil, and handle refuses the join
+	return st
+}
+
+// removeSession drops an expired session from the wheel and the table,
+// and keeps it on the free list for a later join while the list is
+// shorter than the shard's live session count. A session is allocated
+// only when the list is empty, so the live and free sessions together
+// never outnumber the shard's peak live count, and the list holds at
+// most half of it: what a flash crowd leaves behind once it has gone.
 func (sh *shard) removeSession(st *session) {
 	sh.wheel.unlink(st)
 	delete(sh.sessions, st.addr)
 	sh.srv.active.Add(-1)
 	sh.srv.expired.Inc()
+	if sh.nfree < len(sh.sessions) {
+		st.wnext, sh.free = sh.free, st
+		sh.nfree++
+	}
 }

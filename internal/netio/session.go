@@ -135,12 +135,28 @@ func newSession(addr netip.AddrPort, qa core.Params, rcfg transport.RAPConfig, q
 		return nil, err
 	}
 	ctrl.Instrument(nil, "srv.qa", qaIns)
-	return &session{
-		flow:     flow.New(transport.NewRAP(rcfg), ctrl, now),
+	st := &session{flow: flow.New(transport.NewRAP(rcfg), ctrl, now)}
+	st.restart(addr, now)
+	return st, nil
+}
+
+// restart readies st for a stream to addr that joins at now, in the
+// state newSession builds: the controller, the RAP sender and the driver
+// restarted, no retransmission request queued, off the wheel, no
+// deadline yet. What they keep — slice capacities, the window's ring,
+// the NACK buffer, the attached instruments — is why a shard recycles
+// an expired session rather than building one (shard.join).
+func (st *session) restart(addr netip.AddrPort, now float64) {
+	st.flow.Ctrl.Restart()
+	st.flow.Tr.(*transport.RAP).Restart()
+	st.flow.Restart(now)
+	*st = session{
+		flow:     st.flow,
 		addr:     addr,
+		nacks:    nackRing{buf: st.nacks.buf},
 		lastRecv: now,
 		wslot:    wheelNone,
-	}, nil
+	}
 }
 
 // buildPacket assembles the next paced data packet, carrying payload

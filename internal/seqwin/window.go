@@ -37,6 +37,17 @@ type slot struct {
 	tag    int32   // caller's label; meaningless once sentAt is NaN
 }
 
+// Reset empties w for a new flow: the next Send assigns sequence 0 and
+// nothing is outstanding or acknowledged. The ring is kept, every slot
+// marked not outstanding, so a recycled window sends without
+// allocating.
+func (w *Window) Reset() {
+	for i := range w.slots {
+		w.slots[i] = slot{sentAt: math.NaN()}
+	}
+	w.base, w.next, w.ackEnd, w.n = 0, 0, 0, 0
+}
+
 // Len returns the number of outstanding sequences.
 func (w *Window) Len() int { return w.n }
 

@@ -151,3 +151,46 @@ func TestTagsFollowTheSequence(t *testing.T) {
 		t.Fatalf("Ack(159) = tag %d, %v: a survivor lost its tag", tag, ok)
 	}
 }
+
+// Reset starts a new flow on the old ring: nothing is outstanding, the
+// next Send is sequence 0, neither scan finds anything, and no tag or
+// send time of the old flow comes back from an Ack of the new one.
+func TestResetForgetsTheFlow(t *testing.T) {
+	var w Window
+	for seq := int64(0); seq < 40; seq++ {
+		w.Send(float64(seq))
+		w.SetTag(seq, int32(seq)+100)
+		if seq%3 == 0 {
+			w.Ack(seq)
+		}
+	}
+	ring := &w.slots[0]
+	w.Reset()
+	if w.Len() != 0 || &w.slots[0] != ring || len(w.slots) != 64 {
+		t.Fatalf("after Reset: len %d, ring kept %v (%d slots); want 0, true, 64", w.Len(), &w.slots[0] == ring, len(w.slots))
+	}
+	for seq := int64(0); seq < 40; seq++ {
+		if _, _, ok := w.Ack(seq); ok {
+			t.Fatalf("Ack(%d) after Reset found an outstanding sequence", seq)
+		}
+	}
+	if lost := w.GapLost(nil, 3); len(lost) != 0 {
+		t.Fatalf("GapLost after Reset: %v", lost)
+	}
+	if lost := w.TimedOut(nil, 1e6, 1); len(lost) != 0 {
+		t.Fatalf("TimedOut after Reset: %v", lost)
+	}
+	for want := int64(0); want < 70; want++ { // past the kept ring's 64 slots
+		if seq := w.Send(1e3 + float64(want)); seq != want {
+			t.Fatalf("Send after Reset = %d, want %d", seq, want)
+		}
+	}
+	for seq := int64(0); seq < 70; seq++ {
+		if at, tag, ok := w.Ack(seq); !ok || at != 1e3+float64(seq) || tag != 0 {
+			t.Fatalf("Ack(%d) = %v, tag %d, %v; want %v, tag 0, true", seq, at, tag, ok, 1e3+float64(seq))
+		}
+	}
+	if lost := w.GapLost(nil, 3); len(lost) != 0 || w.Len() != 0 {
+		t.Fatalf("every new sequence acknowledged, yet GapLost %v, len %d", lost, w.Len())
+	}
+}

@@ -81,12 +81,26 @@ type Base struct {
 // NewBase returns an initialized Base (cfg defaults filled in place).
 func NewBase(cfg BaseConfig) Base {
 	cfg.SetDefaults()
-	return Base{
-		cfg:       cfg,
-		rate:      cfg.InitialRate,
-		srtt:      cfg.InitialRTT,
-		rttvar:    cfg.InitialRTT / 2,
-		timeout:   3 * cfg.InitialRTT,
+	b := Base{cfg: cfg}
+	b.Restart()
+	return b
+}
+
+// Restart returns b to the state NewBase gives its config: the initial
+// rate, SRTT and RTO, no RTT sample, zeroed counters, an empty window
+// from sequence 0. It keeps the window's ring, the loss scratch and the
+// attached instruments, so a restarted flow starts without allocating.
+func (b *Base) Restart() {
+	b.win.Reset()
+	*b = Base{
+		cfg:       b.cfg,
+		rate:      b.cfg.InitialRate,
+		srtt:      b.cfg.InitialRTT,
+		rttvar:    b.cfg.InitialRTT / 2,
+		timeout:   3 * b.cfg.InitialRTT,
+		win:       b.win,
+		lost:      b.lost[:0],
+		ins:       b.ins,
 		lastAckAt: -1,
 	}
 }

@@ -45,6 +45,14 @@ func NewRAP(cfg RAPConfig) *RAP {
 	}
 }
 
+// Restart returns r to NewRAP's state for its config (Base.Restart,
+// and a fine-grain factor with no RTT sample), keeping what Base.Restart
+// keeps.
+func (r *RAP) Restart() {
+	r.Base.Restart()
+	r.fg = fineGrain{enabled: r.fg.enabled}
+}
+
 // Kind returns KindRAP.
 func (r *RAP) Kind() Kind { return KindRAP }
 
