@@ -2,7 +2,8 @@
 // evaluation (§5) from the simulator: Fig 1 (RAP sawtooth), Fig 2
 // (filling/draining with receiver buffering), Fig 11 (detailed T1 trace),
 // Fig 12 (effect of Kmax), Fig 13 (responsiveness to a CBR burst), and
-// Tables 1-2 (buffering efficiency and poor-distribution drops).
+// Tables 1-2 (buffering efficiency and poor-distribution drops). Each
+// is data for one sweep, which runs every cell the outputs read once.
 //
 // All presets use the paper-axis scale by default (C = 10 KB/s, the
 // published figure axes); see DESIGN.md for why the raw 800 Kb/s / 20
@@ -29,22 +30,15 @@ const DefaultScale = 8.0
 // Result is one regenerated figure: its time series plus a summary of
 // scalar facts a test or reader can check against the paper.
 //
-// Every underlying simulation runs with its own metrics registry, so
-// Reports carries one machine-diffable run report per simulation (the
-// qafig -report artifact). Instrumentation is observation-only: the
-// rendered series and facts are byte-identical with or without it.
+// Every underlying run has its own metrics registry, so Reports carries
+// one machine-diffable run report per cell the figure reads (the qafig
+// -report artifact). Instrumentation is observation-only: the rendered
+// series and facts are byte-identical with or without it.
 type Result struct {
 	Name    string
 	Series  *trace.Set
 	Summary []Fact
-	Run     *scenario.Result     // last underlying run (nil for tables)
-	Reports []scenario.RunReport // one per underlying simulation
-}
-
-// instrumented attaches a fresh per-run registry to cfg and returns it.
-func instrumented(cfg scenario.Config) scenario.Config {
-	cfg.Metrics = metrics.NewRegistry()
-	return cfg
+	Reports []scenario.RunReport // one per cell, in cell order
 }
 
 // Fact is one scalar finding with the paper's corresponding claim.
@@ -71,27 +65,107 @@ func (r *Result) Get(key string) float64 {
 
 // Render writes the summary and all series as commented TSV.
 func (r *Result) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "## %s\n", r.Name); err != nil {
+	if err := r.renderSummary(w); err != nil {
 		return err
-	}
-	for _, f := range r.Summary {
-		if _, err := fmt.Fprintf(w, "# %-28s %12.3f   %s\n", f.Key, f.Value, f.Note); err != nil {
-			return err
-		}
 	}
 	return r.Series.WriteTSV(w)
 }
 
-// Figure1 regenerates the RAP sawtooth trace: one RAP flow alone on a
-// small bottleneck, transmission rate vs time against the link bandwidth.
-func Figure1(opts ...scenario.PresetOption) (*Result, error) {
-	res, err := runPreset(scenario.Preset("SingleRAP", opts...))
-	if err != nil {
-		return nil, err
+// renderSummary writes the figure's name and facts.
+func (r *Result) renderSummary(w io.Writer) error {
+	ew := &errWriter{w: w}
+	fmt.Fprintf(ew, "## %s\n", r.Name)
+	for _, f := range r.Summary {
+		fmt.Fprintf(ew, "# %-28s %12.3f   %s\n", f.Key, f.Value, f.Note)
 	}
+	return ew.err
+}
+
+// errWriter passes writes to w until one fails and then keeps that
+// error, so a renderer checks once, at its end.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) Write(p []byte) (n int, err error) {
+	if e.err == nil {
+		n, e.err = e.w.Write(p)
+	}
+	return n, e.err
+}
+
+// cell is one run an output reads: test's preset at kmax, cut to its
+// first dur seconds when dur > 0, from start seed seed (0: the preset's
+// own starts), on transport tr when set.
+type cell struct {
+	test string
+	kmax int
+	dur  float64
+	seed int64
+	tr   transport.Kind
+}
+
+// config is c's config at scale: the preset at c's Kmax and scale, then
+// opts, then c's transport.
+func (c cell) config(scale float64, opts []scenario.PresetOption) (scenario.Config, error) {
+	o := append([]scenario.PresetOption{scenario.WithKmax(c.kmax), scenario.WithScale(scale)}, opts...)
+	if c.tr != "" {
+		o = append(o, scenario.WithTransport(c.tr))
+	}
+	cfg, err := scenario.Preset(c.test, o...)
+	if c.dur > 0 {
+		cfg.Duration = c.dur
+	}
+	cfg.StartSeed = c.seed
+	return cfg, err
+}
+
+// output is one figure or table as data: the cells it reads, whether it
+// reads their series, and its facts of cell k's run, written to out. A
+// table (facts nil) reads its cells' reports.
+type output struct {
+	name   string
+	cells  []cell
+	series bool
+	facts  func(out *Result, k int, res *scenario.Result)
+}
+
+// figure returns Fig n as data, Fig 11 at kmax.
+func figure(n, kmax int) (output, error) {
+	switch n {
+	case 1:
+		return output{"Figure 1: transmission rate of a single RAP flow", []cell{{test: "SingleRAP", kmax: 2}}, true, figure1Facts}, nil
+	case 2:
+		return output{"Figure 2: layered encoding with receiver buffering", []cell{{test: "SingleQA", kmax: 2}}, true, figure2Facts}, nil
+	case 11: // the paper shows the first 40 seconds
+		return output{fmt.Sprintf("Figure 11: first 40 seconds of the Kmax=%d T1 trace", kmax), []cell{{test: "T1", kmax: kmax, dur: 40}}, true, figure11Facts}, nil
+	case 12:
+		return output{"Figure 12: effect of Kmax on buffering and quality", []cell{{test: "T1", kmax: 2}, {test: "T1", kmax: 3}, {test: "T1", kmax: 4}}, true, figure12Facts}, nil
+	case 13:
+		return output{"Figure 13: effect of long-term changes in bandwidth (CBR burst)", []cell{{test: "T2", kmax: 4}}, true, figure13Facts}, nil
+	}
+	return output{}, fmt.Errorf("unknown figure %d (have 1, 2, 11, 12, 13)", n)
+}
+
+// tableOutput is Tables 1-2 as data: T1, then T2, at each Kmax (the
+// paper's when kmaxes is empty).
+func tableOutput(kmaxes []int) output {
+	if len(kmaxes) == 0 {
+		kmaxes = []int{2, 3, 4, 5, 8}
+	}
+	var cells []cell
+	for _, test := range []string{"T1", "T2"} {
+		for _, kmax := range kmaxes {
+			cells = append(cells, cell{test: test, kmax: kmax})
+		}
+	}
+	return output{cells: cells}
+}
+
+// figure1Facts is Fig 1's sawtooth against the link bandwidth.
+func figure1Facts(out *Result, _ int, res *scenario.Result) {
 	cfg := res.Cfg
-	out := &Result{Name: "Figure 1: transmission rate of a single RAP flow", Run: res}
-	out.Reports = append(out.Reports, res.Report())
 	out.Series = trace.NewSet()
 	rate := res.Series.Get("rap0.rate").Alias("rap.rate")
 	lnk := &trace.Series{Name: "link.bandwidth", T: rate.T, V: make([]float64, rate.Len())}
@@ -103,19 +177,10 @@ func Figure1(opts ...scenario.PresetOption) (*Result, error) {
 	out.fact("avg_rate", rate.AvgBetween(10, cfg.Duration), "average of sawtooth; paper: hunts around fair share")
 	out.fact("backoffs", float64(res.RAPSrcs[0].Tr.Counters().Backoffs), "multiplicative decreases (sawtooth teeth)")
 	out.fact("link_bw", cfg.BottleneckRate, "bottleneck bandwidth (B/s)")
-	return out, nil
 }
 
-// Figure2 regenerates the conceptual filling/draining demonstration: a
-// single QA flow whose receiver buffers absorb backoffs while layers
-// keep playing.
-func Figure2(opts ...scenario.PresetOption) (*Result, error) {
-	res, err := runPreset(scenario.Preset("SingleQA", append([]scenario.PresetOption{scenario.WithKmax(2)}, opts...)...))
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Name: "Figure 2: layered encoding with receiver buffering", Run: res}
-	out.Reports = append(out.Reports, res.Report())
+// figure2Facts is Fig 2's layers and base-layer buffering.
+func figure2Facts(out *Result, _ int, res *scenario.Result) {
 	out.Series = res.Series
 	maxLayers, _ := res.Series.Get("qa.layers").Max()
 	out.fact("max_layers", maxLayers, "layers reached on a 12 KB/s link with C=3 KB/s")
@@ -123,50 +188,11 @@ func Figure2(opts ...scenario.PresetOption) (*Result, error) {
 	out.fact("stall_sec", res.StallSec, "playback stalls (paper: buffering prevents dropouts)")
 	bufL0Max, _ := res.Series.Get("qa.buf.l0").Max()
 	out.fact("buf_l0_max", bufL0Max, "peak base-layer buffering (B)")
-	return out, nil
 }
 
-// runPreset runs cfg instrumented, unless err, the error of the preset
-// that made cfg, is set.
-func runPreset(cfg scenario.Config, err error) (*scenario.Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Run(instrumented(cfg))
-}
-
-// preset is test's preset at kmax and scale, opts applied after.
-func preset(test string, kmax int, scale float64, opts []scenario.PresetOption) (scenario.Config, error) {
-	return scenario.Preset(test, append([]scenario.PresetOption{scenario.WithKmax(kmax), scenario.WithScale(scale)}, opts...)...)
-}
-
-// figure11Config is Fig 11's run: T1 at kmax, its first 40 seconds.
-func figure11Config(kmax int, scale float64, opts []scenario.PresetOption) (scenario.Config, error) {
-	cfg, err := preset("T1", kmax, scale, opts)
-	cfg.Duration = 40 // the paper shows the first 40 seconds
-	return cfg, err
-}
-
-// Figure11 regenerates the detailed T1 trace: total transmit and
-// consumption rate, per-layer transmit-rate breakdown, per-layer drain
-// rate, and per-layer buffered data, with Kmax = 2 as in the paper.
-func Figure11(kmax int, scale float64, opts ...scenario.PresetOption) (*Result, error) {
-	res, err := runPreset(figure11Config(kmax, scale, opts))
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Name: figure11Name(kmax), Series: res.Series, Run: res}
-	out.Reports = append(out.Reports, res.Report())
-	figure11Facts(out, res)
-	return out, nil
-}
-
-func figure11Name(kmax int) string {
-	return fmt.Sprintf("Figure 11: first 40 seconds of the Kmax=%d T1 trace", kmax)
-}
-
-// figure11Facts appends Fig 11's facts of res to out.
-func figure11Facts(out *Result, res *scenario.Result) {
+// figure11Facts is Fig 11's trace and its averages over 10-40 s.
+func figure11Facts(out *Result, _ int, res *scenario.Result) {
+	out.Series = res.Series
 	out.fact("avg_rate", res.Series.Get("qa.rate").AvgBetween(10, 40), "QA flow transmission rate (B/s)")
 	out.fact("avg_layers", res.Series.Get("qa.layers").AvgBetween(10, 40), "active layers")
 	out.fact("buf_l0_avg", res.Series.Get("qa.buf.l0").AvgBetween(10, 40), "base layer buffers most (paper Fig 11)")
@@ -174,64 +200,21 @@ func figure11Facts(out *Result, res *scenario.Result) {
 	out.fact("stall_sec", res.StallSec, "playback stalls (paper: none)")
 }
 
-const figure12Name = "Figure 12: effect of Kmax on buffering and quality"
-
-// Figure12 regenerates the Kmax comparison: number of active layers and
-// per-layer buffering for Kmax in {2, 3, 4}. Kmax changes only the
-// controller, so scenario.RunEach simulates T1 once, at Kmax 2, and the
-// other two follow it; workers is RunEach's.
-func Figure12(scale float64, workers int, opts ...scenario.PresetOption) (*Result, error) {
-	out := &Result{Name: figure12Name, Series: trace.NewSet()}
-	kmaxes := []int{2, 3, 4}
-	cfgs := make([]scenario.Config, len(kmaxes))
-	for i, kmax := range kmaxes {
-		cfg, err := preset("T1", kmax, scale, opts)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = instrumented(cfg)
-	}
-	results := make([]*scenario.Result, len(cfgs))
-	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { results[i] = res }); err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		out.Reports = append(out.Reports, res.Report())
-		out.Series.Add(res.Series.Get("qa.layers").Alias(fmt.Sprintf("kmax%d.layers", kmaxes[i])))
-		out.Series.Add(res.Series.Get("qa.buftotal").Alias(fmt.Sprintf("kmax%d.buftotal", kmaxes[i])))
-		figure12Facts(out, kmaxes[i], res)
-		out.Run = res
-	}
-	return out, nil
-}
-
-// figure12Facts appends Fig 12's facts of res, the T1 run at kmax, to
-// out.
-func figure12Facts(out *Result, kmax int, res *scenario.Result) {
-	buft := res.Series.Get("qa.buftotal")
+// figure12Facts is Fig 12's layers and total buffering of a T1 run.
+func figure12Facts(out *Result, _ int, res *scenario.Result) {
+	kmax, buft := res.Cfg.QA.Kmax, res.Series.Get("qa.buftotal")
+	out.Series = trace.NewSet()
+	out.Series.Add(res.Series.Get("qa.layers").Alias(fmt.Sprintf("kmax%d.layers", kmax)))
+	out.Series.Add(buft.Alias(fmt.Sprintf("kmax%d.buftotal", kmax)))
 	out.fact(fmt.Sprintf("kmax%d.changes", kmax), float64(res.Stats.Adds+res.Stats.Drops), "quality changes (fewer with higher Kmax)")
 	out.fact(fmt.Sprintf("kmax%d.buf_avg", kmax), buft.AvgBetween(30, res.Cfg.Duration), "avg total buffering (more with higher Kmax)")
 	bufMax, _ := buft.Max()
 	out.fact(fmt.Sprintf("kmax%d.buf_max", kmax), bufMax, "peak total buffering")
 }
 
-const figure13Name = "Figure 13: effect of long-term changes in bandwidth (CBR burst)"
-
-// Figure13 regenerates the responsiveness experiment: T2's CBR source at
-// half the bottleneck bandwidth from t=30s to t=60s, Kmax = 4.
-func Figure13(scale float64, opts ...scenario.PresetOption) (*Result, error) {
-	res, err := runPreset(preset("T2", 4, scale, opts))
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Name: figure13Name, Series: res.Series, Run: res}
-	out.Reports = append(out.Reports, res.Report())
-	figure13Facts(out, res)
-	return out, nil
-}
-
-// figure13Facts appends Fig 13's facts of res to out.
-func figure13Facts(out *Result, res *scenario.Result) {
+// figure13Facts is Fig 13's layers before, during and after the burst.
+func figure13Facts(out *Result, _ int, res *scenario.Result) {
+	out.Series = res.Series
 	layers := res.Series.Get("qa.layers")
 	out.fact("layers_before", layers.AvgBetween(15, 30), "avg layers before the burst")
 	out.fact("layers_during", layers.AvgBetween(40, 60), "avg layers during the burst (drops)")
@@ -241,6 +224,219 @@ func figure13Facts(out *Result, res *scenario.Result) {
 	out.fact("adds", float64(res.Stats.Adds), "layer additions")
 }
 
+// Outputs is what one sweep regenerated: unseeded, a Result per figure,
+// the tables' cells and every cell's report (figures first, in cell
+// order); over start seeds, a Spread per figure and CellSpreads.
+type Outputs struct {
+	Figures []*Result
+	Spreads []*Spread
+	Tables  []TableCell
+	Cells   []CellSpread
+	Reports []scenario.RunReport
+
+	// Simulations and Followers count the runs: each cell ran once,
+	// simulated or following a simulation of its network.
+	Simulations, Followers int
+}
+
+// Regenerate runs figs (of 1, 2, 11, 12, 13; Fig 11 at kmax) and, if
+// tables is set, Tables 1-2 in one sweep on workers goroutines (<= 0
+// means one per CPU), every cell once. With seeds > 0 every fact and
+// table cell is taken over start seeds 1..seeds (Figs 1-2 have no
+// seeded form).
+func Regenerate(figs []int, tables bool, kmax, seeds int, scale float64, workers int, opts ...scenario.PresetOption) (*Outputs, error) {
+	if seeds < 0 {
+		return nil, fmt.Errorf("figures: %d seeds", seeds)
+	}
+	var outs []output
+	for _, n := range figs {
+		out, err := figure(n, kmax)
+		if err != nil {
+			return nil, err
+		}
+		if seeds > 0 && n < 11 {
+			return nil, fmt.Errorf("figures: no seeded Figure %d (have 11, 12, 13)", n)
+		}
+		outs = append(outs, out)
+	}
+	if tables {
+		outs = append(outs, tableOutput(nil))
+	}
+	return sweep(outs, seeds, scale, workers, opts)
+}
+
+// sweep runs every cell that outs read, at start seeds 1..seeds (at the
+// cells' own seed when seeds is 0), once each, in one scenario.RunEach
+// call: a cell is traced only if an output that reads it reads series,
+// and cells that share a network follow one simulation. Each output
+// then gathers its cells' facts, series and reports (instrumented when
+// unseeded), in outs' order.
+func sweep(outs []output, seeds int, scale float64, workers int, opts []scenario.PresetOption) (*Outputs, error) {
+	type reader struct {
+		p, k  int // the slot, and the cell of its output
+		facts func(out *Result, k int, res *scenario.Result)
+	}
+	n := 0
+	for _, out := range outs {
+		n += len(out.cells) * max(seeds, 1)
+	}
+	// One slot per output, seed and cell, in that order, with its report
+	// at the same index.
+	slots, reps := make([]Result, n), make([]scenario.RunReport, n)
+	cfgs := make([]scenario.Config, 0, n)
+	var traced []bool
+	var readers [][]reader
+	index := map[cell]int{}
+	got, p := make([][][]Result, len(outs)), 0 // got[o][s][k]: slots
+	for o, out := range outs {
+		got[o] = make([][]Result, max(seeds, 1))
+		for s := range got[o] {
+			got[o][s] = slots[p : p+len(out.cells)]
+			for k, c := range out.cells {
+				if seeds > 0 {
+					c.seed = int64(s + 1)
+				}
+				j, ok := index[c]
+				if !ok {
+					cfg, err := c.config(scale, opts)
+					if err != nil {
+						return nil, err
+					}
+					if seeds == 0 {
+						cfg.Metrics = metrics.NewRegistry()
+					}
+					j, index[c] = len(cfgs), len(cfgs)
+					cfgs, traced, readers = append(cfgs, cfg), append(traced, false), append(readers, nil)
+				}
+				traced[j] = traced[j] || out.series
+				readers[j] = append(readers[j], reader{p, k, out.facts})
+				p++
+			}
+		}
+	}
+	sims, err := scenario.RunEach(cfgs, workers, func(j int) bool { return traced[j] }, func(j int, res *scenario.Result) {
+		rep := res.Report()
+		for _, r := range readers[j] {
+			to := &slots[r.p]
+			if r.facts != nil {
+				r.facts(to, r.k, res)
+			}
+			if seeds > 0 { // a seeded output reads facts alone
+				to.Series = nil
+			}
+			reps[r.p] = rep
+			to.Reports = reps[r.p : r.p+1 : r.p+1]
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Outputs{Simulations: sims, Followers: len(cfgs) - sims}
+	if seeds == 0 {
+		res.Reports = reps
+	}
+	for o, out := range outs {
+		switch {
+		case out.facts == nil && seeds == 0:
+			for k, c := range out.cells {
+				res.Tables = append(res.Tables, TableCell{Test: c.test, Kmax: c.kmax, DropStats: got[o][0][k].Reports[0].Drops})
+			}
+		case out.facts == nil:
+			res.Cells = cellSpreads(out.cells, got[o])
+		case seeds == 0:
+			res.Figures = append(res.Figures, merge(out.name, got[o][0]))
+		default:
+			res.Spreads = append(res.Spreads, spread(out.name, got[o]))
+		}
+	}
+	return res, nil
+}
+
+// merge is the figure named name of its cells' facts, series and
+// reports, in cell order.
+func merge(name string, cells []Result) *Result {
+	out := &Result{Name: name, Series: trace.NewSet()}
+	for _, c := range cells {
+		out.Summary = append(out.Summary, c.Summary...)
+		out.Reports = append(out.Reports, c.Reports...)
+		if c.Series == nil {
+			continue
+		}
+		for _, name := range c.Series.Names() {
+			out.Series.Add(c.Series.Get(name))
+		}
+	}
+	return out
+}
+
+// Render writes the outputs: each figure, each spread, then the
+// tables. A figure is its summary and series; with summaries set, its
+// summary alone, and a blank line ends each figure and spread. The
+// renderers fail only as w does, so ew holds their first error.
+func (o *Outputs) Render(w io.Writer, summaries bool) error {
+	ew := &errWriter{w: w}
+	for _, r := range o.Figures {
+		if !summaries {
+			r.Render(ew)
+			continue
+		}
+		r.renderSummary(ew)
+		fmt.Fprintln(ew)
+	}
+	for _, s := range o.Spreads {
+		s.Render(ew)
+		if summaries {
+			fmt.Fprintln(ew)
+		}
+	}
+	if o.Tables != nil {
+		RenderTables(ew, o.Tables)
+	}
+	if o.Cells != nil {
+		RenderSpreads(ew, o.Cells)
+	}
+	return ew.err
+}
+
+// one regenerates Fig n alone, unseeded.
+func one(n, kmax int, scale float64, workers int, opts []scenario.PresetOption) (*Result, error) {
+	out, err := Regenerate([]int{n}, false, kmax, 0, scale, workers, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return out.Figures[0], nil
+}
+
+// Figure1 regenerates the RAP sawtooth trace: one RAP flow alone on a
+// small bottleneck, transmission rate vs time against the link bandwidth.
+func Figure1(opts ...scenario.PresetOption) (*Result, error) { return one(1, 2, 1, 1, opts) }
+
+// Figure2 regenerates the conceptual filling/draining demonstration: a
+// single QA flow whose receiver buffers absorb backoffs while layers
+// keep playing.
+func Figure2(opts ...scenario.PresetOption) (*Result, error) { return one(2, 2, 1, 1, opts) }
+
+// Figure11 regenerates the detailed T1 trace: total transmit and
+// consumption rate, per-layer transmit-rate breakdown, per-layer drain
+// rate, and per-layer buffered data, with Kmax = 2 as in the paper.
+func Figure11(kmax int, scale float64, opts ...scenario.PresetOption) (*Result, error) {
+	return one(11, kmax, scale, 1, opts)
+}
+
+// Figure12 regenerates the Kmax comparison: number of active layers and
+// per-layer buffering for Kmax in {2, 3, 4}. Kmax changes only the
+// controller, so T1 is simulated once, at Kmax 2, and the other two
+// follow it; workers is the sweep's.
+func Figure12(scale float64, workers int, opts ...scenario.PresetOption) (*Result, error) {
+	return one(12, 2, scale, workers, opts)
+}
+
+// Figure13 regenerates the responsiveness experiment: T2's CBR source at
+// half the bottleneck bandwidth from t=30s to t=60s, Kmax = 4.
+func Figure13(scale float64, opts ...scenario.PresetOption) (*Result, error) {
+	return one(13, 2, scale, 1, opts)
+}
+
 // TableCell is one (test, Kmax) sweep outcome.
 type TableCell struct {
 	Test string
@@ -248,51 +444,18 @@ type TableCell struct {
 	core.DropStats
 }
 
-// TablesSweep runs the Table 1/2 sweep: tests T1 and T2 for each Kmax.
-// The paper uses Kmax in {2, 3, 4, 5, 8}. Kmax changes only the
-// controller, which the network never hears from, so the sweep simulates
-// each test once and the other Kmax values follow it, untraced
-// (scenario.RunReports): 2 simulations + 2·(len(kmaxes)−1) followers (8
-// at the paper's Kmax values), on workers goroutines (<= 0 means one per
-// CPU). Every report is byte-identical to a full simulation of its cell.
-// The second return value is one run report per cell, in cell order.
+// TablesSweep runs the Table 1/2 sweep, T1 and T2 at each Kmax (the
+// paper's 2, 3, 4, 5 and 8 when kmaxes is empty), untraced, on workers
+// goroutines (<= 0 means one per CPU). Kmax changes only the controller,
+// so each test is simulated once and its other Kmax values follow it.
+// It returns the cells and one run report per cell, in cell order, each
+// byte-identical to a full simulation of its cell.
 func TablesSweep(kmaxes []int, scale float64, workers int, opts ...scenario.PresetOption) ([]TableCell, []scenario.RunReport, error) {
-	cfgs, cells, err := tablesConfigs(kmaxes, scale, opts...)
+	out, err := sweep([]output{tableOutput(kmaxes)}, 0, scale, workers, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := range cfgs {
-		cfgs[i] = instrumented(cfgs[i])
-	}
-	reps, err := scenario.RunReports(cfgs, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range reps {
-		cells[i].DropStats = reps[i].Drops
-	}
-	return cells, reps, nil
-}
-
-// tablesConfigs returns the sweep's configs, T1 then T2, each for every
-// Kmax (the paper's when kmaxes is empty), and their cells.
-func tablesConfigs(kmaxes []int, scale float64, opts ...scenario.PresetOption) ([]scenario.Config, []TableCell, error) {
-	if len(kmaxes) == 0 {
-		kmaxes = []int{2, 3, 4, 5, 8}
-	}
-	var cfgs []scenario.Config
-	var cells []TableCell
-	for _, test := range []string{"T1", "T2"} {
-		for _, kmax := range kmaxes {
-			cfg, err := preset(test, kmax, scale, opts)
-			if err != nil {
-				return nil, nil, err
-			}
-			cfgs = append(cfgs, cfg)
-			cells = append(cells, TableCell{Test: test, Kmax: kmax})
-		}
-	}
-	return cfgs, cells, nil
+	return out.Tables, out.Reports, nil
 }
 
 // CellSpread is one (test, Kmax) cell over start seeds 1..Seeds
@@ -308,50 +471,36 @@ type CellSpread struct {
 	Eff, PoorDist [3]float64
 }
 
-// seedConfigs returns the Table 1/2 sweep's configs (tablesConfigs) for
-// start seeds 1..seeds in turn, and one seed's cells.
-func seedConfigs(kmaxes []int, seeds int, scale float64, opts []scenario.PresetOption) ([]scenario.Config, []TableCell, error) {
-	var cfgs []scenario.Config
-	var cells []TableCell
-	for seed := 1; seed <= seeds; seed++ {
-		seedCfgs, seedCells, err := tablesConfigs(kmaxes, scale, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		for i := range seedCfgs {
-			seedCfgs[i].StartSeed = int64(seed)
-		}
-		cfgs, cells = append(cfgs, seedCfgs...), seedCells
+// TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds in
+// one sweep, untraced: 2 simulations + 2·(len(kmaxes)−1) followers per
+// seed (8 at the paper's Kmax values), on workers goroutines (<= 0
+// means one per CPU). It returns the cells in TablesSweep's order.
+func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
+	if seeds < 1 {
+		return nil, fmt.Errorf("figures: %d seeds", seeds)
 	}
-	return cfgs, cells, nil
+	out, err := sweep([]output{tableOutput(kmaxes)}, seeds, scale, workers, opts)
+	if err != nil {
+		return nil, err
+	}
+	return out.Cells, nil
 }
 
-// TablesSeeds runs the Table 1/2 sweep once per start seed 1..seeds, all
-// seeds' configs in one scenario.RunReports call, untraced: 2
-// simulations + 2·(len(kmaxes)−1) followers per seed (8 at the paper's
-// Kmax values), on workers goroutines (<= 0 means one per CPU). It
-// returns the cells in TablesSweep's order.
-func TablesSeeds(kmaxes []int, seeds int, scale float64, workers int, opts ...scenario.PresetOption) ([]CellSpread, error) {
-	cfgs, cells, err := seedConfigs(kmaxes, seeds, scale, opts)
-	if err != nil {
-		return nil, err
-	}
-	reps, err := scenario.RunReports(cfgs, workers)
-	if err != nil {
-		return nil, err
-	}
+// cellSpreads is the table cells' spreads over the seeds of got, one
+// []Result per seed.
+func cellSpreads(cells []cell, got [][]Result) []CellSpread {
 	out := make([]CellSpread, len(cells))
-	for i, c := range cells {
+	for k, c := range cells {
 		var eff, poor []float64
-		for j := i; j < len(reps); j += len(cells) {
-			if d := reps[j].Drops; d.Drops > 0 {
+		for s := range got {
+			if d := got[s][k].Reports[0].Drops; d.Drops > 0 {
 				eff = append(eff, 100*d.AvgEfficiency)
 				poor = append(poor, d.PoorDistPct)
 			}
 		}
-		out[i] = CellSpread{Test: c.Test, Kmax: c.Kmax, Seeds: seeds, Dropped: len(eff), Eff: deciles(eff), PoorDist: deciles(poor)}
+		out[k] = CellSpread{Test: c.test, Kmax: c.kmax, Seeds: len(got), Dropped: len(eff), Eff: deciles(eff), PoorDist: deciles(poor)}
 	}
-	return out, nil
+	return out
 }
 
 // Spread is a figure's facts over start seeds 1..Seeds, each as its
@@ -369,88 +518,47 @@ type FactSpread struct {
 }
 
 // FigureSeeds gives Fig 11, 12 or 13's facts over start seeds 1..seeds
-// (scenario.Config.StartSeed), on workers goroutines (<= 0 means one per
-// CPU). Figs 12 and 13 run only the Tables sweep's configs they read:
-// per seed, Fig 12's T1 at Kmax 2 is simulated and Kmax 3 and 4 follow
-// it, and Fig 13's T2 at Kmax 4 is one simulation. Fig 11 is a 40-s T1
-// run at kmax per seed.
+// (scenario.Config.StartSeed), each seed's cells run as Regenerate runs
+// them, on workers goroutines (<= 0 means one per CPU).
 func FigureSeeds(fig, kmax, seeds int, scale float64, workers int, opts ...scenario.PresetOption) (*Spread, error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("figures: %d seeds", seeds)
 	}
-	var cfgs []scenario.Config
-	var facts func(i int, to *Result, res *scenario.Result)
-	out := &Spread{Seeds: seeds}
-	switch fig {
-	case 11:
-		for seed := 1; seed <= seeds; seed++ {
-			cfg, err := figure11Config(kmax, scale, opts)
-			if err != nil {
-				return nil, err
-			}
-			cfg.StartSeed = int64(seed)
-			cfgs = append(cfgs, cfg)
-		}
-		out.Name = figure11Name(kmax)
-		facts = func(_ int, to *Result, res *scenario.Result) { figure11Facts(to, res) }
-	case 12, 13:
-		test, kmaxes := "T1", []int{2, 3, 4}
-		if fig == 13 {
-			test, kmaxes = "T2", []int{4}
-		}
-		all, cells, err := seedConfigs(kmaxes, seeds, scale, opts)
-		if err != nil {
-			return nil, err
-		}
-		for i, cfg := range all {
-			if cells[i%len(cells)].Test == test {
-				cfgs = append(cfgs, cfg)
-			}
-		}
-		out.Name = map[int]string{12: figure12Name, 13: figure13Name}[fig]
-		facts = func(i int, to *Result, res *scenario.Result) {
-			if fig == 12 {
-				figure12Facts(to, kmaxes[i%len(kmaxes)], res)
-			} else {
-				figure13Facts(to, res)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("figures: no seeded Figure %d (have 11, 12, 13)", fig)
-	}
-	got := make([]Result, len(cfgs))
-	if err := scenario.RunEach(cfgs, workers, func(i int, res *scenario.Result) { facts(i, &got[i], res) }); err != nil {
+	out, err := Regenerate([]int{fig}, false, kmax, seeds, scale, workers, opts...)
+	if err != nil {
 		return nil, err
 	}
-	// A seed's facts are its configs', in config order.
-	bySeed := make([][]Fact, seeds)
-	per := len(cfgs) / seeds
-	for i := range got {
-		bySeed[i/per] = append(bySeed[i/per], got[i].Summary...)
+	return out.Spreads[0], nil
+}
+
+// spread is the figure named name over the seeds of got, one []Result
+// per seed: a seed's facts are its cells', in cell order.
+func spread(name string, got [][]Result) *Spread {
+	out := &Spread{Name: name, Seeds: len(got)}
+	bySeed := make([]*Result, len(got))
+	for s, cells := range got {
+		bySeed[s] = merge(name, cells)
 	}
-	for k, f := range bySeed[0] {
-		v := make([]float64, seeds)
-		for s := range bySeed {
-			v[s] = bySeed[s][k].Value
+	for k, f := range bySeed[0].Summary {
+		v := make([]float64, len(got))
+		for s, r := range bySeed {
+			v[s] = r.Summary[k].Value
 		}
 		out.Facts = append(out.Facts, FactSpread{Key: f.Key, Note: f.Note, Deciles: deciles(v)})
 	}
-	return out, nil
+	return out
 }
 
 // Render writes the spread as a figure summary, each fact as "median
 // [p10, p90]".
 func (s *Spread) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "## %s, median [p10, p90] over %d start seeds\n", s.Name, s.Seeds); err != nil {
-		return err
-	}
+	ew := &errWriter{w: w}
+	fmt.Fprintf(ew, "## %s, median [p10, p90] over %d start seeds\n", s.Name, s.Seeds)
 	for _, f := range s.Facts {
 		d := f.Deciles
-		if _, err := fmt.Fprintf(w, "# %-28s %12.3f [%.3f, %.3f]   %s\n", f.Key, d[1], d[0], d[2], f.Note); err != nil {
-			return err
-		}
+		fmt.Fprintf(ew, "# %-28s %12.3f [%.3f, %.3f]   %s\n", f.Key, d[1], d[0], d[2], f.Note)
 	}
-	return nil
+	return ew.err
 }
 
 // deciles returns v's 10th percentile, median and 90th percentile,
@@ -475,165 +583,119 @@ func deciles(v []float64) [3]float64 {
 // RenderTables writes Table 1 (buffering efficiency) and Table 2 (drops
 // due to poor buffer distribution) from sweep cells.
 func RenderTables(w io.Writer, cells []TableCell) error {
-	byKey := map[string]TableCell{}
-	var kmaxes []int
-	for _, c := range cells {
-		byKey[fmt.Sprintf("%s/%d", c.Test, c.Kmax)] = c
-		kmaxes = append(kmaxes, c.Kmax)
-	}
-	table := func(title string, f func(TableCell) string) error {
-		return renderGrid(w, title, kmaxes, 13, func(key string) string {
-			c, ok := byKey[key]
-			switch {
-			case !ok:
-				return "-"
-			case c.Drops == 0:
-				return "no-drops"
-			}
-			return f(c)
-		})
-	}
-	if err := table("Table 1: buffering efficiency e (paper: 96-99.99%)", func(c TableCell) string {
-		return fmt.Sprintf("%.2f%%", 100*c.AvgEfficiency)
-	}); err != nil {
-		return err
-	}
-	return table("Table 2: drops due to poor buffer distribution (paper: 0-11%)", func(c TableCell) string {
-		return fmt.Sprintf("%.1f%%", c.PoorDistPct)
-	})
+	return renderTables(w, cells, 13, func(c TableCell) (string, int, bool) { return c.Test, c.Kmax, c.Drops > 0 },
+		[2]string{"Table 1: buffering efficiency e (paper: 96-99.99%)", "Table 2: drops due to poor buffer distribution (paper: 0-11%)"},
+		func(c TableCell) string { return fmt.Sprintf("%.2f%%", 100*c.AvgEfficiency) },
+		func(c TableCell) string { return fmt.Sprintf("%.1f%%", c.PoorDistPct) })
 }
 
 // RenderSpreads writes Tables 1 and 2 from TablesSeeds cells, each cell
 // as "median [p10, p90]" in percent. A cell with seeds that dropped no
 // layer gives their count after a slash ("/3": three seeds left out).
 func RenderSpreads(w io.Writer, cells []CellSpread) error {
-	byKey := map[string]CellSpread{}
-	var kmaxes []int
 	seeds := 0
 	for _, c := range cells {
-		byKey[fmt.Sprintf("%s/%d", c.Test, c.Kmax)] = c
-		kmaxes = append(kmaxes, c.Kmax)
 		seeds = c.Seeds
 	}
-	table := func(title, format string, f func(CellSpread) [3]float64) error {
-		return renderGrid(w, fmt.Sprintf(title, seeds), kmaxes, 22, func(key string) string {
-			c, ok := byKey[key]
-			switch {
-			case !ok:
-				return "-"
-			case c.Dropped == 0:
-				return "no-drops"
-			}
-			d := f(c)
-			cell := fmt.Sprintf(format, d[1], d[0], d[2])
-			if c.Dropped < c.Seeds {
-				cell += fmt.Sprintf("/%d", c.Seeds-c.Dropped)
-			}
-			return cell
-		})
+	spread := func(format string, c CellSpread, d [3]float64) string {
+		s := fmt.Sprintf(format, d[1], d[0], d[2])
+		if c.Dropped < c.Seeds {
+			s += fmt.Sprintf("/%d", c.Seeds-c.Dropped)
+		}
+		return s
 	}
-	if err := table("Table 1: buffering efficiency e %%, median [p10, p90] over %d start seeds (paper: 96-99.99%%)",
-		"%.2f [%.2f, %.2f]", func(c CellSpread) [3]float64 { return c.Eff }); err != nil {
-		return err
-	}
-	return table("Table 2: drops due to poor buffer distribution %%, median [p10, p90] over %d start seeds (paper: 0-11%%)",
-		"%.1f [%.1f, %.1f]", func(c CellSpread) [3]float64 { return c.PoorDist })
+	return renderTables(w, cells, 22, func(c CellSpread) (string, int, bool) { return c.Test, c.Kmax, c.Dropped > 0 },
+		[2]string{
+			fmt.Sprintf("Table 1: buffering efficiency e %%, median [p10, p90] over %d start seeds (paper: 96-99.99%%)", seeds),
+			fmt.Sprintf("Table 2: drops due to poor buffer distribution %%, median [p10, p90] over %d start seeds (paper: 0-11%%)", seeds),
+		},
+		func(c CellSpread) string { return spread("%.2f [%.2f, %.2f]", c, c.Eff) },
+		func(c CellSpread) string { return spread("%.1f [%.1f, %.1f]", c, c.PoorDist) })
 }
 
-// renderGrid writes one table: title, a header of the distinct kmaxes
-// in ascending order, then a row each for T1 and T2 whose cells are
-// cell("T1/2") and so on, in columns width wide.
-func renderGrid(w io.Writer, title string, kmaxes []int, width int, cell func(key string) string) error {
-	kmaxes = slices.Clone(kmaxes)
+// renderTables writes Tables 1 and 2 of cells, titled titles, in
+// columns width wide: a header of the cells' distinct Kmax values in
+// ascending order, then a row each for T1 and T2. key gives a cell's
+// test and Kmax and whether its run dropped a layer; table t writes a
+// cell that did as cell[t] does, "no-drops" for one that did not, and
+// "-" where no cell is.
+func renderTables[C any](w io.Writer, cells []C, width int, key func(C) (test string, kmax int, dropped bool), titles [2]string, cell ...func(C) string) error {
+	byKey := map[string]C{}
+	var kmaxes []int
+	for _, c := range cells {
+		test, kmax, _ := key(c)
+		byKey[fmt.Sprintf("%s/%d", test, kmax)] = c
+		kmaxes = append(kmaxes, kmax)
+	}
 	slices.Sort(kmaxes)
 	kmaxes = slices.Compact(kmaxes)
-	if _, err := fmt.Fprintf(w, "%s\n      ", title); err != nil {
-		return err
-	}
-	for _, k := range kmaxes {
-		if _, err := fmt.Fprintf(w, "%-*s", width, fmt.Sprintf("Kmax=%d", k)); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintln(w)
-	for _, test := range []string{"T1", "T2"} {
-		if _, err := fmt.Fprintf(w, "%-6s", test); err != nil {
-			return err
-		}
+	ew := &errWriter{w: w}
+	for t, title := range titles {
+		fmt.Fprintf(ew, "%s\n      ", title)
 		for _, k := range kmaxes {
-			if _, err := fmt.Fprintf(w, "%-*s", width, cell(fmt.Sprintf("%s/%d", test, k))); err != nil {
-				return err
+			fmt.Fprintf(ew, "%-*s", width, fmt.Sprintf("Kmax=%d", k))
+		}
+		fmt.Fprintln(ew)
+		for _, test := range []string{"T1", "T2"} {
+			fmt.Fprintf(ew, "%-6s", test)
+			for _, k := range kmaxes {
+				text := "-"
+				if c, ok := byKey[fmt.Sprintf("%s/%d", test, k)]; ok {
+					text = "no-drops"
+					if _, _, dropped := key(c); dropped {
+						text = cell[t](c)
+					}
+				}
+				fmt.Fprintf(ew, "%-*s", width, text)
 			}
+			fmt.Fprintln(ew)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintln(ew)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	return ew.err
 }
 
-// TransportKinds are the backends the A/B sweep compares, in sweep
-// order: the paper's RAP reference, the delay-based (GCC-style)
-// controller, and the loss-greedy baseline.
-func TransportKinds() []transport.Kind {
-	return []transport.Kind{transport.KindRAP, transport.KindDelay, transport.KindGreedy}
+// TransportSweep runs the transport A/B comparison as one figure: for
+// each backend (the paper's RAP, the delay-based GCC-style controller and
+// the loss-greedy baseline) the Figure 11 scenario (T1, Kmax=2, first
+// 40 seconds) and the Fleet preset, each QA rate and layer series, and
+// matched facts: rate, layers, stalls, losses, backoffs, Fleet goodput
+// split and TCP fairness. Does QA's buffer-distribution math survive a
+// controller that backs off before loss, or a standing-queue adversary?
+// The 2×3 simulations run on workers goroutines (<= 0: one per CPU).
+func TransportSweep(scale float64, workers int) (*Outputs, error) {
+	var cells []cell
+	for _, k := range []transport.Kind{transport.KindRAP, transport.KindDelay, transport.KindGreedy} {
+		cells = append(cells, cell{test: "T1", kmax: 2, dur: 40, tr: k}, cell{test: "Fleet", kmax: 2, tr: k})
+	}
+	return sweep([]output{{"Transport A/B: rap vs delay vs greedy (Fig 11 scenario + Fleet)", cells, true, transportFacts}}, 0, scale, workers, nil)
 }
 
-// TransportSweep runs the transport A/B comparison: for each backend it
-// runs the paper's Figure 11 scenario (T1, Kmax=2, first 40 seconds)
-// and the Fleet preset, and emits a comparative result — per-backend QA
-// rate series plus matched facts (rate, layers, stalls, losses,
-// backoffs, fleet goodput split, TCP fairness). The question the sweep
-// answers is the ROADMAP's: does QA's buffer-distribution math survive
-// a controller that backs off before loss (delay), and what does a
-// standing-queue adversary (greedy) do to it? All 2×3 simulations are
-// independent and execute concurrently on workers goroutines (<= 0
-// means one per CPU).
-func TransportSweep(scale float64, workers int) (*Result, error) {
-	kinds := TransportKinds()
-	var cfgs []scenario.Config
-	for _, k := range kinds {
-		t1, err := figure11Config(2, scale, []scenario.PresetOption{scenario.WithTransport(k)})
-		if err != nil {
-			return nil, err
-		}
-		fleet, err := preset("Fleet", 2, scale, []scenario.PresetOption{scenario.WithTransport(k)})
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, instrumented(t1), instrumented(fleet))
+// transportFacts is the A/B facts of cell k: T1's rate, layers, stalls,
+// losses and backoffs for even k, Fleet's goodput split and TCP fairness
+// for odd k.
+func transportFacts(out *Result, k int, res *scenario.Result) {
+	kind := res.Cfg.Transport
+	if k%2 == 1 {
+		fs := res.Report().Fleet
+		out.fact(fmt.Sprintf("%s.fleet_qa_goodput", kind), fs.QAGoodputBps, "Fleet QA goodput (B/s)")
+		out.fact(fmt.Sprintf("%s.fleet_tcp_goodput", kind), fs.TCPGoodputBps, "Fleet TCP goodput (B/s)")
+		out.fact(fmt.Sprintf("%s.fleet_jain_tcp", kind), fs.JainFairnessTCP, "Jain fairness across Fleet TCP flows")
+		return
 	}
-	results, err := scenario.RunAll(cfgs, workers)
-	if err != nil {
-		return nil, err
+	rate := res.Series.Get("qa.rate")
+	layers := res.Series.Get("qa.layers")
+	out.Series = trace.NewSet()
+	out.Series.Add(rate.Alias(fmt.Sprintf("%s.qa.rate", kind)))
+	out.Series.Add(layers.Alias(fmt.Sprintf("%s.qa.layers", kind)))
+	ctr := res.QASrc.Tr.Counters()
+	out.fact(fmt.Sprintf("%s.avg_rate", kind), rate.AvgBetween(10, 40), "QA transmission rate, Fig 11 scenario (B/s)")
+	out.fact(fmt.Sprintf("%s.avg_layers", kind), layers.AvgBetween(10, 40), "active layers")
+	out.fact(fmt.Sprintf("%s.stall_sec", kind), res.StallSec, "playback stalls (s)")
+	out.fact(fmt.Sprintf("%s.backoffs", kind), float64(ctr.Backoffs), "rate decreases (loss or overuse)")
+	out.fact(fmt.Sprintf("%s.lost_pkts", kind), float64(ctr.Lost), "QA data packets inferred lost")
+	if res.Stats.Drops > 0 {
+		out.fact(fmt.Sprintf("%s.efficiency", kind), 100*res.Stats.AvgEfficiency, "buffering efficiency over drops (%)")
+		out.fact(fmt.Sprintf("%s.poor_dist_pct", kind), res.Stats.PoorDistPct, "drops from poor buffer distribution (%)")
 	}
-	out := &Result{
-		Name:   "Transport A/B: rap vs delay vs greedy (Fig 11 scenario + Fleet)",
-		Series: trace.NewSet(),
-	}
-	for _, res := range results {
-		out.Reports = append(out.Reports, res.Report())
-	}
-	for i, k := range kinds {
-		t1, fleet := results[2*i], results[2*i+1]
-		rate := t1.Series.Get("qa.rate")
-		layers := t1.Series.Get("qa.layers")
-		out.Series.Add(rate.Alias(fmt.Sprintf("%s.qa.rate", k)))
-		out.Series.Add(layers.Alias(fmt.Sprintf("%s.qa.layers", k)))
-		ctr := t1.QASrc.Tr.Counters()
-		out.fact(fmt.Sprintf("%s.avg_rate", k), rate.AvgBetween(10, 40), "QA transmission rate, Fig 11 scenario (B/s)")
-		out.fact(fmt.Sprintf("%s.avg_layers", k), layers.AvgBetween(10, 40), "active layers")
-		out.fact(fmt.Sprintf("%s.stall_sec", k), t1.StallSec, "playback stalls (s)")
-		out.fact(fmt.Sprintf("%s.backoffs", k), float64(ctr.Backoffs), "rate decreases (loss or overuse)")
-		out.fact(fmt.Sprintf("%s.lost_pkts", k), float64(ctr.Lost), "QA data packets inferred lost")
-		if t1.Stats.Drops > 0 {
-			out.fact(fmt.Sprintf("%s.efficiency", k), 100*t1.Stats.AvgEfficiency, "buffering efficiency over drops (%)")
-			out.fact(fmt.Sprintf("%s.poor_dist_pct", k), t1.Stats.PoorDistPct, "drops from poor buffer distribution (%)")
-		}
-		fs := fleet.Report().Fleet
-		out.fact(fmt.Sprintf("%s.fleet_qa_goodput", k), fs.QAGoodputBps, "Fleet QA goodput (B/s)")
-		out.fact(fmt.Sprintf("%s.fleet_tcp_goodput", k), fs.TCPGoodputBps, "Fleet TCP goodput (B/s)")
-		out.fact(fmt.Sprintf("%s.fleet_jain_tcp", k), fs.JainFairnessTCP, "Jain fairness across Fleet TCP flows")
-		out.Run = t1
-	}
-	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -212,8 +213,11 @@ func TestTablesSeeds(t *testing.T) {
 // prefix fact.
 func TestFigure11IsT1Prefix(t *testing.T) {
 	for _, seed := range []int64{0, 3} {
-		short, full := mustConfig(figure11Config(2, DefaultScale, nil)), mustConfig(preset("T1", 2, DefaultScale, nil))
-		short.StartSeed, full.StartSeed = seed, seed
+		c := mustFigure(11, 2).cells[0]
+		c.seed = seed
+		short := mustConfig(c.config(DefaultScale, nil))
+		c.dur = 0
+		full := mustConfig(c.config(DefaultScale, nil))
 		if full.Duration <= short.Duration {
 			t.Fatalf("T1 runs %v s, Fig 11 %v s", full.Duration, short.Duration)
 		}
@@ -245,23 +249,14 @@ func TestFigure11IsT1Prefix(t *testing.T) {
 func TestFigureSeeds(t *testing.T) {
 	for _, fig := range []int{11, 12, 13} {
 		var want Result
-		facts := func(cfg scenario.Config, add func(*Result, *scenario.Result)) {
-			cfg.StartSeed = 1
-			res, err := scenario.Run(cfg)
+		out := mustFigure(fig, 2)
+		for k, c := range out.cells {
+			c.seed = 1
+			res, err := scenario.Run(mustConfig(c.config(1, nil)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			add(&want, res)
-		}
-		switch fig {
-		case 11:
-			facts(mustConfig(figure11Config(2, 1, nil)), figure11Facts)
-		case 12:
-			for _, kmax := range []int{2, 3, 4} {
-				facts(mustConfig(preset("T1", kmax, 1, nil)), func(out *Result, res *scenario.Result) { figure12Facts(out, kmax, res) })
-			}
-		case 13:
-			facts(mustConfig(preset("T2", 4, 1, nil)), figure13Facts)
+			out.facts(&want, k, res)
 		}
 		one, err := FigureSeeds(fig, 2, 1, 1, 2)
 		if err != nil {
@@ -294,6 +289,54 @@ func TestFigureSeeds(t *testing.T) {
 	}
 }
 
+// One sweep of every seeded output gives each output what its own
+// seeded call gives, field for field, from 3 simulations and 8 followers
+// per seed: Fig 11's 40-s T1 run, and T1 and T2 with every other Kmax
+// following. Unseeded, every figure and table is 5 simulations and 8
+// followers.
+func TestAllSeedsMatchesParts(t *testing.T) {
+	const seeds = 2
+	all, err := Regenerate([]int{11, 12, 13}, true, 2, seeds, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Simulations != 3*seeds || all.Followers != 8*seeds {
+		t.Errorf("%d simulations and %d followers, want %d and %d", all.Simulations, all.Followers, 3*seeds, 8*seeds)
+	}
+	for i, fig := range []int{11, 12, 13} {
+		part, err := FigureSeeds(fig, 2, seeds, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(all.Spreads[i], part) {
+			t.Errorf("Fig %d: the sweep gives\n%+v\nFigureSeeds\n%+v", fig, all.Spreads[i], part)
+		}
+	}
+	cells, err := TablesSeeds(nil, seeds, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(all.Cells, cells) {
+		t.Errorf("tables: the sweep gives\n%+v\nTablesSeeds\n%+v", all.Cells, cells)
+	}
+	one, err := Regenerate([]int{1, 2, 11, 12, 13}, true, 2, 0, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Simulations != 5 || one.Followers != 8 || len(one.Reports) != 17 {
+		t.Errorf("unseeded: %d simulations, %d followers and %d reports, want 5, 8 and 17", one.Simulations, one.Followers, len(one.Reports))
+	}
+}
+
+// mustFigure is Fig n as data, Fig 11 at kmax, panicking on an unknown n.
+func mustFigure(n, kmax int) output {
+	out, err := figure(n, kmax)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // mustConfig is cfg, panicking on err; for the tests' static configs.
 func mustConfig(cfg scenario.Config, err error) scenario.Config {
 	if err != nil {
@@ -324,7 +367,22 @@ func TestBadParamsAreErrors(t *testing.T) {
 			calls[fmt.Sprintf("FigureSeeds %d%s", fig, at)] = func() error { _, err := FigureSeeds(fig, 2, 2, scale, 1); return err }
 		}
 		calls["TransportSweep"+at] = func() error { _, err := TransportSweep(scale, 1); return err }
+		for _, seeds := range []int{0, 2} {
+			for _, fig := range []int{1, 2, 11, 12, 13} {
+				if seeds == 0 || fig > 2 {
+					calls[fmt.Sprintf("Regenerate %d seeds %d%s", fig, seeds, at)] = func() error {
+						_, err := Regenerate([]int{fig}, false, 2, seeds, scale, 1)
+						return err
+					}
+				}
+			}
+			calls[fmt.Sprintf("Regenerate tables seeds %d%s", seeds, at)] = func() error {
+				_, err := Regenerate(nil, true, 2, seeds, scale, 1)
+				return err
+			}
+		}
 	}
+	calls["Regenerate kmax 0"] = func() error { _, err := Regenerate([]int{12, 11}, true, 0, 0, 1, 1); return err }
 	for name, call := range calls {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -336,5 +394,19 @@ func TestBadParamsAreErrors(t *testing.T) {
 				t.Fatalf("got error %v, want the preset's", err)
 			}
 		})
+	}
+	// What no preset rejects is Regenerate's and the seeded calls' own error.
+	for name, call := range map[string]func() error{
+		"unknown figure":        func() error { _, err := Regenerate([]int{12, 3}, false, 2, 0, 1, 1); return err },
+		"seeded Figure 1":       func() error { _, err := Regenerate([]int{1}, true, 2, 2, 1, 1); return err },
+		"negative seeds":        func() error { _, err := Regenerate(nil, true, 2, -1, 1, 1); return err },
+		"FigureSeeds 0 seeds":   func() error { _, err := FigureSeeds(12, 2, 0, 1, 1); return err },
+		"TablesSeeds 0 seeds":   func() error { _, err := TablesSeeds(nil, 0, 1, 1); return err },
+		"FigureSeeds Figure 2":  func() error { _, err := FigureSeeds(2, 2, 2, 1, 1); return err },
+		"FigureSeeds Figure 14": func() error { _, err := FigureSeeds(14, 2, 2, 1, 1); return err },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: no error", name)
+		}
 	}
 }

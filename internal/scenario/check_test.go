@@ -165,7 +165,7 @@ func eachChecked(t *testing.T, cfgs []Config, workers int) []*Result {
 		cfgs[i].record = &recs[i]
 	}
 	results := make([]*Result, len(cfgs))
-	if err := RunEach(cfgs, workers, func(i int, res *Result) { results[i] = res }); err != nil {
+	if _, err := RunEach(cfgs, workers, nil, func(i int, res *Result) { results[i] = res }); err != nil {
 		t.Fatal(err)
 	}
 	for i, res := range results {
@@ -483,17 +483,18 @@ func TestRunReportsMatchesRun(t *testing.T) {
 }
 
 // Configs group only when they differ in nothing but name, controller
-// parameters and registry: a change to the network, the run or the
-// sampling simulates again.
+// parameters, registry and tracing: a change to the network, the run or
+// the sampling simulates again.
 func TestRunReportsGrouping(t *testing.T) {
 	base := MustPreset("T1", WithKmax(2))
 	base.Metrics = metrics.NewRegistry()
 	same := MustPreset("T1", WithKmax(8))
 	same.QA.Alloc = core.AllocEqual
 	same.Metrics = metrics.NewRegistry()
+	same.untraced = true
 	k0, ok := keyOf(base)
 	if k1, ok1 := keyOf(same); !ok || !ok1 || k0 != k1 {
-		t.Fatal("T1 at Kmax 2 and 8 do not share a simulation")
+		t.Fatal("T1 at Kmax 2, traced, and at Kmax 8, untraced, do not share a simulation")
 	}
 	for name, change := range map[string]func(*Config){
 		"REDSeed":    func(c *Config) { c.REDSeed = 7 },
@@ -502,7 +503,6 @@ func TestRunReportsGrouping(t *testing.T) {
 		"QueueBytes": func(c *Config) { c.QueueBytes++ },
 		"Transport":  func(c *Config) { c.Transport = transport.KindDelay },
 		"Metrics":    func(c *Config) { c.Metrics = nil },
-		"untraced":   func(c *Config) { c.untraced = true },
 	} {
 		cfg := same
 		change(&cfg)

@@ -32,42 +32,56 @@ func RunAll(cfgs []Config, workers int) ([]*Result, error) {
 
 // RunEach runs every config and hands do each one's Result with its
 // index. Configs equal once Name, QA and Metrics are cleared (with a
-// registry attached to all or to none) run the same network, since no
-// controller decision reaches it (DESIGN.md, "Flow driver"). Such a
-// group is simulated once, for its first config, and every other config
-// of the group follows it: one fresh controller per QA flow takes each
-// call the simulated flow's driver makes, as the driver makes it
+// registry attached to all or to none), traced or not, run the same
+// network, since no controller decision reaches it (DESIGN.md, "Flow
+// driver"). Such a group is simulated once, for its first traced
+// config (its first if none is traced), and every other config of the
+// group follows it: one fresh controller per QA flow takes each call
+// the simulated flow's driver makes, as the driver makes it
 // (flow.Replayer), and the sampler traces it as it traces the flow. A
 // follower's Result has the series, events and delivered quality of a
 // Run of its config, byte for byte, and its Report is that Run's
 // report; its own registry receives nothing. Configs with SchedRec set,
 // or without a QA flow, run alone.
 //
+// Config i is traced unless traced(i) is false (nil traces every
+// config). An untraced config's run keeps the sampler's ticks and
+// samples nothing: its Result has no series, and its report, which
+// reads counters and not series, is the same.
+//
 // Groups run on a pool of workers as RunAll's runs do, with the same
 // determinism. do runs on the worker of the config's group once the
 // group's simulation has ended, so calls for different groups may run
-// at once. RunEach returns the error of the earliest failing config by
-// input index, and do never sees a failed config. If a group's
-// simulation fails, the rest of the group starts over without it.
-func RunEach(cfgs []Config, workers int, do func(i int, res *Result)) error {
+// at once. RunEach returns the number of simulations it started, one
+// per group (every other config followed one), and the error of the
+// earliest failing config by input index; do never sees a failed
+// config. If a group's simulation fails, the rest of the group starts
+// over without it.
+func RunEach(cfgs []Config, workers int, traced func(i int) bool, do func(i int, res *Result)) (int, error) {
+	cfgs = slices.Clone(cfgs)
 	var groups [][]int
 	index := map[groupKey]int{}
-	for i, cfg := range cfgs {
-		key, ok := keyOf(cfg)
-		if g, seen := index[key]; ok && seen {
+	for i := range cfgs {
+		cfgs[i].untraced = cfgs[i].untraced || traced != nil && !traced(i)
+		key, ok := keyOf(cfgs[i])
+		g, seen := index[key]
+		switch {
+		case !ok || !seen:
+			if ok {
+				index[key] = len(groups)
+			}
+			groups = append(groups, []int{i})
+		case cfgs[groups[g][0]].untraced && !cfgs[i].untraced:
+			groups[g] = append([]int{i}, groups[g]...)
+		default:
 			groups[g] = append(groups[g], i)
-			continue
 		}
-		if ok {
-			index[key] = len(groups)
-		}
-		groups = append(groups, []int{i})
 	}
 	errs := make([]error, len(cfgs))
 	forEach(len(groups), workers, func(g int) {
 		runGroup(cfgs, groups[g], do, errs)
 	})
-	return firstErr(errs)
+	return len(groups), firstErr(errs)
 }
 
 // RunReports returns one report per config, in input order, each byte
@@ -76,20 +90,16 @@ func RunEach(cfgs []Config, workers int, do func(i int, res *Result)) error {
 // followers. The runs are untraced: a report reads no series, so none
 // is sampled. A failed slot holds a zero report.
 func RunReports(cfgs []Config, workers int) ([]RunReport, error) {
-	cfgs = slices.Clone(cfgs)
-	for i := range cfgs {
-		cfgs[i].untraced = true
-	}
 	reps := make([]RunReport, len(cfgs))
-	err := RunEach(cfgs, workers, func(i int, res *Result) {
+	_, err := RunEach(cfgs, workers, func(int) bool { return false }, func(i int, res *Result) {
 		reps[i] = res.Report()
 	})
 	return reps, err
 }
 
 // groupKey is what a group's configs share: the config without its name,
-// controller parameters, registry and record, and whether it has a
-// registry.
+// controller parameters, registry, record and tracing, and whether it
+// has a registry.
 type groupKey struct {
 	cfg     Config
 	metrics bool
@@ -101,7 +111,7 @@ func keyOf(cfg Config) (groupKey, bool) {
 		return groupKey{}, false
 	}
 	k := groupKey{cfg: cfg, metrics: cfg.Metrics != nil}
-	k.cfg.Name, k.cfg.QA, k.cfg.Metrics, k.cfg.record = "", core.Params{}, nil, nil
+	k.cfg.Name, k.cfg.QA, k.cfg.Metrics, k.cfg.record, k.cfg.untraced = "", core.Params{}, nil, nil, false
 	return k, true
 }
 
@@ -177,13 +187,15 @@ func newFollower(i int, cfg Config) (*follower, error) {
 }
 
 // finish completes the follower's Result once lead, the run it
-// followed, has ended: lead's series that are not the follower's own
-// join its set, in lead's order, and its first controller's delivered
-// quality is read.
+// followed, has ended: unless the follower is untraced, lead's series
+// that are not its own join its set, in lead's order; and its first
+// controller's delivered quality is read.
 func (f *follower) finish(lead *Result) {
-	for _, name := range lead.Series.Names() {
-		if f.res.Series.Get(name) == nil {
-			f.res.Series.Add(lead.Series.Get(name))
+	if !f.res.Cfg.untraced {
+		for _, name := range lead.Series.Names() {
+			if f.res.Series.Get(name) == nil {
+				f.res.Series.Add(lead.Series.Get(name))
+			}
 		}
 	}
 	f.res.lead = lead

@@ -225,6 +225,50 @@ func TestUntracedGroupMatchesTraced(t *testing.T) {
 	}
 }
 
+// A group may mix traced and untraced configs: its first traced config
+// is simulated, traced, and the rest follow it, the untraced ones
+// sampling nothing. Every report, and every traced config's series, is
+// the all-traced group's, byte for byte.
+func TestMixedGroupTracesOnlyTraced(t *testing.T) {
+	group := func(untraced func(i int) bool) []*Result {
+		var cfgs []Config
+		for i, kmax := range paperKmax {
+			cfg := MustPreset("T2", WithKmax(kmax))
+			cfg.Metrics = metrics.NewRegistry()
+			cfg.untraced = untraced(i)
+			cfgs = append(cfgs, cfg)
+		}
+		return eachChecked(t, cfgs, 1)
+	}
+	traced := group(func(int) bool { return false })
+	mixed := group(func(i int) bool { return i%2 == 0 }) // config 1 leads
+	for i, res := range mixed {
+		if follows := res.lead != nil; follows != (i != 1) || follows && res.lead != mixed[1] {
+			t.Fatalf("config %d: follower %v, want %v of config 1", i, follows, i != 1)
+		}
+		g, err := reportJSON(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := reportJSON(traced[i]); !bytes.Equal(g, w) {
+			t.Errorf("config %d: the report differs:\n got %.300s\nwant %.300s", i, g, w)
+		}
+		if i%2 == 0 {
+			if names := res.Series.Names(); len(names) != 0 {
+				t.Errorf("config %d: untraced, yet it sampled %v", i, names)
+			}
+			continue
+		}
+		g, err = seriesTSV(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w, _ := seriesTSV(traced[i]); !bytes.Equal(g, w) {
+			t.Errorf("config %d: the series differ", i)
+		}
+	}
+}
+
 func reportJSON(res *Result) ([]byte, error) { return json.Marshal(res.Report()) }
 
 func seriesTSV(res *Result) ([]byte, error) {
@@ -245,7 +289,7 @@ func TestRunEachRestartsWithoutFailedLead(t *testing.T) {
 	}
 	cfgs[0].QA.C = -1
 	results := make([]*Result, len(cfgs))
-	err := RunEach(cfgs, 1, func(i int, res *Result) { results[i] = res })
+	_, err := RunEach(cfgs, 1, nil, func(i int, res *Result) { results[i] = res })
 	if err == nil || !strings.Contains(err.Error(), "C must be positive") {
 		t.Fatalf("got error %v, want the failed lead's", err)
 	}
@@ -280,7 +324,7 @@ func TestDecisionLogOnlyWhereRead(t *testing.T) {
 	fol := cfg
 	fol.Name += " (follower)"
 	results := make([]*Result, 2)
-	if err := RunEach([]Config{cfg, fol}, 1, func(i int, res *Result) { results[i] = res }); err != nil {
+	if _, err := RunEach([]Config{cfg, fol}, 1, nil, func(i int, res *Result) { results[i] = res }); err != nil {
 		t.Fatal(err)
 	}
 	res := results[0]

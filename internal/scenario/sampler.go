@@ -42,10 +42,11 @@ import (
 // are pre-sized from Duration/SampleInterval, so sampling appends
 // within capacity.
 //
-// An untraced run (Config.untraced, RunReports' runs) keeps the ticks
-// and nothing else: no clock, no series, no fleet aggregates. Its tick
-// only ticks the QA controllers, so it runs what a traced run runs, and
-// its reports, which read counters and not series, are the same.
+// An untraced run (Config.untraced, RunEach's untraced configs) keeps
+// the ticks and nothing else: no clock, no series, no fleet aggregates.
+// Its tick only ticks the QA controllers, so it runs what a traced run
+// runs, and its reports, which read counters and not series, are the
+// same. A traced run traces only its traced followers.
 
 // qaSlot/rapSlot/tcpSlot bind one flow to its (optional) per-flow
 // series.
@@ -168,8 +169,8 @@ type fleetFold struct {
 
 // startTicker builds the ticker, creating every series unless cfg is
 // untraced, and schedules it at t = 0 on net's engine (after the flows,
-// so the t = 0 tick lands after the t = 0 flow starts). Each follower's
-// trace of the first QA flow goes in its own Result's set.
+// so the t = 0 tick lands after the t = 0 flow starts). Each traced
+// follower's trace of the first QA flow goes in its own Result's set.
 func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) {
 	t := &ticker{eng: net.Eng, interval: cfg.SampleInterval, duration: cfg.Duration}
 	t.tickFn = t.tick
@@ -199,6 +200,9 @@ func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) 
 		if qi == 0 {
 			slot.traces = []*qaTrace{newQATrace(series, cfg, q.Ctrl, q.SentByLayer, q.DeliveredByLayer)}
 			for _, f := range fols {
+				if f.res.Cfg.untraced {
+					continue
+				}
 				r := f.reps[0]
 				slot.traces = append(slot.traces, newQATrace(on(f.res.Series, t.clock), &f.res.Cfg, r.Ctrl, r.SentByLayer, r.DeliveredByLayer))
 			}

@@ -105,8 +105,9 @@ type Config struct {
 	// follower's (RunEach) is the record of the run it followed.
 	record *[][]flow.Input
 
-	// untraced, set by RunReports on its copies, runs the sampler's
+	// untraced, set by RunEach on its copies, runs the sampler's
 	// ticks without tracing anything: the Result's Series stays empty.
+	// A traced run's untraced followers are not traced either.
 	untraced bool
 }
 
