@@ -72,12 +72,17 @@ func main() {
 			modes++
 		}
 	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case modes == 0:
 		flag.Usage()
 		os.Exit(2)
 	case modes > 1:
 		fmt.Fprintln(os.Stderr, "qafig: -all, -tables, -transports and -fig exclude each other")
+		os.Exit(2)
+	case *transports && (set["transport"] || set["kmax"]):
+		fmt.Fprintln(os.Stderr, "qafig: -transports runs every backend at Kmax 2 and takes no -transport or -kmax")
 		os.Exit(2)
 	case *seeds < 0 || *seeds > 0 && (*transports || *fig != 0 && (*fig < 11 || *fig > 13) || *report != ""):
 		fmt.Fprintln(os.Stderr, "qafig: -seeds needs -all, -tables or -fig 11, 12 or 13, and a positive count, and takes no -report")

@@ -614,7 +614,8 @@ func RenderSpreads(w io.Writer, cells []CellSpread) error {
 }
 
 // renderTables writes Tables 1 and 2 of cells, titled titles, in
-// columns width wide: a header of the cells' distinct Kmax values in
+// columns width wide, each cell ending in a space (a wider one pushes
+// the row right): a header of the cells' distinct Kmax values in
 // ascending order, then a row each for T1 and T2. key gives a cell's
 // test and Kmax and whether its run dropped a layer; table t writes a
 // cell that did as cell[t] does, "no-drops" for one that did not, and
@@ -630,10 +631,11 @@ func renderTables[C any](w io.Writer, cells []C, width int, key func(C) (test st
 	slices.Sort(kmaxes)
 	kmaxes = slices.Compact(kmaxes)
 	ew := &errWriter{w: w}
+	column := func(text string) { fmt.Fprintf(ew, "%-*s ", width-1, text) }
 	for t, title := range titles {
 		fmt.Fprintf(ew, "%s\n      ", title)
 		for _, k := range kmaxes {
-			fmt.Fprintf(ew, "%-*s", width, fmt.Sprintf("Kmax=%d", k))
+			column(fmt.Sprintf("Kmax=%d", k))
 		}
 		fmt.Fprintln(ew)
 		for _, test := range []string{"T1", "T2"} {
@@ -646,7 +648,7 @@ func renderTables[C any](w io.Writer, cells []C, width int, key func(C) (test st
 						text = cell[t](c)
 					}
 				}
-				fmt.Fprintf(ew, "%-*s", width, text)
+				column(text)
 			}
 			fmt.Fprintln(ew)
 		}

@@ -267,6 +267,9 @@ func (s *refSender) updateRTT(sample float64) {
 	if s.timeout < 2*s.srtt {
 		s.timeout = 2 * s.srtt
 	}
+	if s.timeout < 0.02 { // TCP's floor, as seqwin.MinRTO
+		s.timeout = 0.02
+	}
 	// Peak envelope: jumps up with SRTT, decays slowly (~1% per sample).
 	if s.srtt > s.peakRTT {
 		s.peakRTT = s.srtt

@@ -3,6 +3,8 @@
 // not yet acknowledged or declared lost, when each was sent, what the
 // sender tagged it with (the flow driver's seq -> layer attribution),
 // and the two loss scans (reorder gap, timeout) Base runs over that set.
+// Its RTT is the one round-trip estimator, Base's and the Sack-TCP
+// model's, with the timeout the scan runs on.
 //
 // Slots live in a power-of-two ring indexed by seq & mask, with a
 // base below which nothing is outstanding. Send, Ack and GapLost are
@@ -159,4 +161,42 @@ func (w *Window) TimedOut(dst []int64, now, timeout float64) []int64 {
 	}
 	w.base = first
 	return dst
+}
+
+// MinRTO is TCP's 20 ms floor under a sampled RTO, seconds: below it a
+// sub-millisecond path times out on ACKs a few milliseconds late.
+const MinRTO = 0.02
+
+// RTT is the RFC 6298 estimator: the first sample sets SRTT and RTTVAR
+// = sample/2, later ones move them by gains 1/8 and 1/4, and the RTO is
+// max(SRTT + 4·RTTVAR, 2·SRTT, MinRTO). Not goroutine-safe.
+type RTT struct {
+	srtt, rttvar, rto float64
+	sampled           bool
+}
+
+// NewRTT seeds an RTT: SRTT = initial, RTTVAR = initial/2, RTO = 3·initial.
+func NewRTT(initial float64) RTT { return RTT{srtt: initial, rttvar: initial / 2, rto: 3 * initial} }
+
+// SRTT returns the smoothed RTT, seconds.
+func (e *RTT) SRTT() float64 { return e.srtt }
+
+// RTO returns the retransmission timeout, seconds.
+func (e *RTT) RTO() float64 { return e.rto }
+
+// Sample folds a measured RTT into the estimate and reports whether it
+// did: a non-positive sample is ignored.
+func (e *RTT) Sample(sample float64) bool {
+	if sample <= 0 {
+		return false
+	}
+	if !e.sampled {
+		e.srtt, e.rttvar, e.sampled = sample, sample/2, true
+	} else {
+		const alpha, beta = 1.0 / 8.0, 1.0 / 4.0
+		e.rttvar = (1-beta)*e.rttvar + beta*math.Abs(e.srtt-sample)
+		e.srtt = (1-alpha)*e.srtt + alpha*sample
+	}
+	e.rto = max(e.srtt+4*e.rttvar, 2*e.srtt, MinRTO)
+	return true
 }

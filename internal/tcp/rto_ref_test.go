@@ -18,6 +18,6 @@ func useRearmRTO(src *Source) {
 		if pipe == 0 && src.board.lostCount() == 0 {
 			return
 		}
-		timer = src.eng.After(src.rto*src.rtoBackoff, fire)
+		timer = src.eng.After(src.rtt.RTO()*src.rtoBackoff, fire)
 	}
 }

@@ -99,7 +99,7 @@ func TestRTODeadlineTimerDirected(t *testing.T) {
 			// expiry must not happen.
 			name: "ack-first-in-the-expiry-instant", cfg: Config{InitialRTT: 0.1, Start: 0.1}, until: 0.6, want: 0,
 			script: func(eng *sim.Engine, s *Source) {
-				ackAt(eng, s, s.cfg.Start+s.rto*s.rtoBackoff, 1) // the source's own sum, bit for bit
+				ackAt(eng, s, s.cfg.Start+s.rtt.RTO()*s.rtoBackoff, 1) // the source's own sum, bit for bit
 				ackAt(eng, s, 0.5, 3)
 			},
 		},
@@ -108,7 +108,7 @@ func TestRTODeadlineTimerDirected(t *testing.T) {
 			// expiry runs first.
 			name: "expiry-first-in-the-ack-instant", cfg: Config{InitialRTT: 0.1, Start: 0.1}, until: 0.6, want: 1,
 			script: func(eng *sim.Engine, s *Source) {
-				eng.At(0.2, func() { ackAt(eng, s, s.cfg.Start+s.rto*s.rtoBackoff, 1) })
+				eng.At(0.2, func() { ackAt(eng, s, s.cfg.Start+s.rtt.RTO()*s.rtoBackoff, 1) })
 			},
 		},
 		{
@@ -119,7 +119,7 @@ func TestRTODeadlineTimerDirected(t *testing.T) {
 			name: "moved-expiry-first-in-the-ack-instant", cfg: Config{InitialRTT: 0.1}, until: 0.6, want: 1,
 			script: func(eng *sim.Engine, s *Source) {
 				ackAt(eng, s, 0.1, 1)
-				eng.At(0.2, func() { ackAt(eng, s, 0.1+s.rto*s.rtoBackoff, 2) })
+				eng.At(0.2, func() { ackAt(eng, s, 0.1+s.rtt.RTO()*s.rtoBackoff, 2) })
 			},
 		},
 	}

@@ -13,6 +13,7 @@ package tcp
 import (
 	"math"
 
+	"qav/internal/seqwin"
 	"qav/internal/sim"
 )
 
@@ -51,9 +52,8 @@ type Source struct {
 
 	board sendBoard // per-sequence sacked/lost/rtx-out state over [highAck, nextSeq)
 
-	srtt, rttvar, rto float64
-	gotRTT            bool
-	rtoBackoff        float64
+	rtt        seqwin.RTT
+	rtoBackoff float64
 
 	// The retransmission timer is one pending event and a deadline.
 	// armRTO moves the deadline (rtoAt, set at rtoArmed) on every ACK; the
@@ -94,9 +94,7 @@ func NewSource(eng *sim.Engine, net sim.Network, cfg Config) *Source {
 		cwnd:       2,
 		ssthresh:   64,
 		board:      newWindowedSendBoard(),
-		srtt:       cfg.InitialRTT,
-		rttvar:     cfg.InitialRTT / 2,
-		rto:        3 * cfg.InitialRTT,
+		rtt:        seqwin.NewRTT(cfg.InitialRTT),
 		rtoBackoff: 1,
 	}
 	s.rtoFn = s.onRTOTimer
@@ -169,7 +167,7 @@ func (s *Source) armRTO(pipe int) {
 		return
 	}
 	s.rtoArmed = s.eng.Now()
-	s.rtoAt = s.rtoArmed + s.rto*s.rtoBackoff
+	s.rtoAt = s.rtoArmed + s.rtt.RTO()*s.rtoBackoff
 	if s.rtoTimer.Active() {
 		if s.rtoFires <= s.rtoAt {
 			return // the pending event fires first and moves itself
@@ -222,8 +220,8 @@ func (s *Source) onAck(p *sim.Packet) {
 		s.AckedPkts += newly
 		s.dupacks = 0
 		s.rtoBackoff = 1
-		if p.Echo > 0 {
-			s.updateRTT(s.eng.Now() - p.Echo)
+		if p.Echo > 0 && s.rtt.Sample(s.eng.Now()-p.Echo) && s.ins != nil {
+			s.ins.SRTT.Observe(s.rtt.SRTT())
 		}
 		if s.inRecovery {
 			if s.highAck >= s.recover {
@@ -285,29 +283,6 @@ func (s *Source) onAck(p *sim.Packet) {
 		}
 	}
 	s.trySend()
-}
-
-func (s *Source) updateRTT(sample float64) {
-	if sample <= 0 {
-		return
-	}
-	if !s.gotRTT {
-		s.srtt, s.rttvar, s.gotRTT = sample, sample/2, true
-	} else {
-		const alpha, beta = 1.0 / 8.0, 1.0 / 4.0
-		s.rttvar = (1-beta)*s.rttvar + beta*math.Abs(s.srtt-sample)
-		s.srtt = (1-alpha)*s.srtt + alpha*sample
-	}
-	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < 2*s.srtt {
-		s.rto = 2 * s.srtt
-	}
-	if s.rto < 0.02 {
-		s.rto = 0.02
-	}
-	if s.ins != nil {
-		s.ins.SRTT.Observe(s.srtt)
-	}
 }
 
 // sink is the receiving side: it acknowledges every data packet with a

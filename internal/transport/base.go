@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"math"
-
 	"qav/internal/metrics"
 	"qav/internal/seqwin"
 )
@@ -43,7 +41,8 @@ func (c *BaseConfig) SetDefaults() {
 // Base implements the transport bookkeeping every rate-based backend
 // needs — sequence numbers and the outstanding window with its ACK- and
 // timeout-based loss inference (seqwin.Window), SRTT/RTO estimation
-// with a peak-RTT envelope, and clustered rate decreases — so a backend
+// (seqwin.RTT, the Sack-TCP model's estimator and floor) with a
+// peak-RTT envelope, and clustered rate decreases — so a backend
 // only writes its rate policy. The figure goldens and the model digest
 // pin its arithmetic through the RAP backend, and internal/rap's
 // differential holds it to the pre-Base RAP sender call by call.
@@ -55,10 +54,7 @@ type Base struct {
 
 	rate float64
 
-	srtt    float64
-	rttvar  float64
-	timeout float64
-	gotRTT  bool
+	rtt     seqwin.RTT
 	peakRTT float64
 
 	win seqwin.Window // sequence counter, send times and tags, highest ACK
@@ -95,9 +91,7 @@ func (b *Base) Restart() {
 	*b = Base{
 		cfg:       b.cfg,
 		rate:      b.cfg.InitialRate,
-		srtt:      b.cfg.InitialRTT,
-		rttvar:    b.cfg.InitialRTT / 2,
-		timeout:   3 * b.cfg.InitialRTT,
+		rtt:       seqwin.NewRTT(b.cfg.InitialRTT),
 		win:       b.win,
 		lost:      b.lost[:0],
 		ins:       b.ins,
@@ -123,7 +117,7 @@ func (b *Base) SetRate(r float64) {
 func (b *Base) IPG() float64 { return float64(b.cfg.PacketSize) / b.rate }
 
 // SRTT returns the smoothed RTT estimate, seconds.
-func (b *Base) SRTT() float64 { return b.srtt }
+func (b *Base) SRTT() float64 { return b.rtt.SRTT() }
 
 // PeakRTT returns the slowly decaying SRTT envelope (conservative-slope
 // denominators use it; zero before the first sample).
@@ -131,11 +125,11 @@ func (b *Base) PeakRTT() float64 {
 	if b.peakRTT > 0 {
 		return b.peakRTT
 	}
-	return b.srtt
+	return b.rtt.SRTT()
 }
 
 // StepInterval returns one SRTT, the periodic decision cadence.
-func (b *Base) StepInterval() float64 { return b.srtt }
+func (b *Base) StepInterval() float64 { return b.rtt.SRTT() }
 
 // PacketSize returns the configured payload size, bytes.
 func (b *Base) PacketSize() int { return b.cfg.PacketSize }
@@ -183,7 +177,18 @@ func (b *Base) AckRTT(now float64, seq int64) (rtt float64, ok bool) {
 	}
 	b.ctr.Acked++
 	rtt = now - sendTime
-	b.updateRTT(rtt)
+	if b.rtt.Sample(rtt) {
+		// Peak envelope: jumps up with SRTT, decays ~1% per sample.
+		srtt := b.rtt.SRTT()
+		if srtt > b.peakRTT {
+			b.peakRTT = srtt
+		} else {
+			b.peakRTT += 0.01 * (srtt - b.peakRTT)
+		}
+		if b.ins != nil {
+			b.ins.SRTT.Observe(srtt)
+		}
+	}
 	return rtt, true
 }
 
@@ -201,7 +206,7 @@ func (b *Base) ReorderLosses() []int64 {
 // older than the RTO, removing them and counting a timeout event when
 // any are found. The returned slice is reused across calls.
 func (b *Base) TimeoutLosses(now float64) []int64 {
-	b.lost = b.win.TimedOut(b.lost[:0], now, b.timeout)
+	b.lost = b.win.TimedOut(b.lost[:0], now, b.rtt.RTO())
 	b.ctr.Lost += int64(len(b.lost))
 	if len(b.lost) > 0 {
 		b.ctr.Timeouts++
@@ -227,37 +232,9 @@ func (b *Base) Backoff(now, newRate float64, lostSeqs []int64) *Backoff {
 	if b.ins != nil {
 		b.ins.Backoffs.Inc()
 	}
-	b.backoffFence = now + b.srtt
+	b.backoffFence = now + b.rtt.SRTT()
 	b.scratch = Backoff{Time: now, OldRate: old, NewRate: b.rate, LostSeqs: lostSeqs}
 	return &b.scratch
-}
-
-func (b *Base) updateRTT(sample float64) {
-	if sample <= 0 {
-		return
-	}
-	if !b.gotRTT {
-		b.srtt = sample
-		b.rttvar = sample / 2
-		b.gotRTT = true
-	} else {
-		const alpha, beta = 1.0 / 8.0, 1.0 / 4.0
-		b.rttvar = (1-beta)*b.rttvar + beta*math.Abs(b.srtt-sample)
-		b.srtt = (1-alpha)*b.srtt + alpha*sample
-	}
-	b.timeout = b.srtt + 4*b.rttvar
-	if b.timeout < 2*b.srtt {
-		b.timeout = 2 * b.srtt
-	}
-	// Peak envelope: jumps up with SRTT, decays ~1% per sample.
-	if b.srtt > b.peakRTT {
-		b.peakRTT = b.srtt
-	} else {
-		b.peakRTT += 0.01 * (b.srtt - b.peakRTT)
-	}
-	if b.ins != nil {
-		b.ins.SRTT.Observe(b.srtt)
-	}
 }
 
 // Instrument attaches ins and publishes the packet counters and the
