@@ -357,7 +357,7 @@ func TestAllocFreeSteadyStateCrossTraffic(t *testing.T) {
 	})
 	reg := metrics.NewRegistry()
 	net.Instrument(reg)
-	net.Bneck.InstrumentFlows(reg, 3)
+	net.Bneck.InstrumentFlows(reg, []int{1, 2})
 	rapSrc.Tr.Instrument(reg, "rap", transport.NewInstruments(reg, "rap"))
 	tcpSrc.Instrument(reg, "tcp", tcp.NewInstruments(reg, "tcp"))
 	// Warm up past slow start and the AIMD ramp so maps, rings, the

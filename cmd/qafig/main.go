@@ -81,8 +81,11 @@ func main() {
 	case modes > 1:
 		fmt.Fprintln(os.Stderr, "qafig: -all, -tables, -transports and -fig exclude each other")
 		os.Exit(2)
-	case *transports && (set["transport"] || set["kmax"]):
-		fmt.Fprintln(os.Stderr, "qafig: -transports runs every backend at Kmax 2 and takes no -transport or -kmax")
+	case *transports && set["transport"]:
+		fmt.Fprintln(os.Stderr, "qafig: -transports runs every backend and takes no -transport")
+		os.Exit(2)
+	case set["kmax"] && !*all && *fig != 11:
+		fmt.Fprintln(os.Stderr, "qafig: -kmax is Fig 11's smoothing factor and needs -fig 11 or -all; the other modes run their own Kmax sets")
 		os.Exit(2)
 	case *seeds < 0 || *seeds > 0 && (*transports || *fig != 0 && (*fig < 11 || *fig > 13) || *report != ""):
 		fmt.Fprintln(os.Stderr, "qafig: -seeds needs -all, -tables or -fig 11, 12 or 13, and a positive count, and takes no -report")

@@ -25,6 +25,11 @@ func TestConflictingFlagsExit2(t *testing.T) {
 	for _, args := range []string{
 		"-transports -transport delay",
 		"-transports -kmax 5",
+		"-tables -kmax 5",
+		"-fig 1 -kmax 5",
+		"-fig 2 -kmax 5",
+		"-fig 12 -kmax 5",
+		"-fig 13 -kmax 5",
 		"-tables -fig 12",
 		"-all -transports",
 	} {

@@ -30,7 +30,7 @@ func newSimFlags(fs *flag.FlagSet) *simFlags {
 		preset:     fs.String("preset", "", "build the scenario from a preset ("+strings.Join(scenario.Presets(), ", ")+"); explicit flags override its fields"),
 		flows:      fs.Int("flows", 0, "total flow population; implies -preset Fleet when no preset is named"),
 		fluid:      fs.Int("fluid", 0, "additional background flows modeled as a fluid aggregate (half TCP, half RAP) instead of packet-level"),
-		traceFlows: fs.Int("traceflows", -1, "cap per-flow trace series at N flows per class and emit fleet aggregates (0 = legacy full tracing, -1 = preset default)"),
+		traceFlows: fs.Int("traceflows", -1, "cap per-flow outputs (trace series and queue.delay.f<id> histograms) at N flows per class and emit fleet aggregates (0 = legacy full tracing, -1 = preset default)"),
 		bw:         fs.Float64("bw", 800_000, "bottleneck bandwidth, bytes/s"),
 		rtt:        fs.Float64("rtt", 0.04, "base round-trip time, seconds"),
 		queue:      fs.Float64("queue", 0.12, "bottleneck queue, seconds of bandwidth"),

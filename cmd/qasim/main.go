@@ -24,8 +24,9 @@
 //
 // -flows N selects the Fleet preset (half quality-adaptive flows, half
 // Sack-TCP, capacity and queue scaled so the per-flow fair share is
-// population-invariant) and -traceflows caps per-flow trace series while
-// emitting fleet-wide aggregates; see scenario.Config.MaxTraceFlows.
+// population-invariant) and -traceflows caps per-flow trace series and
+// queue-delay histograms while emitting fleet-wide aggregates; see
+// scenario.Config.MaxTraceFlows.
 //
 // -fluid N adds N more background flows modeled as a fluid AIMD
 // aggregate (half TCP, half RAP) instead of packet-level — the hybrid

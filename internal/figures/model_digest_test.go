@@ -15,14 +15,17 @@ import (
 // Goldens of TestModelDigestEngineCountersRemoved. A change to the event
 // scheduler, or to how often a timer is re-armed, must leave them alone;
 // a change to the model (a transport, a queue, the controller, the
-// report schema) re-records them and says why. Last re-recorded when the
-// report's config lost the keys of options that became constants
-// (WithQA, FluidInterval, MaxTraceLayers, and QA's PlanHorizon,
-// ExtraStates, AddSpacing, ProtectSec) and gained the QA defaults; the
-// simulated behaviour did not change (CHANGES.md has the proof).
+// report schema) re-records them and says why. The paper golden was last
+// re-recorded when the report's config lost the keys of options that
+// became constants (WithQA, FluidInterval, MaxTraceLayers, and QA's
+// PlanHorizon, ExtraStates, AddSpacing, ProtectSec) and gained the QA
+// defaults; the fleet golden when a fleet run's per-flow queue-delay
+// histograms became capped at MaxTraceFlows per class, like its series,
+// so its report lost the other flows' histograms. Neither changed the
+// simulated behaviour (CHANGES.md has the proofs).
 const (
 	goldenPaperDigest = "abf3d93cb9cc3d6fa6625f1eb350537aaa0f078ec015b628f0739c2537856871"
-	goldenFleetDigest = "d4ba82fd1d8bd4a96bbf7cc9003285c0779a72a3702b32ad2f1422e527b88484"
+	goldenFleetDigest = "3daa62d1dd763cb5072cee6593c85cb2a49abf3f4cd89c9bba6a255a4136fe15"
 )
 
 // modelDigest hashes reports (and extra) the way the benchmark's

@@ -2,6 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"qav/internal/core"
@@ -93,6 +96,63 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 		if got := runWith(workers); !bytes.Equal(want, got) {
 			t.Fatalf("fleet report differs with %d workers", workers)
 		}
+	}
+}
+
+// The bottleneck's per-flow queue-delay histograms follow the trace
+// cap: a fleet run reports one for each flow the sampler gives a series,
+// as many at 400 flows as at 40, while the aggregate histogram still
+// counts every packet carried; a legacy run reports one per flow.
+func TestPerFlowOutputsFollowTraceCap(t *testing.T) {
+	split := func(cfg Config) ([]string, *Result) {
+		cfg.Metrics = metrics.NewRegistry()
+		res := runChecked(t, cfg)
+		snap := res.Report().Metrics
+		if got, want := snap.Histograms["queue.delay"].Count, snap.Counters["link.tx.packets"]; got != want || got == 0 {
+			t.Errorf("%s: queue.delay counted %d packets, link carried %d", cfg.Name, got, want)
+		}
+		var names []string
+		for name := range snap.Histograms {
+			if strings.HasPrefix(name, "queue.delay.f") {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return names, res
+	}
+	var counts []int
+	for _, flows := range []int{40, 400} {
+		cfg := MustPreset("Fleet", WithFlows(flows))
+		cfg.Duration = 1
+		names, res := split(cfg)
+		// The sampler's per-flow series: the first QA flow's qa.rate,
+		// then qa<i>.rate and tcp<i>.rate, flow IDs QA first.
+		var want []string
+		for id := 0; id < cfg.NumQA+cfg.NumTCP; id++ {
+			series := fmt.Sprintf("qa%d.rate", id)
+			if id == 0 {
+				series = "qa.rate"
+			} else if id >= cfg.NumQA {
+				series = fmt.Sprintf("tcp%d.rate", id-cfg.NumQA)
+			}
+			if res.Series.Get(series) != nil {
+				want = append(want, fmt.Sprintf("queue.delay.f%d", id))
+			}
+		}
+		slices.Sort(want)
+		if !slices.Equal(names, want) {
+			t.Errorf("Fleet(%d) splits queue.delay for %v, want the traced flows %v", flows, names, want)
+		}
+		counts = append(counts, len(names))
+	}
+	if counts[0] != counts[1] {
+		t.Errorf("per-flow delay histograms grow with the population: %d at 40 flows, %d at 400", counts[0], counts[1])
+	}
+	cfg := MustPreset("T1")
+	cfg.Duration = 2
+	names, _ := split(cfg)
+	if n := cfg.NumQA + cfg.NumRAP + cfg.NumTCP; len(names) != n {
+		t.Errorf("T1 splits queue.delay for %d flows, want all %d: %v", len(names), n, names)
 	}
 }
 

@@ -186,12 +186,6 @@ func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) 
 	t.clock = trace.NewClock(int(cfg.Duration/cfg.SampleInterval) + 2)
 	series := on(res.Series, t.clock)
 	fleet := cfg.MaxTraceFlows > 0
-	capped := func(n int) int {
-		if fleet && n > cfg.MaxTraceFlows {
-			return cfg.MaxTraceFlows
-		}
-		return n
-	}
 
 	// A flow that is neither traced nor summed into the fleet
 	// aggregates is left out.
@@ -206,14 +200,14 @@ func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) 
 				r := f.reps[0]
 				slot.traces = append(slot.traces, newQATrace(on(f.res.Series, t.clock), &f.res.Cfg, r.Ctrl, r.SentByLayer, r.DeliveredByLayer))
 			}
-		} else if fleet && qi < capped(len(res.QASrcs)) {
+		} else if fleet && qi < cfg.traceCap(len(res.QASrcs)) {
 			slot.series = series(fmt.Sprintf("qa%d.rate", qi))
 		}
 		t.qas = append(t.qas, slot)
 	}
 	for ri, r := range res.RAPSrcs {
 		slot := rapSlot{src: r}
-		if ri < capped(len(res.RAPSrcs)) {
+		if ri < cfg.traceCap(len(res.RAPSrcs)) {
 			slot.series = series(fmt.Sprintf("rap%d.rate", ri))
 		}
 		if slot.series != nil || fleet {
@@ -222,7 +216,7 @@ func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) 
 	}
 	for ti, src := range res.TCPSrcs {
 		slot := tcpSlot{src: src}
-		if fleet && ti < capped(len(res.TCPSrcs)) {
+		if fleet && ti < cfg.traceCap(len(res.TCPSrcs)) {
 			slot.series = series(fmt.Sprintf("tcp%d.rate", ti))
 		}
 		if slot.series != nil || fleet {
@@ -243,6 +237,17 @@ func startTicker(net *sim.Dumbbell, cfg *Config, res *Result, fols []*follower) 
 			sJain: series("fleet.jain.tcp"),
 		}
 	}
+}
+
+// traceCap is the one rule for which flows get per-flow outputs, the
+// sampler's series and the bottleneck's queue.delay.f<id> histograms:
+// the first traceCap(n) of a class's n flows. A fleet run caps each
+// class at MaxTraceFlows; a legacy run keeps every flow.
+func (cfg *Config) traceCap(n int) int {
+	if cfg.MaxTraceFlows > 0 && n > cfg.MaxTraceFlows {
+		return cfg.MaxTraceFlows
+	}
+	return n
 }
 
 // on returns a function that creates series in set on clock c, with

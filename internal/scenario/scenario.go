@@ -74,9 +74,10 @@ type Config struct {
 	SampleInterval float64
 
 	// MaxTraceFlows selects fleet sampling. 0 (the default) is the
-	// legacy mode: one fully traced QA flow and a rate series per RAP
-	// flow — trace cost grows with the flow population. N > 0 caps the
-	// per-flow series at N flows of each class (qa/rap/tcp rate series)
+	// legacy mode: one fully traced QA flow, a rate series per RAP flow
+	// and a queue-delay histogram per flow — trace cost grows with the
+	// flow population. N > 0 caps the per-flow outputs, rate series and
+	// queue.delay.f<id> histograms, at N flows of each class (traceCap)
 	// and emits fleet-wide aggregates (fleet.qa.rate, fleet.rap.rate,
 	// fleet.tcp.goodput, fleet.jain.tcp) so trace cost stays O(1) in
 	// flow count. Aggregates are deliberately absent in legacy mode:
@@ -250,7 +251,7 @@ func run(cfg Config, fols []*follower) (*Result, error) {
 		// order relative to the packet ones.
 		res.Fluid = newFluid(&cfg, eng, net.Bneck, fluidQ, net.BaseRTT())
 	}
-	nflows, err := buildFlows(cfg, res, net)
+	traced, err := buildFlows(cfg, res, net)
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +268,7 @@ func run(cfg Config, fols []*follower) (*Result, error) {
 	}
 	if reg := cfg.Metrics; reg != nil {
 		net.Instrument(reg)
-		net.Bneck.InstrumentFlows(reg, nflows)
+		net.Bneck.InstrumentFlows(reg, traced)
 		instrumentSources(reg, res)
 		if res.Fluid != nil {
 			res.Fluid.Instrument(reg)
@@ -311,12 +312,20 @@ func newQueue(cfg *Config, eng *sim.Engine) (sim.Queue, *sim.FluidQueue) {
 
 // buildFlows constructs the run's traffic mix — QA, RAP, TCP, CBR, in
 // that order, with globally increasing flow IDs — on net and its
-// engine. It returns the total flow count. Flows that start at the
-// same staggered instant are scheduled, and therefore fire, in flow-ID
-// order.
-func buildFlows(cfg Config, res *Result, net *sim.Dumbbell) (int, error) {
+// engine. It returns the IDs of the flows that get per-flow outputs
+// (cfg.traceCap of each class). Flows that start at the same staggered
+// instant are scheduled, and therefore fire, in flow-ID order.
+func buildFlows(cfg Config, res *Result, net *sim.Dumbbell) ([]int, error) {
 	eng, baseRTT := net.Eng, net.BaseRTT()
 	flowID := 0
+	var traced []int
+	next := func(i, n int) int { // the ID of flow i of a class of n
+		if i < cfg.traceCap(n) {
+			traced = append(traced, flowID)
+		}
+		flowID++
+		return flowID - 1
+	}
 
 	// The QA term is 1 even without a QA flow — the legacy fair-share
 	// seed all paper presets converged from.
@@ -373,7 +382,7 @@ func buildFlows(cfg Config, res *Result, net *sim.Dumbbell) (int, error) {
 	for i := 0; i < cfg.NumQA; i++ {
 		ctrl, err := core.NewController(cfg.QA)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		// Result.Events is the first QA flow's log; a recorded run
 		// logs every flow, for the tests that replay them.
@@ -382,37 +391,33 @@ func buildFlows(cfg Config, res *Result, net *sim.Dumbbell) (int, error) {
 		}
 		// The first QA flow starts at 0 like the paper runs; additional
 		// fleet flows stagger to avoid phase locking.
-		res.QASrcs = append(res.QASrcs, NewQASource(eng, net, flowID, newTr(), ctrl, start(stagger(i, 0.097))))
-		flowID++
+		res.QASrcs = append(res.QASrcs, NewQASource(eng, net, next(i, cfg.NumQA), newTr(), ctrl, start(stagger(i, 0.097))))
 	}
 	if len(res.QASrcs) > 0 {
 		res.QASrc = res.QASrcs[0]
 	}
 	for i := 0; i < cfg.NumRAP; i++ {
 		// Stagger starts slightly to avoid phase locking.
-		res.RAPSrcs = append(res.RAPSrcs, NewRAPSource(eng, net, flowID, newTr(), start(stagger(i, 0.111))))
-		flowID++
+		res.RAPSrcs = append(res.RAPSrcs, NewRAPSource(eng, net, next(i, cfg.NumRAP), newTr(), start(stagger(i, 0.111))))
 	}
 	for i := 0; i < cfg.NumTCP; i++ {
 		res.TCPSrcs = append(res.TCPSrcs, tcp.NewSource(eng, net, tcp.Config{
-			FlowID:     flowID,
+			FlowID:     next(i, cfg.NumTCP),
 			PacketSize: cfg.PacketSize,
 			InitialRTT: baseRTT,
 			Start:      start(0.05 + stagger(i, 0.087)),
 		}))
-		flowID++
 	}
 	if cfg.CBRRate > 0 {
 		cbr.NewSource(eng, net, cbr.Config{
-			FlowID:     flowID,
+			FlowID:     next(0, 1),
 			Rate:       cfg.CBRRate,
 			PacketSize: cfg.PacketSize,
 			Start:      cfg.CBRStart,
 			Stop:       cfg.CBRStop,
 		})
-		flowID++
 	}
-	return flowID, nil
+	return traced, nil
 }
 
 // newFluid builds the hybrid run's background aggregate — one AIMD

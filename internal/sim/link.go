@@ -45,7 +45,7 @@ type Link struct {
 
 	// delayHist, when instrumented, observes per-packet queueing delay
 	// (enqueue to start of serialization). flowDelay optionally splits
-	// the same observation per flow; both are created at registration
+	// it per FlowID (nil: no split); both are created at registration
 	// time so the record path only indexes. Single-writer local
 	// histograms: the engine thread is the only writer, so each
 	// observation is a plain array increment.
@@ -118,13 +118,15 @@ func (l *Link) Instrument(reg *metrics.Registry) {
 	l.delayHist = reg.LocalHistogram("queue.delay", metrics.HistogramOpts{})
 }
 
-// InstrumentFlows additionally splits the queueing-delay histogram per
-// flow for FlowIDs in [0, n): packets of flow f observe into
-// "queue.delay.f<f>" alongside the aggregate histogram. Call it at
-// construction time, after the flow count is known.
-func (l *Link) InstrumentFlows(reg *metrics.Registry, n int) {
-	l.flowDelay = make([]*metrics.LocalHistogram, n)
-	for f := 0; f < n; f++ {
+// InstrumentFlows additionally splits the queueing-delay histogram for
+// the given FlowIDs: packets of flow f observe into "queue.delay.f<f>"
+// alongside the aggregate histogram, and other flows' packets only into
+// the aggregate. Call it at construction time, once the flows are known.
+func (l *Link) InstrumentFlows(reg *metrics.Registry, flows []int) {
+	for _, f := range flows {
+		for len(l.flowDelay) <= f {
+			l.flowDelay = append(l.flowDelay, nil)
+		}
 		l.flowDelay[f] = reg.LocalHistogram(fmt.Sprintf("queue.delay.f%d", f), metrics.HistogramOpts{})
 	}
 }
@@ -167,7 +169,9 @@ func (l *Link) transmitNext() {
 		d := now - p.enqAt
 		l.delayHist.Observe(d)
 		if uint(p.FlowID) < uint(len(l.flowDelay)) {
-			l.flowDelay[p.FlowID].Observe(d)
+			if h := l.flowDelay[p.FlowID]; h != nil {
+				h.Observe(d)
+			}
 		}
 	}
 	// The link is free to start the next packet as soon as serialization
