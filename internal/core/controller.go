@@ -116,7 +116,9 @@ func (c *Controller) Restart() {
 
 // KeepEvents makes the controller log its decisions in Events from now
 // on. Without it the log stays nil: Stats and the instruments count
-// every decision either way.
+// every decision either way, and they are all a table or a report
+// reads, so only a reader of the log itself (a display, a replay
+// check) calls it.
 func (c *Controller) KeepEvents() { c.keepEvents = true }
 
 // Stats returns the controller's decision counts and the Tables 1-2

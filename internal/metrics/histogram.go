@@ -30,6 +30,25 @@ func (o HistogramOpts) withDefaults() HistogramOpts {
 	return o
 }
 
+// layout is a histogram's bucket layout: nb interior buckets from lo =
+// 2^minExp, subBuckets per octave, between one underflow and one
+// overflow bucket. Histogram and LocalHistogram share it, and so do all
+// registrations under one registry name.
+type layout struct {
+	lo     float64 // 2^minExp; observations below land in the underflow bucket
+	minExp int
+	nb     int // interior buckets
+}
+
+func newLayout(opts HistogramOpts) layout {
+	opts = opts.withDefaults()
+	return layout{
+		lo:     math.Ldexp(1, opts.MinExp),
+		minExp: opts.MinExp,
+		nb:     (opts.MaxExp - opts.MinExp) * subBuckets,
+	}
+}
+
 // Histogram counts observations in fixed log-spaced buckets. Observe is
 // lock-free, branch-light, and allocation-free: the bucket index is
 // computed from the float's exponent and top mantissa bits — no
@@ -37,37 +56,29 @@ func (o HistogramOpts) withDefaults() HistogramOpts {
 // layout is fixed at construction; quantiles are estimated from bucket
 // midpoints at snapshot time.
 type Histogram struct {
-	lo     float64 // 2^minExp; observations below land in the underflow bucket
-	minExp int
-	nb     int            // interior buckets
+	layout
 	counts []atomic.Int64 // [0] underflow, [1..nb] interior, [nb+1] overflow
 }
 
 // NewHistogram returns a standalone (unregistered) histogram.
 func NewHistogram(opts HistogramOpts) *Histogram {
-	opts = opts.withDefaults()
-	nb := (opts.MaxExp - opts.MinExp) * subBuckets
-	return &Histogram{
-		lo:     math.Ldexp(1, opts.MinExp),
-		minExp: opts.MinExp,
-		nb:     nb,
-		counts: make([]atomic.Int64, nb+2),
-	}
+	l := newLayout(opts)
+	return &Histogram{layout: l, counts: make([]atomic.Int64, l.nb+2)}
 }
 
-// bucketIndex maps v to a bucket slot: 0 for underflow (zero, negative,
-// NaN, below range), 1..nb interior, nb+1 overflow. The index comes from
-// the float's exponent and top mantissa bits — no math.Log, no search.
-func bucketIndex(lo float64, minExp, nb int, v float64) int {
-	if !(v >= lo) { // negated so NaN lands in the underflow bucket too
+// index maps v to a bucket slot: 0 for underflow (zero, negative, NaN,
+// below range), 1..nb interior, nb+1 overflow. The index comes from the
+// float's exponent and top mantissa bits — no math.Log, no search.
+func (l layout) index(v float64) int {
+	if !(v >= l.lo) { // negated so NaN lands in the underflow bucket too
 		return 0
 	}
 	bits := math.Float64bits(v)
 	exp := int(bits>>52&0x7ff) - 1023
 	sub := int(bits >> 50 & (subBuckets - 1))
-	i := (exp-minExp)*subBuckets + sub + 1
-	if i > nb {
-		i = nb + 1
+	i := (exp-l.minExp)*subBuckets + sub + 1
+	if i > l.nb {
+		i = l.nb + 1
 	}
 	return i
 }
@@ -76,7 +87,7 @@ func bucketIndex(lo float64, minExp, nb int, v float64) int {
 // zero, negatives, and NaN) count in the underflow bucket; values at or
 // above the range count in the overflow bucket.
 func (h *Histogram) Observe(v float64) {
-	h.counts[bucketIndex(h.lo, h.minExp, h.nb, v)].Add(1)
+	h.counts[h.index(v)].Add(1)
 }
 
 // Count returns the total number of observations.
@@ -98,28 +109,20 @@ func (h *Histogram) Count() int64 {
 // which is how concurrent simulation runs sharing a registry aggregate
 // without sharing a writer.
 type LocalHistogram struct {
-	lo     float64
-	minExp int
-	nb     int
+	layout
 	counts []int64
 }
 
 // NewLocalHistogram returns a standalone (unregistered) local histogram.
 func NewLocalHistogram(opts HistogramOpts) *LocalHistogram {
-	opts = opts.withDefaults()
-	nb := (opts.MaxExp - opts.MinExp) * subBuckets
-	return &LocalHistogram{
-		lo:     math.Ldexp(1, opts.MinExp),
-		minExp: opts.MinExp,
-		nb:     nb,
-		counts: make([]int64, nb+2),
-	}
+	l := newLayout(opts)
+	return &LocalHistogram{layout: l, counts: make([]int64, l.nb+2)}
 }
 
 // Observe records one sample; same bucketing as Histogram.Observe, but
 // single-writer: one plain increment, no atomics.
 func (h *LocalHistogram) Observe(v float64) {
-	h.counts[bucketIndex(h.lo, h.minExp, h.nb, v)]++
+	h.counts[h.index(v)]++
 }
 
 // Count returns the total number of observations.
@@ -132,11 +135,7 @@ func (h *LocalHistogram) Count() int64 {
 }
 
 // Stats summarizes the local histogram.
-func (h *LocalHistogram) Stats() HistogramStats {
-	counts := make([]int64, len(h.counts))
-	copy(counts, h.counts)
-	return statsFromCounts(h.lo, h.minExp, h.nb, counts)
-}
+func (h *LocalHistogram) Stats() HistogramStats { return h.stats(h.counts) }
 
 // bucketLo returns the lower bound of interior bucket i (1-based).
 func bucketLo(minExp, i int) float64 {
@@ -144,17 +143,17 @@ func bucketLo(minExp, i int) float64 {
 	return math.Ldexp(1+float64(sub)/subBuckets, minExp+oct)
 }
 
-// bucketMid returns the representative midpoint of bucket i, with the
+// mid returns the representative midpoint of bucket i, with the
 // underflow bucket represented by half the range floor and the overflow
 // bucket by the range ceiling.
-func bucketMid(lo float64, minExp, nb, i int) float64 {
+func (l layout) mid(i int) float64 {
 	if i == 0 {
-		return lo / 2
+		return l.lo / 2
 	}
-	if i > nb {
-		return math.Ldexp(1, minExp) * math.Ldexp(1, nb/subBuckets)
+	if i > l.nb {
+		return math.Ldexp(1, l.minExp) * math.Ldexp(1, l.nb/subBuckets)
 	}
-	return bucketLo(minExp, i) * (1 + 0.5/subBuckets)
+	return bucketLo(l.minExp, i) * (1 + 0.5/subBuckets)
 }
 
 // HistogramStats is a deterministic summary of a histogram: observation
@@ -174,16 +173,14 @@ type HistogramStats struct {
 // included; the result is exact once the writers are quiescent.
 func (h *Histogram) Stats() HistogramStats {
 	counts := make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return statsFromCounts(h.lo, h.minExp, h.nb, counts)
+	addAtomicCounts(counts, h)
+	return h.stats(counts)
 }
 
-// statsFromCounts summarizes one bucket-count vector of the given
-// layout; the registry also uses it to merge atomic and local
-// histograms registered under one name.
-func statsFromCounts(lo float64, minExp, nb int, counts []int64) HistogramStats {
+// stats summarizes one bucket-count vector of layout l; it only reads
+// counts. The registry also uses it on the sum of every histogram
+// registered under one name.
+func (l layout) stats(counts []int64) HistogramStats {
 	var total int64
 	for _, n := range counts {
 		total += n
@@ -198,7 +195,7 @@ func statsFromCounts(lo float64, minExp, nb int, counts []int64) HistogramStats 
 		if n == 0 {
 			continue
 		}
-		mid := bucketMid(lo, minExp, nb, i)
+		mid := l.mid(i)
 		sum += float64(n) * mid
 		if !minSet {
 			st.Min = mid
@@ -207,14 +204,14 @@ func statsFromCounts(lo float64, minExp, nb int, counts []int64) HistogramStats 
 		st.Max = mid
 	}
 	st.Mean = sum / float64(total)
-	st.P50 = quantile(lo, minExp, nb, counts, total, 0.50)
-	st.P90 = quantile(lo, minExp, nb, counts, total, 0.90)
-	st.P99 = quantile(lo, minExp, nb, counts, total, 0.99)
+	st.P50 = l.quantile(counts, total, 0.50)
+	st.P90 = l.quantile(counts, total, 0.90)
+	st.P99 = l.quantile(counts, total, 0.99)
 	return st
 }
 
 // quantile returns the midpoint of the bucket holding the q-quantile.
-func quantile(lo float64, minExp, nb int, counts []int64, total int64, q float64) float64 {
+func (l layout) quantile(counts []int64, total int64, q float64) float64 {
 	rank := int64(q * float64(total))
 	if rank >= total {
 		rank = total - 1
@@ -223,8 +220,8 @@ func quantile(lo float64, minExp, nb int, counts []int64, total int64, q float64
 	for i, n := range counts {
 		cum += n
 		if cum > rank {
-			return bucketMid(lo, minExp, nb, i)
+			return l.mid(i)
 		}
 	}
-	return bucketMid(lo, minExp, nb, len(counts)-1)
+	return l.mid(len(counts) - 1)
 }

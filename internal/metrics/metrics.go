@@ -1,14 +1,14 @@
 // Package metrics is a small, stdlib-only instrumentation layer for the
-// per-packet hot paths: counters, gauges, and fixed-bucket log-spaced
-// histograms behind a registry with construction-time handle
+// per-packet hot paths: counters, snapshot-time gauges, and fixed-bucket
+// log-spaced histograms behind a registry with construction-time handle
 // registration, so the record path is lock-free, branch-light, and
 // allocation-free.
 //
 // Two recording tiers exist, matching the two kinds of producers in this
 // codebase:
 //
-//   - Handle instruments (Counter, Gauge, Histogram) are padded atomics.
-//     Recording is one uncontended atomic op, safe from any number of
+//   - Handle instruments (Counter, Histogram) are atomics. Recording
+//     is one uncontended atomic op, safe from any number of
 //     goroutines, and costs nothing in allocations. Use them for
 //     event-granularity facts (backoffs, layer changes, RTT samples,
 //     recoveries) and anywhere several goroutines share one instrument
@@ -21,17 +21,13 @@
 //     invoked at snapshot time. The caller guarantees snapshots are
 //     quiescent or otherwise synchronized with the writer.
 //
-// Registration (Registry.Counter, Registry.Gauge, Registry.Histogram) is
-// idempotent by name: asking twice returns the same handle, so
-// independent components that agree on a name share (and aggregate into)
-// one instrument. Multiple Func registrations under one name aggregate
+// Registration (Registry.Counter, Registry.Histogram) is idempotent by
+// name: asking twice returns the same handle, so independent components
+// that agree on a name share (and aggregate into) one instrument. Multiple Func registrations under one name aggregate
 // by summation at snapshot time.
 package metrics
 
-import (
-	"math"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Counter is a monotonically increasing atomic int64, padded so adjacent
 // counters never share a cache line (hot-path increments on two distinct
@@ -49,33 +45,3 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic float64 (stored as bits), padded like Counter. The
-// zero value reads as 0.
-type Gauge struct {
-	bits atomic.Uint64
-	_    [56]byte
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// SetMax raises the gauge to v if v is greater than the current value.
-// Only meaningful for non-negative values (the bit patterns of
-// non-negative floats order like the floats themselves, so the
-// compare-and-swap loop is correct and almost always a single load).
-func (g *Gauge) SetMax(v float64) {
-	nb := math.Float64bits(v)
-	for {
-		ob := g.bits.Load()
-		if math.Float64frombits(ob) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(ob, nb) {
-			return
-		}
-	}
-}
-
-// Load returns the current value.
-func (g *Gauge) Load() float64 { return math.Float64frombits(g.bits.Load()) }

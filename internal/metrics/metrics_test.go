@@ -7,28 +7,12 @@ import (
 	"testing"
 )
 
-func TestCounterAndGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	var c Counter
 	c.Inc()
 	c.Add(41)
 	if got := c.Load(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
-	}
-	var g Gauge
-	if g.Load() != 0 {
-		t.Fatalf("zero gauge reads %v", g.Load())
-	}
-	g.Set(2.5)
-	if g.Load() != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", g.Load())
-	}
-	g.SetMax(1.5)
-	if g.Load() != 2.5 {
-		t.Fatalf("SetMax lowered the gauge to %v", g.Load())
-	}
-	g.SetMax(7)
-	if g.Load() != 7 {
-		t.Fatalf("SetMax did not raise the gauge: %v", g.Load())
 	}
 }
 
@@ -75,13 +59,9 @@ func TestHistogramEmptyStats(t *testing.T) {
 func TestRecordPathZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c")
-	g := reg.Gauge("g")
 	h := reg.Histogram("h", HistogramOpts{})
 	if n := testing.AllocsPerRun(100, func() { c.Inc(); c.Add(3) }); n != 0 {
 		t.Fatalf("Counter records allocate %.1f times", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { g.Set(1.5); g.SetMax(2.5) }); n != 0 {
-		t.Fatalf("Gauge records allocate %.1f times", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { h.Observe(0.042) }); n != 0 {
 		t.Fatalf("Histogram.Observe allocates %.1f times", n)
@@ -146,13 +126,47 @@ func TestShardHistogramMergesUnderConcurrentSnapshot(t *testing.T) {
 	}
 }
 
+// A snapshot sums each name's registrations through one bucket vector
+// it reuses across names: every name, whatever its layout and whatever
+// the order the names are visited in, reads as its own instruments do.
+func TestSnapshotMergesEachNameApart(t *testing.T) {
+	reg := NewRegistry()
+	wide, narrow := HistogramOpts{MinExp: -20, MaxExp: 10}, HistogramOpts{MinExp: 0, MaxExp: 2}
+	a := reg.Histogram("a", wide)
+	a.Observe(0.001)
+	reg.ShardHistogram("b", narrow).Observe(1.5)
+	reg.ShardHistogram("b", narrow).Observe(3)
+	reg.LocalHistogram("c", wide).Observe(100)
+	reg.LocalHistogram("c", wide).Observe(1e-5)
+	want := map[string]HistogramStats{
+		"a": a.Stats(),
+		"b": func() HistogramStats {
+			h := NewLocalHistogram(narrow)
+			h.Observe(1.5)
+			h.Observe(3)
+			return h.Stats()
+		}(),
+		"c": func() HistogramStats {
+			h := NewHistogram(wide)
+			h.Observe(100)
+			h.Observe(1e-5)
+			return h.Stats()
+		}(),
+	}
+	for i := 0; i < 20; i++ {
+		got := reg.Snapshot().Histograms
+		for name, w := range want {
+			if got[name] != w {
+				t.Fatalf("snapshot %d: %s = %+v, want %+v", i, name, got[name], w)
+			}
+		}
+	}
+}
+
 func TestRegistryIdempotentByName(t *testing.T) {
 	reg := NewRegistry()
 	if reg.Counter("x") != reg.Counter("x") {
 		t.Fatal("same name returned distinct counters")
-	}
-	if reg.Gauge("y") != reg.Gauge("y") {
-		t.Fatal("same name returned distinct gauges")
 	}
 	if reg.Histogram("z", HistogramOpts{}) != reg.Histogram("z", HistogramOpts{MinExp: -2, MaxExp: 2}) {
 		t.Fatal("same name returned distinct histograms (later opts must be ignored)")
@@ -162,7 +176,6 @@ func TestRegistryIdempotentByName(t *testing.T) {
 func TestNilRegistrySafe(t *testing.T) {
 	var reg *Registry
 	reg.Counter("c").Inc()
-	reg.Gauge("g").Set(1)
 	reg.Histogram("h", HistogramOpts{}).Observe(0.5)
 	reg.LocalHistogram("lh", HistogramOpts{}).Observe(0.5)
 	reg.CounterFunc("cf", func() int64 { return 1 })
@@ -195,7 +208,7 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("b").Add(2)
 	reg.Counter("a").Add(1)
-	reg.Gauge("g").Set(3.5)
+	reg.GaugeFunc("g", func() float64 { return 3.5 })
 	reg.Histogram("h", HistogramOpts{}).Observe(0.01)
 	var one, two bytes.Buffer
 	if err := reg.WriteJSON(&one); err != nil {
@@ -223,11 +236,9 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			c := reg.Counter("shared.count")
 			h := reg.Histogram("shared.hist", HistogramOpts{})
-			g := reg.Gauge("shared.max")
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				h.Observe(float64(i%100+1) / 1000)
-				g.SetMax(float64(i))
 				if i%500 == 0 {
 					reg.Snapshot()
 				}
@@ -241,8 +252,5 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	}
 	if got := snap.Histograms["shared.hist"].Count; got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
-	}
-	if got := snap.Gauges["shared.max"]; got != perWorker-1 {
-		t.Fatalf("gauge max = %v, want %d", got, perWorker-1)
 	}
 }

@@ -23,22 +23,27 @@ import (
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
-	shardHists map[string][]*Histogram
-	localHists map[string][]*LocalHistogram
+	hists      map[string]*histSet
 	counterFns map[string][]func() int64
 	gaugeFns   map[string][]func() float64
+}
+
+// histSet is every histogram registered under one name, all of its
+// layout: Histogram's shared instance (also first in atomic), the
+// ShardHistogram instances and the LocalHistogram instances. A snapshot
+// sums their buckets.
+type histSet struct {
+	layout
+	shared *Histogram
+	atomic []*Histogram
+	local  []*LocalHistogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		hists:      make(map[string]*Histogram),
-		shardHists: make(map[string][]*Histogram),
-		localHists: make(map[string][]*LocalHistogram),
+		hists:      make(map[string]*histSet),
 		counterFns: make(map[string][]func() int64),
 		gaugeFns:   make(map[string][]func() float64),
 	}
@@ -60,22 +65,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
 // Histogram returns the histogram registered under name, creating it
 // with opts on first use (later opts for the same name are ignored).
 func (r *Registry) Histogram(name string, opts HistogramOpts) *Histogram {
@@ -84,12 +73,23 @@ func (r *Registry) Histogram(name string, opts HistogramOpts) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(opts)
-		r.hists[name] = h
+	s := r.named(name, opts)
+	if s.shared == nil {
+		s.shared = NewHistogram(opts)
+		s.atomic = append(s.atomic, s.shared)
 	}
-	return h
+	return s.shared
+}
+
+// named returns name's histSet, creating it with opts' layout on first
+// use; r.mu is held.
+func (r *Registry) named(name string, opts HistogramOpts) *histSet {
+	s, ok := r.hists[name]
+	if !ok {
+		s = &histSet{layout: newLayout(opts)}
+		r.hists[name] = s
+	}
+	return s
 }
 
 // ShardHistogram registers and returns a NEW atomic histogram under
@@ -108,7 +108,8 @@ func (r *Registry) ShardHistogram(name string, opts HistogramOpts) *Histogram {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.shardHists[name] = append(r.shardHists[name], h)
+	s := r.named(name, opts)
+	s.atomic = append(s.atomic, h)
 	return h
 }
 
@@ -126,7 +127,8 @@ func (r *Registry) LocalHistogram(name string, opts HistogramOpts) *LocalHistogr
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.localHists[name] = append(r.localHists[name], h)
+	s := r.named(name, opts)
+	s.local = append(s.local, h)
 	return h
 }
 
@@ -188,41 +190,23 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Counters[name] += fn()
 		}
 	}
-	for name, g := range r.gauges {
-		snap.Gauges[name] += g.Load()
-	}
 	for name, fns := range r.gaugeFns {
 		for _, fn := range fns {
 			snap.Gauges[name] += fn()
 		}
 	}
-	// Histograms: merge the atomic instrument and every local instance
-	// registered under one name into a single bucket-count vector, then
-	// summarize once (all same-name registrations share one layout).
-	for name, h := range r.hists {
-		counts := make([]int64, len(h.counts))
-		addAtomicCounts(counts, h)
-		for _, lh := range r.localHists[name] {
-			addCounts(counts, lh.counts)
-		}
-		snap.Histograms[name] = statsFromCounts(h.lo, h.minExp, h.nb, counts)
-	}
-	for name, hs := range r.shardHists {
-		counts := make([]int64, len(hs[0].counts))
-		for _, h := range hs {
+	// Histograms: sum every registration under one name into one
+	// bucket vector, reused across names, and summarize it once.
+	var counts []int64
+	for name, s := range r.hists {
+		counts = append(counts[:0], make([]int64, s.nb+2)...)
+		for _, h := range s.atomic {
 			addAtomicCounts(counts, h)
 		}
-		snap.Histograms[name] = statsFromCounts(hs[0].lo, hs[0].minExp, hs[0].nb, counts)
-	}
-	for name, lhs := range r.localHists {
-		if _, done := r.hists[name]; done {
-			continue
+		for _, h := range s.local {
+			addCounts(counts, h.counts)
 		}
-		counts := make([]int64, len(lhs[0].counts))
-		for _, lh := range lhs {
-			addCounts(counts, lh.counts)
-		}
-		snap.Histograms[name] = statsFromCounts(lhs[0].lo, lhs[0].minExp, lhs[0].nb, counts)
+		snap.Histograms[name] = s.stats(counts)
 	}
 	return snap
 }

@@ -170,8 +170,9 @@ func eachChecked(t *testing.T, cfgs []Config, workers int) []*Result {
 	}
 	for i, res := range results {
 		checkRecords(t, cfgs[i], res.Cfg, recs[i], func(j int, c *core.Controller) {
-			if j == 0 && (c.Stats() != res.Stats || len(c.Events) != len(res.Events)) {
-				t.Fatalf("%s: the replay ends at %+v, the result says %+v", cfgs[i].Name, c.Stats(), res.Stats)
+			if j == 0 && (c.Stats() != res.Stats || !sameLog(c, res)) {
+				t.Fatalf("%s: the replay ends at %+v, %d events, the result says %+v, %d events (untraced %v)",
+					cfgs[i].Name, c.Stats(), len(c.Events), res.Stats, len(res.Events), res.Cfg.untraced)
 			}
 		})
 	}
@@ -187,13 +188,24 @@ func checkRun(t *testing.T, cfg Config, res *Result, rec [][]flow.Input) {
 		t.Fatalf("%s: %d records for %d QA flows", cfg.Name, len(rec), len(res.QASrcs))
 	}
 	checkRecords(t, cfg, res.Cfg, rec, func(i int, c *core.Controller) {
-		if q := res.QASrcs[i]; c.Stats() != q.Ctrl.Stats() || len(c.Events) != len(q.Ctrl.Events) {
-			t.Fatalf("%s QA flow %d: the replay ends at %+v, the run at %+v", cfg.Name, i, c.Stats(), q.Ctrl.Stats())
+		if q := res.QASrcs[i]; c.Stats() != q.Ctrl.Stats() || len(c.Events) != len(q.Ctrl.Events) || i == 0 && !sameLog(c, res) {
+			t.Fatalf("%s QA flow %d: the replay ends at %+v, %d events, the run at %+v, %d events, its Result %d",
+				cfg.Name, i, c.Stats(), len(c.Events), q.Ctrl.Stats(), len(q.Ctrl.Events), len(res.Events))
 		}
 	})
 	if res.QASrc != nil && res.Stats != res.QASrc.Ctrl.Stats() {
 		t.Fatalf("%s: Result.Stats %+v, the first QA flow's %+v", cfg.Name, res.Stats, res.QASrc.Ctrl.Stats())
 	}
+}
+
+// sameLog reports whether res keeps the decision log that c, the replay
+// of its first QA flow, keeps: none if res is untraced, one as long
+// otherwise.
+func sameLog(c *core.Controller, res *Result) bool {
+	if res.Cfg.untraced {
+		return res.Events == nil
+	}
+	return len(c.Events) == len(res.Events)
 }
 
 // checkRecords checks each QA flow's record of a run of cfg (n is cfg

@@ -46,8 +46,9 @@ func RunAll(cfgs []Config, workers int) ([]*Result, error) {
 //
 // Config i is traced unless traced(i) is false (nil traces every
 // config). An untraced config's run keeps the sampler's ticks and
-// samples nothing: its Result has no series, and its report, which
-// reads counters and not series, is the same.
+// samples nothing: its Result has no series and no decision log
+// (Events is nil), and its report, which reads counters and neither of
+// those, is the same.
 //
 // Groups run on a pool of workers as RunAll's runs do, with the same
 // determinism. do runs on the worker of the config's group once the
@@ -87,8 +88,8 @@ func RunEach(cfgs []Config, workers int, traced func(i int) bool, do func(i int,
 // RunReports returns one report per config, in input order, each byte
 // for byte what Run and then Report give for it, from RunEach's runs: a
 // group of configs that share a network is one simulation and its
-// followers. The runs are untraced: a report reads no series, so none
-// is sampled. A failed slot holds a zero report.
+// followers. The runs are untraced: a report reads no series and no
+// decision log, so none is kept. A failed slot holds a zero report.
 func RunReports(cfgs []Config, workers int) ([]RunReport, error) {
 	reps := make([]RunReport, len(cfgs))
 	_, err := RunEach(cfgs, workers, func(int) bool { return false }, func(i int, res *Result) {
@@ -173,7 +174,7 @@ func newFollower(i int, cfg Config) (*follower, error) {
 		if err != nil {
 			return nil, err
 		}
-		if j == 0 { // the Result's Events
+		if j == 0 && !cfg.untraced { // the Result's Events
 			c.KeepEvents()
 		}
 		ctrls[j] = c

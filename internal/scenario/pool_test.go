@@ -312,7 +312,9 @@ func TestRunEachRestartsWithoutFailedLead(t *testing.T) {
 // The decision log is kept only where it is read. A run logs its first
 // QA flow alone (Result.Events is that flow's log), a follower its first
 // controller, and a recorded run every QA flow, for the checker. The
-// logs that are kept are the same in all three.
+// logs that are kept are the same in all three. A report run, untraced,
+// keeps none: neither the run nor its follower has Events, and none of
+// the run's controllers logs.
 func TestDecisionLogOnlyWhereRead(t *testing.T) {
 	cfg := MustPreset("Fleet", WithFlows(40))
 	recorded := runChecked(t, cfg)
@@ -342,6 +344,24 @@ func TestDecisionLogOnlyWhereRead(t *testing.T) {
 	for name, got := range map[string]*Result{"run": res, "follower": results[1]} {
 		if !reflect.DeepEqual(got.Events, recorded.Events) {
 			t.Fatalf("%s: %d events, the recorded run's first flow %d", name, len(got.Events), len(recorded.Events))
+		}
+	}
+
+	if _, err := RunEach([]Config{cfg, fol}, 1, func(int) bool { return false }, func(i int, res *Result) { results[i] = res }); err != nil {
+		t.Fatal(err)
+	}
+	res = results[0]
+	if res.lead != nil || results[1].lead != res {
+		t.Fatal("untraced: the second config did not follow the first")
+	}
+	for i, q := range res.QASrcs {
+		if q.Ctrl.Events != nil {
+			t.Fatalf("untraced: QA flow %d keeps a log of %d events", i, len(q.Ctrl.Events))
+		}
+	}
+	for name, got := range map[string]*Result{"run": res, "follower": results[1]} {
+		if got.Events != nil {
+			t.Fatalf("untraced %s: Result.Events holds %d events", name, len(got.Events))
 		}
 	}
 }

@@ -102,13 +102,14 @@ type Config struct {
 
 	// record, when non-nil, receives one flow.Driver record per QA flow,
 	// in flow order, for tests that replay the run (flow.Replay), and
-	// every QA controller of the run keeps its decision log. A
+	// every QA controller of a traced run keeps its decision log. A
 	// follower's (RunEach) is the record of the run it followed.
 	record *[][]flow.Input
 
 	// untraced, set by RunEach on its copies, runs the sampler's
-	// ticks without tracing anything: the Result's Series stays empty.
-	// A traced run's untraced followers are not traced either.
+	// ticks without tracing anything, the decision log included: the
+	// Result's Series stays empty and its Events nil. A traced run's
+	// untraced followers are not traced either.
 	untraced bool
 }
 
@@ -188,7 +189,7 @@ func (cfg *Config) Normalize() error {
 type Result struct {
 	Cfg    Config
 	Series *trace.Set
-	Events []core.Event // the first QA flow's decision log
+	Events []core.Event // the first QA flow's decision log; nil untraced
 	Stats  core.DropStats
 
 	QASrc   *QASource   // the first QA flow (nil without one); the figures' flow
@@ -385,8 +386,9 @@ func buildFlows(cfg Config, res *Result, net *sim.Dumbbell) ([]int, error) {
 			return nil, err
 		}
 		// Result.Events is the first QA flow's log; a recorded run
-		// logs every flow, for the tests that replay them.
-		if i == 0 || cfg.record != nil {
+		// logs every flow, for the tests that replay them. An untraced
+		// run logs none.
+		if !cfg.untraced && (i == 0 || cfg.record != nil) {
 			ctrl.KeepEvents()
 		}
 		// The first QA flow starts at 0 like the paper runs; additional
@@ -493,9 +495,9 @@ func stagger(i int, step float64) float64 {
 }
 
 // instrumentSources registers the transport- and controller-level
-// instruments, one shared set per class (the shared Instruments use
-// atomic histograms and snapshot-time Func reads, so concurrent runs
-// sharing a registry record into them safely).
+// instruments, one set per class shared by its flows: atomic counters,
+// single-writer histograms private to the run and snapshot-time Func
+// reads, so concurrent runs sharing a registry record into it safely.
 //
 // Transport namespaces derive from the backend kind — "qa.<kind>" for
 // the QA flows and "<kind>" for cross traffic — so the default RAP

@@ -4,6 +4,8 @@ import "qav/internal/metrics"
 
 // Instruments are the metric handles a TCP source records through;
 // record sites are nil-guarded so uninstrumented sources pay one branch.
+// The histogram is single-writer: the sources sharing it run on one
+// goroutine.
 type Instruments struct {
 	// FastRetransmits counts retransmissions sent outside an RTO (fast
 	// retransmit / SACK-driven).
@@ -13,18 +15,19 @@ type Instruments struct {
 	// Recoveries counts fast-recovery episodes entered.
 	Recoveries *metrics.Counter
 	// SRTT observes the smoothed RTT estimate after every sample.
-	SRTT *metrics.Histogram
+	SRTT *metrics.LocalHistogram
 }
 
 // NewInstruments registers TCP instruments on reg under prefix (e.g.
 // prefix "tcp" yields "tcp.fastrtx", ...). Sources sharing a prefix
-// share aggregated instruments.
+// share aggregated counters; each call registers its own histogram,
+// summed by name at snapshot time.
 func NewInstruments(reg *metrics.Registry, prefix string) *Instruments {
 	return &Instruments{
 		FastRetransmits: reg.Counter(prefix + ".fastrtx"),
 		RTOBackoffs:     reg.Counter(prefix + ".rto"),
 		Recoveries:      reg.Counter(prefix + ".recoveries"),
-		SRTT:            reg.Histogram(prefix+".srtt", metrics.HistogramOpts{}),
+		SRTT:            reg.LocalHistogram(prefix+".srtt", metrics.HistogramOpts{}),
 	}
 }
 

@@ -137,8 +137,10 @@ type Transport interface {
 }
 
 // Instruments are the metric handles a transport records through,
-// registered once per flow class. The record sites are branch-guarded:
-// an uninstrumented backend pays one predictable branch. The names
+// registered once per flow class of a run. The histograms are
+// single-writer: only flows on one goroutine may share them. The record
+// sites are branch-guarded: an uninstrumented backend pays one
+// predictable branch. The names
 // registered under a prefix ("<prefix>.backoffs", ".timeouts", ".srtt",
 // ".ackgap") are part of the report format. Backends may register
 // extra, backend-specific metrics in Instrument (the delay backend adds
@@ -150,19 +152,20 @@ type Instruments struct {
 	// Timeouts counts Step invocations that detected timed-out packets.
 	Timeouts *metrics.Counter
 	// SRTT observes the smoothed RTT estimate after every sample.
-	SRTT *metrics.Histogram
+	SRTT *metrics.LocalHistogram
 	// AckGap observes the spacing between successive ACK arrivals.
-	AckGap *metrics.Histogram
+	AckGap *metrics.LocalHistogram
 }
 
 // NewInstruments registers transport instruments on reg under prefix
-// (e.g. "qa.delay" yields "qa.delay.backoffs", ...). Registration is
-// idempotent, so flows sharing a prefix share aggregated instruments.
+// (e.g. "qa.delay" yields "qa.delay.backoffs", ...). Flows sharing a
+// prefix share aggregated counters; each call registers its own
+// histograms, summed by name at snapshot time.
 func NewInstruments(reg *metrics.Registry, prefix string) *Instruments {
 	return &Instruments{
 		Backoffs: reg.Counter(prefix + ".backoffs"),
 		Timeouts: reg.Counter(prefix + ".timeouts"),
-		SRTT:     reg.Histogram(prefix+".srtt", metrics.HistogramOpts{}),
-		AckGap:   reg.Histogram(prefix+".ackgap", metrics.HistogramOpts{}),
+		SRTT:     reg.LocalHistogram(prefix+".srtt", metrics.HistogramOpts{}),
+		AckGap:   reg.LocalHistogram(prefix+".ackgap", metrics.HistogramOpts{}),
 	}
 }

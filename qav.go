@@ -64,7 +64,8 @@ const (
 
 // NewController returns a quality adaptation controller for integration
 // with a custom transport: feed it Tick/PickLayer/OnDelivered/OnBackoff.
-// Stats counts its decisions; KeepEvents logs them in Events too.
+// Stats counts its decisions, all that Tables 1-2 read; KeepEvents also
+// logs them in Events, for a caller that reads the log itself.
 func NewController(p Params) (*Controller, error) { return core.NewController(p) }
 
 // Simulation types.
